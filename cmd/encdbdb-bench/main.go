@@ -31,7 +31,7 @@ func main() {
 
 func run() error {
 	var (
-		exp     = flag.String("exp", "all", "experiment: table1 table3 table4 table6 fig6 fig7 fig8a fig8b fig8c claims concurrency compression scan merge prepared remote load shard ablation-av ablation-optimizer ablation-bsmax ablation-enclave all")
+		exp     = flag.String("exp", "all", "experiment: table1 table3 table4 table6 fig6 fig7 fig8a fig8b fig8c claims concurrency compression scan merge prepared load shard ablation-av ablation-optimizer ablation-bsmax ablation-enclave all")
 		rows    = flag.String("rows", "10000,30000", "comma-separated dataset size sweep")
 		queries = flag.Int("queries", 50, "random range queries per measurement point (paper: 500)")
 		rs      = flag.String("rs", "2,100", "comma-separated range sizes (paper: 2,100)")
@@ -70,7 +70,6 @@ func run() error {
 		"scan":               bench.Scan,
 		"merge":              bench.Merge,
 		"prepared":           bench.Prepared,
-		"remote":             bench.Remote,
 		"load":               bench.Load,
 		"shard":              bench.Shard,
 		"ablation-av":        bench.AblationAV,
@@ -80,7 +79,7 @@ func run() error {
 	}
 	order := []string{
 		"table1", "table3", "table4", "table6", "fig6", "fig7",
-		"fig8a", "fig8b", "fig8c", "claims", "concurrency", "compression", "scan", "merge", "prepared", "remote", "load", "shard",
+		"fig8a", "fig8b", "fig8c", "claims", "concurrency", "compression", "scan", "merge", "prepared", "load", "shard",
 		"ablation-av", "ablation-optimizer", "ablation-bsmax", "ablation-enclave",
 	}
 

@@ -53,7 +53,6 @@ func run() error {
 		provision = flag.Bool("provision", false, "attest the provider enclaves and deploy the master key")
 		identity  = flag.String("identity", encdbdb.DefaultEnclaveIdentity, "expected enclave code identity")
 		conns     = flag.Int("conns", 1, "connections per provider (>1 uses a pooled client)")
-		proto     = flag.Int("proto", 0, "highest wire protocol version to negotiate: 3 binary codec, 2 gob stream, 1 lock-step (0 = newest)")
 		metrics   = flag.String("metrics-addr", "", "serve the proxy's encdbdb_shard_* metrics on this address at /metrics (sharded mode; empty = off)")
 	)
 	flag.Parse()
@@ -75,19 +74,15 @@ func run() error {
 		return err
 	}
 
-	var dialOpts []encdbdb.ClientOption
-	if *proto > 0 {
-		dialOpts = append(dialOpts, encdbdb.WithMaxProto(*proto))
-	}
 	dial := func(addr string) (encdbdb.RemoteClient, func(), error) {
 		if *conns > 1 {
-			pool, err := encdbdb.DialPool(addr, *conns, dialOpts...)
+			pool, err := encdbdb.DialPool(addr, *conns)
 			if err != nil {
 				return nil, nil, err
 			}
 			return pool, func() { pool.Close() }, nil
 		}
-		c, err := encdbdb.Dial(addr, dialOpts...)
+		c, err := encdbdb.Dial(addr)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -41,7 +41,6 @@ func run() error {
 	dataDir := flag.String("data-dir", "", "durability directory for the write-ahead log and checkpoint images; recovered on startup (empty = in-memory only)")
 	syncPolicy := flag.String("sync", "always", "WAL fsync policy with -data-dir: always, interval, or none")
 	syncEvery := flag.Duration("sync-interval", 0, "fsync cadence with -sync interval (0 = 10ms)")
-	maxProto := flag.Int("max-proto", 0, "highest wire protocol version to negotiate: 3 binary codec, 2 gob stream, 1 lock-step (0 = newest)")
 	flag.Parse()
 
 	db, err := encdbdb.Open(encdbdb.Options{
@@ -49,7 +48,6 @@ func run() error {
 		QueueDepth:     *queueDepth,
 		RequestTimeout: *reqTimeout,
 		ConnRate:       *connRate,
-		MaxProto:       *maxProto,
 		EnableMetrics:  *metricsAddr != "",
 		DataDir:        *dataDir,
 		SyncPolicy:     *syncPolicy,

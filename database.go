@@ -29,7 +29,6 @@ type Database struct {
 	queueDepth  int
 	reqTimeout  time.Duration
 	connRate    float64
-	maxProto    int
 	metrics     *metrics.Registry
 	log         *wal.Log
 }
@@ -69,11 +68,6 @@ type Options struct {
 	// (requests/second, token bucket with one second of burst); requests over
 	// budget are shed with wire.ErrRateLimited. 0 means unlimited.
 	ConnRate float64
-	// MaxProto caps the wire protocol version Serve negotiates (0 = the
-	// newest). Set 2 to hold connections on the gob stream codec or 1 to
-	// emulate a lock-step-only provider — the knobs the cross-version
-	// compatibility matrix exercises.
-	MaxProto int
 	// EnableMetrics creates a metrics registry and instruments the engine,
 	// enclave, and (once Serve runs) the wire server with it. Scrape it via
 	// MetricsHandler. Off by default: an uninstrumented provider pays zero
@@ -165,7 +159,6 @@ func Open(opts ...Options) (*Database, error) {
 		queueDepth:  o.QueueDepth,
 		reqTimeout:  o.RequestTimeout,
 		connRate:    o.ConnRate,
-		maxProto:    o.MaxProto,
 		metrics:     reg,
 		log:         log,
 	}, nil
@@ -260,9 +253,6 @@ func (d *Database) Serve(ln net.Listener, logf func(format string, args ...any))
 	}
 	if d.connRate > 0 {
 		opts = append(opts, wire.WithConnRate(d.connRate))
-	}
-	if d.maxProto > 0 {
-		opts = append(opts, wire.WithServerMaxProto(d.maxProto))
 	}
 	if d.metrics != nil {
 		opts = append(opts, wire.WithMetrics(d.metrics))

@@ -135,12 +135,6 @@ type ClientOption = wire.ClientOption
 // operations: the server sheds load before executing anything).
 func WithBusyRetry(n int, base time.Duration) ClientOption { return wire.WithBusyRetry(n, base) }
 
-// WithMaxProto caps the wire protocol version the client negotiates (the
-// newest by default). Set 2 to hold the connection on the gob stream codec
-// or 1 to force the lock-step protocol — the knobs the cross-version
-// compatibility matrix exercises against older providers.
-func WithMaxProto(v int) ClientOption { return wire.WithMaxProto(v) }
-
 // Dial connects to a remote provider started with Database.Serve or the
 // encdbdb-server command.
 func Dial(addr string, opts ...ClientOption) (*Client, error) { return wire.Dial(addr, opts...) }

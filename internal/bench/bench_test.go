@@ -36,7 +36,6 @@ func TestExperimentsProduceOutput(t *testing.T) {
 		{name: "fig6", run: Fig6, want: []string{"ED1", "ED9", "recovery"}},
 		{name: "table6", run: Table6, want: []string{"Plaintext file", "Encrypted file", "MonetDB", "ED1/ED2/ED3", "bsmax=10", "ED7/ED8/ED9"}},
 		{name: "fig7", run: Fig7, want: []string{"C1", "C2", "avg results"}},
-		{name: "remote", run: Remote, want: []string{"lock-step v1", "multiplexed", "pooled", "p99", "bulk load"}},
 		{name: "merge", run: Merge, want: []string{"quiet", "background", "blocking", "p99"}},
 		{name: "compression", run: Compression, want: []string{"|D|", "width", "ratio", "speedup"}},
 		{name: "ablation-av", run: AblationAV, want: []string{"nested loop", "sorted probe", "bitset", "packed SWAR"}},

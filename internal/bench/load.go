@@ -82,7 +82,7 @@ type LoadReport struct {
 // Load is the sustained-traffic experiment: an open-loop generator drives
 // point queries at fixed arrival rates against a loopback provider running
 // with production admission control (bounded dispatch queue, busy shedding).
-// Unlike the closed-loop -exp remote benchmark, arrivals do not wait for
+// Unlike a closed-loop benchmark, arrivals do not wait for
 // responses — exactly the regime where an unbounded queue would let latency
 // run away. The sweep reports, per offered-load level, the goodput, the shed
 // rate, and the p99 of the successful requests: the acceptance shape is a

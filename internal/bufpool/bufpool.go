@@ -119,10 +119,15 @@ func (p *Pool) Put(b *Buf) {
 		return
 	}
 	b.B = b.B[:cap(b.B)]
+	// Once b is on the free list the next Get owns it: take its size and
+	// account for it first (so Get's subtraction can never run ahead of
+	// this addition), and touch b no more after the send.
+	size := uint64(cap(b.B))
+	p.retained.Add(size)
 	select {
 	case p.free[b.class] <- b:
-		p.retained.Add(uint64(cap(b.B)))
 	default:
+		p.retained.Add(^(size - 1)) // list full: dropped, not retained
 	}
 }
 

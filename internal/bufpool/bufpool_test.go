@@ -93,6 +93,16 @@ func TestConcurrentGetPut(t *testing.T) {
 	if st.Gets != 8000 || st.Puts != 8000 {
 		t.Errorf("stats = %+v, want 8000 gets/puts", st)
 	}
+	// Put accounts a buffer before publishing it (and touches it no more
+	// afterwards — the race detector fails this test otherwise), so once
+	// quiescent the gauge equals what is parked on the free lists.
+	var parked uint64
+	for c := range p.free {
+		parked += uint64(len(p.free[c])) << (minClassBits + c)
+	}
+	if st.RetainedBytes != parked {
+		t.Errorf("retained = %d, free lists hold %d", st.RetainedBytes, parked)
+	}
 }
 
 func BenchmarkGetPut(b *testing.B) {

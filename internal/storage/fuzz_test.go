@@ -46,20 +46,14 @@ func fuzzSeedSnapshot(f *testing.F) *engine.TableSnapshot {
 	return snap
 }
 
-// FuzzReadTable feeds ReadTable arbitrary bytes, seeded with valid v1, v2,
-// and v3 images plus truncated and bit-flipped variants. Corrupt input of
-// any vintage must surface as an error — never a panic, hang, or huge
-// allocation.
+// FuzzReadTable feeds ReadTable arbitrary bytes, seeded with valid images
+// (a small table, and one whose dictionary tail spans several read chunks)
+// plus truncated and bit-flipped variants. Corrupt input must surface as an
+// error — never a panic, hang, or huge allocation.
 func FuzzReadTable(f *testing.F) {
-	snap := fuzzSeedSnapshot(f)
-	writers := []func(*bytes.Buffer) error{
-		func(w *bytes.Buffer) error { return storage.WriteTableV1(w, snap) },
-		func(w *bytes.Buffer) error { return storage.WriteTableV2(w, snap) },
-		func(w *bytes.Buffer) error { return storage.WriteTable(w, snap) },
-	}
-	for _, write := range writers {
+	for _, snap := range []*engine.TableSnapshot{fuzzSeedSnapshot(f), largeTailSnapshot(f)} {
 		var buf bytes.Buffer
-		if err := write(&buf); err != nil {
+		if err := storage.WriteTable(&buf, snap); err != nil {
 			f.Fatal(err)
 		}
 		blob := buf.Bytes()

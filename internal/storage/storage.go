@@ -11,14 +11,13 @@
 // stolen memory image (the attacker the paper defends against already sees
 // both).
 //
-// Format versions: version 1 stored the attribute vector as 4-byte-per-row
-// uint32s; version 2 stores it bit-packed at ceil(log2 |D|) bits per code
-// (the internal/av slice words verbatim), mirroring the in-memory layout;
-// version 3 additionally persists the per-block encoding metadata of
-// internal/av's lightweight encodings (packed / frame-of-reference /
-// run-length, chosen per 1024-row block), so an encoded vector round-trips
-// without re-deriving block statistics at load. WriteTable always writes
-// version 3; ReadTable loads all three.
+// The attribute vector is stored as the engine scans it in memory: the
+// internal/av slice words, bit-packed at ceil(log2 |D|) bits per code, plus
+// the per-block encoding metadata of internal/av's lightweight encodings
+// (packed / frame-of-reference / run-length, chosen per 1024-row block), so
+// an encoded vector round-trips without re-deriving block statistics at
+// load. The header carries a format version; ReadTable refuses every
+// version but the one WriteTable writes with ErrBadVersion.
 package storage
 
 import (
@@ -30,6 +29,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"github.com/encdbdb/encdbdb/internal/av"
 	"github.com/encdbdb/encdbdb/internal/dict"
@@ -38,12 +38,8 @@ import (
 
 const (
 	magic = "ENCDBDB\x01"
-	// versionV1 is the legacy unpacked-AV format; versionV2 packs the
-	// attribute vector; versionV3 adds per-block encoding metadata.
-	// ReadTable accepts all three, WriteTable emits V3.
-	versionV1 = uint16(1)
-	versionV2 = uint16(2)
-	versionV3 = uint16(3)
+	// version is the one format WriteTable emits and ReadTable accepts.
+	version = uint16(3)
 	// maxSliceLen guards length-prefixed reads against corrupted or
 	// malicious files claiming absurd sizes.
 	maxSliceLen = 1 << 33
@@ -64,7 +60,7 @@ func WriteTable(w io.Writer, snap *engine.TableSnapshot) error {
 		return err
 	}
 	e := &encoder{w: cw}
-	e.u16(versionV3)
+	e.u16(version)
 	e.str(snap.Schema.Table)
 	e.u32(uint32(len(snap.Schema.Columns)))
 	for _, def := range snap.Schema.Columns {
@@ -117,9 +113,8 @@ func ReadTable(r io.Reader) (snap *engine.TableSnapshot, err error) {
 		return nil, ErrBadMagic
 	}
 	d := &decoder{r: cr}
-	d.ver = d.u16()
-	if d.err == nil && d.ver != versionV1 && d.ver != versionV2 && d.ver != versionV3 {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, d.ver)
+	if ver := d.u16(); d.err == nil && ver != version {
+		return nil, fmt.Errorf("%w: %d", ErrBadVersion, ver)
 	}
 	snap = &engine.TableSnapshot{}
 	snap.Schema.Table = d.str()
@@ -339,7 +334,7 @@ func (e *encoder) split(d dict.SplitData) {
 	e.u32(uint32(d.MaxLen))
 	e.u32(uint32(d.BSMax))
 	e.bytes(d.EncRndOffset)
-	// V3 attribute vector: row count, code width, the bit-slice words,
+	// Attribute vector: row count, code width, the bit-slice words,
 	// then the per-block encoding metadata and RLE runs — the same
 	// representation the engine scans in memory, re-derived from the
 	// interchange codes so the selection heuristic needs to run only here
@@ -375,11 +370,9 @@ func (e *encoder) split(d dict.SplitData) {
 	e.bytes(d.Tail)
 }
 
-// decoder reads primitive values, capturing the first error. ver selects
-// the split layout (legacy unpacked vs packed attribute vectors).
+// decoder reads primitive values, capturing the first error.
 type decoder struct {
 	r   io.Reader
-	ver uint16
 	err error
 }
 
@@ -439,7 +432,7 @@ func (d *decoder) bytes() []byte {
 	p := make([]byte, 0, min(n, decodeChunk))
 	for len(p) < n && d.err == nil {
 		m := min(n-len(p), decodeChunk)
-		p = p[:len(p)+m]
+		p = slices.Grow(p, m)[:len(p)+m]
 		d.read(p[len(p)-m:])
 	}
 	if d.err != nil {
@@ -473,53 +466,33 @@ func (d *decoder) split() dict.SplitData {
 	s.MaxLen = int(d.u32())
 	s.BSMax = int(d.u32())
 	s.EncRndOffset = d.bytes()
-	var (
-		rows   int
-		width  int
-		words  []uint64
-		blocks []av.Block
-		runs   []av.Run
-	)
-	if d.ver >= versionV2 {
-		rows = d.sliceLen()
-		width = int(d.u8())
-		nwords := d.sliceLen()
-		if d.err == nil && nwords > 0 {
-			words = make([]uint64, 0, min(nwords, decodeChunk))
-			for i := 0; i < nwords && d.err == nil; i++ {
-				words = append(words, d.u64())
-			}
+	rows := d.sliceLen()
+	width := int(d.u8())
+	var words []uint64
+	if n := d.sliceLen(); d.err == nil && n > 0 {
+		words = make([]uint64, 0, min(n, decodeChunk))
+		for i := 0; i < n && d.err == nil; i++ {
+			words = append(words, d.u64())
 		}
-		if d.ver >= versionV3 {
-			nblocks := d.sliceLen()
-			if d.err == nil && nblocks > 0 {
-				blocks = make([]av.Block, 0, min(nblocks, decodeChunk))
-				for i := 0; i < nblocks && d.err == nil; i++ {
-					blocks = append(blocks, av.Block{
-						Enc:  av.Encoding(d.u8()),
-						W:    d.u8(),
-						Base: d.u32(),
-						Off:  d.u32(),
-						N:    d.u32(),
-					})
-				}
-			}
-			nruns := d.sliceLen()
-			if d.err == nil && nruns > 0 {
-				runs = make([]av.Run, 0, min(nruns, decodeChunk))
-				for i := 0; i < nruns && d.err == nil; i++ {
-					runs = append(runs, av.Run{VID: d.u32(), End: d.u32()})
-				}
-			}
+	}
+	var blocks []av.Block
+	if n := d.sliceLen(); d.err == nil && n > 0 {
+		blocks = make([]av.Block, 0, min(n, decodeChunk))
+		for i := 0; i < n && d.err == nil; i++ {
+			blocks = append(blocks, av.Block{
+				Enc:  av.Encoding(d.u8()),
+				W:    d.u8(),
+				Base: d.u32(),
+				Off:  d.u32(),
+				N:    d.u32(),
+			})
 		}
-	} else {
-		// V1: 4-byte-per-row unpacked attribute vector.
-		nav := d.sliceLen()
-		if d.err == nil && nav > 0 {
-			s.AV = make([]uint32, 0, min(nav, decodeChunk))
-			for i := 0; i < nav && d.err == nil; i++ {
-				s.AV = append(s.AV, d.u32())
-			}
+	}
+	var runs []av.Run
+	if n := d.sliceLen(); d.err == nil && n > 0 {
+		runs = make([]av.Run, 0, min(n, decodeChunk))
+		for i := 0; i < n && d.err == nil; i++ {
+			runs = append(runs, av.Run{VID: d.u32(), End: d.u32()})
 		}
 	}
 	nhead := d.sliceLen()
@@ -530,17 +503,18 @@ func (d *decoder) split() dict.SplitData {
 		}
 	}
 	s.Tail = d.bytes()
-	if d.err == nil && d.ver >= versionV2 {
-		// The packed width is bound to |D|, known only after the head;
-		// av.FromEncoded validates the block/run structure, and
-		// dict.FromData re-validates every code against |D| once the
-		// vector is unpacked into the interchange shape.
-		vec, err := av.FromEncoded(words, blocks, runs, rows, width, nhead)
-		if err != nil {
-			d.err = err
-			return s
-		}
-		s.AV = vec.Unpack()
+	if d.err != nil {
+		return s
 	}
+	// The packed width is bound to |D|, known only after the head;
+	// av.FromEncoded validates the block/run structure, and dict.FromData
+	// re-validates every code against |D| once the vector is unpacked into
+	// the interchange shape.
+	vec, err := av.FromEncoded(words, blocks, runs, rows, width, nhead)
+	if err != nil {
+		d.err = err
+		return s
+	}
+	s.AV = vec.Unpack()
 	return s
 }

@@ -6,8 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
+	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/enclave"
 	"github.com/encdbdb/encdbdb/internal/engine"
 	"github.com/encdbdb/encdbdb/internal/pae"
@@ -228,24 +231,19 @@ func TestRestoreRejectsTamperedSplitRefs(t *testing.T) {
 	}
 }
 
-// TestFormatMatrix proves every storage format generation loads into the
-// current in-memory representation unchanged: version 1 (unpacked uint32
-// AVs), version 2 (uniform bit-packed words) and the current version 3
-// (bit-packed words plus per-block FoR/RLE encoding metadata) all restore
-// databases that answer queries identically to the live original, with every
-// split's codes surviving bit-for-bit. This is the v1/v2 → v3 upgrade path:
-// a server that persisted under an older format and restarts on the current
-// binary must see no behavioral difference.
+// TestFormatMatrix pins the one on-disk format: an image WriteTable wrote
+// restores a database that answers queries identically to the live
+// original, with every split's codes surviving bit-for-bit, and an image
+// carrying any other format version is refused with ErrBadVersion before
+// anything past the header is parsed.
 func TestFormatMatrix(t *testing.T) {
 	p, db, master := newStack(t)
 	seed(t, p)
-	// Enough rows that the bit-packed layout's fixed per-column header is
-	// dwarfed by the attribute vector itself.
 	for i := 0; i < 256; i++ {
 		mustExec(t, p, fmt.Sprintf("INSERT INTO t1 VALUES ('P%03d', 'C%02d', 'n%d')", i, i%16, i%4))
 	}
-	// Merge so the main stores (the part whose layout changed) hold data;
-	// keep one post-merge insert so delta persistence is exercised too.
+	// Merge so the main stores hold data; keep one post-merge insert so
+	// delta persistence is exercised too.
 	if err := db.Merge(context.Background(), "t1"); err != nil {
 		t.Fatalf("Merge: %v", err)
 	}
@@ -255,73 +253,99 @@ func TestFormatMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := []struct {
-		name  string
-		write func(w *bytes.Buffer) error
-	}{
-		{"v1", func(w *bytes.Buffer) error { return storage.WriteTableV1(w, snap) }},
-		{"v2", func(w *bytes.Buffer) error { return storage.WriteTableV2(w, snap) }},
-		{"v3", func(w *bytes.Buffer) error { return storage.WriteTable(w, snap) }},
+	var buf bytes.Buffer
+	if err := storage.WriteTable(&buf, snap); err != nil {
+		t.Fatal(err)
 	}
-	bufs := make(map[string]*bytes.Buffer, len(files))
-	for _, f := range files {
-		var buf bytes.Buffer
-		if err := f.write(&buf); err != nil {
-			t.Fatalf("write %s: %v", f.name, err)
-		}
-		bufs[f.name] = &buf
-	}
-	// The packed formats must beat the unpacked one on this data set.
-	for _, packed := range []string{"v2", "v3"} {
-		if bufs[packed].Len() >= bufs["v1"].Len() {
-			t.Errorf("%s file (%d bytes) not smaller than v1 file (%d bytes)",
-				packed, bufs[packed].Len(), bufs["v1"].Len())
-		}
-	}
+	raw := buf.Bytes()
 
-	queries := []string{
-		"SELECT fname, city, note FROM t1 WHERE fname >= 'A'",
-		"SELECT city FROM t1 WHERE city = 'Waterloo'",
-		"SELECT COUNT(*) FROM t1 WHERE note = 'b2b'",
-	}
-	for _, f := range files {
-		t.Run(f.name, func(t *testing.T) {
-			got, err := storage.ReadTable(bytes.NewReader(bufs[f.name].Bytes()))
-			if err != nil {
-				t.Fatalf("ReadTable(%s): %v", f.name, err)
+	t.Run("current", func(t *testing.T) {
+		got, err := storage.ReadTable(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("ReadTable: %v", err)
+		}
+		for i, cs := range got.Columns {
+			if want := snap.Columns[i].Main.AV; !slices.Equal(cs.Main.AV, want) {
+				t.Fatalf("column %q: attribute vector changed across the round trip", cs.Name)
 			}
-			for i, cs := range got.Columns {
-				want := snap.Columns[i].Main.AV
-				if len(cs.Main.AV) != len(want) {
-					t.Fatalf("column %q: %d AV codes, want %d", cs.Name, len(cs.Main.AV), len(want))
-				}
-				for j, vid := range cs.Main.AV {
-					if vid != want[j] {
-						t.Fatalf("column %q: AV[%d] = %d, want %d", cs.Name, j, vid, want[j])
-					}
-				}
+		}
+		p2, db2 := cloneStack(t, master)
+		if err := db2.Restore(got); err != nil {
+			t.Fatalf("Restore: %v", err)
+		}
+		for _, q := range []string{
+			"SELECT fname, city, note FROM t1 WHERE fname >= 'A'",
+			"SELECT city FROM t1 WHERE city = 'Waterloo'",
+			"SELECT COUNT(*) FROM t1 WHERE note = 'b2b'",
+		} {
+			want, got := mustExec(t, p, q), mustExec(t, p2, q)
+			if want.Count != got.Count || !reflect.DeepEqual(want.Rows, got.Rows) {
+				t.Errorf("%q: restored answered %d rows/count %d, original %d/%d",
+					q, len(got.Rows), got.Count, len(want.Rows), want.Count)
 			}
+		}
+	})
+	t.Run("old version is refused", func(t *testing.T) {
+		// The u16 format version follows the 8-byte magic.
+		for _, ver := range []byte{0, 1, 2, 4} {
+			old := append([]byte(nil), raw...)
+			old[8], old[9] = ver, 0
+			if _, err := storage.ReadTable(bytes.NewReader(old)); !errors.Is(err, storage.ErrBadVersion) {
+				t.Errorf("version %d: err = %v, want ErrBadVersion", ver, err)
+			}
+		}
+	})
+}
 
-			p2, db2 := cloneStack(t, master)
-			if err := db2.Restore(got); err != nil {
-				t.Fatalf("Restore: %v", err)
-			}
-			for _, q := range queries {
-				want := mustExec(t, p, q)
-				got := mustExec(t, p2, q)
-				if want.Count != got.Count || len(want.Rows) != len(got.Rows) {
-					t.Fatalf("%q: restored answered %d rows/count %d, original %d/%d",
-						q, len(got.Rows), got.Count, len(want.Rows), want.Count)
-				}
-				for i := range want.Rows {
-					for j := range want.Rows[i] {
-						if want.Rows[i][j] != got.Rows[i][j] {
-							t.Errorf("%q: row %d col %d = %q, want %q", q, i, j, got.Rows[i][j], want.Rows[i][j])
-						}
-					}
-				}
-			}
-		})
+// largeTailSnapshot snapshots a merged one-column table whose dictionary
+// tail exceeds the decoder's 1 MiB read chunk — the size every realistic
+// merged table and checkpoint image has.
+func largeTailSnapshot(t testing.TB) *engine.TableSnapshot {
+	t.Helper()
+	db := engine.New(nil)
+	schema := engine.Schema{Table: "big", Columns: []engine.ColumnDef{
+		{Name: "c", Kind: dict.ED1, MaxLen: 1024, Plain: true},
+	}}
+	if err := db.CreateTable(schema); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	rows := make([]engine.Row, 1200)
+	for i := range rows {
+		rows[i] = engine.Row{"c": append(bytes.Repeat([]byte{'x'}, 1000), fmt.Sprintf("%04d", i)...)}
+	}
+	if err := db.InsertBatch(ctx, "big", rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Merge(ctx, "big"); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := db.Snapshot("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(snap.Columns[0].Main.Tail); n <= 1<<20 {
+		t.Fatalf("tail is %d bytes, want > 1 MiB", n)
+	}
+	return snap
+}
+
+func TestRoundTripLargeTail(t *testing.T) {
+	snap := largeTailSnapshot(t)
+	var buf bytes.Buffer
+	if err := storage.WriteTable(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	got, err := storage.ReadTable(&buf)
+	if err != nil {
+		t.Fatalf("ReadTable: %v", err)
+	}
+	want := snap.Columns[0].Main
+	if !bytes.Equal(got.Columns[0].Main.Tail, want.Tail) || !slices.Equal(got.Columns[0].Main.Head, want.Head) {
+		t.Error("dictionary changed across the round trip")
+	}
+	if err := engine.New(nil).Restore(got); err != nil {
+		t.Errorf("Restore: %v", err)
 	}
 }
 

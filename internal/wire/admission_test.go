@@ -62,7 +62,15 @@ func TestSaturationReturnsBusy(t *testing.T) {
 		_, err := c.Rows("adm")
 		parked <- err
 	}()
-	<-entered
+	// The client has read CreateTable's reply, so that request holds no
+	// queue slot any more and this one must be admitted, not shed.
+	select {
+	case <-entered:
+	case err := <-parked:
+		t.Fatalf("first request did not park in the hook: returned %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed out waiting for the first request to reach the dispatch hook")
+	}
 	// The queue is now provably full: the next request must be shed, fast
 	// and typed, while the first request is still running.
 	start := time.Now()

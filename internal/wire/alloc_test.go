@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"io"
 	"testing"
@@ -21,14 +20,12 @@ func measureAllocs(t *testing.T, budget float64, f func()) {
 	}
 }
 
-// v3Frame renders one multiplexed frame (header + codec-tagged payload) the
-// way a v3 peer would put it on the wire.
-func v3Frame(t *testing.T, id uint64, req *request) []byte {
+// frameOf renders one frame (header + codec-tagged payload) the way a peer
+// would put it on the wire.
+func frameOf(t testing.TB, id uint64, m message) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	mw := newMuxWriter(&buf)
-	mw.version = protoV3
-	if err := mw.sendRequest(id, req); err != nil {
+	if err := newMuxWriter(&buf).send(id, m); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -54,7 +51,7 @@ func allocInsertReq() *request {
 }
 
 // TestAllocBudgets pins the allocation cost of every layer of the wire hot
-// path. The server-side paths (frame read, v3 decode, v3 encode, pooled
+// path. The server-side paths (frame read, decode, encode, pooled
 // envelopes) must be allocation-free in steady state; the client-side
 // response decode gets a small explicit budget because results are handed
 // to the caller and cannot be pooled.
@@ -69,39 +66,8 @@ func TestAllocBudgets(t *testing.T) {
 		})
 	})
 
-	payload := make([]byte, 128)
-	t.Run("frame_write_v1", func(t *testing.T) {
-		// The 4-byte header escapes into the conn's Write call; the v1
-		// protocol pays a self-contained gob document per frame anyway, so
-		// the header is noise there. The multiplexed writers use pooled
-		// header scratch (writeFrameLocked, beginBinLocked) and are held to
-		// zero by the encode subtests below.
-		bw := bufio.NewWriterSize(io.Discard, 1<<16)
-		measureAllocs(t, 1, func() {
-			if err := writeFrame(bw, payload); err != nil {
-				t.Fatal(err)
-			}
-		})
-	})
-
-	t.Run("frame_read_v1", func(t *testing.T) {
-		var raw bytes.Buffer
-		if err := writeFrame(&raw, payload); err != nil {
-			t.Fatal(err)
-		}
-		r := bytes.NewReader(raw.Bytes())
-		fr := &frameReader{r: r}
-		defer fr.release()
-		measureAllocs(t, 0, func() {
-			r.Reset(raw.Bytes())
-			if _, err := fr.read(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	})
-
 	t.Run("frame_read_pooled", func(t *testing.T) {
-		frame := v3Frame(t, 42, allocSelectReq())
+		frame := frameOf(t, 42, allocSelectReq())
 		r := bytes.NewReader(frame)
 		fr := &frameReader{r: r}
 		measureAllocs(t, 0, func() {
@@ -114,20 +80,18 @@ func TestAllocBudgets(t *testing.T) {
 		})
 	})
 
-	t.Run("encode_request_v3", func(t *testing.T) {
+	t.Run("encode_request", func(t *testing.T) {
 		mw := newMuxWriter(io.Discard)
-		mw.version = protoV3
 		req := allocSelectReq()
 		measureAllocs(t, 0, func() {
-			if err := mw.sendRequestV3(1, req); err != nil {
+			if err := mw.send(1, req); err != nil {
 				t.Fatal(err)
 			}
 		})
 	})
 
-	t.Run("encode_response_v3", func(t *testing.T) {
+	t.Run("encode_response", func(t *testing.T) {
 		mw := newMuxWriter(io.Discard)
-		mw.version = protoV3
 		resp := &response{
 			N: 1,
 			Result: &engine.Result{
@@ -137,7 +101,7 @@ func TestAllocBudgets(t *testing.T) {
 			},
 		}
 		measureAllocs(t, 0, func() {
-			if err := mw.sendResponseV3(1, resp); err != nil {
+			if err := mw.send(1, resp); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -155,11 +119,10 @@ func TestAllocBudgets(t *testing.T) {
 		{"serve_frame_insert", allocInsertReq()},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			frame := v3Frame(t, 42, c.req)
+			frame := frameOf(t, 42, c.req)
 			r := bytes.NewReader(frame)
 			fr := &frameReader{r: r}
 			mw := newMuxWriter(io.Discard)
-			mw.version = protoV3
 			var in intern
 			measureAllocs(t, 0, func() {
 				r.Reset(frame)
@@ -167,23 +130,23 @@ func TestAllocBudgets(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				req, pooled, err := decodeV3Request(fb, &in)
+				req, err := decodeRequest(fb.B, &in)
 				if err != nil {
 					t.Fatal(err)
 				}
 				resp := respPool.Get().(*response)
 				resp.N = 1
-				if err := mw.sendResponseV3(id, resp); err != nil {
+				if err := mw.send(id, resp); err != nil {
 					t.Fatal(err)
 				}
 				resetResponse(resp)
 				respPool.Put(resp)
-				releaseRequest(req, fb, pooled)
+				releaseRequest(req, fb)
 			})
 		})
 	}
 
-	t.Run("decode_response_v3", func(t *testing.T) {
+	t.Run("decode_response", func(t *testing.T) {
 		resp := &response{
 			N: 1,
 			Result: &engine.Result{
@@ -192,7 +155,7 @@ func TestAllocBudgets(t *testing.T) {
 				Columns:   []engine.ResultColumn{{Table: "accounts", Column: "balance", Cells: [][]byte{[]byte("12345678")}}},
 			},
 		}
-		raw := binEncode(t, func(s binSink) { encResponse(s, resp) })
+		raw := binEncode(t, resp.encode)
 		// The decoded result is handed to the caller, so its backbone
 		// (Result struct, ID/column/cell slices, two name strings) is
 		// allocated fresh; the cells themselves alias the frame.

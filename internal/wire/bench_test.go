@@ -10,12 +10,12 @@ import (
 	"github.com/encdbdb/encdbdb/internal/engine"
 )
 
-// benchClient dials addr, creates a small plain table, and returns the
-// client.
-func benchClient(b *testing.B, dial func(string, ...ClientOption) (*Client, error)) *Client {
+// benchClient starts a server, dials it, creates a small plain table, and
+// returns the client.
+func benchClient(b *testing.B) *Client {
 	b.Helper()
 	_, addr := startPlainServer(b)
-	c, err := dial(addr)
+	c, err := Dial(addr)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -29,22 +29,10 @@ func benchClient(b *testing.B, dial func(string, ...ClientOption) (*Client, erro
 	return c
 }
 
-// BenchmarkRoundTripLockstep measures one v1 round trip (self-contained
-// gob documents, whole-connection lock).
-func BenchmarkRoundTripLockstep(b *testing.B) {
-	c := benchClient(b, DialLockstep)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Rows("bench"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRoundTripMultiplexed measures one v2 round trip (persistent
-// per-connection gob streams).
+// BenchmarkRoundTripMultiplexed measures one round trip with a single
+// caller on the connection.
 func BenchmarkRoundTripMultiplexed(b *testing.B) {
-	c := benchClient(b, Dial)
+	c := benchClient(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Rows("bench"); err != nil {
@@ -53,10 +41,10 @@ func BenchmarkRoundTripMultiplexed(b *testing.B) {
 	}
 }
 
-// BenchmarkRoundTripMultiplexedParallel measures the multiplexed path with
-// concurrent callers sharing one connection.
+// BenchmarkRoundTripMultiplexedParallel measures concurrent callers sharing
+// one connection.
 func BenchmarkRoundTripMultiplexedParallel(b *testing.B) {
-	c := benchClient(b, Dial)
+	c := benchClient(b)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
@@ -67,15 +55,11 @@ func BenchmarkRoundTripMultiplexedParallel(b *testing.B) {
 	})
 }
 
-// The BenchmarkWire* pairs compare the v2 gob stream against the v3 binary
-// codec on identical workloads over a real connection — the headline
-// numbers for the zero-alloc wire hot path. Allocations counted here span
-// both sides plus the engine, so the interesting figure is the v2→v3 delta.
+// The BenchmarkWire* set tracks the zero-alloc wire hot path over a real
+// connection. Allocations counted here span both sides plus the engine.
 
-func benchWireSelect(b *testing.B, opts ...ClientOption) {
-	c := benchClient(b, func(addr string, extra ...ClientOption) (*Client, error) {
-		return Dial(addr, append(opts, extra...)...)
-	})
+func BenchmarkWireSelect(b *testing.B) {
+	c := benchClient(b)
 	q := engine.Query{Table: "bench"}
 	ctx := context.Background()
 	b.ReportAllocs()
@@ -87,10 +71,8 @@ func benchWireSelect(b *testing.B, opts ...ClientOption) {
 	}
 }
 
-func benchWireInsert(b *testing.B, opts ...ClientOption) {
-	c := benchClient(b, func(addr string, extra ...ClientOption) (*Client, error) {
-		return Dial(addr, append(opts, extra...)...)
-	})
+func BenchmarkWireInsert(b *testing.B) {
+	c := benchClient(b)
 	ctx := context.Background()
 	row := engine.Row{"c": []byte("v")}
 	b.ReportAllocs()
@@ -102,10 +84,8 @@ func benchWireInsert(b *testing.B, opts ...ClientOption) {
 	}
 }
 
-func benchWireRows(b *testing.B, opts ...ClientOption) {
-	c := benchClient(b, func(addr string, extra ...ClientOption) (*Client, error) {
-		return Dial(addr, append(opts, extra...)...)
-	})
+func BenchmarkWireRows(b *testing.B) {
+	c := benchClient(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -115,78 +95,24 @@ func benchWireRows(b *testing.B, opts ...ClientOption) {
 	}
 }
 
-func BenchmarkWireSelectV2(b *testing.B) { benchWireSelect(b, WithMaxProto(2)) }
-func BenchmarkWireSelectV3(b *testing.B) { benchWireSelect(b, WithMaxProto(3)) }
-func BenchmarkWireInsertV2(b *testing.B) { benchWireInsert(b, WithMaxProto(2)) }
-func BenchmarkWireInsertV3(b *testing.B) { benchWireInsert(b, WithMaxProto(3)) }
-func BenchmarkWireRowsV2(b *testing.B)   { benchWireRows(b, WithMaxProto(2)) }
-func BenchmarkWireRowsV3(b *testing.B)   { benchWireRows(b, WithMaxProto(3)) }
-
-// The codec-level pairs isolate the wire layer itself — encode one point
-// SELECT request the way each protocol version puts it on the wire. Here
-// the engine plays no part: the delta is purely gob stream vs binary codec.
-func BenchmarkWireEncodeRequestV2(b *testing.B) {
+// The codec-level benchmarks isolate the wire layer itself; the engine
+// plays no part. BenchmarkWireEncodeRequest puts one point SELECT request
+// on the wire.
+func BenchmarkWireEncodeRequest(b *testing.B) {
 	mw := newMuxWriter(io.Discard)
 	req := benchPointSelect()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := mw.sendRequest(uint64(i), req); err != nil {
+		if err := mw.send(uint64(i), req); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkWireEncodeRequestV3(b *testing.B) {
-	mw := newMuxWriter(io.Discard)
-	mw.version = protoV3
-	req := benchPointSelect()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := mw.sendRequest(uint64(i), req); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// The decode pairs measure the server's whole frame-handling cycle — read a
-// frame carrying a point SELECT, decode it, release — on each version's
-// stream format.
-func BenchmarkWireDecodeRequestV2(b *testing.B) {
-	var buf bytes.Buffer
-	mw := newMuxWriter(&buf)
-	req := benchPointSelect()
-	if err := mw.sendRequest(1, req); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		if err := mw.sendRequest(uint64(i), req); err != nil {
-			b.Fatal(err)
-		}
-	}
-	mr := newMuxReader(&buf)
-	// Absorb the gob stream prefix (type descriptors) outside the timer.
-	got := new(request)
-	if _, err := mr.next(got); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		*got = request{}
-		if _, err := mr.next(got); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWireDecodeRequestV3(b *testing.B) {
-	var buf bytes.Buffer
-	mw := newMuxWriter(&buf)
-	mw.version = protoV3
-	if err := mw.sendRequest(1, benchPointSelect()); err != nil {
-		b.Fatal(err)
-	}
-	frame := append([]byte(nil), buf.Bytes()...)
+// BenchmarkWireDecodeRequest measures the server's whole frame-handling
+// cycle — read a frame carrying a point SELECT, decode it, release.
+func BenchmarkWireDecodeRequest(b *testing.B) {
+	frame := frameOf(b, 1, benchPointSelect())
 	r := bytes.NewReader(frame)
 	fr := frameReader{r: r}
 	var in intern
@@ -198,11 +124,11 @@ func BenchmarkWireDecodeRequestV3(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		req, pooled, err := decodeV3Request(fb, &in)
+		req, err := decodeRequest(fb.B, &in)
 		if err != nil {
 			b.Fatal(err)
 		}
-		releaseRequest(req, fb, pooled)
+		releaseRequest(req, fb)
 	}
 }
 
@@ -224,7 +150,7 @@ func benchPointSelect() *request {
 // BenchmarkInsertBatch100 measures the batched bulk-load fast path: 100
 // rows per round trip.
 func BenchmarkInsertBatch100(b *testing.B) {
-	c := benchClient(b, Dial)
+	c := benchClient(b)
 	rows := make([]engine.Row, 100)
 	for i := range rows {
 		rows[i] = engine.Row{"c": []byte("v")}

@@ -2,9 +2,7 @@ package wire
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -26,7 +24,7 @@ var ErrClientClosed = errors.New("wire: client closed")
 // sub-request failed.
 const errBatchAborted = "wire: aborted by earlier batch failure"
 
-// helloTimeout bounds version negotiation against unresponsive peers.
+// helloTimeout bounds the hello exchange against unresponsive peers.
 const helloTimeout = 5 * time.Second
 
 // streamBuffer is how many result chunks a streaming Select may buffer
@@ -39,46 +37,29 @@ const streamBuffer = 32
 // exactly like an embedded one, plus the attestation and bulk-load
 // operations the data owner needs during setup.
 //
-// A Client is safe for concurrent use. On a multiplexed (v2) connection,
-// concurrent calls stay in flight simultaneously: each request carries a
-// connection-unique ID, a single reader goroutine demuxes the out-of-order
-// responses, and writes are coalesced. Against a v1 server the client falls
-// back to lock-step, serializing one round trip at a time.
+// A Client is safe for concurrent use, and concurrent calls stay in flight
+// simultaneously: each request carries a connection-unique ID, a single
+// reader goroutine demuxes the out-of-order responses, and writes are
+// coalesced.
 //
-// Data-plane calls take a context. On a multiplexed connection a cancelled
-// context sends an advisory opCancel for the in-flight request — a server
-// running this version stops its scan between chunks and frees the worker —
-// and the call returns ctx.Err() immediately without wedging the connection
-// (the late response is discarded when it arrives). Peers that predate
-// opCancel answer it with an unknown-op error, which is ignored.
+// Data-plane calls take a context. A cancelled context sends an advisory
+// opCancel for the in-flight request — the server stops its scan between
+// chunks and frees the worker — and the call returns ctx.Err() immediately
+// without wedging the connection (the late response is discarded when it
+// arrives).
 type Client struct {
 	conn net.Conn
 
-	// maxProto caps the version the client proposes (see WithMaxProto);
-	// zero means the newest this build speaks.
-	maxProto byte
-
-	// lockstep marks a v1 connection; mu then serializes whole round trips,
-	// and fr reuses one pooled buffer across response frames.
-	lockstep bool
-	mu       sync.Mutex
-	fr       frameReader
-
-	// Multiplexed state: pending maps in-flight request IDs to their
-	// caller's delivery state; failure is sticky and poisons all future
-	// calls. failed is closed on the first failure so streaming consumers
-	// blocked outside the pending protocol wake up.
+	// pending maps in-flight request IDs to their caller's delivery state;
+	// failure is sticky and poisons all future calls. failed is closed on
+	// the first failure so streaming consumers blocked outside the pending
+	// protocol wake up.
 	w       *muxWriter
 	nextID  atomic.Uint64
 	pmu     sync.Mutex
 	pending map[uint64]*pendingCall
 	failure error
 	failed  chan struct{}
-
-	// noStream records that the server answered opSelectStream with an
-	// unknown-op error: it predates streaming, so SelectStream falls back to
-	// a materialized Select for the rest of the connection.
-	noStream atomic.Bool
 
 	// Busy-retry policy (see WithBusyRetry): up to busyRetries extra
 	// attempts after an ErrServerBusy, with exponential backoff starting at
@@ -87,7 +68,7 @@ type Client struct {
 	busyBase    time.Duration
 }
 
-// ClientOption configures Dial, DialLockstep, and DialPool.
+// ClientOption configures Dial and DialPool.
 type ClientOption func(*Client)
 
 // defaultBusyBase is the first backoff step when WithBusyRetry is given a
@@ -111,23 +92,6 @@ func WithBusyRetry(n int, base time.Duration) ClientOption {
 		}
 		c.busyRetries = n
 		c.busyBase = base
-	}
-}
-
-// WithMaxProto caps the protocol version the client proposes during
-// negotiation: 3 (the default) negotiates the binary codec, 2 forces the
-// gob multiplexed protocol, 1 skips negotiation entirely and speaks
-// lock-step. Mainly useful for benchmarking codecs against each other and
-// for pinning compatibility in tests and rollouts.
-func WithMaxProto(v int) ClientOption {
-	return func(c *Client) {
-		if v < protoV1 {
-			v = protoV1
-		}
-		if v > protoV3 {
-			v = protoV3
-		}
-		c.maxProto = byte(v)
 	}
 }
 
@@ -163,111 +127,61 @@ type pendingCall struct {
 
 type callResult struct {
 	resp *response
-	// buf is the pooled frame buffer resp's byte fields alias (v3 binary
-	// responses only; nil otherwise). Ownership travels with the result:
+	// buf is the pooled frame buffer resp's byte fields alias (nil when
+	// resp aliases nothing). Ownership travels with the result:
 	// whoever consumes resp decides when the buffer returns to the pool.
 	buf *bufpool.Buf
 	err error
 }
 
-// Dial connects to a provider at addr and negotiates the multiplexed
-// protocol. If the peer is a v1 lock-step server (it drops the connection
-// on the negotiation magic), the client redials and falls back
-// transparently.
+// Dial connects to a provider at addr and performs the hello exchange. A
+// peer that does not answer with the protocol magic and this build's
+// version fails the dial with ErrUnsupportedVersion.
 func Dial(addr string, opts ...ClientOption) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
-	c := &Client{conn: conn}
+	c := &Client{
+		conn:    conn,
+		w:       newMuxWriter(conn),
+		pending: make(map[uint64]*pendingCall),
+		failed:  make(chan struct{}),
+	}
 	for _, o := range opts {
 		o(c)
 	}
-	if c.maxProto == protoV1 {
+	if err := c.hello(); err != nil {
 		conn.Close()
-		return DialLockstep(addr, opts...)
+		return nil, fmt.Errorf("wire: hello with %s: %w", addr, err)
 	}
-	if err := c.negotiate(); err == nil {
-		return c, nil
-	}
-	conn.Close()
-	return DialLockstep(addr, opts...)
-}
-
-// DialLockstep connects with the original v1 lock-step protocol: one
-// request/response round trip at a time, no negotiation bytes on the wire.
-// Dial falls back to it automatically; calling it directly is mainly useful
-// for benchmarking against the multiplexed path and for very old servers.
-func DialLockstep(addr string, opts ...ClientOption) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
-	}
-	c := &Client{conn: conn, lockstep: true}
-	for _, o := range opts {
-		o(c)
-	}
+	go c.readLoop()
 	return c, nil
 }
 
-// negotiate performs the hello exchange (proposing the newest version this
-// client is allowed to speak) and starts the reader for whichever version
-// the server picked.
-func (c *Client) negotiate() error {
-	propose := byte(protoV3)
-	if c.maxProto != 0 && c.maxProto < propose {
-		propose = c.maxProto
-	}
+// hello sends this build's hello and checks the server's answer.
+func (c *Client) hello() error {
 	if err := c.conn.SetDeadline(time.Now().Add(helloTimeout)); err != nil {
 		return err
 	}
-	if err := writeHello(c.conn, propose); err != nil {
+	if err := writeHello(c.conn); err != nil {
 		return err
 	}
-	ver, err := readHello(c.conn)
-	if err != nil {
+	if err := readHello(c.conn); err != nil {
 		return err
 	}
-	if ver < protoV2 || ver > propose {
-		return fmt.Errorf("wire: server negotiated unsupported version %d", ver)
-	}
-	if err := c.conn.SetDeadline(time.Time{}); err != nil {
-		return err
-	}
-	c.w = newMuxWriter(c.conn)
-	c.w.version = ver
-	c.pending = make(map[uint64]*pendingCall)
-	c.failed = make(chan struct{})
-	go c.readLoop()
-	return nil
+	return c.conn.SetDeadline(time.Time{})
 }
 
-// Multiplexed reports whether the connection negotiated the multiplexed
-// protocol (false means the v1 lock-step fallback).
-func (c *Client) Multiplexed() bool { return !c.lockstep }
-
-// healthy reports whether the connection is still usable. Multiplexed
-// connections fail sticky; lock-step connections carry no failure state
-// and are presumed healthy.
+// healthy reports whether the connection is still usable; failure is
+// sticky.
 func (c *Client) healthy() bool {
-	if c.lockstep {
-		return true
-	}
-	c.pmu.Lock()
-	defer c.pmu.Unlock()
-	return c.failure == nil
+	return c.failErr() == nil
 }
 
-// Close terminates the connection. Pending multiplexed calls complete with
+// Close terminates the connection. Pending calls complete with
 // ErrClientClosed; none hang.
 func (c *Client) Close() error {
-	if c.lockstep {
-		err := c.conn.Close()
-		c.mu.Lock()
-		c.fr.release()
-		c.mu.Unlock()
-		return err
-	}
 	c.fail(ErrClientClosed)
 	return nil
 }
@@ -306,59 +220,19 @@ func (c *Client) failErr() error {
 }
 
 // readLoop demuxes responses to their in-flight callers — the only reader
-// of a multiplexed connection. Streaming requests stay registered until
-// their final frame (More unset or Err set) arrives.
-func (c *Client) readLoop() {
-	br := bufio.NewReader(c.conn)
-	if c.w.version >= protoV3 {
-		c.readLoopV3(br)
-		return
-	}
-	mr := newMuxReader(br)
-	defer mr.fr.release()
-	for {
-		resp := new(response)
-		id, err := mr.next(resp)
-		if err != nil {
-			c.fail(fmt.Errorf("wire: receive: %w", err))
-			return
-		}
-		c.deliver(id, resp, nil)
-	}
-}
-
-// readLoopV3 is readLoop for the binary protocol: each frame arrives in its
-// own pooled buffer, and binary-coded responses alias it, so the buffer
+// of the connection. Streaming requests stay registered until their final
+// frame (More unset or Err set) arrives. Each frame arrives in its own
+// pooled buffer, and a response with byte fields aliases it, so the buffer
 // travels with the response instead of being reused in place.
-func (c *Client) readLoopV3(br *bufio.Reader) {
-	fr := frameReader{r: br}
+func (c *Client) readLoop() {
+	fr := frameReader{r: bufio.NewReader(c.conn)}
 	for {
 		id, buf, err := fr.readPooled()
 		if err != nil {
 			c.fail(fmt.Errorf("wire: receive: %w", err))
 			return
 		}
-		resp := new(response)
-		aliases := false
-		if len(buf.B) == 0 {
-			err = errCorruptFrame
-		} else {
-			switch tag := buf.B[0]; tag {
-			case codecBin:
-				var d binReader
-				d.reset(buf.B[1:])
-				aliases = decResponse(&d, resp)
-				if derr := d.err(); derr != nil {
-					err = decodeError(tag, derr)
-				}
-			case codecGob:
-				if derr := gob.NewDecoder(bytes.NewReader(buf.B[1:])).Decode(resp); derr != nil {
-					err = decodeError(tag, derr)
-				}
-			default:
-				err = fmt.Errorf("wire: unknown codec 0x%02x", tag)
-			}
-		}
+		resp, aliases, err := decodeResponse(buf.B)
 		if err != nil {
 			bufpool.Put(buf)
 			c.fail(fmt.Errorf("wire: receive: %w", err))
@@ -431,9 +305,8 @@ func (c *Client) unregister(id uint64) {
 }
 
 // sendCancel fires an advisory opCancel for an in-flight request. It runs as
-// its own round trip whose outcome is irrelevant: a server with cancel
-// support stops the target's work, an older one answers unknown-op, and
-// either response resolves this request normally.
+// its own round trip whose outcome is irrelevant: the server stops the
+// target's work if it is still running.
 func (c *Client) sendCancel(id uint64) {
 	go func() {
 		_, _ = c.call(context.Background(), &request{Op: opCancel, Cancel: id})
@@ -453,28 +326,19 @@ func (c *Client) call(ctx context.Context, req *request) (*response, error) {
 	return resp, err
 }
 
-// callOnce performs one request/response round trip. Multiplexed
-// connections allow any number of concurrent calls. A cancelled context
-// returns immediately with ctx.Err(); the request keeps its ID registered
-// so the server's (possibly already-sent) response is discarded cleanly.
+// callOnce performs one request/response round trip; any number may run
+// concurrently. A cancelled context returns immediately with ctx.Err(); the
+// request keeps its ID registered so the server's (possibly already-sent)
+// response is discarded cleanly.
 func (c *Client) callOnce(ctx context.Context, req *request) (*response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if c.lockstep {
-		resp, err := c.roundTrip(req)
-		if err == nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, ctxErr
-			}
-		}
-		return resp, err
 	}
 	id, pc, err := c.register(false)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.w.sendRequest(id, req); err != nil {
+	if err := c.w.send(id, req); err != nil {
 		// A partial frame corrupts the stream for everyone; poison the
 		// connection. fail delivers to pc.ch unless the reader already did.
 		c.fail(fmt.Errorf("wire: send: %w", err))
@@ -517,47 +381,6 @@ func wireError(msg string) error {
 		return ErrRateLimited
 	}
 	return errors.New(msg)
-}
-
-// isUnknownOp reports whether a provider-side error is exactly the
-// unknown-op reply a peer produces for an op it predates (see
-// Server.dispatch). Matched by full-string equality so a genuine query
-// error that merely mentions the words cannot misfire — engine errors
-// always carry prefixes and quoted identifiers, so they can never equal
-// this exact text.
-func isUnknownOp(err error, o op) bool {
-	return err != nil && err.Error() == fmt.Sprintf("wire: unknown op %d", o)
-}
-
-// roundTrip is the v1 lock-step path: a self-contained gob frame each way,
-// holding the connection for the whole round trip. Response frames land in
-// the client's pooled frameReader buffer, reused round trip to round trip;
-// gob decoding copies out of it, so reuse is safe.
-func (c *Client) roundTrip(req *request) (*response, error) {
-	payload, err := encodeMsg(req)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := writeFrame(c.conn, payload); err != nil {
-		return nil, fmt.Errorf("wire: send: %w", err)
-	}
-	if c.fr.r == nil {
-		c.fr.r = c.conn
-	}
-	raw, err := c.fr.read()
-	if err != nil {
-		return nil, fmt.Errorf("wire: receive: %w", err)
-	}
-	var resp response
-	if err := decodeMsg(raw, &resp); err != nil {
-		return nil, fmt.Errorf("wire: decode response: %w", err)
-	}
-	if resp.Err != "" {
-		return nil, wireError(resp.Err)
-	}
-	return &resp, nil
 }
 
 // callBatch ships subs as one opBatch envelope: a single round trip
@@ -633,15 +456,8 @@ func (c *Client) Select(ctx context.Context, q engine.Query) (*engine.Result, er
 // SelectStream evaluates an encrypted query remotely and streams the result
 // in chunks as the provider renders them, so the first rows arrive before
 // the last are rendered and the full result never materializes on either
-// side. Against providers that predate streaming (or on the v1 lock-step
-// fallback) it degrades transparently to a materialized Select delivered as
-// one chunk. The returned stream must be closed.
+// side. The returned stream must be closed.
 func (c *Client) SelectStream(ctx context.Context, q engine.Query) (engine.ResultStream, error) {
-	if c.lockstep || c.noStream.Load() {
-		// The materialized fallback goes through call, which already
-		// applies the busy-retry policy.
-		return c.materializedStream(ctx, q)
-	}
 	s, err := c.selectStreamOnce(ctx, q)
 	for attempt := 1; attempt <= c.busyRetries && errors.Is(err, ErrServerBusy); attempt++ {
 		if werr := sleepCtx(ctx, c.busyBackoff(attempt)); werr != nil {
@@ -657,19 +473,15 @@ func (c *Client) SelectStream(ctx context.Context, q engine.Query) (engine.Resul
 // before any chunk is rendered — so retrying the whole setup never
 // re-reads partial results.
 func (c *Client) selectStreamOnce(ctx context.Context, q engine.Query) (engine.ResultStream, error) {
-	if c.lockstep || c.noStream.Load() {
-		return c.materializedStream(ctx, q)
-	}
 	id, pc, err := c.register(true)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.w.sendRequest(id, &request{Op: opSelectStream, Query: q}); err != nil {
+	if err := c.w.send(id, &request{Op: opSelectStream, Query: q}); err != nil {
 		c.fail(fmt.Errorf("wire: send: %w", err))
 	}
-	// Wait for the first frame before returning: it either proves the
-	// server streams (chunk or terminator), reports a query error, or
-	// reveals a pre-streaming server to fall back on.
+	// Wait for the first frame before returning: it is a chunk, the
+	// terminator, or the query's (or admission's) error.
 	select {
 	case res := <-pc.ch:
 		if res.err != nil {
@@ -677,12 +489,7 @@ func (c *Client) selectStreamOnce(ctx context.Context, q engine.Query) (engine.R
 		}
 		if res.resp.Err != "" {
 			bufpool.Put(res.buf)
-			err := wireError(res.resp.Err)
-			if isUnknownOp(err, opSelectStream) {
-				c.noStream.Store(true)
-				return c.materializedStream(ctx, q)
-			}
-			return nil, err
+			return nil, wireError(res.resp.Err)
 		}
 		return &clientStream{c: c, ctx: ctx, id: id, pc: pc, head: res.resp, buf: res.buf, total: res.resp.N}, nil
 	case <-ctx.Done():
@@ -690,16 +497,6 @@ func (c *Client) selectStreamOnce(ctx context.Context, q engine.Query) (engine.R
 		c.drainAbandoned(id, pc)
 		return nil, ctx.Err()
 	}
-}
-
-// materializedStream is the streaming fallback: one ordinary Select, served
-// as a single chunk.
-func (c *Client) materializedStream(ctx context.Context, q engine.Query) (engine.ResultStream, error) {
-	res, err := c.Select(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	return engine.MaterializedStream(res), nil
 }
 
 // drainAbandoned unregisters a streaming request and discards chunks that
@@ -721,11 +518,11 @@ func (c *Client) drainAbandoned(id uint64, pc *pendingCall) {
 // pending channel as the demux loop delivers them; the final frame (More
 // unset) ends the stream.
 //
-// Chunk buffers recycle: on a v3 connection each chunk's rows alias a
-// pooled frame buffer, which goes back to the pool when the consumer asks
-// for the next chunk (or closes the stream). A chunk returned by Next is
-// therefore valid only until the next Next or Close call — exactly the
-// contract engine.ResultStream documents, and how proxy.Rows consumes it.
+// Chunk buffers recycle: each chunk's rows alias a pooled frame buffer,
+// which goes back to the pool when the consumer asks for the next chunk (or
+// closes the stream). A chunk returned by Next is therefore valid only
+// until the next Next or Close call — exactly the contract
+// engine.ResultStream documents, and how proxy.Rows consumes it.
 type clientStream struct {
 	c   *Client
 	ctx context.Context
@@ -842,19 +639,9 @@ func (c *Client) Insert(ctx context.Context, table string, row engine.Row) error
 
 // InsertBatch appends rows in one round trip — the proxy's bulk-load fast
 // path. Rows apply in order; on error, rows preceding the failing one
-// remain inserted at the provider. On a lock-step fallback connection the
-// peer may predate the batch envelope entirely, so the batch degrades to
-// per-row round trips with the same ordering and abort semantics.
+// remain inserted at the provider.
 func (c *Client) InsertBatch(ctx context.Context, table string, rows []engine.Row) error {
 	if len(rows) == 0 {
-		return nil
-	}
-	if c.lockstep {
-		for i, r := range rows {
-			if err := c.Insert(ctx, table, r); err != nil {
-				return fmt.Errorf("wire: batch insert row %d: %w", i, err)
-			}
-		}
 		return nil
 	}
 	subs := make([]request, len(rows))

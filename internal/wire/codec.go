@@ -2,32 +2,26 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/enclave"
 	"github.com/encdbdb/encdbdb/internal/engine"
 )
 
-// Protocol v3 replaces gob with a hand-rolled binary codec on the hot
-// data-plane messages. Every v3 frame payload opens with a codec byte:
-//
-//	codecGob — the body is one self-contained gob document of the request
-//	  or response envelope. The path for the rare control ops whose types
-//	  are not worth a hand encoding (attestation quotes, sealed keys, bulk
-//	  column imports), and the compatibility valve for anything else.
-//	codecBin — the body is the binary encoding below: no reflection, no
-//	  type descriptors, and on decode no copies — byte fields alias the
-//	  frame payload.
+// Every message travels in one hand-rolled binary codec: no reflection, no
+// type descriptors, and on decode no copies — byte fields alias the frame
+// payload. A frame payload opens with a codec tag byte, which has exactly
+// one valid value (codecBin); a frame carrying any other tag is corrupt.
 //
 // Binary primitives: unsigned varints for all integers and lengths,
 // single bytes for tags and bools, length-prefixed bytes with a +1 nil
 // bias (0 encodes a nil slice, n+1 a slice of n bytes), and
 // length-prefixed UTF-8 for strings. Envelope fields that are zero are
-// omitted behind a presence bitmask, mirroring gob's omit-zero semantics
-// so the two codecs answer identically.
+// omitted behind a presence bitmask (a uvarint; a set bit this build does
+// not know makes the frame corrupt).
 //
 // The same encoding functions run twice per message — once against a
 // counting sink to learn the frame length, once against the connection's
@@ -35,31 +29,11 @@ import (
 // and the two passes cannot disagree without being detected (the writer
 // checks the byte count it produced against the announced length).
 
-// Codec tags (first payload byte of every v3 frame).
-const (
-	codecGob = 0x00
-	codecBin = 0x01
-)
+// codecBin is the codec tag, the first payload byte of every frame.
+const codecBin = 0x01
 
-// reqNeedsGob reports whether a request must travel as a gob document:
-// its op carries enclave types (quotes, sealed keys) or bulk split data
-// the binary codec does not encode. Batches inherit the requirement from
-// their sub-requests.
-func reqNeedsGob(req *request) bool {
-	switch req.Op {
-	case opQuote, opProvision, opImportColumn:
-		return true
-	case opBatch:
-		for i := range req.Subs {
-			if reqNeedsGob(&req.Subs[i]) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Request presence bits.
+// Request presence bits. The control-op payloads sit above the data-plane
+// bits, so a data-plane frame's mask still fits one byte.
 const (
 	reqHasQuery = 1 << iota
 	reqHasRow
@@ -67,6 +41,10 @@ const (
 	reqHasSet
 	reqHasSchema
 	reqHasSubs
+	reqHasNonce
+	reqHasSealed
+	reqHasSplit
+	reqKnownBits = 1<<iota - 1
 )
 
 // Response presence bits.
@@ -78,6 +56,8 @@ const (
 	respHasMerge
 	respHasSubs
 	respMore
+	respHasQuote
+	respKnownBits = 1<<iota - 1
 )
 
 // binSink is the write half of the binary codec. The encode functions are
@@ -196,14 +176,14 @@ func boolByte(s binSink, v bool) {
 
 // --- encoding ---
 
-func encRequest(s binSink, req *request) {
+func (req *request) encode(s binSink) {
 	s.byte(byte(req.Op))
 	s.str(req.Table)
 	s.str(req.Column)
 	s.uvarint(req.Cancel)
-	var flags byte
+	var flags uint64
 	if req.Query.Table != "" || len(req.Query.Filters) > 0 || len(req.Query.Project) > 0 ||
-		req.Query.CountOnly || req.Query.Limit > 0 {
+		req.Query.CountOnly || req.Query.Limit != 0 {
 		flags |= reqHasQuery
 	}
 	if len(req.Row) > 0 {
@@ -221,7 +201,17 @@ func encRequest(s binSink, req *request) {
 	if len(req.Subs) > 0 {
 		flags |= reqHasSubs
 	}
-	s.byte(flags)
+	if req.Nonce != nil {
+		flags |= reqHasNonce
+	}
+	if req.Sealed.OwnerPublicKey != nil || req.Sealed.Ciphertext != nil {
+		flags |= reqHasSealed
+	}
+	if sp := &req.Split; sp.Kind != 0 || sp.Plain || sp.MaxLen != 0 || sp.BSMax != 0 ||
+		sp.EncRndOffset != nil || len(sp.AV) > 0 || len(sp.Head) > 0 || sp.Tail != nil {
+		flags |= reqHasSplit
+	}
+	s.uvarint(flags)
 	if flags&reqHasQuery != 0 {
 		encQuery(s, &req.Query)
 	}
@@ -240,9 +230,37 @@ func encRequest(s binSink, req *request) {
 	if flags&reqHasSubs != 0 {
 		s.uvarint(uint64(len(req.Subs)))
 		for i := range req.Subs {
-			encRequest(s, &req.Subs[i])
+			req.Subs[i].encode(s)
 		}
 	}
+	if flags&reqHasNonce != 0 {
+		s.bytes(req.Nonce)
+	}
+	if flags&reqHasSealed != 0 {
+		s.bytes(req.Sealed.OwnerPublicKey)
+		s.bytes(req.Sealed.Ciphertext)
+	}
+	if flags&reqHasSplit != 0 {
+		encSplit(s, &req.Split)
+	}
+}
+
+func encSplit(s binSink, sp *dict.SplitData) {
+	s.uvarint(uint64(sp.Kind))
+	boolByte(s, sp.Plain)
+	s.uvarint(uint64(sp.MaxLen))
+	s.uvarint(uint64(sp.BSMax))
+	s.bytes(sp.EncRndOffset)
+	s.uvarint(uint64(len(sp.AV)))
+	for _, vid := range sp.AV {
+		s.uvarint(uint64(vid))
+	}
+	s.uvarint(uint64(len(sp.Head)))
+	for _, ref := range sp.Head {
+		s.uvarint(uint64(ref.Off))
+		s.uvarint(uint64(ref.Len))
+	}
+	s.bytes(sp.Tail)
 }
 
 func encQuery(s binSink, q *engine.Query) {
@@ -298,8 +316,8 @@ func encSchema(s binSink, sc *engine.Schema) {
 	}
 }
 
-func encResponse(s binSink, resp *response) {
-	var flags byte
+func (resp *response) encode(s binSink) {
+	var flags uint64
 	if resp.Err != "" {
 		flags |= respHasErr
 	}
@@ -321,7 +339,10 @@ func encResponse(s binSink, resp *response) {
 	if resp.More {
 		flags |= respMore
 	}
-	s.byte(flags)
+	if q := &resp.Quote; q.Measurement != (enclave.Measurement{}) || q.PublicKey != nil || q.Nonce != nil || q.MAC != nil {
+		flags |= respHasQuote
+	}
+	s.uvarint(flags)
 	s.uvarint(uint64(resp.N))
 	if flags&respHasErr != 0 {
 		s.str(resp.Err)
@@ -344,8 +365,16 @@ func encResponse(s binSink, resp *response) {
 	if flags&respHasSubs != 0 {
 		s.uvarint(uint64(len(resp.Subs)))
 		for i := range resp.Subs {
-			encResponse(s, &resp.Subs[i])
+			resp.Subs[i].encode(s)
 		}
+	}
+	if flags&respHasQuote != 0 {
+		for _, b := range resp.Quote.Measurement {
+			s.byte(b)
+		}
+		s.bytes(resp.Quote.PublicKey)
+		s.bytes(resp.Quote.Nonce)
+		s.bytes(resp.Quote.MAC)
 	}
 }
 
@@ -380,8 +409,9 @@ func encMerge(s binSink, m *engine.MergeInfo) {
 
 // --- decoding ---
 
-// errCorruptFrame reports a frame body that does not parse as its announced
-// codec — truncated, trailing garbage, or lengths pointing past the end.
+// errCorruptFrame reports a frame body that does not parse — truncated,
+// trailing garbage, an unknown presence bit, or lengths pointing past the
+// end.
 var errCorruptFrame = errors.New("wire: corrupt binary frame")
 
 // binReader decodes the binary codec from one frame payload. Errors are
@@ -484,6 +514,16 @@ func (d *binReader) strBytes() []byte {
 
 func (d *binReader) str() string { return string(d.strBytes()) }
 
+// flags reads a presence bitmask, failing on any bit outside known.
+func (d *binReader) flags(known uint64) uint64 {
+	v := d.uvarint()
+	if v&^known != 0 {
+		d.fail()
+		return 0
+	}
+	return v
+}
+
 func (d *binReader) bool() bool { return d.byte() != 0 }
 
 // intern caches the small, recurring identifier strings of a connection —
@@ -513,16 +553,37 @@ func (in *intern) get(b []byte) string {
 	return s
 }
 
+// decodeRequest decodes one frame payload into a request drawn from the
+// request pool. The request aliases payload: the caller must keep the frame
+// buffer alive until the request completes, then release both via
+// releaseRequest.
+func decodeRequest(payload []byte, in *intern) (*request, error) {
+	if len(payload) == 0 || payload[0] != codecBin {
+		return nil, errCorruptFrame
+	}
+	req := reqPool.Get().(*request)
+	var d binReader
+	d.reset(payload[1:])
+	decRequest(&d, req, in)
+	if err := d.err(); err != nil {
+		resetRequest(req)
+		reqPool.Put(req)
+		return nil, err
+	}
+	return req, nil
+}
+
 // decRequest decodes a binary request body into req, reusing req's
 // capacity (filter and range slices, row maps, sub-request slices) from
 // previous decodes. Identifier strings are interned in in; byte values
-// alias the payload d was reset with.
+// alias the payload d was reset with — except the sealed key and the column
+// split, which are copied out because the provider keeps them.
 func decRequest(d *binReader, req *request, in *intern) {
 	req.Op = op(d.byte())
 	req.Table = in.get(d.strBytes())
 	req.Column = in.get(d.strBytes())
 	req.Cancel = d.uvarint()
-	flags := d.byte()
+	flags := d.flags(reqKnownBits)
 	if flags&reqHasQuery != 0 {
 		decQuery(d, &req.Query, in)
 	}
@@ -550,6 +611,40 @@ func decRequest(d *binReader, req *request, in *intern) {
 			decRequest(d, &req.Subs[i], in)
 		}
 	}
+	if flags&reqHasNonce != 0 {
+		req.Nonce = d.bytes()
+	}
+	if flags&reqHasSealed != 0 {
+		req.Sealed.OwnerPublicKey = bytes.Clone(d.bytes())
+		req.Sealed.Ciphertext = bytes.Clone(d.bytes())
+	}
+	if flags&reqHasSplit != 0 {
+		decSplit(d, &req.Split)
+	}
+}
+
+// decSplit decodes a column split into memory of its own: the engine keeps
+// an imported split's offset, head and tail for the life of the table, long
+// after the frame that carried them went back to the pool.
+func decSplit(d *binReader, sp *dict.SplitData) {
+	sp.Kind = dict.Kind(d.uvarint())
+	sp.Plain = d.bool()
+	sp.MaxLen = int(d.uvarint())
+	sp.BSMax = int(d.uvarint())
+	sp.EncRndOffset = bytes.Clone(d.bytes())
+	if n := d.length(); n > 0 {
+		sp.AV = make([]uint32, n)
+		for i := range sp.AV {
+			sp.AV[i] = uint32(d.uvarint())
+		}
+	}
+	if n := d.length(); n > 0 {
+		sp.Head = make([]dict.EntryRef, n)
+		for i := range sp.Head {
+			sp.Head[i] = dict.EntryRef{Off: uint32(d.uvarint()), Len: uint32(d.uvarint())}
+		}
+	}
+	sp.Tail = bytes.Clone(d.bytes())
 }
 
 func decQuery(d *binReader, q *engine.Query, in *intern) {
@@ -628,12 +723,25 @@ func decSchema(d *binReader, sc *engine.Schema, in *intern) {
 	}
 }
 
+// decodeResponse decodes one frame payload into a fresh response; see
+// decResponse for aliases.
+func decodeResponse(payload []byte) (resp *response, aliases bool, err error) {
+	if len(payload) == 0 || payload[0] != codecBin {
+		return nil, false, errCorruptFrame
+	}
+	var d binReader
+	d.reset(payload[1:])
+	resp = new(response)
+	aliases = decResponse(&d, resp)
+	return resp, aliases, d.err()
+}
+
 // decResponse decodes a binary response body into resp (assumed zero).
-// Result cells alias the payload; aliases reports whether any such alias
-// was created, so the caller knows whether the frame buffer must outlive
-// the response.
+// Result cells and quote fields alias the payload; aliases reports whether
+// any such alias was created, so the caller knows whether the frame buffer
+// must outlive the response.
 func decResponse(d *binReader, resp *response) (aliases bool) {
-	flags := d.byte()
+	flags := d.flags(respKnownBits)
 	resp.N = int(d.uvarint())
 	if flags&respHasErr != 0 {
 		resp.Err = d.str()
@@ -666,6 +774,15 @@ func decResponse(d *binReader, resp *response) (aliases bool) {
 		}
 	}
 	resp.More = flags&respMore != 0
+	if flags&respHasQuote != 0 {
+		for i := range resp.Quote.Measurement {
+			resp.Quote.Measurement[i] = d.byte()
+		}
+		resp.Quote.PublicKey = d.bytes()
+		resp.Quote.Nonce = d.bytes()
+		resp.Quote.MAC = d.bytes()
+		aliases = true
+	}
 	return aliases
 }
 
@@ -745,10 +862,4 @@ func resetResponse(resp *response) {
 	resp.Merge = engine.MergeInfo{}
 	resp.Subs = resp.Subs[:0]
 	resp.More = false
-}
-
-// decodeError wraps a codec failure with the frame's announced codec for
-// the connection log.
-func decodeError(tag byte, err error) error {
-	return fmt.Errorf("wire: decode codec 0x%02x frame: %w", tag, err)
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 
@@ -14,8 +15,8 @@ import (
 
 // binEncode runs enc twice — once against the counting sink, once against a
 // real writer — and fails if the two passes disagree, mirroring the check
-// muxWriter performs on every v3 frame.
-func binEncode(t *testing.T, enc func(binSink)) []byte {
+// muxWriter performs on every frame.
+func binEncode(t testing.TB, enc func(binSink)) []byte {
 	t.Helper()
 	var c binCounter
 	enc(&c)
@@ -85,14 +86,110 @@ func binRequestCases() map[string]*request {
 				{Op: opRows, Table: "t"},
 			},
 		},
-		"cancel": {Op: opCancel, Cancel: 1 << 40},
+		"cancel":    {Op: opCancel, Cancel: 1 << 40},
+		"quote":     {Op: opQuote, Nonce: []byte("fresh-nonce")},
+		"provision": {Op: opProvision, Sealed: enclave.SealedKey{OwnerPublicKey: bytes.Repeat([]byte{7}, 32), Ciphertext: []byte("sealed")}},
+		// An import whose split is all zero carries no split at all.
+		"import_empty": {Op: opImportColumn, Table: "t", Column: "c"},
+		"import_plain": {
+			Op: opImportColumn, Table: "t", Column: "c",
+			Split: dict.SplitData{
+				Kind: dict.ED1, Plain: true, MaxLen: 8,
+				AV:   []uint32{1, 0, 1},
+				Head: []dict.EntryRef{{Off: 0, Len: 1}, {Off: 1, Len: 2}},
+				Tail: []byte("abb"),
+			},
+		},
+		"import_large": {Op: opImportColumn, Table: "t", Column: "c", Split: largeSplit()},
+		"batch_with_import": {
+			Op: opBatch,
+			Subs: []request{
+				{Op: opCreateTable, Schema: engine.Schema{Table: "t", Columns: []engine.ColumnDef{{Name: "c", Kind: dict.ED5, MaxLen: 8}}}},
+				{Op: opImportColumn, Table: "t", Column: "c", Split: dict.SplitData{
+					Kind: dict.ED5, MaxLen: 8, BSMax: 2, EncRndOffset: []byte{1, 2, 3, 4, 5, 6, 7, 8},
+					AV: []uint32{0}, Head: []dict.EntryRef{{Off: 0, Len: 4}}, Tail: []byte("ciph"),
+				}},
+			},
+		},
+	}
+}
+
+// largeSplit is a split the size of a real bulk import: 70k rows over a 40k
+// entry dictionary with a 1.2 MiB tail, so every length and ValueID takes a
+// multi-byte varint and the frame outgrows the largest pooled size class.
+func largeSplit() dict.SplitData {
+	const entries, rows, entryLen = 40_000, 70_000, 30
+	sp := dict.SplitData{
+		Kind: dict.ED9, MaxLen: entryLen, BSMax: 10,
+		AV:   make([]uint32, rows),
+		Head: make([]dict.EntryRef, entries),
+		Tail: make([]byte, entries*entryLen),
+	}
+	for i := range sp.AV {
+		sp.AV[i] = uint32(i*7919) % entries
+	}
+	for i := range sp.Head {
+		sp.Head[i] = dict.EntryRef{Off: uint32(i * entryLen), Len: entryLen}
+	}
+	for i := range sp.Tail {
+		sp.Tail[i] = byte(i)
+	}
+	return sp
+}
+
+// normalize nils out the empty slices and maps a pooled (or hostile-input)
+// decode leaves behind: [:0] slices and cleared maps read equal to their nil
+// counterparts but are not DeepEqual to them.
+func (req *request) normalize() {
+	if len(req.Row) == 0 {
+		req.Row = nil
+	}
+	if len(req.Set) == 0 {
+		req.Set = nil
+	}
+	if len(req.Filters) == 0 {
+		req.Filters = nil
+	}
+	if len(req.Query.Filters) == 0 {
+		req.Query.Filters = nil
+	}
+	if len(req.Query.Project) == 0 {
+		req.Query.Project = nil
+	}
+	if len(req.Schema.Columns) == 0 {
+		req.Schema.Columns = nil
+	}
+	for _, fs := range [][]engine.Filter{req.Filters, req.Query.Filters} {
+		for i := range fs {
+			if len(fs[i].Ranges) == 0 {
+				fs[i].Ranges = nil
+			}
+		}
+	}
+	if len(req.Subs) == 0 {
+		req.Subs = nil
+	}
+	for i := range req.Subs {
+		req.Subs[i].normalize()
+	}
+}
+
+func (resp *response) normalize() {
+	if len(resp.Tables) == 0 {
+		resp.Tables = nil
+	}
+	if len(resp.Subs) == 0 {
+		resp.Subs = nil
+	}
+	for i := range resp.Subs {
+		resp.Subs[i].normalize()
 	}
 }
 
 func TestBinRequestRoundTrip(t *testing.T) {
 	for name, req := range binRequestCases() {
 		t.Run(name, func(t *testing.T) {
-			raw := binEncode(t, func(s binSink) { encRequest(s, req) })
+			raw := binEncode(t, req.encode)
 			var d binReader
 			d.reset(raw)
 			got := new(request)
@@ -119,7 +216,7 @@ func TestBinRequestPooledReuse(t *testing.T) {
 	// other case at least once.
 	for pass := 0; pass < 2; pass++ {
 		for name, want := range cases {
-			raw := binEncode(t, func(s binSink) { encRequest(s, want) })
+			raw := binEncode(t, want.encode)
 			resetRequest(req)
 			var d binReader
 			d.reset(raw)
@@ -127,31 +224,8 @@ func TestBinRequestPooledReuse(t *testing.T) {
 			if err := d.err(); err != nil {
 				t.Fatalf("pass %d %s: %v", pass, name, err)
 			}
-			// Normalize the pooled envelope's retained-capacity artifacts
-			// ([:0] slices and cleared maps read equal but not DeepEqual to
-			// their nil counterparts).
 			got := *req
-			if len(got.Row) == 0 {
-				got.Row = nil
-			}
-			if len(got.Set) == 0 {
-				got.Set = nil
-			}
-			if len(got.Filters) == 0 {
-				got.Filters = nil
-			}
-			if len(got.Subs) == 0 {
-				got.Subs = nil
-			}
-			if len(got.Query.Filters) == 0 {
-				got.Query.Filters = nil
-			}
-			if len(got.Query.Project) == 0 {
-				got.Query.Project = nil
-			}
-			if len(got.Schema.Columns) == 0 {
-				got.Schema.Columns = nil
-			}
+			got.normalize()
 			want2 := *want
 			if !reflect.DeepEqual(&got, &want2) {
 				t.Errorf("pass %d %s:\n got %+v\nwant %+v", pass, name, &got, &want2)
@@ -189,6 +263,12 @@ func binResponseCases() map[string]*response {
 			},
 		},
 		"batch": {Subs: []response{{N: 1}, {Err: "bad"}}},
+		"quote": {Quote: enclave.Quote{
+			Measurement: enclave.Measure("codec-test"),
+			PublicKey:   bytes.Repeat([]byte{9}, 32),
+			Nonce:       []byte("fresh-nonce"),
+			MAC:         bytes.Repeat([]byte{3}, 32),
+		}},
 		"chunk": {
 			N:      10,
 			More:   true,
@@ -200,7 +280,7 @@ func binResponseCases() map[string]*response {
 func TestBinResponseRoundTrip(t *testing.T) {
 	for name, resp := range binResponseCases() {
 		t.Run(name, func(t *testing.T) {
-			raw := binEncode(t, func(s binSink) { encResponse(s, resp) })
+			raw := binEncode(t, resp.encode)
 			var d binReader
 			d.reset(raw)
 			got := new(response)
@@ -211,7 +291,7 @@ func TestBinResponseRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(got, resp) {
 				t.Errorf("round trip:\n got %+v\nwant %+v", got, resp)
 			}
-			wantAliases := resp.Result != nil
+			wantAliases := resp.Result != nil || resp.Quote.MAC != nil
 			for i := range resp.Subs {
 				if resp.Subs[i].Result != nil {
 					wantAliases = true
@@ -229,7 +309,7 @@ func TestBinResponseRoundTrip(t *testing.T) {
 // errCorruptFrame-wrapped errors, never panic or succeed.
 func TestBinDecodeCorrupt(t *testing.T) {
 	req := binRequestCases()["point_select"]
-	raw := binEncode(t, func(s binSink) { encRequest(s, req) })
+	raw := binEncode(t, req.encode)
 	for n := 0; n < len(raw); n++ {
 		var d binReader
 		d.reset(raw[:n])
@@ -258,109 +338,140 @@ func TestBinDecodeCorrupt(t *testing.T) {
 	if d.err() == nil {
 		t.Error("length bomb accepted")
 	}
+	// The same bomb on a split's ValueID count, the one length that sizes a
+	// 4-byte-per-element allocation.
+	bomb = []byte{byte(opImportColumn), 0, 0, 0, 0x80, 0x02, 1, 0, 8, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
+	d.reset(bomb)
+	resetRequest(got)
+	decRequest(&d, got, &in)
+	if d.err() == nil {
+		t.Error("split length bomb accepted")
+	}
+	// A presence bit this build does not define is corruption, not a field
+	// to skip.
+	d.reset([]byte{byte(opRows), 0, 0, 0, 0x80, 0x04})
+	resetRequest(got)
+	decRequest(&d, got, &in)
+	if d.err() == nil {
+		t.Error("unknown request presence bit accepted")
+	}
+	d.reset([]byte{0x80, 0x02, 0})
+	decResponse(&d, new(response))
+	if d.err() == nil {
+		t.Error("unknown response presence bit accepted")
+	}
 }
 
-// TestMuxWriterV3Frames exercises the full frame path: sendRequest /
-// sendResponse on a v3 writer, then readPooled + decode, covering both
-// the binary codec and the gob fallback for control ops.
-func TestMuxWriterV3Frames(t *testing.T) {
+// TestMuxWriterFrames sends every table case through the full frame path —
+// muxWriter.send, then readPooled and decodeRequest / decodeResponse — under
+// distinct request IDs: control ops travel in the same codec-tagged frames
+// as the data plane.
+func TestMuxWriterFrames(t *testing.T) {
 	var buf bytes.Buffer
 	mw := newMuxWriter(&buf)
-	mw.version = protoV3
-
-	binReq := binRequestCases()["point_select"]
-	gobReq := &request{Op: opQuote, Nonce: []byte{1, 2, 3}}
-	if err := mw.sendRequest(7, binReq); err != nil {
-		t.Fatal(err)
-	}
-	if err := mw.sendRequest(8, gobReq); err != nil {
-		t.Fatal(err)
-	}
-
-	pfr := frameReader{r: &buf}
+	fr := frameReader{r: &buf}
 	var in intern
-	for _, want := range []struct {
-		id     uint64
-		req    *request
-		pooled bool
-		codec  byte
-	}{
-		{7, binReq, true, codecBin},
-		{8, gobReq, false, codecGob},
-	} {
-		id, fb, err := pfr.readPooled()
+	id := uint64(1 << 33)
+	for name, want := range binRequestCases() {
+		id++
+		if err := mw.send(id, want); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		gotID, fb, err := fr.readPooled()
+		if err != nil || gotID != id || fb.B[0] != codecBin {
+			t.Fatalf("%s: frame id=%d tag=%#x err=%v, want id %d tag %#x", name, gotID, fb.B[0], err, id, codecBin)
+		}
+		req, err := decodeRequest(fb.B, &in)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if id != want.id {
-			t.Fatalf("id = %d, want %d", id, want.id)
+		got := *req
+		got.normalize()
+		if !reflect.DeepEqual(&got, want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", name, &got, want)
 		}
-		if fb.B[0] != want.codec {
-			t.Fatalf("codec tag = %#x, want %#x", fb.B[0], want.codec)
+		releaseRequest(req, fb)
+	}
+	for name, want := range binResponseCases() {
+		id++
+		if err := mw.send(id, want); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		req, pooled, err := decodeV3Request(fb, &in)
+		gotID, fb, err := fr.readPooled()
+		if err != nil || gotID != id {
+			t.Fatalf("%s: frame id=%d err=%v, want id %d", name, gotID, err, id)
+		}
+		got, _, err := decodeResponse(fb.B)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if pooled != want.pooled {
-			t.Errorf("pooled = %v, want %v", pooled, want.pooled)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", name, got, want)
 		}
-		if !reflect.DeepEqual(req.Query, want.req.Query) || req.Op != want.req.Op ||
-			!bytes.Equal(req.Nonce, want.req.Nonce) {
-			t.Errorf("decoded %+v, want %+v", req, want.req)
-		}
-		releaseRequest(req, fb, pooled)
 	}
-
-	// Response side, including the forced-gob path for quote responses.
-	binResp := binResponseCases()["result"]
-	gobResp := &response{Quote: enclave.Quote{Nonce: []byte{9}}}
-	if err := mw.sendResponse(9, binResp, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := mw.sendResponse(10, gobResp, true); err != nil {
-		t.Fatal(err)
-	}
-	id, fb, err := pfr.readPooled()
-	if err != nil || id != 9 || fb.B[0] != codecBin {
-		t.Fatalf("response frame: id=%d codec=%#x err=%v", id, fb.B[0], err)
-	}
-	var d binReader
-	d.reset(fb.B[1:])
-	got := new(response)
-	if !decResponse(&d, got) {
-		t.Error("result response did not report aliasing")
-	}
-	if err := d.err(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, binResp) {
-		t.Errorf("response round trip:\n got %+v\nwant %+v", got, binResp)
-	}
-	id, fb2, err := pfr.readPooled()
-	if err != nil || id != 10 || fb2.B[0] != codecGob {
-		t.Fatalf("gob response frame: id=%d codec=%#x err=%v", id, fb2.B[0], err)
+	if _, _, err := fr.readPooled(); err != io.EOF {
+		t.Fatalf("err = %v, want EOF at stream end", err)
 	}
 }
 
-func TestReqNeedsGob(t *testing.T) {
-	cases := []struct {
-		req  *request
-		want bool
-	}{
-		{&request{Op: opSelect}, false},
-		{&request{Op: opInsert}, false},
-		{&request{Op: opQuote}, true},
-		{&request{Op: opProvision}, true},
-		{&request{Op: opImportColumn}, true},
-		{&request{Op: opBatch, Subs: []request{{Op: opInsert}, {Op: opRows}}}, false},
-		{&request{Op: opBatch, Subs: []request{{Op: opInsert}, {Op: opImportColumn}}}, true},
+// fuzzSeeds adds valid as a seed together with a truncation and a bit flip
+// of it.
+func fuzzSeeds(f *testing.F, valid []byte) {
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	flipped := bytes.Clone(valid)
+	flipped[len(flipped)/3] ^= 0x20
+	f.Add(flipped)
+}
+
+// FuzzDecodeRequest feeds the server's request decoder arbitrary frame
+// payloads — what an untrusted peer controls byte for byte, split lengths
+// included. It must never panic, and whatever it accepts must survive a
+// re-encode: the decoder admits nothing the encoder could not have said.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, req := range binRequestCases() {
+		fuzzSeeds(f, append([]byte{codecBin}, binEncode(f, req.encode)...))
 	}
-	for _, c := range cases {
-		if got := reqNeedsGob(c.req); got != c.want {
-			t.Errorf("reqNeedsGob(%v) = %v, want %v", c.req.Op, got, c.want)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var in intern
+		req, err := decodeRequest(payload, &in)
+		if err != nil {
+			return
 		}
+		again, err := decodeRequest(append([]byte{codecBin}, binEncode(t, req.encode)...), &in)
+		if err != nil {
+			t.Fatalf("re-encoded request does not decode: %v", err)
+		}
+		req.normalize()
+		again.normalize()
+		if !reflect.DeepEqual(req, again) {
+			t.Fatalf("re-encode changed the request:\n got %+v\nwant %+v", again, req)
+		}
+	})
+}
+
+// FuzzDecodeResponse is FuzzDecodeRequest for the client's response decoder.
+func FuzzDecodeResponse(f *testing.F) {
+	for _, resp := range binResponseCases() {
+		fuzzSeeds(f, append([]byte{codecBin}, binEncode(f, resp.encode)...))
 	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		resp, _, err := decodeResponse(payload)
+		if err != nil {
+			return
+		}
+		again, _, err := decodeResponse(append([]byte{codecBin}, binEncode(t, resp.encode)...))
+		if err != nil {
+			t.Fatalf("re-encoded response does not decode: %v", err)
+		}
+		resp.normalize()
+		again.normalize()
+		if !reflect.DeepEqual(resp, again) {
+			t.Fatalf("re-encode changed the response:\n got %+v\nwant %+v", again, resp)
+		}
+	})
 }
 
 // TestInternBounded verifies the per-connection string cache stops growing

@@ -2,26 +2,31 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"testing"
 	"testing/quick"
+
+	"github.com/encdbdb/encdbdb/internal/bufpool"
 )
 
+// rawFrame builds one frame byte for byte: [u32 length][u64 id][payload].
+func rawFrame(id uint64, payload []byte) []byte {
+	hdr := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+	hdr = binary.BigEndian.AppendUint64(hdr, id)
+	return append(hdr, payload...)
+}
+
 func TestFrameRoundTrip(t *testing.T) {
-	f := func(payload []byte) bool {
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, payload); err != nil {
-			return false
-		}
-		fr := &frameReader{r: &buf}
-		defer fr.release()
-		got, err := fr.read()
+	f := func(id uint64, payload []byte) bool {
+		fr := &frameReader{r: bytes.NewReader(rawFrame(id, payload))}
+		gotID, buf, err := fr.readPooled()
 		if err != nil {
 			return false
 		}
-		return bytes.Equal(got, payload)
+		defer bufpool.Put(buf)
+		return gotID == id && bytes.Equal(buf.B, payload)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -29,148 +34,34 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestReadFrameRejectsOversized(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // ~4 GiB announced
-	fr := &frameReader{r: &buf}
-	defer fr.release()
-	if _, err := fr.read(); !errors.Is(err, ErrFrameTooLarge) {
+	hdr := rawFrame(1, nil)
+	copy(hdr, []byte{0xFF, 0xFF, 0xFF, 0xFF}) // ~4 GiB announced
+	fr := &frameReader{r: bytes.NewReader(hdr)}
+	if _, _, err := fr.readPooled(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
 func TestReadFrameTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	for _, n := range []int{0, 2, 4, len(raw) - 1} {
+	raw := rawFrame(1, []byte("hello"))
+	for _, n := range []int{0, 2, 4, 12, len(raw) - 1} {
 		fr := &frameReader{r: bytes.NewReader(raw[:n])}
-		if _, err := fr.read(); err == nil {
+		if _, _, err := fr.readPooled(); err == nil {
 			t.Errorf("truncated frame at %d accepted", n)
 		}
-		fr.release()
 	}
 }
 
 func TestReadFrameEmptyPayload(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	fr := &frameReader{r: &buf}
-	defer fr.release()
-	got, err := fr.read()
+	fr := &frameReader{r: bytes.NewReader(rawFrame(1, nil))}
+	_, buf, err := fr.readPooled()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 0 {
-		t.Errorf("payload = %v", got)
+	if len(buf.B) != 0 {
+		t.Errorf("payload = %v", buf.B)
 	}
-	if _, err := fr.read(); err != io.EOF {
+	if _, _, err := fr.readPooled(); err != io.EOF {
 		t.Errorf("second read err = %v, want EOF", err)
-	}
-}
-
-func TestFrameReaderReusesBuffer(t *testing.T) {
-	var buf bytes.Buffer
-	for i := 0; i < 3; i++ {
-		if err := writeFrame(&buf, []byte("hello")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fr := &frameReader{r: &buf}
-	first, err := fr.read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	firstPtr := &first[0]
-	for i := 0; i < 2; i++ {
-		p, err := fr.read()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(p) != "hello" {
-			t.Fatalf("payload = %q", p)
-		}
-		if &p[0] != firstPtr {
-			t.Fatal("steady-state frame read reallocated the payload buffer")
-		}
-	}
-}
-
-func TestFrameReaderCapGuard(t *testing.T) {
-	big := make([]byte, 2*bufRetainLimit)
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, big); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrame(&buf, []byte("tiny")); err != nil {
-		t.Fatal(err)
-	}
-	fr := &frameReader{r: &buf}
-	p, err := fr.read()
-	if err != nil || len(p) != len(big) {
-		t.Fatalf("big read: %d bytes, %v", len(p), err)
-	}
-	if _, err := fr.read(); err != nil {
-		t.Fatal(err)
-	}
-	if cap(fr.buf.B) > bufRetainLimit {
-		t.Fatalf("buffer cap %d still pinned above retain limit %d after a small frame",
-			cap(fr.buf.B), bufRetainLimit)
-	}
-	fr.release()
-}
-
-func TestMuxStreamRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	mw := newMuxWriter(&buf)
-	ids := []uint64{7, 3, 99}
-	for _, id := range ids {
-		if err := mw.send(id, &request{Op: opRows, Table: fmt.Sprintf("t%d", id)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mr := newMuxReader(&buf)
-	for _, want := range ids {
-		req := new(request)
-		id, err := mr.next(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id != want || req.Table != fmt.Sprintf("t%d", want) {
-			t.Fatalf("got id %d table %q, want id %d", id, req.Table, want)
-		}
-	}
-	if _, err := mr.next(new(request)); err != io.EOF {
-		t.Fatalf("err = %v, want EOF at stream end", err)
-	}
-}
-
-func TestMessageCodecRoundTrip(t *testing.T) {
-	req := request{
-		Op:     opSelect,
-		Table:  "t1",
-		Column: "c",
-		Nonce:  []byte{1, 2, 3},
-	}
-	payload, err := encodeMsg(&req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got request
-	if err := decodeMsg(payload, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Op != req.Op || got.Table != req.Table || got.Column != req.Column {
-		t.Errorf("round trip = %+v", got)
-	}
-}
-
-func TestDecodeMsgRejectsGarbage(t *testing.T) {
-	var got response
-	if err := decodeMsg([]byte("not gob"), &got); err == nil {
-		t.Error("garbage decoded")
 	}
 }

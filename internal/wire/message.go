@@ -1,16 +1,13 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
-
 	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/enclave"
 	"github.com/encdbdb/encdbdb/internal/engine"
 )
 
 // request is the single wire request envelope. Only the fields relevant for
-// Op are populated; gob omits zero values cheaply.
+// Op are populated; zero fields cost nothing on the wire (see codec.go).
 type request struct {
 	Op     op
 	Table  string
@@ -51,18 +48,4 @@ type response struct {
 	// keeps reading frames for the same request ID until a frame with More
 	// unset (the terminator, which carries no rows) or Err set arrives.
 	More bool
-}
-
-// encodeMsg gob-encodes a message into a frame payload.
-func encodeMsg(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeMsg gob-decodes a frame payload.
-func decodeMsg(payload []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
 }

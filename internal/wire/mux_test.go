@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -35,9 +36,32 @@ func plainSchema(table string) engine.Schema {
 	}}
 }
 
-// fakeMuxServer accepts one connection, completes the v2 negotiation, and
+// fakePeer is the provider half of one connection, driven by hand: tests
+// use it to answer a real Client with frames no real Server would send.
+type fakePeer struct {
+	conn net.Conn
+	fr   frameReader
+	mw   *muxWriter
+	in   intern
+}
+
+// next reads one request frame and returns its ID.
+func (p *fakePeer) next() (uint64, error) {
+	id, buf, err := p.fr.readPooled()
+	if err != nil {
+		return 0, err
+	}
+	req, err := decodeRequest(buf.B, &p.in)
+	if err != nil {
+		return 0, err
+	}
+	releaseRequest(req, buf)
+	return id, nil
+}
+
+// fakeMuxServer accepts one connection, completes the hello exchange, and
 // hands the connection to serve. It returns the listener address.
-func fakeMuxServer(t *testing.T, serve func(conn net.Conn)) string {
+func fakeMuxServer(t *testing.T, serve func(p *fakePeer)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -49,79 +73,97 @@ func fakeMuxServer(t *testing.T, serve func(conn net.Conn)) string {
 		if err != nil {
 			return
 		}
-		var hello [5]byte
-		if _, err := io.ReadFull(conn, hello[:]); err != nil {
-			conn.Close()
+		defer conn.Close()
+		if readHello(conn) != nil || writeHello(conn) != nil {
 			return
 		}
-		if err := writeHello(conn, protoV2); err != nil {
-			conn.Close()
-			return
-		}
-		serve(conn)
+		serve(&fakePeer{conn: conn, fr: frameReader{r: conn}, mw: newMuxWriter(conn)})
 	}()
 	return ln.Addr().String()
 }
 
-func TestDialNegotiatesMultiplexed(t *testing.T) {
-	_, addr := startPlainServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+// TestHelloRefusesOtherVersions pins the version check on both sides: a peer
+// that proposes any version but this build's, or does not open with the
+// magic, is refused with the typed ErrUnsupportedVersion and a closed
+// connection, and nothing it sent after its hello is parsed.
+func TestHelloRefusesOtherVersions(t *testing.T) {
+	hello := func(ver byte) []byte { return append(helloMagic[:], ver) }
+	cases := map[string][]byte{
+		"v1":       hello(1),
+		"v2":       hello(2),
+		"v4":       hello(4),
+		"no_magic": {0, 0, 0, 9, 'l', 'o', 'c', 'k', 's', 't', 'e', 'p', '!'}, // a lock-step era first frame
 	}
-	defer c.Close()
-	if !c.Multiplexed() {
-		t.Fatal("Dial against the new server did not negotiate multiplexing")
-	}
-	ls, err := DialLockstep(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ls.Close()
-	if ls.Multiplexed() {
-		t.Fatal("DialLockstep reports multiplexed")
-	}
-}
+	// What a refused peer pipelines behind its hello: a valid CREATE TABLE.
+	create := frameOf(t, 1, &request{Op: opCreateTable, Schema: plainSchema("sneaked")})
 
-// TestLockstepClientInterop drives a byte-exact v1 client (no negotiation
-// frames, strict request/response alternation) against the new server.
-func TestLockstepClientInterop(t *testing.T) {
-	_, addr := startPlainServer(t)
-	c, err := DialLockstep(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.CreateTable(plainSchema("v1t")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := c.Insert(context.Background(), "v1t", engine.Row{"c": []byte{'a' + byte(i)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n, err := c.Rows("v1t")
-	if err != nil || n != 5 {
-		t.Fatalf("rows = %d, %v", n, err)
-	}
-	tables, err := c.Tables()
-	if err != nil || len(tables) != 1 {
-		t.Fatalf("tables = %v, %v", tables, err)
-	}
-	// InsertBatch degrades to per-row round trips on lock-step connections
-	// (a genuine v1 server has no batch envelope).
-	if err := c.InsertBatch(context.Background(), "v1t", []engine.Row{{"c": []byte("x")}, {"c": []byte("y")}}); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := c.Rows("v1t"); n != 7 {
-		t.Fatalf("rows after batch = %d, want 7", n)
-	}
-	// The opBatch envelope itself still works over lock-step framing
-	// against this server (it is the framing, not the op set, that v1
-	// fixes).
-	resps, err := c.callBatch(context.Background(), []request{{Op: opRows, Table: "v1t"}})
-	if err != nil || len(resps) != 1 || resps[0].N != 7 {
-		t.Fatalf("lock-step callBatch = %+v, %v", resps, err)
+	for name, first := range cases {
+		t.Run("server/"+name, func(t *testing.T) {
+			refused := make(chan error, 1)
+			srv := NewServer(engine.New(nil), func(_ string, args ...any) {
+				for _, a := range args {
+					if err, ok := a.(error); ok {
+						refused <- err
+					}
+				}
+			})
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go srv.Serve(ln) //nolint:errcheck // ends with Close
+			defer srv.Close()
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(append(bytes.Clone(first), create...)); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+			// The server says which version it speaks and closes (a reset,
+			// when the pipelined bytes were still unread, may cut even that
+			// short): no response frame to the pipelined request follows.
+			got, _ := io.ReadAll(conn)
+			if want := hello(protoVersion); !bytes.HasPrefix(want, got) {
+				t.Errorf("server answered %q, want at most its hello %q", got, want)
+			}
+			if err := <-refused; !errors.Is(err, ErrUnsupportedVersion) {
+				t.Errorf("server logged %v, want ErrUnsupportedVersion", err)
+			}
+			c, err := Dial(ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if tables, err := c.Tables(); err != nil || len(tables) != 0 {
+				t.Errorf("tables = %v, %v; the refused peer's request must not have run", tables, err)
+			}
+		})
+		t.Run("client/"+name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				conn.Write(first)         //nolint:errcheck
+				io.Copy(io.Discard, conn) //nolint:errcheck // until the client hangs up
+			}()
+			c, err := Dial(ln.Addr().String())
+			if !errors.Is(err, ErrUnsupportedVersion) {
+				if c != nil {
+					c.Close()
+				}
+				t.Fatalf("Dial err = %v, want ErrUnsupportedVersion", err)
+			}
+		})
 	}
 }
 
@@ -171,18 +213,15 @@ func TestMultiplexedConcurrentCalls(t *testing.T) {
 // hang, none panic.
 func TestMidStreamDropFailsAllPending(t *testing.T) {
 	received := make(chan struct{}, 64)
-	addr := fakeMuxServer(t, func(conn net.Conn) {
+	addr := fakeMuxServer(t, func(p *fakePeer) {
 		// Swallow requests without answering, then drop the connection
 		// mid-stream once several calls are pending.
-		mr := newMuxReader(conn)
 		for i := 0; i < 4; i++ {
-			req := new(request)
-			if _, err := mr.next(req); err != nil {
+			if _, err := p.next(); err != nil {
 				break
 			}
 			received <- struct{}{}
 		}
-		conn.Close()
 	})
 	c, err := Dial(addr)
 	if err != nil {
@@ -214,18 +253,16 @@ func TestMidStreamDropFailsAllPending(t *testing.T) {
 // TestOversizedFrameClientSide: a server announcing an oversized frame must
 // poison the client with ErrFrameTooLarge instead of allocating 1 GiB.
 func TestOversizedFrameClientSide(t *testing.T) {
-	addr := fakeMuxServer(t, func(conn net.Conn) {
+	addr := fakeMuxServer(t, func(p *fakePeer) {
 		var hdr [12]byte
 		hdr[0] = 0xFF // ~4 GiB announced
 		hdr[1] = 0xFF
 		hdr[2] = 0xFF
 		hdr[3] = 0xFF
-		mr := newMuxReader(conn)
-		req := new(request)
-		if _, err := mr.next(req); err != nil {
+		if _, err := p.next(); err != nil {
 			return
 		}
-		conn.Write(hdr[:]) //nolint:errcheck
+		p.conn.Write(hdr[:]) //nolint:errcheck
 	})
 	c, err := Dial(addr)
 	if err != nil {
@@ -237,8 +274,8 @@ func TestOversizedFrameClientSide(t *testing.T) {
 	}
 }
 
-// TestOversizedFrameServerSide: an oversized frame on a multiplexed
-// connection drops that connection but not the server.
+// TestOversizedFrameServerSide: an oversized frame drops its connection but
+// not the server.
 func TestOversizedFrameServerSide(t *testing.T) {
 	_, addr := startPlainServer(t)
 	conn, err := net.Dial("tcp", addr)
@@ -246,10 +283,10 @@ func TestOversizedFrameServerSide(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeHello(conn, protoV2); err != nil {
+	if err := writeHello(conn); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readHello(conn); err != nil {
+	if err := readHello(conn); err != nil {
 		t.Fatal(err)
 	}
 	var hdr [12]byte
@@ -280,17 +317,15 @@ func TestOversizedFrameServerSide(t *testing.T) {
 // late answer to a context-cancelled (abandoned) call has, so it must not
 // poison the stream.
 func TestUnknownResponseID(t *testing.T) {
-	addr := fakeMuxServer(t, func(conn net.Conn) {
-		mr := newMuxReader(conn)
-		mw := newMuxWriter(conn)
-		req := new(request)
-		id, err := mr.next(req)
+	addr := fakeMuxServer(t, func(p *fakePeer) {
+		id, err := p.next()
 		if err != nil {
 			return
 		}
 		// A stray ID the client never issued, then the real answer.
-		mw.send(999_999, &response{N: 7})             //nolint:errcheck
-		mw.send(id, &response{Tables: []string{"t"}}) //nolint:errcheck
+		p.mw.send(999_999, &response{N: 7})             //nolint:errcheck
+		p.mw.send(id, &response{Tables: []string{"t"}}) //nolint:errcheck
+		io.Copy(io.Discard, p.conn)                     //nolint:errcheck // until the client hangs up
 	})
 	c, err := Dial(addr)
 	if err != nil {
@@ -307,22 +342,20 @@ func TestUnknownResponseID(t *testing.T) {
 // indistinguishable from an abandoned call's late answer and is discarded
 // without disturbing later calls.
 func TestDuplicateResponseID(t *testing.T) {
-	addr := fakeMuxServer(t, func(conn net.Conn) {
-		mr := newMuxReader(conn)
-		mw := newMuxWriter(conn)
-		req := new(request)
-		id, err := mr.next(req)
+	addr := fakeMuxServer(t, func(p *fakePeer) {
+		id, err := p.next()
 		if err != nil {
 			return
 		}
-		mw.send(id, &response{N: 1}) //nolint:errcheck
-		mw.send(id, &response{N: 2}) //nolint:errcheck
+		p.mw.send(id, &response{N: 1}) //nolint:errcheck
+		p.mw.send(id, &response{N: 2}) //nolint:errcheck
 		// Serve the follow-up call normally.
-		id2, err := mr.next(req)
+		id2, err := p.next()
 		if err != nil {
 			return
 		}
-		mw.send(id2, &response{N: 3}) //nolint:errcheck
+		p.mw.send(id2, &response{N: 3}) //nolint:errcheck
+		io.Copy(io.Discard, p.conn)     //nolint:errcheck // until the client hangs up
 	})
 	c, err := Dial(addr)
 	if err != nil {
@@ -338,8 +371,8 @@ func TestDuplicateResponseID(t *testing.T) {
 	}
 }
 
-// TestServerCloseDrainsInFlight closes the server while multiplexed
-// requests are dispatched; worker goroutines must drain cleanly and late
+// TestServerCloseDrainsInFlight closes the server while requests are
+// dispatched; worker goroutines must drain cleanly and late
 // responses on the closed connection must not panic (regression test, run
 // under -race in CI).
 func TestServerCloseDrainsInFlight(t *testing.T) {
@@ -381,9 +414,9 @@ func TestServerCloseDrainsInFlight(t *testing.T) {
 }
 
 func TestClientCloseFailsPending(t *testing.T) {
-	addr := fakeMuxServer(t, func(conn net.Conn) {
+	addr := fakeMuxServer(t, func(p *fakePeer) {
 		// Never answer; just hold the connection open.
-		io.Copy(io.Discard, conn) //nolint:errcheck
+		io.Copy(io.Discard, p.conn) //nolint:errcheck
 	})
 	c, err := Dial(addr)
 	if err != nil {

@@ -82,21 +82,3 @@ func TestConnRateLimit(t *testing.T) {
 		t.Fatalf("fresh connection = %d, %v; want 0, nil", n, err)
 	}
 }
-
-// TestConnRateLimitLockstep covers the same shed on the v1 lock-step loop.
-func TestConnRateLimitLockstep(t *testing.T) {
-	srv, addr := startAdmissionServer(t, nil,
-		WithConnRate(0.001), WithDrainTimeout(time.Second))
-	t.Cleanup(func() { srv.Close() })
-	c, err := DialLockstep(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.CreateTable(plainSchema("rlls")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Rows("rlls"); !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("over-budget lock-step request: err = %v, want ErrRateLimited", err)
-	}
-}

@@ -2,10 +2,7 @@ package wire
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -19,8 +16,7 @@ import (
 	"github.com/encdbdb/encdbdb/internal/metrics"
 )
 
-// defaultConnWorkers is the default per-connection dispatch concurrency for
-// multiplexed connections.
+// defaultConnWorkers is the default per-connection dispatch concurrency.
 const defaultConnWorkers = 16
 
 // queuedPerWorker scales the default per-connection bound on decoded-but-
@@ -47,9 +43,8 @@ var ErrServerBusy = errors.New("wire: server busy")
 // ServerOption configures a Server.
 type ServerOption func(*Server)
 
-// WithConnWorkers bounds how many requests of one multiplexed connection may
-// execute concurrently (default 16). Values below 1 mean sequential
-// dispatch. Lock-step (v1) connections are always sequential by protocol.
+// WithConnWorkers bounds how many requests of one connection may execute
+// concurrently (default 16). Values below 1 mean sequential dispatch.
 func WithConnWorkers(n int) ServerOption {
 	return func(s *Server) {
 		if n < 1 {
@@ -60,8 +55,8 @@ func WithConnWorkers(n int) ServerOption {
 }
 
 // WithQueueDepth bounds how many admitted requests may be outstanding
-// (queued + executing) per multiplexed connection before new requests are
-// shed with ErrServerBusy (default connWorkers x 64). The bound is what
+// (queued + executing) per connection before new requests are shed with
+// ErrServerBusy (default connWorkers x 64). The bound is what
 // turns saturation into fast, typed rejections instead of unbounded
 // queueing: clients see ErrServerBusy in microseconds rather than timing
 // out behind a queue that can only grow.
@@ -96,24 +91,6 @@ func WithDrainTimeout(d time.Duration) ServerOption {
 	}
 }
 
-// WithServerMaxProto caps the protocol version the server negotiates: 3
-// (the default) offers the binary codec, 2 answers every negotiating client
-// with the gob multiplexed protocol, and 1 emulates a pre-negotiation
-// server — the magic bytes are treated as an oversized v1 frame and the
-// connection dropped, which is what drives clients to their lock-step
-// redial fallback. Useful for compatibility testing and staged rollouts.
-func WithServerMaxProto(v int) ServerOption {
-	return func(s *Server) {
-		if v < protoV1 {
-			v = protoV1
-		}
-		if v > protoV3 {
-			v = protoV3
-		}
-		s.maxProto = byte(v)
-	}
-}
-
 // WithMetrics registers the wire server's metric families (request counts,
 // per-op latency histograms, admission-control outcomes, connection and
 // byte totals — see docs/metrics.md) on reg and records into them. Without
@@ -128,11 +105,10 @@ func WithMetrics(reg *metrics.Registry) ServerOption {
 // provider process of paper Fig. 2, including the enclave ECALL endpoints
 // (quote, provision) the data owner needs for setup.
 //
-// Each accepted connection is sniffed for the negotiation magic: v2 clients
-// get multiplexed service where every decoded request runs on its own
-// goroutine (bounded by WithConnWorkers) and responses are written under a
-// per-connection write lock, out of order; v1 clients get the original
-// lock-step loop.
+// Each accepted connection must open with the protocol hello (see
+// helloMagic); after it every decoded request runs on its own goroutine
+// (bounded by WithConnWorkers) and responses are written under a
+// per-connection write lock, out of order.
 //
 // The server applies admission control per connection: at most
 // WithQueueDepth requests may be outstanding (shed beyond that with
@@ -148,16 +124,10 @@ type Server struct {
 	drainTimeout time.Duration
 	connRate     float64 // requests/second per connection (0 = unlimited)
 	metrics      *serverMetrics
-	maxProto     byte // 0 means newest (see WithServerMaxProto)
 
-	// legacyOps makes the server answer the post-PR ops (opSelectStream,
-	// opCancel) with unknown-op errors, emulating a v2 peer built before
-	// they existed. Tests use it to pin the compatibility fallbacks.
-	legacyOps bool
-
-	// dispatchHook, when non-nil, runs at the start of every multiplexed
-	// request's execution (after admission, before dispatch). Tests use it
-	// to park workers and saturate the dispatch queue deterministically.
+	// dispatchHook, when non-nil, runs at the start of every request's
+	// execution (after admission, before dispatch). Tests use it to park
+	// workers and saturate the dispatch queue deterministically.
 	dispatchHook func(req *request)
 
 	mu     sync.Mutex
@@ -268,32 +238,75 @@ func (s *Server) Close() error {
 	return err
 }
 
-// serveConn sniffs the first four bytes for the negotiation magic and hands
-// the connection to the multiplexed or lock-step loop. With metrics enabled
-// the connection is wrapped so both loops' reads and writes feed the byte
+// serveConn checks the peer's hello and runs the connection's read loop:
+// decode frames on this goroutine and dispatch each request on its own
+// bounded worker goroutine. Responses go out under the connection write
+// lock in completion order. Before returning — peer drop or server Close —
+// it drains all in-flight workers, whose late responses then fail with a
+// write error on the closed connection instead of panicking. With metrics
+// enabled the connection is wrapped so reads and writes feed the byte
 // counters.
-func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
+//
+// Every dispatched request runs under its own context, registered in the
+// connection's inflight set: an opCancel frame cancels the named request's
+// context mid-scan, and tearing the connection down cancels them all.
+func (s *Server) serveConn(raw net.Conn) {
+	defer raw.Close()
 	s.metrics.connOpened()
 	defer s.metrics.connClosed()
-	counted := s.metrics.wrap(conn)
-	br := bufio.NewReader(counted)
-	var first [4]byte
-	if _, err := io.ReadFull(br, first[:]); err != nil {
+	conn := s.metrics.wrap(raw)
+	br := bufio.NewReader(conn)
+	if err := readHello(br); err != nil {
+		if errors.Is(err, ErrUnsupportedVersion) {
+			// Answer with this build's hello so a peer able to read it
+			// reports the mismatch too; nothing it sent after its own hello
+			// is parsed.
+			writeHello(conn) //nolint:errcheck // closing the connection anyway
+			s.logf("wire: refused %s: %v", conn.RemoteAddr(), err)
+		}
 		return
 	}
-	if first == helloMagic {
-		if s.maxProto == protoV1 {
-			// Emulating a pre-negotiation server: the magic, read as a v1
-			// length prefix, is an oversized frame — drop the connection so
-			// the client falls back to lock-step on redial.
+	if err := writeHello(conn); err != nil {
+		return
+	}
+	connCtx, connCancel := context.WithCancel(context.Background())
+	defer connCancel()
+	mc := &muxConn{
+		conn:     conn,
+		mw:       newMuxWriter(conn),
+		ctx:      connCtx,
+		sem:      make(chan struct{}, s.connWorkers),
+		queueSem: make(chan struct{}, s.queueDepth),
+		bucket:   s.bucket(),
+	}
+	defer mc.wg.Wait()
+	// Each frame lands in its own pooled buffer; the request decodes out of
+	// the request pool and aliases that buffer, so both recycle together
+	// when the request completes. The intern cache keeps the connection's
+	// recurring identifiers (table and column names) from allocating a
+	// string per frame.
+	var in intern
+	fr := frameReader{r: br}
+	for {
+		id, buf, err := fr.readPooled()
+		var req *request
+		if err == nil {
+			if req, err = decodeRequest(buf.B, &in); err != nil {
+				bufpool.Put(buf)
+			}
+		}
+		if err != nil {
+			// EOF, broken connection, oversized or corrupt frame: nothing
+			// after it can be trusted, so drop the connection.
+			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+				s.logf("wire: bad request stream from %s: %v", conn.RemoteAddr(), err)
+			}
 			return
 		}
-		s.serveMux(counted, br)
-		return
+		if !s.handleMux(mc, id, req, buf) {
+			return
+		}
 	}
-	// No magic: a v1 peer already sent its first frame's length prefix.
-	s.serveLockstep(counted, br, binary.BigEndian.Uint32(first[:]))
 }
 
 // requestContext derives one dispatched request's context: the per-request
@@ -304,67 +317,6 @@ func (s *Server) requestContext(parent context.Context) (context.Context, contex
 		return context.WithTimeout(parent, s.reqTimeout)
 	}
 	return context.WithCancel(parent)
-}
-
-// serveLockstep is the v1 loop: strict request/response alternation.
-// firstLen is the already-consumed length prefix of the first frame. Frames
-// land in one pooled buffer reused for the whole connection; gob decoding
-// copies out of it before the next read overwrites it.
-func (s *Server) serveLockstep(conn net.Conn, br *bufio.Reader, firstLen uint32) {
-	fr := &frameReader{r: br}
-	defer fr.release()
-	bucket := s.bucket()
-	payload, err := fr.payload(firstLen)
-	for {
-		if err != nil {
-			return // EOF, broken connection, or oversized frame: drop it
-		}
-		var req request
-		if err := decodeMsg(payload, &req); err != nil {
-			s.logf("wire: bad request from %s: %v", conn.RemoteAddr(), err)
-			return
-		}
-		if bucket != nil && req.Op != opCancel && !bucket.allow(time.Now()) {
-			s.metrics.rateLimitedInc()
-			if err2 := s.writeLockstepError(conn, ErrRateLimited); err2 != nil {
-				return
-			}
-			payload, err = fr.read()
-			continue
-		}
-		arrived := s.metrics.now()
-		ctx, cancel := s.requestContext(context.Background())
-		resp := respPool.Get().(*response)
-		s.dispatch(ctx, &req, resp)
-		cancel()
-		s.recordResponse(req.Op, arrived, resp)
-		out, err2 := encodeMsg(resp)
-		resetResponse(resp)
-		respPool.Put(resp)
-		if err2 != nil {
-			s.logf("wire: encode response: %v", err2)
-			return
-		}
-		if err2 := writeFrame(conn, out); err2 != nil {
-			return
-		}
-		payload, err = fr.read()
-	}
-}
-
-// writeLockstepError answers one lock-step request with a bare error
-// response (used for sheds that bypass dispatch).
-func (s *Server) writeLockstepError(conn net.Conn, cause error) error {
-	resp := respPool.Get().(*response)
-	resp.Err = cause.Error()
-	out, err := encodeMsg(resp)
-	resetResponse(resp)
-	respPool.Put(resp)
-	if err != nil {
-		s.logf("wire: encode response: %v", err)
-		return err
-	}
-	return writeFrame(conn, out)
 }
 
 // recordResponse feeds one finished request into the metric families,
@@ -418,9 +370,7 @@ func (in *inflightSet) cancel(id uint64) {
 // reqPool and respPool recycle request/response envelopes on the hot
 // dispatch paths. Invariant: every pooled object is reset (resetRequest /
 // resetResponse) before Put, so Get hands out zeroed envelopes that still
-// carry the slice and map capacity of earlier traffic. Only the binary
-// codec may decode into pooled requests — gob merges into non-zero fields,
-// so the gob paths always decode into fresh envelopes.
+// carry the slice and map capacity of earlier traffic.
 var (
 	reqPool  = sync.Pool{New: func() any { return new(request) }}
 	respPool = sync.Pool{New: func() any { return new(response) }}
@@ -430,27 +380,26 @@ var (
 	rowSlicePool = sync.Pool{New: func() any { return new([]engine.Row) }}
 )
 
-// releaseRequest recycles one completed request: pooled envelopes go back
-// to reqPool, and the frame buffer the request aliased (nil for requests
-// that own their data) goes back to the frame pool. Callers must not touch
-// req or buf afterwards.
-func releaseRequest(req *request, buf *bufpool.Buf, pooled bool) {
-	if pooled {
-		resetRequest(req)
-		reqPool.Put(req)
-	}
+// releaseRequest recycles one completed request: the envelope goes back to
+// reqPool and the frame buffer it aliased to the frame pool. Callers must
+// not touch req or buf afterwards.
+func releaseRequest(req *request, buf *bufpool.Buf) {
+	resetRequest(req)
+	reqPool.Put(req)
 	bufpool.Put(buf)
 }
 
-// muxConn bundles the shared state of one multiplexed connection: the
-// write half, the cancellation registry, and the admission bounds. sem
-// caps how many requests *execute* concurrently; queueSem caps how many
-// decoded requests may be outstanding (queued + executing) so a peer that
-// never reads responses cannot queue unbounded memory. The queue bound is
-// deliberately much larger than the execution bound: the read loop keeps
-// draining frames while all workers are busy, which is what lets an
-// opCancel frame reach a saturated connection instead of queuing behind
-// the requests it is trying to interrupt.
+// muxConn bundles the shared state of one connection: the write half, the
+// cancellation registry, and the admission bounds. sem caps how many
+// requests *execute* concurrently and stays held while the reply is
+// written; queueSem caps how many decoded requests are queued or executing
+// and is left when execution ends, before the reply is written — so a
+// client that has read reply N is never shed because of request N, and a
+// peer that never reads responses still pins at most workers + queue depth
+// requests. The queue bound is deliberately much larger than the execution
+// bound: the read loop keeps draining frames while all workers are busy,
+// which is what lets an opCancel frame reach a saturated connection instead
+// of queuing behind the requests it is trying to interrupt.
 type muxConn struct {
 	conn     net.Conn
 	mw       *muxWriter
@@ -462,168 +411,29 @@ type muxConn struct {
 	wg       sync.WaitGroup
 }
 
-// serveMux finishes negotiation and runs the multiplexed loop for the
-// negotiated version: decode frames on this goroutine and dispatch each
-// request on its own bounded worker goroutine. Responses go out under the
-// connection write lock in completion order. Before returning — peer drop
-// or server Close — it drains all in-flight workers, whose late responses
-// then fail with a write error on the closed connection instead of
-// panicking.
-//
-// Every dispatched request runs under its own context, registered in the
-// connection's inflight set: an opCancel frame cancels the named request's
-// context mid-scan, and tearing the connection down cancels them all.
-func (s *Server) serveMux(conn net.Conn, br *bufio.Reader) {
-	clientVer, err := br.ReadByte()
-	if err != nil {
-		return
-	}
-	ver := byte(protoV3)
-	if s.maxProto != 0 && s.maxProto < ver {
-		ver = s.maxProto
-	}
-	if clientVer < ver {
-		ver = clientVer
-	}
-	if ver < protoV2 {
-		s.logf("wire: %s negotiated unsupported version %d", conn.RemoteAddr(), ver)
-		return
-	}
-	if err := writeHello(conn, ver); err != nil {
-		return
-	}
-	connCtx, connCancel := context.WithCancel(context.Background())
-	defer connCancel()
-	mc := &muxConn{
-		conn:     conn,
-		mw:       newMuxWriter(conn),
-		ctx:      connCtx,
-		sem:      make(chan struct{}, s.connWorkers),
-		queueSem: make(chan struct{}, s.queueDepth),
-		bucket:   s.bucket(),
-	}
-	mc.mw.version = ver
-	defer mc.wg.Wait()
-	if ver >= protoV3 {
-		s.muxLoopV3(mc, br)
-	} else {
-		s.muxLoopV2(mc, br)
-	}
-}
-
-// muxLoopV2 reads the v2 persistent gob stream. Requests are always fresh
-// allocations (gob decode merges into non-zero fields) and own their data,
-// so no frame buffer travels with them.
-func (s *Server) muxLoopV2(mc *muxConn, br *bufio.Reader) {
-	mr := newMuxReader(br)
-	defer mr.fr.release()
-	for {
-		req := new(request)
-		id, err := mr.next(req)
-		if err != nil {
-			// EOF, broken connection, oversized frame, or a gob decode
-			// error: nothing after a corrupt stream position can be
-			// trusted, so drop the connection.
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.logf("wire: bad request stream from %s: %v", mc.conn.RemoteAddr(), err)
-			}
-			return
-		}
-		if !s.handleMux(mc, id, req, nil, false) {
-			return
-		}
-	}
-}
-
-// muxLoopV3 reads binary-codec frames. Each frame lands in its own pooled
-// buffer; binary-coded requests decode out of the request pool and alias
-// that buffer, so both recycle together when the request completes. The
-// intern cache keeps the connection's recurring identifiers (table and
-// column names) from allocating a string per frame.
-func (s *Server) muxLoopV3(mc *muxConn, br *bufio.Reader) {
-	var in intern
-	fr := frameReader{r: br}
-	for {
-		id, buf, err := fr.readPooled()
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.logf("wire: bad request stream from %s: %v", mc.conn.RemoteAddr(), err)
-			}
-			return
-		}
-		req, pooled, err := decodeV3Request(buf, &in)
-		if err != nil {
-			bufpool.Put(buf)
-			s.logf("wire: bad request stream from %s: %v", mc.conn.RemoteAddr(), err)
-			return
-		}
-		if !pooled {
-			// Gob decoding copied everything out; recycle the frame now.
-			bufpool.Put(buf)
-			buf = nil
-		}
-		if !s.handleMux(mc, id, req, buf, pooled) {
-			return
-		}
-	}
-}
-
-// decodeV3Request decodes one v3 frame payload into a request. Binary-coded
-// requests come from the request pool and alias buf (pooled=true): the
-// caller must keep buf alive until the request completes, then release
-// both via releaseRequest. Gob-coded requests are freshly allocated and own
-// their data (pooled=false).
-func decodeV3Request(buf *bufpool.Buf, in *intern) (req *request, pooled bool, err error) {
-	if len(buf.B) == 0 {
-		return nil, false, errCorruptFrame
-	}
-	switch tag := buf.B[0]; tag {
-	case codecBin:
-		req = reqPool.Get().(*request)
-		var d binReader
-		d.reset(buf.B[1:])
-		decRequest(&d, req, in)
-		if derr := d.err(); derr != nil {
-			resetRequest(req)
-			reqPool.Put(req)
-			return nil, false, decodeError(tag, derr)
-		}
-		return req, true, nil
-	case codecGob:
-		req = new(request)
-		if derr := gob.NewDecoder(bytes.NewReader(buf.B[1:])).Decode(req); derr != nil {
-			return nil, false, decodeError(tag, derr)
-		}
-		return req, false, nil
-	default:
-		return nil, false, fmt.Errorf("wire: unknown codec 0x%02x", tag)
-	}
-}
-
 // sendPooledResponse sends a short administrative response (cancel ack,
 // busy rejection) from the response pool.
 func sendPooledResponse(mw *muxWriter, id uint64, errText string) error {
 	resp := respPool.Get().(*response)
 	resp.Err = errText
-	err := mw.sendResponse(id, resp, false)
+	err := mw.send(id, resp)
 	resetResponse(resp)
 	respPool.Put(resp)
 	return err
 }
 
-// handleMux runs one decoded multiplexed request through cancellation,
-// admission, and worker dispatch. buf is the pooled frame buffer req
-// aliases (nil when the request owns its data); pooled marks a pool-drawn
-// request. Both are released when the request completes. A false return
-// means no further response can be delivered on this connection and the
-// read loop must exit.
-func (s *Server) handleMux(mc *muxConn, id uint64, req *request, buf *bufpool.Buf, pooled bool) bool {
-	if req.Op == opCancel && !s.legacyOps {
+// handleMux runs one decoded request through cancellation, admission, and
+// worker dispatch. buf is the pooled frame buffer req aliases; both are
+// released when the request completes. A false return means no further
+// response can be delivered on this connection and the read loop must
+// exit.
+func (s *Server) handleMux(mc *muxConn, id uint64, req *request, buf *bufpool.Buf) bool {
+	if req.Op == opCancel {
 		// Handled inline, before any queue admission: cancellation must
 		// not queue behind the very requests it is trying to interrupt,
 		// and must work even when the queue is full.
 		mc.inflight.cancel(req.Cancel)
-		releaseRequest(req, buf, pooled)
+		releaseRequest(req, buf)
 		if err := sendPooledResponse(mc.mw, id, ""); err != nil {
 			s.logf("wire: send response: %v", err)
 			mc.conn.Close()
@@ -636,7 +446,7 @@ func (s *Server) handleMux(mc *muxConn, id uint64, req *request, buf *bufpool.Bu
 	// busy shed the rejection costs one frame decode and one response frame.
 	if mc.bucket != nil && !mc.bucket.allow(time.Now()) {
 		s.metrics.rateLimitedInc()
-		releaseRequest(req, buf, pooled)
+		releaseRequest(req, buf)
 		if err := sendPooledResponse(mc.mw, id, ErrRateLimited.Error()); err != nil {
 			s.logf("wire: send response: %v", err)
 			mc.conn.Close()
@@ -644,7 +454,6 @@ func (s *Server) handleMux(mc *muxConn, id uint64, req *request, buf *bufpool.Bu
 		}
 		return true
 	}
-	gobResp := reqNeedsGob(req)
 	arrived := s.metrics.now()
 	// Admission: a full queue sheds the request immediately with a typed
 	// busy error rather than blocking the read loop. Rejection happens
@@ -654,7 +463,7 @@ func (s *Server) handleMux(mc *muxConn, id uint64, req *request, buf *bufpool.Bu
 	case mc.queueSem <- struct{}{}:
 	default:
 		s.metrics.rejectedInc()
-		releaseRequest(req, buf, pooled)
+		releaseRequest(req, buf)
 		if err := sendPooledResponse(mc.mw, id, ErrServerBusy.Error()); err != nil {
 			s.logf("wire: send response: %v", err)
 			mc.conn.Close()
@@ -672,7 +481,6 @@ func (s *Server) handleMux(mc *muxConn, id uint64, req *request, buf *bufpool.Bu
 	mc.wg.Add(1)
 	go func() {
 		defer mc.wg.Done()
-		defer func() { <-mc.queueSem }()
 		mc.sem <- struct{}{}
 		defer func() { <-mc.sem }()
 		defer func() {
@@ -682,12 +490,12 @@ func (s *Server) handleMux(mc *muxConn, id uint64, req *request, buf *bufpool.Bu
 			// The response (and any stream chunks) went out inside
 			// serveRequest, so nothing references the request or its frame
 			// buffer anymore.
-			releaseRequest(req, buf, pooled)
+			releaseRequest(req, buf)
 		}()
 		if s.dispatchHook != nil {
 			s.dispatchHook(req)
 		}
-		if err := s.serveRequest(ctx, mc.mw, id, req, gobResp, arrived); err != nil {
+		if err := s.serveRequest(ctx, mc, id, req, arrived); err != nil {
 			// Whether the connection died or the response stream broke
 			// (encode failure, oversized response), no further response
 			// can be delivered on it. Close so the peer's read loop
@@ -700,49 +508,42 @@ func (s *Server) handleMux(mc *muxConn, id uint64, req *request, buf *bufpool.Bu
 	return true
 }
 
-// serveRequest executes one multiplexed request, records it against the
-// metric families, and writes its response(s): a single frame for ordinary
-// ops, a chunk sequence for opSelectStream. gobResp routes the response
-// through the gob codec on v3 connections (control-op responses carry
-// types the binary codec does not encode).
-func (s *Server) serveRequest(ctx context.Context, mw *muxWriter, id uint64, req *request, gobResp bool, arrived time.Time) error {
-	if req.Op == opSelectStream && !s.legacyOps {
-		return s.serveSelectStream(ctx, mw, id, req, arrived)
-	}
-	resp := respPool.Get().(*response)
-	s.dispatch(ctx, req, resp)
-	s.recordResponse(req.Op, arrived, resp)
-	err := mw.sendResponse(id, resp, gobResp)
-	resetResponse(resp)
-	respPool.Put(resp)
-	return err
-}
-
-// serveSelectStream renders a Select chunk by chunk, writing each as its own
-// frame under the request's ID: response.More marks chunks, a final frame
-// with More unset (carrying the total count) terminates, and an error —
-// including the query's context being cancelled by opCancel — terminates
-// with Err set. Only send failures are returned; query failures travel to
-// the peer. Like dispatch, panics in the engine's lazy render path are
-// converted to an error terminator instead of taking down the provider.
-func (s *Server) serveSelectStream(ctx context.Context, mw *muxWriter, id uint64, req *request, arrived time.Time) error {
+// serveRequest executes one request, records it against the metric
+// families, and writes its response(s): a single frame for ordinary ops; for
+// opSelectStream a chunk sequence (response.More marks chunks) ended by a
+// terminator with More unset that carries the total count, or Err set when
+// the query failed — including its context being cancelled by opCancel.
+// Only send failures are returned; query failures travel to the peer.
+//
+// The request leaves the admission count (mc.queueSem) here, when its
+// execution is over and before its final frame is written: the peer may
+// send its next request the instant it reads that frame, and must not be
+// shed by a slot this request still holds.
+func (s *Server) serveRequest(ctx context.Context, mc *muxConn, id uint64, req *request, arrived time.Time) error {
 	resp := respPool.Get().(*response)
 	defer func() {
 		resetResponse(resp)
 		respPool.Put(resp)
 	}()
-	if sendErr := s.streamChunks(ctx, mw, id, req, resp); sendErr != nil {
+	var sendErr error
+	if req.Op == opSelectStream {
+		sendErr = s.streamChunks(ctx, mc.mw, id, req, resp)
+	} else {
+		s.dispatch(ctx, req, resp)
+	}
+	<-mc.queueSem
+	if sendErr != nil {
 		return sendErr
 	}
 	s.recordResponse(req.Op, arrived, resp)
-	return mw.sendResponse(id, resp, false)
+	return mc.mw.send(id, resp)
 }
 
 // streamChunks writes the chunk frames of one streamed Select, reusing resp
 // for every frame (each send copies it onto the wire before the next chunk
-// overwrites it), and leaves the terminator in resp for serveSelectStream
-// to send. It upholds dispatch's invariant that a panic in a handler
-// becomes an error response rather than an unrecovered goroutine panic.
+// overwrites it), and leaves the terminator in resp for serveRequest to
+// send. Like dispatch, it converts a panic in the engine's lazy render path
+// into an error terminator instead of taking down the provider.
 func (s *Server) streamChunks(ctx context.Context, mw *muxWriter, id uint64, req *request, resp *response) (sendErr error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -771,7 +572,7 @@ func (s *Server) streamChunks(ctx context.Context, mw *muxWriter, id uint64, req
 			return nil
 		}
 		resp.Result, resp.More, resp.N = chunk, true, st.Count()
-		if err := mw.sendResponse(id, resp, false); err != nil {
+		if err := mw.send(id, resp); err != nil {
 			return err
 		}
 		resp.Result, resp.More = nil, false
@@ -780,10 +581,7 @@ func (s *Server) streamChunks(ctx context.Context, mw *muxWriter, id uint64, req
 
 // dispatch executes one request against the database, filling the caller's
 // (reset) response envelope. Panics in handlers are converted to error
-// responses so one bad request cannot take down the provider. Ops the
-// server predates (or pretends to, under legacyOps) answer with an
-// "unknown op" error, which is also what real pre-streaming v2 servers
-// produce for opSelectStream and opCancel.
+// responses so one bad request cannot take down the provider.
 func (s *Server) dispatch(ctx context.Context, req *request, resp *response) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -794,10 +592,6 @@ func (s *Server) dispatch(ctx context.Context, req *request, resp *response) {
 	}()
 	fail := func(err error) {
 		resp.Err = err.Error()
-	}
-	if s.legacyOps && (req.Op == opSelectStream || req.Op == opCancel) {
-		fail(fmt.Errorf("wire: unknown op %d", req.Op))
-		return
 	}
 	switch req.Op {
 	case opSelect:
@@ -876,13 +670,10 @@ func (s *Server) dispatch(ctx context.Context, req *request, resp *response) {
 			return
 		}
 		resp.Merge = info
-	case opSelectStream:
-		// Reached only on a lock-step connection, whose strict
-		// request/response alternation cannot carry chunked frames.
-		fail(errors.New("wire: streaming requires a multiplexed connection"))
-	case opCancel:
-		// Reached only on a lock-step connection, where nothing can be in
-		// flight to cancel; answer harmlessly.
+	case opSelectStream, opCancel:
+		// Top level these never reach dispatch (handleMux and serveRequest
+		// serve them); inside a batch neither has a meaning.
+		fail(fmt.Errorf("wire: op %d not allowed in a batch", req.Op))
 	case opImportColumn:
 		split, err := dict.FromData(req.Split)
 		if err != nil {

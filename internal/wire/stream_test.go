@@ -7,19 +7,16 @@ import (
 	"io"
 	"net"
 	"testing"
-	"time"
 
 	"github.com/encdbdb/encdbdb/internal/enclave"
 	"github.com/encdbdb/encdbdb/internal/engine"
 )
 
 // startStreamServer hosts a plaintext-only engine with a small stream chunk
-// so modest tables exercise multi-chunk streaming. legacy emulates a v2
-// server built before opSelectStream/opCancel existed.
-func startStreamServer(t testing.TB, chunk int, legacy bool) (*Server, string) {
+// so modest tables exercise multi-chunk streaming.
+func startStreamServer(t testing.TB, chunk int) (*Server, string) {
 	t.Helper()
 	srv := NewServer(engine.New(nil, engine.WithStreamChunk(chunk)), t.Logf)
-	srv.legacyOps = legacy
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +51,7 @@ func allRange() engine.Filter {
 // TestSelectStreamOverWire pins the chunked-result-frame protocol: the rows
 // arrive across multiple frames and equal a materialized Select.
 func TestSelectStreamOverWire(t *testing.T) {
-	_, addr := startStreamServer(t, 4, false)
+	_, addr := startStreamServer(t, 4)
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -103,90 +100,10 @@ func TestSelectStreamOverWire(t *testing.T) {
 	}
 }
 
-// TestSelectStreamFallbackOldServer: a v2 server that predates
-// opSelectStream answers unknown-op; the client transparently falls back to
-// a materialized Select served as one chunk — new-client <-> old-server
-// compatibility.
-func TestSelectStreamFallbackOldServer(t *testing.T) {
-	_, addr := startStreamServer(t, 4, true)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	loadPlainRows(t, c, "t", 10)
-
-	st, err := c.SelectStream(context.Background(), engine.Query{Table: "t", Filters: []engine.Filter{allRange()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	rows := 0
-	chunks := 0
-	for {
-		chunk, err := st.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		chunks++
-		rows += chunk.Count
-	}
-	if chunks != 1 || rows != 10 {
-		t.Fatalf("fallback stream = %d chunks / %d rows, want 1 / 10", chunks, rows)
-	}
-	if !c.noStream.Load() {
-		t.Fatal("client did not record the server's missing streaming support")
-	}
-	// Later streams skip the probe and still work.
-	st2, err := c.SelectStream(context.Background(), engine.Query{Table: "t", CountOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2.Close()
-}
-
-// TestCancelIgnoredByOldServer: cancelling against a server that predates
-// opCancel must not wedge or poison the connection — the advisory cancel
-// gets an unknown-op reply that is ignored, the call returns ctx.Err()
-// immediately, and the late real response is discarded.
-func TestCancelIgnoredByOldServer(t *testing.T) {
-	_, addr := startStreamServer(t, 4, true)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	loadPlainRows(t, c, "t", 10)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err = c.Select(ctx, engine.Query{Table: "t", Filters: []engine.Filter{allRange()}})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Select err = %v, want context.Canceled", err)
-	}
-	// Give the advisory cancel's unknown-op reply time to arrive; it must
-	// not poison anything.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if n, err := c.Rows("t"); err != nil {
-			t.Fatalf("Rows after ignored cancel: %v", err)
-		} else if n == 10 {
-			time.Sleep(10 * time.Millisecond)
-		}
-		if !c.healthy() {
-			t.Fatal("connection poisoned by ignored cancel")
-		}
-		break
-	}
-}
-
 // TestSelectCancelOverWire: cancelling mid-stream returns context.Canceled
 // and leaves the connection usable for subsequent calls.
 func TestSelectCancelOverWire(t *testing.T) {
-	_, addr := startStreamServer(t, 2, false)
+	_, addr := startStreamServer(t, 2)
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +139,7 @@ func TestSelectCancelOverWire(t *testing.T) {
 // TestStreamCloseMidway abandons a stream without reading it to the end;
 // Close must cancel server-side, drain, and keep the connection healthy.
 func TestStreamCloseMidway(t *testing.T) {
-	_, addr := startStreamServer(t, 2, false)
+	_, addr := startStreamServer(t, 2)
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -245,41 +162,10 @@ func TestStreamCloseMidway(t *testing.T) {
 	}
 }
 
-// TestOldClientNewServer: a client that never uses the new ops (the v1
-// lock-step fallback — the oldest client shape on the wire) works unchanged
-// against a server with streaming and cancel support.
-func TestOldClientNewServer(t *testing.T) {
-	_, addr := startStreamServer(t, 4, false)
-	c, err := DialLockstep(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	loadPlainRows(t, c, "t", 12)
-
-	res, err := c.Select(context.Background(), engine.Query{Table: "t", Filters: []engine.Filter{allRange()}})
-	if err != nil || res.Count != 12 {
-		t.Fatalf("lockstep Select = %v, %v; want 12 rows", res, err)
-	}
-	// SelectStream on lock-step degrades to a materialized single chunk.
-	st, err := c.SelectStream(context.Background(), engine.Query{Table: "t", Filters: []engine.Filter{allRange()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	chunk, err := st.Next()
-	if err != nil || chunk.Count != 12 {
-		t.Fatalf("lockstep stream chunk = %v, %v; want 12 rows", chunk, err)
-	}
-	if _, err := st.Next(); err != io.EOF {
-		t.Fatalf("second chunk = %v, want io.EOF", err)
-	}
-}
-
 // TestConcurrentStreamsAndCalls interleaves streams with ordinary calls on
-// one multiplexed connection.
+// one connection.
 func TestConcurrentStreamsAndCalls(t *testing.T) {
-	_, addr := startStreamServer(t, 2, false)
+	_, addr := startStreamServer(t, 2)
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)

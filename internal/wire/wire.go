@@ -2,32 +2,25 @@
 // (data owner, proxy) and the untrusted DBaaS provider (paper Fig. 2): a
 // length-prefixed binary protocol over TCP.
 //
-// Three protocol versions coexist. Version 1 is strict lock-step: one
-// request/response round trip at a time per connection, every frame a
-// self-contained gob document. Version 2 is multiplexed: every request
-// carries a connection-unique ID, so a client keeps many calls in flight
-// over one connection and the server answers them out of order as its
-// per-request workers finish; the frame payloads of each direction form
-// one continuous gob stream, so type descriptors and reflection setup are
-// paid once per connection instead of per message (~40x less codec CPU
-// per call). Version 3 keeps v2's framing and concurrency model but
-// replaces gob on the data plane with the hand-rolled binary codec in
-// codec.go: frames encode directly into the connection's buffered writer,
-// decode with zero reflection into pooled objects whose byte fields alias
-// pooled frame buffers (internal/bufpool), and rare control ops fall back
-// to self-contained gob documents behind a per-frame codec tag. The
-// version is negotiated on the first bytes of a connection (see
-// helloMagic); every older peer keeps working against every newer one.
+// The protocol is multiplexed: every request carries a connection-unique
+// ID, so a client keeps many calls in flight over one connection and the
+// server answers them out of order as its per-request workers finish.
+// Every message — data plane and control plane alike — travels in the
+// hand-rolled binary codec of codec.go: frames encode directly into the
+// connection's buffered writer and decode with zero reflection into pooled
+// objects whose byte fields alias pooled frame buffers (internal/bufpool).
+// A connection opens with a hello exchange carrying a version byte (see
+// helloMagic); a peer that proposes any version but this build's is refused
+// with ErrUnsupportedVersion — there is one protocol and no downgrade.
 //
-// The multiplexed server applies admission control per connection: a
-// bounded dispatch queue (WithQueueDepth) sheds excess requests
-// immediately with ErrServerBusy instead of queueing them, an optional
-// per-request deadline (WithRequestTimeout) bounds how long an admitted
-// request may run — queue wait included — and Close drains: accepted
-// requests finish and their responses are delivered before connections
-// close. With WithMetrics the server additionally exports per-op
-// request/error/latency families plus connection, byte, and
-// admission-outcome counters on a metrics.Registry.
+// The server applies admission control per connection: a bounded dispatch
+// queue (WithQueueDepth) sheds excess requests immediately with
+// ErrServerBusy instead of queueing them, an optional per-request deadline
+// (WithRequestTimeout) bounds how long an admitted request may run — queue
+// wait included — and Close drains: accepted requests finish and their
+// responses are delivered before connections close. With WithMetrics the
+// server additionally exports per-op request/error/latency families plus
+// connection, byte, and admission-outcome counters on a metrics.Registry.
 //
 // The protocol carries only what the paper's attacker may see anyway:
 // attestation quotes, sealed keys, schemas, PAE-encrypted query ranges,
@@ -40,9 +33,7 @@ package wire
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -59,40 +50,38 @@ const maxFrame = 1 << 30
 // ErrFrameTooLarge is returned when a peer announces an oversized frame.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
 
-// Protocol versions.
-const (
-	protoV1 = 1 // lock-step: unframed IDs, one round trip at a time
-	protoV2 = 2 // multiplexed: 8-byte request IDs, out-of-order responses
-	protoV3 = 3 // multiplexed with the binary codec (see codec.go)
-)
+// protoVersion is the one protocol version this build speaks.
+const protoVersion = 3
 
-// helloMagic opens version negotiation: a v2 peer sends these four bytes
-// plus a version byte before its first frame. The bytes are chosen so that,
-// read as a big-endian v1 length prefix (0x45444232 ≈ 1.08 GiB), they
-// exceed maxFrame — a v1 server rejects the "frame" and drops the
-// connection instead of misparsing the stream, and the v2 client falls back
-// to lock-step on redial.
+// ErrUnsupportedVersion is returned when the peer's hello does not open with
+// the protocol magic or names a version other than this build's. The
+// connection is closed; nothing after a failed hello is parsed.
+var ErrUnsupportedVersion = errors.New("wire: unsupported protocol version")
+
+// helloMagic opens every connection: each side sends these four bytes plus
+// its version byte before its first frame.
 var helloMagic = [4]byte{'E', 'D', 'B', '2'}
 
-// writeHello sends the negotiation magic and a version byte.
-func writeHello(w io.Writer, version byte) error {
-	var h [5]byte
-	copy(h[:], helloMagic[:])
-	h[4] = version
-	_, err := w.Write(h[:])
+// writeHello sends the magic and this build's version byte.
+func writeHello(w io.Writer) error {
+	_, err := w.Write(append(helloMagic[:], protoVersion))
 	return err
 }
 
-// readHello consumes the peer's negotiation reply.
-func readHello(r io.Reader) (byte, error) {
+// readHello consumes the peer's hello and checks it: anything but the magic
+// followed by protoVersion is an ErrUnsupportedVersion.
+func readHello(r io.Reader) error {
 	var h [5]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return 0, err
+		return err
 	}
 	if [4]byte(h[:4]) != helloMagic {
-		return 0, errors.New("wire: bad negotiation magic")
+		return fmt.Errorf("%w: peer did not open with the protocol magic", ErrUnsupportedVersion)
 	}
-	return h[4], nil
+	if h[4] != protoVersion {
+		return fmt.Errorf("%w: peer speaks %d, this build speaks %d", ErrUnsupportedVersion, h[4], protoVersion)
+	}
+	return nil
 }
 
 // op identifies a request type.
@@ -114,84 +103,29 @@ const (
 	opRows
 	opStorageBytes
 	opBatch // carries N sub-requests executed server-side in one round trip
-	// Appended after v2 shipped; peers that predate them answer with
-	// "unknown op" rather than misparsing, since op values are stable.
 	opMergeAsync
 	opMergeStatus
-	// Appended for the context-aware query API: opSelectStream answers with
-	// chunked result frames (response.More marks non-final chunks) under the
-	// request's ID; opCancel asks the server to cancel the in-flight request
-	// named by request.Cancel. Both degrade gracefully against v2 peers that
-	// predate them: the client falls back to a materialized Select when
-	// opSelectStream is unknown, and an unknown-op reply to opCancel is
-	// ignored (cancellation is advisory).
+	// opSelectStream answers with chunked result frames (response.More marks
+	// non-final chunks) under the request's ID; opCancel asks the server to
+	// cancel the in-flight request named by request.Cancel.
 	opSelectStream
 	opCancel
 )
 
-// writeFrame writes one v1 length-prefixed payload.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFrame {
-		return ErrFrameTooLarge
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// bufRetainLimit caps the payload buffer a frameReader keeps between frames:
-// one oversized bulk frame must not pin its allocation for the rest of the
-// connection. It matches bufpool's largest size class, so any buffer beyond
-// it came from a direct allocation the pool will not retain either.
-const bufRetainLimit = 1 << 20
-
-// frameReader reads length-prefixed frames into a reusable per-connection
-// buffer drawn from the frame pool, cutting steady-state allocations on the
-// hot receive loops. The returned payload aliases the internal buffer and is
-// valid only until the next read; callers decode it before reading again,
-// and release() returns the buffer to the pool when the connection ends.
+// frameReader reads length-prefixed frames, each into a buffer drawn fresh
+// from the frame pool.
 type frameReader struct {
-	r   io.Reader
-	buf *bufpool.Buf
+	r io.Reader
 	// hdr is the frame-header scratch. A stack array would escape into the
 	// reader's ReadFull call and cost one allocation per frame; a field
 	// escapes once with the frameReader.
 	hdr [12]byte
 }
 
-// payload reads n body bytes after a frame header has been consumed.
-func (fr *frameReader) payload(n uint32) ([]byte, error) {
-	if n > maxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	if fr.buf == nil || int64(n) > int64(cap(fr.buf.B)) ||
-		(cap(fr.buf.B) > bufRetainLimit && n <= bufRetainLimit) {
-		bufpool.Put(fr.buf)
-		fr.buf = bufpool.Get(max(int(n), 512))
-	}
-	p := fr.buf.B[:n]
-	if _, err := io.ReadFull(fr.r, p); err != nil {
-		return nil, fmt.Errorf("wire: short frame: %w", err)
-	}
-	return p, nil
-}
-
-// release returns the retained buffer to the frame pool. The frameReader is
-// reusable afterwards; the next read draws a fresh buffer.
-func (fr *frameReader) release() {
-	bufpool.Put(fr.buf)
-	fr.buf = nil
-}
-
-// readPooled reads one multiplexed frame into a buffer drawn fresh from the
-// frame pool. Unlike read/readMux, ownership of the buffer transfers to the
-// caller, who must bufpool.Put it once nothing references the payload — the
-// v3 read loops use this so a decoded request can keep aliasing its frame
-// while later frames are already being read.
+// readPooled reads one frame, returning its request ID and payload.
+// Ownership of the buffer transfers to the caller, who must bufpool.Put it
+// once nothing references the payload — a decoded message keeps aliasing
+// its frame while later frames are already being read.
 func (fr *frameReader) readPooled() (uint64, *bufpool.Buf, error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return 0, nil, err
@@ -209,44 +143,26 @@ func (fr *frameReader) readPooled() (uint64, *bufpool.Buf, error) {
 	return id, buf, nil
 }
 
-// read reads one v1 frame.
-func (fr *frameReader) read() ([]byte, error) {
-	if _, err := io.ReadFull(fr.r, fr.hdr[:4]); err != nil {
-		return nil, err
-	}
-	return fr.payload(binary.BigEndian.Uint32(fr.hdr[:4]))
-}
-
-// readMux reads one v2 frame, returning its request ID and payload.
-func (fr *frameReader) readMux() (uint64, []byte, error) {
-	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	id := binary.BigEndian.Uint64(fr.hdr[4:])
-	p, err := fr.payload(binary.BigEndian.Uint32(fr.hdr[:4]))
-	return id, p, err
-}
-
 // errWriterBroken poisons a connection whose outbound stream can no longer
 // be trusted: a partial frame, an encoder failure, or a size divergence.
 var errWriterBroken = errors.New("wire: connection encoder broken")
 
-// muxWriter is one direction of a v2/v3 connection: messages are framed
-// with their request ID and written under a mutex. On v2 the payloads form
-// a persistent gob stream (type descriptors transmitted once); on v3 the
-// binary codec encodes straight into the buffered writer with no scratch
-// copy — each message is sized by a counting pass first, so the frame
-// header can be written before the payload. Bursts coalesce either way: a
-// writer flushes the buffered stream only when no other writer is queued
-// behind it (group commit), so N concurrent in-flight requests cost far
-// fewer than N syscalls.
-type muxWriter struct {
-	version byte // negotiated protocol version (protoV2 or protoV3)
+// message is what a frame carries: a request or a response, each of which
+// knows how to write itself to a binSink.
+type message interface {
+	encode(s binSink)
+}
 
+// muxWriter is the write half of a connection: messages are framed with
+// their request ID and written under a mutex. The binary codec encodes
+// straight into the buffered writer with no scratch copy — each message is
+// sized by a counting pass first, so the frame header can be written before
+// the payload. Bursts coalesce: a writer flushes the buffered stream only
+// when no other writer is queued behind it (group commit), so N concurrent
+// in-flight requests cost far fewer than N syscalls.
+type muxWriter struct {
 	mu      sync.Mutex
 	bw      *bufio.Writer
-	scratch bytes.Buffer
-	enc     *gob.Encoder
 	counter binCounter
 	wr      binWriter
 	hdr     [12]byte // frame-header scratch; see frameReader.hdr
@@ -255,9 +171,7 @@ type muxWriter struct {
 }
 
 func newMuxWriter(w io.Writer) *muxWriter {
-	mw := &muxWriter{version: protoV2, bw: bufio.NewWriter(w)}
-	mw.enc = gob.NewEncoder(&mw.scratch)
-	return mw
+	return &muxWriter{bw: bufio.NewWriter(w)}
 }
 
 // lock acquires the write lock, registering as a waiter so the holder skips
@@ -290,69 +204,21 @@ func (mw *muxWriter) unlockFlush(err error) error {
 	return mw.bw.Flush()
 }
 
-// writeFrameLocked frames scratch's payload under mw's header scratch —
-// writeFrameMux without the per-frame header allocation. Callers hold mw.mu.
-func (mw *muxWriter) writeFrameLocked(id uint64, payload []byte) error {
-	if len(payload) > maxFrame {
-		return ErrFrameTooLarge
-	}
-	binary.BigEndian.PutUint32(mw.hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint64(mw.hdr[4:], id)
-	if _, err := mw.bw.Write(mw.hdr[:]); err != nil {
-		return err
-	}
-	_, err := mw.bw.Write(payload)
-	return err
-}
-
-// send encodes v on the persistent gob stream and writes it as one frame
-// tagged with id — the v2 path.
-func (mw *muxWriter) send(id uint64, v any) error {
+// send writes m as one frame tagged with id: sized by a counting pass, then
+// emitted directly into the buffered writer.
+func (mw *muxWriter) send(id uint64, m message) error {
 	if err := mw.lock(); err != nil {
 		return err
 	}
-	mw.scratch.Reset()
-	err := mw.enc.Encode(v)
-	if err == nil {
-		err = mw.writeFrameLocked(id, mw.scratch.Bytes())
-	}
-	if mw.scratch.Cap() > bufRetainLimit {
-		// One oversized message must not pin its buffer forever.
-		mw.scratch = bytes.Buffer{}
-	}
-	return mw.unlockFlush(err)
+	mw.counter.reset()
+	mw.counter.byte(codecBin)
+	m.encode(&mw.counter)
+	return mw.unlockFlush(mw.emitLocked(id, m))
 }
 
-// sendRequest encodes req with the connection's negotiated codec: the v2
-// gob stream, the v3 binary codec, or — for control ops carrying types the
-// binary codec does not encode — a self-contained gob document behind the
-// v3 codec tag.
-func (mw *muxWriter) sendRequest(id uint64, req *request) error {
-	if mw.version < protoV3 {
-		return mw.send(id, req)
-	}
-	if reqNeedsGob(req) {
-		return mw.sendGobV3(id, req)
-	}
-	return mw.sendRequestV3(id, req)
-}
-
-// sendResponse is sendRequest's response-side counterpart. forceGob routes
-// the response through the gob codec on v3 connections — responses to the
-// control ops carry enclave types (quotes) only gob encodes.
-func (mw *muxWriter) sendResponse(id uint64, resp *response, forceGob bool) error {
-	if mw.version < protoV3 {
-		return mw.send(id, resp)
-	}
-	if forceGob {
-		return mw.sendGobV3(id, resp)
-	}
-	return mw.sendResponseV3(id, resp)
-}
-
-// beginBinLocked writes the frame header for the message just sized by
-// mw.counter and arms mw.wr to emit it. Callers hold mw.mu.
-func (mw *muxWriter) beginBinLocked(id uint64) error {
+// emitLocked writes the frame header for the message just sized by
+// mw.counter, then the message. Callers hold mw.mu.
+func (mw *muxWriter) emitLocked(id uint64, m message) error {
 	n := mw.counter.n
 	if n > maxFrame {
 		return ErrFrameTooLarge
@@ -364,136 +230,15 @@ func (mw *muxWriter) beginBinLocked(id uint64) error {
 	}
 	mw.wr.reset(mw.bw)
 	mw.wr.byte(codecBin)
-	return nil
-}
-
-// endBinLocked verifies the emit pass produced exactly the bytes the sizing
-// pass announced. A divergence means the encoder is buggy; the frame header
-// on the wire is now a lie, so the caller poisons the connection.
-func (mw *muxWriter) endBinLocked() error {
+	m.encode(&mw.wr)
 	if err := mw.wr.err(); err != nil {
 		return err
 	}
-	if mw.wr.n != mw.counter.n {
-		return fmt.Errorf("wire: binary encoder divergence: sized %d bytes, wrote %d", mw.counter.n, mw.wr.n)
+	// The emit pass must produce exactly the bytes the sizing pass
+	// announced. A divergence means the encoder is buggy; the frame header
+	// on the wire is now a lie, so the caller poisons the connection.
+	if mw.wr.n != n {
+		return fmt.Errorf("wire: binary encoder divergence: sized %d bytes, wrote %d", n, mw.wr.n)
 	}
-	return nil
-}
-
-// sendRequestV3 writes one binary-coded request frame: sized by a counting
-// pass, then emitted directly into the buffered writer.
-func (mw *muxWriter) sendRequestV3(id uint64, req *request) error {
-	if err := mw.lock(); err != nil {
-		return err
-	}
-	mw.counter.reset()
-	mw.counter.byte(codecBin)
-	encRequest(&mw.counter, req)
-	err := mw.beginBinLocked(id)
-	if err == nil {
-		encRequest(&mw.wr, req)
-		err = mw.endBinLocked()
-	}
-	return mw.unlockFlush(err)
-}
-
-// sendResponseV3 writes one binary-coded response frame.
-func (mw *muxWriter) sendResponseV3(id uint64, resp *response) error {
-	if err := mw.lock(); err != nil {
-		return err
-	}
-	mw.counter.reset()
-	mw.counter.byte(codecBin)
-	encResponse(&mw.counter, resp)
-	err := mw.beginBinLocked(id)
-	if err == nil {
-		encResponse(&mw.wr, resp)
-		err = mw.endBinLocked()
-	}
-	return mw.unlockFlush(err)
-}
-
-// sendGobV3 writes one self-contained gob document behind the v3 codec tag
-// — the path for the rare control ops. Unlike v2's persistent stream, each
-// document carries its own type descriptors, so the receiver can decode it
-// with a throwaway decoder.
-func (mw *muxWriter) sendGobV3(id uint64, v any) error {
-	if err := mw.lock(); err != nil {
-		return err
-	}
-	mw.scratch.Reset()
-	mw.scratch.WriteByte(codecGob)
-	err := gob.NewEncoder(&mw.scratch).Encode(v)
-	if err == nil {
-		err = mw.writeFrameLocked(id, mw.scratch.Bytes())
-	}
-	if mw.scratch.Cap() > bufRetainLimit {
-		mw.scratch = bytes.Buffer{}
-	}
-	return mw.unlockFlush(err)
-}
-
-// muxReader is the receive direction of a v2 connection: it decodes the
-// persistent gob stream message by message, reporting the request ID of
-// the frame each message arrived in. It implements io.ByteReader so the
-// gob decoder does not wrap it in a read-ahead buffer that would pull
-// frames (and their IDs) early.
-type muxReader struct {
-	fr      frameReader
-	dec     *gob.Decoder
-	id      uint64
-	payload []byte
-}
-
-func newMuxReader(r io.Reader) *muxReader {
-	mr := &muxReader{fr: frameReader{r: r}}
-	mr.dec = gob.NewDecoder(mr)
-	return mr
-}
-
-// next decodes one message, returning the ID of the frame that carried it.
-// Every message must align exactly with one frame.
-func (mr *muxReader) next(v any) (uint64, error) {
-	if err := mr.dec.Decode(v); err != nil {
-		return 0, err
-	}
-	if len(mr.payload) != 0 {
-		return 0, errors.New("wire: frame and message boundaries diverged")
-	}
-	return mr.id, nil
-}
-
-// Read serves the current frame's payload, pulling the next frame when
-// exhausted.
-func (mr *muxReader) Read(p []byte) (int, error) {
-	if len(mr.payload) == 0 {
-		if err := mr.nextFrame(); err != nil {
-			return 0, err
-		}
-	}
-	n := copy(p, mr.payload)
-	mr.payload = mr.payload[n:]
-	return n, nil
-}
-
-// ReadByte is Read for single bytes (gob's hot path for lengths and tags).
-func (mr *muxReader) ReadByte() (byte, error) {
-	if len(mr.payload) == 0 {
-		if err := mr.nextFrame(); err != nil {
-			return 0, err
-		}
-	}
-	b := mr.payload[0]
-	mr.payload = mr.payload[1:]
-	return b, nil
-}
-
-func (mr *muxReader) nextFrame() error {
-	id, payload, err := mr.fr.readMux()
-	if err != nil {
-		return err
-	}
-	mr.id = id
-	mr.payload = payload
 	return nil
 }
