@@ -91,6 +91,40 @@ func BenchmarkPackedBitsetScan(b *testing.B) {
 	}
 }
 
+// BenchmarkPackedShortList measures where ShortListRanges comes from: k
+// scattered ValueIDs scanned as k point ranges by the range kernel against
+// the same IDs as a membership bitmap, at the scan-heavy benchmark's shape
+// (2M rows, |D| = 13,361, the C2 profile's distinct count). The range
+// kernel's cost grows with k, the bitmap's hardly does; they cross at about
+// k = 16.
+func BenchmarkPackedShortList(b *testing.B) {
+	const rows, dictLen = 2 << 20, 13361
+	rng := rand.New(rand.NewSource(13))
+	v := Pack(randCodes(rng, rows, dictLen), dictLen)
+	groups := (v.Len() + GroupRows - 1) / GroupRows
+	out := ridset.New(v.Len())
+	for _, k := range []int{1, 2, 4, 8, 16, 32} {
+		ranges := make([]Range, k)
+		set := make([]uint64, (dictLen+63)/64)
+		for i := range ranges {
+			u := uint32(i * (dictLen / k)) // scattered: no two IDs adjacent
+			ranges[i] = Range{Lo: u, Hi: u}
+			set[u/64] |= 1 << (u % 64)
+		}
+		run := func(name string, scan func()) {
+			b.Run(fmt.Sprintf("ids%d/%s", k, name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					scan()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+			})
+		}
+		run("ranges", func() { v.ScanRanges(out, 0, groups, ranges) })
+		run("bitset", func() { v.ScanBitset(out, 0, groups, set) })
+	}
+}
+
 func BenchmarkPackedPack(b *testing.B) {
 	for _, d := range []int{256, 65536} {
 		codes, v, _ := benchSetup(d)

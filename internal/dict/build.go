@@ -71,7 +71,7 @@ func Build(col [][]byte, p Params) (*Split, error) {
 
 	phys, rotOffset := physicalOrder(len(buckets), p.Kind.Order(), p.Rand)
 	if p.Kind.Order() == OrderRotated {
-		if err := split.attachRotOffset(rotOffset, p); err != nil {
+		if err := split.attachRotHeader(rotOffset, wrappedRun(buckets, rotOffset), p); err != nil {
 			return nil, err
 		}
 	}
@@ -195,7 +195,7 @@ func getRndBucketSizes(occ, bsmax int, rng *rand.Rand) []int {
 // according to the order option. For rotated order it also returns the
 // random rotation offset: logical index j is stored at physical index
 // (j + off) mod n, exactly as EncDB 2 specifies.
-func physicalOrder(n int, o Order, rng *rand.Rand) (phys []int, rotOffset uint64) {
+func physicalOrder(n int, o Order, rng *rand.Rand) (phys []int, rotOffset uint32) {
 	phys = make([]int, n)
 	switch o {
 	case OrderSorted:
@@ -210,7 +210,7 @@ func physicalOrder(n int, o Order, rng *rand.Rand) (phys []int, rotOffset uint64
 		for j := range phys {
 			phys[j] = (j + off) % n
 		}
-		rotOffset = uint64(off)
+		rotOffset = uint32(off)
 	case OrderUnsorted:
 		copy(phys, rng.Perm(n))
 	}
@@ -243,11 +243,26 @@ func assignAttributeVector(av []uint32, groups []group, buckets []bucket, phys [
 	}
 }
 
-// attachRotOffset stores the rotation offset: PAE-encrypted for encrypted
-// splits (EncDB 2 attaches encRndOffset to eD), plain 8-byte big-endian for
-// PlainDBDB splits.
-func (s *Split) attachRotOffset(off uint64, p Params) error {
-	raw := rotOffsetPlain(off)
+// wrappedRun counts the trailing physical entries i >= 1 that hold the same
+// value as physical entry 0: the run of equal values a rotation offset can
+// split across the array end (frequency smoothing and hiding store a value
+// in several entries). The build has the plaintext groups at hand, so the
+// enclave never has to walk the run at query time.
+func wrappedRun(buckets []bucket, off uint32) uint32 {
+	n := len(buckets)
+	group := func(phys int) int { return buckets[(phys-int(off)+n)%n].groupIdx }
+	run := uint32(0)
+	for i := n - 1; i >= 1 && group(i) == group(0); i-- {
+		run++
+	}
+	return run
+}
+
+// attachRotHeader stores the rotation header (layout at DecodeRotOffset):
+// PAE-encrypted for encrypted splits (EncDB 2 attaches encRndOffset to eD),
+// raw for PlainDBDB splits.
+func (s *Split) attachRotHeader(off, tailRun uint32, p Params) error {
+	raw := rotHeader(off, tailRun)
 	if p.Plain {
 		s.EncRndOffset = raw
 		return nil

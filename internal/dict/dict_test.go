@@ -1,6 +1,7 @@
 package dict
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -178,7 +179,7 @@ func TestBuildRotatedOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build(%v): %v", k, err)
 		}
-		off, err := DecodeRotOffset(s.EncRndOffset)
+		off, _, err := DecodeRotOffset(s.EncRndOffset)
 		if err != nil {
 			t.Fatalf("DecodeRotOffset: %v", err)
 		}
@@ -421,8 +422,69 @@ func TestVerifyCorrectnessDetectsOutOfRangeVid(t *testing.T) {
 }
 
 func TestDecodeRotOffsetRejectsBadLength(t *testing.T) {
-	if _, err := DecodeRotOffset([]byte{1, 2, 3}); err == nil {
-		t.Error("want error for short offset")
+	for _, b := range [][]byte{nil, {1, 2, 3}, make([]byte, 7), make([]byte, 9)} {
+		if _, _, err := DecodeRotOffset(b); err == nil {
+			t.Errorf("want error for a %d-byte header", len(b))
+		}
+	}
+}
+
+// TestDecodeRotOffsetLayout pins the header layout u32 tailRun ‖ u32 offset
+// (big-endian) and that a header written as a u64 offset decodes with
+// tailRun = 0.
+func TestDecodeRotOffsetLayout(t *testing.T) {
+	off, run, err := DecodeRotOffset([]byte{0, 0, 0x01, 0x02, 0, 0x03, 0x04, 0x05})
+	if err != nil || off != 0x030405 || run != 0x0102 {
+		t.Errorf("DecodeRotOffset = %#x, %#x, %v; want offset 0x30405, tailRun 0x102", off, run, err)
+	}
+	off, run, err = DecodeRotOffset(rotHeader(77, 9))
+	if err != nil || off != 77 || run != 9 {
+		t.Errorf("round trip = %d, %d, %v; want 77, 9", off, run, err)
+	}
+	legacy := binary.BigEndian.AppendUint64(nil, 4242)
+	off, run, err = DecodeRotOffset(legacy)
+	if err != nil || off != 4242 || run != 0 {
+		t.Errorf("u64 header = %d, %d, %v; want 4242, 0", off, run, err)
+	}
+}
+
+// TestBuildSealsWrappedRun checks the header's tailRun against a walk of
+// the built dictionary for rotated kinds whose values repeat, over many
+// rotation draws: it must equal the number of trailing entries i >= 1 equal
+// to D[0].
+func TestBuildSealsWrappedRun(t *testing.T) {
+	col := make([][]byte, 0, 400)
+	for i := 0; i < 300; i++ {
+		col = append(col, []byte("heavy"))
+	}
+	for i := 0; i < 100; i++ {
+		col = append(col, []byte(fmt.Sprintf("v%03d", i%40)))
+	}
+	wrapped := 0
+	for seed := int64(0); seed < 40; seed++ {
+		for _, k := range []Kind{ED2, ED5, ED8} {
+			s, err := Build(col, Params{Kind: k, MaxLen: 8, BSMax: 4, Plain: true, Rand: rand.New(rand.NewSource(seed))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, run, err := DecodeRotOffset(s.EncRndOffset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 0
+			for i := s.Len() - 1; i >= 1 && string(s.Entry(i)) == string(s.Entry(0)); i-- {
+				want++
+			}
+			if int(run) != want {
+				t.Fatalf("seed %d %v: sealed tailRun %d, walk finds %d", seed, k, run, want)
+			}
+			if run > 0 {
+				wrapped++
+			}
+		}
+	}
+	if wrapped == 0 {
+		t.Fatal("no draw wrapped a run; the test has no signal")
 	}
 }
 

@@ -34,8 +34,9 @@ type Split struct {
 	// BSMax is the maximum bucket size for frequency-smoothing kinds
 	// (0 otherwise).
 	BSMax int
-	// EncRndOffset is the PAE-encrypted rotation offset for rotated kinds
-	// (an 8-byte big-endian integer for plain splits), nil otherwise.
+	// EncRndOffset is the PAE-encrypted rotation header for rotated kinds
+	// (stored raw for plain splits; layout at DecodeRotOffset), nil
+	// otherwise.
 	EncRndOffset []byte
 
 	// packed is the attribute vector — row j's ValueID — bit-packed at
@@ -230,20 +231,31 @@ func FromData(d SplitData) (*Split, error) {
 	}, nil
 }
 
-// rotOffsetPlain encodes a rotation offset for plain splits.
-func rotOffsetPlain(off uint64) []byte {
+// rotHeader encodes a rotated dictionary's header; see DecodeRotOffset.
+func rotHeader(offset, tailRun uint32) []byte {
 	b := make([]byte, 8)
-	binary.BigEndian.PutUint64(b, off)
+	binary.BigEndian.PutUint32(b[:4], tailRun)
+	binary.BigEndian.PutUint32(b[4:], offset)
 	return b
 }
 
-// DecodeRotOffset decodes an 8-byte big-endian rotation offset as produced
-// for plain splits or decrypted from EncRndOffset inside the enclave.
-func DecodeRotOffset(b []byte) (uint64, error) {
+// DecodeRotOffset decodes a rotated dictionary's 8-byte header, stored raw
+// for plain splits and PAE-encrypted (EncRndOffset) otherwise, so only the
+// enclave reads it. The layout is big-endian u32 tailRun ‖ u32 offset:
+//
+//   - offset is the secret rotation offset rndOffset (paper EncDB 2);
+//   - tailRun is the number of trailing entries D[i], i >= 1, whose
+//     plaintext equals D[0] — the run of equal values that wraps around the
+//     array end, which the rotated search must exclude from its binary
+//     searches (search.RotatedDict).
+//
+// A header written as a u64 offset before tailRun existed decodes with
+// tailRun = 0.
+func DecodeRotOffset(b []byte) (offset, tailRun uint32, err error) {
 	if len(b) != 8 {
-		return 0, fmt.Errorf("dict: rotation offset has %d bytes, want 8", len(b))
+		return 0, 0, fmt.Errorf("dict: rotation header has %d bytes, want 8", len(b))
 	}
-	return binary.BigEndian.Uint64(b), nil
+	return binary.BigEndian.Uint32(b[4:]), binary.BigEndian.Uint32(b[:4]), nil
 }
 
 // VerifyCorrectness checks split correctness per Definition 1: for every row

@@ -39,8 +39,7 @@ type Config struct {
 	// count, so the observable number of untrusted accesses no longer
 	// depends on the queried range. The paper treats side channels as
 	// orthogonal (§3.2) but designed the enclave to make such
-	// mitigations easy to integrate; this is one of them. Pathological
-	// wrapped-duplicate runs in ED5/ED8 can still exceed the target.
+	// mitigations easy to integrate; this is one of them.
 	PadProbes bool
 }
 
@@ -92,7 +91,7 @@ type Enclave struct {
 
 	mu      sync.Mutex
 	master  pae.Key
-	ciphers map[string]*pae.Cipher
+	ciphers map[columnID]*pae.Cipher
 	rng     *mrand.Rand
 
 	stats counters
@@ -128,7 +127,7 @@ func (p *Platform) Launch(cfg Config) (*Enclave, error) {
 		budget:      budget,
 		observer:    cfg.Observer,
 		padProbes:   cfg.PadProbes,
-		ciphers:     make(map[string]*pae.Cipher),
+		ciphers:     make(map[columnID]*pae.Cipher),
 		rng: mrand.New(mrand.NewSource(int64(seed[0]) | int64(seed[1])<<8 |
 			int64(seed[2])<<16 | int64(seed[3])<<24 | int64(seed[4])<<32 |
 			int64(seed[5])<<40 | int64(seed[6])<<48 | int64(seed[7])<<56)),
@@ -171,7 +170,7 @@ func (e *Enclave) Provision(sk SealedKey) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.master = pae.Key(master)
-	e.ciphers = make(map[string]*pae.Cipher)
+	e.ciphers = make(map[columnID]*pae.Cipher)
 	return nil
 }
 
@@ -205,6 +204,9 @@ func (e *Enclave) ResetStats() {
 	e.stats.encryptions.Store(0)
 }
 
+// columnID keys the enclave's cipher cache.
+type columnID struct{ table, column string }
+
 // cipherFor derives (and caches) the column key SK_D and its AES schedule.
 func (e *Enclave) cipherFor(table, column string) (*pae.Cipher, error) {
 	e.mu.Lock()
@@ -212,7 +214,7 @@ func (e *Enclave) cipherFor(table, column string) (*pae.Cipher, error) {
 	if e.master == nil {
 		return nil, ErrNotProvisioned
 	}
-	id := fmt.Sprintf("%d:%s\x00%s", len(table), table, column)
+	id := columnID{table, column}
 	if c, ok := e.ciphers[id]; ok {
 		return c, nil
 	}
@@ -276,8 +278,8 @@ func (e *Enclave) DictSearch(meta ColumnMeta, region search.Region, encRndOffset
 		return SearchResult{}, err
 	}
 
-	mr := &callRegion{inner: e.instrument(meta, region)}
-	dec := &countingDecryptor{e: e, d: cipher}
+	mr := &callRegion{inner: meteredRegion{e: e, meta: meta, r: region}}
+	dec := &countingDecryptor{e: e, c: cipher, buf: make([]byte, 0, meta.MaxLen)}
 	switch meta.Kind.Order() {
 	case dict.OrderSorted:
 		vr, ok, err := search.SortedDict(mr, dec, rng)
@@ -290,14 +292,18 @@ func (e *Enclave) DictSearch(meta ColumnMeta, region search.Region, encRndOffset
 		}
 		return SearchResult{Ranges: []search.VidRange{vr}}, nil
 	case dict.OrderRotated:
-		if err := e.checkRotOffset(cipher, encRndOffset, region.Len()); err != nil {
+		tailRun, err := checkRotOffset(dec, encRndOffset, region.Len())
+		if err != nil {
 			return SearchResult{}, err
 		}
 		enc, err := ordenc.NewEncoder(meta.MaxLen)
 		if err != nil {
 			return SearchResult{}, err
 		}
-		ranges, err := search.RotatedDict(mr, dec, enc, rng)
+		ranges, err := search.RotatedDict(mr, dec, enc, rng, tailRun)
+		if errors.Is(err, search.ErrTailRun) {
+			return SearchResult{}, fmt.Errorf("%w: %w", ErrBadRotOffset, err)
+		}
 		if err != nil {
 			return SearchResult{}, err
 		}
@@ -315,7 +321,7 @@ func (e *Enclave) DictSearch(meta ColumnMeta, region search.Region, encRndOffset
 // callRegion counts the loads of one ECALL so probe padding can top them up
 // to a fixed target.
 type callRegion struct {
-	inner *meteredRegion
+	inner meteredRegion
 	loads int
 }
 
@@ -328,9 +334,9 @@ func (c *callRegion) Load(i int) []byte {
 
 // padLoads issues dummy loads (with dummy decryptions) until the call's
 // probe count reaches the fixed target for the dictionary size, making the
-// observable access count independent of the queried range. Queries that
-// naturally exceed the target (long wrapped duplicate runs) are not
-// truncated.
+// observable access count independent of the queried range. No search
+// exceeds the target: sorted ones need at most two binary searches, rotated
+// ones add the pivot load and at most two run-boundary checks.
 func (e *Enclave) padLoads(cr *callRegion, dec *countingDecryptor) {
 	n := cr.Len()
 	if !e.padProbes || n == 0 {
@@ -389,24 +395,25 @@ func (e *Enclave) decryptRange(cipher *pae.Cipher, meta ColumnMeta, q EncRange) 
 	return search.Range{Start: start, End: end, StartIncl: q.StartIncl, EndIncl: q.EndIncl}, nil
 }
 
-// checkRotOffset decrypts encRndOffset inside the enclave (Algorithm 2 line
-// 3) and validates it against the dictionary size. The offset itself is not
-// otherwise needed: the rotated search operates purely in the transformed
-// domain, which keeps its access pattern independent of the offset.
-func (e *Enclave) checkRotOffset(cipher *pae.Cipher, encRndOffset []byte, dictLen int) error {
-	raw, err := cipher.Decrypt(encRndOffset)
+// checkRotOffset decrypts the rotation header inside the enclave (Algorithm
+// 2 line 3), validates both fields against the dictionary size and returns
+// the sealed wrapped-run length, which search.RotatedDict verifies against
+// the entries. The offset itself is not otherwise needed: the rotated search
+// operates purely in the transformed domain, which keeps its access pattern
+// independent of the offset.
+func checkRotOffset(dec search.Decryptor, encRndOffset []byte, dictLen int) (int, error) {
+	raw, err := dec.Decrypt(encRndOffset)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRotOffset, err)
+		return 0, fmt.Errorf("%w: %v", ErrBadRotOffset, err)
 	}
-	e.addDecryptions(1)
-	off, err := dict.DecodeRotOffset(raw)
+	off, tailRun, err := dict.DecodeRotOffset(raw)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRotOffset, err)
+		return 0, fmt.Errorf("%w: %v", ErrBadRotOffset, err)
 	}
-	if dictLen > 0 && off >= uint64(dictLen) {
-		return fmt.Errorf("%w: offset %d >= |D| = %d", ErrBadRotOffset, off, dictLen)
+	if dictLen > 0 && (int64(off) >= int64(dictLen) || int64(tailRun) >= int64(dictLen)) {
+		return 0, fmt.Errorf("%w: offset %d, tail run %d for |D| = %d", ErrBadRotOffset, off, tailRun, dictLen)
 	}
-	return nil
+	return int(tailRun), nil
 }
 
 // ReencryptValue is the delta-store insert ECALL (paper §4.3): a value
@@ -607,12 +614,22 @@ func (m *meteredRegion) Load(i int) []byte {
 	return b
 }
 
+// countingDecryptor is one ECALL's search.Decryptor: it counts decryptions
+// and decrypts every entry into the same scratch buffer, so a search costs
+// no allocation per loaded entry. A returned plaintext is valid until the
+// next Decrypt, as search.Decryptor allows.
 type countingDecryptor struct {
-	e *Enclave
-	d search.Decryptor
+	e   *Enclave
+	c   *pae.Cipher
+	buf []byte
 }
 
-func (c *countingDecryptor) Decrypt(ct []byte) ([]byte, error) {
-	c.e.addDecryptions(1)
-	return c.d.Decrypt(ct)
+func (d *countingDecryptor) Decrypt(ct []byte) ([]byte, error) {
+	d.e.addDecryptions(1)
+	pt, err := d.c.DecryptInto(d.buf[:0], ct)
+	if err != nil {
+		return nil, err
+	}
+	d.buf = pt
+	return pt, nil
 }

@@ -45,14 +45,24 @@ func newPaddedEnv(t *testing.T, pad bool, obs enclave.AccessObserver) *env {
 	return newEnv(t, enclave.Config{Identity: testIdentity, PadProbes: pad, Observer: obs})
 }
 
+// TestPadProbesFixesAccessCount: padded sorted and rotated searches make
+// one access count whatever the query — including ED5/ED8 dictionaries
+// whose heavy value wraps hundreds of entries around the array end, since
+// the rotated search checks the sealed run boundary instead of walking it.
 func TestPadProbesFixesAccessCount(t *testing.T) {
 	obs := &countingObserver{}
 	v := newPaddedEnv(t, true, obs)
-	col := variedColumn(777)
-	for _, kind := range []dict.Kind{dict.ED1, dict.ED2} {
+	for _, kind := range []dict.Kind{dict.ED1, dict.ED2, dict.ED5, dict.ED8} {
 		table := "pad_" + kind.String()
 		meta := enclave.ColumnMeta{Table: table, Column: "c", Kind: kind, MaxLen: 8}
-		s := v.buildColumn(t, kind, table, "c", col, 8, 0)
+		col := variedColumn(777)
+		var s *dict.Split
+		if kind.Repetition() == dict.RepRevealing {
+			s = v.buildColumn(t, kind, table, "c", col, 8, 0)
+		} else {
+			col = heavyColumn()
+			s = v.buildWrapped(t, kind, table, "c", col, 200)
+		}
 		counts := make(map[int]bool)
 		obs.take()
 		for i := 0; i < 40; i++ {

@@ -367,7 +367,7 @@ func TestParallelFilterEquivalence(t *testing.T) {
 			for i := range filters {
 				filters[i] = v.filter(t, "pf", picked[i], ranges[i])
 			}
-			res, err := v.db.Select(context.Background(), engine.Query{Table: "pf", Filters: filters, CountOnly: true})
+			res, err := v.db.Select(context.Background(), engine.Query{Table: "pf", Filters: filters})
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}

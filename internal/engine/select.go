@@ -79,14 +79,17 @@ type Result struct {
 // ctx.Err(). SelectStream is the chunked variant that streams the rendered
 // rows instead of materializing them.
 func (db *DB) Select(ctx context.Context, q Query) (*Result, error) {
-	v, rids, err := db.selectMatch(ctx, q)
+	v, match, err := db.selectMatch(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{RecordIDs: rids, Count: len(rids)}
 	if q.CountOnly {
-		return res, nil
+		// COUNT(*) is the match bitmap's popcount: no RecordID is
+		// materialized, and none travels back to the proxy.
+		return &Result{Count: match.Len()}, nil
 	}
+	rids := limitRIDs(match, q.Limit)
+	res := &Result{RecordIDs: rids, Count: len(rids)}
 	project, err := v.project(q)
 	if err != nil {
 		return nil, err
@@ -105,9 +108,9 @@ func (db *DB) Select(ctx context.Context, q Query) (*Result, error) {
 }
 
 // selectMatch runs the filter phase of a query: pin a version, evaluate the
-// conjunction, apply validity. It returns the pinned version and the matching
-// RecordIDs, shared by Select and SelectStream.
-func (db *DB) selectMatch(ctx context.Context, q Query) (*version, []uint32, error) {
+// conjunction, apply validity. It returns the pinned version and the match
+// bitmap, shared by Select and SelectStream.
+func (db *DB) selectMatch(ctx context.Context, q Query) (*version, *ridset.Set, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, nil, err
 	}
@@ -128,14 +131,19 @@ func (db *DB) selectMatch(ctx context.Context, q Query) (*version, []uint32, err
 	if err != nil {
 		return nil, nil, err
 	}
+	return v, match, nil
+}
+
+// limitRIDs renders the match set to RecordIDs, keeping the first limit
+// (0 = all). LIMIT pushdown: the match set is in RecordID order, so the first
+// limit entries are exactly the rows a client-side cutoff would keep —
+// rendering (and for the fused path, delta scanning) never touches the rest.
+func limitRIDs(match *ridset.Set, limit int) []uint32 {
 	rids := match.Slice()
-	// LIMIT pushdown: the match set is in RecordID order, so the first Limit
-	// entries are exactly the rows a client-side cutoff would keep — rendering
-	// (and for the fused path, delta scanning) never touches the rest.
 	if limit > 0 && len(rids) > limit {
 		rids = rids[:limit]
 	}
-	return v, rids, nil
+	return rids
 }
 
 // project resolves a query's projection list against the pinned version:
@@ -440,14 +448,15 @@ func (db *DB) plainDictSearch(def ColumnDef, region search.Region, rotOffset []b
 		}
 		return enclave.SearchResult{Ranges: []search.VidRange{vr}}, nil
 	case dict.OrderRotated:
-		if _, err := dict.DecodeRotOffset(rotOffset); err != nil {
+		_, tailRun, err := dict.DecodeRotOffset(rotOffset)
+		if err != nil {
 			return enclave.SearchResult{}, err
 		}
 		enc, err := ordenc.NewEncoder(def.MaxLen)
 		if err != nil {
 			return enclave.SearchResult{}, err
 		}
-		ranges, err := search.RotatedDict(region, dec, enc, pq)
+		ranges, err := search.RotatedDict(region, dec, enc, pq, int(tailRun))
 		if err != nil {
 			return enclave.SearchResult{}, err
 		}

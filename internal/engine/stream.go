@@ -47,16 +47,17 @@ type ResultStream interface {
 // context is re-checked on every chunk, so cancelling it mid-result stops the
 // remaining rendering work.
 func (db *DB) SelectStream(ctx context.Context, q Query) (ResultStream, error) {
-	v, rids, err := db.selectMatch(ctx, q)
+	v, match, err := db.selectMatch(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	cur := &Cursor{ctx: ctx, table: q.Table, v: v, rids: rids, chunk: db.opts.streamChunk}
 	if q.CountOnly {
-		// A count-only stream has no row chunks; Count carries the answer.
-		cur.pos = len(rids)
-		return cur, nil
+		// A count-only stream has no row chunks; Count carries the answer,
+		// the match bitmap's popcount.
+		return &Cursor{ctx: ctx, count: match.Len()}, nil
 	}
+	rids := limitRIDs(match, q.Limit)
+	cur := &Cursor{ctx: ctx, table: q.Table, v: v, rids: rids, count: len(rids), chunk: db.opts.streamChunk}
 	if cur.project, err = v.project(q); err != nil {
 		return nil, err
 	}
@@ -108,6 +109,7 @@ type Cursor struct {
 	v       *version
 	project []string
 	rids    []uint32
+	count   int
 	pos     int
 	chunk   int
 }
@@ -138,7 +140,7 @@ func (c *Cursor) Next() (*Result, error) {
 }
 
 // Count returns the total number of matching rows.
-func (c *Cursor) Count() int { return len(c.rids) }
+func (c *Cursor) Count() int { return c.count }
 
 // Close drops the cursor's version reference so the pinned stores can be
 // collected.

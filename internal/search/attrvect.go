@@ -111,52 +111,41 @@ func AttrVectListSet(av []uint32, vids []uint32, dictLen int, mode AVMode, worke
 // The unpacked AttrVectRangesSet remains beside it for the baseline and the
 // ablations. workers <= 0 uses GOMAXPROCS.
 func AttrVectRangesPackedSet(v *av.Vector, ranges []VidRange, workers int) *ridset.Set {
-	out := ridset.New(v.Len())
-	if v.Len() == 0 || len(ranges) == 0 {
-		return out
-	}
-	rs := make([]av.Range, len(ranges))
-	for i, r := range ranges {
-		rs[i] = av.Range{Lo: r.Lo, Hi: r.Hi}
-	}
-	packedShards(v.Len(), workers, func(gLo, gHi int) {
-		v.ScanRanges(out, gLo, gHi, rs)
-	})
-	return out
+	return packedSet(CompileRangesPred(v, ranges), workers)
 }
 
 // AttrVectListPackedSet is the bit-packed fast path of AttrVectSearch
-// 3/6/9: the ValueID list becomes a |D|-bit membership bitmap, and the
-// packed kernel reassembles each group's 64 codes in registers before
-// probing it. workers <= 0 uses GOMAXPROCS.
+// 3/6/9, compiled by CompileListPred: a short ValueID list runs the range
+// kernel, a long one a membership bitmap. workers <= 0 uses GOMAXPROCS.
 func AttrVectListPackedSet(v *av.Vector, vids []uint32, workers int) *ridset.Set {
-	out := ridset.New(v.Len())
-	if v.Len() == 0 || len(vids) == 0 {
+	return packedSet(CompileListPred(v, vids), workers)
+}
+
+// packedSet ORs a compiled predicate's matches over the whole vector into a
+// fresh set, sharded across workers.
+func packedSet(p PackedPred, workers int) *ridset.Set {
+	out := ridset.New(p.v.Len())
+	if p.v.Len() == 0 || p.matchesNothing() {
 		return out
 	}
-	set := make([]uint64, (v.DictLen()+63)/64)
-	for _, u := range vids {
-		if int(u) < v.DictLen() {
-			set[u/64] |= 1 << (u % 64)
-		}
-	}
-	packedShards(v.Len(), workers, func(gLo, gHi int) {
-		v.ScanBitset(out, gLo, gHi, set)
+	packedShards(p.v.Len(), workers, func(gLo, gHi int) {
+		p.Scan(out, gLo, gHi)
 	})
 	return out
 }
 
 // PackedPred is a predicate compiled against one packed attribute vector:
-// either a range disjunction (sorted/rotated dictionaries) or a ValueID
-// membership bitmap (unsorted dictionaries). Compiling once separates the
-// per-query setup (range conversion, bitmap build) from the per-morsel scan
-// calls of the fused conjunction pipeline, which evaluates every compiled
-// predicate over one group range before moving to the next morsel.
+// either a range disjunction (sorted/rotated dictionaries and short ValueID
+// lists) or a ValueID membership bitmap (long lists from unsorted
+// dictionaries). Compiling once separates the per-query setup (range
+// conversion, bitmap build) from the per-morsel scan calls of the fused
+// conjunction pipeline, which evaluates every compiled predicate over one
+// group range before moving to the next morsel.
 type PackedPred struct {
 	v      *av.Vector
 	ranges []av.Range
 	bitset []uint64
-	list   bool
+	list   bool // bitset form
 }
 
 // CompileRangesPred compiles a range-disjunction predicate over v. An empty
@@ -169,19 +158,75 @@ func CompileRangesPred(v *av.Vector, ranges []VidRange) PackedPred {
 	return PackedPred{v: v, ranges: rs}
 }
 
-// CompileListPred compiles a ValueID-membership predicate over v. An empty
-// ValueID list compiles to a predicate matching no rows.
+// CompileListPred compiles a ValueID-membership predicate over v — the
+// result of an unsorted dictionary search, on the main store or a sealed
+// delta run. IDs >= |D| cannot occur in the vector and are dropped; the
+// rest are sorted and coalesced into runs of consecutive IDs. A list of at
+// most av.ShortListRanges runs compiles to a range disjunction, which the
+// SWAR range kernel scans several times faster than the bitmap probe's
+// transpose; a longer one compiles to a membership bitmap. An empty ValueID
+// list compiles to a predicate matching no rows.
 func CompileListPred(v *av.Vector, vids []uint32) PackedPred {
+	if rs, ok := listRanges(vids, v.DictLen()); ok {
+		return PackedPred{v: v, ranges: rs}
+	}
+	return compileBitsetPred(v, vids)
+}
+
+// listRanges drops IDs >= dictLen from vids and coalesces the rest, sorted,
+// into inclusive ranges. It reports false once more than
+// av.ShortListRanges ranges would be needed.
+func listRanges(vids []uint32, dictLen int) ([]av.Range, bool) {
+	if !slices.IsSorted(vids) {
+		vids = slices.Clone(vids)
+		slices.Sort(vids)
+	}
+	rs := make([]av.Range, 0, av.ShortListRanges)
+	for _, u := range vids {
+		if int(u) >= dictLen {
+			break // sorted: every later ID is out of range too
+		}
+		if n := len(rs); n > 0 && u-rs[n-1].Hi <= 1 {
+			rs[n-1].Hi = u // a duplicate or the next ID extends the range
+			continue
+		}
+		if len(rs) == av.ShortListRanges {
+			return nil, false
+		}
+		rs = append(rs, av.Range{Lo: u, Hi: u})
+	}
+	return rs, true
+}
+
+// compileBitsetPred compiles vids to a membership bitmap sized to the
+// largest listed ID below |D|; the kernel treats codes past the bitmap as
+// non-members.
+func compileBitsetPred(v *av.Vector, vids []uint32) PackedPred {
+	top := -1
+	for _, u := range vids {
+		if int(u) < v.DictLen() && int(u) > top {
+			top = int(u)
+		}
+	}
 	var set []uint64
-	if len(vids) > 0 {
-		set = make([]uint64, (v.DictLen()+63)/64)
+	if top >= 0 {
+		set = make([]uint64, top/64+1)
 		for _, u := range vids {
-			if int(u) < v.DictLen() {
+			if int(u) <= top {
 				set[u/64] |= 1 << (u % 64)
 			}
 		}
 	}
 	return PackedPred{v: v, bitset: set, list: true}
+}
+
+// matchesNothing reports whether the predicate was compiled from an empty
+// range list or an empty (or entirely out-of-range) ValueID list.
+func (p PackedPred) matchesNothing() bool {
+	if p.list {
+		return len(p.bitset) == 0
+	}
+	return len(p.ranges) == 0
 }
 
 // Groups returns the number of 64-row groups of the compiled vector — the

@@ -74,7 +74,7 @@ func TestQuickRotatedRangesDisjointAndSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	f := func(sc quickScenario) bool {
 		fix := buildFixture(t, sc.col, dict.ED5, false, rng)
-		ranges, err := search.RotatedDict(fix.split, fix.dec, fix.enc, sc.query)
+		ranges, err := search.RotatedDict(fix.split, fix.dec, fix.enc, sc.query, fix.tailRun)
 		if err != nil {
 			return false
 		}

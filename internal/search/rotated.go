@@ -2,6 +2,7 @@ package search
 
 import (
 	"bytes"
+	"fmt"
 
 	"github.com/encdbdb/encdbdb/internal/fixint"
 	"github.com/encdbdb/encdbdb/internal/ordenc"
@@ -23,40 +24,36 @@ import (
 // One corner case needs care for the frequency smoothing and hiding kinds
 // (paper §4.1, ED5): a run of entries whose plaintext equals Dec(eD[0]) may
 // wrap around the array end. Those trailing entries all have T = 0 and
-// break monotonicity; RotatedDict detects the run, excludes it from the
-// binary searches, and appends it to the result iff its plaintext falls
-// into the queried range.
+// break monotonicity, so they are excluded from the binary searches and
+// appended to the result iff their plaintext falls into the queried range.
+// The run's length tailRun comes from the dictionary's sealed header
+// (dict.DecodeRotOffset), written at build time; nothing walks the run.
+// checkTailRun proves the claimed boundary with at most two loads, so the
+// whole search costs O(log |D|) loads whatever the rotation offset.
 //
 // The result is at most two inclusive ValueID ranges (matching the paper's
 // two-range output shape): one when the match region is contiguous, two
 // when the queried plaintext interval spans the rotation point.
-func RotatedDict(r Region, dec Decryptor, enc *ordenc.Encoder, q Range) ([]VidRange, error) {
+func RotatedDict(r Region, dec Decryptor, enc *ordenc.Encoder, q Range, tailRun int) ([]VidRange, error) {
 	n := r.Len()
 	if n == 0 || q.Empty() {
 		return nil, nil
+	}
+	if tailRun < 0 || tailRun >= n {
+		return nil, fmt.Errorf("%w: tail run %d for |D| = %d", ErrTailRun, tailRun, n)
 	}
 
 	first, err := loadPlain(r, dec, 0)
 	if err != nil {
 		return nil, err
 	}
-	// d0 is the pivot plaintext; keep a copy since loadPlain's buffer may
-	// be reused by subsequent loads.
+	// d0 is the pivot plaintext; keep a copy since the Decryptor's buffer
+	// is reused by subsequent loads.
 	d0 := append([]byte(nil), first...)
-
-	// Detect the wrapped run: trailing entries equal to d0.
-	tailRun := 0
-	for i := n - 1; i >= 1; i-- {
-		v, err := loadPlain(r, dec, i)
-		if err != nil {
-			return nil, err
-		}
-		if !bytes.Equal(v, d0) {
-			break
-		}
-		tailRun++
-	}
 	m := n - tailRun // searchable prefix [0, m) is sorted in the transformed domain
+	if err := checkTailRun(r, dec, d0, m); err != nil {
+		return nil, err
+	}
 
 	width := enc.MaxLen()
 	rBase := enc.Encode(d0)
@@ -100,6 +97,45 @@ func RotatedDict(r Region, dec Decryptor, enc *ordenc.Encoder, q Range) ([]VidRa
 		out = appendTailRun(out, m, n)
 	}
 	return out, nil
+}
+
+// checkTailRun verifies a sealed run boundary m = |D| - tailRun against the
+// dictionary. Equal plaintexts sit circularly contiguous in a rotated
+// dictionary, so two loads settle it: with a run, D[m] must equal D[0] and
+// D[m-1] must not; without one, D[|D|-1] must differ from D[0]. A header
+// from another build or a tampered one therefore surfaces as ErrTailRun
+// rather than as a wrong answer. The one claim two loads cannot prove is
+// that the whole dictionary holds D[0]'s value (m = 1, where D[m-1] is D[0]
+// itself): both ends of the claimed run, D[1] and D[|D|-1], are checked
+// instead, which misses only other values sitting strictly between them.
+func checkTailRun(r Region, dec Decryptor, d0 []byte, m int) error {
+	n := r.Len()
+	expect := func(i int, same bool) error {
+		v, err := loadPlain(r, dec, i)
+		if err != nil {
+			return err
+		}
+		if bytes.Equal(v, d0) != same {
+			return fmt.Errorf("%w: entry %d contradicts a tail run of %d", ErrTailRun, i, n-m)
+		}
+		return nil
+	}
+	switch {
+	case n == 1:
+		return nil
+	case m == n:
+		return expect(n-1, false)
+	case m == 1:
+		if err := expect(1, true); err != nil {
+			return err
+		}
+		return expect(n-1, true)
+	default:
+		if err := expect(m, true); err != nil {
+			return err
+		}
+		return expect(m-1, false)
+	}
 }
 
 // transformedQuery carries the rotation-invariant representation of the

@@ -11,7 +11,10 @@
 //     (Algorithm 1), O(log |D|) loads and decryptions.
 //   - RotatedDict  — ED2/ED5/ED8: binary search in the rotation-invariant
 //     transformed domain (Algorithms 2 and 3), including the corner case
-//     where a run of equal plaintexts wraps around the rotation point.
+//     where a run of equal plaintexts wraps around the rotation point. The
+//     run's length comes from the dictionary's sealed header and is checked
+//     with at most two loads; nothing walks it, so the search costs
+//     O(log |D|) loads for every rotation offset.
 //   - UnsortedDict — ED3/ED6/ED9: linear scan (Algorithm 4), O(|D|) loads
 //     and decryptions.
 //
@@ -39,7 +42,11 @@ type Region interface {
 }
 
 // Decryptor authenticates and decrypts one dictionary entry payload. It is
-// *pae.Cipher for encrypted dictionaries and PlainDecryptor for PlainDBDB.
+// the enclave's per-ECALL decryptor (or a *pae.Cipher) for encrypted
+// dictionaries and PlainDecryptor for PlainDBDB. The returned plaintext is
+// valid only until the next Decrypt call — the enclave reuses one scratch
+// buffer per ECALL — so no search keeps a plaintext across loads without
+// copying it.
 type Decryptor interface {
 	Decrypt(ciphertext []byte) ([]byte, error)
 }
@@ -103,6 +110,11 @@ func (v VidRange) Count() int { return int(v.Hi) - int(v.Lo) + 1 }
 // ErrDecrypt wraps decryption failures during a dictionary search; it
 // indicates tampered ciphertexts or a wrong column key.
 var ErrDecrypt = errors.New("search: dictionary entry failed to decrypt")
+
+// ErrTailRun reports a rotated dictionary whose sealed wrapped-run length
+// does not match its entries: a header from another build of the column, or
+// a tampered one.
+var ErrTailRun = errors.New("search: sealed tail run does not match the dictionary")
 
 // loadPlain loads entry i from the region and decrypts it.
 func loadPlain(r Region, dec Decryptor, i int) ([]byte, error) {
