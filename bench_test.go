@@ -3,7 +3,7 @@
 // encdbdb-bench command prints the corresponding paper-style tables; these
 // benchmarks expose the same measurement points to Go tooling.
 //
-// Mapping (see DESIGN.md §3 and EXPERIMENTS.md):
+// Mapping (README.md, Benchmarks, lists the matching experiments):
 //
 //	Table 1  -> BenchmarkTable1* (EncDBDB vs PlainDBDB, the 8.9% figure)
 //	Table 3  -> BenchmarkTable3* (dictionary construction per repetition)
@@ -321,7 +321,7 @@ func BenchmarkFig8cEncDBDB_ED9(b *testing.B) { benchQuery(b, dict.ED9, false, 2)
 
 // --- Ablation A1: attribute vector strategies for unsorted dictionaries. ---
 
-func benchAVMode(b *testing.B, mode search.AVMode) {
+func benchAVMode(b *testing.B, mode baseline.AVMode) {
 	b.Helper()
 	col := workload.Generate(workload.C2().Scaled(benchRows), 1)
 	split, err := dict.Build(col.Values, dict.Params{
@@ -343,16 +343,17 @@ func benchAVMode(b *testing.B, mode search.AVMode) {
 		}
 		vidsPerQuery[i] = vids
 	}
+	codes := split.AVCodes()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		search.AttrVectList(split.AVCodes(), vidsPerQuery[i%len(vidsPerQuery)], split.Len(), mode, 1)
+		baseline.AttrVectList(codes, vidsPerQuery[i%len(vidsPerQuery)], split.Len(), mode, 1)
 	}
 }
 
-func BenchmarkAblationAVNestedLoop(b *testing.B)  { benchAVMode(b, search.AVNestedLoop) }
-func BenchmarkAblationAVSortedProbe(b *testing.B) { benchAVMode(b, search.AVSortedProbe) }
-func BenchmarkAblationAVBitset(b *testing.B)      { benchAVMode(b, search.AVBitset) }
+func BenchmarkAblationAVNestedLoop(b *testing.B)  { benchAVMode(b, baseline.AVNestedLoop) }
+func BenchmarkAblationAVSortedProbe(b *testing.B) { benchAVMode(b, baseline.AVSortedProbe) }
+func BenchmarkAblationAVBitset(b *testing.B)      { benchAVMode(b, baseline.AVBitset) }
 
 // --- Ablation A3: enclave boundary cost at search granularity. ---
 

@@ -1,6 +1,6 @@
 // Command encdbdb-bench regenerates the paper's evaluation (§6): every
 // table and figure has a corresponding experiment that prints paper-style
-// rows, plus the ablations called out in DESIGN.md.
+// rows, plus the ablations listed in README.md (Benchmarks).
 //
 // Usage:
 //
@@ -8,8 +8,9 @@
 //	encdbdb-bench -exp fig8a -rows 10000,100000,1000000 -queries 500 -rs 2,100
 //	encdbdb-bench -exp table6 -rows 1000000
 //
-// Absolute numbers depend on the host; compare shapes against the paper per
-// EXPERIMENTS.md. Paper scale is -rows up to 10900000 and -queries 500.
+// Absolute numbers depend on the host; compare shapes (who wins, by what
+// factor) against the paper's figures. Paper scale is -rows up to 10900000
+// and -queries 500.
 package main
 
 import (
@@ -31,7 +32,7 @@ func main() {
 
 func run() error {
 	var (
-		exp     = flag.String("exp", "all", "experiment: table1 table3 table4 table6 fig6 fig7 fig8a fig8b fig8c claims concurrency compression scan merge prepared load shard ablation-av ablation-optimizer ablation-bsmax ablation-enclave all")
+		exp     = flag.String("exp", "all", "experiment: table1 table3 table4 table6 fig6 fig7 fig8a fig8b fig8c claims concurrency compression scan prepared load shard ablation-av ablation-optimizer ablation-bsmax ablation-enclave all")
 		rows    = flag.String("rows", "10000,30000", "comma-separated dataset size sweep")
 		queries = flag.Int("queries", 50, "random range queries per measurement point (paper: 500)")
 		rs      = flag.String("rs", "2,100", "comma-separated range sizes (paper: 2,100)")
@@ -68,7 +69,6 @@ func run() error {
 		"concurrency":        bench.Concurrency,
 		"compression":        bench.Compression,
 		"scan":               bench.Scan,
-		"merge":              bench.Merge,
 		"prepared":           bench.Prepared,
 		"load":               bench.Load,
 		"shard":              bench.Shard,
@@ -79,7 +79,7 @@ func run() error {
 	}
 	order := []string{
 		"table1", "table3", "table4", "table6", "fig6", "fig7",
-		"fig8a", "fig8b", "fig8c", "claims", "concurrency", "compression", "scan", "merge", "prepared", "load", "shard",
+		"fig8a", "fig8b", "fig8c", "claims", "concurrency", "compression", "scan", "prepared", "load", "shard",
 		"ablation-av", "ablation-optimizer", "ablation-bsmax", "ablation-enclave",
 	}
 

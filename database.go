@@ -10,7 +10,6 @@ import (
 	"github.com/encdbdb/encdbdb/internal/enclave"
 	"github.com/encdbdb/encdbdb/internal/engine"
 	"github.com/encdbdb/encdbdb/internal/metrics"
-	"github.com/encdbdb/encdbdb/internal/search"
 	"github.com/encdbdb/encdbdb/internal/storage"
 	"github.com/encdbdb/encdbdb/internal/wal"
 	"github.com/encdbdb/encdbdb/internal/wire"
@@ -49,9 +48,6 @@ type Options struct {
 	// dummy probes up to a fixed size-dependent target (side-channel
 	// mitigation; see internal/enclave).
 	PadProbes bool
-	// AVMode selects the attribute-vector strategy for unsorted
-	// dictionaries (0 = sorted probe).
-	AVMode search.AVMode
 	// Workers bounds attribute-vector scan parallelism (0 = GOMAXPROCS).
 	Workers int
 	// ConnWorkers bounds how many requests of one multiplexed remote
@@ -116,9 +112,6 @@ func Open(opts ...Options) (*Database, error) {
 		return nil, fmt.Errorf("encdbdb: %w", err)
 	}
 	var engOpts []engine.Option
-	if o.AVMode != 0 {
-		engOpts = append(engOpts, engine.WithAVMode(o.AVMode))
-	}
 	if o.Workers != 0 {
 		engOpts = append(engOpts, engine.WithWorkers(o.Workers))
 	}

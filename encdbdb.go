@@ -9,8 +9,9 @@
 // order option bounds order leakage (sorted / rotated / unsorted). Range
 // queries run in two phases: a dictionary search executed inside a trusted
 // enclave over PAE-encrypted dictionary entries, and a plaintext attribute
-// vector scan in the untrusted engine. See DESIGN.md for the architecture
-// and the substitutions this reproduction makes for Intel SGX hardware.
+// vector scan in the untrusted engine. See docs/architecture.md for the
+// architecture and the internal/enclave package for how this reproduction
+// stands in for Intel SGX hardware.
 //
 // # Roles
 //

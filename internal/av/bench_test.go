@@ -16,7 +16,8 @@ const benchRows = 1 << 20
 var benchWidths = []int{16, 256, 4096, 65536}
 
 // unpackedRangeScan is the pre-packing baseline: one comparison chain per
-// element over a []uint32, as parallelScan's match closure performed.
+// element over a []uint32, as baseline.AttrVectRangesSet's match closure
+// performs.
 func unpackedRangeScan(out *ridset.Set, codes []uint32, ranges []Range) {
 	for i, c := range codes {
 		for _, r := range ranges {

@@ -11,6 +11,12 @@
 //   - The storage accounting for the "plaintext file" and "encrypted file"
 //     rows of Table 6.
 //
+// It also keeps the attribute-vector scans the engine no longer runs: the
+// per-element AttrVectSearch over an unpacked []uint32 vector, with the
+// paper's nested loop, a sorted probe and a bitset as membership tests
+// (ablation A1, and the reference the bit-packed kernels are checked
+// against).
+//
 // The PlainDBDB baseline needs no code here: every encrypted dictionary has
 // a plaintext twin built into the engine (ColumnDef.Plain).
 package baseline

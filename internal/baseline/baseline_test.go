@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/encdbdb/encdbdb/internal/pae"
@@ -100,5 +101,19 @@ func TestMonetDBSimEmptyColumn(t *testing.T) {
 	}
 	if got := m.RangeSearch(search.Eq([]byte("x"))); got != nil {
 		t.Errorf("search on empty = %v", got)
+	}
+}
+
+func BenchmarkAttrVectRanges1M(b *testing.B) {
+	av := make([]uint32, 1_000_000)
+	rng := rand.New(rand.NewSource(21))
+	for i := range av {
+		av[i] = uint32(rng.Intn(10000))
+	}
+	ranges := []search.VidRange{{Lo: 100, Hi: 200}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		AttrVectRanges(av, ranges, 0)
 	}
 }

@@ -6,56 +6,80 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"github.com/encdbdb/encdbdb/internal/baseline"
 	"github.com/encdbdb/encdbdb/internal/dict"
+	"github.com/encdbdb/encdbdb/internal/enclave"
 	"github.com/encdbdb/encdbdb/internal/engine"
 	"github.com/encdbdb/encdbdb/internal/search"
 	"github.com/encdbdb/encdbdb/internal/workload"
 )
 
 // AblationAV compares the AttrVectSearch strategies for unsorted
-// dictionaries (DESIGN.md ablation A1): the paper's literal nested loop,
-// the sorted-probe scan, a bitset — all over unpacked []uint32 codes — and
-// the bit-packed SWAR kernel that is the engine default.
+// dictionaries (ablation A1): the paper's literal nested loop, the
+// sorted-probe scan, a bitset — all over unpacked []uint32 codes, from
+// internal/baseline — and the bit-packed SWAR kernel the engine runs. Each
+// query's ValueIDs come from one enclave search over an ED9 column; only
+// the attribute-vector phase is timed, per strategy, over those IDs.
 func AblationAV(cfg Config) error {
 	rows := cfg.Rows[len(cfg.Rows)-1]
 	col := workload.Generate(workload.C2().Scaled(rows), cfg.Seed)
-	tw := tabwriter.NewWriter(cfg.Out, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "AV mode\tRS\tavg latency\n")
-	modes := []struct {
-		name   string
-		mode   search.AVMode
-		packed bool
-	}{
-		{name: "nested loop (paper literal)", mode: search.AVNestedLoop},
-		{name: "sorted probe", mode: search.AVSortedProbe},
-		{name: "bitset", mode: search.AVBitset},
-		{name: "packed SWAR (default)", mode: search.AVSortedProbe, packed: true},
+	sys, err := newSystem()
+	if err != nil {
+		return err
 	}
+	def := defFor(dict.ED9, col.Profile.ValueLen, 0, false)
+	split, err := sys.buildSplit("aav", def, col.Values, cfg.Seed)
+	if err != nil {
+		return err
+	}
+	meta := enclave.ColumnMeta{Table: "aav", Column: def.Name, Kind: def.Kind, MaxLen: def.MaxLen}
+	codes, vec := split.AVCodes(), split.Packed()
+	modes := []struct {
+		name string
+		scan func(vids []uint32)
+	}{
+		{"nested loop (paper literal)", func(vids []uint32) {
+			baseline.AttrVectListSet(codes, vids, split.Len(), baseline.AVNestedLoop, cfg.Workers)
+		}},
+		{"sorted probe", func(vids []uint32) {
+			baseline.AttrVectListSet(codes, vids, split.Len(), baseline.AVSortedProbe, cfg.Workers)
+		}},
+		{"bitset", func(vids []uint32) {
+			baseline.AttrVectListSet(codes, vids, split.Len(), baseline.AVBitset, cfg.Workers)
+		}},
+		{"packed SWAR (engine)", func(vids []uint32) {
+			search.AttrVectListPackedSet(vec, vids, cfg.Workers)
+		}},
+	}
+
+	tw := tabwriter.NewWriter(cfg.Out, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(tw, "AV mode\tRS\tavg AV-phase latency\n")
 	for _, rs := range cfg.RangeSizes {
 		if rs > len(col.SortedUnique) {
 			continue
 		}
+		gen, err := workload.NewQueryGen(col, rs, cfg.Seed)
+		if err != nil {
+			return err
+		}
+		filters, err := sys.prepareFilters("aav", def, gen, cfg.Queries)
+		if err != nil {
+			return err
+		}
+		vidsPerQuery := make([][]uint32, len(filters))
+		for i, f := range filters {
+			res, err := sys.encl.DictSearch(meta, split, nil, f.Ranges[0])
+			if err != nil {
+				return err
+			}
+			vidsPerQuery[i] = res.IDs
+		}
 		for _, m := range modes {
-			sys, err := newSystem(engine.WithAVMode(m.mode), engine.WithWorkers(cfg.Workers),
-				engine.WithPackedScan(m.packed))
-			if err != nil {
-				return err
-			}
-			def := defFor(dict.ED9, col.Profile.ValueLen, 0, false)
-			if err := sys.loadTable("aav", def, col.Values, cfg.Seed); err != nil {
-				return err
-			}
-			gen, err := workload.NewQueryGen(col, rs, cfg.Seed)
-			if err != nil {
-				return err
-			}
-			filters, err := sys.prepareFilters("aav", def, gen, cfg.Queries)
-			if err != nil {
-				return err
-			}
-			lat, _, err := sys.timeQueries("aav", filters)
-			if err != nil {
-				return err
+			lat := make([]float64, len(vidsPerQuery))
+			for i, vids := range vidsPerQuery {
+				start := time.Now()
+				m.scan(vids)
+				lat[i] = float64(time.Since(start).Nanoseconds()) / 1e3
 			}
 			fmt.Fprintf(tw, "%s\t%d\t%s\n", m.name, rs, ms(workload.Summarize(lat).Mean))
 		}
@@ -63,9 +87,9 @@ func AblationAV(cfg Config) error {
 	return tw.Flush()
 }
 
-// AblationBSMax sweeps the frequency smoothing parameter (DESIGN.md
-// ablation A2), extending Table 6's three bsmax points with the latency and
-// leakage-bound tradeoff the paper describes in §4.1.
+// AblationBSMax sweeps the frequency smoothing parameter (ablation A2),
+// extending Table 6's three bsmax points with the latency and leakage-bound
+// tradeoff the paper describes in §4.1.
 func AblationBSMax(cfg Config) error {
 	rows := cfg.Rows[0]
 	col := workload.Generate(workload.C2().Scaled(rows), cfg.Seed)
@@ -106,9 +130,9 @@ func AblationBSMax(cfg Config) error {
 	return tw.Flush()
 }
 
-// AblationOptimizer measures the filter-reordering query optimizer
-// (DESIGN.md S19): a conjunctive query whose cheap sorted filter is empty
-// must short-circuit the expensive unsorted scan when reordering is on.
+// AblationOptimizer measures the filter-reordering query optimizer: a
+// conjunctive query whose cheap sorted filter is empty must short-circuit
+// the expensive unsorted scan when reordering is on.
 func AblationOptimizer(cfg Config) error {
 	rows := cfg.Rows[len(cfg.Rows)-1]
 	col := workload.Generate(workload.C2().Scaled(rows), cfg.Seed)
@@ -170,8 +194,8 @@ func AblationOptimizer(cfg Config) error {
 	return tw.Flush()
 }
 
-// AblationEnclave quantifies the enclave boundary cost (DESIGN.md ablation
-// A3): identical ED1 searches with and without the enclave/PAE, plus the
+// AblationEnclave quantifies the enclave boundary cost (ablation A3):
+// identical ED1 searches with and without the enclave/PAE, plus the
 // measured boundary counters backing the paper's "one context switch per
 // query" claim.
 func AblationEnclave(cfg Config) error {

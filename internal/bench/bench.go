@@ -3,15 +3,22 @@
 // and the repository's testing.B benchmarks.
 //
 // Each experiment prints rows in the paper's presentation. Absolute numbers
-// depend on the host; EXPERIMENTS.md compares the *shapes* (who wins, by
-// what factor, where behaviour crosses over) against the paper's.
+// depend on the host; what carries over is the *shapes* (who wins, by what
+// factor, where behaviour crosses over), to compare against the paper's.
+// README.md (Benchmarks) lists the experiments and ablations.
 package bench
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"os/exec"
+	"runtime"
+	"runtime/debug"
+	"strings"
 	"time"
 
 	"github.com/encdbdb/encdbdb/internal/dict"
@@ -43,9 +50,6 @@ type Config struct {
 	// JSONPath, when non-empty, is where the compression experiment
 	// writes its machine-readable results.
 	JSONPath string
-	// MergeJSONPath, when non-empty, is where the merge experiment writes
-	// its machine-readable results.
-	MergeJSONPath string
 	// PreparedJSONPath, when non-empty, is where the prepared-statement
 	// experiment writes its machine-readable results.
 	PreparedJSONPath string
@@ -74,7 +78,6 @@ func DefaultConfig(out io.Writer) Config {
 		Seed:             1,
 		Out:              out,
 		JSONPath:         "BENCH_compression.json",
-		MergeJSONPath:    "BENCH_merge.json",
 		PreparedJSONPath: "BENCH_prepared.json",
 		ScanJSONPath:     "BENCH_scan.json",
 		LoadJSONPath:     "BENCH_load.json",
@@ -85,6 +88,57 @@ func DefaultConfig(out io.Writer) Config {
 // printf writes formatted experiment output.
 func (c Config) printf(format string, args ...any) {
 	fmt.Fprintf(c.Out, format, args...)
+}
+
+// Envelope identifies the build, host and scale a committed BENCH_*.json was
+// measured at — the fields the end-to-end benchmark stamps on its runs.
+type Envelope struct {
+	Commit     string `json:"commit"`
+	Go         string `json:"go"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NProc      int    `json:"nproc"`
+	Rows       int    `json:"rows"`
+	Seed       int64  `json:"seed"`
+}
+
+// writeJSON writes an experiment's results to path as
+// {<Envelope fields>, "results": results} and reports the file on cfg.Out.
+func writeJSON(cfg Config, path string, rows int, results any) error {
+	env := Envelope{
+		Commit: "unknown", Go: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NProc: runtime.NumCPU(), Rows: rows, Seed: cfg.Seed,
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		vcs := map[string]string{}
+		for _, s := range bi.Settings {
+			vcs[s.Key] = s.Value
+		}
+		if rev := vcs["vcs.revision"]; rev != "" {
+			env.Commit = rev
+			if vcs["vcs.modified"] == "true" {
+				env.Commit += "-dirty"
+			}
+		}
+	}
+	if env.Commit == "unknown" {
+		// go run does not stamp VCS information; ask git directly. A
+		// "-dirty" suffix marks uncommitted changes in the measured tree.
+		if out, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=40", "--exclude=*").Output(); err == nil {
+			env.Commit = strings.TrimSpace(string(out))
+		}
+	}
+	blob, err := json.MarshalIndent(struct {
+		Envelope
+		Results any `json:"results"`
+	}{env, results}, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
+		return fmt.Errorf("bench: write %s: %w", path, err)
+	}
+	cfg.printf("wrote %s\n", path)
+	return nil
 }
 
 // system is one provisioned EncDBDB deployment used as the measurement

@@ -2,13 +2,20 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/encdbdb/encdbdb/internal/dict"
+	"github.com/encdbdb/encdbdb/internal/engine"
+	"github.com/encdbdb/encdbdb/internal/workload"
 )
 
 // tinyConfig keeps experiment self-tests fast.
@@ -36,7 +43,6 @@ func TestExperimentsProduceOutput(t *testing.T) {
 		{name: "fig6", run: Fig6, want: []string{"ED1", "ED9", "recovery"}},
 		{name: "table6", run: Table6, want: []string{"Plaintext file", "Encrypted file", "MonetDB", "ED1/ED2/ED3", "bsmax=10", "ED7/ED8/ED9"}},
 		{name: "fig7", run: Fig7, want: []string{"C1", "C2", "avg results"}},
-		{name: "merge", run: Merge, want: []string{"quiet", "background", "blocking", "p99"}},
 		{name: "compression", run: Compression, want: []string{"|D|", "width", "ratio", "speedup"}},
 		{name: "ablation-av", run: AblationAV, want: []string{"nested loop", "sorted probe", "bitset", "packed SWAR"}},
 		{name: "ablation-optimizer", run: AblationOptimizer, want: []string{"on (default)", "off", "loads/query"}},
@@ -72,16 +78,19 @@ func TestCompressionWritesJSON(t *testing.T) {
 		t.Fatalf("JSON file: %v", err)
 	}
 	var out struct {
-		Rows   int                `json:"rows"`
-		Points []CompressionPoint `json:"points"`
+		Envelope
+		Results []CompressionPoint `json:"results"`
 	}
 	if err := json.Unmarshal(blob, &out); err != nil {
 		t.Fatalf("JSON parse: %v", err)
 	}
-	if out.Rows != 1000 || len(out.Points) == 0 {
-		t.Fatalf("JSON shape: rows=%d points=%d", out.Rows, len(out.Points))
+	if out.Rows != 1000 || out.Seed != 42 || out.Go == "" || out.Commit == "" || out.GOMAXPROCS <= 0 || out.NProc <= 0 {
+		t.Fatalf("JSON envelope: %+v", out.Envelope)
 	}
-	for _, p := range out.Points {
+	if len(out.Results) == 0 {
+		t.Fatal("JSON has no points")
+	}
+	for _, p := range out.Results {
 		wantRatio := float64(p.Width) / 32
 		if p.AVRatio < wantRatio-0.05 || p.AVRatio > wantRatio+0.05 {
 			t.Errorf("|D|=%d: AV ratio %.3f, want ~%.3f (= width/32)", p.DictLen, p.AVRatio, wantRatio)
@@ -89,39 +98,6 @@ func TestCompressionWritesJSON(t *testing.T) {
 		if p.SplitMemBytes >= p.SplitUnpackedBytes {
 			t.Errorf("|D|=%d: packed split %d B not below unpacked %d B",
 				p.DictLen, p.SplitMemBytes, p.SplitUnpackedBytes)
-		}
-	}
-}
-
-func TestMergeWritesJSON(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := tinyConfig(&buf)
-	cfg.Queries = 5
-	cfg.MergeJSONPath = filepath.Join(t.TempDir(), "BENCH_merge.json")
-	if err := Merge(cfg); err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	blob, err := os.ReadFile(cfg.MergeJSONPath)
-	if err != nil {
-		t.Fatalf("JSON file: %v", err)
-	}
-	var out MergeReport
-	if err := json.Unmarshal(blob, &out); err != nil {
-		t.Fatalf("JSON parse: %v", err)
-	}
-	if out.Rows != 600 || out.MergeMs <= 0 || len(out.Points) != 3 {
-		t.Fatalf("JSON shape: %+v", out)
-	}
-	scenarios := map[string]bool{}
-	for _, p := range out.Points {
-		scenarios[p.Scenario] = true
-		if p.Samples <= 0 || p.P50us <= 0 || p.P99us < p.P50us {
-			t.Errorf("%s: implausible distribution %+v", p.Scenario, p)
-		}
-	}
-	for _, want := range []string{"quiet", "background", "blocking"} {
-		if !scenarios[want] {
-			t.Errorf("missing scenario %q in %+v", want, out.Points)
 		}
 	}
 }
@@ -165,8 +141,8 @@ func TestLoadWritesJSON(t *testing.T) {
 }
 
 // TestPackedRangeScanSpeedup is the acceptance guard for the SWAR kernels:
-// at 1M rows, the packed range scan must be at least 2x the []uint32 scan
-// single-threaded for every |D| up to 2^16. Timing-shape assertion, so it
+// at 1M rows, the packed range scan must be at least 2x internal/baseline's
+// []uint32 scan single-threaded for every |D| up to 2^16. Timing-shape assertion, so it
 // skips under the race detector's slowdown and in -short runs.
 func TestPackedRangeScanSpeedup(t *testing.T) {
 	if raceEnabled {
@@ -217,28 +193,84 @@ func TestFig8AllGroups(t *testing.T) {
 	}
 }
 
-func TestClaimsHold(t *testing.T) {
-	if testing.Short() {
-		t.Skip("claims need a non-trivial dataset")
+// TestClaimsWorkCounts restates the §6.3 claims that Claims checks as
+// latency shapes (encdbdb-bench -exp claims) as work counts, which are exact
+// per seed on any host and under any load: one ECALL per filter range,
+// O(log |D|) dictionary loads for the sorted (ED1) and rotated (ED2)
+// searches, exactly |D| loads for the unsorted ED9 scan, and more rows per
+// query from the low-cardinality C2 column than from C1.
+func TestClaimsWorkCounts(t *testing.T) {
+	const (
+		rows    = 4000
+		queries = 15
+		seed    = 7
+	)
+	sys, err := newSystem(engine.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if raceEnabled {
-		t.Skip("latency-shape claims are not meaningful under the race detector's slowdown")
+	c2 := workload.Generate(workload.C2().Scaled(rows), seed)
+	for _, kind := range []dict.Kind{dict.ED1, dict.ED2, dict.ED9} {
+		table := fmt.Sprintf("wc_%v", kind)
+		def := defFor(kind, c2.Profile.ValueLen, 0, false)
+		if err := sys.loadTable(table, def, c2.Values, seed); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := sys.db.Snapshot(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dictLen := len(snap.Columns[0].Main.Head)
+		logBound := uint64(2*bits.Len(uint(dictLen-1)) + 6) // 2⌈log2 |D|⌉+6
+		gen, err := workload.NewQueryGen(c2, 2, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		filters, err := sys.prepareFilters(table, def, gen, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi, f := range filters {
+			sys.encl.ResetStats()
+			if _, err := sys.db.Select(context.Background(), engine.Query{Table: table, Filters: []engine.Filter{f}}); err != nil {
+				t.Fatal(err)
+			}
+			st := sys.encl.Stats()
+			if st.ECalls != uint64(len(f.Ranges)) {
+				t.Errorf("%v query %d: %d ECALLs for %d filter ranges", kind, qi, st.ECalls, len(f.Ranges))
+			}
+			switch {
+			case kind == dict.ED9 && st.Loads != uint64(dictLen):
+				t.Errorf("%v query %d: %d loads, want |D| = %d", kind, qi, st.Loads, dictLen)
+			case kind != dict.ED9 && st.Loads > logBound:
+				t.Errorf("%v query %d: %d loads, want <= 2*ceil(log2 %d)+6 = %d", kind, qi, st.Loads, dictLen, logBound)
+			}
+		}
 	}
-	var buf bytes.Buffer
-	cfg := Config{
-		Rows:       []int{4000},
-		Queries:    15,
-		RangeSizes: []int{2, 50},
-		BSMax:      10,
-		Seed:       7,
-		Workers:    1,
-		Out:        &buf,
+
+	// Fewer unique values => more rows per query.
+	rowsPerQuery := func(profile workload.Profile, table string) float64 {
+		col := workload.Generate(profile.Scaled(rows), seed)
+		def := defFor(dict.ED1, col.Profile.ValueLen, 0, false)
+		if err := sys.loadTable(table, def, col.Values, seed); err != nil {
+			t.Fatal(err)
+		}
+		gen, err := workload.NewQueryGen(col, 50, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		filters, err := sys.prepareFilters(table, def, gen, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, total, err := sys.timeQueries(table, filters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(total) / queries
 	}
-	if err := Claims(cfg); err != nil {
-		t.Fatalf("claims failed: %v\n%s", err, buf.String())
-	}
-	if !strings.Contains(buf.String(), "passed") {
-		t.Errorf("missing summary:\n%s", buf.String())
+	if r1, r2 := rowsPerQuery(workload.C1(), "wc_c1"), rowsPerQuery(workload.C2(), "wc_c2"); r2 <= r1 {
+		t.Errorf("C2 returns %.1f rows per query, C1 %.1f: want C2 > C1", r2, r1)
 	}
 }
 

@@ -1,14 +1,13 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"text/tabwriter"
 	"time"
 
 	"github.com/encdbdb/encdbdb/internal/av"
+	"github.com/encdbdb/encdbdb/internal/baseline"
 	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/search"
 )
@@ -29,8 +28,9 @@ type CompressionPoint struct {
 	SplitMemBytes      int     `json:"splitMemBytes"`
 	SplitUnpackedBytes int     `json:"splitUnpackedBytes"`
 
-	// Single-threaded scan throughput (ns/row) of the range kernels and
-	// the resulting speedup, plus the membership (bitset) comparison.
+	// Single-threaded scan throughput (ns/row) of the packed range kernel
+	// against internal/baseline's unpacked scan and the resulting speedup,
+	// plus the same comparison for ValueID-list membership.
 	RangeNsPerRowPacked   float64 `json:"rangeNsPerRowPacked"`
 	RangeNsPerRowUnpacked float64 `json:"rangeNsPerRowUnpacked"`
 	RangeSpeedup          float64 `json:"rangeSpeedup"`
@@ -41,10 +41,10 @@ type CompressionPoint struct {
 
 // Compression measures what the bit-packed attribute vector buys: memory
 // footprint (Split.MemBytes packed vs the unpacked 4 B/row layout) and
-// single-threaded scan throughput of the SWAR kernels vs the []uint32 entry
-// points, across dictionary sizes |D| ∈ {2^4, 2^8, 2^12, 2^16} at the
-// largest configured row count. Results go to cfg.Out as a table and, when
-// cfg.JSONPath is set, to that file as JSON.
+// single-threaded scan throughput of the SWAR kernels vs internal/baseline's
+// []uint32 scans, across dictionary sizes |D| ∈ {2^4, 2^8, 2^12, 2^16} at
+// the largest configured row count. Results go to cfg.Out as a table and,
+// when cfg.JSONPath is set, to that file as JSON.
 func Compression(cfg Config) error {
 	rows := cfg.Rows[len(cfg.Rows)-1]
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -70,17 +70,7 @@ func Compression(cfg Config) error {
 	}
 	cfg.printf("(single-threaded scans at %d rows; ~10%% selectivity range, ~10%% membership list)\n", rows)
 	if cfg.JSONPath != "" {
-		blob, err := json.MarshalIndent(struct {
-			Rows   int                `json:"rows"`
-			Points []CompressionPoint `json:"points"`
-		}{Rows: rows, Points: points}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.JSONPath, append(blob, '\n'), 0o644); err != nil {
-			return fmt.Errorf("bench: write %s: %w", cfg.JSONPath, err)
-		}
-		cfg.printf("wrote %s\n", cfg.JSONPath)
+		return writeJSON(cfg, cfg.JSONPath, rows, points)
 	}
 	return nil
 }
@@ -127,7 +117,7 @@ func compressionPoint(cfg Config, rng *rand.Rand, rows, dictLen int) (Compressio
 		search.AttrVectRangesPackedSet(vec, ranges, 1)
 	})
 	p.RangeNsPerRowUnpacked = scanNsPerRow(rows, func() {
-		search.AttrVectRangesSet(codes, ranges, 1)
+		baseline.AttrVectRangesSet(codes, ranges, 1)
 	})
 	p.RangeSpeedup = p.RangeNsPerRowUnpacked / p.RangeNsPerRowPacked
 
@@ -142,7 +132,7 @@ func compressionPoint(cfg Config, rng *rand.Rand, rows, dictLen int) (Compressio
 		search.AttrVectListPackedSet(vec, vids, 1)
 	})
 	p.ListNsPerRowUnpacked = scanNsPerRow(rows, func() {
-		search.AttrVectListSet(codes, vids, dictLen, search.AVSortedProbe, 1)
+		baseline.AttrVectListSet(codes, vids, dictLen, baseline.AVSortedProbe, 1)
 	})
 	p.ListSpeedup = p.ListNsPerRowUnpacked / p.ListNsPerRowPacked
 	return p, nil

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"text/tabwriter"
 	"time"
 
@@ -16,8 +14,8 @@ import (
 	"github.com/encdbdb/encdbdb/internal/search"
 )
 
-// ScanConjunctionPoint measures an engine-level conjunctive query under the
-// three scan strategies.
+// ScanConjunctionPoint measures an engine-level conjunctive query at the
+// configured worker count and on one worker.
 type ScanConjunctionPoint struct {
 	Rows    int `json:"rows"`
 	Filters int `json:"filters"`
@@ -25,9 +23,7 @@ type ScanConjunctionPoint struct {
 	// Per-query server-side latency (best of three batches).
 	FusedMs       float64 `json:"fusedMs"`
 	Fused1WMs     float64 `json:"fused1WorkerMs"`
-	TwoPassMs     float64 `json:"twoPassMs"`
-	Speedup       float64 `json:"speedup"`          // two-pass / fused, same workers
-	SpeedupSerial float64 `json:"speedupVs1Worker"` // fused 1 worker / fused parallel
+	SpeedupSerial float64 `json:"speedupVs1Worker"` // 1 worker / configured workers
 }
 
 // ScanEncodingPoint measures one data shape of the block-encoding sweep:
@@ -52,12 +48,12 @@ type ScanEncodingPoint struct {
 	Speedup         float64 `json:"speedup"`
 }
 
-// Scan measures what the fused evaluation pipeline and the lightweight block
-// encodings buy over the two-pass packed baseline:
+// Scan measures the fused evaluation pipeline and the lightweight block
+// encodings:
 //
 //  1. An engine-level 4-filter conjunction at the largest configured row
-//     count, comparing the fused morsel-driven path (default and one worker)
-//     against the two-pass per-filter path (separate scans + intersection).
+//     count, on the configured workers and on one worker — what the
+//     morsel-driven scan gains from parallelism.
 //  2. An attribute-vector-level range-scan sweep over data shapes — sorted,
 //     clustered, drifting, uniform — comparing the per-block FoR/RLE kernels
 //     against the uniform SWAR kernels on the same codes.
@@ -72,13 +68,13 @@ func Scan(cfg Config) error {
 		return err
 	}
 	tw := tabwriter.NewWriter(cfg.Out, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "rows\tfilters\tfused\tfused 1 worker\ttwo-pass\tspeedup\n")
-	fmt.Fprintf(tw, "%d\t%d\t%.3f ms\t%.3f ms\t%.3f ms\t%.1fx\n",
-		conj.Rows, conj.Filters, conj.FusedMs, conj.Fused1WMs, conj.TwoPassMs, conj.Speedup)
+	fmt.Fprintf(tw, "rows\tfilters\tfused\tfused 1 worker\tspeedup vs 1 worker\n")
+	fmt.Fprintf(tw, "%d\t%d\t%.3f ms\t%.3f ms\t%.2fx\n",
+		conj.Rows, conj.Filters, conj.FusedMs, conj.Fused1WMs, conj.SpeedupSerial)
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	cfg.printf("(conjunctive SELECT latency, ~10%% selectivity per filter; speedup = two-pass / fused at equal workers)\n\n")
+	cfg.printf("(conjunctive SELECT latency, ~10%% selectivity per filter)\n\n")
 
 	encPoints, err := scanEncodings(cfg, rows)
 	if err != nil {
@@ -98,19 +94,11 @@ func Scan(cfg Config) error {
 	cfg.printf("(single-threaded ~10%% selectivity range scans at %d rows, |D|=%d)\n", rows, scanDictLen)
 
 	if cfg.ScanJSONPath != "" {
-		blob, err := json.MarshalIndent(struct {
-			Rows        int                  `json:"rows"`
+		return writeJSON(cfg, cfg.ScanJSONPath, rows, struct {
 			Workers     int                  `json:"workers"`
 			Conjunction ScanConjunctionPoint `json:"conjunction"`
 			Encodings   []ScanEncodingPoint  `json:"encodings"`
-		}{Rows: rows, Workers: cfg.Workers, Conjunction: conj, Encodings: encPoints}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.ScanJSONPath, append(blob, '\n'), 0o644); err != nil {
-			return fmt.Errorf("bench: write %s: %w", cfg.ScanJSONPath, err)
-		}
-		cfg.printf("wrote %s\n", cfg.ScanJSONPath)
+		}{Workers: cfg.Workers, Conjunction: conj, Encodings: encPoints})
 	}
 	return nil
 }
@@ -121,7 +109,7 @@ func Scan(cfg Config) error {
 const scanDictLen = 1 << 12
 
 // scanConjunction loads one table with four independent random columns into
-// three deployments differing only in scan strategy and times the same
+// two deployments differing only in worker count and times the same
 // 4-filter conjunctive SELECT against each. The splits are built once and
 // shared: they are plain (key-independent) and the workload is read-only.
 func scanConjunction(cfg Config, rows int) (ScanConjunctionPoint, error) {
@@ -153,7 +141,6 @@ func scanConjunction(cfg Config, rows int) (ScanConjunctionPoint, error) {
 	}{
 		{"fused", &p.FusedMs, []engine.Option{engine.WithWorkers(cfg.Workers)}},
 		{"fused-1w", &p.Fused1WMs, []engine.Option{engine.WithWorkers(1)}},
-		{"two-pass", &p.TwoPassMs, []engine.Option{engine.WithFusedScan(false), engine.WithWorkers(cfg.Workers)}},
 	}
 	for _, sysDef := range systems {
 		s, err := newSystem(sysDef.opts...)
@@ -189,7 +176,6 @@ func scanConjunction(cfg Config, rows int) (ScanConjunctionPoint, error) {
 		*sysDef.ms = ms
 	}
 	if p.FusedMs > 0 {
-		p.Speedup = p.TwoPassMs / p.FusedMs
 		p.SpeedupSerial = p.Fused1WMs / p.FusedMs
 	}
 	return p, nil

@@ -299,6 +299,28 @@ func TestBuildEmptyColumn(t *testing.T) {
 	}
 }
 
+// TestEmptySplitsCarryPackedVector pins the constructor invariant Rows and
+// Packed rely on instead of a nil check: every constructor sets the packed
+// vector, even for zero rows.
+func TestEmptySplitsCarryPackedVector(t *testing.T) {
+	fromData, err := FromData(SplitData{Kind: ED1, MaxLen: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := Build(nil, testParams(t, ED5, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Split{"Empty": Empty(ED1, 8, 0, false), "FromData": fromData, "Build": built} {
+		if s.Packed() == nil {
+			t.Fatalf("%s: no packed vector", name)
+		}
+		if s.Rows() != 0 || len(s.AVCodes()) != 0 {
+			t.Errorf("%s: %d rows, want 0", name, s.Rows())
+		}
+	}
+}
+
 func TestBuildSingleValueColumn(t *testing.T) {
 	col := [][]byte{[]byte("x"), []byte("x"), []byte("x")}
 	for _, k := range allKinds() {

@@ -3,7 +3,6 @@ package dict
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"github.com/encdbdb/encdbdb/internal/av"
 )
@@ -41,78 +40,35 @@ type Split struct {
 
 	// packed is the attribute vector — row j's ValueID — bit-packed at
 	// ceil(log2 |D|) bits per code (see internal/av). The SWAR scan
-	// kernels run on it directly; legacy []uint32 consumers go through
-	// AVCodes.
+	// kernels run on it directly. Every constructor sets it, and nothing
+	// replaces it afterwards, so concurrent readers need no lock.
 	packed *av.Vector
 
 	head []EntryRef
 	tail []byte
-
-	// avMu guards the lazily materialized unpacked copy used by the
-	// baseline scan paths, ablations and analysis tooling.
-	avMu    sync.Mutex
-	avCodes []uint32
 }
 
 // Len returns the number of dictionary entries |D|.
 func (s *Split) Len() int { return len(s.head) }
 
 // Rows returns the number of rows |AV| (= |C|).
-func (s *Split) Rows() int {
-	if s.packed == nil {
-		return 0
-	}
-	return s.packed.Len()
-}
+func (s *Split) Rows() int { return s.packed.Len() }
 
 // Packed returns the bit-packed attribute vector the scan kernels consume.
-func (s *Split) Packed() *av.Vector {
-	if s.packed == nil {
-		s.packed = av.Pack(nil, 0)
-	}
-	return s.packed
-}
+func (s *Split) Packed() *av.Vector { return s.packed }
 
 // VID returns the ValueID of row j.
 func (s *Split) VID(j int) uint32 { return s.packed.Get(j) }
 
-// AVCodes returns the attribute vector as a plain []uint32, materializing
-// and caching it on first use. The packed vector is the authoritative
-// representation; this unpacked mirror exists for the baseline scan entry
-// points, the AV-mode ablations, and analysis tooling, which pay its 4
-// bytes/row only if they run. Callers must not modify the returned slice.
-func (s *Split) AVCodes() []uint32 {
-	s.avMu.Lock()
-	defer s.avMu.Unlock()
-	if s.avCodes == nil && s.Rows() > 0 {
-		s.avCodes = s.packed.Unpack()
-	}
-	return s.avCodes
-}
+// AVCodes unpacks the attribute vector into a fresh []uint32 on every call.
+// The packed vector is the only resident representation; leakage analysis,
+// serialization and the unpacked baselines (internal/baseline) pay 4
+// bytes/row only while they hold the result.
+func (s *Split) AVCodes() []uint32 { return s.packed.Unpack() }
 
-// avMirror returns the unpacked codes without populating the cache: the
-// cached copy if one already exists, otherwise a fresh transient unpack.
-// Serialization paths use it so a Snapshot of a large table does not pin a
-// 4-byte-per-row mirror next to the packed vector for the split's lifetime.
-func (s *Split) avMirror() []uint32 {
-	s.avMu.Lock()
-	defer s.avMu.Unlock()
-	if s.avCodes != nil {
-		return s.avCodes
-	}
-	return s.packed.Unpack()
-}
-
-// setVID overwrites row j's ValueID in both representations. Test hook for
-// corrupting splits deliberately; vid is truncated to the packed width.
-func (s *Split) setVID(j int, vid uint32) {
-	s.avMu.Lock()
-	defer s.avMu.Unlock()
-	s.packed.Set(j, vid)
-	if s.avCodes != nil {
-		s.avCodes[j] = s.packed.Get(j)
-	}
-}
+// setVID overwrites row j's ValueID. Test hook for corrupting splits
+// deliberately; vid is truncated to the packed width.
+func (s *Split) setVID(j int, vid uint32) { s.packed.Set(j, vid) }
 
 // Entry returns the payload of dictionary entry i: a PAE ciphertext, or the
 // raw value for plain splits. The returned slice aliases the tail and must
@@ -143,10 +99,9 @@ func (s *Split) DictSizeBytes() int {
 
 // MemBytes returns the in-memory footprint of the split column: dictionary
 // plus the bit-packed attribute vector (ceil(log2 |D|) bits per row; the
-// unpacked equivalent is 4*Rows() bytes). The lazily cached unpacked mirror
-// is excluded — it only materializes on baseline/ablation paths.
+// unpacked equivalent is 4*Rows() bytes).
 func (s *Split) MemBytes() int {
-	return s.DictSizeBytes() + s.Packed().MemBytes()
+	return s.DictSizeBytes() + s.packed.MemBytes()
 }
 
 // SizeBytes returns the total storage size of the split column — the
@@ -179,9 +134,9 @@ type SplitData struct {
 // Data returns the serializable form of s. The AV field is the unpacked
 // []uint32 interchange shape — stable across storage format versions and
 // wire peers; the storage layer re-packs it for the v2 on-disk layout. It
-// is materialized transiently (not cached on s), so snapshotting a large
-// table does not inflate the split's resident footprint. The returned
-// slices alias s and must not be modified.
+// is unpacked afresh, so snapshotting a large table does not inflate the
+// split's resident footprint. The other slices alias s and must not be
+// modified.
 func (s *Split) Data() SplitData {
 	return SplitData{
 		Kind:         s.Kind,
@@ -189,7 +144,7 @@ func (s *Split) Data() SplitData {
 		MaxLen:       s.MaxLen,
 		BSMax:        s.BSMax,
 		EncRndOffset: s.EncRndOffset,
-		AV:           s.avMirror(),
+		AV:           s.AVCodes(),
 		Head:         s.head,
 		Tail:         s.tail,
 	}
@@ -275,7 +230,7 @@ func (s *Split) VerifyCorrectness(col [][]byte, decrypt func([]byte) ([]byte, er
 		}
 		plain[i] = v
 	}
-	codes := s.avMirror()
+	codes := s.AVCodes()
 	for j, vid := range codes {
 		if int(vid) >= len(plain) {
 			return fmt.Errorf("dict: row %d references ValueID %d >= |D|=%d", j, vid, len(plain))

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/encdbdb/encdbdb/internal/baseline"
 	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/enclave"
 	"github.com/encdbdb/encdbdb/internal/pae"
@@ -191,9 +192,9 @@ func TestDictSearchAllKinds(t *testing.T) {
 			}
 			var rids []uint32
 			if k.Order() == dict.OrderUnsorted {
-				rids = search.AttrVectList(s.AVCodes(), res.IDs, s.Len(), search.AVSortedProbe, 1)
+				rids = baseline.AttrVectList(s.AVCodes(), res.IDs, s.Len(), baseline.AVSortedProbe, 1)
 			} else {
-				rids = search.AttrVectRanges(s.AVCodes(), res.Ranges, 1)
+				rids = baseline.AttrVectRanges(s.AVCodes(), res.Ranges, 1)
 			}
 			want := []uint32{0, 2, 3} // Hans, Archie, Ella
 			if len(rids) != len(want) {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/encdbdb/encdbdb/internal/baseline"
 	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/enclave"
 	"github.com/encdbdb/encdbdb/internal/search"
@@ -111,7 +112,7 @@ func TestPadProbesPreservesResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rids := search.AttrVectRanges(s.AVCodes(), res.Ranges, 1)
+		rids := baseline.AttrVectRanges(s.AVCodes(), res.Ranges, 1)
 		if len(rids) != 3 {
 			t.Errorf("%v: padded search returned %v, want 3 rows", kind, rids)
 		}

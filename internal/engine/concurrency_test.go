@@ -292,10 +292,10 @@ func TestConcurrentCrossTableStress(t *testing.T) {
 }
 
 // TestParallelFilterEquivalence is the property test for the parallel
-// conjunction path: on random multi-filter conjunctions, an engine
-// evaluating filters sequentially (workers=1) and one fanning them out
-// (workers=8) must return identical RecordID lists — set intersection is
-// order-independent, and the bitmap emit paths must not perturb that.
+// conjunction path: on random multi-filter conjunctions, an engine scanning
+// the main store's morsels on one worker and one scanning them on eight
+// must return identical RecordID lists — morsels own disjoint accumulator
+// words, so the claim order must not perturb the result.
 func TestParallelFilterEquivalence(t *testing.T) {
 	seq := newEnvWith(t, engine.WithWorkers(1))
 	par := newEnvWith(t, engine.WithWorkers(8))

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	mrand "math/rand"
-	"sync"
 
 	"github.com/encdbdb/encdbdb/internal/av"
 	"github.com/encdbdb/encdbdb/internal/ridset"
@@ -54,13 +53,6 @@ type deltaRun struct {
 	entries [][]byte
 	bytes   int
 	packed  *av.Vector
-
-	// identOnce/ident lazily mirror the identity codes as a []uint32 for
-	// the unpacked baseline scan path (WithPackedScan(false)); like
-	// dict.Split's AVCodes mirror, the cost is paid only if that path runs
-	// and is excluded from sizeBytes.
-	identOnce sync.Once
-	ident     []uint32
 }
 
 // sealRun freezes a tail into an immutable run. The identity codes are
@@ -90,16 +82,8 @@ func (r *deltaRun) Load(i int) []byte { return r.entries[i] }
 // attribute vector.
 func (r *deltaRun) sizeBytes() int { return r.bytes + r.packed.MemBytes() }
 
-// identCodes returns the run's identity codes as a plain []uint32,
-// materializing and caching them on first use.
-func (r *deltaRun) identCodes() []uint32 {
-	r.identOnce.Do(func() { r.ident = identCodes(len(r.entries)) })
-	return r.ident
-}
-
-// identCodes materializes the identity ValueID vector 0..n-1 — the unpacked
-// mirror of a delta run's attribute vector, computed on demand for the
-// baseline (unpacked) scan entry points.
+// identCodes materializes the identity ValueID vector 0..n-1, the input
+// sealRun packs into a run's attribute vector.
 func identCodes(n int) []uint32 {
 	codes := make([]uint32, n)
 	for i := range codes {

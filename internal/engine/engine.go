@@ -11,12 +11,13 @@
 // that is semantically invisible to concurrent queries. Locking is sharded
 // per table, so cross-table work never serializes.
 //
-// Conjunctive filters are evaluated fused by default: one accumulator
-// bitmap seeded from the validity bitmap, every compiled predicate ANDing
-// its match words into it, the main store scanned morsel-at-a-time by a
-// bounded worker pool (WithWorkers). WithMetrics instruments the query and
-// merge paths on a metrics.Registry; without it the engine pays zero
-// instrumentation overhead.
+// Queries have one evaluator: every filter's dictionary search runs first,
+// then one accumulator bitmap seeded from the validity bitmap takes every
+// compiled predicate's match words, the main store scanned morsel-at-a-time
+// by a bounded worker pool (WithWorkers) and each delta region after it.
+// Merges have one pipeline, the off-lock one above. WithMetrics instruments
+// the query and merge paths on a metrics.Registry; without it the engine
+// pays zero instrumentation overhead.
 package engine
 
 import (
@@ -30,7 +31,6 @@ import (
 	"github.com/encdbdb/encdbdb/internal/enclave"
 	"github.com/encdbdb/encdbdb/internal/metrics"
 	"github.com/encdbdb/encdbdb/internal/ridset"
-	"github.com/encdbdb/encdbdb/internal/search"
 )
 
 // Errors returned by the engine.
@@ -56,34 +56,22 @@ type Option interface {
 }
 
 type options struct {
-	avMode         search.AVMode
 	workers        int
 	reorder        bool
-	packedScan     bool
-	fusedScan      bool
 	sealRows       int
 	autoMergeRows  int
 	autoMergeBytes int
-	blockingMerge  bool
 	streamChunk    int
 	metricsReg     *metrics.Registry
 }
-
-type avModeOption search.AVMode
-
-func (o avModeOption) apply(opts *options) { opts.avMode = search.AVMode(o) }
-
-// WithAVMode selects the attribute-vector membership strategy for unsorted
-// dictionaries (ablation A1). The default is search.AVSortedProbe.
-func WithAVMode(m search.AVMode) Option { return avModeOption(m) }
 
 type workersOption int
 
 func (o workersOption) apply(opts *options) { opts.workers = int(o) }
 
-// WithWorkers fixes the evaluation parallelism: both the attribute vector
-// scan fan-out and the number of conjunctive filters searched concurrently.
-// The default (0) uses GOMAXPROCS.
+// WithWorkers fixes the evaluation parallelism: the number of workers that
+// claim main-store morsels of one query's scan. The default (0) uses
+// GOMAXPROCS.
 func WithWorkers(n int) Option { return workersOption(n) }
 
 type reorderOption bool
@@ -94,32 +82,6 @@ func (o reorderOption) apply(opts *options) { opts.reorder = bool(o) }
 // ordering (default on). Disabled, filters run in the order given — useful
 // for measuring the optimizer's effect.
 func WithFilterReorder(on bool) Option { return reorderOption(on) }
-
-type packedScanOption bool
-
-func (o packedScanOption) apply(opts *options) { opts.packedScan = bool(o) }
-
-// WithPackedScan toggles the bit-packed SWAR attribute-vector scan kernels
-// for main-store and sealed-delta-run searches (default on). Disabled, scans
-// unpack the codes and run the original []uint32 entry points under the
-// configured AVMode — the baseline for the compression ablation. The active
-// tail run always uses the direct identity path: its attribute vector is
-// AV[i] = i by construction, so the matching rows are the ValueIDs
-// themselves.
-func WithPackedScan(on bool) Option { return packedScanOption(on) }
-
-type fusedScanOption bool
-
-func (o fusedScanOption) apply(opts *options) { opts.fusedScan = bool(o) }
-
-// WithFusedScan toggles the fused single-pass conjunction pipeline (default
-// on): predicates and row validity are ANDed into one accumulator during the
-// first scan, with morsel-driven parallelism across the main store, instead
-// of materializing one set per filter and intersecting afterwards. Disabled
-// — or whenever the packed kernels are disabled via WithPackedScan(false) —
-// queries evaluate on the two-pass baseline path, which the scan benchmark
-// and the fused property tests compare against.
-func WithFusedScan(on bool) Option { return fusedScanOption(on) }
 
 type sealRowsOption int
 
@@ -152,17 +114,6 @@ func (o autoMergeOption) apply(opts *options) {
 func WithAutoMerge(maxRows, maxBytes int) Option {
 	return autoMergeOption{rows: maxRows, bytes: maxBytes}
 }
-
-type blockingMergeOption bool
-
-func (o blockingMergeOption) apply(opts *options) { opts.blockingMerge = bool(o) }
-
-// WithBlockingMerge restores the legacy merge behaviour that holds the table
-// write lock for the entire enclave rebuild, stalling every concurrent
-// Select and writer on the table. It exists as the baseline for the merge
-// benchmark's blocking-vs-background comparison; production configurations
-// should keep the default (false).
-func WithBlockingMerge(on bool) Option { return blockingMergeOption(on) }
 
 type metricsOption struct{ reg *metrics.Registry }
 
@@ -268,10 +219,7 @@ type column struct {
 // allowed for plaintext-only databases (the PlainDBDB baseline).
 func New(encl *enclave.Enclave, opts ...Option) *DB {
 	o := options{
-		avMode:      search.AVSortedProbe,
 		reorder:     true,
-		packedScan:  true,
-		fusedScan:   true,
 		sealRows:    defaultSealRows,
 		streamChunk: defaultStreamChunk,
 	}

@@ -3,9 +3,8 @@ package engine
 // SetMergeHooks installs test instrumentation inside the background merge
 // pipeline: afterSeal runs once the tail is sealed and the base version
 // pinned (the rebuild is about to start, no lock held), beforeSwap runs when
-// the rebuilt stores are ready but not yet installed. Blocking merges
-// (WithBlockingMerge) skip the hooks — they would run under the table lock.
-// Install hooks before starting traffic; nil clears a hook.
+// the rebuilt stores are ready but not yet installed. Neither runs under the
+// table lock. Install hooks before starting traffic; nil clears a hook.
 func (db *DB) SetMergeHooks(afterSeal, beforeSwap func(table string)) {
 	db.mergeHooks.afterSeal = afterSeal
 	db.mergeHooks.beforeSwap = beforeSwap

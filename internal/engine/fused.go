@@ -20,29 +20,6 @@ import (
 // per-morsel context check are noise.
 const morselGroups = 128
 
-// matchValid evaluates the conjunction of all filters AND row validity over
-// a pinned version. It dispatches between the fused single-pass pipeline
-// (default) and the two-pass baseline of matchRows + IntersectWith, which
-// remains live for WithFusedScan(false), for the unpacked-scan ablation, and
-// as the reference the fused property tests compare against.
-//
-// limit (0 = none) is the LIMIT-pushdown hint: a caller that will keep only
-// the first limit matches in RecordID order allows the fused path to stop
-// scanning delta regions once the rows before them already satisfy the cap.
-// The returned set may therefore overshoot limit but never misses a row the
-// truncated prefix needs.
-func (db *DB) matchValid(ctx context.Context, v *version, filters []Filter, limit int) (*ridset.Set, error) {
-	if db.opts.fusedScan && db.opts.packedScan {
-		return db.matchRowsFused(ctx, v, filters, limit)
-	}
-	match, err := db.matchRows(ctx, v, filters)
-	if err != nil {
-		return nil, err
-	}
-	match.IntersectWith(v.valid)
-	return match, nil
-}
-
 // fusedFilter is one filter compiled by the dictionary phase: the per-store
 // results of every dictionary search, ready for the scan phase. The main
 // store's ranges or ValueIDs are compiled into a PackedPred; each delta
@@ -55,25 +32,28 @@ type fusedFilter struct {
 	tailIDs  []uint32
 }
 
-// matchRowsFused is the fused conjunction pipeline: one dictionary phase
-// compiling every filter, then a single morsel-driven pass over the main
-// store evaluating all predicates per 64-row group directly against a
-// validity-seeded accumulator, then the delta regions the same way. Compared
-// to the two-pass matchRows + validity intersection it never materializes a
-// per-filter set, never rescans for the intersection, and skips every group
-// an earlier predicate (or a deletion) already emptied.
+// matchValid evaluates the conjunction of all filters AND row validity over
+// a pinned version: one dictionary phase compiling every filter, then a
+// single morsel-driven pass over the main store evaluating all predicates
+// per 64-row group directly against a validity-seeded accumulator, then the
+// delta regions the same way. It never materializes a per-filter set, never
+// rescans for an intersection, and skips every group an earlier predicate
+// (or a deletion) already emptied. With no filters, every valid row matches.
 //
 // Parallelism is morsel-driven: workers claim 128-group chunks of the main
 // store from an atomic counter, so all cores cooperate on one scan and a
-// filter with skewed selectivity cannot idle them the way the per-filter
-// fan-out could.
+// filter with skewed selectivity cannot idle them.
 //
-// Semantics match matchRows + IntersectWith(valid) with one caveat: the
-// dictionary phase runs for every planned filter up front (bailing only when
-// a filter is dictionary-level empty), so a dictionary error on a later
-// filter surfaces even when the conjunction would have emptied mid-scan —
-// the two-pass parallel path has the same property for its fan-out searches.
-func (db *DB) matchRowsFused(ctx context.Context, v *version, filters []Filter, limit int) (*ridset.Set, error) {
+// The dictionary phase runs for every planned filter up front, bailing only
+// when a filter is dictionary-level empty, so a dictionary error on a later
+// filter surfaces even when the conjunction would have emptied mid-scan.
+//
+// limit (0 = none) is the LIMIT-pushdown hint: a caller that will keep only
+// the first limit matches in RecordID order allows the scan to stop before
+// delta regions once the rows before them already satisfy the cap. The
+// returned set may therefore overshoot limit but never misses a row the
+// truncated prefix needs.
+func (db *DB) matchValid(ctx context.Context, v *version, filters []Filter, limit int) (*ridset.Set, error) {
 	n := v.rows()
 	if len(filters) == 0 {
 		return v.valid.Clone(), nil
@@ -81,8 +61,7 @@ func (db *DB) matchRowsFused(ctx context.Context, v *version, filters []Filter, 
 
 	// Dictionary phase, sequential in planned order: preserves the planner's
 	// error order, and a dictionary-level empty filter (no ValueID can
-	// match anywhere in the chain) short-circuits the remaining searches
-	// exactly like the two-pass path's empty-set bail.
+	// match anywhere in the chain) short-circuits the remaining searches.
 	planned := db.planFilters(v, filters)
 	preds := make([]*fusedFilter, 0, len(planned))
 	for _, f := range planned {

@@ -37,42 +37,41 @@ func limitEnv(t *testing.T, opts ...engine.Option) (*env, engine.ColumnDef) {
 
 // TestSelectLimitPushdown pins that Query.Limit returns exactly the first
 // Limit matches in RecordID order — the same prefix a client-side cutoff of
-// the unlimited result would keep — on both the fused and two-pass paths.
+// the unlimited result would keep. The fused scan is the only evaluator; its
+// subtest keeps the name it had when a two-pass path ran beside it.
 func TestSelectLimitPushdown(t *testing.T) {
-	for _, fused := range []bool{true, false} {
-		t.Run(fmt.Sprintf("fused=%v", fused), func(t *testing.T) {
-			v, def := limitEnv(t, engine.WithFusedScan(fused))
-			ctx := context.Background()
-			f := v.filter(t, "lim", def, search.Closed([]byte("v000"), []byte("v099")))
-			full, err := v.db.Select(ctx, engine.Query{Table: "lim", Filters: []engine.Filter{f}})
+	t.Run("fused=true", func(t *testing.T) {
+		v, def := limitEnv(t)
+		ctx := context.Background()
+		f := v.filter(t, "lim", def, search.Closed([]byte("v000"), []byte("v099")))
+		full, err := v.db.Select(ctx, engine.Query{Table: "lim", Filters: []engine.Filter{f}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Count != 80 {
+			t.Fatalf("full Count = %d, want 80", full.Count)
+		}
+		for _, limit := range []int{1, 10, 60, 65, 80, 200} {
+			got, err := v.db.Select(ctx, engine.Query{
+				Table: "lim", Filters: []engine.Filter{f}, Limit: limit,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if full.Count != 80 {
-				t.Fatalf("full Count = %d, want 80", full.Count)
+			want := min(limit, full.Count)
+			if got.Count != want || len(got.RecordIDs) != want {
+				t.Fatalf("limit %d: Count = %d, rids = %d, want %d", limit, got.Count, len(got.RecordIDs), want)
 			}
-			for _, limit := range []int{1, 10, 60, 65, 80, 200} {
-				got, err := v.db.Select(ctx, engine.Query{
-					Table: "lim", Filters: []engine.Filter{f}, Limit: limit,
-				})
-				if err != nil {
-					t.Fatal(err)
+			for i := 0; i < want; i++ {
+				if got.RecordIDs[i] != full.RecordIDs[i] {
+					t.Fatalf("limit %d: rid[%d] = %d, want %d", limit, i, got.RecordIDs[i], full.RecordIDs[i])
 				}
-				want := min(limit, full.Count)
-				if got.Count != want || len(got.RecordIDs) != want {
-					t.Fatalf("limit %d: Count = %d, rids = %d, want %d", limit, got.Count, len(got.RecordIDs), want)
-				}
-				for i := 0; i < want; i++ {
-					if got.RecordIDs[i] != full.RecordIDs[i] {
-						t.Fatalf("limit %d: rid[%d] = %d, want %d", limit, i, got.RecordIDs[i], full.RecordIDs[i])
-					}
-					if string(got.Columns[0].Cells[i]) != string(full.Columns[0].Cells[i]) {
-						t.Fatalf("limit %d: cell %d differs from unlimited prefix", limit, i)
-					}
+				if string(got.Columns[0].Cells[i]) != string(full.Columns[0].Cells[i]) {
+					t.Fatalf("limit %d: cell %d differs from unlimited prefix", limit, i)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestSelectLimitStream: the streaming cursor stops at the pushed-down limit

@@ -158,29 +158,6 @@ func (db *DB) mergePass(tableName string, t *table) error {
 
 // runMerge is the merge pipeline body; the caller holds mergeMu.
 func (db *DB) runMerge(tableName string, t *table) error {
-	if db.opts.blockingMerge {
-		// Legacy baseline: the whole pipeline under one write lock. The
-		// checkpoint gate wraps it entirely — lock order is gate first.
-		endGate := db.gateCheckpoint(tableName)
-		defer endGate()
-		t.mu.Lock()
-		if err := t.ready(); err != nil {
-			t.mu.Unlock()
-			return err
-		}
-		t.sealTailLocked(0)
-		base := t.versionLocked()
-		merged, newRows, err := db.rebuild(tableName, base)
-		if err != nil {
-			t.mu.Unlock()
-			return err
-		}
-		db.swapLocked(t, base, merged, newRows)
-		gen := t.gen
-		t.mu.Unlock()
-		return db.checkpointMerged(tableName, gen)
-	}
-
 	// 1. Seal: freeze the current tail into a run and pin the version the
 	// rebuild will consume. Brief critical section.
 	t.mu.Lock()

@@ -3,9 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/enclave"
@@ -68,11 +66,11 @@ type Result struct {
 
 // Select evaluates a query: each filter runs the two-phase search on its
 // column (dictionary search in the enclave, attribute vector search in the
-// untrusted realm), the per-filter RecordID sets are intersected, validity
-// is applied, and the projected columns are rendered (paper Fig. 5 steps
-// 6-13). The table is locked only for the brief version pin; the search and
-// rendering run lock-free against the pinned version, so a long scan never
-// blocks writers or an in-flight background merge — and vice versa.
+// untrusted realm) into one validity-seeded match bitmap, and the projected
+// columns are rendered (paper Fig. 5 steps 6-13). The table is locked only
+// for the brief version pin; the search and rendering run lock-free against
+// the pinned version, so a long scan never blocks writers or an in-flight
+// background merge — and vice versa.
 //
 // The context is honored between scan chunks: cancelling it mid-scan
 // abandons the remaining per-filter searches and rendering and returns
@@ -137,7 +135,7 @@ func (db *DB) selectMatch(ctx context.Context, q Query) (*version, *ridset.Set, 
 // limitRIDs renders the match set to RecordIDs, keeping the first limit
 // (0 = all). LIMIT pushdown: the match set is in RecordID order, so the first
 // limit entries are exactly the rows a client-side cutoff would keep —
-// rendering (and for the fused path, delta scanning) never touches the rest.
+// rendering (and delta scanning, see fusedDeltaScan) never touches the rest.
 func limitRIDs(match *ridset.Set, limit int) []uint32 {
 	rids := match.Slice()
 	if limit > 0 && len(rids) > limit {
@@ -176,100 +174,11 @@ func ctxErr(ctx context.Context) error {
 	}
 }
 
-// matchRows evaluates the conjunction of all filters as a bitmap over the
-// pinned version's RecordID universe. With no filters, all rows match.
-//
-// The cheapest filter (per planFilters) always runs first and alone: if it
-// matches nothing the conjunction is empty and the expensive searches never
-// run — the short-circuit the optimizer's ordering exists for. Otherwise the
-// remaining filters fan out across workers (paper §4.2 places the attribute
-// vector phase in the untrusted realm precisely so it can use all the
-// parallelism of the column store), the per-filter scan parallelism is
-// divided among them so total parallelism stays bounded by workers, and
-// their sets are folded in planned order with the same per-filter
-// error/empty short-circuit the sequential loop applies — so outcomes
-// (results *and* errors) are identical regardless of worker count; the
-// parallel path merely wastes the searches the sequential one would have
-// skipped.
-func (db *DB) matchRows(ctx context.Context, v *version, filters []Filter) (*ridset.Set, error) {
-	n := v.rows()
-	if len(filters) == 0 {
-		return ridset.Full(n), nil
-	}
-	planned := db.planFilters(v, filters)
-	acc, err := db.filterRows(ctx, v, planned[0], db.opts.workers)
-	if err != nil {
-		return nil, err
-	}
-	rest := planned[1:]
-	if len(rest) == 0 || acc.Empty() {
-		return acc, nil
-	}
-
-	workers := db.opts.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 {
-		for _, f := range rest {
-			set, err := db.filterRows(ctx, v, f, 1)
-			if err != nil {
-				return nil, err
-			}
-			acc.IntersectWith(set)
-			if acc.Empty() {
-				return acc, nil
-			}
-		}
-		return acc, nil
-	}
-
-	total := workers
-	if workers > len(rest) {
-		workers = len(rest)
-	}
-	scanWorkers := total / workers
-	if scanWorkers < 1 {
-		scanWorkers = 1
-	}
-	sets := make([]*ridset.Set, len(rest))
-	errs := make([]error, len(rest))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				sets[i], errs[i] = db.filterRows(ctx, v, rest[i], scanWorkers)
-			}
-		}()
-	}
-	for i := range rest {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	// Fold in planned order with the sequential loop's exact semantics: an
-	// error surfaces only if every earlier filter succeeded and kept the
-	// conjunction non-empty, so workers>1 cannot change a query's outcome.
-	for i := range rest {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		acc.IntersectWith(sets[i])
-		if acc.Empty() {
-			return acc, nil
-		}
-	}
-	return acc, nil
-}
-
 // planFilters is the query optimizer of the pipeline (paper Fig. 5 step 6:
 // "the query optimizer selects a query plan"): filters are evaluated
 // cheapest dictionary search first, so an empty intermediate result
 // short-circuits the expensive linear scans of unsorted dictionaries.
-// Filters on unknown columns keep their position and fail in filterRows
+// Filters on unknown columns keep their position and fail in compileFilter
 // with a proper error.
 func (db *DB) planFilters(v *version, filters []Filter) []Filter {
 	if !db.opts.reorder || len(filters) < 2 {
@@ -302,114 +211,6 @@ func bitsLen(n int) int {
 		n >>= 1
 	}
 	return b
-}
-
-// filterRows runs one filter against the main store and the delta chain and
-// merges the RecordID sets (delta RecordIDs are offset by the main row
-// count). The paper's delta-store design executes every read query on both
-// stores and merges the results (§4.3). Multi-range filters (IN-lists) OR
-// the per-range sets into the same bitmap. scanWorkers bounds the attribute
-// vector scan parallelism for this filter — matchRows splits the total
-// worker budget among concurrently evaluated filters. The context is checked
-// between per-range scan chunks, so a cancelled query stops before the next
-// dictionary search or attribute-vector scan starts.
-func (db *DB) filterRows(ctx context.Context, v *version, f Filter, scanWorkers int) (*ridset.Set, error) {
-	cv, ok := v.cols[f.Column]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchColumn, f.Column)
-	}
-	acc := ridset.New(v.rows())
-	for _, rng := range f.Ranges {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		main, err := db.searchMain(cv, rng, scanWorkers)
-		if err != nil {
-			return nil, err
-		}
-		if main != nil {
-			acc.UnionWith(main)
-		}
-		if err := db.searchDelta(ctx, acc, v, cv, rng, scanWorkers); err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
-}
-
-// searchMain performs the two-phase search on the main store, emitting a
-// bitmap over the main store's RecordIDs: the dictionary search runs inside
-// the enclave (or locally for plain columns), then the attribute-vector
-// scan evaluates its result in the untrusted realm.
-func (db *DB) searchMain(cv *colVersion, q enclave.EncRange, scanWorkers int) (*ridset.Set, error) {
-	s := cv.main
-	if s.Rows() == 0 {
-		return nil, nil
-	}
-	res, err := db.mainDictSearch(cv, q)
-	if err != nil {
-		return nil, err
-	}
-	return db.scanMainAV(s, res, scanWorkers), nil
-}
-
-// scanMainAV runs the attribute-vector phase on the main store. The default
-// path hands the dictionary-search result to the bit-packed SWAR kernels,
-// which replaced the per-element match-closure scan for the common range
-// case; WithPackedScan(false) keeps the original []uint32 entry points live
-// for the baseline and ablations.
-func (db *DB) scanMainAV(s *dict.Split, res enclave.SearchResult, scanWorkers int) *ridset.Set {
-	if s.Kind.Order() == dict.OrderUnsorted {
-		if db.opts.packedScan {
-			return search.AttrVectListPackedSet(s.Packed(), res.IDs, scanWorkers)
-		}
-		return search.AttrVectListSet(s.AVCodes(), res.IDs, s.Len(), db.opts.avMode, scanWorkers)
-	}
-	if db.opts.packedScan {
-		return search.AttrVectRangesPackedSet(s.Packed(), res.Ranges, scanWorkers)
-	}
-	return search.AttrVectRangesSet(s.AVCodes(), res.Ranges, scanWorkers)
-}
-
-// searchDelta performs the search on the write-optimized delta chain, which
-// always uses ED9 semantics (unsorted, frequency hiding; paper §4.3), and
-// ORs the matches into acc at their table-wide RecordIDs. Sealed runs answer
-// the attribute-vector phase with the bit-packed membership kernel built at
-// seal time; the active tail exploits its identity attribute vector
-// directly — the matching ValueIDs are the matching rows — so only the
-// small unsealed portion pays a per-element path.
-func (db *DB) searchDelta(ctx context.Context, acc *ridset.Set, v *version, cv *colVersion, q enclave.EncRange, scanWorkers int) error {
-	off := v.mainRows
-	for _, run := range cv.sealed {
-		if err := ctxErr(ctx); err != nil {
-			return err
-		}
-		ids, err := db.deltaDictSearch(cv, run, q)
-		if err != nil {
-			return err
-		}
-		if len(ids) > 0 {
-			var set *ridset.Set
-			if db.opts.packedScan {
-				set = search.AttrVectListPackedSet(run.packed, ids, scanWorkers)
-			} else {
-				set = search.AttrVectListSet(run.identCodes(), ids, run.rows(), db.opts.avMode, scanWorkers)
-			}
-			acc.OrShifted(set, off)
-		}
-		off += run.rows()
-	}
-	if cv.tail.Len() == 0 {
-		return nil
-	}
-	ids, err := db.deltaDictSearch(cv, cv.tail, q)
-	if err != nil {
-		return err
-	}
-	for _, id := range ids {
-		acc.Add(uint32(off + int(id)))
-	}
-	return nil
 }
 
 // deltaDictSearch runs the dictionary-search phase on one delta region

@@ -10,26 +10,6 @@ import (
 	"github.com/encdbdb/encdbdb/internal/ridset"
 )
 
-// AVMode selects the membership test used by AttrVectSearch for unsorted
-// dictionaries (ED3/ED6/ED9), where the dictionary search returns a list of
-// ValueIDs rather than ranges. The paper's algorithm compares every
-// attribute vector entry with every returned ValueID (O(|AV|·|vid|)); this
-// repository defaults to a sorted-list binary search and also offers a
-// bitset, both preserved side by side for ablation A1 (see DESIGN.md).
-type AVMode int
-
-const (
-	// AVSortedProbe binary-searches a sorted copy of the ValueID list for
-	// each attribute vector entry: O(|AV|·log|vid|). The default.
-	AVSortedProbe AVMode = iota + 1
-	// AVNestedLoop is the paper's literal algorithm: compare each entry
-	// against each ValueID, O(|AV|·|vid|), with early exit on match.
-	AVNestedLoop
-	// AVBitset materializes a |D|-bit set of matching ValueIDs, then
-	// scans the attribute vector with O(1) probes.
-	AVBitset
-)
-
 // Parallelism picks the worker count for attribute vector scans: the paper
 // notes the scan "is parallelizable with a speedup expected to be linear in
 // the number of threads". Zero or negative means GOMAXPROCS.
@@ -40,76 +20,12 @@ func parallelism(p int) int {
 	return p
 }
 
-// AttrVectRangesSet implements AttrVectSearch 1/2/4/5/7/8: it scans the
-// attribute vector and emits, into a bitmap over [0, |AV|), the RecordIDs
-// whose ValueID falls into any of the given inclusive ranges (at most two
-// ranges are produced by the dictionary searches). workers <= 0 uses
-// GOMAXPROCS.
-func AttrVectRangesSet(av []uint32, ranges []VidRange, workers int) *ridset.Set {
-	out := ridset.New(len(av))
-	if len(av) == 0 || len(ranges) == 0 {
-		return out
-	}
-	match := func(vid uint32) bool {
-		for _, r := range ranges {
-			if vid >= r.Lo && vid <= r.Hi {
-				return true
-			}
-		}
-		return false
-	}
-	parallelScan(out, av, workers, match)
-	return out
-}
-
-// AttrVectListSet implements AttrVectSearch 3/6/9: it emits, into a bitmap
-// over [0, |AV|), the RecordIDs whose ValueID appears in vids. dictLen is
-// |D|, needed by the bitset mode. workers <= 0 uses GOMAXPROCS.
-func AttrVectListSet(av []uint32, vids []uint32, dictLen int, mode AVMode, workers int) *ridset.Set {
-	out := ridset.New(len(av))
-	if len(av) == 0 || len(vids) == 0 {
-		return out
-	}
-	var match func(uint32) bool
-	switch mode {
-	case AVNestedLoop:
-		match = func(vid uint32) bool {
-			for _, u := range vids {
-				if vid == u {
-					return true
-				}
-			}
-			return false
-		}
-	case AVBitset:
-		bits := make([]uint64, (dictLen+63)/64)
-		for _, u := range vids {
-			bits[u/64] |= 1 << (u % 64)
-		}
-		match = func(vid uint32) bool {
-			return bits[vid/64]&(1<<(vid%64)) != 0
-		}
-	default: // AVSortedProbe
-		sorted := vids
-		if !slices.IsSorted(sorted) {
-			sorted = slices.Clone(vids)
-			slices.Sort(sorted)
-		}
-		match = func(vid uint32) bool {
-			_, ok := slices.BinarySearch(sorted, vid)
-			return ok
-		}
-	}
-	parallelScan(out, av, workers, match)
-	return out
-}
-
 // AttrVectRangesPackedSet is the bit-packed fast path of AttrVectSearch
 // 1/2/4/5/7/8: the SWAR kernels of internal/av evaluate the range
 // disjunction on 64 packed codes per iteration and OR match words directly
 // into the bitmap — no per-element unpacking and no match-closure dispatch.
-// The unpacked AttrVectRangesSet remains beside it for the baseline and the
-// ablations. workers <= 0 uses GOMAXPROCS.
+// The unpacked per-element scans it replaced live on in internal/baseline
+// for the ablations. workers <= 0 uses GOMAXPROCS.
 func AttrVectRangesPackedSet(v *av.Vector, ranges []VidRange, workers int) *ridset.Set {
 	return packedSet(CompileRangesPred(v, ranges), workers)
 }
@@ -248,8 +164,8 @@ func (p PackedPred) ScanInto(acc *ridset.Set, gLo, gHi int) bool {
 	return p.v.ScanRangesInto(acc, gLo, gHi, p.ranges)
 }
 
-// Scan ORs the predicate's matches over [gLo, gHi) into out — the two-pass
-// baseline counterpart of ScanInto.
+// Scan ORs the predicate's matches over [gLo, gHi) into out — the
+// set-building counterpart of ScanInto behind the *PackedSet entry points.
 func (p PackedPred) Scan(out *ridset.Set, gLo, gHi int) {
 	if p.list {
 		p.v.ScanBitset(out, gLo, gHi, p.bitset)
@@ -294,8 +210,7 @@ func packedInto(p PackedPred, acc *ridset.Set, workers int) bool {
 
 // packedShards distributes the packed vector's 64-row groups across workers.
 // Each shard owns whole groups, hence disjoint words of the output set, so
-// the kernels emit without synchronization — the same invariant the
-// unpacked parallelScan maintains via 64-aligned chunk boundaries.
+// the kernels emit without synchronization.
 func packedShards(rows, workers int, scan func(gLo, gHi int)) {
 	groups := (rows + av.GroupRows - 1) / av.GroupRows
 	w := parallelism(workers)
@@ -320,54 +235,4 @@ func packedShards(rows, workers int, scan func(gLo, gHi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// AttrVectRanges is AttrVectRangesSet rendered to an ascending RecordID
-// slice, kept for callers outside the engine's bitmap pipeline.
-func AttrVectRanges(av []uint32, ranges []VidRange, workers int) []uint32 {
-	return AttrVectRangesSet(av, ranges, workers).Slice()
-}
-
-// AttrVectList is AttrVectListSet rendered to an ascending RecordID slice,
-// kept for callers outside the engine's bitmap pipeline.
-func AttrVectList(av []uint32, vids []uint32, dictLen int, mode AVMode, workers int) []uint32 {
-	return AttrVectListSet(av, vids, dictLen, mode, workers).Slice()
-}
-
-// parallelScan shards av across workers, each emitting matches into the
-// shared bitmap. Shard boundaries are aligned to 64 RecordIDs so every
-// worker owns a disjoint word range of the set and no synchronization is
-// needed beyond the final WaitGroup join.
-func parallelScan(out *ridset.Set, av []uint32, workers int, match func(uint32) bool) {
-	w := parallelism(workers)
-	if maxShards := (len(av) + 63) / 64; w > maxShards {
-		w = maxShards
-	}
-	if w <= 1 {
-		scanChunk(out, av, 0, match)
-		return
-	}
-	chunk := ((len(av)+w-1)/w + 63) &^ 63
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(av); lo += chunk {
-		hi := lo + chunk
-		if hi > len(av) {
-			hi = len(av)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			scanChunk(out, av[lo:hi], uint32(lo), match)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// scanChunk scans one shard, offsetting RecordIDs by base.
-func scanChunk(out *ridset.Set, av []uint32, base uint32, match func(uint32) bool) {
-	for j, vid := range av {
-		if match(vid) {
-			out.Add(base + uint32(j))
-		}
-	}
 }

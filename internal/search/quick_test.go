@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"github.com/encdbdb/encdbdb/internal/av"
+	"github.com/encdbdb/encdbdb/internal/baseline"
 	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/search"
 )
@@ -119,9 +120,9 @@ func TestQuickAttrVectModesAgree(t *testing.T) {
 				vids = append(vids, u)
 			}
 		}
-		a := search.AttrVectList(av, vids, dictLen, search.AVSortedProbe, 1)
-		b := search.AttrVectList(av, vids, dictLen, search.AVNestedLoop, 1)
-		c := search.AttrVectList(av, vids, dictLen, search.AVBitset, 2)
+		a := baseline.AttrVectList(av, vids, dictLen, baseline.AVSortedProbe, 1)
+		b := baseline.AttrVectList(av, vids, dictLen, baseline.AVNestedLoop, 1)
+		c := baseline.AttrVectList(av, vids, dictLen, baseline.AVBitset, 2)
 		return equalIDs(a, b) && equalIDs(b, c)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -131,7 +132,8 @@ func TestQuickAttrVectModesAgree(t *testing.T) {
 
 // TestQuickPackedScansAgreeWithUnpacked is the packed ≡ unpacked property
 // at the search-entry-point level: the SWAR kernels over a bit-packed
-// vector must emit exactly the RecordIDs of the []uint32 scans, for random
+// vector must emit exactly the RecordIDs of internal/baseline's []uint32
+// scans, for random
 // codes, dictionary sizes (including the 2^k / 2^k+1 width boundaries via
 // the random dictLen), ranges, membership lists and worker counts.
 func TestQuickPackedScansAgreeWithUnpacked(t *testing.T) {
@@ -152,7 +154,7 @@ func TestQuickPackedScansAgreeWithUnpacked(t *testing.T) {
 		// Two ranges, the second possibly wrapping past |D| (as rotated
 		// searches produce before clamping).
 		ranges := []search.VidRange{{Lo: lo, Hi: hi}, {Lo: hi, Hi: hi + 3}}
-		a := search.AttrVectRangesSet(codes, ranges, 1).Slice()
+		a := baseline.AttrVectRangesSet(codes, ranges, 1).Slice()
 		b := search.AttrVectRangesPackedSet(vec, ranges, workers).Slice()
 		if !equalIDs(a, b) {
 			return false
@@ -162,7 +164,7 @@ func TestQuickPackedScansAgreeWithUnpacked(t *testing.T) {
 		for _, v := range vidSeed {
 			vids = append(vids, uint32(int(v)%dictLen))
 		}
-		c := search.AttrVectList(codes, vids, dictLen, search.AVSortedProbe, 1)
+		c := baseline.AttrVectList(codes, vids, dictLen, baseline.AVSortedProbe, 1)
 		d := search.AttrVectListPackedSet(vec, vids, workers).Slice()
 		return equalIDs(c, d)
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/encdbdb/encdbdb/internal/baseline"
 	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/ordenc"
 	"github.com/encdbdb/encdbdb/internal/pae"
@@ -110,19 +111,19 @@ func searchRows(t testing.TB, f *fixture, q search.Range) []uint32 {
 		if !ok {
 			return nil
 		}
-		return search.AttrVectRanges(f.split.AVCodes(), []search.VidRange{vr}, 1)
+		return baseline.AttrVectRanges(f.split.AVCodes(), []search.VidRange{vr}, 1)
 	case dict.OrderRotated:
 		ranges, err := search.RotatedDict(f.split, f.dec, f.enc, q, f.tailRun)
 		if err != nil {
 			t.Fatalf("RotatedDict: %v", err)
 		}
-		return search.AttrVectRanges(f.split.AVCodes(), ranges, 1)
+		return baseline.AttrVectRanges(f.split.AVCodes(), ranges, 1)
 	default:
 		vids, err := search.UnsortedDict(f.split, f.dec, q)
 		if err != nil {
 			t.Fatalf("UnsortedDict: %v", err)
 		}
-		return search.AttrVectList(f.split.AVCodes(), vids, f.split.Len(), search.AVSortedProbe, 1)
+		return baseline.AttrVectList(f.split.AVCodes(), vids, f.split.Len(), baseline.AVSortedProbe, 1)
 	}
 }
 
@@ -450,9 +451,9 @@ func TestAttrVectModesAgree(t *testing.T) {
 				vids = append(vids, uint32(v))
 			}
 		}
-		want := search.AttrVectList(av, vids, dictLen, search.AVSortedProbe, 1)
-		for _, mode := range []search.AVMode{search.AVNestedLoop, search.AVBitset} {
-			got := search.AttrVectList(av, vids, dictLen, mode, 1)
+		want := baseline.AttrVectList(av, vids, dictLen, baseline.AVSortedProbe, 1)
+		for _, mode := range []baseline.AVMode{baseline.AVNestedLoop, baseline.AVBitset} {
+			got := baseline.AttrVectList(av, vids, dictLen, mode, 1)
 			if !equalIDs(got, want) {
 				t.Fatalf("mode %d disagrees: got %v, want %v", mode, got, want)
 			}
@@ -467,9 +468,9 @@ func TestAttrVectParallelMatchesSerial(t *testing.T) {
 		av[i] = uint32(rng.Intn(100))
 	}
 	ranges := []search.VidRange{{Lo: 10, Hi: 20}, {Lo: 80, Hi: 99}}
-	serial := search.AttrVectRanges(av, ranges, 1)
+	serial := baseline.AttrVectRanges(av, ranges, 1)
 	for _, workers := range []int{0, 2, 3, 8, 64} {
-		got := search.AttrVectRanges(av, ranges, workers)
+		got := baseline.AttrVectRanges(av, ranges, workers)
 		if !equalIDs(got, serial) {
 			t.Fatalf("workers=%d: parallel scan disagrees with serial", workers)
 		}
@@ -477,16 +478,16 @@ func TestAttrVectParallelMatchesSerial(t *testing.T) {
 }
 
 func TestAttrVectEmptyInputs(t *testing.T) {
-	if got := search.AttrVectRanges(nil, []search.VidRange{{Lo: 0, Hi: 1}}, 0); got != nil {
+	if got := baseline.AttrVectRanges(nil, []search.VidRange{{Lo: 0, Hi: 1}}, 0); got != nil {
 		t.Errorf("empty AV: got %v", got)
 	}
-	if got := search.AttrVectRanges([]uint32{1}, nil, 0); got != nil {
+	if got := baseline.AttrVectRanges([]uint32{1}, nil, 0); got != nil {
 		t.Errorf("no ranges: got %v", got)
 	}
-	if got := search.AttrVectList(nil, []uint32{1}, 2, search.AVBitset, 0); got != nil {
+	if got := baseline.AttrVectList(nil, []uint32{1}, 2, baseline.AVBitset, 0); got != nil {
 		t.Errorf("empty AV list: got %v", got)
 	}
-	if got := search.AttrVectList([]uint32{1}, nil, 2, search.AVBitset, 0); got != nil {
+	if got := baseline.AttrVectList([]uint32{1}, nil, 2, baseline.AVBitset, 0); got != nil {
 		t.Errorf("no vids: got %v", got)
 	}
 }
@@ -586,19 +587,5 @@ func BenchmarkUnsortedDictSearch10k(b *testing.B) {
 		if _, err := search.UnsortedDict(f.split, f.dec, q); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkAttrVectRanges1M(b *testing.B) {
-	av := make([]uint32, 1_000_000)
-	rng := rand.New(rand.NewSource(21))
-	for i := range av {
-		av[i] = uint32(rng.Intn(10000))
-	}
-	ranges := []search.VidRange{{Lo: 100, Hi: 200}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		search.AttrVectRanges(av, ranges, 0)
 	}
 }

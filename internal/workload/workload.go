@@ -3,8 +3,8 @@
 // paper's evaluation (§6.2-6.3), plus the random range queries driving
 // Figures 7 and 8.
 //
-// The paper's snapshot is proprietary; per DESIGN.md the generator
-// reproduces the published characteristics instead: C1 holds 10.9 million
+// The paper's snapshot is proprietary, so the generator reproduces the
+// published characteristics instead: C1 holds 10.9 million
 // 12-character values of which 6.96 million are unique (almost no
 // repetition), C2 holds 10.9 million 10-character values with only 13,361
 // unique values (heavy repetition, moderately skewed). Experiments sample
