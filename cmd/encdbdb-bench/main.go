@@ -23,6 +23,35 @@ import (
 	"github.com/encdbdb/encdbdb/internal/bench"
 )
 
+// experiments maps every -exp name to its runner.
+var experiments = map[string]func(bench.Config) error{
+	"table1":             bench.Table1,
+	"table3":             bench.Table3,
+	"table4":             bench.Table4,
+	"table6":             bench.Table6,
+	"fig6":               bench.Fig6,
+	"fig7":               bench.Fig7,
+	"fig8a":              func(c bench.Config) error { return bench.Fig8(c, bench.Fig8A) },
+	"fig8b":              func(c bench.Config) error { return bench.Fig8(c, bench.Fig8B) },
+	"fig8c":              func(c bench.Config) error { return bench.Fig8(c, bench.Fig8C) },
+	"claims":             bench.Claims,
+	"compression":        bench.Compression,
+	"scan":               bench.Scan,
+	"load":               bench.Load,
+	"ablation-av":        bench.AblationAV,
+	"ablation-optimizer": bench.AblationOptimizer,
+	"ablation-bsmax":     bench.AblationBSMax,
+	"ablation-enclave":   bench.AblationEnclave,
+}
+
+// order is the one experiment list: -exp all runs it in this order, and the
+// -exp help text and the unknown-experiment error print it.
+var order = []string{
+	"table1", "table3", "table4", "table6", "fig6", "fig7",
+	"fig8a", "fig8b", "fig8c", "claims", "compression", "scan", "load",
+	"ablation-av", "ablation-optimizer", "ablation-bsmax", "ablation-enclave",
+}
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "encdbdb-bench:", err)
@@ -32,7 +61,7 @@ func main() {
 
 func run() error {
 	var (
-		exp     = flag.String("exp", "all", "experiment: table1 table3 table4 table6 fig6 fig7 fig8a fig8b fig8c claims concurrency compression scan prepared load shard ablation-av ablation-optimizer ablation-bsmax ablation-enclave all")
+		exp     = flag.String("exp", "all", "experiment: "+strings.Join(order, " ")+" all")
 		rows    = flag.String("rows", "10000,30000", "comma-separated dataset size sweep")
 		queries = flag.Int("queries", 50, "random range queries per measurement point (paper: 500)")
 		rs      = flag.String("rs", "2,100", "comma-separated range sizes (paper: 2,100)")
@@ -53,34 +82,6 @@ func run() error {
 	}
 	if cfg.RangeSizes, err = parseInts(*rs); err != nil {
 		return fmt.Errorf("bad -rs: %w", err)
-	}
-
-	experiments := map[string]func(bench.Config) error{
-		"table1":             bench.Table1,
-		"table3":             bench.Table3,
-		"table4":             bench.Table4,
-		"table6":             bench.Table6,
-		"fig6":               bench.Fig6,
-		"fig7":               bench.Fig7,
-		"fig8a":              func(c bench.Config) error { return bench.Fig8(c, bench.Fig8A) },
-		"fig8b":              func(c bench.Config) error { return bench.Fig8(c, bench.Fig8B) },
-		"fig8c":              func(c bench.Config) error { return bench.Fig8(c, bench.Fig8C) },
-		"claims":             bench.Claims,
-		"concurrency":        bench.Concurrency,
-		"compression":        bench.Compression,
-		"scan":               bench.Scan,
-		"prepared":           bench.Prepared,
-		"load":               bench.Load,
-		"shard":              bench.Shard,
-		"ablation-av":        bench.AblationAV,
-		"ablation-optimizer": bench.AblationOptimizer,
-		"ablation-bsmax":     bench.AblationBSMax,
-		"ablation-enclave":   bench.AblationEnclave,
-	}
-	order := []string{
-		"table1", "table3", "table4", "table6", "fig6", "fig7",
-		"fig8a", "fig8b", "fig8c", "claims", "concurrency", "compression", "scan", "prepared", "load", "shard",
-		"ablation-av", "ablation-optimizer", "ablation-bsmax", "ablation-enclave",
 	}
 
 	if *exp == "all" {

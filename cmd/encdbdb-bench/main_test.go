@@ -2,6 +2,28 @@ package main
 
 import "testing"
 
+// TestOrderMatchesExperiments keeps the two experiment tables in step: a name
+// in order without a runner would make -exp all call a nil function, and a
+// runner missing from order would be unreachable from -exp all and absent
+// from the help text.
+func TestOrderMatchesExperiments(t *testing.T) {
+	seen := make(map[string]bool, len(order))
+	for _, name := range order {
+		if seen[name] {
+			t.Errorf("order lists %q twice", name)
+		}
+		seen[name] = true
+		if experiments[name] == nil {
+			t.Errorf("order lists %q, which has no runner", name)
+		}
+	}
+	for name := range experiments {
+		if !seen[name] {
+			t.Errorf("experiment %q is missing from order", name)
+		}
+	}
+}
+
 func TestParseInts(t *testing.T) {
 	tests := []struct {
 		give    string

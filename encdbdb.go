@@ -40,8 +40,7 @@
 // placeholders bind arguments that are encrypted exactly like inline
 // literals, Session.Prepare amortizes parsing and schema resolution across
 // repeated executions, and Query streams decrypted rows through a *Rows
-// cursor instead of materializing the result. The legacy string-splicing
-// Session.Exec survives as a deprecated wrapper.
+// cursor instead of materializing the result.
 //
 // Runnable programs live under examples/ and cmd/.
 package encdbdb
@@ -116,8 +115,7 @@ const (
 type Range = search.Range
 
 // Client is a connection to a remote EncDBDB provider. It is multiplexed:
-// concurrent calls share the connection without serializing round trips
-// (with transparent lock-step fallback against old servers).
+// concurrent calls share the connection without serializing round trips.
 type Client = wire.Client
 
 // Pool is a fixed-size set of multiplexed connections to one remote

@@ -115,7 +115,7 @@ func TestPublicPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sess2.Exec("SELECT c FROM p")
+	res, err := sess2.ExecContext(context.Background(), "SELECT c FROM p")
 	if err != nil || len(res.Rows) != 1 || res.Rows[0][0] != "x" {
 		t.Fatalf("rows = %+v, %v", res, err)
 	}

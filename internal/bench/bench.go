@@ -50,18 +50,12 @@ type Config struct {
 	// JSONPath, when non-empty, is where the compression experiment
 	// writes its machine-readable results.
 	JSONPath string
-	// PreparedJSONPath, when non-empty, is where the prepared-statement
-	// experiment writes its machine-readable results.
-	PreparedJSONPath string
 	// ScanJSONPath, when non-empty, is where the fused-scan experiment
 	// writes its machine-readable results.
 	ScanJSONPath string
 	// LoadJSONPath, when non-empty, is where the sustained-load experiment
 	// writes its machine-readable results.
 	LoadJSONPath string
-	// ShardJSONPath, when non-empty, is where the sharding experiment writes
-	// its machine-readable results.
-	ShardJSONPath string
 	// LoadWindow is the per-point measurement window of the sustained-load
 	// experiment (0 = 500ms). Warmup rides on top of it.
 	LoadWindow time.Duration
@@ -71,17 +65,15 @@ type Config struct {
 // seconds on a laptop while preserving the paper's shapes.
 func DefaultConfig(out io.Writer) Config {
 	return Config{
-		Rows:             []int{10_000, 30_000},
-		Queries:          50,
-		RangeSizes:       []int{2, 100},
-		BSMax:            10,
-		Seed:             1,
-		Out:              out,
-		JSONPath:         "BENCH_compression.json",
-		PreparedJSONPath: "BENCH_prepared.json",
-		ScanJSONPath:     "BENCH_scan.json",
-		LoadJSONPath:     "BENCH_load.json",
-		ShardJSONPath:    "BENCH_shard.json",
+		Rows:         []int{10_000, 30_000},
+		Queries:      50,
+		RangeSizes:   []int{2, 100},
+		BSMax:        10,
+		Seed:         1,
+		Out:          out,
+		JSONPath:     "BENCH_compression.json",
+		ScanJSONPath: "BENCH_scan.json",
+		LoadJSONPath: "BENCH_load.json",
 	}
 }
 

@@ -120,10 +120,17 @@ func TestLoadWritesJSON(t *testing.T) {
 	if err != nil {
 		t.Fatalf("JSON file: %v", err)
 	}
-	var rep LoadReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
+	var doc struct {
+		Envelope
+		Results LoadReport `json:"results"`
+	}
+	if err := json.Unmarshal(blob, &doc); err != nil {
 		t.Fatalf("JSON parse: %v", err)
 	}
+	if doc.Rows != 128 || doc.Seed != 42 || doc.Go == "" || doc.Commit == "" || doc.GOMAXPROCS <= 0 || doc.NProc <= 0 {
+		t.Fatalf("JSON envelope: %+v", doc.Envelope)
+	}
+	rep := doc.Results
 	if rep.CapacityQPS <= 0 || len(rep.Points) != len(loadFractions) {
 		t.Fatalf("JSON shape: %+v", rep)
 	}
@@ -283,46 +290,5 @@ func TestFig6PartialOrderHolds(t *testing.T) {
 	}
 	if strings.Contains(buf.String(), "VIOLATION") {
 		t.Errorf("figure 6 partial order violated:\n%s", buf.String())
-	}
-}
-
-func TestPreparedWritesJSON(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := tinyConfig(&buf)
-	cfg.Queries = 5
-	cfg.PreparedJSONPath = filepath.Join(t.TempDir(), "BENCH_prepared.json")
-	if err := Prepared(cfg); err != nil {
-		t.Fatalf("Prepared: %v", err)
-	}
-	blob, err := os.ReadFile(cfg.PreparedJSONPath)
-	if err != nil {
-		t.Fatalf("JSON file: %v", err)
-	}
-	var out PreparedReport
-	if err := json.Unmarshal(blob, &out); err != nil {
-		t.Fatalf("JSON parse: %v", err)
-	}
-	if out.Rows != 600 || out.Executions != 50 || len(out.Points) != 3 {
-		t.Fatalf("JSON shape: %+v", out)
-	}
-	modes := map[string]PreparedPoint{}
-	for _, p := range out.Points {
-		modes[p.Mode] = p
-		if p.Samples != out.Executions || p.P50us <= 0 || p.P99us < p.P50us {
-			t.Errorf("%s: implausible distribution %+v", p.Mode, p)
-		}
-	}
-	for _, m := range []string{"ad-hoc", "prepared", "streamed"} {
-		if _, ok := modes[m]; !ok {
-			t.Errorf("mode %q missing from report", m)
-		}
-	}
-	// The whole point: prepared executions do not parse; ad-hoc parses per
-	// call.
-	if modes["prepared"].Parses > 1 {
-		t.Errorf("prepared run parsed %d times, want <= 1", modes["prepared"].Parses)
-	}
-	if modes["ad-hoc"].Parses < uint64(out.Executions) {
-		t.Errorf("ad-hoc run parsed %d times, want >= %d", modes["ad-hoc"].Parses, out.Executions)
 	}
 }

@@ -2,11 +2,9 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"text/tabwriter"
 	"time"
@@ -69,7 +67,8 @@ type LoadPoint struct {
 	Errors int `json:"errors"`
 }
 
-// LoadReport is the machine-readable result written to LoadJSONPath.
+// LoadReport is the machine-readable result written to LoadJSONPath, under
+// the envelope's "results" key.
 type LoadReport struct {
 	CapacityQPS float64     `json:"capacity_qps"`
 	ConnWorkers int         `json:"conn_workers"`
@@ -171,14 +170,7 @@ func Load(cfg Config) error {
 		capacity, loadConnWorkers, loadQueueDepth, window, int(100*loadWarmupFraction))
 
 	if cfg.LoadJSONPath != "" {
-		blob, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.LoadJSONPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		cfg.printf("wrote %s\n", cfg.LoadJSONPath)
+		return writeJSON(cfg, cfg.LoadJSONPath, rows, report)
 	}
 	return nil
 }

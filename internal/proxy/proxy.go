@@ -39,6 +39,10 @@ type Executor interface {
 	DropTable(name string) error
 	Select(ctx context.Context, q engine.Query) (*engine.Result, error)
 	Insert(ctx context.Context, table string, row engine.Row) error
+	// InsertBatch inserts many rows into one table in a single call: one
+	// round trip for remote executors, one table write-lock acquisition for
+	// the embedded engine.
+	InsertBatch(ctx context.Context, table string, rows []engine.Row) error
 	Delete(ctx context.Context, table string, filters []engine.Filter) (int, error)
 	Update(ctx context.Context, table string, filters []engine.Filter, set engine.Row) (int, error)
 	Merge(ctx context.Context, table string) error
@@ -50,28 +54,21 @@ type Executor interface {
 	MergeStatus(ctx context.Context, table string) (engine.MergeInfo, error)
 }
 
-// BatchInserter is an optional Executor fast path: insert many rows into
-// one table in a single call. For remote executors (wire.Client, wire.Pool)
-// that is one round trip instead of one per row; the embedded engine takes
-// its table write lock once instead of per row.
-type BatchInserter interface {
-	InsertBatch(ctx context.Context, table string, rows []engine.Row) error
-}
-
 // StreamExecutor is an optional Executor fast path: evaluate a Select and
 // deliver the result in chunks instead of materializing it. The embedded
 // engine renders lazily from a pinned version; the wire client receives
 // chunked result frames. Executors without it are served by a materialized
-// Select wrapped as a single chunk.
+// Select wrapped as a single chunk. Every production executor implements it;
+// it stays optional because the traced pass of benchmark/ drives a proxy over
+// a canned provider that answers only Schema and Select.
 type StreamExecutor interface {
 	SelectStream(ctx context.Context, q engine.Query) (engine.ResultStream, error)
 }
 
 // Statically ensure the embedded engine satisfies the executor surface and
-// the fast paths.
+// the streaming fast path.
 var (
 	_ Executor       = (*engine.DB)(nil)
-	_ BatchInserter  = (*engine.DB)(nil)
 	_ StreamExecutor = (*engine.DB)(nil)
 )
 
@@ -182,9 +179,9 @@ func (p *Proxy) Execute(ctx context.Context, sql string, args ...any) (*Result, 
 
 // ExecBatch runs several statements in order, returning one result per
 // statement. Runs of consecutive INSERTs into the same table ship through
-// the executor's BatchInserter fast path when available, so bulk loads cost
-// one round trip per run instead of one per row. On error, the returned
-// slice holds the results of the statements completed before the failure.
+// one Executor.InsertBatch call, so bulk loads cost one round trip per run
+// instead of one per row. On error, the returned slice holds the results of
+// the statements completed before the failure.
 func (p *Proxy) ExecBatch(ctx context.Context, sqls []string) ([]*Result, error) {
 	stmts := make([]sqlparse.Statement, len(sqls))
 	for i, sql := range sqls {
@@ -208,14 +205,13 @@ func (p *Proxy) ExecScript(ctx context.Context, script string) ([]*Result, error
 	return p.execStmts(ctx, stmts)
 }
 
-// execStmts executes parsed statements in order with the batched-INSERT
-// fast path.
+// execStmts executes parsed statements in order, batching runs of INSERTs
+// into the same table.
 func (p *Proxy) execStmts(ctx context.Context, stmts []sqlparse.Statement) ([]*Result, error) {
-	bi, _ := p.exec.(BatchInserter)
 	results := make([]*Result, 0, len(stmts))
 	for i := 0; i < len(stmts); {
 		ins, ok := stmts[i].(*sqlparse.Insert)
-		if !ok || bi == nil {
+		if !ok {
 			res, err := p.execute(ctx, stmts[i], nil)
 			if err != nil {
 				return results, fmt.Errorf("proxy: statement %d: %w", i, err)
@@ -238,7 +234,7 @@ func (p *Proxy) execStmts(ctx context.Context, stmts []sqlparse.Statement) ([]*R
 		}
 		rows := make([]engine.Row, 0, j-i)
 		for k := i; k < j; k++ {
-			// The fast path bypasses execute(), so it must re-apply its
+			// The batch bypasses execute(), so it must re-apply its
 			// unbound-placeholder guard: a '?' must never silently insert
 			// its zero value.
 			if n := sqlparse.NumParams(stmts[k]); n > 0 {
@@ -250,7 +246,7 @@ func (p *Proxy) execStmts(ctx context.Context, stmts []sqlparse.Statement) ([]*R
 			}
 			rows = append(rows, row)
 		}
-		if err := bi.InsertBatch(ctx, ins.Table, rows); err != nil {
+		if err := p.exec.InsertBatch(ctx, ins.Table, rows); err != nil {
 			return results, err
 		}
 		for k := i; k < j; k++ {

@@ -17,17 +17,15 @@ import (
 type Options struct {
 	// Metrics, when set, registers the encdbdb_shard_* families on it.
 	Metrics *metrics.Registry
-	// Partitioner overrides the map's partitioner (nil = derive from the
-	// map's strategy).
-	Partitioner Partitioner
 }
 
 // Executor presents a fleet of shards as one proxy.Executor: writes route to
 // the owning shard, reads scatter-gather, and every per-shard failure comes
-// back as a typed *Error naming the shard. It also implements the proxy's
-// optional fast paths — BatchInserter (per-shard sub-batches), StreamExecutor
-// (shard-chained streaming with LIMIT short-circuit), and ShardStreamer (the
-// per-shard cursors the proxy's distributed merge consumes).
+// back as a typed *Error naming the shard. InsertBatch splits a batch into
+// per-shard sub-batches. It also implements the proxy's optional fast paths —
+// StreamExecutor (shard-chained streaming with LIMIT short-circuit) and
+// ShardStreamer (the per-shard cursors the proxy's distributed merge
+// consumes).
 type Executor struct {
 	m        *Map
 	backends []proxy.Executor
@@ -43,7 +41,6 @@ type Executor struct {
 // Statically ensure the fleet satisfies the full executor surface.
 var (
 	_ proxy.Executor       = (*Executor)(nil)
-	_ proxy.BatchInserter  = (*Executor)(nil)
 	_ proxy.StreamExecutor = (*Executor)(nil)
 	_ proxy.ShardStreamer  = (*Executor)(nil)
 )
@@ -58,12 +55,9 @@ func NewExecutor(m *Map, backends []proxy.Executor, opts Options) (*Executor, er
 	if len(backends) != len(m.Shards) {
 		return nil, fmt.Errorf("shard: map has %d shards but %d backends given", len(m.Shards), len(backends))
 	}
-	part := opts.Partitioner
-	if part == nil {
-		var err error
-		if part, err = m.Partitioner(); err != nil {
-			return nil, err
-		}
+	part, err := m.Partitioner()
+	if err != nil {
+		return nil, err
 	}
 	e := &Executor{
 		m:        m,
@@ -227,8 +221,8 @@ func (e *Executor) Insert(ctx context.Context, table string, row engine.Row) err
 }
 
 // InsertBatch partitions the batch by owner and dispatches the per-shard
-// sub-batches in parallel — shards with a BatchInserter fast path get one
-// call, the rest a row loop. Rows keep their batch order within each shard.
+// sub-batches in parallel, one InsertBatch call per shard. Rows keep their
+// batch order within each shard.
 func (e *Executor) InsertBatch(ctx context.Context, table string, rows []engine.Row) error {
 	seq := e.seqFor(table)
 	parts := make([][]engine.Row, len(e.backends))
@@ -254,15 +248,7 @@ func (e *Executor) InsertBatch(ctx context.Context, table string, rows []engine.
 		go func(i int) {
 			defer wg.Done()
 			errs[i] = e.call(i, "insert_batch", func(b proxy.Executor) error {
-				if bi, ok := b.(proxy.BatchInserter); ok {
-					return bi.InsertBatch(ctx, table, parts[i])
-				}
-				for _, row := range parts[i] {
-					if err := b.Insert(ctx, table, row); err != nil {
-						return err
-					}
-				}
-				return nil
+				return b.InsertBatch(ctx, table, parts[i])
 			})
 		}(i)
 	}

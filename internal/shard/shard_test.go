@@ -157,6 +157,11 @@ func (s *stubBackend) Insert(context.Context, string, engine.Row) error {
 	return s.err()
 }
 
+func (s *stubBackend) InsertBatch(_ context.Context, _ string, rows []engine.Row) error {
+	s.inserts.Add(int64(len(rows)))
+	return s.err()
+}
+
 func (s *stubBackend) Schema(string) (engine.Schema, error) { return engine.Schema{}, s.err() }
 func (s *stubBackend) CreateTable(engine.Schema) error      { return s.err() }
 func (s *stubBackend) DropTable(string) error               { return s.err() }

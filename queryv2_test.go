@@ -84,13 +84,6 @@ func TestPublicQueryPrepareRows(t *testing.T) {
 	if err := rows.Err(); err != nil || n != 2 {
 		t.Fatalf("iterated %d rows, err %v", n, err)
 	}
-
-	// The deprecated string API still works on the same session.
-	//lint:ignore SA1019 pinning the legacy wrapper's behaviour is the point
-	res, err := sess.Exec("SELECT COUNT(*) FROM people WHERE city = 'Berlin'")
-	if err != nil || res.Count != 2 {
-		t.Fatalf("legacy Exec = %v, %v", res, err)
-	}
 }
 
 // TestPublicCancelLocal: a cancelled context surfaces context.Canceled from

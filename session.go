@@ -56,16 +56,6 @@ func (s *Session) Prepare(ctx context.Context, sql string) (*Stmt, error) {
 	return s.p.Prepare(ctx, sql)
 }
 
-// Exec parses and executes one SQL statement, returning decrypted results.
-//
-// Deprecated: Exec splices values into SQL strings and cannot be cancelled.
-// Use ExecContext (or Query for streaming SELECTs) with '?' placeholder
-// arguments instead; Exec remains as a shim for existing callers and is
-// equivalent to ExecContext(context.Background(), sql).
-func (s *Session) Exec(sql string) (*Result, error) {
-	return s.p.Execute(context.Background(), sql)
-}
-
 // ExecBatch executes several statements in order, returning one result per
 // statement. Against a remote provider, runs of consecutive INSERTs into
 // the same table are shipped as one batched round trip.

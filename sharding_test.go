@@ -244,6 +244,15 @@ func (k *killableExecutor) Insert(ctx context.Context, table string, row engine.
 	return k.Executor.Insert(ctx, table, row)
 }
 
+// InsertBatch must be overridden too: the embedded executor's promoted
+// method would otherwise write straight through a dead shard.
+func (k *killableExecutor) InsertBatch(ctx context.Context, table string, rows []engine.Row) error {
+	if err := k.refuse(); err != nil {
+		return err
+	}
+	return k.Executor.InsertBatch(ctx, table, rows)
+}
+
 // TestShardKillPartialFailure proves the fleet degrades the way
 // docs/sharding.md promises: a dead shard turns scatter queries into typed
 // *ShardError failures naming the shard — ErrShardDown once its health flips
@@ -335,6 +344,24 @@ func TestShardKillPartialFailure(t *testing.T) {
 	}
 	if top[1].Name != "shard1" || top[1].Healthy {
 		t.Errorf("shard1 status = %+v, want down", top[1])
+	}
+
+	// A batched INSERT routed to the dead shard fails typed as well. A
+	// split point at 0 sends every RecordID to shard1.
+	toDead, err := encdbdb.NewShardedExecutor(encdbdb.NewRangeShardMap([]uint64{0}, "s0:0", "s1:0"), backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadSess, err := owner.RemoteSession(toDead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = deadSess.ExecBatch(ctx, []string{
+		"INSERT INTO people VALUES ('yan', 'oslo', '0012')",
+		"INSERT INTO people VALUES ('zed', 'oslo', '0013')",
+	})
+	if !errors.As(err, &se) || se.Shard != "shard1" || se.Op != "insert_batch" {
+		t.Errorf("batched insert to dead shard: err = %v, want *ShardError for shard1 insert_batch", err)
 	}
 
 	// Revive the shard: the next scatter succeeds and health recovers.
