@@ -64,41 +64,6 @@ func (db *DB) SelectStream(ctx context.Context, q Query) (ResultStream, error) {
 	return cur, nil
 }
 
-// MaterializedStream adapts an already-materialized Result to the
-// ResultStream interface as a single chunk — the shape of the streaming
-// fallback against providers that can only materialize.
-func MaterializedStream(res *Result) ResultStream {
-	return &materializedStream{res: res}
-}
-
-type materializedStream struct {
-	res  *Result
-	done bool
-}
-
-func (m *materializedStream) Next() (*Result, error) {
-	if m.done || m.res == nil {
-		return nil, io.EOF
-	}
-	m.done = true
-	if m.res.Count == 0 {
-		return nil, io.EOF
-	}
-	return m.res, nil
-}
-
-func (m *materializedStream) Count() int {
-	if m.res == nil {
-		return 0
-	}
-	return m.res.Count
-}
-
-func (m *materializedStream) Close() error {
-	m.done = true
-	return nil
-}
-
 // Cursor is the engine's pull-based ResultStream: it pins one version and
 // renders the match set chunk by chunk on demand, entirely lock-free (the
 // pinned version is immutable), so a slow consumer never blocks writers or

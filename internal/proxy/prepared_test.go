@@ -10,9 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"github.com/encdbdb/encdbdb/internal/enclave"
 	"github.com/encdbdb/encdbdb/internal/engine"
-	"github.com/encdbdb/encdbdb/internal/pae"
 	"github.com/encdbdb/encdbdb/internal/proxy"
 	"github.com/encdbdb/encdbdb/internal/sqlparse"
 )
@@ -92,23 +90,8 @@ func (c *countingExecutor) Schema(table string) (engine.Schema, error) {
 // newCountingStack builds a proxy whose executor counts schema lookups.
 func newCountingStack(t testing.TB) (*proxy.Proxy, *countingExecutor) {
 	t.Helper()
-	plat, err := enclave.NewPlatform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	encl, err := plat.Launch(enclave.Config{Identity: "proxy-test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	master := pae.MustGen()
-	sealed, err := enclave.SealKey(encl.Quote(nil), master)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := encl.Provision(sealed); err != nil {
-		t.Fatal(err)
-	}
-	ce := &countingExecutor{Executor: engine.New(encl)}
+	db, master := newEngine(t)
+	ce := &countingExecutor{Executor: db}
 	p, err := proxy.New(master, ce)
 	if err != nil {
 		t.Fatal(err)

@@ -15,9 +15,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 
 	"github.com/encdbdb/encdbdb/internal/enclave"
@@ -54,13 +53,13 @@ type Executor interface {
 	MergeStatus(ctx context.Context, table string) (engine.MergeInfo, error)
 }
 
-// StreamExecutor is an optional Executor fast path: evaluate a Select and
-// deliver the result in chunks instead of materializing it. The embedded
-// engine renders lazily from a pinned version; the wire client receives
-// chunked result frames. Executors without it are served by a materialized
-// Select wrapped as a single chunk. Every production executor implements it;
-// it stays optional because the traced pass of benchmark/ drives a proxy over
-// a canned provider that answers only Schema and Select.
+// StreamExecutor is the Executor surface that delivers a Select's result in
+// chunks instead of materializing it: the embedded engine renders lazily from
+// a pinned version, the wire client receives chunked result frames. Every
+// production executor implements it. It stays optional only until the traced
+// pass of benchmark/ stops replaying statements against its canned provider,
+// which answers just Schema and Select; OpenStream serves such an executor
+// with one Select as a single chunk.
 type StreamExecutor interface {
 	SelectStream(ctx context.Context, q engine.Query) (engine.ResultStream, error)
 }
@@ -362,189 +361,115 @@ func (p *Proxy) createTable(s *sqlparse.CreateTable) (*Result, error) {
 	return &Result{Kind: KindOK}, nil
 }
 
-// selectPlan converts a parsed SELECT into the provider-side query plus the
-// bookkeeping the trusted side needs afterwards.
-func (p *Proxy) selectPlan(s *sqlparse.Select, schema engine.Schema) (q engine.Query, extraSort bool, err error) {
+// plan is a SELECT as the provider runs it, plus what the trusted side does
+// with the reply.
+type plan struct {
+	q engine.Query
+	// d decodes q's projection (every schema column for SELECT *); nil for
+	// COUNT(*), whose answer is one number.
+	d *decoder
+	// key is the ORDER BY column's index in the projection, -1 without an
+	// ORDER BY. strip says the column was projected only to sort by and is
+	// dropped from the result; it is then the projection's last column.
+	key   int
+	strip bool
+}
+
+// selectPlan converts a parsed SELECT into its plan.
+func (p *Proxy) selectPlan(s *sqlparse.Select, schema engine.Schema) (plan, error) {
 	filters, err := p.Filters(schema, s.Where)
 	if err != nil {
-		return engine.Query{}, false, err
+		return plan{}, err
 	}
-	q = engine.Query{Table: s.Table, Filters: filters, CountOnly: s.Count}
+	pl := plan{q: engine.Query{Table: s.Table, Filters: filters, CountOnly: s.Count}, key: -1}
+	if s.Count {
+		return pl, nil
+	}
+	ordered := s.OrderBy != "" && len(s.Aggregates) == 0
 	switch {
-	case s.Count:
 	case len(s.Aggregates) > 0:
-		q.Project = aggregateColumns(s.Aggregates)
+		pl.q.Project = aggregateColumns(s.Aggregates)
 	case !s.Star:
-		q.Project = s.Columns
+		pl.q.Project = s.Columns
 	}
-	// The sort column must be rendered even if not requested; it is
-	// stripped again after sorting.
-	if s.OrderBy != "" && len(s.Aggregates) == 0 && !s.Star && !s.Count && !contains(q.Project, s.OrderBy) {
-		q.Project = append(append([]string(nil), q.Project...), s.OrderBy)
-		extraSort = true
+	if ordered && !s.Star && !slices.Contains(pl.q.Project, s.OrderBy) {
+		pl.q.Project = append(slices.Clip(pl.q.Project), s.OrderBy)
+		pl.strip = true
 	}
 	// LIMIT pushes down to the provider only when nothing on the trusted
 	// side reorders or aggregates the result first — the first n rows in
 	// RecordID order are then exactly the n rows the client would keep.
-	if s.Limit > 0 && !s.Count && len(s.Aggregates) == 0 && s.OrderBy == "" {
-		q.Limit = s.Limit
+	if s.Limit > 0 && len(s.Aggregates) == 0 && s.OrderBy == "" {
+		pl.q.Limit = s.Limit
 	}
-	return q, extraSort, nil
+	project := pl.q.Project
+	if len(project) == 0 {
+		for _, def := range schema.Columns {
+			project = append(project, def.Name)
+		}
+	}
+	if pl.d, err = p.newDecoder(schema, project); err != nil {
+		return plan{}, err
+	}
+	if ordered {
+		if pl.key = slices.Index(project, s.OrderBy); pl.key < 0 {
+			return plan{}, fmt.Errorf("%w: %q", engine.ErrNoSuchColumn, s.OrderBy)
+		}
+	}
+	return pl, nil
 }
 
+// selectStmt runs a SELECT to its decrypted result. ORDER BY and aggregates
+// fold the result streams; a plain SELECT and COUNT(*) keep one Select — one
+// reply frame for a point lookup, one parallel scatter over a fleet.
 func (p *Proxy) selectStmt(ctx context.Context, s *sqlparse.Select, schema engine.Schema) (*Result, error) {
-	// Against a sharded executor, ORDER BY and aggregates combine per-shard
-	// partials instead of concatenating the fleet-wide ciphertext result
-	// first (COUNT needs no help: the executor sums shard counts itself).
-	if ss, ok := p.exec.(ShardStreamer); ok && !s.Count && (s.OrderBy != "" || len(s.Aggregates) > 0) {
-		return p.distributedSelect(ctx, ss, s, schema)
-	}
-	q, extraSort, err := p.selectPlan(s, schema)
-	if err != nil {
-		return nil, err
-	}
-	res, err := p.exec.Select(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	if s.Count {
-		return &Result{Kind: KindCount, Count: res.Count}, nil
-	}
-	out, err := p.decryptResult(schema, res)
+	pl, err := p.selectPlan(s, schema)
 	if err != nil {
 		return nil, err
 	}
 	if len(s.Aggregates) > 0 {
-		return aggregate(s.Aggregates, out)
+		return aggregates(p.streams(ctx, pl.q), pl.d, s.Aggregates)
 	}
-	if err := orderAndLimit(s, out, extraSort); err != nil {
+	if pl.key < 0 {
+		res, err := p.exec.Select(ctx, pl.q)
+		if err != nil {
+			return nil, err
+		}
+		if s.Count {
+			return &Result{Kind: KindCount, Count: res.Count}, nil
+		}
+		rows, err := pl.d.decodeChunk(res)
+		if err != nil {
+			return nil, err
+		}
+		if s.Limit >= 0 && len(rows) > s.Limit { // LIMIT 0 is not pushed down
+			rows = rows[:s.Limit]
+		}
+		return &Result{Kind: KindRows, Columns: slices.Clone(pl.d.project), Rows: rows, Count: len(rows)}, nil
+	}
+	rows, err := orderBy(p.streams(ctx, pl.q), pl.d, pl.key, s.OrderDesc, s.Limit)
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	cols := pl.d.project
+	if pl.strip {
+		cols = cols[:pl.key]
+		for i, row := range rows {
+			rows[i] = row[:pl.key]
+		}
+	}
+	return &Result{Kind: KindRows, Columns: slices.Clone(cols), Rows: rows, Count: len(rows)}, nil
 }
 
 // aggregateColumns lists the distinct columns the aggregates reference.
 func aggregateColumns(aggs []sqlparse.Aggregate) []string {
 	var cols []string
 	for _, a := range aggs {
-		if !contains(cols, a.Column) {
+		if !slices.Contains(cols, a.Column) {
 			cols = append(cols, a.Column)
 		}
 	}
 	return cols
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
-
-// aggregate computes MIN/MAX/SUM/AVG over the decrypted result at the
-// trusted side. The paper notes these "are easier to support than range
-// searches" (§4.2); performing them after decryption keeps the provider's
-// view unchanged. SUM and AVG require decimal integer values (store
-// numbers zero-padded so lexicographic range filters work too).
-func aggregate(aggs []sqlparse.Aggregate, rows *Result) (*Result, error) {
-	colIdx := make(map[string]int, len(rows.Columns))
-	for i, c := range rows.Columns {
-		colIdx[c] = i
-	}
-	out := &Result{Kind: KindRows, Count: 1, Rows: [][]string{{}}}
-	for _, a := range aggs {
-		out.Columns = append(out.Columns, fmt.Sprintf("%s(%s)", strings.ToLower(a.Func.String()), a.Column))
-		idx, ok := colIdx[a.Column]
-		if !ok {
-			return nil, fmt.Errorf("%w: %q", engine.ErrNoSuchColumn, a.Column)
-		}
-		val, err := aggregateOne(a, rows.Rows, idx)
-		if err != nil {
-			return nil, err
-		}
-		out.Rows[0] = append(out.Rows[0], val)
-	}
-	return out, nil
-}
-
-func aggregateOne(a sqlparse.Aggregate, rows [][]string, idx int) (string, error) {
-	if len(rows) == 0 {
-		return "", nil
-	}
-	switch a.Func {
-	case sqlparse.AggMin, sqlparse.AggMax:
-		best := rows[0][idx]
-		for _, r := range rows[1:] {
-			v := r[idx]
-			if (a.Func == sqlparse.AggMin && v < best) || (a.Func == sqlparse.AggMax && v > best) {
-				best = v
-			}
-		}
-		return best, nil
-	default: // SUM, AVG
-		var sum int64
-		for _, r := range rows {
-			n, err := numericCell(a, r[idx])
-			if err != nil {
-				return "", err
-			}
-			sum += n
-		}
-		if a.Func == sqlparse.AggSum {
-			return strconv.FormatInt(sum, 10), nil
-		}
-		return strconv.FormatFloat(float64(sum)/float64(len(rows)), 'f', -1, 64), nil
-	}
-}
-
-// numericCell parses one SUM/AVG input value. Numbers are stored zero-padded
-// so lexicographic range filters work; the padding is stripped before
-// parsing, with the all-zero value spelled out as 0.
-func numericCell(a sqlparse.Aggregate, v string) (int64, error) {
-	n, err := strconv.ParseInt(strings.TrimLeft(v, "0"), 10, 64)
-	if err != nil {
-		if strings.Trim(v, "0") == "" && v != "" {
-			return 0, nil // all-zero value
-		}
-		return 0, fmt.Errorf("proxy: %s(%s): value %q is not numeric", a.Func, a.Column, v)
-	}
-	return n, nil
-}
-
-// orderAndLimit applies ORDER BY and LIMIT at the trusted side, then strips
-// a sort column that was rendered only for ordering.
-func orderAndLimit(s *sqlparse.Select, out *Result, extraSort bool) error {
-	if s.OrderBy != "" {
-		idx := -1
-		for i, c := range out.Columns {
-			if c == s.OrderBy {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return fmt.Errorf("%w: %q", engine.ErrNoSuchColumn, s.OrderBy)
-		}
-		sort.SliceStable(out.Rows, func(a, b int) bool {
-			if s.OrderDesc {
-				return out.Rows[a][idx] > out.Rows[b][idx]
-			}
-			return out.Rows[a][idx] < out.Rows[b][idx]
-		})
-		if extraSort {
-			for i := range out.Rows {
-				out.Rows[i] = append(out.Rows[i][:idx], out.Rows[i][idx+1:]...)
-			}
-			out.Columns = append(out.Columns[:idx], out.Columns[idx+1:]...)
-		}
-	}
-	if s.Limit >= 0 && len(out.Rows) > s.Limit {
-		out.Rows = out.Rows[:s.Limit]
-		out.Count = len(out.Rows)
-	}
-	return nil
 }
 
 func (p *Proxy) insert(ctx context.Context, s *sqlparse.Insert, schema engine.Schema) (*Result, error) {
@@ -664,47 +589,6 @@ func (p *Proxy) cipher(table, column string) (*pae.Cipher, error) {
 	p.ciphers[k] = c
 	p.cmu.Unlock()
 	return c, nil
-}
-
-// decryptResult turns the provider's ciphertext cells into plaintext rows
-// (paper step 14).
-func (p *Proxy) decryptResult(schema engine.Schema, res *engine.Result) (*Result, error) {
-	out := &Result{Kind: KindRows, Count: res.Count}
-	if len(res.Columns) == 0 {
-		return out, nil
-	}
-	out.Rows = make([][]string, res.Count)
-	for i := range out.Rows {
-		out.Rows[i] = make([]string, len(res.Columns))
-	}
-	for ci, rc := range res.Columns {
-		out.Columns = append(out.Columns, rc.Column)
-		def, ok := schema.Column(rc.Column)
-		if !ok {
-			return nil, fmt.Errorf("%w: %q", engine.ErrNoSuchColumn, rc.Column)
-		}
-		if len(rc.Cells) != res.Count {
-			return nil, fmt.Errorf("proxy: column %q has %d cells, want %d", rc.Column, len(rc.Cells), res.Count)
-		}
-		if def.Plain {
-			for ri, cell := range rc.Cells {
-				out.Rows[ri][ci] = string(cell)
-			}
-			continue
-		}
-		c, err := p.cipher(rc.Table, rc.Column)
-		if err != nil {
-			return nil, err
-		}
-		for ri, cell := range rc.Cells {
-			v, err := c.Decrypt(cell)
-			if err != nil {
-				return nil, fmt.Errorf("proxy: decrypt %q row %d: %w", rc.Column, ri, err)
-			}
-			out.Rows[ri][ci] = string(v)
-		}
-	}
-	return out, nil
 }
 
 // validateValue enforces column value rules at the trusted side for friendly

@@ -2,6 +2,7 @@ package proxy_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -17,6 +18,18 @@ import (
 // newStack wires a provisioned enclave, an engine, and a proxy — the full
 // trusted/untrusted split of paper Figure 2, in process.
 func newStack(t testing.TB) *proxy.Proxy {
+	t.Helper()
+	db, master := newEngine(t)
+	p, err := proxy.New(master, db)
+	if err != nil {
+		t.Fatalf("proxy.New: %v", err)
+	}
+	return p
+}
+
+// newEngine launches and provisions an enclave and returns an engine over it
+// with the master key the enclave holds.
+func newEngine(t testing.TB) (*engine.DB, pae.Key) {
 	t.Helper()
 	plat, err := enclave.NewPlatform()
 	if err != nil {
@@ -34,12 +47,7 @@ func newStack(t testing.TB) *proxy.Proxy {
 	if err := encl.Provision(sealed); err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	db := engine.New(encl)
-	p, err := proxy.New(master, db)
-	if err != nil {
-		t.Fatalf("proxy.New: %v", err)
-	}
-	return p
+	return engine.New(encl), master
 }
 
 func mustExec(t testing.TB, p *proxy.Proxy, sql string) *proxy.Result {
@@ -310,5 +318,62 @@ func TestEmptyStringValue(t *testing.T) {
 	all := mustExec(t, p, "SELECT c FROM s WHERE c >= ''")
 	if len(all.Rows) != 2 {
 		t.Errorf(">= '' matched %d rows, want 2", len(all.Rows))
+	}
+}
+
+// swapExec is a provider that answers with its first two result columns
+// swapped, in materialized and streamed replies alike.
+type swapExec struct{ *engine.DB }
+
+type swapStream struct{ engine.ResultStream }
+
+func swapColumns(res *engine.Result) {
+	res.Columns[0], res.Columns[1] = res.Columns[1], res.Columns[0]
+}
+
+func (s swapExec) Select(ctx context.Context, q engine.Query) (*engine.Result, error) {
+	res, err := s.DB.Select(ctx, q)
+	if err == nil && !q.CountOnly {
+		swapColumns(res)
+	}
+	return res, err
+}
+
+func (s swapExec) SelectStream(ctx context.Context, q engine.Query) (engine.ResultStream, error) {
+	st, err := s.DB.SelectStream(ctx, q)
+	return swapStream{st}, err
+}
+
+func (s swapStream) Next() (*engine.Result, error) {
+	chunk, err := s.ResultStream.Next()
+	if err == nil {
+		swapColumns(chunk)
+	}
+	return chunk, err
+}
+
+// TestProviderColumnSwapRejected treats provider replies as untrusted input:
+// two plain columns arriving swapped would decode "fine", so the proxy must
+// check every column's name against the projection and fail typed.
+func TestProviderColumnSwapRejected(t *testing.T) {
+	ctx := context.Background()
+	db, master := newEngine(t)
+	p, err := proxy.New(master, swapExec{db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, p, "CREATE TABLE t (a PLAIN ED1(8), b PLAIN ED1(8))")
+	mustExec(t, p, "INSERT INTO t VALUES ('x', 'y')")
+	for _, sql := range []string{"SELECT a, b FROM t", "SELECT a, b FROM t ORDER BY a", "SELECT MIN(a), MAX(b) FROM t"} {
+		if _, err := p.Execute(ctx, sql); !errors.Is(err, proxy.ErrBadReply) {
+			t.Errorf("Execute(%s) err = %v, want ErrBadReply", sql, err)
+		}
+	}
+	rows, err := p.Query(ctx, "SELECT a, b FROM t")
+	if err == nil {
+		_, err = rows.All()
+	}
+	if !errors.Is(err, proxy.ErrBadReply) {
+		t.Errorf("Query err = %v, want ErrBadReply", err)
 	}
 }

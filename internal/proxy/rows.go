@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"slices"
+	"strconv"
 
 	"github.com/encdbdb/encdbdb/internal/engine"
 	"github.com/encdbdb/encdbdb/internal/sqlparse"
@@ -35,22 +37,20 @@ var ErrRowsClosed = errors.New("proxy: rows closed")
 // (locally and over the wire) and surfaces context.Canceled through Err.
 type Rows struct {
 	cols []string
-	// dec decodes one stored cell per column (decrypt or pass-through).
-	dec    []func([]byte) (string, error)
+	d    *decoder
+
+	// opens are the result streams not opened yet and stream the one being
+	// read. Streams are read one after another, so a satisfied LIMIT never
+	// opens the rest — over a fleet, it never contacts the remaining shards.
+	opens  []opener
 	stream engine.ResultStream
 
-	// chunk is the current engine chunk being served; row indexes into it.
-	// Per the engine.ResultStream contract its cells are valid only until
-	// the next stream.Next call — over a v3 wire connection they alias a
-	// pooled frame buffer that recycles — so every cell must be decoded to
-	// an owned string before the cursor advances past it.
-	chunk *engine.Result
-	row   int
-
-	// mat serves an already-materialized, already-decrypted result (the
-	// path queries with ORDER BY, aggregates, or COUNT take).
-	mat    *Result
-	matRow int
+	// buf holds the rows not served yet: the current chunk's, decoded as a
+	// whole when it arrived — per the engine.ResultStream contract its cells
+	// are valid only until the next stream.Next call, and over a v3 wire
+	// connection they alias a pooled frame buffer that recycles — or a
+	// materialized result's.
+	buf [][]string
 
 	// limit is the number of rows still allowed out (-1 = unlimited); the
 	// streaming path applies LIMIT client-side by stopping early.
@@ -71,70 +71,52 @@ func (r *Rows) Next() bool {
 	if r.closed || r.err != nil {
 		return false
 	}
-	if r.limit == 0 {
+	for len(r.buf) == 0 && r.limit != 0 {
+		if err := r.fill(); err != nil {
+			if err != io.EOF {
+				r.err = err
+			}
+			break
+		}
+	}
+	if len(r.buf) == 0 || r.limit == 0 {
 		r.close()
 		return false
 	}
-	if r.mat != nil {
-		if r.matRow >= len(r.mat.Rows) {
-			r.close()
-			return false
-		}
-		r.cur = r.mat.Rows[r.matRow]
-		r.matRow++
-		if r.limit > 0 {
-			r.limit--
-		}
-		return true
-	}
-	for r.chunk == nil || r.row >= r.chunk.Count {
-		chunk, err := r.stream.Next()
-		if err == io.EOF {
-			r.close()
-			return false
-		}
-		if err != nil {
-			r.err = err
-			r.close()
-			return false
-		}
-		r.chunk, r.row = chunk, 0
-	}
-	row, err := r.decodeRow(r.chunk, r.row)
-	if err != nil {
-		r.err = err
-		r.close()
-		return false
-	}
-	r.cur = row
-	r.row++
+	r.cur, r.buf = r.buf[0], r.buf[1:]
 	if r.limit > 0 {
 		r.limit--
 	}
 	return true
 }
 
-// decodeRow decrypts row i of a chunk into projection order. Every decoder
-// copies its cell (decrypt writes fresh plaintext; the pass-through does a
-// string conversion), so the returned row owns its memory and survives the
-// chunk buffer's recycling when the stream advances.
-func (r *Rows) decodeRow(chunk *engine.Result, i int) ([]string, error) {
-	if len(chunk.Columns) != len(r.cols) {
-		return nil, fmt.Errorf("proxy: chunk has %d columns, want %d", len(chunk.Columns), len(r.cols))
-	}
-	out := make([]string, len(r.cols))
-	for ci := range r.cols {
-		cells := chunk.Columns[ci].Cells
-		if i >= len(cells) {
-			return nil, fmt.Errorf("proxy: column %q chunk has %d cells, want > %d", r.cols[ci], len(cells), i)
+// fill takes one step through the streams: it opens the next stream, decodes
+// the current stream's next chunk into buf, or closes an exhausted stream.
+// It returns io.EOF once every stream is done.
+func (r *Rows) fill() error {
+	if r.stream == nil {
+		if len(r.opens) == 0 {
+			return io.EOF
 		}
-		v, err := r.dec[ci](cells[i])
+		st, err := r.opens[0]()
+		r.opens = r.opens[1:]
 		if err != nil {
-			return nil, fmt.Errorf("proxy: decrypt %q: %w", r.cols[ci], err)
+			return err
 		}
-		out[ci] = v
+		r.stream = st
+		return nil
 	}
-	return out, nil
+	chunk, err := r.stream.Next()
+	if err == io.EOF {
+		r.stream.Close()
+		r.stream = nil
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	r.buf, err = r.d.decodeChunk(chunk)
+	return err
 }
 
 // Row returns the current row (valid after a true Next). The slice is owned
@@ -178,9 +160,10 @@ func (r *Rows) close() {
 		return
 	}
 	r.closed = true
-	r.cur = nil
+	r.cur, r.buf, r.opens = nil, nil, nil
 	if r.stream != nil {
 		r.stream.Close()
+		r.stream = nil
 	}
 }
 
@@ -214,9 +197,9 @@ func (r *Rows) All() ([][]string, error) {
 
 // Query parses and runs one SELECT, returning a streaming cursor. '?'
 // placeholders are bound from args. Plain projections stream end-to-end;
-// SELECTs that need the whole result on the trusted side first — ORDER BY,
-// aggregates, COUNT(*) — materialize internally and iterate the finished
-// result, so the cursor API is uniform.
+// ORDER BY and aggregates fold the result streams into their answer on the
+// trusted side first, and COUNT(*) is one number, so those iterate the
+// finished result and the cursor API stays uniform.
 func (p *Proxy) Query(ctx context.Context, sql string, args ...any) (*Rows, error) {
 	st, err := parseAndBind(sql, args)
 	if err != nil {
@@ -233,92 +216,32 @@ func (p *Proxy) Query(ctx context.Context, sql string, args ...any) (*Rows, erro
 	return p.queryRows(ctx, sel, schema)
 }
 
-// queryRows runs a bound SELECT as a cursor.
+// queryRows runs a bound SELECT as a cursor. The first stream opens before
+// it returns, so a query the provider rejects fails here, not at Next.
 func (p *Proxy) queryRows(ctx context.Context, sel *sqlparse.Select, schema engine.Schema) (*Rows, error) {
-	if !streamable(sel) {
+	if sel.Count || len(sel.Aggregates) > 0 || sel.OrderBy != "" {
 		res, err := p.selectStmt(ctx, sel, schema)
 		if err != nil {
 			return nil, err
 		}
 		return materializedRows(res), nil
 	}
-	q, _, err := p.selectPlan(sel, schema)
+	pl, err := p.selectPlan(sel, schema)
 	if err != nil {
 		return nil, err
 	}
-	project := q.Project
-	if len(project) == 0 {
-		for _, def := range schema.Columns {
-			project = append(project, def.Name)
-		}
-	}
-	dec, err := p.decoders(schema, project)
-	if err != nil {
+	r := &Rows{cols: pl.d.project, d: pl.d, opens: p.streams(ctx, pl.q), limit: sel.Limit}
+	if err := r.fill(); err != nil {
 		return nil, err
 	}
-	var stream engine.ResultStream
-	if se, ok := p.exec.(StreamExecutor); ok {
-		stream, err = se.SelectStream(ctx, q)
-	} else {
-		var res *engine.Result
-		res, err = p.exec.Select(ctx, q)
-		if err == nil {
-			stream = engine.MaterializedStream(res)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Rows{cols: project, dec: dec, stream: stream, limit: sel.Limit}, nil
-}
-
-// streamable reports whether a SELECT can stream: anything that must see the
-// whole result on the trusted side first (sorting, aggregation, counting)
-// cannot.
-func streamable(sel *sqlparse.Select) bool {
-	return !sel.Count && len(sel.Aggregates) == 0 && sel.OrderBy == ""
-}
-
-// decoders builds the per-column cell decoders for a projection.
-func (p *Proxy) decoders(schema engine.Schema, project []string) ([]func([]byte) (string, error), error) {
-	dec := make([]func([]byte) (string, error), len(project))
-	for i, name := range project {
-		def, ok := schema.Column(name)
-		if !ok {
-			return nil, fmt.Errorf("%w: %q", engine.ErrNoSuchColumn, name)
-		}
-		if def.Plain {
-			dec[i] = func(cell []byte) (string, error) { return string(cell), nil }
-			continue
-		}
-		c, err := p.cipher(schema.Table, name)
-		if err != nil {
-			return nil, err
-		}
-		dec[i] = func(cell []byte) (string, error) {
-			v, err := c.Decrypt(cell)
-			if err != nil {
-				return "", err
-			}
-			return string(v), nil
-		}
-	}
-	return dec, nil
+	return r, nil
 }
 
 // materializedRows wraps a decrypted Result as a cursor. Counts become a
 // single-row result with one "count" column so Query has a uniform shape.
 func materializedRows(res *Result) *Rows {
 	if res.Kind == KindCount {
-		return &Rows{
-			mat: &Result{
-				Kind:    KindRows,
-				Columns: []string{"count"},
-				Rows:    [][]string{{fmt.Sprint(res.Count)}},
-			},
-			cols:  []string{"count"},
-			limit: -1,
-		}
+		return &Rows{cols: []string{"count"}, buf: [][]string{{strconv.Itoa(res.Count)}}, limit: -1}
 	}
-	return &Rows{mat: res, cols: append([]string(nil), res.Columns...), limit: -1}
+	return &Rows{cols: slices.Clone(res.Columns), buf: res.Rows, limit: -1}
 }

@@ -22,10 +22,8 @@ type Options struct {
 // Executor presents a fleet of shards as one proxy.Executor: writes route to
 // the owning shard, reads scatter-gather, and every per-shard failure comes
 // back as a typed *Error naming the shard. InsertBatch splits a batch into
-// per-shard sub-batches. It also implements the proxy's optional fast paths —
-// StreamExecutor (shard-chained streaming with LIMIT short-circuit) and
-// ShardStreamer (the per-shard cursors the proxy's distributed merge
-// consumes).
+// per-shard sub-batches. It also implements proxy.ShardStreamer: the
+// proxy reads a fleet's SELECT as one result stream per shard.
 type Executor struct {
 	m        *Map
 	backends []proxy.Executor
@@ -40,9 +38,8 @@ type Executor struct {
 
 // Statically ensure the fleet satisfies the full executor surface.
 var (
-	_ proxy.Executor       = (*Executor)(nil)
-	_ proxy.StreamExecutor = (*Executor)(nil)
-	_ proxy.ShardStreamer  = (*Executor)(nil)
+	_ proxy.Executor      = (*Executor)(nil)
+	_ proxy.ShardStreamer = (*Executor)(nil)
 )
 
 // NewExecutor builds the scatter-gather executor over one backend per shard
@@ -402,58 +399,23 @@ func (e *Executor) MergeStatus(ctx context.Context, table string) (engine.MergeI
 	return out, nil
 }
 
-// SelectStream chains the per-shard streams in shard order, opening each
-// shard's cursor only when the previous shard is exhausted. A pushed-down
-// LIMIT therefore short-circuits the fan-out: once the delivered rows reach
-// q.Limit the remaining shards are never contacted.
-func (e *Executor) SelectStream(ctx context.Context, q engine.Query) (engine.ResultStream, error) {
-	if len(e.backends) == 1 {
-		e.met.scatter(1)
-		var st engine.ResultStream
-		err := e.call(0, "select_stream", func(b proxy.Executor) error {
-			var err error
-			st, err = openStream(ctx, b, q)
-			return err
-		})
-		return st, err
-	}
-	return &chainStream{e: e, ctx: ctx, q: q}, nil
-}
-
-// openStream opens one backend's stream, falling back to a materialized
-// Select for executors without the streaming fast path.
-func openStream(ctx context.Context, b proxy.Executor, q engine.Query) (engine.ResultStream, error) {
-	if se, ok := b.(proxy.StreamExecutor); ok {
-		return se.SelectStream(ctx, q)
-	}
-	res, err := b.Select(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	return engine.MaterializedStream(res), nil
-}
-
-// ShardStreams exposes one lazily-opened cursor per shard — the surface the
-// proxy's distributed merge (ordered k-way merge, partial aggregates)
-// consumes. Opening and chunk errors count against the shard's health like
-// any other dispatch.
-func (e *Executor) ShardStreams(ctx context.Context, q engine.Query) []proxy.ShardStream {
-	out := make([]proxy.ShardStream, len(e.backends))
+// ShardStreams returns one lazily opened result stream per shard, in map
+// order. Opening and chunk errors count against the shard's health like any
+// other dispatch.
+func (e *Executor) ShardStreams(ctx context.Context, q engine.Query) []func() (engine.ResultStream, error) {
+	out := make([]func() (engine.ResultStream, error), len(e.backends))
 	for i := range e.backends {
-		out[i] = proxy.ShardStream{
-			Shard: e.m.Shards[i].Name,
-			Open: func() (engine.ResultStream, error) {
-				var st engine.ResultStream
-				err := e.call(i, "select_stream", func(b proxy.Executor) error {
-					var err error
-					st, err = openStream(ctx, b, q)
-					return err
-				})
-				if err != nil {
-					return nil, err
-				}
-				return &shardStream{e: e, i: i, inner: st}, nil
-			},
+		out[i] = func() (engine.ResultStream, error) {
+			var st engine.ResultStream
+			err := e.call(i, "select_stream", func(b proxy.Executor) error {
+				var err error
+				st, err = proxy.OpenStream(ctx, b, q)
+				return err
+			})
+			if err != nil {
+				return nil, err
+			}
+			return &shardStream{ResultStream: st, e: e, i: i}, nil
 		}
 	}
 	return out
@@ -462,126 +424,18 @@ func (e *Executor) ShardStreams(ctx context.Context, q engine.Query) []proxy.Sha
 // shardStream wraps one shard's cursor so mid-stream failures carry the
 // shard's identity and feed its health state.
 type shardStream struct {
-	e     *Executor
-	i     int
-	inner engine.ResultStream
+	engine.ResultStream
+	e *Executor
+	i int
 }
 
 func (s *shardStream) Next() (*engine.Result, error) {
-	chunk, err := s.inner.Next()
-	if err != nil && err != io.EOF {
-		err = s.e.wrapStreamErr(s.i, err)
+	chunk, err := s.ResultStream.Next()
+	if err == nil || err == io.EOF || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return chunk, err
 	}
-	return chunk, err
-}
-
-func (s *shardStream) Count() int   { return s.inner.Count() }
-func (s *shardStream) Close() error { return s.inner.Close() }
-
-// wrapStreamErr records a mid-stream failure against the shard and types it.
-func (e *Executor) wrapStreamErr(i int, err error) error {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return err
+	if s.e.health[s.i].record(err) {
+		s.e.met.wentDown()
 	}
-	if e.health[i].record(err) {
-		e.met.wentDown()
-	}
-	return &Error{Shard: e.m.Shards[i].Name, Addr: e.m.Shards[i].Addr, Op: "select_stream", Err: err}
-}
-
-// chainStream is the multi-shard streaming cursor: shard i+1's stream opens
-// only after shard i's is drained, and a satisfied LIMIT ends the chain
-// before the remaining shards are touched.
-type chainStream struct {
-	e   *Executor
-	ctx context.Context
-	q   engine.Query
-
-	next      int // next shard index to open
-	cur       engine.ResultStream
-	curShard  int
-	delivered int
-	seen      int // rows observed across opened shards (see Count)
-	done      bool
-}
-
-func (c *chainStream) Next() (*engine.Result, error) {
-	for {
-		if c.done {
-			return nil, io.EOF
-		}
-		if c.q.Limit > 0 && c.delivered >= c.q.Limit {
-			c.Close()
-			return nil, io.EOF
-		}
-		if c.cur == nil {
-			if c.next >= len(c.e.backends) {
-				c.done = true
-				return nil, io.EOF
-			}
-			i := c.next
-			c.next++
-			var st engine.ResultStream
-			err := c.e.call(i, "select_stream", func(b proxy.Executor) error {
-				var err error
-				st, err = openStream(c.ctx, b, c.q)
-				return err
-			})
-			if err != nil {
-				c.done = true
-				return nil, err
-			}
-			c.cur, c.curShard = st, i
-			c.seen += st.Count()
-		}
-		chunk, err := c.cur.Next()
-		if err == io.EOF {
-			c.cur.Close()
-			c.cur = nil
-			continue
-		}
-		if err != nil {
-			err = c.e.wrapStreamErr(c.curShard, err)
-			c.Close()
-			return nil, err
-		}
-		if c.q.Limit > 0 && c.delivered+chunk.Count > c.q.Limit {
-			chunk = truncateChunk(chunk, c.q.Limit-c.delivered)
-		}
-		c.delivered += chunk.Count
-		return chunk, nil
-	}
-}
-
-// truncateChunk shallow-copies a chunk down to need rows; the cell slices
-// keep aliasing the source chunk's buffers, valid until the next Next per
-// the ResultStream contract.
-func truncateChunk(chunk *engine.Result, need int) *engine.Result {
-	out := &engine.Result{Count: need}
-	if len(chunk.RecordIDs) >= need {
-		out.RecordIDs = chunk.RecordIDs[:need]
-	}
-	for _, col := range chunk.Columns {
-		out.Columns = append(out.Columns, engine.ResultColumn{
-			Table: col.Table, Column: col.Column, Cells: col.Cells[:need],
-		})
-	}
-	return out
-}
-
-// Count reports the matching rows observed on the shards opened so far — a
-// chain that has not fanned out yet cannot know the fleet-wide total without
-// defeating the lazy fan-out. The proxy's cursor never consults it; callers
-// that need an exact total should drain the stream or issue a CountOnly
-// query.
-func (c *chainStream) Count() int { return c.seen }
-
-// Close releases the current shard's stream and ends the chain.
-func (c *chainStream) Close() error {
-	if c.cur != nil {
-		c.cur.Close()
-		c.cur = nil
-	}
-	c.done = true
-	return nil
+	return nil, &Error{Shard: s.e.m.Shards[s.i].Name, Addr: s.e.m.Shards[s.i].Addr, Op: "select_stream", Err: err}
 }

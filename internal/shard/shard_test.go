@@ -3,14 +3,15 @@ package shard
 import (
 	"context"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
 
+	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/engine"
+	"github.com/encdbdb/encdbdb/internal/pae"
 	"github.com/encdbdb/encdbdb/internal/proxy"
 )
 
@@ -115,7 +116,7 @@ func TestRangePartitionerBounds(t *testing.T) {
 }
 
 // stubBackend is a minimal proxy.Executor whose Select serves fixed cells for
-// one column "c" and whose failures are switchable at runtime.
+// one plain column "c" and whose failures are switchable at runtime.
 type stubBackend struct {
 	rows    []string
 	fail    atomic.Bool
@@ -162,9 +163,11 @@ func (s *stubBackend) InsertBatch(_ context.Context, _ string, rows []engine.Row
 	return s.err()
 }
 
-func (s *stubBackend) Schema(string) (engine.Schema, error) { return engine.Schema{}, s.err() }
-func (s *stubBackend) CreateTable(engine.Schema) error      { return s.err() }
-func (s *stubBackend) DropTable(string) error               { return s.err() }
+func (s *stubBackend) Schema(string) (engine.Schema, error) {
+	return engine.Schema{Table: "t", Columns: []engine.ColumnDef{{Name: "c", Kind: dict.ED1, MaxLen: 8, Plain: true}}}, s.err()
+}
+func (s *stubBackend) CreateTable(engine.Schema) error { return s.err() }
+func (s *stubBackend) DropTable(string) error          { return s.err() }
 func (s *stubBackend) Delete(context.Context, string, []engine.Filter) (int, error) {
 	return 0, s.err()
 }
@@ -208,30 +211,26 @@ func TestInsertRouting(t *testing.T) {
 	}
 }
 
-// TestChainStreamLimitShortCircuit proves a satisfied LIMIT ends the shard
-// chain early: when shard0 alone covers the limit, shard1 is never contacted.
-func TestChainStreamLimitShortCircuit(t *testing.T) {
+// TestQueryLimitShortCircuitsFanOut proves the proxy's cursor reads the
+// shards' streams one after another: when shard0 alone covers a LIMIT, shard1
+// is never contacted.
+func TestQueryLimitShortCircuitsFanOut(t *testing.T) {
 	s0 := &stubBackend{rows: []string{"a", "b", "c"}}
 	s1 := &stubBackend{rows: []string{"d", "e"}}
-	e := newStubFleet(t, NewHashMap([]string{"a", "b"}), s0, s1)
-	st, err := e.SelectStream(context.Background(), engine.Query{Table: "t", Limit: 2})
+	p, err := proxy.New(pae.MustGen(), newStubFleet(t, NewHashMap([]string{"a", "b"}), s0, s1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	delivered := 0
-	for {
-		chunk, err := st.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		delivered += chunk.Count
+	rows, err := p.Query(context.Background(), "SELECT c FROM t LIMIT 2")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if delivered != 2 {
-		t.Errorf("delivered %d rows, want 2", delivered)
+	got, err := rows.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, [][]string{{"a"}, {"b"}}) {
+		t.Errorf("delivered %v, want [[a] [b]]", got)
 	}
 	if n := s1.selects.Load(); n != 0 {
 		t.Errorf("shard1 was contacted %d times; LIMIT must short-circuit the fan-out", n)

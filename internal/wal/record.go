@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/engine"
@@ -19,9 +20,11 @@ import (
 // (fatal).
 const (
 	frameHeaderLen = 8
-	// maxRecordBytes bounds a single record so a corrupted length prefix
-	// cannot drive a huge allocation during recovery.
+	// maxRecordBytes bounds a single record's claimed length.
 	maxRecordBytes = 1 << 30
+	// payloadChunk is the first allocation for a payload; it doubles from
+	// there as bytes arrive.
+	payloadChunk = 64 << 10
 )
 
 // errTorn marks an incomplete or corrupt frame at the end of a segment —
@@ -52,9 +55,17 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if size > maxRecordBytes {
 		return nil, fmt.Errorf("%w: implausible record size %d", errTorn, size)
 	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: truncated payload: %v", errTorn, err)
+	// The payload grows as bytes arrive, so a torn or garbage header's
+	// length claim costs no more memory than the segment actually holds.
+	payload := make([]byte, 0, min(int(size), payloadChunk))
+	for len(payload) < int(size) {
+		want := min(int(size), max(cap(payload), 2*len(payload)))
+		payload = slices.Grow(payload, want-len(payload))
+		n, err := io.ReadFull(r, payload[len(payload):want])
+		payload = payload[:len(payload)+n]
+		if err != nil {
+			return nil, fmt.Errorf("%w: truncated payload: %v", errTorn, err)
+		}
 	}
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
 		return nil, fmt.Errorf("%w: checksum mismatch", errTorn)
