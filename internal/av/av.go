@@ -489,6 +489,49 @@ func (v *Vector) Get(i int) uint32 {
 	}
 }
 
+// Gather writes the codes of rows into dst[:len(rows)], which must have room
+// for them. It resolves the block metadata once per run of rows in the same
+// block instead of once per row, and walks an RLE block's runs forward from
+// the previous row's run, so ascending rows (a match set's RecordIDs) cost
+// O(rows + runs) per block. Any row order is correct.
+func (v *Vector) Gather(dst, rows []uint32) {
+	dst = dst[:len(rows)]
+	if v.w == 0 {
+		clear(dst)
+		return
+	}
+	if v.blocks == nil {
+		for k, r := range rows {
+			dst[k] = getSlices(v.words[(int(r)/GroupRows)*v.w:], int(r)%GroupRows, v.w)
+		}
+		return
+	}
+	cur := -1
+	var blk Block
+	var runs []Run
+	ri := 0
+	for k, r := range rows {
+		b, local := int(r)/BlockRows, uint32(r)%BlockRows
+		if b != cur {
+			cur, blk, ri = b, v.blocks[b], 0
+			if blk.Enc == EncRLE {
+				runs = v.runs[blk.Off : blk.Off+blk.N]
+			}
+		}
+		if blk.Enc != EncRLE {
+			dst[k] = blk.Base + getSlices(v.words[int(blk.Off)+int(local/GroupRows)*int(blk.W):], int(local%GroupRows), int(blk.W))
+			continue
+		}
+		if ri > 0 && local < runs[ri-1].End {
+			ri = 0 // rows went backwards within the block
+		}
+		for local >= runs[ri].End {
+			ri++
+		}
+		dst[k] = runs[ri].VID
+	}
+}
+
 // getSlices reassembles the code at row r (within its group) from w slice
 // words.
 func getSlices(sl []uint64, r, w int) uint32 {

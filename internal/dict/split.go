@@ -78,6 +78,45 @@ func (s *Split) Entry(i int) []byte {
 	return s.tail[ref.Off : ref.Off+ref.Len]
 }
 
+// Gather sets cells[k] to the payload of row rows[k]'s dictionary entry —
+// cell = D[AV[row]] (paper Fig. 5 step 12) for a batch of rows — in tight
+// passes instead of one row at a time: all rows' ValueIDs first (one bulk
+// attribute-vector gather), then their head references, then one read of
+// each payload. Rows are random and the tail is shuffled by design, so
+// nearly every step of every row misses the cache; with the passes
+// independent, those misses overlap instead of queueing behind each other,
+// and the payloads are cached by the time the caller copies them out. The
+// cells alias the tail and must not be modified. cells needs room for
+// len(rows) entries; rows must be < Rows().
+func (s *Split) Gather(cells [][]byte, rows []uint32) {
+	cells = cells[:len(rows)]
+	var small [8]uint32 // point lookups resolve without allocating
+	codes := small[:]
+	if len(rows) > len(small) {
+		codes = make([]uint32, len(rows))
+	}
+	s.packed.Gather(codes, rows)
+	for k, vid := range codes[:len(rows)] {
+		ref := s.head[vid]
+		cells[k] = s.tail[ref.Off : ref.Off+ref.Len : ref.Off+ref.Len]
+	}
+	touch(cells)
+}
+
+// touch reads the first and last byte of every cell in one loop of
+// independent loads, pulling the payloads' cache lines in. It must not be
+// inlined: the compiler would drop loads whose result is unused.
+//
+//go:noinline
+func touch(cells [][]byte) (x byte) {
+	for _, c := range cells {
+		if len(c) > 0 {
+			x ^= c[0] ^ c[len(c)-1]
+		}
+	}
+	return x
+}
+
 // Load is Entry under the name required by the enclave's untrusted-memory
 // interface (search.Region), letting a Split be handed to the enclave
 // directly as the region backing a dictionary search.

@@ -21,3 +21,27 @@ func (db *DB) SealedRuns(tableName string) (int, error) {
 	defer t.mu.RUnlock()
 	return t.sealedRunsLocked(), nil
 }
+
+// Renderers pins the current version of a table and returns two renders of
+// one column over it: the batched render, and the per-row reference (entry)
+// it must agree with.
+func (db *DB) Renderers(tableName, column string) (render, entries func(rids []uint32) [][]byte, err error) {
+	t, err := db.lookup(tableName)
+	if err != nil {
+		return nil, nil, err
+	}
+	v, err := t.pin()
+	if err != nil {
+		return nil, nil, err
+	}
+	cv := v.cols[column]
+	render = func(rids []uint32) [][]byte { return v.render(cv, rids) }
+	entries = func(rids []uint32) [][]byte {
+		cells := make([][]byte, len(rids))
+		for i, r := range rids {
+			cells[i] = cv.entry(v.mainRows, int(r))
+		}
+		return cells
+	}
+	return render, entries, nil
+}

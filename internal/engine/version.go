@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/ridset"
 )
@@ -111,12 +113,16 @@ func (cv *colVersion) entry(mainRows int, r int) []byte {
 }
 
 // render reconstructs the projected cells for the matched rows by undoing
-// the split: cell = D[AV[rid]] (paper Fig. 5 step 12). Cells remain
-// ciphertexts for encrypted columns.
+// the split: cell = D[AV[rid]] (paper Fig. 5 step 12). rids ascend, as every
+// match set's RecordIDs do, so the main-store rows are a prefix: they resolve
+// in one batch (dict.Split.Gather), and the delta rows behind them one by one
+// through entry. Cells remain ciphertexts for encrypted columns.
 func (v *version) render(cv *colVersion, rids []uint32) [][]byte {
 	cells := make([][]byte, len(rids))
-	for i, r := range rids {
-		cells[i] = cv.entry(v.mainRows, int(r))
+	m, _ := slices.BinarySearch(rids, uint32(v.mainRows))
+	cv.main.Gather(cells, rids[:m])
+	for i := m; i < len(rids); i++ {
+		cells[i] = cv.entry(v.mainRows, int(rids[i]))
 	}
 	return cells
 }

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"github.com/encdbdb/encdbdb/internal/engine"
+	"github.com/encdbdb/encdbdb/internal/pae"
 	"github.com/encdbdb/encdbdb/internal/sqlparse"
 )
 
@@ -92,32 +93,34 @@ var ErrBadReply = errors.New("proxy: malformed provider reply")
 // stream may recycle on its next Next.
 type decoder struct {
 	project []string
-	cells   []func([]byte) (string, error)
+	cols    []colDecoder
+}
+
+// colDecoder opens one projected column's cells: open appends a cell's
+// plaintext to dst, and every plaintext is exactly overhead bytes shorter
+// than its cell (pae.Overhead for encrypted columns, 0 for plain ones).
+type colDecoder struct {
+	open     func(dst, cell []byte) ([]byte, error)
+	overhead int
 }
 
 // newDecoder builds the decoder of a projection.
 func (p *Proxy) newDecoder(schema engine.Schema, project []string) (*decoder, error) {
-	d := &decoder{project: project, cells: make([]func([]byte) (string, error), len(project))}
+	d := &decoder{project: project, cols: make([]colDecoder, len(project))}
 	for i, name := range project {
 		def, ok := schema.Column(name)
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", engine.ErrNoSuchColumn, name)
 		}
 		if def.Plain {
-			d.cells[i] = func(cell []byte) (string, error) { return string(cell), nil }
+			d.cols[i] = colDecoder{open: func(dst, cell []byte) ([]byte, error) { return append(dst, cell...), nil }}
 			continue
 		}
 		c, err := p.cipher(schema.Table, name)
 		if err != nil {
 			return nil, err
 		}
-		d.cells[i] = func(cell []byte) (string, error) {
-			v, err := c.Decrypt(cell)
-			if err != nil {
-				return "", err
-			}
-			return string(v), nil
-		}
+		d.cols[i] = colDecoder{open: c.DecryptInto, overhead: pae.Overhead}
 	}
 	return d, nil
 }
@@ -143,17 +146,21 @@ func (d *decoder) check(chunk *engine.Result) error {
 	return nil
 }
 
-// cell decodes row ri of column ci of a checked chunk.
-func (d *decoder) cell(chunk *engine.Result, ci, ri int) (string, error) {
-	v, err := d.cells[ci](chunk.Columns[ci].Cells[ri])
+// open appends the plaintext of row ri of column ci of a checked chunk to
+// dst.
+func (d *decoder) open(dst []byte, chunk *engine.Result, ci, ri int) ([]byte, error) {
+	out, err := d.cols[ci].open(dst, chunk.Columns[ci].Cells[ri])
 	if err != nil {
-		return "", fmt.Errorf("proxy: decrypt %q: %w", d.project[ci], err)
+		return nil, fmt.Errorf("proxy: decrypt %q: %w", d.project[ci], err)
 	}
-	return v, nil
+	return out, nil
 }
 
-// decodeChunk checks a chunk and decodes all of it, column by column, into
-// projection-ordered rows sharing one backing array.
+// decodeChunk checks a chunk and decodes all of it into projection-ordered
+// rows sharing one backing array. Each column is opened into one arena sized
+// up front from the cell lengths (an AEAD appending past capacity allocates
+// every time), converted to one string, and every cell of the column is a
+// substring of it: a chunk costs a handful of allocations, not two per cell.
 func (d *decoder) decodeChunk(chunk *engine.Result) ([][]string, error) {
 	if err := d.check(chunk); err != nil {
 		return nil, err
@@ -167,13 +174,28 @@ func (d *decoder) decodeChunk(chunk *engine.Result) ([][]string, error) {
 	for ri := range rows {
 		rows[ri] = flat[ri*n : (ri+1)*n : (ri+1)*n]
 	}
-	for ci := range d.project {
-		for ri, row := range rows {
-			v, err := d.cell(chunk, ci, ri)
-			if err != nil {
+	var arena []byte
+	for ci, col := range chunk.Columns {
+		overhead := d.cols[ci].overhead
+		size := 0
+		for _, cell := range col.Cells {
+			size += len(cell) - overhead
+		}
+		if size > cap(arena) {
+			arena = make([]byte, 0, size)
+		}
+		arena = arena[:0]
+		for ri := range col.Cells {
+			var err error
+			if arena, err = d.open(arena, chunk, ci, ri); err != nil {
 				return nil, err
 			}
-			row[ci] = v
+		}
+		s, off := string(arena), 0
+		for ri, cell := range col.Cells {
+			end := off + len(cell) - overhead
+			rows[ri][ci] = s[off:end]
+			off = end
 		}
 	}
 	return rows, nil
@@ -265,13 +287,15 @@ func before(desc bool, a, b string) bool {
 
 // topK is one stream's ORDER BY state: the k rows that sort first so far
 // (every row when k < 0), held as a heap whose root is the row that sorts
-// last. A row's sort key is decrypted first; its other cells are decrypted
-// only when the row enters.
+// last. A row's sort key is decrypted first, into a reused scratch buffer; it
+// becomes a string, and the row's other cells are decrypted, only when the
+// row enters.
 type topK struct {
-	k, key int
-	desc   bool
-	seq    int // rows seen so far: the next row's storage position
-	rows   []ranked
+	k, key  int
+	desc    bool
+	seq     int // rows seen so far: the next row's storage position
+	rows    []ranked
+	scratch []byte
 }
 
 type ranked struct {
@@ -280,20 +304,29 @@ type ranked struct {
 }
 
 func (t *topK) fold(d *decoder, chunk *engine.Result) error {
+	if t.k < 0 {
+		// Every row is kept: decode the chunk whole.
+		rows, err := d.decodeChunk(chunk)
+		for _, row := range rows {
+			t.rows = append(t.rows, ranked{t.seq, row})
+			t.seq++
+		}
+		return err
+	}
 	if err := d.check(chunk); err != nil {
 		return err
 	}
 	for ri := 0; ri < chunk.Count; ri++ {
 		seq := t.seq
 		t.seq++
-		key, err := d.cell(chunk, t.key, ri)
-		if err != nil {
+		var err error
+		if t.scratch, err = d.open(t.scratch[:0], chunk, t.key, ri); err != nil {
 			return err
 		}
 		// A later row ties with an earlier one and loses, so only a
 		// strictly earlier key displaces the root.
-		grow := t.k < 0 || len(t.rows) < t.k
-		if !grow && (len(t.rows) == 0 || !before(t.desc, key, t.rows[0].row[t.key])) {
+		grow := len(t.rows) < t.k
+		if !grow && (len(t.rows) == 0 || !t.beats(t.scratch, t.rows[0].row[t.key])) {
 			continue
 		}
 		var row []string
@@ -302,24 +335,33 @@ func (t *topK) fold(d *decoder, chunk *engine.Result) error {
 		} else {
 			row = t.rows[0].row // the displaced root's cells are overwritten
 		}
+		row[t.key] = string(t.scratch)
 		for ci := range row {
 			if ci == t.key {
-				row[ci] = key
-			} else if row[ci], err = d.cell(chunk, ci, ri); err != nil {
+				continue
+			}
+			if t.scratch, err = d.open(t.scratch[:0], chunk, ci, ri); err != nil {
 				return err
 			}
+			row[ci] = string(t.scratch)
 		}
-		switch {
-		case t.k < 0:
-			t.rows = append(t.rows, ranked{seq, row})
-		case grow:
+		if grow {
 			heap.Push(t, ranked{seq, row})
-		default:
+		} else {
 			t.rows[0] = ranked{seq, row}
 			heap.Fix(t, 0)
 		}
 	}
 	return nil
+}
+
+// beats reports whether a decrypted sort key sorts strictly before the root's
+// key; comparing string(key) does not allocate.
+func (t *topK) beats(key []byte, root string) bool {
+	if t.desc {
+		return string(key) > root
+	}
+	return string(key) < root
 }
 
 // Len, Less, Swap, Push and Pop make topK a heap whose root sorts last.
@@ -397,7 +439,8 @@ func (pt *partial) fold(aggs []sqlparse.Aggregate, cols []int, rows [][]string) 
 				}
 				pt.sums[ai] += n
 			case pt.n == 0 || better(a.Func, v, pt.best[ai]):
-				pt.best[ai] = v
+				// A copy: v is a substring of its chunk's column arena.
+				pt.best[ai] = strings.Clone(v)
 			}
 		}
 		pt.n++

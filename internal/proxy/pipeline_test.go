@@ -108,10 +108,10 @@ func openers(streams [][][]string, project []string, size int) []opener {
 func countingDecoder(project []string, calls *atomic.Int64) *decoder {
 	d := &decoder{project: project}
 	for range project {
-		d.cells = append(d.cells, func(cell []byte) (string, error) {
+		d.cols = append(d.cols, colDecoder{open: func(dst, cell []byte) ([]byte, error) {
 			calls.Add(1)
-			return string(cell), nil
-		})
+			return append(dst, cell...), nil
+		}})
 	}
 	return d
 }

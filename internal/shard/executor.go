@@ -254,7 +254,9 @@ func (e *Executor) InsertBatch(ctx context.Context, table string, rows []engine.
 }
 
 // Delete broadcasts the predicate — encrypted bounds carry fresh IVs, so the
-// trusted side cannot value-route writes — and sums the affected counts.
+// trusted side cannot value-route writes — and sums the affected counts. When
+// some shards fail, the rows the others deleted are returned alongside the
+// joined per-shard errors: the statement was partially applied.
 func (e *Executor) Delete(ctx context.Context, table string, filters []engine.Filter) (int, error) {
 	var total atomic.Int64
 	err := e.scatter("delete", func(i int, b proxy.Executor) error {
@@ -262,13 +264,11 @@ func (e *Executor) Delete(ctx context.Context, table string, filters []engine.Fi
 		total.Add(int64(n))
 		return err
 	})
-	if err != nil {
-		return 0, err
-	}
-	return int(total.Load()), nil
+	return int(total.Load()), err
 }
 
-// Update broadcasts like Delete and sums the affected counts.
+// Update broadcasts like Delete and sums the affected counts, partial ones
+// included.
 func (e *Executor) Update(ctx context.Context, table string, filters []engine.Filter, set engine.Row) (int, error) {
 	var total atomic.Int64
 	err := e.scatter("update", func(i int, b proxy.Executor) error {
@@ -276,10 +276,7 @@ func (e *Executor) Update(ctx context.Context, table string, filters []engine.Fi
 		total.Add(int64(n))
 		return err
 	})
-	if err != nil {
-		return 0, err
-	}
-	return int(total.Load()), nil
+	return int(total.Load()), err
 }
 
 // Select scatters the query and gathers one merged result: counts sum, row

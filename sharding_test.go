@@ -253,11 +253,26 @@ func (k *killableExecutor) InsertBatch(ctx context.Context, table string, rows [
 	return k.Executor.InsertBatch(ctx, table, rows)
 }
 
+func (k *killableExecutor) Delete(ctx context.Context, table string, filters []engine.Filter) (int, error) {
+	if err := k.refuse(); err != nil {
+		return 0, err
+	}
+	return k.Executor.Delete(ctx, table, filters)
+}
+
+func (k *killableExecutor) Update(ctx context.Context, table string, filters []engine.Filter, set engine.Row) (int, error) {
+	if err := k.refuse(); err != nil {
+		return 0, err
+	}
+	return k.Executor.Update(ctx, table, filters, set)
+}
+
 // TestShardKillPartialFailure proves the fleet degrades the way
 // docs/sharding.md promises: a dead shard turns scatter queries into typed
 // *ShardError failures naming the shard — ErrShardDown once its health flips
 // — while operations routed entirely to healthy shards keep succeeding, and
-// the fleet heals when the shard returns.
+// the fleet heals when the shard returns; writes scattered to every shard
+// report what the healthy shards changed.
 func TestShardKillPartialFailure(t *testing.T) {
 	ctx := context.Background()
 	owner, err := encdbdb.NewDataOwner()
@@ -371,5 +386,19 @@ func TestShardKillPartialFailure(t *testing.T) {
 	}
 	if top := exec.Topology(); !top[1].Healthy {
 		t.Errorf("shard1 still down after revival: %+v", top[1])
+	}
+
+	// Writes scattered to every shard report partial success: the rows the
+	// healthy shard changed come back beside the dead shard's typed error.
+	// Every row lives on shard0.
+	kill.dead.Store(true)
+	onShard0 := len(shardPeople) + 1 // the seeded people and zoe
+	n, err := exec.Update(ctx, "people", nil, engine.Row{})
+	if n != onShard0 || !errors.As(err, &se) || se.Shard != "shard1" || se.Op != "update" {
+		t.Errorf("update with dead shard = %d, %v; want %d rows and *ShardError for shard1 update", n, err, onShard0)
+	}
+	n, err = exec.Delete(ctx, "people", nil)
+	if n != onShard0 || !errors.As(err, &se) || se.Shard != "shard1" || se.Op != "delete" {
+		t.Errorf("delete with dead shard = %d, %v; want %d rows and *ShardError for shard1 delete", n, err, onShard0)
 	}
 }
