@@ -97,14 +97,14 @@ func BenchmarkPackedBitsetScan(b *testing.B) {
 // the same IDs as a membership bitmap, at the scan-heavy benchmark's shape
 // (2M rows, |D| = 13,361, the C2 profile's distinct count). The range
 // kernel's cost grows with k, the bitmap's hardly does; they cross at about
-// k = 16.
+// k = 7.
 func BenchmarkPackedShortList(b *testing.B) {
 	const rows, dictLen = 2 << 20, 13361
 	rng := rand.New(rand.NewSource(13))
 	v := Pack(randCodes(rng, rows, dictLen), dictLen)
 	groups := (v.Len() + GroupRows - 1) / GroupRows
 	out := ridset.New(v.Len())
-	for _, k := range []int{1, 2, 4, 8, 16, 32} {
+	for _, k := range []int{1, 2, 4, 6, 8, 16, 32} {
 		ranges := make([]Range, k)
 		set := make([]uint64, (dictLen+63)/64)
 		for i := range ranges {

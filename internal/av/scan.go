@@ -26,14 +26,15 @@ import (
 
 // ShortListRanges is the longest range disjunction a ValueID list is
 // compiled to instead of a membership bitmap (search.CompileListPred).
-// ScanRanges costs grow with the range count while ScanBitset's transpose
-// costs about the same for any list. BenchmarkPackedShortList (2M rows,
-// |D| = 13,361, one core of a 2-vCPU Xeon) puts the crossing at about 16
-// scattered ValueIDs: 2 IDs scan at 0.9 ns/row against the bitmap's 7.0,
-// 8 at 3.2 against 7.8, 16 at 6.3–7.6 against 6.9, 32 at 13.0 against 7.5.
-// 8 keeps a margin on the winning side. The range kernels keep up to this
-// many ranges on the stack.
-const ShortListRanges = 8
+// ScanRanges costs grow with the range count, while ScanBitset costs about
+// the same for any list: a transpose sized to the code width, then one
+// branch-free bitmap probe per row. BenchmarkPackedShortList (2M rows,
+// |D| = 13,361, so 14-bit codes in 16-bit lanes; one core of a 2-vCPU Xeon)
+// puts the crossing at about 7 scattered ValueIDs: 1 ID scans at 0.7 ns/row
+// against the bitmap's 3.9, 4 at 2.3 against 3.7, 6 at 3.7 against 4.0, 8
+// at 4.7 against 4.0, 16 at 9.4 against 3.7, 32 at 18 against 4.1. The
+// range kernels keep up to this many ranges on the stack.
+const ShortListRanges = 7
 
 // ScanRanges evaluates the disjunction of the inclusive ValueID ranges over
 // the row groups [gLo, gHi) and ORs the per-group 64-bit match words into
@@ -244,9 +245,10 @@ func scanPointGroup(sl []uint64, u uint32) uint64 {
 // ScanBitset evaluates ValueID-set membership over the row groups
 // [gLo, gHi) and ORs the per-group match words into out. set is a bitmap
 // over ValueIDs (bit u = ValueID u matches) as built from an unsorted
-// dictionary search's ID list. The group's 64 codes are reassembled with
-// one in-register 64x64 bit-matrix transpose of the slice words — a cost
-// independent of the code width — then probed against the bitmap.
+// dictionary search's ID list. The group's 64 codes are reassembled with an
+// in-register bit-matrix transpose of the slice words sized to the code
+// width, then probed against the bitmap without a data-dependent branch.
+// Codes past the bitmap or at or past |D| never match.
 func (v *Vector) ScanBitset(out *ridset.Set, gLo, gHi int, set []uint64) {
 	v.scanBitset(out, gLo, gHi, set, false)
 }
@@ -269,7 +271,9 @@ func (v *Vector) scanBitset(set *ridset.Set, gLo, gHi int, bset []uint64, and bo
 	if v.w == 0 {
 		return v.scanConst(set, gLo, gHi, bset[0]&1 != 0, and)
 	}
-	limit := uint64(len(bset) * 64)
+	// Codes at or past |D| (a corrupt vector) never match, even where the
+	// bitmap's last word has bits for them.
+	limit := min(uint64(len(bset))*64, uint64(v.dict))
 	if v.blocks == nil {
 		any := false
 		for g := gLo; g < gHi; g++ {
@@ -326,47 +330,81 @@ func (v *Vector) scanBitset(set *ridset.Set, gLo, gHi int, bset []uint64, and bo
 	return any
 }
 
-// bitsetGroupWord reassembles one group's 64 codes from w slice words via
-// transpose, offsets them by the block base, and probes each against the
-// membership bitmap.
+// bitsetGroupWord reassembles one group's 64 codes from its w slice words,
+// offsets them by the block base and probes each against the membership
+// bitmap. Codes hold at most 32 bits, so the reassembly is a bit-matrix
+// transpose sized to the width, run side by side in the lanes of a word:
+// for w <= 16 four 16x16 transposes in 16-bit lanes (4 rounds of 8 word
+// swaps), for w <= 32 two 32x32 ones in 32-bit lanes (5 rounds of 16).
 func bitsetGroupWord(sl []uint64, base uint32, bset []uint64, limit uint64) uint64 {
-	// transpose64 mirrors about the anti-diagonal — (row, bit) maps
-	// to (63-bit, 63-row) — so loading slice j at row 63-j makes
-	// row 63-r come out as exactly code r, unmirrored.
-	var a [GroupRows]uint64
-	for j, s := range sl {
-		a[GroupRows-1-j] = s
-	}
-	transpose64(&a)
-	var m uint64
-	for r := 0; r < GroupRows; r++ {
-		c := uint64(base) + a[GroupRows-1-r]
-		// c can reach past |D|-1 when |D| is not a power of two; such
-		// codes never appear in validated vectors but the bounds check
-		// keeps corrupt input safe.
-		if c < limit && bset[c/64]&(1<<(c%64)) != 0 {
-			m |= 1 << uint(r)
+	if len(sl) <= 16 {
+		var a [16]uint64
+		copy(a[:], sl)
+		transpose16(&a)
+		var m uint64
+		for i, x := range a[:] {
+			m |= member(bset, limit, uint64(base)+x&0xFFFF) << uint(i)
+			m |= member(bset, limit, uint64(base)+(x>>16)&0xFFFF) << (16 + uint(i))
+			m |= member(bset, limit, uint64(base)+(x>>32)&0xFFFF) << (32 + uint(i))
+			m |= member(bset, limit, uint64(base)+x>>48) << (48 + uint(i))
 		}
+		return m
+	}
+	var a [32]uint64
+	copy(a[:], sl)
+	transpose32(&a)
+	var m uint64
+	for i, x := range a[:] {
+		m |= member(bset, limit, uint64(base)+x&0xFFFFFFFF) << uint(i)
+		m |= member(bset, limit, uint64(base)+x>>32) << (32 + uint(i))
 	}
 	return m
 }
 
-// transpose64 transposes the 64x64 bit matrix held row-major in a, using
-// the classic recursive block-swap (Hacker's Delight §7-3). Feeding it a
-// group's slice words (row j = bit-slice j) yields the group's codes (row r
-// = code of row r), which is how the bitset kernels unpack 64 codes in ~6
-// passes of register operations regardless of width.
-func transpose64(a *[GroupRows]uint64) {
-	j := uint(32)
-	m := uint64(0x00000000FFFFFFFF)
-	for j != 0 {
-		for k := 0; k < GroupRows; k = (k + int(j) + 1) &^ int(j) {
-			t := (a[k] ^ (a[k+int(j)] >> j)) & m
-			a[k] ^= t
-			a[k+int(j)] ^= t << j
-		}
-		j >>= 1
-		m ^= m << j
+// member returns 1 if code c is below limit and its bitmap bit is set, else
+// 0, without a data-dependent branch: limit is at most len(bset)*64, and a
+// code at or past it reads a clamped word and is masked off. c and limit
+// are below 2^34, so c-limit wraps into the top bit exactly when c < limit.
+func member(bset []uint64, limit, c uint64) uint64 {
+	in := (c - limit) >> 63
+	return (bset[min(c/64, uint64(len(bset)-1))] >> (c % 64)) & in
+}
+
+// transpose16 transposes, in each 16-bit lane k of a's words, the 16x16 bit
+// matrix whose row j is lane k of a[j]: the slice words of rows
+// [16k, 16k+16) in, their codes out — lane k of a[i] ends up holding the
+// code of row 16k+i. Each round swaps the off-diagonal s x s blocks of
+// every 2s x 2s block (Hacker's Delight §7-3, in little-endian bit order).
+func transpose16(a *[16]uint64) {
+	transposeRound16(a, 8, 0x00FF00FF00FF00FF)
+	transposeRound16(a, 4, 0x0F0F0F0F0F0F0F0F)
+	transposeRound16(a, 2, 0x3333333333333333)
+	transposeRound16(a, 1, 0x5555555555555555)
+}
+
+func transposeRound16(a *[16]uint64, s uint, m uint64) {
+	for k := 0; k < 16; k = (k + int(s) + 1) &^ int(s) {
+		t := ((a[k] >> s) ^ a[(k+int(s))&15]) & m
+		a[(k+int(s))&15] ^= t
+		a[k] ^= t << s
+	}
+}
+
+// transpose32 is transpose16 for two 32x32 matrices in 32-bit lanes: lane k
+// of a[i] ends up holding the code of row 32k+i.
+func transpose32(a *[32]uint64) {
+	transposeRound32(a, 16, 0x0000FFFF0000FFFF)
+	transposeRound32(a, 8, 0x00FF00FF00FF00FF)
+	transposeRound32(a, 4, 0x0F0F0F0F0F0F0F0F)
+	transposeRound32(a, 2, 0x3333333333333333)
+	transposeRound32(a, 1, 0x5555555555555555)
+}
+
+func transposeRound32(a *[32]uint64, s uint, m uint64) {
+	for k := 0; k < 32; k = (k + int(s) + 1) &^ int(s) {
+		t := ((a[k] >> s) ^ a[(k+int(s))&31]) & m
+		a[(k+int(s))&31] ^= t
+		a[k] ^= t << s
 	}
 }
 

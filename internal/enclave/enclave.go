@@ -51,7 +51,8 @@ type AccessObserver interface {
 	Access(table, column string, index int)
 }
 
-// Stats counts the enclave's boundary traffic.
+// Stats counts the enclave's boundary traffic. Counts land when an ECALL
+// returns, not as it works.
 type Stats struct {
 	// ECalls is the number of enclave entries. EncDBDB needs exactly one
 	// per dictionary search (paper §5: "only one context switch is
@@ -66,10 +67,12 @@ type Stats struct {
 	Encryptions uint64
 }
 
-// counters is the live, lock-free form of Stats: every dictionary probe of
-// every concurrent ECALL bumps these, so they must not share the enclave
-// mutex — under the engine's per-table locks, a global mutex here would
-// re-serialize exactly the cross-table parallelism those locks exist for.
+// counters is the live, lock-free form of Stats. Each ECALL counts its own
+// work in an ecall and adds the totals here once, when it returns (ecall.end),
+// so concurrent ECALLs touch these shared words a handful of times per call
+// rather than per dictionary entry. They must not share the enclave mutex —
+// under the engine's per-table locks, a global mutex here would re-serialize
+// exactly the cross-table parallelism those locks exist for.
 type counters struct {
 	ecalls      atomic.Uint64
 	loads       atomic.Uint64
@@ -181,9 +184,10 @@ func (e *Enclave) Provisioned() bool {
 	return e.master != nil
 }
 
-// Stats returns a snapshot of the boundary counters. Each counter is read
-// atomically; with ECALLs in flight the snapshot can interleave between
-// their individual increments, so read it (as every caller does) after the
+// Stats returns a snapshot of the boundary counters. An ECALL's counts land
+// when it returns, on its error paths too; a call still in flight is not in
+// the snapshot, and one returning while the snapshot is read can be in some
+// counters but not yet in others. Read it (as every caller does) after the
 // traffic being measured has quiesced.
 func (e *Enclave) Stats() Stats {
 	return Stats{
@@ -265,34 +269,33 @@ type SearchResult struct {
 // loading entries from untrusted memory one at a time. The whole search
 // costs a single context switch.
 func (e *Enclave) DictSearch(meta ColumnMeta, region search.Region, encRndOffset []byte, q EncRange) (SearchResult, error) {
-	e.enterECall()
-	cipher, err := e.cipherFor(meta.Table, meta.Column)
+	c, err := e.enter(meta)
+	defer c.end()
 	if err != nil {
 		return SearchResult{}, err
 	}
 	if err := e.chargeScratch(meta.MaxLen, region); err != nil {
 		return SearchResult{}, err
 	}
-	rng, err := e.decryptRange(cipher, meta, q)
+	rng, err := c.decryptRange(q)
 	if err != nil {
 		return SearchResult{}, err
 	}
 
-	mr := &callRegion{inner: meteredRegion{e: e, meta: meta, r: region}}
-	dec := &countingDecryptor{e: e, c: cipher, buf: make([]byte, 0, meta.MaxLen)}
+	c.r, c.buf = region, make([]byte, 0, meta.MaxLen)
 	switch meta.Kind.Order() {
 	case dict.OrderSorted:
-		vr, ok, err := search.SortedDict(mr, dec, rng)
+		vr, ok, err := search.SortedDict(c, c, rng)
 		if err != nil {
 			return SearchResult{}, err
 		}
-		e.padLoads(mr, dec)
+		e.padLoads(c)
 		if !ok {
 			return SearchResult{}, nil
 		}
 		return SearchResult{Ranges: []search.VidRange{vr}}, nil
 	case dict.OrderRotated:
-		tailRun, err := checkRotOffset(dec, encRndOffset, region.Len())
+		tailRun, err := checkRotOffset(c, encRndOffset, region.Len())
 		if err != nil {
 			return SearchResult{}, err
 		}
@@ -300,17 +303,17 @@ func (e *Enclave) DictSearch(meta ColumnMeta, region search.Region, encRndOffset
 		if err != nil {
 			return SearchResult{}, err
 		}
-		ranges, err := search.RotatedDict(mr, dec, enc, rng, tailRun)
+		ranges, err := search.RotatedDict(c, c, enc, rng, tailRun)
 		if errors.Is(err, search.ErrTailRun) {
 			return SearchResult{}, fmt.Errorf("%w: %w", ErrBadRotOffset, err)
 		}
 		if err != nil {
 			return SearchResult{}, err
 		}
-		e.padLoads(mr, dec)
+		e.padLoads(c)
 		return SearchResult{Ranges: ranges}, nil
 	default:
-		ids, err := search.UnsortedDict(mr, dec, rng)
+		ids, err := search.UnsortedDict(c, c, rng)
 		if err != nil {
 			return SearchResult{}, err
 		}
@@ -318,32 +321,18 @@ func (e *Enclave) DictSearch(meta ColumnMeta, region search.Region, encRndOffset
 	}
 }
 
-// callRegion counts the loads of one ECALL so probe padding can top them up
-// to a fixed target.
-type callRegion struct {
-	inner meteredRegion
-	loads int
-}
-
-func (c *callRegion) Len() int { return c.inner.Len() }
-
-func (c *callRegion) Load(i int) []byte {
-	c.loads++
-	return c.inner.Load(i)
-}
-
 // padLoads issues dummy loads (with dummy decryptions) until the call's
 // probe count reaches the fixed target for the dictionary size, making the
 // observable access count independent of the queried range. No search
 // exceeds the target: sorted ones need at most two binary searches, rotated
 // ones add the pivot load and at most two run-boundary checks.
-func (e *Enclave) padLoads(cr *callRegion, dec *countingDecryptor) {
-	n := cr.Len()
+func (e *Enclave) padLoads(c *ecall) {
+	n := c.Len()
 	if !e.padProbes || n == 0 {
 		return
 	}
 	target := 2*bitsCeil(n) + 8
-	need := target - cr.loads
+	need := target - int(c.loads)
 	if need <= 0 {
 		return
 	}
@@ -354,8 +343,7 @@ func (e *Enclave) padLoads(cr *callRegion, dec *countingDecryptor) {
 	}
 	e.mu.Unlock()
 	for _, idx := range idxs {
-		ct := cr.Load(idx)
-		dec.Decrypt(ct) //nolint:errcheck // dummy probe, result discarded
+		c.Decrypt(c.Load(idx)) //nolint:errcheck // dummy probe, result discarded
 	}
 }
 
@@ -370,19 +358,21 @@ func bitsCeil(n int) int {
 }
 
 // decryptRange decrypts and validates the query bounds (Algorithm 1 line 2).
-func (e *Enclave) decryptRange(cipher *pae.Cipher, meta ColumnMeta, q EncRange) (search.Range, error) {
-	start, err := cipher.Decrypt(q.Start)
+// The bounds live for the whole search, so they do not use the call's
+// scratch buffer.
+func (c *ecall) decryptRange(q EncRange) (search.Range, error) {
+	start, err := c.c.Decrypt(q.Start)
 	if err != nil {
 		return search.Range{}, fmt.Errorf("%w: start bound: %v", ErrBadRange, err)
 	}
-	end, err := cipher.Decrypt(q.End)
+	end, err := c.c.Decrypt(q.End)
 	if err != nil {
 		return search.Range{}, fmt.Errorf("%w: end bound: %v", ErrBadRange, err)
 	}
-	e.addDecryptions(2)
+	c.decryptions += 2
 	// Bounds follow column value rules except that the all-0xFF padding
 	// sentinel for +inf of short columns is produced at full width.
-	if len(start) > meta.MaxLen || len(end) > meta.MaxLen {
+	if len(start) > c.meta.MaxLen || len(end) > c.meta.MaxLen {
 		return search.Range{}, fmt.Errorf("%w: bound exceeds column width", ErrBadRange)
 	}
 	for _, b := range [][]byte{start, end} {
@@ -421,16 +411,16 @@ func checkRotOffset(dec search.Decryptor, encRndOffset []byte, dictLen int) (int
 // appended to the ED9 delta dictionary, unlinking the stored ciphertext from
 // the query ciphertext.
 func (e *Enclave) ReencryptValue(meta ColumnMeta, ciphertext []byte) ([]byte, error) {
-	e.enterECall()
-	cipher, err := e.cipherFor(meta.Table, meta.Column)
+	c, err := e.enter(meta)
+	defer c.end()
 	if err != nil {
 		return nil, err
 	}
-	v, err := cipher.Decrypt(ciphertext)
+	v, err := c.c.Decrypt(ciphertext)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRange, err)
 	}
-	e.addDecryptions(1)
+	c.decryptions++
 	enc, err := ordenc.NewEncoder(meta.MaxLen)
 	if err != nil {
 		return nil, err
@@ -438,11 +428,11 @@ func (e *Enclave) ReencryptValue(meta ColumnMeta, ciphertext []byte) ([]byte, er
 	if err := enc.Validate(v); err != nil {
 		return nil, err
 	}
-	out, err := cipher.Encrypt(v)
+	out, err := c.c.Encrypt(v)
 	if err != nil {
 		return nil, err
 	}
-	e.addEncryptions(1)
+	c.encryptions++
 	return out, nil
 }
 
@@ -455,8 +445,8 @@ func (e *Enclave) ReencryptValue(meta ColumnMeta, ciphertext []byte) ([]byte, er
 // tooling. Outside this deliberately chosen variant, plaintext never
 // reaches the provider.
 func (e *Enclave) BuildColumn(meta ColumnMeta, bsmax int, values [][]byte) (*dict.Split, error) {
-	e.enterECall()
-	cipher, err := e.cipherFor(meta.Table, meta.Column)
+	c, err := e.enter(meta)
+	defer c.end()
 	if err != nil {
 		return nil, err
 	}
@@ -464,13 +454,13 @@ func (e *Enclave) BuildColumn(meta ColumnMeta, bsmax int, values [][]byte) (*dic
 		Kind:   meta.Kind,
 		MaxLen: meta.MaxLen,
 		BSMax:  bsmax,
-		Cipher: cipher,
+		Cipher: c.c,
 		Rand:   e.callRand(),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("enclave: trusted-setup build: %w", err)
 	}
-	e.addEncryptions(uint64(split.Len()))
+	c.encryptions += uint64(split.Len())
 	return split, nil
 }
 
@@ -494,14 +484,14 @@ type MergeInput struct {
 // rebuild costs a single context switch regardless of how many delta runs
 // participate.
 func (e *Enclave) MergeColumns(meta ColumnMeta, bsmax int, inputs ...MergeInput) (*dict.Split, error) {
-	e.enterECall()
-	cipher, err := e.cipherFor(meta.Table, meta.Column)
+	c, err := e.enter(meta)
+	defer c.end()
 	if err != nil {
 		return nil, err
 	}
 	var col [][]byte
 	for _, in := range inputs {
-		rows, err := e.decryptRows(meta, cipher, in)
+		rows, err := c.decryptRows(in)
 		if err != nil {
 			return nil, err
 		}
@@ -511,23 +501,25 @@ func (e *Enclave) MergeColumns(meta ColumnMeta, bsmax int, inputs ...MergeInput)
 		Kind:   meta.Kind,
 		MaxLen: meta.MaxLen,
 		BSMax:  bsmax,
-		Cipher: cipher,
+		Cipher: c.c,
 		Rand:   e.callRand(),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("enclave: merge rebuild: %w", err)
 	}
-	e.addEncryptions(uint64(split.Len()))
+	c.encryptions += uint64(split.Len())
 	return split, nil
 }
 
 // decryptRows materializes the valid rows of one store inside the enclave.
-func (e *Enclave) decryptRows(meta ColumnMeta, cipher *pae.Cipher, in MergeInput) ([][]byte, error) {
+// The plaintexts outlive the next load, so they do not use the call's
+// scratch buffer.
+func (c *ecall) decryptRows(in MergeInput) ([][]byte, error) {
 	if in.Region == nil || in.AV == nil {
 		return nil, nil
 	}
-	mr := e.instrument(meta, in.Region)
-	plain := make([][]byte, mr.Len())
+	c.r = in.Region
+	plain := make([][]byte, c.Len())
 	n := in.AV.Len()
 	rows := make([][]byte, 0, n)
 	for j := 0; j < n; j++ {
@@ -535,15 +527,15 @@ func (e *Enclave) decryptRows(meta ColumnMeta, cipher *pae.Cipher, in MergeInput
 		if in.Valid != nil && !in.Valid[j] {
 			continue
 		}
-		if int(vid) >= mr.Len() {
+		if int(vid) >= len(plain) {
 			return nil, fmt.Errorf("enclave: merge: ValueID %d out of range", vid)
 		}
 		if plain[vid] == nil {
-			v, err := cipher.Decrypt(mr.Load(int(vid)))
+			v, err := c.c.Decrypt(c.Load(int(vid)))
 			if err != nil {
 				return nil, fmt.Errorf("enclave: merge: entry %d: %w", vid, err)
 			}
-			e.addDecryptions(1)
+			c.decryptions++
 			plain[vid] = v
 		}
 		rows = append(rows, plain[vid])
@@ -578,58 +570,67 @@ func (e *Enclave) callRand() *mrand.Rand {
 	return mrand.New(mrand.NewSource(e.rng.Int63()))
 }
 
-func (e *Enclave) enterECall() {
-	e.stats.ecalls.Add(1)
+// enter starts an ECALL on meta's column: it derives the column cipher and
+// returns the call's counting state. The caller defers end at once, before
+// checking the error, so every path — a failed key lookup included — is
+// counted.
+func (e *Enclave) enter(meta ColumnMeta) (*ecall, error) {
+	c := &ecall{e: e, meta: meta}
+	cipher, err := e.cipherFor(meta.Table, meta.Column)
+	c.c = cipher
+	return c, err
 }
 
-func (e *Enclave) addDecryptions(n uint64) {
-	e.stats.decryptions.Add(n)
-}
-
-func (e *Enclave) addEncryptions(n uint64) {
-	e.stats.encryptions.Add(n)
-}
-
-// instrument wraps a region so loads are counted and reported to the
-// observer.
-func (e *Enclave) instrument(meta ColumnMeta, r search.Region) *meteredRegion {
-	return &meteredRegion{e: e, meta: meta, r: r}
-}
-
-type meteredRegion struct {
+// ecall is one ECALL's view of untrusted memory and of its column key: the
+// search.Region and search.Decryptor a dictionary search runs against, and
+// the loader a merge reads its stores through. It reports each load to the
+// observer as it happens, but counts loads, bytes and PAE operations in
+// plain fields that end adds to the enclave's shared counters once, when the
+// ECALL returns — per-entry atomics on the one cache line every concurrent
+// ECALL shares cost more than a quarter of the decryptions they counted.
+// Load and Decrypt are for the ECALL's own goroutine only; the call and
+// the region it holds are dropped when the ECALL returns.
+type ecall struct {
 	e    *Enclave
 	meta ColumnMeta
+	c    *pae.Cipher
 	r    search.Region
+	buf  []byte // Decrypt's scratch: one plaintext, valid until the next Decrypt
+
+	loads, bytesLoaded, decryptions, encryptions uint64
 }
 
-func (m *meteredRegion) Len() int { return m.r.Len() }
+// end adds the call's counts to the enclave's counters.
+func (c *ecall) end() {
+	s := &c.e.stats
+	s.ecalls.Add(1)
+	s.loads.Add(c.loads)
+	s.bytesLoaded.Add(c.bytesLoaded)
+	s.decryptions.Add(c.decryptions)
+	s.encryptions.Add(c.encryptions)
+}
 
-func (m *meteredRegion) Load(i int) []byte {
-	b := m.r.Load(i)
-	m.e.stats.loads.Add(1)
-	m.e.stats.bytesLoaded.Add(uint64(len(b)))
-	if m.e.observer != nil {
-		m.e.observer.Access(m.meta.Table, m.meta.Column, i)
+func (c *ecall) Len() int { return c.r.Len() }
+
+func (c *ecall) Load(i int) []byte {
+	b := c.r.Load(i)
+	c.loads++
+	c.bytesLoaded += uint64(len(b))
+	if c.e.observer != nil {
+		c.e.observer.Access(c.meta.Table, c.meta.Column, i)
 	}
 	return b
 }
 
-// countingDecryptor is one ECALL's search.Decryptor: it counts decryptions
-// and decrypts every entry into the same scratch buffer, so a search costs
-// no allocation per loaded entry. A returned plaintext is valid until the
-// next Decrypt, as search.Decryptor allows.
-type countingDecryptor struct {
-	e   *Enclave
-	c   *pae.Cipher
-	buf []byte
-}
-
-func (d *countingDecryptor) Decrypt(ct []byte) ([]byte, error) {
-	d.e.addDecryptions(1)
-	pt, err := d.c.DecryptInto(d.buf[:0], ct)
+// Decrypt decrypts every entry into the call's one scratch buffer, so a
+// search costs no allocation per loaded entry. A returned plaintext is
+// valid until the next Decrypt, as search.Decryptor allows.
+func (c *ecall) Decrypt(ct []byte) ([]byte, error) {
+	c.decryptions++
+	pt, err := c.c.DecryptInto(c.buf[:0], ct)
 	if err != nil {
 		return nil, err
 	}
-	d.buf = pt
+	c.buf = pt
 	return pt, nil
 }

@@ -23,7 +23,7 @@ type env struct {
 	master   pae.Key
 }
 
-func newEnv(t *testing.T, cfg enclave.Config) *env {
+func newEnv(t testing.TB, cfg enclave.Config) *env {
 	t.Helper()
 	if cfg.Identity == "" {
 		cfg.Identity = testIdentity
@@ -55,7 +55,7 @@ func newEnv(t *testing.T, cfg enclave.Config) *env {
 }
 
 // buildColumn splits a column under the env's master key for (table, col).
-func (v *env) buildColumn(t *testing.T, kind dict.Kind, table, column string, col [][]byte, maxLen, bsmax int) *dict.Split {
+func (v *env) buildColumn(t testing.TB, kind dict.Kind, table, column string, col [][]byte, maxLen, bsmax int) *dict.Split {
 	t.Helper()
 	key, err := pae.Derive(v.master, table, column)
 	if err != nil {
@@ -76,7 +76,7 @@ func (v *env) buildColumn(t *testing.T, kind dict.Kind, table, column string, co
 }
 
 // encRange encrypts a plaintext range for (table, column) like the proxy.
-func (v *env) encRange(t *testing.T, table, column string, q search.Range) enclave.EncRange {
+func (v *env) encRange(t testing.TB, table, column string, q search.Range) enclave.EncRange {
 	t.Helper()
 	key, err := pae.Derive(v.master, table, column)
 	if err != nil {

@@ -27,7 +27,7 @@ func heavyColumn() [][]byte {
 }
 
 // columnCipher is the column key SK_D the owner derives for (table, column).
-func (v *env) columnCipher(t *testing.T, table, column string) *pae.Cipher {
+func (v *env) columnCipher(t testing.TB, table, column string) *pae.Cipher {
 	t.Helper()
 	key, err := pae.Derive(v.master, table, column)
 	if err != nil {

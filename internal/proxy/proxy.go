@@ -535,11 +535,10 @@ func (p *Proxy) update(ctx context.Context, s *sqlparse.Update, schema engine.Sc
 		}
 		set[a.Column] = cell
 	}
+	// A fleet whose shards partly fail reports the rows the healthy shards
+	// changed beside the *ShardError; keep that count for the caller.
 	n, err := p.exec.Update(ctx, s.Table, filters, set)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Kind: KindAffected, Affected: n}, nil
+	return &Result{Kind: KindAffected, Affected: n}, err
 }
 
 func (p *Proxy) delete(ctx context.Context, s *sqlparse.Delete, schema engine.Schema) (*Result, error) {
@@ -548,10 +547,7 @@ func (p *Proxy) delete(ctx context.Context, s *sqlparse.Delete, schema engine.Sc
 		return nil, err
 	}
 	n, err := p.exec.Delete(ctx, s.Table, filters)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Kind: KindAffected, Affected: n}, nil
+	return &Result{Kind: KindAffected, Affected: n}, err
 }
 
 // encryptCell encrypts one value for an encrypted column; plain columns pass

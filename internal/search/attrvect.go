@@ -79,8 +79,9 @@ func CompileRangesPred(v *av.Vector, ranges []VidRange) PackedPred {
 // delta run. IDs >= |D| cannot occur in the vector and are dropped; the
 // rest are sorted and coalesced into runs of consecutive IDs. A list of at
 // most av.ShortListRanges runs compiles to a range disjunction, which the
-// SWAR range kernel scans several times faster than the bitmap probe's
-// transpose; a longer one compiles to a membership bitmap. An empty ValueID
+// SWAR range kernel scans faster than the bitmap kernel's transpose and
+// per-row probe (they cross at about 7 IDs; see av.ShortListRanges); a
+// longer one compiles to a membership bitmap. An empty ValueID
 // list compiles to a predicate matching no rows.
 func CompileListPred(v *av.Vector, vids []uint32) PackedPred {
 	if rs, ok := listRanges(vids, v.DictLen()); ok {

@@ -35,6 +35,12 @@ type Session struct {
 //	DELETE FROM t WHERE c BETWEEN ? AND ?
 //	MERGE TABLE t
 //	DROP TABLE t
+//
+// A failed statement returns a nil Result, except an UPDATE or DELETE that
+// reached the provider: its Result reports the rows changed despite the
+// error. On a sharded fleet that is the count of the healthy shards, beside
+// a *ShardError naming the shard that failed; callers deciding whether to
+// retry must not assume a failed write changed nothing.
 func (s *Session) ExecContext(ctx context.Context, sql string, args ...any) (*Result, error) {
 	return s.p.Execute(ctx, sql, args...)
 }

@@ -389,16 +389,25 @@ func TestShardKillPartialFailure(t *testing.T) {
 	}
 
 	// Writes scattered to every shard report partial success: the rows the
-	// healthy shard changed come back beside the dead shard's typed error.
-	// Every row lives on shard0.
+	// healthy shard changed come back beside the dead shard's typed error,
+	// from the fleet executor and through the session alike. Every row lives
+	// on shard0.
 	kill.dead.Store(true)
 	onShard0 := len(shardPeople) + 1 // the seeded people and zoe
 	n, err := exec.Update(ctx, "people", nil, engine.Row{})
 	if n != onShard0 || !errors.As(err, &se) || se.Shard != "shard1" || se.Op != "update" {
 		t.Errorf("update with dead shard = %d, %v; want %d rows and *ShardError for shard1 update", n, err, onShard0)
 	}
+	res, err := sess.ExecContext(ctx, "UPDATE people SET city = ?", "kyiv")
+	if res == nil || res.Affected != onShard0 || !errors.As(err, &se) || se.Shard != "shard1" || se.Op != "update" {
+		t.Errorf("session UPDATE with dead shard = %+v, %v; want %d affected and *ShardError for shard1 update", res, err, onShard0)
+	}
+	res, err = sess.ExecContext(ctx, "DELETE FROM people WHERE name = ?", "zoe")
+	if res == nil || res.Affected != 1 || !errors.As(err, &se) || se.Shard != "shard1" || se.Op != "delete" {
+		t.Errorf("session DELETE with dead shard = %+v, %v; want 1 affected and *ShardError for shard1 delete", res, err)
+	}
 	n, err = exec.Delete(ctx, "people", nil)
-	if n != onShard0 || !errors.As(err, &se) || se.Shard != "shard1" || se.Op != "delete" {
-		t.Errorf("delete with dead shard = %d, %v; want %d rows and *ShardError for shard1 delete", n, err, onShard0)
+	if n != onShard0-1 || !errors.As(err, &se) || se.Shard != "shard1" || se.Op != "delete" {
+		t.Errorf("delete with dead shard = %d, %v; want %d rows and *ShardError for shard1 delete", n, err, onShard0-1)
 	}
 }
