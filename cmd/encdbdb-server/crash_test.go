@@ -145,7 +145,7 @@ func TestKillNineRecovery(t *testing.T) {
 		}
 		sent = i + 1
 		k, v := rowKV(i)
-		if err := c.Insert(ctx, "t", engine.Row{"k": []byte(k), "v": []byte(v)}); err != nil {
+		if err := c.InsertBatch(ctx, "t", []engine.Row{{"k": []byte(k), "v": []byte(v)}}); err != nil {
 			break
 		}
 		acked = i + 1
@@ -193,7 +193,7 @@ func TestKillNineRecovery(t *testing.T) {
 	}
 	for i := 0; i < recovered; i++ {
 		k, v := rowKV(i)
-		if err := twin.Insert(ctx, "t", engine.Row{"k": []byte(k), "v": []byte(v)}); err != nil {
+		if err := twin.InsertBatch(ctx, "t", []engine.Row{{"k": []byte(k), "v": []byte(v)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,7 +220,7 @@ func TestKillNineRecovery(t *testing.T) {
 	}
 
 	// The recovered server must remain a working store, not a read-only relic.
-	if err := c2.Insert(ctx, "t", engine.Row{"k": []byte("post"), "v": []byte("crash")}); err != nil {
+	if err := c2.InsertBatch(ctx, "t", []engine.Row{{"k": []byte("post"), "v": []byte("crash")}}); err != nil {
 		t.Fatalf("insert after recovery: %v", err)
 	}
 	if n, err := c2.Rows("t"); err != nil || n != recovered+1 {

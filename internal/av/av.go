@@ -22,16 +22,14 @@
 //     which shrinks clustered blocks (e.g. the identity vectors of sealed
 //     delta runs) far below the global width;
 //   - run length (EncRLE): blocks with few value runs (sorted or clustered
-//     columns) store (ValueID, end-row) runs and range scans evaluate each
-//     run once — O(runs) instead of O(rows) — filling whole match words per
-//     run.
+//     columns) store (ValueID, end-row) runs and scans evaluate each run
+//     once — O(runs + touched words) instead of O(rows).
 //
-// Every kernel exists in two combine modes: the Or entry points (ScanRanges,
-// ScanBitset) OR match words into a result set, and the fused Into entry
-// points (ScanRangesInto, ScanBitsetInto) AND them into an accumulator
-// word-by-word, skipping any group whose accumulator word is already zero —
-// the engine's fused conjunction pipeline evaluates multi-predicate queries
-// and row validity in a single pass through each group.
+// Every kernel has one combine mode: its entry point (ScanRangesInto,
+// ScanBitsetInto) ANDs match words into an accumulator word-by-word,
+// skipping any group whose accumulator word is already zero — the engine's
+// fused conjunction pipeline evaluates multi-predicate queries and row
+// validity in a single pass through each group.
 package av
 
 import (
@@ -428,9 +426,8 @@ func (v *Vector) groups() int { return (v.n + GroupRows - 1) / GroupRows }
 func (v *Vector) codeMask() uint32 { return uint32((uint64(1) << uint(v.w)) - 1) }
 
 // groupMask returns the valid-row mask of group g: all ones except in the
-// final partial group. Every kernel's match words pass through exactly one
-// emit point that applies it (emitOr/emitAnd, or span bounds that cannot
-// exceed Len() by construction), so individual kernels never re-implement
+// final partial group. Every kernel's match words pass through the one emit
+// point that applies it (emitAnd), so individual kernels never re-implement
 // the trailing-group masking.
 func (v *Vector) groupMask(g int) uint64 {
 	if (g+1)*GroupRows <= v.n {
@@ -439,16 +436,8 @@ func (v *Vector) groupMask(g int) uint64 {
 	return (uint64(1) << uint(v.n-g*GroupRows)) - 1
 }
 
-// emitOr is the single OR-mode emit point: the raw match word of group g is
-// masked to the group's valid rows and ORed into out.
-func (v *Vector) emitOr(out *ridset.Set, g int, m uint64) {
-	if m &= v.groupMask(g); m != 0 {
-		out.OrWord(g, m)
-	}
-}
-
-// emitAnd is the single AND-mode emit point: the raw match word of group g
-// is masked to the group's valid rows and ANDed into the accumulator. It
+// emitAnd is the kernels' one emit point: the raw match word of group g is
+// masked to the group's valid rows and ANDed into the accumulator. It
 // reports whether the accumulator word remains non-empty.
 func (v *Vector) emitAnd(acc *ridset.Set, g int, m uint64) bool {
 	acc.AndWord(g, m&v.groupMask(g))

@@ -110,8 +110,9 @@ func TestSetOverwrites(t *testing.T) {
 }
 
 // TestScanRangesMatchesReference is the central equivalence property:
-// packed scan ≡ unpacked scan for random codes, widths and ranges,
-// including the |D| = 2^k and 2^k+1 width boundaries.
+// packed scan ≡ per-element scan for random codes, widths and ranges,
+// including the |D| = 2^k and 2^k+1 width boundaries. The kernel runs over
+// a full accumulator, so what survives is exactly its match set.
 func TestScanRangesMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, d := range dictSizes {
@@ -135,8 +136,8 @@ func TestScanRangesMatchesReference(t *testing.T) {
 				case 19:
 					ranges[0] = Range{Lo: uint32(2 * d), Hi: uint32(3 * d)} // past max
 				}
-				out := ridset.New(n)
-				v.ScanRanges(out, 0, (n+63)/64, ranges)
+				out := ridset.Full(n)
+				v.ScanRangesInto(out, 0, (n+63)/64, ranges)
 				sameSet(t, out, refRangeScan(codes, ranges), "ranges")
 			}
 		}
@@ -155,8 +156,8 @@ func TestScanBitsetMatchesReference(t *testing.T) {
 					u := rng.Intn(d)
 					set[u/64] |= 1 << (u % 64)
 				}
-				out := ridset.New(n)
-				v.ScanBitset(out, 0, (n+63)/64, set)
+				out := ridset.Full(n)
+				v.ScanBitsetInto(out, 0, (n+63)/64, set)
 				sameSet(t, out, refBitsetScan(codes, set), "bitset")
 			}
 		}
@@ -164,20 +165,21 @@ func TestScanBitsetMatchesReference(t *testing.T) {
 }
 
 // TestScanShardsCompose checks that scanning disjoint group ranges into one
-// set — the parallel scan's emit pattern — equals a single full scan.
+// accumulator — the parallel scan's emit pattern — equals a single full
+// scan.
 func TestScanShardsCompose(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	codes := randCodes(rng, 1000, 300)
 	v := Pack(codes, 300)
 	ranges := []Range{{Lo: 10, Hi: 99}, {Lo: 200, Hi: 250}}
 	groups := (len(codes) + 63) / 64
-	sharded := ridset.New(len(codes))
+	sharded := ridset.Full(len(codes))
 	for g := 0; g < groups; g += 3 {
 		hi := g + 3
 		if hi > groups {
 			hi = groups
 		}
-		v.ScanRanges(sharded, g, hi, ranges)
+		v.ScanRangesInto(sharded, g, hi, ranges)
 	}
 	sameSet(t, sharded, refRangeScan(codes, ranges), "sharded")
 }
@@ -213,18 +215,18 @@ func TestZeroWidthVector(t *testing.T) {
 	if v.Bits() != 0 || v.MemBytes() != 0 {
 		t.Fatalf("|D|=1 vector: bits=%d mem=%d, want 0/0", v.Bits(), v.MemBytes())
 	}
-	out := ridset.New(70)
-	v.ScanRanges(out, 0, 2, []Range{{Lo: 0, Hi: 0}})
+	out := ridset.Full(70)
+	v.ScanRangesInto(out, 0, 2, []Range{{Lo: 0, Hi: 0}})
 	if out.Len() != 70 {
 		t.Errorf("range [0,0] over zero-width vector matched %d rows, want 70", out.Len())
 	}
-	out = ridset.New(70)
-	v.ScanRanges(out, 0, 2, []Range{{Lo: 1, Hi: 5}})
+	out = ridset.Full(70)
+	v.ScanRangesInto(out, 0, 2, []Range{{Lo: 1, Hi: 5}})
 	if out.Len() != 0 {
 		t.Errorf("range [1,5] over zero-width vector matched %d rows, want 0", out.Len())
 	}
-	out = ridset.New(70)
-	v.ScanBitset(out, 0, 2, []uint64{1})
+	out = ridset.Full(70)
+	v.ScanBitsetInto(out, 0, 2, []uint64{1})
 	if out.Len() != 70 {
 		t.Errorf("bitset {0} over zero-width vector matched %d rows, want 70", out.Len())
 	}

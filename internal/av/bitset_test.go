@@ -9,13 +9,14 @@ import (
 )
 
 // TestBitsetMatchesReference pins the membership kernel against the obvious
-// per-row form — Get, then a bitmap lookup — in Or and Into mode. The widths
-// cover both lane regimes of the width-sized transpose and their edges (1,
-// 2, 15, 16 in 16-bit lanes; 17, 31, 32 in 32-bit lanes); one vector mixes
-// uniform, frame-of-reference (nonzero bases, block widths on the lane
-// edges), run-length and constant blocks and ends in a partial group; the
-// bitmaps run from one word to past |D|; and a code >= |D|, planted with
-// Set, must never match, even under a bitmap whose bits cover it.
+// per-row form — Get, then a bitmap lookup — over a full accumulator and a
+// random one, with the any-flag checked. The widths cover both lane regimes
+// of the width-sized transpose and their edges (1, 2, 15, 16 in 16-bit
+// lanes; 17, 31, 32 in 32-bit lanes); one vector mixes uniform,
+// frame-of-reference (nonzero bases, block widths on the lane edges),
+// run-length and constant blocks and ends in a partial group; the bitmaps
+// run from one word to past |D|; and a code >= |D|, planted with Set, must
+// never match, even under a bitmap whose bits cover it.
 func TestBitsetMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	const n = 4*BlockRows + 37
@@ -59,9 +60,9 @@ func TestBitsetMatchesReference(t *testing.T) {
 						gLo = rng.Intn(groups)
 						gHi = gLo + 1 + rng.Intn(groups-gLo)
 					}
-					out := ridset.New(n)
-					v.ScanBitset(out, gLo, gHi, set)
-					sameSet(t, out, windowOnly(want, gLo, gHi), label+"/or")
+					out := ridset.Full(n)
+					v.ScanBitsetInto(out, gLo, gHi, set)
+					sameSet(t, out, fullOutside(want, gLo, gHi), label+"/full")
 
 					acc := ridset.New(n)
 					for i := 0; i < n; i++ {

@@ -150,9 +150,10 @@ func TestPackEncodedSelection(t *testing.T) {
 }
 
 // TestEncodedScanMatchesReference re-runs the central kernel equivalence
-// over every encoding distribution: PackEncoded's scans must agree with the
-// per-element reference (and hence with Pack's scans) for ranges and bitsets
-// alike, over full and partial group windows.
+// over every encoding distribution: PackEncoded's scans over a full
+// accumulator must agree with the per-element reference (and hence with
+// Pack's scans) for ranges and bitsets alike, over full and partial group
+// windows.
 func TestEncodedScanMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, d := range []int{2, 300, 4097} {
@@ -170,9 +171,9 @@ func TestEncodedScanMatchesReference(t *testing.T) {
 					lo := uint32(rng.Intn(d))
 					hi := lo + uint32(rng.Intn(d-int(lo)))
 					ranges := []Range{{Lo: lo, Hi: hi}}
-					out := ridset.New(n)
-					v.ScanRanges(out, gLo, gHi, ranges)
-					want := windowOnly(refRangeScan(codes, ranges), gLo, gHi)
+					out := ridset.Full(n)
+					v.ScanRangesInto(out, gLo, gHi, ranges)
+					want := fullOutside(refRangeScan(codes, ranges), gLo, gHi)
 					sameSet(t, out, want, gen.name+"/ranges")
 
 					set := make([]uint64, (d+63)/64)
@@ -180,9 +181,9 @@ func TestEncodedScanMatchesReference(t *testing.T) {
 						u := rng.Intn(d)
 						set[u/64] |= 1 << (u % 64)
 					}
-					out = ridset.New(n)
-					v.ScanBitset(out, gLo, gHi, set)
-					want = windowOnly(refBitsetScan(codes, set), gLo, gHi)
+					out = ridset.Full(n)
+					v.ScanBitsetInto(out, gLo, gHi, set)
+					want = fullOutside(refBitsetScan(codes, set), gLo, gHi)
 					sameSet(t, out, want, gen.name+"/bitset")
 				}
 			}
@@ -191,10 +192,10 @@ func TestEncodedScanMatchesReference(t *testing.T) {
 }
 
 // TestScanIntoMatchesTwoPass is the fused-kernel property at the av layer:
-// ANDing a predicate into an accumulator must equal scanning it into a fresh
-// set and intersecting afterwards — for every encoding, window, and a
-// randomly pre-populated accumulator — and the returned any-flag must mirror
-// whether the window kept rows.
+// ANDing a predicate into an accumulator must equal evaluating it row by row
+// and intersecting afterwards — for every encoding, window, and a randomly
+// pre-populated accumulator — and the returned any-flag must mirror whether
+// the window kept rows.
 func TestScanIntoMatchesTwoPass(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, d := range []int{2, 300, 4097} {
@@ -218,10 +219,8 @@ func TestScanIntoMatchesTwoPass(t *testing.T) {
 
 					fused := acc0.Clone()
 					any := v.ScanRangesInto(fused, gLo, gHi, ranges)
-					two := ridset.New(n)
-					v.ScanRanges(two, gLo, gHi, ranges)
 					want := acc0.Clone()
-					intersectWindow(want, two, gLo, gHi)
+					intersectWindow(want, refRangeScan(codes, ranges), gLo, gHi)
 					sameSet(t, fused, want, gen.name+"/rangesInto")
 					if any != windowHasRows(fused, gLo, gHi) {
 						t.Fatalf("%s: rangesInto any=%v, window rows=%v", gen.name, any, !any)
@@ -234,10 +233,8 @@ func TestScanIntoMatchesTwoPass(t *testing.T) {
 					}
 					fused = acc0.Clone()
 					any = v.ScanBitsetInto(fused, gLo, gHi, set)
-					two = ridset.New(n)
-					v.ScanBitset(two, gLo, gHi, set)
 					want = acc0.Clone()
-					intersectWindow(want, two, gLo, gHi)
+					intersectWindow(want, refBitsetScan(codes, set), gLo, gHi)
 					sameSet(t, fused, want, gen.name+"/bitsetInto")
 					if any != windowHasRows(fused, gLo, gHi) {
 						t.Fatalf("%s: bitsetInto any=%v, window rows=%v", gen.name, any, !any)
@@ -373,31 +370,31 @@ func TestKernelsRespectUniverse(t *testing.T) {
 		codes := gen.gen(rng, n, d)
 		v := PackEncoded(codes, d)
 		groups := (n + 63) / 64
-		// Oversized universe: rows [n, universe) must stay untouched by Or
-		// kernels and be cleared inside the window by Into kernels.
-		out := ridset.New(n + 64)
-		v.ScanRanges(out, 0, groups, []Range{{Lo: 0, Hi: uint32(d)}})
-		acc := ridset.Full(n + 64)
-		v.ScanRangesInto(acc, 0, groups, []Range{{Lo: 0, Hi: uint32(d)}})
+		// Oversized universe: inside the window, rows [n, universe) must be
+		// cleared by every kernel even when its predicate matches every
+		// code; past the window they stay untouched.
+		ranges := ridset.Full(n + 64)
+		v.ScanRangesInto(ranges, 0, groups, []Range{{Lo: 0, Hi: uint32(d)}})
+		bitset := ridset.Full(n + 64)
+		v.ScanBitsetInto(bitset, 0, groups, onesBitmap((d+63)/64))
 		for r := n; r < n+64; r++ {
-			if out.Contains(uint32(r)) {
-				t.Fatalf("%s: Or kernel set phantom row %d (n=%d)", gen.name, r, n)
+			inWindow := r < groups*64
+			if ranges.Contains(uint32(r)) == inWindow {
+				t.Fatalf("%s: range kernel row %d (n=%d) kept=%v", gen.name, r, n, !inWindow)
 			}
-			if r < groups*64 && acc.Contains(uint32(r)) {
-				t.Fatalf("%s: Into kernel kept phantom row %d (n=%d)", gen.name, r, n)
+			if bitset.Contains(uint32(r)) == inWindow {
+				t.Fatalf("%s: bitset kernel row %d (n=%d) kept=%v", gen.name, r, n, !inWindow)
 			}
 		}
 	}
 }
 
-// windowOnly restricts a reference set to the groups [gLo, gHi).
-func windowOnly(s *ridset.Set, gLo, gHi int) *ridset.Set {
-	out := ridset.New(s.Universe())
-	s.ForEach(func(r uint32) {
-		if int(r) >= gLo*64 && int(r) < gHi*64 {
-			out.Add(r)
-		}
-	})
+// fullOutside is what a kernel leaves in a full accumulator after scanning
+// the groups [gLo, gHi): the reference matches inside the window, every row
+// outside it.
+func fullOutside(want *ridset.Set, gLo, gHi int) *ridset.Set {
+	out := ridset.Full(want.Universe())
+	intersectWindow(out, want, gLo, gHi)
 	return out
 }
 

@@ -5,52 +5,43 @@ import (
 )
 
 // The scan kernels. Every predicate shape (range disjunction, ValueID-set
-// membership) exists in two combine modes over the same per-block dispatch:
+// membership) has one entry point, ScanRangesInto and ScanBitsetInto, with
+// one combine mode: each 64-row group's match word is ANDed into an
+// accumulator, fusing the predicate into the running conjunction that every
+// attribute-vector search feeds. A caller wanting a predicate's matches
+// alone scans into a full accumulator (ridset.Full).
 //
-//   - Or mode (ScanRanges, ScanBitset): the per-group match words are ORed
-//     into out. Distinct group ranges touch disjoint words of out, so shards
-//     of the parallel scan may run concurrently against the same set.
-//   - Into mode (ScanRangesInto, ScanBitsetInto): the match words are ANDed
-//     into an accumulator, fusing this predicate into a running conjunction.
-//     Groups whose accumulator word is already zero are skipped without
-//     evaluating the predicate — the early-out that makes fused conjunctions
-//     cheaper the more selective the preceding predicates were. Within the
-//     scanned window, accumulator bits of rows >= Len() are always cleared,
-//     so a full-window fused scan leaves the boundary word exact. The bool
-//     result reports whether any accumulator word in the window is still
-//     non-zero, letting callers short-circuit the remaining predicates.
-//
-// Both modes share the single tail-masking emit points (emitOr/emitAnd); the
-// only kernel path that bypasses them — the RLE span fill — cannot produce a
-// row >= Len() by construction, since run ends never exceed the block's rows.
+// Groups whose accumulator word is already zero are skipped without
+// evaluating the predicate — the early-out that makes fused conjunctions
+// cheaper the more selective the preceding predicates were (and the reason a
+// timed loop must refill its accumulator before every pass). Distinct group
+// windows touch disjoint accumulator words, so shards of the parallel scan
+// may run concurrently against the same accumulator. Every match word passes
+// through the one tail-masking emit point (emitAnd), so within the scanned
+// window accumulator bits of rows >= Len() are always cleared and a
+// full-window scan leaves the boundary word exact. The bool result reports
+// whether any accumulator word in the window is still non-zero, letting
+// callers short-circuit the remaining predicates.
 
 // ShortListRanges is the longest range disjunction a ValueID list is
 // compiled to instead of a membership bitmap (search.CompileListPred).
-// ScanRanges costs grow with the range count, while ScanBitset costs about
-// the same for any list: a transpose sized to the code width, then one
-// branch-free bitmap probe per row. BenchmarkPackedShortList (2M rows,
-// |D| = 13,361, so 14-bit codes in 16-bit lanes; one core of a 2-vCPU Xeon)
-// puts the crossing at about 7 scattered ValueIDs: 1 ID scans at 0.7 ns/row
-// against the bitmap's 3.9, 4 at 2.3 against 3.7, 6 at 3.7 against 4.0, 8
-// at 4.7 against 4.0, 16 at 9.4 against 3.7, 32 at 18 against 4.1. The
-// range kernels keep up to this many ranges on the stack.
+// ScanRangesInto costs grow with the range count, while ScanBitsetInto
+// costs about the same for any list: a transpose sized to the code width,
+// then one branch-free bitmap probe per row. BenchmarkPackedShortList (2M
+// rows, |D| = 13,361, so 14-bit codes in 16-bit lanes, fused into a full
+// accumulator as the engine runs them; median of 5 on one core of a 2-vCPU
+// Xeon) puts the crossing at about 7 scattered ValueIDs: 1 ID scans at 0.7
+// ns/row against the bitmap's 4.9, 4 at 2.5 against 5.2, 6 at 4.0 against
+// 4.7, 8 at 4.3 against 4.1, 16 at 9.2 against 4.0, 32 at 15 against 4.0.
+// The range kernels keep up to this many ranges on the stack.
 const ShortListRanges = 7
 
-// ScanRanges evaluates the disjunction of the inclusive ValueID ranges over
-// the row groups [gLo, gHi) and ORs the per-group 64-bit match words into
-// out, whose universe must cover [0, Len()).
-func (v *Vector) ScanRanges(out *ridset.Set, gLo, gHi int, ranges []Range) {
-	v.scanRanges(out, gLo, gHi, ranges, false)
-}
-
-// ScanRangesInto fuses the range disjunction into acc: each group's match
-// word is ANDed into the accumulator word, with zero-word early-out. It
-// reports whether any word of [gLo, gHi) remains non-zero.
+// ScanRangesInto evaluates the disjunction of the inclusive ValueID ranges
+// over the row groups [gLo, gHi) and fuses it into acc, whose universe must
+// cover [0, Len()): each group's match word is ANDed into the accumulator
+// word, with zero-word early-out. It reports whether any word of [gLo, gHi)
+// remains non-zero.
 func (v *Vector) ScanRangesInto(acc *ridset.Set, gLo, gHi int, ranges []Range) bool {
-	return v.scanRanges(acc, gLo, gHi, ranges, true)
-}
-
-func (v *Vector) scanRanges(set *ridset.Set, gLo, gHi int, ranges []Range, and bool) bool {
 	// Clamp once: codes hold at most w bits, so a range reaching past the
 	// largest representable code is truncated and a range starting past it
 	// can never match.
@@ -79,28 +70,20 @@ func (v *Vector) scanRanges(set *ridset.Set, gLo, gHi int, ranges []Range, and b
 		active = append(active, r)
 	}
 	if len(active) == 0 {
-		if and {
-			return zeroWindow(set, gLo, gHi)
-		}
-		return false
+		return zeroWindow(acc, gLo, gHi)
 	}
 	if v.w == 0 {
 		// Every code is 0: all rows match iff some range covers 0.
-		return v.scanConst(set, gLo, gHi, zeroMatch, and)
+		return v.scanConst(acc, gLo, gHi, zeroMatch)
 	}
 	if v.blocks == nil {
 		any := false
 		for g := gLo; g < gHi; g++ {
-			if and && set.Word(g) == 0 {
+			if acc.Word(g) == 0 {
 				continue
 			}
-			m := rangesGroupWord(v.words[g*v.w:g*v.w+v.w], active)
-			if and {
-				if v.emitAnd(set, g, m) {
-					any = true
-				}
-			} else {
-				v.emitOr(set, g, m)
+			if v.emitAnd(acc, g, rangesGroupWord(v.words[g*v.w:g*v.w+v.w], active)) {
+				any = true
 			}
 		}
 		return any
@@ -110,14 +93,14 @@ func (v *Vector) scanRanges(set *ridset.Set, gLo, gHi int, ranges []Range, and b
 		blk := v.blocks[b]
 		bgLo, bgHi := v.blockWindow(b, gLo, gHi)
 		if blk.Enc == EncRLE {
-			if v.scanRuns(set, b, blk, bgLo, bgHi, func(vid uint32) bool {
+			if v.scanRuns(acc, b, blk, bgLo, bgHi, func(vid uint32) bool {
 				return rangesContain(active, vid)
-			}, and) {
+			}) {
 				any = true
 			}
 			continue
 		}
-		if v.scanSliceRanges(set, blk, bgLo, bgHi, active, and) {
+		if v.scanSliceRanges(acc, blk, bgLo, bgHi, active) {
 			any = true
 		}
 	}
@@ -126,7 +109,7 @@ func (v *Vector) scanRanges(set *ridset.Set, gLo, gHi int, ranges []Range, and b
 
 // scanSliceRanges evaluates the range disjunction over one packed or FoR
 // block, translating the ranges into the block's base-subtracted code space.
-func (v *Vector) scanSliceRanges(set *ridset.Set, blk Block, gLo, gHi int, active []Range, and bool) bool {
+func (v *Vector) scanSliceRanges(acc *ridset.Set, blk Block, gLo, gHi int, active []Range) bool {
 	var buf [ShortListRanges]Range
 	tact := buf[:0]
 	if len(active) > len(buf) {
@@ -151,30 +134,22 @@ func (v *Vector) scanSliceRanges(set *ridset.Set, blk Block, gLo, gHi int, activ
 		tact = append(tact, Range{Lo: lo, Hi: hi})
 	}
 	if len(tact) == 0 {
-		if and {
-			return zeroWindow(set, gLo, gHi)
-		}
-		return false
+		return zeroWindow(acc, gLo, gHi)
 	}
 	if blk.W == 0 {
 		// A constant FoR block: every row holds Base, and a surviving
 		// translated range proves some query range covers it.
-		return v.scanConst(set, gLo, gHi, true, and)
+		return v.scanConst(acc, gLo, gHi, true)
 	}
 	w, g0 := int(blk.W), (gLo/BlockGroups)*BlockGroups
 	any := false
 	for g := gLo; g < gHi; g++ {
-		if and && set.Word(g) == 0 {
+		if acc.Word(g) == 0 {
 			continue
 		}
 		off := int(blk.Off) + (g-g0)*w
-		m := rangesGroupWord(v.words[off:off+w], tact)
-		if and {
-			if v.emitAnd(set, g, m) {
-				any = true
-			}
-		} else {
-			v.emitOr(set, g, m)
+		if v.emitAnd(acc, g, rangesGroupWord(v.words[off:off+w], tact)) {
+			any = true
 		}
 	}
 	return any
@@ -242,34 +217,22 @@ func scanPointGroup(sl []uint64, u uint32) uint64 {
 	return eq
 }
 
-// ScanBitset evaluates ValueID-set membership over the row groups
-// [gLo, gHi) and ORs the per-group match words into out. set is a bitmap
-// over ValueIDs (bit u = ValueID u matches) as built from an unsorted
-// dictionary search's ID list. The group's 64 codes are reassembled with an
-// in-register bit-matrix transpose of the slice words sized to the code
-// width, then probed against the bitmap without a data-dependent branch.
-// Codes past the bitmap or at or past |D| never match.
-func (v *Vector) ScanBitset(out *ridset.Set, gLo, gHi int, set []uint64) {
-	v.scanBitset(out, gLo, gHi, set, false)
-}
-
-// ScanBitsetInto fuses the membership test into acc: each group's match word
-// is ANDed into the accumulator word, with zero-word early-out (which also
-// skips that group's transpose entirely). It reports whether any word of
-// [gLo, gHi) remains non-zero.
-func (v *Vector) ScanBitsetInto(acc *ridset.Set, gLo, gHi int, set []uint64) bool {
-	return v.scanBitset(acc, gLo, gHi, set, true)
-}
-
-func (v *Vector) scanBitset(set *ridset.Set, gLo, gHi int, bset []uint64, and bool) bool {
+// ScanBitsetInto evaluates ValueID-set membership over the row groups
+// [gLo, gHi) and fuses it into acc: each group's match word is ANDed into
+// the accumulator word, with zero-word early-out (which also skips that
+// group's transpose entirely). It reports whether any word of [gLo, gHi)
+// remains non-zero. bset is a bitmap over ValueIDs (bit u = ValueID u
+// matches) as built from an unsorted dictionary search's ID list. The
+// group's 64 codes are reassembled with an in-register bit-matrix transpose
+// of the slice words sized to the code width, then probed against the
+// bitmap without a data-dependent branch. Codes past the bitmap or at or
+// past |D| never match.
+func (v *Vector) ScanBitsetInto(acc *ridset.Set, gLo, gHi int, bset []uint64) bool {
 	if len(bset) == 0 {
-		if and {
-			return zeroWindow(set, gLo, gHi)
-		}
-		return false
+		return zeroWindow(acc, gLo, gHi)
 	}
 	if v.w == 0 {
-		return v.scanConst(set, gLo, gHi, bset[0]&1 != 0, and)
+		return v.scanConst(acc, gLo, gHi, bset[0]&1 != 0)
 	}
 	// Codes at or past |D| (a corrupt vector) never match, even where the
 	// bitmap's last word has bits for them.
@@ -277,16 +240,11 @@ func (v *Vector) scanBitset(set *ridset.Set, gLo, gHi int, bset []uint64, and bo
 	if v.blocks == nil {
 		any := false
 		for g := gLo; g < gHi; g++ {
-			if and && set.Word(g) == 0 {
+			if acc.Word(g) == 0 {
 				continue
 			}
-			m := bitsetGroupWord(v.words[g*v.w:g*v.w+v.w], 0, bset, limit)
-			if and {
-				if v.emitAnd(set, g, m) {
-					any = true
-				}
-			} else {
-				v.emitOr(set, g, m)
+			if v.emitAnd(acc, g, bitsetGroupWord(v.words[g*v.w:g*v.w+v.w], 0, bset, limit)) {
+				any = true
 			}
 		}
 		return any
@@ -296,9 +254,9 @@ func (v *Vector) scanBitset(set *ridset.Set, gLo, gHi int, bset []uint64, and bo
 		blk := v.blocks[b]
 		bgLo, bgHi := v.blockWindow(b, gLo, gHi)
 		if blk.Enc == EncRLE {
-			if v.scanRuns(set, b, blk, bgLo, bgHi, func(vid uint32) bool {
+			if v.scanRuns(acc, b, blk, bgLo, bgHi, func(vid uint32) bool {
 				return uint64(vid) < limit && bset[vid/64]&(1<<(vid%64)) != 0
-			}, and) {
+			}) {
 				any = true
 			}
 			continue
@@ -306,24 +264,19 @@ func (v *Vector) scanBitset(set *ridset.Set, gLo, gHi int, bset []uint64, and bo
 		if blk.W == 0 {
 			c := uint64(blk.Base)
 			hit := c < limit && bset[c/64]&(1<<(c%64)) != 0
-			if v.scanConst(set, bgLo, bgHi, hit, and) {
+			if v.scanConst(acc, bgLo, bgHi, hit) {
 				any = true
 			}
 			continue
 		}
 		w, g0 := int(blk.W), (bgLo/BlockGroups)*BlockGroups
 		for g := bgLo; g < bgHi; g++ {
-			if and && set.Word(g) == 0 {
+			if acc.Word(g) == 0 {
 				continue
 			}
 			off := int(blk.Off) + (g-g0)*w
-			m := bitsetGroupWord(v.words[off:off+w], blk.Base, bset, limit)
-			if and {
-				if v.emitAnd(set, g, m) {
-					any = true
-				}
-			} else {
-				v.emitOr(set, g, m)
+			if v.emitAnd(acc, g, bitsetGroupWord(v.words[off:off+w], blk.Base, bset, limit)) {
+				any = true
 			}
 		}
 	}
@@ -410,38 +363,15 @@ func transposeRound32(a *[32]uint64, s uint, m uint64) {
 
 // scanRuns evaluates a predicate over one RLE block: each run's ValueID is
 // tested once, making the block O(runs + touched words) instead of O(rows).
-// Or mode fills whole row spans per matching run; Into mode walks the window
-// group by group with a monotone run cursor so the zero-word early-out still
-// skips dead groups.
-func (v *Vector) scanRuns(set *ridset.Set, b int, blk Block, gLo, gHi int, match func(uint32) bool, and bool) bool {
+// It walks the window group by group with a monotone run cursor, so the
+// zero-word early-out still skips dead groups.
+func (v *Vector) scanRuns(acc *ridset.Set, b int, blk Block, gLo, gHi int, match func(uint32) bool) bool {
 	runs := v.runs[blk.Off : blk.Off+blk.N]
 	rowBase := b * BlockRows
-	if !and {
-		winLo, winHi := gLo*GroupRows, gHi*GroupRows
-		start := rowBase
-		for _, r := range runs {
-			end := rowBase + int(r.End)
-			if end > winLo && match(r.VID) {
-				lo, hi := start, end
-				if lo < winLo {
-					lo = winLo
-				}
-				if hi > winHi {
-					hi = winHi
-				}
-				orSpan(set, lo, hi)
-			}
-			if end >= winHi {
-				break
-			}
-			start = end
-		}
-		return false
-	}
 	cur := 0
 	any := false
 	for g := gLo; g < gHi; g++ {
-		if set.Word(g) == 0 {
+		if acc.Word(g) == 0 {
 			continue
 		}
 		lo := g*GroupRows - rowBase // block-local row window of group g
@@ -464,30 +394,22 @@ func (v *Vector) scanRuns(set *ridset.Set, b int, blk Block, gLo, gHi int, match
 			}
 			start = end
 		}
-		if v.emitAnd(set, g, m) {
+		if v.emitAnd(acc, g, m) {
 			any = true
 		}
 	}
 	return any
 }
 
-// scanConst combines an all-rows-match (or no-rows-match) verdict over the
+// scanConst fuses an all-rows-match (or no-rows-match) verdict over the
 // window — the w==0 and constant-block paths.
-func (v *Vector) scanConst(set *ridset.Set, gLo, gHi int, matchAll, and bool) bool {
-	if !and {
-		if matchAll {
-			for g := gLo; g < gHi; g++ {
-				set.OrWord(g, v.groupMask(g))
-			}
-		}
-		return false
-	}
+func (v *Vector) scanConst(acc *ridset.Set, gLo, gHi int, matchAll bool) bool {
 	if !matchAll {
-		return zeroWindow(set, gLo, gHi)
+		return zeroWindow(acc, gLo, gHi)
 	}
 	any := false
 	for g := gLo; g < gHi; g++ {
-		if v.emitAnd(set, g, ^uint64(0)) {
+		if v.emitAnd(acc, g, ^uint64(0)) {
 			any = true
 		}
 	}
@@ -519,11 +441,11 @@ func rangesContain(ranges []Range, vid uint32) bool {
 	return false
 }
 
-// zeroWindow clears every accumulator word of [gLo, gHi) — the Into-mode
-// result of a predicate that cannot match.
-func zeroWindow(set *ridset.Set, gLo, gHi int) bool {
+// zeroWindow clears every accumulator word of [gLo, gHi) — the result of a
+// predicate that cannot match.
+func zeroWindow(acc *ridset.Set, gLo, gHi int) bool {
 	for g := gLo; g < gHi; g++ {
-		set.AndWord(g, 0)
+		acc.AndWord(g, 0)
 	}
 	return false
 }
@@ -531,23 +453,4 @@ func zeroWindow(set *ridset.Set, gLo, gHi int) bool {
 // spanWordMask returns the word mask with bits [a, b) set, 0 <= a < b <= 64.
 func spanWordMask(a, b int) uint64 {
 	return (^uint64(0) >> uint(GroupRows-(b-a))) << uint(a)
-}
-
-// orSpan ORs the row span [lo, hi) into the set word-parallel. Spans come
-// from RLE runs clamped to the scan window, so they never reach past the
-// vector's rows and stay within the window's words.
-func orSpan(set *ridset.Set, lo, hi int) {
-	if lo >= hi {
-		return
-	}
-	wl, wh := lo/GroupRows, (hi-1)/GroupRows
-	if wl == wh {
-		set.OrWord(wl, spanWordMask(lo%GroupRows, (hi-1)%GroupRows+1))
-		return
-	}
-	set.OrWord(wl, ^uint64(0)<<uint(lo%GroupRows))
-	for w := wl + 1; w < wh; w++ {
-		set.OrWord(w, ^uint64(0))
-	}
-	set.OrWord(wh, spanWordMask(0, (hi-1)%GroupRows+1))
 }

@@ -33,7 +33,7 @@ const (
 // AttrVectRangesSet implements AttrVectSearch 1/2/4/5/7/8 over an unpacked
 // []uint32 attribute vector: it emits, into a bitmap over [0, |AV|), the
 // RecordIDs whose ValueID falls into any of the given inclusive ranges. It
-// is the per-element reference the bit-packed search.AttrVectRangesPackedSet
+// is the per-element reference the bit-packed search.AttrVectRangesPackedInto
 // is measured and checked against. workers <= 0 uses GOMAXPROCS.
 func AttrVectRangesSet(av []uint32, ranges []search.VidRange, workers int) *ridset.Set {
 	out := ridset.New(len(av))

@@ -10,6 +10,7 @@ import (
 	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/enclave"
 	"github.com/encdbdb/encdbdb/internal/engine"
+	"github.com/encdbdb/encdbdb/internal/ridset"
 	"github.com/encdbdb/encdbdb/internal/search"
 	"github.com/encdbdb/encdbdb/internal/workload"
 )
@@ -48,7 +49,7 @@ func AblationAV(cfg Config) error {
 			baseline.AttrVectListSet(codes, vids, split.Len(), baseline.AVBitset, cfg.Workers)
 		}},
 		{"packed SWAR (engine)", func(vids []uint32) {
-			search.AttrVectListPackedSet(vec, vids, cfg.Workers)
+			search.AttrVectListPackedInto(vec, vids, ridset.Full(vec.Len()), cfg.Workers)
 		}},
 	}
 

@@ -9,6 +9,7 @@ import (
 	"github.com/encdbdb/encdbdb/internal/av"
 	"github.com/encdbdb/encdbdb/internal/baseline"
 	"github.com/encdbdb/encdbdb/internal/dict"
+	"github.com/encdbdb/encdbdb/internal/ridset"
 	"github.com/encdbdb/encdbdb/internal/search"
 )
 
@@ -113,8 +114,10 @@ func compressionPoint(cfg Config, rng *rand.Rand, rows, dictLen int) (Compressio
 
 	// ~10% selectivity, the common single-range case.
 	ranges := []search.VidRange{{Lo: uint32(dictLen / 4), Hi: uint32(dictLen/4 + dictLen/10)}}
+	// The packed kernels fuse into an accumulator; each pass starts from a
+	// fresh full one, as the unpacked scans start from a fresh set.
 	p.RangeNsPerRowPacked = scanNsPerRow(rows, func() {
-		search.AttrVectRangesPackedSet(vec, ranges, 1)
+		search.AttrVectRangesPackedInto(vec, ranges, ridset.Full(rows), 1)
 	})
 	p.RangeNsPerRowUnpacked = scanNsPerRow(rows, func() {
 		baseline.AttrVectRangesSet(codes, ranges, 1)
@@ -129,7 +132,7 @@ func compressionPoint(cfg Config, rng *rand.Rand, rows, dictLen int) (Compressio
 		vids[i] = uint32(rng.Intn(dictLen))
 	}
 	p.ListNsPerRowPacked = scanNsPerRow(rows, func() {
-		search.AttrVectListPackedSet(vec, vids, 1)
+		search.AttrVectListPackedInto(vec, vids, ridset.Full(rows), 1)
 	})
 	p.ListNsPerRowUnpacked = scanNsPerRow(rows, func() {
 		baseline.AttrVectListSet(codes, vids, dictLen, baseline.AVSortedProbe, 1)

@@ -229,7 +229,7 @@ func scanEncodings(cfg Config, rows int) ([]ScanEncodingPoint, error) {
 	}
 	ranges := []av.Range{{Lo: scanDictLen / 4, Hi: scanDictLen/4 + scanDictLen/10}}
 	groups := (rows + av.GroupRows - 1) / av.GroupRows
-	out := ridset.New(rows)
+	acc, full := ridset.New(rows), ridset.Full(rows)
 
 	var points []ScanEncodingPoint
 	for _, shape := range shapes {
@@ -258,13 +258,17 @@ func scanEncodings(cfg Config, rows int) ([]ScanEncodingPoint, error) {
 			}
 		}
 		p.BytesRatio = float64(p.EncodedBytes) / float64(p.UniformBytes)
-		// Time the kernels against a preallocated match set so the
-		// comparison isolates scan work from result-set allocation.
+		// Time the kernels against a preallocated accumulator so the
+		// comparison isolates scan work from allocation. Every pass refills
+		// it first: one emptied by the previous pass would let the zero-word
+		// early-out skip every group.
 		p.EncodedNsPerRow = scanNsPerRow(rows, func() {
-			enc.ScanRanges(out, 0, groups, ranges)
+			acc.UnionWith(full)
+			enc.ScanRangesInto(acc, 0, groups, ranges)
 		})
 		p.UniformNsPerRow = scanNsPerRow(rows, func() {
-			uni.ScanRanges(out, 0, groups, ranges)
+			acc.UnionWith(full)
+			uni.ScanRangesInto(acc, 0, groups, ranges)
 		})
 		p.Speedup = p.UniformNsPerRow / p.EncodedNsPerRow
 		points = append(points, p)

@@ -178,7 +178,7 @@ func (db *DB) ApplyRecord(rec *LogRecord) error {
 }
 
 // applyWrite re-applies a write record: invalidations first, then appends —
-// the order Update used when the record was written (Insert and Delete
+// the order Update used when the record was written (InsertBatch and Delete
 // records carry only one of the two).
 func (db *DB) applyWrite(rec *LogRecord) error {
 	t, err := db.lookup(rec.Table)

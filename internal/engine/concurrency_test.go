@@ -57,7 +57,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				val := fmt.Sprintf("w%d_%03d", w, i)
-				if err := v.db.Insert(context.Background(), "cc", engine.Row{"c": v.encryptValue(t, "cc", "c", val)}); err != nil {
+				if err := v.db.InsertBatch(context.Background(), "cc", []engine.Row{{"c": v.encryptValue(t, "cc", "c", val)}}); err != nil {
 					errs <- fmt.Errorf("writer %d: %w", w, err)
 					return
 				}
@@ -220,7 +220,7 @@ func TestConcurrentCrossTableStress(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < rounds; j++ {
 				row := engine.Row{"c": v.encryptValue(t, name, "c", fmt.Sprintf("i%d_%02d", i, j))}
-				if err := v.db.Insert(context.Background(), name, row); err != nil {
+				if err := v.db.InsertBatch(context.Background(), name, []engine.Row{row}); err != nil {
 					errs <- fmt.Errorf("insert %s: %w", name, err)
 					return
 				}
@@ -336,7 +336,7 @@ func TestParallelFilterEquivalence(t *testing.T) {
 			for name, val := range dr {
 				row[name] = v.encryptValue(t, "pf", name, val)
 			}
-			if err := v.db.Insert(context.Background(), "pf", row); err != nil {
+			if err := v.db.InsertBatch(context.Background(), "pf", []engine.Row{row}); err != nil {
 				t.Fatal(err)
 			}
 		}

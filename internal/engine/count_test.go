@@ -42,7 +42,7 @@ func TestCountOnlyShipsNoRecordIDs(t *testing.T) {
 					v.loadColumn(t, "cnt", def, col)
 				}
 				for i := shape.main; i < shape.main+shape.delta; i++ {
-					if err := v.db.Insert(ctx, "cnt", engine.Row{"c": v.encryptValue(t, "cnt", "c", value(i))}); err != nil {
+					if err := v.db.InsertBatch(ctx, "cnt", []engine.Row{{"c": v.encryptValue(t, "cnt", "c", value(i))}}); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -167,11 +167,20 @@ func (db *DB) commitRowsLocked(t *table, payloads []map[string][]byte) {
 	t.sealTailLocked(db.opts.sealRows)
 }
 
-// Insert appends a row to the table's delta stores. Only this table is
-// write-locked, and only for the bitmap update and tail append — enclave
-// re-encryption happens before the lock — so traffic on other tables and
-// concurrent reads of this one proceed.
-func (db *DB) Insert(ctx context.Context, tableName string, row Row) error {
+// InsertBatch appends rows to the table's delta stores — the paper's
+// insert (§4.3): each value is re-encrypted inside the enclave, then
+// appended. A single INSERT is a batch of one. The batch is all-or-nothing:
+// every row is validated and re-encrypted before any table state changes,
+// so a bad row leaves the table untouched. Only this table is write-locked,
+// once per batch and only for the bitmap update and tail append, so traffic
+// on other tables and concurrent reads of this one proceed. Under the commit
+// log's append gate and that lock one write record carrying every row is
+// logged and applied in memory; durability is awaited after both are
+// released, before acknowledging.
+func (db *DB) InsertBatch(ctx context.Context, tableName string, rows []Row) error {
+	if len(rows) == 0 {
+		return nil
+	}
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
@@ -182,18 +191,12 @@ func (db *DB) Insert(ctx context.Context, tableName string, row Row) error {
 	if err := t.readyCheck(); err != nil {
 		return err
 	}
-	payloads, err := db.prepareRow(t, row)
-	if err != nil {
-		return err
+	payloads := make([]map[string][]byte, len(rows))
+	for i, row := range rows {
+		if payloads[i], err = db.prepareRow(t, row); err != nil {
+			return fmt.Errorf("engine: batch row %d: %w", i, err)
+		}
 	}
-	return db.commitInsert(tableName, t, []map[string][]byte{payloads})
-}
-
-// commitInsert is the shared tail of Insert and InsertBatch: under the
-// commit log's append gate and the table write lock, it logs one write
-// record carrying the prepared payloads, applies it in memory, and — after
-// releasing both — awaits log durability before acknowledging.
-func (db *DB) commitInsert(tableName string, t *table, payloads []map[string][]byte) error {
 	end := db.gateWrite(tableName)
 	t.mu.Lock()
 	if err := t.ready(); err != nil {
@@ -217,33 +220,6 @@ func (db *DB) commitInsert(tableName string, t *table, payloads []map[string][]b
 	}
 	db.maybeAutoMerge(tableName, t)
 	return nil
-}
-
-// InsertBatch appends rows under a single table write-lock acquisition —
-// the provider-side half of the proxy's bulk-load fast path. The batch is
-// all-or-nothing: every row is validated and re-encrypted before any table
-// state changes, so a bad row leaves the table untouched.
-func (db *DB) InsertBatch(ctx context.Context, tableName string, rows []Row) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	if err := ctxErr(ctx); err != nil {
-		return err
-	}
-	t, err := db.lookup(tableName)
-	if err != nil {
-		return err
-	}
-	if err := t.readyCheck(); err != nil {
-		return err
-	}
-	payloads := make([]map[string][]byte, len(rows))
-	for i, row := range rows {
-		if payloads[i], err = db.prepareRow(t, row); err != nil {
-			return fmt.Errorf("engine: batch row %d: %w", i, err)
-		}
-	}
-	return db.commitInsert(tableName, t, payloads)
 }
 
 // Delete invalidates all rows matching the filters and returns how many rows

@@ -429,7 +429,7 @@ func TestImportAfterInsertFails(t *testing.T) {
 	if err := v.db.CreateTable(engine.Schema{Table: "t", Columns: []engine.ColumnDef{a}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.db.Insert(context.Background(), "t", engine.Row{"a": v.encryptValue(t, "t", "a", "x")}); err != nil {
+	if err := v.db.InsertBatch(context.Background(), "t", []engine.Row{{"a": v.encryptValue(t, "t", "a", "x")}}); err != nil {
 		t.Fatal(err)
 	}
 	s, err := dict.Build(bcol("z"), dict.Params{
@@ -451,7 +451,7 @@ func TestInsertAndQueryDelta(t *testing.T) {
 		"fname": v.encryptValue(t, "t1", "fname", "Jessica"),
 		"city":  v.encryptValue(t, "t1", "city", "Toronto"),
 	}
-	if err := v.db.Insert(context.Background(), "t1", row); err != nil {
+	if err := v.db.InsertBatch(context.Background(), "t1", []engine.Row{row}); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
 	res, err := v.db.Select(context.Background(), engine.Query{
@@ -532,7 +532,7 @@ func TestInsertBatch(t *testing.T) {
 func TestInsertMissingColumn(t *testing.T) {
 	v := newEnv(t)
 	v.standardTable(t, dict.ED1, dict.ED1)
-	err := v.db.Insert(context.Background(), "t1", engine.Row{"fname": v.encryptValue(t, "t1", "fname", "X")})
+	err := v.db.InsertBatch(context.Background(), "t1", []engine.Row{{"fname": v.encryptValue(t, "t1", "fname", "X")}})
 	if !errors.Is(err, engine.ErrMissingColumn) {
 		t.Errorf("err = %v, want ErrMissingColumn", err)
 	}
@@ -596,10 +596,10 @@ func TestMergeFoldsDeltaAndGarbageCollects(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"Zara", "Anna"} {
-		err := v.db.Insert(context.Background(), "t1", engine.Row{
+		err := v.db.InsertBatch(context.Background(), "t1", []engine.Row{{
 			"fname": v.encryptValue(t, "t1", "fname", name),
 			"city":  v.encryptValue(t, "t1", "city", "Ottawa"),
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -642,7 +642,7 @@ func TestMergePlainColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.loadColumn(t, "p", def, bcol("m", "n"))
-	if err := v.db.Insert(context.Background(), "p", engine.Row{"c": []byte("o")}); err != nil {
+	if err := v.db.InsertBatch(context.Background(), "p", []engine.Row{{"c": []byte("o")}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := v.db.Merge(context.Background(), "p"); err != nil {
@@ -684,10 +684,10 @@ func TestStorageBytesGrowsWithDelta(t *testing.T) {
 	if before == 0 {
 		t.Fatal("storage = 0")
 	}
-	err = v.db.Insert(context.Background(), "t1", engine.Row{
+	err = v.db.InsertBatch(context.Background(), "t1", []engine.Row{{
 		"fname": v.encryptValue(t, "t1", "fname", "New"),
 		"city":  v.encryptValue(t, "t1", "city", "Town"),
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -724,7 +724,7 @@ func TestEngineRandomizedAgainstOracle(t *testing.T) {
 			switch rng.Intn(3) {
 			case 0: // insert
 				val := fmt.Sprintf("v%02d", rng.Intn(12))
-				err := v.db.Insert(context.Background(), "t", engine.Row{"c": v.encryptValue(t, "t", "c", val)})
+				err := v.db.InsertBatch(context.Background(), "t", []engine.Row{{"c": v.encryptValue(t, "t", "c", val)}})
 				if err != nil {
 					t.Fatal(err)
 				}

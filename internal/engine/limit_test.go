@@ -28,7 +28,7 @@ func limitEnv(t *testing.T, opts ...engine.Option) (*env, engine.ColumnDef) {
 	ctx := context.Background()
 	for i := 60; i < 80; i++ {
 		row := engine.Row{"c": v.encryptValue(t, "lim", "c", fmt.Sprintf("v%03d", i))}
-		if err := v.db.Insert(ctx, "lim", row); err != nil {
+		if err := v.db.InsertBatch(ctx, "lim", []engine.Row{row}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -40,7 +40,7 @@ func mergeEnvKind(t *testing.T, kind dict.Kind, opts ...engine.Option) (*env, en
 	v.loadColumn(t, "t", def, col)
 	for i := 0; i < 25; i++ {
 		s := fmt.Sprintf("d%03d", i%7)
-		if err := v.db.Insert(context.Background(), "t", engine.Row{"c": v.encryptValue(t, "t", "c", s)}); err != nil {
+		if err := v.db.InsertBatch(context.Background(), "t", []engine.Row{{"c": v.encryptValue(t, "t", "c", s)}}); err != nil {
 			t.Fatal(err)
 		}
 		model = append(model, s)
@@ -122,7 +122,7 @@ func TestSelectDuringBackgroundMerge(t *testing.T) {
 	}
 
 	// Writers must get through as well while the swap is parked.
-	if err := v.db.Insert(context.Background(), "t", engine.Row{"c": v.encryptValue(t, "t", "c", "w000")}); err != nil {
+	if err := v.db.InsertBatch(context.Background(), "t", []engine.Row{{"c": v.encryptValue(t, "t", "c", "w000")}}); err != nil {
 		t.Fatalf("Insert during merge: %v", err)
 	}
 	model = append(model, "w000")
@@ -168,7 +168,7 @@ func TestWritesDuringRebuildAreReplayed(t *testing.T) {
 		model = kept
 	}
 	for _, s := range []string{"x001", "x002", "x003"} {
-		if err := v.db.Insert(context.Background(), "t", engine.Row{"c": v.encryptValue(t, "t", "c", s)}); err != nil {
+		if err := v.db.InsertBatch(context.Background(), "t", []engine.Row{{"c": v.encryptValue(t, "t", "c", s)}}); err != nil {
 			t.Fatal(err)
 		}
 		model = append(model, s)
@@ -304,7 +304,7 @@ func TestSealedRunsAnswerQueries(t *testing.T) {
 	model := []string{"a01", "a02"}
 	for i := 0; i < 11; i++ {
 		s := fmt.Sprintf("b%02d", i)
-		if err := v.db.Insert(context.Background(), "t", engine.Row{"c": v.encryptValue(t, "t", "c", s)}); err != nil {
+		if err := v.db.InsertBatch(context.Background(), "t", []engine.Row{{"c": v.encryptValue(t, "t", "c", s)}}); err != nil {
 			t.Fatal(err)
 		}
 		model = append(model, s)
@@ -362,7 +362,7 @@ func TestAutoMergePolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if err := v.db.Insert(context.Background(), "t", engine.Row{"c": v.encryptValue(t, "t", "c", fmt.Sprintf("v%02d", i))}); err != nil {
+		if err := v.db.InsertBatch(context.Background(), "t", []engine.Row{{"c": v.encryptValue(t, "t", "c", fmt.Sprintf("v%02d", i))}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -139,7 +139,7 @@ func TestSelectMatchesModel(t *testing.T) {
 						"a": v.encryptValue(t, table, "a", r.a),
 						"b": v.encryptValue(t, table, "b", r.b),
 					}
-					if err := v.db.Insert(ctx, table, row); err != nil {
+					if err := v.db.InsertBatch(ctx, table, []engine.Row{row}); err != nil {
 						t.Fatalf("%s insert: %v", name, err)
 					}
 				}

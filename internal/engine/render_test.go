@@ -55,7 +55,7 @@ func TestRenderMatchesEntry(t *testing.T) {
 				if !def.Plain {
 					val = v.encryptValue(t, "t", "c", string(val))
 				}
-				if err := v.db.Insert(context.Background(), "t", engine.Row{"c": val}); err != nil {
+				if err := v.db.InsertBatch(context.Background(), "t", []engine.Row{{"c": val}}); err != nil {
 					t.Fatal(err)
 				}
 			}

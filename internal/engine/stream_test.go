@@ -143,7 +143,7 @@ func TestWriteContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	row := engine.Row{"fname": v.encryptValue(t, "t1", "fname", "Zed"), "city": v.encryptValue(t, "t1", "city", "Bonn")}
-	if err := v.db.Insert(ctx, "t1", row); !errors.Is(err, context.Canceled) {
+	if err := v.db.InsertBatch(ctx, "t1", []engine.Row{row}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Insert err = %v", err)
 	}
 	f := v.filter(t, "t1", fname, search.Eq([]byte("Jessica")))
@@ -169,7 +169,7 @@ func TestSelectStreamSeesDeltaAndDeletes(t *testing.T) {
 			"fname": v.encryptValue(t, "t1", "fname", name),
 			"city":  v.encryptValue(t, "t1", "city", "Oslo"),
 		}
-		if err := v.db.Insert(ctx, "t1", row); err != nil {
+		if err := v.db.InsertBatch(ctx, "t1", []engine.Row{row}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -37,10 +37,12 @@ type Executor interface {
 	CreateTable(s engine.Schema) error
 	DropTable(name string) error
 	Select(ctx context.Context, q engine.Query) (*engine.Result, error)
-	Insert(ctx context.Context, table string, row engine.Row) error
-	// InsertBatch inserts many rows into one table in a single call: one
-	// round trip for remote executors, one table write-lock acquisition for
-	// the embedded engine.
+	// InsertBatch is the one insert: it appends rows to one table in a
+	// single call — one round trip for remote executors, one table
+	// write-lock acquisition for the embedded engine. A single INSERT is a
+	// batch of one. A provider applies a batch all or nothing; a shard
+	// fleet does so per shard only, so when some shards fail the rows the
+	// others took stay inserted.
 	InsertBatch(ctx context.Context, table string, rows []engine.Row) error
 	Delete(ctx context.Context, table string, filters []engine.Filter) (int, error)
 	Update(ctx context.Context, table string, filters []engine.Filter, set engine.Row) (int, error)
@@ -180,7 +182,9 @@ func (p *Proxy) Execute(ctx context.Context, sql string, args ...any) (*Result, 
 // statement. Runs of consecutive INSERTs into the same table ship through
 // one Executor.InsertBatch call, so bulk loads cost one round trip per run
 // instead of one per row. On error, the returned slice holds the results of
-// the statements completed before the failure.
+// the statements completed before the failure, followed by the failing
+// statement's own Result when it has one (the partial count of a fleet's
+// UPDATE or DELETE).
 func (p *Proxy) ExecBatch(ctx context.Context, sqls []string) ([]*Result, error) {
 	stmts := make([]sqlparse.Statement, len(sqls))
 	for i, sql := range sqls {
@@ -213,6 +217,11 @@ func (p *Proxy) execStmts(ctx context.Context, stmts []sqlparse.Statement) ([]*R
 		if !ok {
 			res, err := p.execute(ctx, stmts[i], nil)
 			if err != nil {
+				// A fleet's failed UPDATE or DELETE still reports the
+				// rows its healthy shards changed.
+				if res != nil {
+					results = append(results, res)
+				}
 				return results, fmt.Errorf("proxy: statement %d: %w", i, err)
 			}
 			results = append(results, res)
@@ -477,7 +486,7 @@ func (p *Proxy) insert(ctx context.Context, s *sqlparse.Insert, schema engine.Sc
 	if err != nil {
 		return nil, err
 	}
-	if err := p.exec.Insert(ctx, s.Table, row); err != nil {
+	if err := p.exec.InsertBatch(ctx, s.Table, []engine.Row{row}); err != nil {
 		return nil, err
 	}
 	return &Result{Kind: KindAffected, Affected: 1}, nil

@@ -84,18 +84,6 @@ func (s *Set) Add(r uint32) {
 	s.words[r/wordBits] |= 1 << (r % wordBits)
 }
 
-// OrWord ORs a 64-bit match word into word i of the bitmap: RecordIDs
-// [64i, 64i+64). It is the emit path of the packed attribute-vector scan
-// kernels, which produce one match word per 64-row group; like Add, writers
-// owning disjoint word indexes may call it concurrently. Bits beyond the
-// universe are cleared, preserving the tail invariant.
-func (s *Set) OrWord(i int, w uint64) {
-	s.words[i] |= w
-	if i == len(s.words)-1 {
-		s.maskTail()
-	}
-}
-
 // Word returns word i of the bitmap: the membership bits of RecordIDs
 // [64i, 64i+64). The fused scan kernels read it to skip groups whose
 // accumulator word is already empty.
@@ -107,9 +95,9 @@ func (s *Set) Words() int { return len(s.words) }
 // AndWord ANDs a 64-bit match word into word i of the bitmap — the
 // accumulator path of the fused scan kernels, which conjoin each predicate's
 // match word in-register instead of materializing a set per predicate and
-// intersecting afterwards. Like OrWord, writers owning disjoint word indexes
-// may call it concurrently. ANDing only clears bits, so the tail invariant
-// holds without re-masking.
+// intersecting afterwards. Writers owning disjoint word indexes may call it
+// concurrently. ANDing only clears bits, so the tail invariant holds without
+// re-masking.
 func (s *Set) AndWord(i int, w uint64) {
 	s.words[i] &= w
 }

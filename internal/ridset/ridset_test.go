@@ -232,8 +232,9 @@ func TestWordOps(t *testing.T) {
 	if s.Words() != 3 {
 		t.Fatalf("Words() = %d over 130 rows, want 3", s.Words())
 	}
-	s.OrWord(0, 0xFF)
-	s.OrWord(1, 0xF0F0)
+	for _, r := range []uint32{0, 1, 2, 3, 4, 5, 6, 7, 64 + 4, 64 + 5, 64 + 6, 64 + 7, 64 + 12, 64 + 13, 64 + 14, 64 + 15} {
+		s.Add(r)
+	}
 	if s.Word(0) != 0xFF || s.Word(1) != 0xF0F0 || s.Word(2) != 0 {
 		t.Fatalf("Word readback = %x/%x/%x", s.Word(0), s.Word(1), s.Word(2))
 	}

@@ -20,36 +20,6 @@ func parallelism(p int) int {
 	return p
 }
 
-// AttrVectRangesPackedSet is the bit-packed fast path of AttrVectSearch
-// 1/2/4/5/7/8: the SWAR kernels of internal/av evaluate the range
-// disjunction on 64 packed codes per iteration and OR match words directly
-// into the bitmap — no per-element unpacking and no match-closure dispatch.
-// The unpacked per-element scans it replaced live on in internal/baseline
-// for the ablations. workers <= 0 uses GOMAXPROCS.
-func AttrVectRangesPackedSet(v *av.Vector, ranges []VidRange, workers int) *ridset.Set {
-	return packedSet(CompileRangesPred(v, ranges), workers)
-}
-
-// AttrVectListPackedSet is the bit-packed fast path of AttrVectSearch
-// 3/6/9, compiled by CompileListPred: a short ValueID list runs the range
-// kernel, a long one a membership bitmap. workers <= 0 uses GOMAXPROCS.
-func AttrVectListPackedSet(v *av.Vector, vids []uint32, workers int) *ridset.Set {
-	return packedSet(CompileListPred(v, vids), workers)
-}
-
-// packedSet ORs a compiled predicate's matches over the whole vector into a
-// fresh set, sharded across workers.
-func packedSet(p PackedPred, workers int) *ridset.Set {
-	out := ridset.New(p.v.Len())
-	if p.v.Len() == 0 || p.matchesNothing() {
-		return out
-	}
-	packedShards(p.v.Len(), workers, func(gLo, gHi int) {
-		p.Scan(out, gLo, gHi)
-	})
-	return out
-}
-
 // PackedPred is a predicate compiled against one packed attribute vector:
 // either a range disjunction (sorted/rotated dictionaries and short ValueID
 // lists) or a ValueID membership bitmap (long lists from unsorted
@@ -137,15 +107,6 @@ func compileBitsetPred(v *av.Vector, vids []uint32) PackedPred {
 	return PackedPred{v: v, bitset: set, list: true}
 }
 
-// matchesNothing reports whether the predicate was compiled from an empty
-// range list or an empty (or entirely out-of-range) ValueID list.
-func (p PackedPred) matchesNothing() bool {
-	if p.list {
-		return len(p.bitset) == 0
-	}
-	return len(p.ranges) == 0
-}
-
 // Groups returns the number of 64-row groups of the compiled vector — the
 // morsel domain of a fused scan.
 func (p PackedPred) Groups() int {
@@ -165,36 +126,31 @@ func (p PackedPred) ScanInto(acc *ridset.Set, gLo, gHi int) bool {
 	return p.v.ScanRangesInto(acc, gLo, gHi, p.ranges)
 }
 
-// Scan ORs the predicate's matches over [gLo, gHi) into out — the
-// set-building counterpart of ScanInto behind the *PackedSet entry points.
-func (p PackedPred) Scan(out *ridset.Set, gLo, gHi int) {
-	if p.list {
-		p.v.ScanBitset(out, gLo, gHi, p.bitset)
-		return
-	}
-	p.v.ScanRanges(out, gLo, gHi, p.ranges)
-}
-
-// AttrVectRangesPackedInto fuses the bit-packed range scan of AttrVectSearch
-// 1/2/4/5/7/8 into an existing accumulator (typically already carrying row
-// validity and the preceding conjuncts) instead of materializing a set and
-// intersecting afterwards. It reports whether the scanned window kept any
-// rows. workers <= 0 uses GOMAXPROCS.
+// AttrVectRangesPackedInto is the bit-packed AttrVectSearch 1/2/4/5/7/8:
+// the SWAR kernels of internal/av evaluate the range disjunction on 64
+// packed codes per iteration and AND the match words into an existing
+// accumulator (typically already carrying row validity and the preceding
+// conjuncts; ridset.Full for the predicate alone) — no per-element
+// unpacking, no match-closure dispatch, no set materialized and intersected
+// afterwards. The unpacked per-element scans it replaced live on in
+// internal/baseline for the ablations. It reports whether the scanned
+// window kept any rows. workers <= 0 uses GOMAXPROCS.
 func AttrVectRangesPackedInto(v *av.Vector, ranges []VidRange, acc *ridset.Set, workers int) bool {
 	return packedInto(CompileRangesPred(v, ranges), acc, workers)
 }
 
-// AttrVectListPackedInto fuses the bit-packed membership scan of
-// AttrVectSearch 3/6/9 into an existing accumulator — the delta path's
-// sealed-run kernels AND directly into the region accumulator through here.
-// It reports whether the scanned window kept any rows. workers <= 0 uses
-// GOMAXPROCS.
+// AttrVectListPackedInto is the bit-packed AttrVectSearch 3/6/9, compiled
+// by CompileListPred (a short ValueID list runs the range kernel, a long one
+// a membership bitmap) and fused into an existing accumulator — the delta
+// path's sealed-run kernels AND directly into the region accumulator
+// through here. It reports whether the scanned window kept any rows.
+// workers <= 0 uses GOMAXPROCS.
 func AttrVectListPackedInto(v *av.Vector, vids []uint32, acc *ridset.Set, workers int) bool {
 	return packedInto(CompileListPred(v, vids), acc, workers)
 }
 
 // packedInto runs a compiled predicate's fused scan across all groups,
-// sharded like the Or-mode scans: shards own whole groups, hence disjoint
+// sharded across workers: shards own whole groups, hence disjoint
 // accumulator words.
 func packedInto(p PackedPred, acc *ridset.Set, workers int) bool {
 	if p.v.Len() == 0 {
@@ -210,7 +166,7 @@ func packedInto(p PackedPred, acc *ridset.Set, workers int) bool {
 }
 
 // packedShards distributes the packed vector's 64-row groups across workers.
-// Each shard owns whole groups, hence disjoint words of the output set, so
+// Each shard owns whole groups, hence disjoint words of the accumulator, so
 // the kernels emit without synchronization.
 func packedShards(rows, workers int, scan func(gLo, gHi int)) {
 	groups := (rows + av.GroupRows - 1) / av.GroupRows

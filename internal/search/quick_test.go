@@ -10,6 +10,7 @@ import (
 	"github.com/encdbdb/encdbdb/internal/av"
 	"github.com/encdbdb/encdbdb/internal/baseline"
 	"github.com/encdbdb/encdbdb/internal/dict"
+	"github.com/encdbdb/encdbdb/internal/ridset"
 	"github.com/encdbdb/encdbdb/internal/search"
 )
 
@@ -132,10 +133,10 @@ func TestQuickAttrVectModesAgree(t *testing.T) {
 
 // TestQuickPackedScansAgreeWithUnpacked is the packed ≡ unpacked property
 // at the search-entry-point level: the SWAR kernels over a bit-packed
-// vector must emit exactly the RecordIDs of internal/baseline's []uint32
-// scans, for random
-// codes, dictionary sizes (including the 2^k / 2^k+1 width boundaries via
-// the random dictLen), ranges, membership lists and worker counts.
+// vector, fused into a full accumulator, must keep exactly the RecordIDs of
+// internal/baseline's []uint32 scans, for random codes, dictionary sizes
+// (including the 2^k / 2^k+1 width boundaries via the random dictLen),
+// ranges, membership lists and worker counts.
 func TestQuickPackedScansAgreeWithUnpacked(t *testing.T) {
 	f := func(avSeed []uint16, vidSeed []uint16, dictLenSeed uint16, loSeed, hiSeed uint16, workerSeed uint8) bool {
 		dictLen := 1 + int(dictLenSeed)%5000
@@ -155,8 +156,9 @@ func TestQuickPackedScansAgreeWithUnpacked(t *testing.T) {
 		// searches produce before clamping).
 		ranges := []search.VidRange{{Lo: lo, Hi: hi}, {Lo: hi, Hi: hi + 3}}
 		a := baseline.AttrVectRangesSet(codes, ranges, 1).Slice()
-		b := search.AttrVectRangesPackedSet(vec, ranges, workers).Slice()
-		if !equalIDs(a, b) {
+		b := ridset.Full(len(codes))
+		search.AttrVectRangesPackedInto(vec, ranges, b, workers)
+		if !equalIDs(a, b.Slice()) {
 			return false
 		}
 
@@ -165,8 +167,9 @@ func TestQuickPackedScansAgreeWithUnpacked(t *testing.T) {
 			vids = append(vids, uint32(int(v)%dictLen))
 		}
 		c := baseline.AttrVectList(codes, vids, dictLen, baseline.AVSortedProbe, 1)
-		d := search.AttrVectListPackedSet(vec, vids, workers).Slice()
-		return equalIDs(c, d)
+		d := ridset.Full(len(codes))
+		search.AttrVectListPackedInto(vec, vids, d, workers)
+		return equalIDs(c, d.Slice())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

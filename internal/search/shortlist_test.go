@@ -110,17 +110,17 @@ func TestShortListPredMatchesBitset(t *testing.T) {
 	}
 }
 
-// comparePreds checks two predicates word for word in the Or and Into modes,
-// over the whole vector and over a partial group window.
+// comparePreds checks two predicates word for word over a full and a random
+// accumulator, on the whole vector and on a partial group window.
 func comparePreds(t *testing.T, rng *rand.Rand, got, want search.PackedPred, n int, label string) {
 	t.Helper()
 	groups := got.Groups()
 	lo := rng.Intn(groups)
 	for _, w := range [][2]int{{0, groups}, {lo, lo + 1 + rng.Intn(groups-lo)}} {
-		a, b := ridset.New(n), ridset.New(n)
-		got.Scan(a, w[0], w[1])
-		want.Scan(b, w[0], w[1])
-		sameWords(t, a, b, label+" Or")
+		a, b := ridset.Full(n), ridset.Full(n)
+		got.ScanInto(a, w[0], w[1])
+		want.ScanInto(b, w[0], w[1])
+		sameWords(t, a, b, label+" full")
 
 		acc := ridset.New(n)
 		for i := 0; i < n; i++ {

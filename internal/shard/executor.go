@@ -209,17 +209,11 @@ func (e *Executor) broadcastDDL(op string, fn func(proxy.Executor) error) error 
 	return first
 }
 
-// Insert routes the row to the owner of the table's next logical RecordID.
-func (e *Executor) Insert(ctx context.Context, table string, row engine.Row) error {
-	rid := e.seqFor(table).Add(1) - 1
-	i := e.part.Owner(rid)
-	e.met.scatter(1)
-	return e.call(i, "insert", func(b proxy.Executor) error { return b.Insert(ctx, table, row) })
-}
-
-// InsertBatch partitions the batch by owner and dispatches the per-shard
-// sub-batches in parallel, one InsertBatch call per shard. Rows keep their
-// batch order within each shard.
+// InsertBatch routes each row to the owner of the table's next logical
+// RecordID and dispatches the per-shard sub-batches in parallel, one
+// InsertBatch call per shard; rows keep their batch order within each shard.
+// Each sub-batch is all-or-nothing on its shard, the batch as a whole is
+// not: when some shards fail, the rows of the others stay inserted.
 func (e *Executor) InsertBatch(ctx context.Context, table string, rows []engine.Row) error {
 	seq := e.seqFor(table)
 	parts := make([][]engine.Row, len(e.backends))

@@ -153,11 +153,6 @@ func (s *stubBackend) Select(ctx context.Context, q engine.Query) (*engine.Resul
 	}, nil
 }
 
-func (s *stubBackend) Insert(context.Context, string, engine.Row) error {
-	s.inserts.Add(1)
-	return s.err()
-}
-
 func (s *stubBackend) InsertBatch(_ context.Context, _ string, rows []engine.Row) error {
 	s.inserts.Add(int64(len(rows)))
 	return s.err()
@@ -202,7 +197,7 @@ func TestInsertRouting(t *testing.T) {
 	s0, s1 := &stubBackend{}, &stubBackend{}
 	e := newStubFleet(t, NewRangeMap([]string{"a", "b"}, []uint64{3}), s0, s1)
 	for i := 0; i < 5; i++ {
-		if err := e.Insert(context.Background(), "t", engine.Row{}); err != nil {
+		if err := e.InsertBatch(context.Background(), "t", []engine.Row{{}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -29,14 +29,14 @@ func fuzzSeedSnapshot(f *testing.F) *engine.TableSnapshot {
 			"a": []byte(fmt.Sprintf("a%02d", i)),
 			"b": []byte(fmt.Sprintf("b%02d", i%3)),
 		}
-		if err := db.Insert(ctx, "fz", row); err != nil {
+		if err := db.InsertBatch(ctx, "fz", []engine.Row{row}); err != nil {
 			f.Fatal(err)
 		}
 	}
 	if err := db.Merge(ctx, "fz"); err != nil {
 		f.Fatal(err)
 	}
-	if err := db.Insert(ctx, "fz", engine.Row{"a": []byte("tail"), "b": []byte("tail")}); err != nil {
+	if err := db.InsertBatch(ctx, "fz", []engine.Row{{"a": []byte("tail"), "b": []byte("tail")}}); err != nil {
 		f.Fatal(err)
 	}
 	snap, err := db.Snapshot("fz")

@@ -26,7 +26,7 @@ func crashWorkload() []crashOp {
 	ctx := context.Background()
 	ins := func(table, k, v string) crashOp {
 		return crashOp{fmt.Sprintf("insert %s %s=%s", table, k, v), func(db *engine.DB) error {
-			return db.Insert(ctx, table, engine.Row{"k": []byte(k), "v": []byte(v)})
+			return db.InsertBatch(ctx, table, []engine.Row{{"k": []byte(k), "v": []byte(v)}})
 		}}
 	}
 	return []crashOp{

@@ -41,7 +41,7 @@ func openLog(t *testing.T, dir string, db *engine.DB, opts ...wal.Option) *wal.L
 
 func insert(t *testing.T, db *engine.DB, table, k, v string) {
 	t.Helper()
-	if err := db.Insert(context.Background(), table, engine.Row{"k": []byte(k), "v": []byte(v)}); err != nil {
+	if err := db.InsertBatch(context.Background(), table, []engine.Row{{"k": []byte(k), "v": []byte(v)}}); err != nil {
 		t.Fatalf("Insert(%s, %s=%s): %v", table, k, v, err)
 	}
 }
@@ -386,13 +386,13 @@ func TestFsyncFailurePoisonsLog(t *testing.T) {
 	insert(t, db, "t", "k1", "a")
 
 	ffs.FailSync(1)
-	err := db.Insert(context.Background(), "t", engine.Row{"k": []byte("k2"), "v": []byte("b")})
+	err := db.InsertBatch(context.Background(), "t", []engine.Row{{"k": []byte("k2"), "v": []byte("b")}})
 	if !errors.Is(err, wal.ErrInjected) {
 		t.Fatalf("Insert after fsync fault = %v, want ErrInjected", err)
 	}
 	// The failure is sticky: durability can no longer be promised, so every
 	// later commit fails too.
-	err = db.Insert(context.Background(), "t", engine.Row{"k": []byte("k3"), "v": []byte("c")})
+	err = db.InsertBatch(context.Background(), "t", []engine.Row{{"k": []byte("k3"), "v": []byte("c")}})
 	if !errors.Is(err, wal.ErrInjected) {
 		t.Fatalf("Insert after poisoned log = %v, want sticky ErrInjected", err)
 	}
@@ -423,7 +423,7 @@ func TestShortWritePoisonsAppend(t *testing.T) {
 	// The short write surfaces on whichever append flushes the buffer; keep
 	// writing until the poison shows.
 	for i := 0; i < 10_000 && !sawErr; i++ {
-		err := db.Insert(context.Background(), "t", engine.Row{"k": []byte("kx"), "v": []byte("y")})
+		err := db.InsertBatch(context.Background(), "t", []engine.Row{{"k": []byte("kx"), "v": []byte("y")}})
 		sawErr = err != nil
 	}
 	if !sawErr {

@@ -146,7 +146,7 @@ func TestCloseDrainAnswersAccepted(t *testing.T) {
 	results := make(chan error, parked)
 	for i := 0; i < parked; i++ {
 		go func() {
-			results <- c.Insert(context.Background(), "drain2", engine.Row{"c": []byte("v")})
+			results <- c.InsertBatch(context.Background(), "drain2", []engine.Row{{"c": []byte("v")}})
 		}()
 	}
 	for i := 0; i < parked; i++ {
@@ -182,7 +182,7 @@ func TestServerMetricsScrape(t *testing.T) {
 	if err := c.CreateTable(plainSchema("m")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Insert(context.Background(), "m", engine.Row{"c": []byte("v")}); err != nil {
+	if err := c.InsertBatch(context.Background(), "m", []engine.Row{{"c": []byte("v")}}); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := c.Rows("m"); err != nil || n != 1 {

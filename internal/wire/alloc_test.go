@@ -47,7 +47,7 @@ func allocSelectReq() *request {
 }
 
 func allocInsertReq() *request {
-	return &request{Op: opInsert, Table: "accounts", Row: engine.Row{"balance": []byte("12345678")}}
+	return &request{Op: opInsert, Table: "accounts", Rows: []engine.Row{{"balance": []byte("12345678")}}}
 }
 
 // TestAllocBudgets pins the allocation cost of every layer of the wire hot
@@ -145,6 +145,25 @@ func TestAllocBudgets(t *testing.T) {
 			})
 		})
 	}
+
+	// A 100-row INSERT batch decodes into the pooled envelope's row maps,
+	// which keep their capacity across requests and whose values alias the
+	// frame: no allocation per row in steady state.
+	t.Run("decode_insert_100", func(t *testing.T) {
+		payload := frameOf(t, 42, &request{Op: opInsert, Table: "accounts", Rows: insertRows(100)})[12:]
+		var in intern
+		measureAllocs(t, 0, func() {
+			req, err := decodeRequest(payload, &in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(req.Rows) != 100 {
+				t.Fatalf("decoded %d rows, want 100", len(req.Rows))
+			}
+			resetRequest(req)
+			reqPool.Put(req)
+		})
+	})
 
 	t.Run("decode_response", func(t *testing.T) {
 		resp := &response{

@@ -23,7 +23,7 @@ func benchClient(b *testing.B) *Client {
 	if err := c.CreateTable(plainSchema("bench")); err != nil {
 		b.Fatal(err)
 	}
-	if err := c.Insert(context.Background(), "bench", engine.Row{"c": []byte("v")}); err != nil {
+	if err := c.InsertBatch(context.Background(), "bench", []engine.Row{{"c": []byte("v")}}); err != nil {
 		b.Fatal(err)
 	}
 	return c
@@ -78,7 +78,7 @@ func BenchmarkWireInsert(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Insert(ctx, "bench", row); err != nil {
+		if err := c.InsertBatch(ctx, "bench", []engine.Row{row}); err != nil {
 			b.Fatal(err)
 		}
 	}

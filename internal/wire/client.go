@@ -20,10 +20,6 @@ import (
 // ErrClientClosed is returned by calls on (and pending during) Close.
 var ErrClientClosed = errors.New("wire: client closed")
 
-// errBatchAborted marks batch sub-responses skipped after an earlier
-// sub-request failed.
-const errBatchAborted = "wire: aborted by earlier batch failure"
-
 // helloTimeout bounds the hello exchange against unresponsive peers.
 const helloTimeout = 5 * time.Second
 
@@ -383,20 +379,6 @@ func wireError(msg string) error {
 	return errors.New(msg)
 }
 
-// callBatch ships subs as one opBatch envelope: a single round trip
-// regardless of len(subs). Sub-requests execute in order server-side; the
-// first failure aborts the remainder.
-func (c *Client) callBatch(ctx context.Context, subs []request) ([]response, error) {
-	resp, err := c.call(ctx, &request{Op: opBatch, Subs: subs})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Subs) != len(subs) {
-		return nil, fmt.Errorf("wire: batch returned %d responses for %d requests", len(resp.Subs), len(subs))
-	}
-	return resp.Subs, nil
-}
-
 // Quote requests a remote attestation quote bound to nonce (setup step 2).
 func (c *Client) Quote(nonce []byte) (enclave.Quote, error) {
 	resp, err := c.call(context.Background(), &request{Op: opQuote, Nonce: nonce})
@@ -631,33 +613,12 @@ func (s *clientStream) Close() error {
 	}
 }
 
-// Insert appends an encrypted row.
-func (c *Client) Insert(ctx context.Context, table string, row engine.Row) error {
-	_, err := c.call(ctx, &request{Op: opInsert, Table: table, Row: row})
-	return err
-}
-
-// InsertBatch appends rows in one round trip — the proxy's bulk-load fast
-// path. Rows apply in order; on error, rows preceding the failing one
-// remain inserted at the provider.
+// InsertBatch appends rows to table in one round trip: one opInsert
+// carrying every row. The provider applies the batch all or nothing — a
+// bad row leaves the table as it was.
 func (c *Client) InsertBatch(ctx context.Context, table string, rows []engine.Row) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	subs := make([]request, len(rows))
-	for i, r := range rows {
-		subs[i] = request{Op: opInsert, Table: table, Row: r}
-	}
-	resps, err := c.callBatch(ctx, subs)
-	if err != nil {
-		return err
-	}
-	for i := range resps {
-		if resps[i].Err != "" && resps[i].Err != errBatchAborted {
-			return fmt.Errorf("wire: batch insert row %d: %s", i, resps[i].Err)
-		}
-	}
-	return nil
+	_, err := c.call(ctx, &request{Op: opInsert, Table: table, Rows: rows})
+	return err
 }
 
 // Delete invalidates matching rows.

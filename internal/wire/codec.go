@@ -36,11 +36,10 @@ const codecBin = 0x01
 // bits, so a data-plane frame's mask still fits one byte.
 const (
 	reqHasQuery = 1 << iota
-	reqHasRow
+	reqHasRows
 	reqHasFilters
 	reqHasSet
 	reqHasSchema
-	reqHasSubs
 	reqHasNonce
 	reqHasSealed
 	reqHasSplit
@@ -54,7 +53,6 @@ const (
 	respHasResult
 	respHasTables
 	respHasMerge
-	respHasSubs
 	respMore
 	respHasQuote
 	respKnownBits = 1<<iota - 1
@@ -186,8 +184,8 @@ func (req *request) encode(s binSink) {
 		req.Query.CountOnly || req.Query.Limit != 0 {
 		flags |= reqHasQuery
 	}
-	if len(req.Row) > 0 {
-		flags |= reqHasRow
+	if len(req.Rows) > 0 {
+		flags |= reqHasRows
 	}
 	if len(req.Filters) > 0 {
 		flags |= reqHasFilters
@@ -197,9 +195,6 @@ func (req *request) encode(s binSink) {
 	}
 	if req.Schema.Table != "" || len(req.Schema.Columns) > 0 {
 		flags |= reqHasSchema
-	}
-	if len(req.Subs) > 0 {
-		flags |= reqHasSubs
 	}
 	if req.Nonce != nil {
 		flags |= reqHasNonce
@@ -215,8 +210,11 @@ func (req *request) encode(s binSink) {
 	if flags&reqHasQuery != 0 {
 		encQuery(s, &req.Query)
 	}
-	if flags&reqHasRow != 0 {
-		encRow(s, req.Row)
+	if flags&reqHasRows != 0 {
+		s.uvarint(uint64(len(req.Rows)))
+		for _, row := range req.Rows {
+			encRow(s, row)
+		}
 	}
 	if flags&reqHasFilters != 0 {
 		encFilters(s, req.Filters)
@@ -226,12 +224,6 @@ func (req *request) encode(s binSink) {
 	}
 	if flags&reqHasSchema != 0 {
 		encSchema(s, &req.Schema)
-	}
-	if flags&reqHasSubs != 0 {
-		s.uvarint(uint64(len(req.Subs)))
-		for i := range req.Subs {
-			req.Subs[i].encode(s)
-		}
 	}
 	if flags&reqHasNonce != 0 {
 		s.bytes(req.Nonce)
@@ -333,9 +325,6 @@ func (resp *response) encode(s binSink) {
 	if resp.Merge != (engine.MergeInfo{}) {
 		flags |= respHasMerge
 	}
-	if len(resp.Subs) > 0 {
-		flags |= respHasSubs
-	}
 	if resp.More {
 		flags |= respMore
 	}
@@ -361,12 +350,6 @@ func (resp *response) encode(s binSink) {
 	}
 	if flags&respHasMerge != 0 {
 		encMerge(s, &resp.Merge)
-	}
-	if flags&respHasSubs != 0 {
-		s.uvarint(uint64(len(resp.Subs)))
-		for i := range resp.Subs {
-			resp.Subs[i].encode(s)
-		}
 	}
 	if flags&respHasQuote != 0 {
 		for _, b := range resp.Quote.Measurement {
@@ -574,10 +557,10 @@ func decodeRequest(payload []byte, in *intern) (*request, error) {
 }
 
 // decRequest decodes a binary request body into req, reusing req's
-// capacity (filter and range slices, row maps, sub-request slices) from
-// previous decodes. Identifier strings are interned in in; byte values
-// alias the payload d was reset with — except the sealed key and the column
-// split, which are copied out because the provider keeps them.
+// capacity (filter and range slices, row maps) from previous decodes.
+// Identifier strings are interned in in; byte values alias the payload d
+// was reset with — except the sealed key and the column split, which are
+// copied out because the provider keeps them.
 func decRequest(d *binReader, req *request, in *intern) {
 	req.Op = op(d.byte())
 	req.Table = in.get(d.strBytes())
@@ -587,8 +570,8 @@ func decRequest(d *binReader, req *request, in *intern) {
 	if flags&reqHasQuery != 0 {
 		decQuery(d, &req.Query, in)
 	}
-	if flags&reqHasRow != 0 {
-		req.Row = decRow(d, req.Row, in)
+	if flags&reqHasRows != 0 {
+		req.Rows = decRows(d, req.Rows, in)
 	}
 	if flags&reqHasFilters != 0 {
 		req.Filters = decFilters(d, req.Filters, in)
@@ -598,18 +581,6 @@ func decRequest(d *binReader, req *request, in *intern) {
 	}
 	if flags&reqHasSchema != 0 {
 		decSchema(d, &req.Schema, in)
-	}
-	if flags&reqHasSubs != 0 {
-		n := d.length()
-		if cap(req.Subs) >= n {
-			req.Subs = req.Subs[:n]
-		} else {
-			req.Subs = make([]request, n)
-		}
-		for i := range req.Subs {
-			resetRequest(&req.Subs[i])
-			decRequest(d, &req.Subs[i], in)
-		}
 	}
 	if flags&reqHasNonce != 0 {
 		req.Nonce = d.bytes()
@@ -691,6 +662,20 @@ func decFilters(d *binReader, fs []engine.Filter, in *intern) []engine.Filter {
 	return fs
 }
 
+// decRows decodes an insert's rows into rows' backing array, reusing the
+// maps an earlier decode left there (resetRequest cleared them).
+func decRows(d *binReader, rows []engine.Row, in *intern) []engine.Row {
+	n := d.length()
+	if cap(rows) < n {
+		rows = append(rows[:cap(rows)], make([]engine.Row, n-cap(rows))...)
+	}
+	rows = rows[:n]
+	for i := range rows {
+		rows[i] = decRow(d, rows[i], in)
+	}
+	return rows
+}
+
 func decRow(d *binReader, row engine.Row, in *intern) engine.Row {
 	n := d.length()
 	if row == nil {
@@ -764,15 +749,6 @@ func decResponse(d *binReader, resp *response) (aliases bool) {
 	if flags&respHasMerge != 0 {
 		decMerge(d, &resp.Merge)
 	}
-	if flags&respHasSubs != 0 {
-		n := d.length()
-		resp.Subs = make([]response, n)
-		for i := range resp.Subs {
-			if decResponse(d, &resp.Subs[i]) {
-				aliases = true
-			}
-		}
-	}
 	resp.More = flags&respMore != 0
 	if flags&respHasQuote != 0 {
 		for i := range resp.Quote.Measurement {
@@ -840,14 +816,14 @@ func resetRequest(req *request) {
 	req.Query.Project = req.Query.Project[:0]
 	req.Query.CountOnly = false
 	req.Query.Limit = 0
-	if req.Row != nil {
-		clear(req.Row)
+	for _, row := range req.Rows {
+		clear(row)
 	}
+	req.Rows = req.Rows[:0]
 	if req.Set != nil {
 		clear(req.Set)
 	}
 	req.Filters = req.Filters[:0]
-	req.Subs = req.Subs[:0]
 }
 
 // resetResponse clears a response for pooled reuse.
@@ -860,6 +836,5 @@ func resetResponse(resp *response) {
 	resp.N = 0
 	resp.Tables = nil
 	resp.Merge = engine.MergeInfo{}
-	resp.Subs = resp.Subs[:0]
 	resp.More = false
 }

@@ -3,9 +3,12 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"github.com/encdbdb/encdbdb/internal/dict"
@@ -61,8 +64,12 @@ func binRequestCases() map[string]*request {
 		"insert": {
 			Op:    opInsert,
 			Table: "t",
-			Row:   engine.Row{"a": []byte("x"), "b": nil, "c": {}},
+			Rows:  []engine.Row{{"a": []byte("x"), "b": nil, "c": {}}},
 		},
+		// The 100-row INSERT batch ExecBatch ships as one request.
+		"batch": {Op: opInsert, Table: "t", Rows: insertRows(100)},
+		// A batch of no rows is still a well-formed insert.
+		"insert_empty": {Op: opInsert, Table: "t"},
 		"update": {
 			Op:    opUpdate,
 			Table: "t",
@@ -79,13 +86,6 @@ func binRequestCases() map[string]*request {
 				{Name: "d", Kind: dict.ED5, MaxLen: 32, BSMax: 4},
 			}},
 		},
-		"batch": {
-			Op: opBatch,
-			Subs: []request{
-				{Op: opInsert, Table: "t", Row: engine.Row{"c": []byte("v")}},
-				{Op: opRows, Table: "t"},
-			},
-		},
 		"cancel":    {Op: opCancel, Cancel: 1 << 40},
 		"quote":     {Op: opQuote, Nonce: []byte("fresh-nonce")},
 		"provision": {Op: opProvision, Sealed: enclave.SealedKey{OwnerPublicKey: bytes.Repeat([]byte{7}, 32), Ciphertext: []byte("sealed")}},
@@ -101,17 +101,16 @@ func binRequestCases() map[string]*request {
 			},
 		},
 		"import_large": {Op: opImportColumn, Table: "t", Column: "c", Split: largeSplit()},
-		"batch_with_import": {
-			Op: opBatch,
-			Subs: []request{
-				{Op: opCreateTable, Schema: engine.Schema{Table: "t", Columns: []engine.ColumnDef{{Name: "c", Kind: dict.ED5, MaxLen: 8}}}},
-				{Op: opImportColumn, Table: "t", Column: "c", Split: dict.SplitData{
-					Kind: dict.ED5, MaxLen: 8, BSMax: 2, EncRndOffset: []byte{1, 2, 3, 4, 5, 6, 7, 8},
-					AV: []uint32{0}, Head: []dict.EntryRef{{Off: 0, Len: 4}}, Tail: []byte("ciph"),
-				}},
-			},
-		},
 	}
+}
+
+// insertRows returns n two-column rows whose values differ per row.
+func insertRows(n int) []engine.Row {
+	rows := make([]engine.Row, n)
+	for i := range rows {
+		rows[i] = engine.Row{"k": []byte(fmt.Sprintf("key-%03d", i)), "v": bytes.Repeat([]byte{byte(i)}, i%17)}
+	}
+	return rows
 }
 
 // largeSplit is a split the size of a real bulk import: 70k rows over a 40k
@@ -141,8 +140,8 @@ func largeSplit() dict.SplitData {
 // decode leaves behind: [:0] slices and cleared maps read equal to their nil
 // counterparts but are not DeepEqual to them.
 func (req *request) normalize() {
-	if len(req.Row) == 0 {
-		req.Row = nil
+	if len(req.Rows) == 0 {
+		req.Rows = nil
 	}
 	if len(req.Set) == 0 {
 		req.Set = nil
@@ -166,23 +165,11 @@ func (req *request) normalize() {
 			}
 		}
 	}
-	if len(req.Subs) == 0 {
-		req.Subs = nil
-	}
-	for i := range req.Subs {
-		req.Subs[i].normalize()
-	}
 }
 
 func (resp *response) normalize() {
 	if len(resp.Tables) == 0 {
 		resp.Tables = nil
-	}
-	if len(resp.Subs) == 0 {
-		resp.Subs = nil
-	}
-	for i := range resp.Subs {
-		resp.Subs[i].normalize()
 	}
 }
 
@@ -262,7 +249,9 @@ func binResponseCases() map[string]*response {
 				DeltaBytes: 4096, SealedRuns: 2, Merges: 6, LastError: "boom",
 			},
 		},
-		"batch": {Subs: []response{{N: 1}, {Err: "bad"}}},
+		// A full-size result chunk and an empty one.
+		"result_100":   {N: 100, Result: resultRows(100)},
+		"result_empty": {Result: &engine.Result{}},
 		"quote": {Quote: enclave.Quote{
 			Measurement: enclave.Measure("codec-test"),
 			PublicKey:   bytes.Repeat([]byte{9}, 32),
@@ -275,6 +264,15 @@ func binResponseCases() map[string]*response {
 			Result: &engine.Result{Count: 1, Columns: []engine.ResultColumn{{Table: "t", Column: "c", Cells: [][]byte{[]byte("v")}}}},
 		},
 	}
+}
+
+// resultRows returns a one-column result of n distinct cells.
+func resultRows(n int) *engine.Result {
+	cells := make([][]byte, n)
+	for i := range cells {
+		cells[i] = []byte(fmt.Sprintf("cell-%03d", i))
+	}
+	return &engine.Result{Count: n, Columns: []engine.ResultColumn{{Table: "t", Column: "c", Cells: cells}}}
 }
 
 func TestBinResponseRoundTrip(t *testing.T) {
@@ -292,11 +290,6 @@ func TestBinResponseRoundTrip(t *testing.T) {
 				t.Errorf("round trip:\n got %+v\nwant %+v", got, resp)
 			}
 			wantAliases := resp.Result != nil || resp.Quote.MAC != nil
-			for i := range resp.Subs {
-				if resp.Subs[i].Result != nil {
-					wantAliases = true
-				}
-			}
 			if aliases != wantAliases {
 				t.Errorf("aliases = %v, want %v", aliases, wantAliases)
 			}
@@ -340,7 +333,7 @@ func TestBinDecodeCorrupt(t *testing.T) {
 	}
 	// The same bomb on a split's ValueID count, the one length that sizes a
 	// 4-byte-per-element allocation.
-	bomb = []byte{byte(opImportColumn), 0, 0, 0, 0x80, 0x02, 1, 0, 8, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
+	bomb = []byte{byte(opImportColumn), 0, 0, 0, 0x80, 0x01, 1, 0, 8, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
 	d.reset(bomb)
 	resetRequest(got)
 	decRequest(&d, got, &in)
@@ -359,6 +352,59 @@ func TestBinDecodeCorrupt(t *testing.T) {
 	decResponse(&d, new(response))
 	if d.err() == nil {
 		t.Error("unknown response presence bit accepted")
+	}
+}
+
+// TestDecodeRejectsNestedSubs replays the layout of protocol version 3's
+// batch envelope, where each level is one sub-request (or sub-response)
+// holding the next, a million levels deep: what a hostile peer could send
+// right after the hello. Version 3 decoded such a frame recursively before
+// anything checked the nesting — hundreds of MiB of heap and stack at this
+// depth, a fatal stack overflow a few million levels deep. Both decoders
+// must now refuse it as a corrupt frame, allocating little and staying
+// shallow.
+func TestDecodeRejectsNestedSubs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds do not hold under the race detector")
+	}
+	const depth = 1_000_000
+	// A version 3 request level: op 15 (opBatch), empty table and column,
+	// no cancel, presence bit 5 (sub-requests), one sub-request.
+	req := append([]byte{codecBin}, bytes.Repeat([]byte{15, 0, 0, 0, 1 << 5, 1}, depth)...)
+	req = append(req, 15, 0, 0, 0, 0)
+	// A version 3 response level: presence bit 5 (sub-responses), N = 0,
+	// one sub-response.
+	resp := append([]byte{codecBin}, bytes.Repeat([]byte{1 << 5, 0, 1}, depth)...)
+	resp = append(resp, 0, 0)
+
+	var in intern
+	decoders := map[string]func() error{
+		"request": func() error {
+			_, err := decodeRequest(req, &in)
+			return err
+		},
+		"response": func() error {
+			_, _, err := decodeResponse(resp)
+			return err
+		},
+	}
+	// With the collector off, a stack grown by deep recursion is still
+	// in use when it is measured.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for name, decode := range decoders {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, errCorruptFrame) {
+			t.Errorf("%s: err = %v, want errCorruptFrame", name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s: decode allocated %d bytes, want < 1 MiB", name, n)
+		}
+		if n := int64(after.StackInuse) - int64(before.StackInuse); n >= 1<<20 {
+			t.Errorf("%s: decode grew the stack by %d bytes, want < 1 MiB", name, n)
+		}
 	}
 }
 
@@ -432,6 +478,8 @@ func FuzzDecodeRequest(f *testing.F) {
 	for _, req := range binRequestCases() {
 		fuzzSeeds(f, append([]byte{codecBin}, binEncode(f, req.encode)...))
 	}
+	// An insert claiming far more rows than its payload holds.
+	f.Add([]byte{codecBin, byte(opInsert), 1, 't', 0, 0, reqHasRows, 0xFF, 0xFF, 0x3F, 1, 1, 'k', 0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var in intern
@@ -456,6 +504,8 @@ func FuzzDecodeResponse(f *testing.F) {
 	for _, resp := range binResponseCases() {
 		fuzzSeeds(f, append([]byte{codecBin}, binEncode(f, resp.encode)...))
 	}
+	// A result column claiming far more cells than its payload holds.
+	f.Add([]byte{codecBin, respHasResult, 0, 0, 0, 1, 1, 't', 1, 'c', 0xFF, 0xFF, 0x3F, 1})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		resp, _, err := decodeResponse(payload)

@@ -17,14 +17,13 @@ type request struct {
 	Sealed  enclave.SealedKey
 	Schema  engine.Schema
 	Query   engine.Query
-	Row     engine.Row
 	Filters []engine.Filter
 	Set     engine.Row
 	Split   dict.SplitData
 
-	// Subs carries the sub-requests of an opBatch envelope. Nesting is not
-	// allowed.
-	Subs []request
+	// Rows carries an opInsert's rows, all into Table; the provider applies
+	// them all or none.
+	Rows []engine.Row
 
 	// Cancel names the in-flight request ID an opCancel targets.
 	Cancel uint64
@@ -40,9 +39,6 @@ type response struct {
 	N      int
 	Tables []string
 	Merge  engine.MergeInfo
-
-	// Subs carries one response per sub-request of an opBatch envelope.
-	Subs []response
 
 	// More marks a non-final chunk of an opSelectStream result: the peer
 	// keeps reading frames for the same request ID until a frame with More

@@ -41,8 +41,6 @@ func (o op) metricName() string {
 		return "rows"
 	case opStorageBytes:
 		return "storage_bytes"
-	case opBatch:
-		return "batch"
 	case opMergeAsync:
 		return "merge_async"
 	case opMergeStatus:

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -91,7 +90,8 @@ func TestHelloRefusesOtherVersions(t *testing.T) {
 	cases := map[string][]byte{
 		"v1":       hello(1),
 		"v2":       hello(2),
-		"v4":       hello(4),
+		"v3":       hello(3),
+		"v5":       hello(5),
 		"no_magic": {0, 0, 0, 9, 'l', 'o', 'c', 'k', 's', 't', 'e', 'p', '!'}, // a lock-step era first frame
 	}
 	// What a refused peer pipelines behind its hello: a valid CREATE TABLE.
@@ -186,7 +186,7 @@ func TestMultiplexedConcurrentCalls(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
 				if i%2 == 0 {
-					if err := c.Insert(context.Background(), "mux", engine.Row{"c": []byte("v")}); err != nil {
+					if err := c.InsertBatch(context.Background(), "mux", []engine.Row{{"c": []byte("v")}}); err != nil {
 						errs <- err
 						return
 					}
@@ -397,7 +397,7 @@ func TestServerCloseDrainsInFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				if err := c.Insert(context.Background(), "drain", engine.Row{"c": []byte("v")}); err != nil {
+				if err := c.InsertBatch(context.Background(), "drain", []engine.Row{{"c": []byte("v")}}); err != nil {
 					return // server went away: expected
 				}
 				if _, err := c.Rows("drain"); err != nil {
@@ -461,52 +461,45 @@ func TestBatchInsert(t *testing.T) {
 	}
 }
 
-func TestBatchAbortsAfterFailure(t *testing.T) {
+// TestInsertBatchAllOrNothing pins the insert's atomicity: a batch holding
+// one bad row — a column the table lacks — leaves the table as it was,
+// wherever that row sits in the batch, embedded and over the wire alike.
+func TestInsertBatchAllOrNothing(t *testing.T) {
 	_, addr := startPlainServer(t)
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.CreateTable(plainSchema("ba")); err != nil {
-		t.Fatal(err)
+	type provider interface {
+		CreateTable(engine.Schema) error
+		InsertBatch(ctx context.Context, table string, rows []engine.Row) error
+		Rows(table string) (int, error)
 	}
-	subs := []request{
-		{Op: opInsert, Table: "ba", Row: engine.Row{"c": []byte("ok")}},
-		{Op: opInsert, Table: "missing", Row: engine.Row{"c": []byte("x")}},
-		{Op: opInsert, Table: "ba", Row: engine.Row{"c": []byte("skipped")}},
-	}
-	resps, err := c.callBatch(context.Background(), subs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resps[0].Err != "" {
-		t.Errorf("sub 0 err = %q", resps[0].Err)
-	}
-	if resps[1].Err == "" {
-		t.Error("sub 1 (missing table) succeeded")
-	}
-	if resps[2].Err != errBatchAborted {
-		t.Errorf("sub 2 err = %q, want %q", resps[2].Err, errBatchAborted)
-	}
-	if n, _ := c.Rows("ba"); n != 1 {
-		t.Errorf("rows = %d, want 1 (the statement after the failure must not apply)", n)
-	}
-}
-
-func TestBatchRejectsNesting(t *testing.T) {
-	_, addr := startPlainServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	resps, err := c.callBatch(context.Background(), []request{{Op: opBatch}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(resps[0].Err, "nested batch") {
-		t.Fatalf("err = %q, want nested batch rejection", resps[0].Err)
+	for name, p := range map[string]provider{"embedded": engine.New(nil), "wire": c} {
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			if err := p.CreateTable(plainSchema("aon")); err != nil {
+				t.Fatal(err)
+			}
+			good := func(v string) engine.Row { return engine.Row{"c": []byte(v)} }
+			if err := p.InsertBatch(ctx, "aon", []engine.Row{good("a"), good("b")}); err != nil {
+				t.Fatal(err)
+			}
+			bad := engine.Row{"x": []byte("v")}
+			for _, rows := range [][]engine.Row{
+				{bad, good("c")},
+				{good("c"), bad, good("d")},
+				{good("c"), good("d"), bad},
+			} {
+				if err := p.InsertBatch(ctx, "aon", rows); err == nil {
+					t.Fatalf("batch with a bad row succeeded")
+				}
+				if n, err := p.Rows("aon"); err != nil || n != 2 {
+					t.Fatalf("rows after failed batch = %d, %v; want 2 (nothing applied)", n, err)
+				}
+			}
+		})
 	}
 }
 
@@ -530,7 +523,7 @@ func TestPoolConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
-				if err := p.Insert(context.Background(), "pool", engine.Row{"c": []byte("v")}); err != nil {
+				if err := p.InsertBatch(context.Background(), "pool", []engine.Row{{"c": []byte("v")}}); err != nil {
 					errs <- err
 					return
 				}

@@ -124,11 +124,6 @@ func (p *Pool) SelectStream(ctx context.Context, q engine.Query) (engine.ResultS
 	return p.pick().SelectStream(ctx, q)
 }
 
-// Insert appends an encrypted row.
-func (p *Pool) Insert(ctx context.Context, table string, row engine.Row) error {
-	return p.pick().Insert(ctx, table, row)
-}
-
 // InsertBatch appends rows in one round trip on one pooled connection.
 func (p *Pool) InsertBatch(ctx context.Context, table string, rows []engine.Row) error {
 	return p.pick().InsertBatch(ctx, table, rows)

@@ -374,10 +374,6 @@ func (in *inflightSet) cancel(id uint64) {
 var (
 	reqPool  = sync.Pool{New: func() any { return new(request) }}
 	respPool = sync.Pool{New: func() any { return new(response) }}
-
-	// rowSlicePool recycles the row slices dispatchBatch assembles for the
-	// engine's batch-insert fast path.
-	rowSlicePool = sync.Pool{New: func() any { return new([]engine.Row) }}
 )
 
 // releaseRequest recycles one completed request: the envelope goes back to
@@ -633,7 +629,7 @@ func (s *Server) dispatch(ctx context.Context, req *request, resp *response) {
 			fail(err)
 		}
 	case opInsert:
-		if err := s.db.Insert(ctx, req.Table, req.Row); err != nil {
+		if err := s.db.InsertBatch(ctx, req.Table, req.Rows); err != nil {
 			fail(err)
 		}
 	case opDelete:
@@ -670,10 +666,6 @@ func (s *Server) dispatch(ctx context.Context, req *request, resp *response) {
 			return
 		}
 		resp.Merge = info
-	case opSelectStream, opCancel:
-		// Top level these never reach dispatch (handleMux and serveRequest
-		// serve them); inside a batch neither has a meaning.
-		fail(fmt.Errorf("wire: op %d not allowed in a batch", req.Op))
 	case opImportColumn:
 		split, err := dict.FromData(req.Split)
 		if err != nil {
@@ -699,75 +691,9 @@ func (s *Server) dispatch(ctx context.Context, req *request, resp *response) {
 			return
 		}
 		resp.N = n
-	case opBatch:
-		s.dispatchBatch(ctx, req.Subs, resp)
 	default:
 		fail(fmt.Errorf("wire: unknown op %d", req.Op))
 	}
-}
-
-// dispatchBatch executes the sub-requests of an opBatch envelope in order,
-// stopping at (and marking the remainder after) the first failure. Inserts
-// into one table take the engine's single-lock batch path. Sub-responses
-// reuse resp.Subs' capacity from earlier batches on the same pooled
-// envelope.
-func (s *Server) dispatchBatch(ctx context.Context, subs []request, resp *response) {
-	if cap(resp.Subs) >= len(subs) {
-		resp.Subs = resp.Subs[:len(subs)]
-		for i := range resp.Subs {
-			resetResponse(&resp.Subs[i])
-		}
-	} else {
-		resp.Subs = make([]response, len(subs))
-	}
-	out := resp.Subs
-	for i := 0; i < len(subs); i++ {
-		if subs[i].Op == opBatch {
-			out[i].Err = "wire: nested batch not allowed"
-		} else if n := s.insertRun(subs, i); n > 1 {
-			// A run of inserts into the same table: one engine call under
-			// one table-lock acquisition, through a pooled row slice.
-			rp := rowSlicePool.Get().(*[]engine.Row)
-			if cap(*rp) < n {
-				*rp = make([]engine.Row, n)
-			}
-			rows := (*rp)[:n]
-			for j := 0; j < n; j++ {
-				rows[j] = subs[i+j].Row
-			}
-			err := s.db.InsertBatch(ctx, subs[i].Table, rows)
-			for j := range rows {
-				rows[j] = nil // don't pin row maps past the call
-			}
-			rowSlicePool.Put(rp)
-			if err != nil {
-				out[i].Err = err.Error()
-			} else {
-				i += n - 1
-			}
-		} else {
-			s.dispatch(ctx, &subs[i], &out[i])
-		}
-		if out[i].Err != "" {
-			for j := i + 1; j < len(subs); j++ {
-				out[j].Err = errBatchAborted
-			}
-			break
-		}
-	}
-}
-
-// insertRun returns the length of the run of opInsert sub-requests into one
-// table starting at i.
-func (s *Server) insertRun(subs []request, i int) int {
-	if subs[i].Op != opInsert {
-		return 0
-	}
-	n := 1
-	for i+n < len(subs) && subs[i+n].Op == opInsert && subs[i+n].Table == subs[i].Table {
-		n++
-	}
-	return n
 }
 
 // ListenAndServe is a convenience wrapper binding addr and serving until

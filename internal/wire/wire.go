@@ -50,8 +50,10 @@ const maxFrame = 1 << 30
 // ErrFrameTooLarge is returned when a peer announces an oversized frame.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
 
-// protoVersion is the one protocol version this build speaks.
-const protoVersion = 3
+// protoVersion is the one protocol version this build speaks. Any change to
+// a frame's layout bumps it, so that a peer of another build is refused at
+// the hello instead of having its frames misread.
+const protoVersion = 4
 
 // ErrUnsupportedVersion is returned when the peer's hello does not open with
 // the protocol magic or names a version other than this build's. The
@@ -102,7 +104,6 @@ const (
 	opTables
 	opRows
 	opStorageBytes
-	opBatch // carries N sub-requests executed server-side in one round trip
 	opMergeAsync
 	opMergeStatus
 	// opSelectStream answers with chunked result frames (response.More marks

