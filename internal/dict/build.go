@@ -1,10 +1,13 @@
 package dict
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"github.com/encdbdb/encdbdb/internal/av"
 	"github.com/encdbdb/encdbdb/internal/ordenc"
@@ -49,6 +52,9 @@ func Build(col [][]byte, p Params) (*Split, error) {
 	}
 	if p.Kind.Repetition() == RepSmoothing && p.BSMax < 1 {
 		return nil, fmt.Errorf("dict: bsmax must be >= 1 for %v, got %d", p.Kind, p.BSMax)
+	}
+	if len(col) > math.MaxInt32 {
+		return nil, fmt.Errorf("dict: %d rows exceed the %d a split indexes", len(col), math.MaxInt32)
 	}
 	enc, err := ordenc.NewEncoder(p.MaxLen)
 	if err != nil {
@@ -110,26 +116,134 @@ type group struct {
 	rows  []int
 }
 
-// groupByValue returns the unique values of col in lexicographic order, each
-// with its occurrence row indices in ascending order.
-func groupByValue(col [][]byte) []group {
-	idx := make([]int, len(col))
-	for i := range idx {
-		idx[i] = i
+// rowKey is one row of the column being grouped: the first 8 bytes of its
+// value, big-endian and zero-padded, and the row index.
+type rowKey struct {
+	prefix uint64
+	row    int32
+}
+
+// prefixKey returns v's first 8 bytes as a big-endian integer, zero-padded.
+// Validated values hold no NUL byte, so for values of at most 8 bytes the
+// keys order exactly as bytes.Compare orders the values, and equal keys mean
+// equal values; longer values sharing a key are resolved by groupByValue.
+func prefixKey(v []byte) uint64 {
+	if len(v) >= 8 {
+		return binary.BigEndian.Uint64(v)
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return string(col[idx[a]]) < string(col[idx[b]])
-	})
-	var groups []group
-	for _, j := range idx {
-		n := len(groups)
-		if n > 0 && string(groups[n-1].value) == string(col[j]) {
-			groups[n-1].rows = append(groups[n-1].rows, j)
-			continue
+	var b [8]byte
+	copy(b[:], v)
+	return binary.BigEndian.Uint64(b[:])
+}
+
+// groupByValue returns the unique values of col in lexicographic order, each
+// with its occurrence row indices in ascending order. col must be validated
+// (no NUL bytes) and hold at most math.MaxInt32 rows.
+//
+// It runs in linear time: an LSD radix sort orders the rows by prefixKey,
+// then the rare runs of equal keys whose values are longer than 8 bytes are
+// ordered by the full value. Both sorts are stable, so each group's rows
+// stay ascending.
+func groupByValue(col [][]byte) []group {
+	keys := make([]rowKey, len(col))
+	long := false
+	for j, v := range col {
+		keys[j] = rowKey{prefix: prefixKey(v), row: int32(j)}
+		long = long || len(v) > 8
+	}
+	keys = radixSort(keys)
+
+	// first[i] marks keys[i] as the first row of its value.
+	first := make([]bool, len(keys))
+	n := 0
+	for i := 0; i < len(keys); {
+		end := i + 1
+		for end < len(keys) && keys[end].prefix == keys[i].prefix {
+			end++
 		}
-		groups = append(groups, group{value: col[j], rows: []int{j}})
+		// A key whose last byte is 0 is padded: its value is shorter
+		// than 8 bytes, so the whole run holds that one value.
+		if end-i == 1 || !long || keys[i].prefix&0xff == 0 {
+			first[i] = true
+			n++
+		} else {
+			n += markValues(col, keys[i:end], first[i:end])
+		}
+		i = end
+	}
+
+	// Carve every group's rows out of one slice.
+	groups := make([]group, 0, n)
+	rows := make([]int, len(keys))
+	start := 0
+	for i, k := range keys {
+		rows[i] = int(k.row)
+		if i+1 == len(keys) || first[i+1] {
+			groups = append(groups, group{value: col[k.row], rows: rows[start : i+1 : i+1]})
+			start = i + 1
+		}
 	}
 	return groups
+}
+
+// markValues orders run, keys sharing one prefix of values of 8 bytes or
+// more, by the full value and marks in first the first row of each distinct
+// value; it returns how many there are. Runs usually arrive ordered (one
+// value repeated), so the sort runs only when a comparison finds them out of
+// order.
+func markValues(col [][]byte, run []rowKey, first []bool) int {
+	first[0] = true
+	n := 1
+	for i := 1; i < len(run); i++ {
+		switch c := bytes.Compare(col[run[i-1].row], col[run[i].row]); {
+		case c < 0:
+			first[i] = true
+			n++
+		case c > 0:
+			slices.SortStableFunc(run, func(a, b rowKey) int { return bytes.Compare(col[a.row], col[b.row]) })
+			clear(first)
+			return markValues(col, run, first)
+		}
+	}
+	return n
+}
+
+// radixSort sorts keys by prefix with stable counting passes, one per byte
+// from the least significant, skipping a byte on which every key agrees. It
+// returns the sorted keys, in keys or in a scratch slice of the same length.
+func radixSort(keys []rowKey) []rowKey {
+	if len(keys) < 2 {
+		return keys
+	}
+	var counts [8][256]int
+	for _, k := range keys {
+		for b := range counts {
+			counts[b][byte(k.prefix>>(8*b))]++
+		}
+	}
+	var buf []rowKey
+	for b := range counts {
+		shift := 8 * b
+		c := &counts[b]
+		if c[byte(keys[0].prefix>>shift)] == len(keys) {
+			continue
+		}
+		if buf == nil {
+			buf = make([]rowKey, len(keys))
+		}
+		sum := 0
+		for d, n := range c {
+			c[d] = sum
+			sum += n
+		}
+		for _, k := range keys {
+			d := byte(k.prefix >> shift)
+			buf[c[d]] = k
+			c[d]++
+		}
+		keys, buf = buf, keys
+	}
+	return keys
 }
 
 // bucket is one dictionary entry slot: a value and how many attribute-vector
@@ -223,13 +337,15 @@ func physicalOrder(n int, o Order, rng *rand.Rand) (phys []int, rotOffset uint32
 // randomized across the value's occurrences.
 func assignAttributeVector(av []uint32, groups []group, buckets []bucket, phys []int, rng *rand.Rand) {
 	// Bucket ranges per group; buckets are grouped by groupIdx in order.
+	// One pool serves every group: the draws depend on its length only.
 	start := 0
+	var pool []uint32
 	for gi, g := range groups {
 		end := start
 		for end < len(buckets) && buckets[end].groupIdx == gi {
 			end++
 		}
-		pool := make([]uint32, 0, len(g.rows))
+		pool = pool[:0]
 		for bi := start; bi < end; bi++ {
 			for c := 0; c < buckets[bi].capacity; c++ {
 				pool = append(pool, uint32(phys[bi]))
@@ -280,10 +396,20 @@ func (s *Split) attachRotHeader(off, tailRun uint32, p Params) error {
 // order (paper §5: the tail stores values sequentially in a random order,
 // the head holds fixed-size offsets ordered by the selected dictionary).
 func (s *Split) layOutEntries(groups []group, buckets []bucket, phys []int, p Params) error {
+	var tailSize uint64
+	for _, b := range buckets {
+		n := len(groups[b.groupIdx].value)
+		if !p.Plain {
+			n = pae.CiphertextLen(n)
+		}
+		tailSize += uint64(n)
+	}
+	if err := checkTailSize(tailSize); err != nil {
+		return err
+	}
 	n := len(buckets)
 	s.head = make([]EntryRef, n)
 	payloads := make([][]byte, n) // indexed by physical ValueID
-	tailSize := 0
 	for logical, b := range buckets {
 		v := groups[b.groupIdx].value
 		var payload []byte
@@ -297,13 +423,23 @@ func (s *Split) layOutEntries(groups []group, buckets []bucket, phys []int, p Pa
 			payload = ct
 		}
 		payloads[phys[logical]] = payload
-		tailSize += len(payload)
 	}
 	s.tail = make([]byte, 0, tailSize)
 	for _, physIdx := range p.Rand.Perm(n) {
 		pl := payloads[physIdx]
 		s.head[physIdx] = EntryRef{Off: uint32(len(s.tail)), Len: uint32(len(pl))}
 		s.tail = append(s.tail, pl...)
+	}
+	return nil
+}
+
+// checkTailSize rejects a tail of tailSize bytes that EntryRef's 32-bit
+// offsets cannot address. A wrapped offset would still pass FromData's
+// bounds check and name another entry's ciphertext, which decrypts cleanly
+// because PAE binds no position: the answer would be silently wrong.
+func checkTailSize(tailSize uint64) error {
+	if tailSize > math.MaxUint32 {
+		return fmt.Errorf("dict: dictionary payloads of %d bytes exceed the %d a split addresses", tailSize, uint64(math.MaxUint32))
 	}
 	return nil
 }

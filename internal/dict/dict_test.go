@@ -10,6 +10,7 @@ import (
 
 	"github.com/encdbdb/encdbdb/internal/ordenc"
 	"github.com/encdbdb/encdbdb/internal/pae"
+	"github.com/encdbdb/encdbdb/internal/workload"
 )
 
 // paperColumn is the example column of paper Figure 3 (a).
@@ -593,5 +594,20 @@ func benchBuild(b *testing.B, k Kind, plain bool) {
 		if _, err := Build(col, p); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkGroupByValue groups 1M-row C1 (high-cardinality) and C2
+// (low-cardinality, skewed) draws, the first step of every Build.
+func BenchmarkGroupByValue(b *testing.B) {
+	for _, prof := range []workload.Profile{workload.C1(), workload.C2()} {
+		col := workload.Generate(prof.Scaled(1_000_000), 1).Values
+		b.Run(prof.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				groupByValue(col)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(col)), "ns/row")
+		})
 	}
 }

@@ -489,13 +489,17 @@ func (e *Enclave) MergeColumns(meta ColumnMeta, bsmax int, inputs ...MergeInput)
 	if err != nil {
 		return nil, err
 	}
-	var col [][]byte
+	total := 0
 	for _, in := range inputs {
-		rows, err := c.decryptRows(in)
-		if err != nil {
+		if in.AV != nil {
+			total += in.AV.Len()
+		}
+	}
+	col := make([][]byte, 0, total)
+	for _, in := range inputs {
+		if col, err = c.decryptRows(col, in); err != nil {
 			return nil, err
 		}
-		col = append(col, rows...)
 	}
 	split, err := dict.Build(col, dict.Params{
 		Kind:   meta.Kind,
@@ -511,17 +515,16 @@ func (e *Enclave) MergeColumns(meta ColumnMeta, bsmax int, inputs ...MergeInput)
 	return split, nil
 }
 
-// decryptRows materializes the valid rows of one store inside the enclave.
-// The plaintexts outlive the next load, so they do not use the call's
-// scratch buffer.
-func (c *ecall) decryptRows(in MergeInput) ([][]byte, error) {
+// decryptRows appends the valid rows of one store, materialized inside the
+// enclave, to col. The plaintexts outlive the next load, so they do not use
+// the call's scratch buffer.
+func (c *ecall) decryptRows(col [][]byte, in MergeInput) ([][]byte, error) {
 	if in.Region == nil || in.AV == nil {
-		return nil, nil
+		return col, nil
 	}
 	c.r = in.Region
 	plain := make([][]byte, c.Len())
 	n := in.AV.Len()
-	rows := make([][]byte, 0, n)
 	for j := 0; j < n; j++ {
 		vid := in.AV.At(j)
 		if in.Valid != nil && !in.Valid[j] {
@@ -538,9 +541,9 @@ func (c *ecall) decryptRows(in MergeInput) ([][]byte, error) {
 			c.decryptions++
 			plain[vid] = v
 		}
-		rows = append(rows, plain[vid])
+		col = append(col, plain[vid])
 	}
-	return rows, nil
+	return col, nil
 }
 
 // chargeScratch models the EPC budget: a dictionary search needs a constant
