@@ -142,28 +142,10 @@ type Range struct {
 	Hi uint32
 }
 
-// Codes is a read-only sequence of ValueIDs; both *Vector and the Ints
-// adapter implement it. The enclave's merge input consumes this shape so a
-// packed main store and the delta store's identity []uint32 vector share one
-// ECALL signature.
-type Codes interface {
-	Len() int
-	At(i int) uint32
-}
-
-// Ints adapts a plain []uint32 ValueID slice to the Codes interface.
-type Ints []uint32
-
-// Len returns the number of codes.
-func (s Ints) Len() int { return len(s) }
-
-// At returns code i.
-func (s Ints) At(i int) uint32 { return s[i] }
-
 // Pack bit-packs codes for a dictionary of dictLen entries into the uniform
 // (single-width, no per-block encodings) layout. Codes are truncated to
 // Width(dictLen) bits; the caller is responsible for having validated
-// code < dictLen (dict.FromData and dict.Build do).
+// code < dictLen (dict.Build does).
 func Pack(codes []uint32, dictLen int) *Vector {
 	v := &Vector{n: len(codes), w: Width(dictLen), dict: dictLen}
 	if v.w == 0 || v.n == 0 {
@@ -282,61 +264,38 @@ func packSlices(dst []uint64, codes []uint32, base uint32, bw int, mask uint32) 
 	}
 }
 
-// FromWords reconstructs a uniform vector from its serialized form: the raw
-// slice words of n rows packed at w bits for a dictionary of dictLen
-// entries. It validates the structural invariants an untrusted file could
-// violate.
-func FromWords(words []uint64, n, w, dictLen int) (*Vector, error) {
-	if n < 0 || w < 0 || w > 32 {
-		return nil, fmt.Errorf("av: invalid shape n=%d w=%d", n, w)
+// FromEncoded reconstructs a vector from its serialized parts: the slice
+// words, the per-block encoding metadata and the RLE runs of n rows coded at
+// w bits for a dictionary of dictLen entries. An empty block list means the
+// uniform layout. The parts may come from an untrusted file or peer, so
+// everything is validated: the shape, every block's encoding tag, width and
+// sequential tiling of the backing arrays, run coverage and monotonicity,
+// stray bits beyond the final row, and that every code is < dictLen (one
+// word-parallel pass over the sliced blocks).
+func FromEncoded(words []uint64, blocks []Block, runs []Run, n, w, dictLen int) (*Vector, error) {
+	if n < 0 || w < 0 || w > 32 || w != Width(dictLen) {
+		return nil, fmt.Errorf("av: invalid shape n=%d w=%d |D|=%d", n, w, dictLen)
 	}
-	if w != Width(dictLen) {
-		return nil, fmt.Errorf("av: width %d does not match |D|=%d (want %d)", w, dictLen, Width(dictLen))
-	}
-	want := 0
-	if n > 0 {
-		want = ((n + GroupRows - 1) / GroupRows) * w
-	}
-	if len(words) != want {
-		return nil, fmt.Errorf("av: %d words for %d rows at %d bits, want %d", len(words), n, w, want)
-	}
-	if rem := n % GroupRows; rem != 0 && w > 0 {
-		// Bits beyond the final row would alias phantom rows in Unpack
-		// and the scan kernels; a well-formed producer never sets them.
-		stray := ^((uint64(1) << uint(rem)) - 1)
-		for j, s := range words[len(words)-w:] {
-			if s&stray != 0 {
-				return nil, fmt.Errorf("av: slice %d has bits beyond row %d", j, n)
-			}
-		}
+	if n > 0 && dictLen == 0 {
+		return nil, fmt.Errorf("av: %d rows over an empty dictionary", n)
 	}
 	if len(words) == 0 {
 		words = nil
 	}
-	return &Vector{n: n, w: w, dict: dictLen, words: words}, nil
-}
-
-// FromEncoded reconstructs an encoded vector from its serialized parts. An
-// empty block list means the uniform layout and delegates to FromWords;
-// otherwise every block's shape — encoding tag, width, sequential tiling of
-// the backing arrays, run coverage and monotonicity, and stray bits beyond
-// the final row — is validated, since the parts may come from an untrusted
-// file.
-func FromEncoded(words []uint64, blocks []Block, runs []Run, n, w, dictLen int) (*Vector, error) {
 	if len(blocks) == 0 {
 		if len(runs) != 0 {
 			return nil, fmt.Errorf("av: %d runs without blocks", len(runs))
 		}
-		return FromWords(words, n, w, dictLen)
-	}
-	if n <= 0 || w <= 0 || w > 32 || w != Width(dictLen) {
-		return nil, fmt.Errorf("av: invalid encoded shape n=%d w=%d |D|=%d", n, w, dictLen)
-	}
-	if want := (n + BlockRows - 1) / BlockRows; len(blocks) != want {
+		blocks, runs = nil, nil // the uniform layout is the one with nil blocks
+	} else if n == 0 || w == 0 {
+		return nil, fmt.Errorf("av: %d blocks for %d rows at %d bits", len(blocks), n, w)
+	} else if want := (n + BlockRows - 1) / BlockRows; len(blocks) != want {
 		return nil, fmt.Errorf("av: %d blocks for %d rows, want %d", len(blocks), n, want)
 	}
+	v := &Vector{n: n, w: w, dict: dictLen, words: words, blocks: blocks, runs: runs}
 	wordOff, runOff := 0, 0
-	for b, blk := range blocks {
+	for b := 0; b*BlockRows < n && w > 0; b++ {
+		blk := v.blockOf(b)
 		rows := min(n-b*BlockRows, BlockRows)
 		groups := (rows + GroupRows - 1) / GroupRows
 		switch blk.Enc {
@@ -356,12 +315,18 @@ func FromEncoded(words []uint64, blocks []Block, runs []Run, n, w, dictLen int) 
 				return nil, fmt.Errorf("av: block %d exceeds %d backing words", b, len(words))
 			}
 			if rem := rows % GroupRows; rem != 0 && blk.W > 0 {
+				// Bits beyond the final row would alias phantom rows in
+				// Unpack and the scan kernels; a well-formed producer never
+				// sets them.
 				stray := ^((uint64(1) << uint(rem)) - 1)
 				for j, s := range words[wordOff-int(blk.W) : wordOff] {
 					if s&stray != 0 {
 						return nil, fmt.Errorf("av: block %d slice %d has bits beyond row %d", b, j, rows)
 					}
 				}
+			}
+			if g, ok := codesBelow(words[blk.Off:wordOff], blk, dictLen); !ok {
+				return nil, fmt.Errorf("av: block %d group %d holds a code >= |D|=%d", b, g, dictLen)
 			}
 		case EncRLE:
 			if int(blk.Off) != runOff || blk.N == 0 {
@@ -388,7 +353,25 @@ func FromEncoded(words []uint64, blocks []Block, runs []Run, n, w, dictLen int) 
 	if wordOff != len(words) || runOff != len(runs) {
 		return nil, fmt.Errorf("av: blocks cover %d/%d words and %d/%d runs", wordOff, len(words), runOff, len(runs))
 	}
-	return &Vector{n: n, w: w, dict: dictLen, words: words, blocks: blocks, runs: runs}, nil
+	return v, nil
+}
+
+// codesBelow checks that every code of a sliced block — Base plus the
+// residual its slices hold — is below dictLen, with the range comparator
+// over each group's slices: residuals in [dictLen-Base, 2^W) are the
+// out-of-range codes. It returns the first offending group.
+func codesBelow(sl []uint64, blk Block, dictLen int) (int, bool) {
+	maxRes := uint64(1)<<blk.W - 1
+	if uint64(blk.Base)+maxRes < uint64(dictLen) {
+		return 0, true // every residual the width can hold fits
+	}
+	lo, w := uint32(dictLen-int(blk.Base)), int(blk.W)
+	for g := 0; g*w < len(sl); g++ {
+		if scanRangeGroup(sl[g*w:(g+1)*w], lo, uint32(maxRes)) != 0 {
+			return g, false
+		}
+	}
+	return 0, true
 }
 
 // Len returns the number of rows.
@@ -530,9 +513,6 @@ func getSlices(sl []uint64, r, w int) uint32 {
 	}
 	return c
 }
-
-// At is Get under the Codes interface.
-func (v *Vector) At(i int) uint32 { return v.Get(i) }
 
 // Set overwrites code i (truncated to the vector's width). It exists for
 // tests that corrupt a split deliberately; production vectors are immutable

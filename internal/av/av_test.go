@@ -184,29 +184,42 @@ func TestScanShardsCompose(t *testing.T) {
 	sameSet(t, sharded, refRangeScan(codes, ranges), "sharded")
 }
 
+// TestFromWordsValidates reconstructs the uniform layout — bare slice
+// words, no blocks — through FromEncoded and rejects what a hostile file
+// could carry in it.
 func TestFromWordsValidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	codes := randCodes(rng, 100, 1000)
 	v := Pack(codes, 1000)
-	good, err := FromWords(v.Words(), v.Len(), v.Bits(), v.DictLen())
+	good, err := FromEncoded(v.Words(), nil, nil, v.Len(), v.Bits(), v.DictLen())
 	if err != nil {
-		t.Fatalf("FromWords round trip: %v", err)
+		t.Fatalf("FromEncoded round trip: %v", err)
 	}
 	for i, c := range codes {
 		if good.Get(i) != c {
-			t.Fatalf("FromWords Get(%d) = %d, want %d", i, good.Get(i), c)
+			t.Fatalf("FromEncoded Get(%d) = %d, want %d", i, good.Get(i), c)
 		}
 	}
-	if _, err := FromWords(v.Words(), v.Len(), v.Bits()+1, v.DictLen()); err == nil {
+	if _, err := FromEncoded(v.Words(), nil, nil, v.Len(), v.Bits()+1, v.DictLen()); err == nil {
 		t.Error("wrong width accepted")
 	}
-	if _, err := FromWords(v.Words()[:len(v.Words())-1], v.Len(), v.Bits(), v.DictLen()); err == nil {
+	if _, err := FromEncoded(v.Words()[:len(v.Words())-1], nil, nil, v.Len(), v.Bits(), v.DictLen()); err == nil {
 		t.Error("short word slice accepted")
 	}
 	stray := append([]uint64(nil), v.Words()...)
 	stray[len(stray)-1] |= 1 << 63 // phantom row 127 of a 100-row vector
-	if _, err := FromWords(stray, v.Len(), v.Bits(), v.DictLen()); err == nil {
+	if _, err := FromEncoded(stray, nil, nil, v.Len(), v.Bits(), v.DictLen()); err == nil {
 		t.Error("stray tail bits accepted")
+	}
+	high := append([]uint64(nil), v.Words()...)
+	for j := 0; j < v.Bits(); j++ {
+		high[j] |= 1 // row 0 holds 1023 >= |D| = 1000
+	}
+	if _, err := FromEncoded(high, nil, nil, v.Len(), v.Bits(), v.DictLen()); err == nil {
+		t.Error("code >= |D| accepted")
+	}
+	if _, err := FromEncoded(nil, nil, nil, 3, 0, 0); err == nil {
+		t.Error("rows over an empty dictionary accepted")
 	}
 }
 

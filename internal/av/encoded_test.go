@@ -109,8 +109,7 @@ func TestPackEncodedRoundTrip(t *testing.T) {
 
 // TestPackEncodedSelection pins the heuristic's headline cases: sorted and
 // constant columns become RLE, ascending identities become 10-bit FoR
-// blocks, and uniform noise keeps the canonical uniform layout (so v2 files
-// and FromWords stay byte-compatible).
+// blocks, and uniform noise keeps the canonical uniform layout.
 func TestPackEncodedSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	n, d := 4*BlockRows, 1<<16
@@ -246,11 +245,13 @@ func TestScanIntoMatchesTwoPass(t *testing.T) {
 }
 
 // TestFromEncodedValidates round-trips an encoded vector through its
-// serialized parts and rejects the structural corruptions a hostile file
-// could carry.
+// serialized parts and rejects the corruptions a hostile file could carry,
+// out-of-range codes in packed and FoR blocks included.
 func TestFromEncodedValidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	n, d := 2*BlockRows+200, 4097
+	// |D| = 5000 is no power of two, so w = 13 bits can hold codes >= |D|,
+	// and its uniform blocks spread too wide for FoR: they stay packed.
+	n, d := 2*BlockRows+200, 5000
 	codes := codeGens[6].gen(rng, n, d) // mixed: all three encodings
 	v := PackEncoded(codes, d)
 	if v.Blocks() == nil {
@@ -266,11 +267,7 @@ func TestFromEncodedValidates(t *testing.T) {
 		}
 	}
 
-	// Uniform fallback: no blocks delegates to FromWords.
 	u := Pack(codes, d)
-	if _, err := FromEncoded(u.Words(), nil, nil, n, u.Bits(), d); err != nil {
-		t.Fatalf("uniform FromEncoded: %v", err)
-	}
 	if _, err := FromEncoded(u.Words(), nil, []Run{{VID: 0, End: 1}}, n, u.Bits(), d); err == nil {
 		t.Error("runs without blocks accepted")
 	}
@@ -326,6 +323,28 @@ func TestFromEncodedValidates(t *testing.T) {
 				return w, b, r
 			}
 		}
+		return w, b, r
+	})
+	corrupt("packed code >= |D|", func(w []uint64, b []Block, r []Run) ([]uint64, []Block, []Run) {
+		for i := range b {
+			if b[i].Enc == EncPacked {
+				for j := range int(b[i].W) {
+					w[int(b[i].Off)+j] |= 1 // the block's row 0 holds 2^w-1
+				}
+				return w, b, r
+			}
+		}
+		t.Fatal("no packed block to corrupt")
+		return w, b, r
+	})
+	corrupt("FoR code >= |D|", func(w []uint64, b []Block, r []Run) ([]uint64, []Block, []Run) {
+		for i := range b {
+			if b[i].Enc == EncFoR && b[i].W > 0 {
+				b[i].Base = uint32(d - 1) // a valid base; every non-zero residual overflows |D|
+				return w, b, r
+			}
+		}
+		t.Fatal("no FoR block to corrupt")
 		return w, b, r
 	})
 	corrupt("run VID out of dictionary", func(w []uint64, b []Block, r []Run) ([]uint64, []Block, []Run) {

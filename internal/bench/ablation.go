@@ -109,10 +109,7 @@ func AblationBSMax(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		split, err := dict.FromData(snap.Columns[0].Main)
-		if err != nil {
-			return err
-		}
+		split := snap.Columns[0].Main
 		gen, err := workload.NewQueryGen(col, cfg.RangeSizes[0], cfg.Seed)
 		if err != nil {
 			return err

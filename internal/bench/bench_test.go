@@ -227,7 +227,7 @@ func TestClaimsWorkCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dictLen := len(snap.Columns[0].Main.Head)
+		dictLen := snap.Columns[0].Main.Len()
 		logBound := uint64(2*bits.Len(uint(dictLen-1)) + 6) // 2⌈log2 |D|⌉+6
 		gen, err := workload.NewQueryGen(c2, 2, seed)
 		if err != nil {

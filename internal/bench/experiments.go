@@ -45,10 +45,7 @@ func Table3(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		split, err := dict.FromData(snap.Columns[0].Main)
-		if err != nil {
-			return err
-		}
+		split := snap.Columns[0].Main
 		hist := leakage.VidHistogram(split.AVCodes(), split.Len())
 		maxFreq := 0
 		for _, h := range hist {
@@ -123,7 +120,7 @@ func Table4(cfg Config) error {
 		stats := sys.encl.Stats()
 		loads := float64(stats.Loads) / float64(cfg.Queries)
 		snap, _ := sys.db.Snapshot(table)
-		dictLen := len(snap.Columns[0].Main.Head)
+		dictLen := snap.Columns[0].Main.Len()
 		complexity := "O(log|D|) + O(|AV|)"
 		if tc.kind.Order() == dict.OrderUnsorted {
 			complexity = "O(|D|) + O(|AV| log|vid|)"
@@ -164,10 +161,7 @@ func Fig6(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		split, err := dict.FromData(snap.Columns[0].Main)
-		if err != nil {
-			return err
-		}
+		split := snap.Columns[0].Main
 		c, err := sys.cipher(table, "c")
 		if err != nil {
 			return err

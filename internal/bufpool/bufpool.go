@@ -14,9 +14,18 @@
 // All counters are atomics; Get and Put take no locks and do not allocate
 // once the per-class free lists are warm, so the pool itself stays off the
 // allocation profile it exists to flatten.
+//
+// Read and ReadFull read a length-prefixed payload whose length field came
+// from outside the process (a wire frame, a WAL record, a table file)
+// without trusting it: beyond the largest class the buffer grows only as
+// bytes arrive.
 package bufpool
 
-import "sync/atomic"
+import (
+	"io"
+	"slices"
+	"sync/atomic"
+)
 
 const (
 	// minClassBits..maxClassBits spans 512 B to 1 MiB in power-of-two
@@ -30,6 +39,9 @@ const (
 	// buffer for the garbage collector — one connection's burst must not
 	// pin buffers for the life of the process.
 	perClass = 64
+
+	// growChunk is ReadFull's first allocation; it doubles from there.
+	growChunk = 64 << 10
 )
 
 // Buf is one pooled buffer. B is the caller's payload window, sized by Get;
@@ -131,6 +143,46 @@ func (p *Pool) Put(b *Buf) {
 	}
 }
 
+// Read returns a buffer holding the next n bytes of r. A payload that fits
+// the largest class is read into a pooled buffer; a larger one is grown by
+// ReadFull, so a length claimed but never delivered costs memory only for
+// the bytes that did arrive. On error no buffer is returned.
+func (p *Pool) Read(r io.Reader, n int) (*Buf, error) {
+	if classFor(n) < 0 {
+		p.gets.Add(1)
+		p.misses.Add(1)
+		b, err := ReadFull(r, n)
+		if err != nil {
+			return nil, err
+		}
+		return &Buf{B: b, class: -1}, nil
+	}
+	buf := p.Get(n)
+	if _, err := io.ReadFull(r, buf.B); err != nil {
+		p.Put(buf)
+		return nil, err
+	}
+	return buf, nil
+}
+
+// ReadFull reads exactly n bytes of r into a new slice that grows as the
+// bytes arrive: 64 KiB first, then doubling. A length field claiming more
+// than r delivers therefore costs at most about twice what was delivered,
+// never the claim. Errors are io.ReadFull's.
+func ReadFull(r io.Reader, n int) ([]byte, error) {
+	b := make([]byte, 0, min(n, growChunk))
+	for len(b) < n {
+		want := min(n, max(cap(b), 2*len(b)))
+		b = slices.Grow(b, want-len(b))
+		k, err := io.ReadFull(r, b[len(b):want])
+		b = b[:len(b)+k]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
 // Stats returns a snapshot of the pool's counters.
 func (p *Pool) Stats() Stats {
 	return Stats{
@@ -146,3 +198,6 @@ func Get(n int) *Buf { return Default.Get(n) }
 
 // Put returns a buffer to the Default pool.
 func Put(b *Buf) { Default.Put(b) }
+
+// Read reads from r into a buffer of the Default pool.
+func Read(r io.Reader, n int) (*Buf, error) { return Default.Read(r, n) }

@@ -2,6 +2,7 @@ package dict
 
 import (
 	"bytes"
+	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -396,45 +397,51 @@ func (s *Split) attachRotHeader(off, tailRun uint32, p Params) error {
 // order (paper §5: the tail stores values sequentially in a random order,
 // the head holds fixed-size offsets ordered by the selected dictionary).
 func (s *Split) layOutEntries(groups []group, buckets []bucket, phys []int, p Params) error {
-	var tailSize uint64
-	for _, b := range buckets {
-		n := len(groups[b.groupIdx].value)
-		if !p.Plain {
-			n = pae.CiphertextLen(n)
+	n := len(buckets)
+	entrySize := func(v []byte) int {
+		if p.Plain {
+			return len(v)
 		}
-		tailSize += uint64(n)
+		return pae.CiphertextLen(len(v))
+	}
+	// logical[i] is the bucket physical entry i holds.
+	logical := make([]int, n)
+	for l, ph := range phys {
+		logical[ph] = l
+	}
+	order := p.Rand.Perm(n) // physical entries in tail order
+	values := make([][]byte, n)
+	var tailSize uint64
+	for k, physIdx := range order {
+		values[k] = groups[buckets[logical[physIdx]].groupIdx].value
+		tailSize += uint64(entrySize(values[k]))
 	}
 	if err := checkTailSize(tailSize); err != nil {
 		return err
 	}
-	n := len(buckets)
-	s.head = make([]EntryRef, n)
-	payloads := make([][]byte, n) // indexed by physical ValueID
-	for logical, b := range buckets {
-		v := groups[b.groupIdx].value
-		var payload []byte
-		if p.Plain {
-			payload = append([]byte(nil), v...)
-		} else {
-			ct, err := p.Cipher.Encrypt(v)
-			if err != nil {
-				return fmt.Errorf("dict: encrypt entry: %w", err)
-			}
-			payload = ct
-		}
-		payloads[phys[logical]] = payload
-	}
 	s.tail = make([]byte, 0, tailSize)
-	for _, physIdx := range p.Rand.Perm(n) {
-		pl := payloads[physIdx]
-		s.head[physIdx] = EntryRef{Off: uint32(len(s.tail)), Len: uint32(len(pl))}
-		s.tail = append(s.tail, pl...)
+	if p.Plain {
+		for _, v := range values {
+			s.tail = append(s.tail, v...)
+		}
+	} else {
+		var err error
+		if s.tail, err = p.Cipher.EncryptAll(s.tail, values); err != nil {
+			return fmt.Errorf("dict: encrypt entries: %w", err)
+		}
+	}
+	s.head = make([]entryRef, n)
+	off := 0
+	for k, physIdx := range order {
+		size := entrySize(values[k])
+		s.head[physIdx] = entryRef{Off: uint32(off), Len: uint32(size)}
+		off += size
 	}
 	return nil
 }
 
-// checkTailSize rejects a tail of tailSize bytes that EntryRef's 32-bit
-// offsets cannot address. A wrapped offset would still pass FromData's
+// checkTailSize rejects a tail of tailSize bytes that entryRef's 32-bit
+// offsets cannot address. A wrapped offset would still pass DecodeSplit's
 // bounds check and name another entry's ciphertext, which decrypts cleanly
 // because PAE binds no position: the answer would be silently wrong.
 func checkTailSize(tailSize uint64) error {
@@ -442,4 +449,17 @@ func checkTailSize(tailSize uint64) error {
 		return fmt.Errorf("dict: dictionary payloads of %d bytes exceed the %d a split addresses", tailSize, uint64(math.MaxUint32))
 	}
 	return nil
+}
+
+// NewRand returns a math/rand generator seeded from crypto/rand, for the
+// security-relevant draws of a build: the rotation offset, the tail shuffle
+// and the bucket sizes. A failure of the system randomness source is
+// returned, never papered over: a fixed seed would make every draw of every
+// split predictable.
+func NewRand() (*rand.Rand, error) {
+	var seed [8]byte
+	if _, err := crand.Read(seed[:]); err != nil {
+		return nil, fmt.Errorf("dict: seeding build randomness: %w", err)
+	}
+	return rand.New(rand.NewSource(int64(binary.LittleEndian.Uint64(seed[:])))), nil
 }

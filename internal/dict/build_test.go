@@ -115,7 +115,7 @@ func layoutDigest(t *testing.T, s *Split, c *pae.Cipher) string {
 	for _, code := range s.AVCodes() {
 		put(code)
 	}
-	for _, ref := range s.Head() {
+	for _, ref := range s.head {
 		put(ref.Off)
 		put(ref.Len)
 	}

@@ -304,7 +304,7 @@ func TestBuildEmptyColumn(t *testing.T) {
 // Packed rely on instead of a nil check: every constructor sets the packed
 // vector, even for zero rows.
 func TestEmptySplitsCarryPackedVector(t *testing.T) {
-	fromData, err := FromData(SplitData{Kind: ED1, MaxLen: 8})
+	decoded, err := DecodeSplit(Empty(ED1, 8, 0, false).AppendBinary(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestEmptySplitsCarryPackedVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, s := range map[string]*Split{"Empty": Empty(ED1, 8, 0, false), "FromData": fromData, "Build": built} {
+	for name, s := range map[string]*Split{"Empty": Empty(ED1, 8, 0, false), "DecodeSplit": decoded, "Build": built} {
 		if s.Packed() == nil {
 			t.Fatalf("%s: no packed vector", name)
 		}
@@ -394,8 +394,8 @@ func TestSplitAccessors(t *testing.T) {
 	if s.Rows() != len(col) {
 		t.Errorf("Rows() = %d, want %d", s.Rows(), len(col))
 	}
-	if len(s.Head()) != s.Len() {
-		t.Errorf("len(Head()) = %d, want %d", len(s.Head()), s.Len())
+	if len(s.head) != s.Len() {
+		t.Errorf("len(head) = %d, want %d", len(s.head), s.Len())
 	}
 	// The attribute vector is bit-packed: |D| = 4 needs 2 bits per code,
 	// one 64-row group of 2 slice words for the 6 rows.

@@ -1,6 +1,8 @@
 package dict
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -76,11 +78,13 @@ func TestQuickSplitDataRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		back, err := FromData(s.Data())
+		b := s.AppendBinary(nil)
+		back, err := DecodeSplit(b)
 		if err != nil {
 			return false
 		}
-		if back.Len() != s.Len() || back.Rows() != s.Rows() || back.Kind != s.Kind {
+		if back.Len() != s.Len() || back.Rows() != s.Rows() || back.Kind != s.Kind ||
+			!bytes.Equal(back.AppendBinary(nil), b) {
 			return false
 		}
 		for i := 0; i < s.Len(); i++ {
@@ -95,26 +99,36 @@ func TestQuickSplitDataRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQuickFromDataRejectsCorruptRefs(t *testing.T) {
+// TestQuickDecodeSplitRejectsCorruptRefs rewrites the first head reference
+// and row 0's code in a split's bytes: DecodeSplit must refuse what would
+// reach past the tail or the dictionary, and whatever it accepts must stay
+// in bounds.
+func TestQuickDecodeSplitRejectsCorruptRefs(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	col := quickColumn{[]byte("aa"), []byte("bb"), []byte("aa")}
+	// |D| = 3 at 2 bits per code: code 3 is representable and out of range.
+	col := quickColumn{[]byte("aa"), []byte("bb"), []byte("cc"), []byte("aa")}
 	s, err := Build(col, Params{Kind: ED1, MaxLen: 8, Plain: true, Rand: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
+	good := s.AppendBinary(nil)
+	// A plain ED1 split has no rotation header: the slice words start after
+	// kind, plain, MaxLen, BSMax, the empty header, rows, width and count.
+	const wordsAt = 1 + 1 + 4 + 4 + 4 + 4 + 1 + 4
+	headAt := len(good) - 4 - len(s.Tail()) - s.Len()*entryRefSize
 	f := func(off, length uint32, avVid uint32) bool {
-		d := s.Data()
-		// Copy the mutable slices so each trial is independent.
-		d.Head = append([]EntryRef(nil), d.Head...)
-		d.AV = append([]uint32(nil), d.AV...)
-		d.Head[0] = EntryRef{Off: off, Len: length}
-		d.AV[0] = avVid
-		back, err := FromData(d)
+		b := bytes.Clone(good)
+		binary.LittleEndian.PutUint32(b[headAt:], off)
+		binary.LittleEndian.PutUint32(b[headAt+4:], length)
+		for j := 0; j < 2; j++ { // row 0 is bit 0 of each slice word
+			b[wordsAt+8*j] = b[wordsAt+8*j]&^1 | byte(avVid>>j&1)
+		}
+		back, err := DecodeSplit(b)
 		if err != nil {
 			return true // rejected: fine
 		}
 		// Accepted: every access must stay in bounds.
-		if int(avVid) >= back.Len() {
+		if int(back.VID(0)) >= back.Len() || uint64(off)+uint64(length) > uint64(len(s.Tail())) {
 			return false
 		}
 		for i := 0; i < back.Len(); i++ {

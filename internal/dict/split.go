@@ -1,21 +1,27 @@
 package dict
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 
 	"github.com/encdbdb/encdbdb/internal/av"
 )
 
-// EntryRef locates one dictionary entry's payload inside the tail.
-type EntryRef struct {
+// entryRef locates one dictionary entry's payload inside the tail.
+type entryRef struct {
 	Off uint32
 	Len uint32
 }
 
-// entryRefSize is the serialized size of an EntryRef, used for storage
-// accounting (paper Table 6) and the on-disk format.
+// entryRefSize is the serialized size of an entryRef, used for storage
+// accounting (paper Table 6) and the binary layout.
 const entryRefSize = 8
+
+// blockSize is the serialized size of an av.Block in the binary layout.
+const blockSize = 14
 
 // Split is the result of splitting a column into a dictionary and an
 // attribute vector under one of the nine encrypted dictionaries. Dictionary
@@ -44,7 +50,7 @@ type Split struct {
 	// replaces it afterwards, so concurrent readers need no lock.
 	packed *av.Vector
 
-	head []EntryRef
+	head []entryRef
 	tail []byte
 }
 
@@ -122,12 +128,7 @@ func touch(cells [][]byte) (x byte) {
 // directly as the region backing a dictionary search.
 func (s *Split) Load(i int) []byte { return s.Entry(i) }
 
-// Head returns the entry reference table (dictionary order). Exposed for
-// serialization; callers must not modify it.
-func (s *Split) Head() []EntryRef { return s.head }
-
-// Tail returns the raw tail bytes. Exposed for serialization; callers must
-// not modify it.
+// Tail returns the raw tail bytes. Callers must not modify them.
 func (s *Split) Tail() []byte { return s.tail }
 
 // DictSizeBytes returns the storage size of the dictionary alone
@@ -157,72 +158,196 @@ func Empty(kind Kind, maxLen, bsmax int, plain bool) *Split {
 	return &Split{Kind: kind, Plain: plain, MaxLen: maxLen, BSMax: bsmax, packed: av.Pack(nil, 0)}
 }
 
-// SplitData is the exported, serializable form of a Split, used by the
-// on-disk column store format and the client/server wire protocol.
-type SplitData struct {
-	Kind         Kind
-	Plain        bool
-	MaxLen       int
-	BSMax        int
-	EncRndOffset []byte
-	AV           []uint32
-	Head         []EntryRef
-	Tail         []byte
+// FromData returns s itself: an engine snapshot's main store is the
+// engine's own immutable split. It is kept only for benchmark/trace.go,
+// which rebuilds its replayer's splits through it.
+func FromData(s *Split) (*Split, error) { return s, nil }
+
+// The binary layout of a split — the one form every carrier stores: the
+// wire's opImportColumn, the WAL's import record, and table images. All
+// integers are little-endian; every count and length is a u32.
+//
+//	u8 kind ‖ u8 plain (0 or 1) ‖ u32 MaxLen ‖ u32 BSMax
+//	u32 len ‖ rotation header (EncRndOffset)
+//	u32 rows ‖ u8 width
+//	u32 n ‖ n × u64 slice words
+//	u32 n ‖ n × (u8 encoding ‖ u8 width ‖ u32 base ‖ u32 off ‖ u32 n) blocks
+//	u32 n ‖ n × (u32 ValueID ‖ u32 end) RLE runs
+//	u32 n ‖ n × (u32 off ‖ u32 len) head
+//	u32 len ‖ tail
+//
+// The attribute vector is written exactly as held (internal/av's words,
+// block metadata and runs), so neither side unpacks or re-packs it.
+
+// AppendBinary appends the binary layout of s to dst and returns the
+// extended slice.
+func (s *Split) AppendBinary(dst []byte) []byte {
+	v := s.packed
+	words, blocks, runs := v.Words(), v.Blocks(), v.Runs()
+	size := 2 + 4*2 + 4 + len(s.EncRndOffset) + 4 + 1 + 4 + 8*len(words) + 4 + blockSize*len(blocks) +
+		4 + 8*len(runs) + 4 + entryRefSize*len(s.head) + 4 + len(s.tail)
+	dst = slices.Grow(dst, size)
+	le := binary.LittleEndian
+	dst = append(dst, uint8(s.Kind), boolByte(s.Plain))
+	dst = le.AppendUint32(dst, uint32(s.MaxLen))
+	dst = le.AppendUint32(dst, uint32(s.BSMax))
+	dst = appendBytes(dst, s.EncRndOffset)
+	dst = le.AppendUint32(dst, uint32(v.Len()))
+	dst = append(dst, uint8(v.Bits()))
+	dst = le.AppendUint32(dst, uint32(len(words)))
+	for _, w := range words {
+		dst = le.AppendUint64(dst, w)
+	}
+	dst = le.AppendUint32(dst, uint32(len(blocks)))
+	for _, b := range blocks {
+		dst = append(dst, uint8(b.Enc), b.W)
+		dst = le.AppendUint32(dst, b.Base)
+		dst = le.AppendUint32(dst, b.Off)
+		dst = le.AppendUint32(dst, b.N)
+	}
+	dst = le.AppendUint32(dst, uint32(len(runs)))
+	for _, r := range runs {
+		dst = le.AppendUint32(dst, r.VID)
+		dst = le.AppendUint32(dst, r.End)
+	}
+	dst = le.AppendUint32(dst, uint32(len(s.head)))
+	for _, ref := range s.head {
+		dst = le.AppendUint32(dst, ref.Off)
+		dst = le.AppendUint32(dst, ref.Len)
+	}
+	return appendBytes(dst, s.tail)
 }
 
-// Data returns the serializable form of s. The AV field is the unpacked
-// []uint32 interchange shape — stable across storage format versions and
-// wire peers; the storage layer re-packs it for the v2 on-disk layout. It
-// is unpacked afresh, so snapshotting a large table does not inflate the
-// split's resident footprint. The other slices alias s and must not be
-// modified.
-func (s *Split) Data() SplitData {
-	return SplitData{
-		Kind:         s.Kind,
-		Plain:        s.Plain,
-		MaxLen:       s.MaxLen,
-		BSMax:        s.BSMax,
-		EncRndOffset: s.EncRndOffset,
-		AV:           s.AVCodes(),
-		Head:         s.head,
-		Tail:         s.tail,
+func boolByte(b bool) uint8 {
+	if b {
+		return 1
 	}
+	return 0
 }
 
-// FromData reconstructs a Split from its serialized form, validating the
-// structural invariants an untrusted file or peer could violate.
-func FromData(d SplitData) (*Split, error) {
-	if !d.Kind.Valid() {
-		return nil, fmt.Errorf("dict: invalid kind %d", int(d.Kind))
+func appendBytes(dst, b []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b)))
+	return append(dst, b...)
+}
+
+// DecodeSplit reconstructs a split from its binary layout (AppendBinary).
+// The bytes may come from an untrusted file or peer: every structural
+// invariant is validated — the kind, the maximum length, every head
+// reference against the tail, the attribute vector's shape and that each of
+// its codes is < |D| (av.FromEncoded), a rotated dictionary's header, at
+// most math.MaxInt32 rows — and so is the layout itself, trailing bytes
+// included. A zero-width vector (|D| = 1) holds no words, so its row count
+// costs no bytes here: a caller taking bytes from a peer bounds it. The
+// returned split owns its memory; b may be reused once DecodeSplit returns.
+func DecodeSplit(b []byte) (*Split, error) {
+	d := &decoder{buf: b}
+	s := &Split{Kind: Kind(d.u8())}
+	plain := d.u8()
+	s.Plain = plain == 1
+	s.MaxLen = int(d.u32())
+	s.BSMax = int(d.u32())
+	s.EncRndOffset = d.bytes()
+	rows, width := int(d.u32()), int(d.u8())
+	le := binary.LittleEndian
+	b8 := d.elems(8)
+	words := make([]uint64, len(b8)/8)
+	for i := range words {
+		words[i] = le.Uint64(b8[8*i:])
 	}
-	if d.MaxLen <= 0 {
-		return nil, fmt.Errorf("dict: invalid max length %d", d.MaxLen)
+	bb := d.elems(blockSize)
+	blocks := make([]av.Block, len(bb)/blockSize)
+	for i := range blocks {
+		e := bb[blockSize*i:]
+		blocks[i] = av.Block{Enc: av.Encoding(e[0]), W: e[1], Base: le.Uint32(e[2:]), Off: le.Uint32(e[6:]), N: le.Uint32(e[10:])}
 	}
-	for i, ref := range d.Head {
-		end := uint64(ref.Off) + uint64(ref.Len)
-		if end > uint64(len(d.Tail)) {
-			return nil, fmt.Errorf("dict: entry %d reference [%d,%d) exceeds tail size %d",
-				i, ref.Off, end, len(d.Tail))
-		}
+	b8 = d.elems(8)
+	runs := make([]av.Run, len(b8)/8)
+	for i := range runs {
+		runs[i] = av.Run{VID: le.Uint32(b8[8*i:]), End: le.Uint32(b8[8*i+4:])}
 	}
-	for j, vid := range d.AV {
-		if int(vid) >= len(d.Head) {
-			return nil, fmt.Errorf("dict: row %d references ValueID %d >= |D|=%d", j, vid, len(d.Head))
-		}
+	b8 = d.elems(entryRefSize)
+	s.head = make([]entryRef, len(b8)/entryRefSize)
+	for i := range s.head {
+		s.head[i] = entryRef{Off: le.Uint32(b8[8*i:]), Len: le.Uint32(b8[8*i+4:])}
 	}
-	if d.Kind.Order() == OrderRotated && len(d.Head) > 0 && len(d.EncRndOffset) == 0 {
+	s.tail = d.bytes()
+	switch {
+	case d.err != nil:
+		return nil, d.err
+	case d.off != len(b):
+		return nil, fmt.Errorf("dict: split has %d trailing bytes", len(b)-d.off)
+	case plain > 1:
+		return nil, fmt.Errorf("dict: invalid plain flag %d", plain)
+	case !s.Kind.Valid():
+		return nil, fmt.Errorf("dict: invalid kind %d", int(s.Kind))
+	case s.MaxLen <= 0:
+		return nil, fmt.Errorf("dict: invalid max length %d", s.MaxLen)
+	case rows > math.MaxInt32:
+		return nil, fmt.Errorf("dict: %d rows exceed the %d a split indexes", rows, math.MaxInt32)
+	case s.Kind.Order() == OrderRotated && len(s.head) > 0 && len(s.EncRndOffset) == 0:
 		return nil, fmt.Errorf("dict: rotated dictionary lacks rotation offset")
 	}
-	return &Split{
-		Kind:         d.Kind,
-		Plain:        d.Plain,
-		MaxLen:       d.MaxLen,
-		BSMax:        d.BSMax,
-		EncRndOffset: d.EncRndOffset,
-		packed:       av.PackEncoded(d.AV, len(d.Head)),
-		head:         d.Head,
-		tail:         d.Tail,
-	}, nil
+	for i, ref := range s.head {
+		if end := uint64(ref.Off) + uint64(ref.Len); end > uint64(len(s.tail)) {
+			return nil, fmt.Errorf("dict: entry %d reference [%d,%d) exceeds tail size %d",
+				i, ref.Off, end, len(s.tail))
+		}
+	}
+	var err error
+	if s.packed, err = av.FromEncoded(words, blocks, runs, rows, width, len(s.head)); err != nil {
+		return nil, fmt.Errorf("dict: %w", err)
+	}
+	return s, nil
+}
+
+// decoder consumes a split's binary layout, capturing the first error.
+type decoder struct {
+	buf []byte
+	off int
+	err error
+}
+
+func (d *decoder) take(n uint64) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if n > uint64(len(d.buf)-d.off) {
+		d.err = fmt.Errorf("dict: split truncated at byte %d (+%d of %d)", d.off, n, len(d.buf))
+		return nil
+	}
+	b := d.buf[d.off : d.off+int(n)]
+	d.off += int(n)
+	return b
+}
+
+func (d *decoder) u8() uint8 {
+	if b := d.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (d *decoder) u32() uint32 {
+	if b := d.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+// elems reads a u32 count of elem-byte elements and returns their bytes:
+// a count the bytes left cannot fill is an error, never an allocation.
+func (d *decoder) elems(elem int) []byte {
+	return d.take(uint64(d.u32()) * uint64(elem))
+}
+
+// bytes reads a length-prefixed byte string into memory of its own; an
+// empty one reads as nil.
+func (d *decoder) bytes() []byte {
+	b := d.take(uint64(d.u32()))
+	if len(b) == 0 {
+		return nil
+	}
+	return bytes.Clone(b)
 }
 
 // rotHeader encodes a rotated dictionary's header; see DecodeRotOffset.

@@ -466,12 +466,9 @@ func (e *Enclave) BuildColumn(meta ColumnMeta, bsmax int, values [][]byte) (*dic
 
 // MergeInput is one store participating in a delta merge: the dictionary
 // region, attribute vector, and validity flags (nil means all rows valid).
-// The attribute vector is consumed through the av.Codes interface so the
-// main store's bit-packed vector and the delta store's identity []uint32
-// vector (wrapped in av.Ints) share one ECALL signature.
 type MergeInput struct {
 	Region search.Region
-	AV     av.Codes
+	AV     *av.Vector
 	Valid  []bool
 }
 
@@ -516,35 +513,56 @@ func (e *Enclave) MergeColumns(meta ColumnMeta, bsmax int, inputs ...MergeInput)
 }
 
 // decryptRows appends the valid rows of one store, materialized inside the
-// enclave, to col. The plaintexts outlive the next load, so they do not use
-// the call's scratch buffer.
+// enclave, to col. Each entry a valid row references is decrypted once, in
+// dictionary order, so the head is read sequentially and the row pass after
+// it is a loop of independent loads. The plaintexts outlive the next load,
+// so they do not use the call's scratch buffer: they are cut from arena
+// chunks of mergeArenaChunk bytes, one allocation per chunk instead of one
+// per entry.
 func (c *ecall) decryptRows(col [][]byte, in MergeInput) ([][]byte, error) {
 	if in.Region == nil || in.AV == nil {
 		return col, nil
 	}
 	c.r = in.Region
-	plain := make([][]byte, c.Len())
-	n := in.AV.Len()
-	for j := 0; j < n; j++ {
-		vid := in.AV.At(j)
+	codes := in.AV.Unpack()
+	need := make([]bool, c.Len())
+	for j, vid := range codes {
 		if in.Valid != nil && !in.Valid[j] {
 			continue
 		}
-		if int(vid) >= len(plain) {
+		if int(vid) >= len(need) {
 			return nil, fmt.Errorf("enclave: merge: ValueID %d out of range", vid)
 		}
-		if plain[vid] == nil {
-			v, err := c.c.Decrypt(c.Load(int(vid)))
-			if err != nil {
-				return nil, fmt.Errorf("enclave: merge: entry %d: %w", vid, err)
-			}
-			c.decryptions++
-			plain[vid] = v
+		need[vid] = true
+	}
+	plain := make([][]byte, len(need))
+	var arena []byte
+	for vid, ok := range need {
+		if !ok {
+			continue
 		}
-		col = append(col, plain[vid])
+		ct := c.Load(vid)
+		if cap(arena)-len(arena) < len(ct) {
+			arena = make([]byte, 0, max(mergeArenaChunk, len(ct)))
+		}
+		v, err := c.c.DecryptInto(arena, ct)
+		if err != nil {
+			return nil, fmt.Errorf("enclave: merge: entry %d: %w", vid, err)
+		}
+		c.decryptions++
+		plain[vid] = v[len(arena):len(v):len(v)]
+		arena = v
+	}
+	for j, vid := range codes {
+		if in.Valid == nil || in.Valid[j] {
+			col = append(col, plain[vid])
+		}
 	}
 	return col, nil
 }
+
+// mergeArenaChunk is the allocation unit of decryptRows' plaintexts.
+const mergeArenaChunk = 64 << 10
 
 // chargeScratch models the EPC budget: a dictionary search needs a constant
 // working set (a few value-width buffers plus one entry buffer), never the

@@ -50,7 +50,7 @@ type LogRecord struct {
 	Schema *Schema
 	// Import payload.
 	Column string
-	Split  *dict.SplitData
+	Split  *dict.Split
 }
 
 // CommitLog is the durability hook the engine threads its write path
@@ -165,11 +165,7 @@ func (db *DB) ApplyRecord(rec *LogRecord) error {
 		if rec.Split == nil {
 			return fmt.Errorf("engine: replay lsn %d: import record without split", rec.LSN)
 		}
-		s, err := dict.FromData(*rec.Split)
-		if err != nil {
-			return fmt.Errorf("engine: replay lsn %d: %w", rec.LSN, err)
-		}
-		return db.ImportColumn(rec.Table, rec.Column, s)
+		return db.ImportColumn(rec.Table, rec.Column, rec.Split)
 	case RecordWrite:
 		return db.applyWrite(rec)
 	default:

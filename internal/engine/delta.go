@@ -2,10 +2,7 @@ package engine
 
 import (
 	"context"
-	crand "crypto/rand"
-	"encoding/binary"
 	"fmt"
-	mrand "math/rand"
 
 	"github.com/encdbdb/encdbdb/internal/av"
 	"github.com/encdbdb/encdbdb/internal/ridset"
@@ -218,7 +215,6 @@ func (db *DB) InsertBatch(ctx context.Context, tableName string, rows []Row) err
 			return err
 		}
 	}
-	db.maybeAutoMerge(tableName, t)
 	return nil
 }
 
@@ -351,7 +347,6 @@ func (db *DB) Update(ctx context.Context, tableName string, filters []Filter, se
 			return 0, err
 		}
 	}
-	db.maybeAutoMerge(tableName, t)
 	return len(rids), nil
 }
 
@@ -359,16 +354,4 @@ func (db *DB) Update(ctx context.Context, tableName string, filters []Filter, se
 // at least the table's read lock.
 func (db *DB) matchValidLocked(ctx context.Context, t *table, filters []Filter) (*ridset.Set, error) {
 	return db.matchValid(ctx, t.versionLocked(), filters, 0)
-}
-
-// newBuildRand seeds a math/rand generator from crypto randomness for the
-// security-relevant shuffles and rotations of plain rebuilds. A failure of
-// the system randomness source is propagated — degrading to a fixed seed
-// would make the shuffle predictable.
-func newBuildRand() (*mrand.Rand, error) {
-	var seed [8]byte
-	if _, err := crand.Read(seed[:]); err != nil {
-		return nil, fmt.Errorf("engine: seeding build shuffle: %w", err)
-	}
-	return mrand.New(mrand.NewSource(int64(binary.LittleEndian.Uint64(seed[:])))), nil
 }

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	mrand "math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -56,13 +57,11 @@ type Option interface {
 }
 
 type options struct {
-	workers        int
-	reorder        bool
-	sealRows       int
-	autoMergeRows  int
-	autoMergeBytes int
-	streamChunk    int
-	metricsReg     *metrics.Registry
+	workers     int
+	reorder     bool
+	sealRows    int
+	streamChunk int
+	metricsReg  *metrics.Registry
 }
 
 type workersOption int
@@ -97,23 +96,6 @@ func (o sealRowsOption) apply(opts *options) {
 // word-parallel packed kernels instead of a per-row probe, so only the small
 // unsealed tail pays the linear path.
 func WithSealThreshold(rows int) Option { return sealRowsOption(rows) }
-
-type autoMergeOption struct{ rows, bytes int }
-
-func (o autoMergeOption) apply(opts *options) {
-	opts.autoMergeRows = o.rows
-	opts.autoMergeBytes = o.bytes
-}
-
-// WithAutoMerge enables the background auto-merge policy: after a write
-// commits, if the table's delta store holds at least maxRows rows or
-// maxBytes payload bytes (a bound of 0 disables that trigger), a background
-// merge is started unless one is already running. The merge runs off-lock:
-// concurrent Selects and writers proceed against the pinned version while
-// the enclave rebuilds, exactly as with an explicit MergeAsync.
-func WithAutoMerge(maxRows, maxBytes int) Option {
-	return autoMergeOption{rows: maxRows, bytes: maxBytes}
-}
 
 type metricsOption struct{ reg *metrics.Registry }
 
@@ -272,6 +254,9 @@ func (db *DB) createTable(s Schema, logged bool) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
+	// The table keeps the schema for its lifetime; the caller's column
+	// slice may be reused (the wire server decodes into pooled requests).
+	s.Columns = slices.Clone(s.Columns)
 	t := &table{schema: s, cols: make(map[string]*column, len(s.Columns)), valid: ridset.New(0)}
 	for _, def := range s.Columns {
 		if !def.Plain && db.encl == nil {
@@ -422,10 +407,9 @@ func (db *DB) importColumnLocked(t *table, c *column, tableName, columnName stri
 	}
 	var commit func() error
 	if db.cl != nil {
-		data := s.Data()
 		c2, err := db.cl.Append(&LogRecord{
 			Type: RecordImport, Table: tableName, Gen: t.gen,
-			Column: columnName, Split: &data,
+			Column: columnName, Split: s,
 		})
 		if err != nil {
 			return nil, err
@@ -458,7 +442,7 @@ func (db *DB) ImportPlaintextColumn(tableName, columnName string, values [][]byt
 	var split *dict.Split
 	if c.def.Plain {
 		var rnd *mrand.Rand
-		if rnd, err = newBuildRand(); err == nil {
+		if rnd, err = dict.NewRand(); err == nil {
 			split, err = dict.Build(values, dict.Params{
 				Kind:   c.def.Kind,
 				MaxLen: c.def.MaxLen,

@@ -119,26 +119,6 @@ func (db *DB) MergeAsync(ctx context.Context, tableName string) (started bool, e
 	return true, nil
 }
 
-// maybeAutoMerge applies the auto-merge policy after a write commit: when
-// the delta chain crosses the configured row or byte threshold, a
-// background merge is kicked off (a no-op if one is already running).
-func (db *DB) maybeAutoMerge(tableName string, t *table) {
-	if db.opts.autoMergeRows <= 0 && db.opts.autoMergeBytes <= 0 {
-		return
-	}
-	if db.closed.Load() || t.merging.Load() {
-		return
-	}
-	t.mu.RLock()
-	rows := t.deltaRows
-	bytes := t.deltaBytesLocked()
-	t.mu.RUnlock()
-	if (db.opts.autoMergeRows > 0 && rows >= db.opts.autoMergeRows) ||
-		(db.opts.autoMergeBytes > 0 && bytes >= db.opts.autoMergeBytes) {
-		db.MergeAsync(context.Background(), tableName) //nolint:errcheck // best-effort policy trigger
-	}
-}
-
 // mergePass runs one merge pipeline and records its outcome in
 // lastMergeErr so MergeStatus surfaces synchronous and background failures
 // alike; the caller holds mergeMu.
@@ -302,7 +282,7 @@ func mergePlain(base *version, cv *colVersion, mainValid []bool) (*dict.Split, e
 		}
 		off += run.rows()
 	}
-	rnd, err := newBuildRand()
+	rnd, err := dict.NewRand()
 	if err != nil {
 		return nil, err
 	}

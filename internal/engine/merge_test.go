@@ -352,45 +352,6 @@ func TestSealedRunsAnswerQueries(t *testing.T) {
 	}
 }
 
-// TestAutoMergePolicy checks WithAutoMerge: crossing the row threshold kicks
-// a background merge that empties the delta chain without any explicit
-// Merge call.
-func TestAutoMergePolicy(t *testing.T) {
-	v := newEnvWith(t, engine.WithAutoMerge(8, 0))
-	def := engine.ColumnDef{Name: "c", Kind: dict.ED1, MaxLen: 8}
-	if err := v.db.CreateTable(engine.Schema{Table: "t", Columns: []engine.ColumnDef{def}}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if err := v.db.InsertBatch(context.Background(), "t", []engine.Row{{"c": v.encryptValue(t, "t", "c", fmt.Sprintf("v%02d", i))}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		info, err := v.db.MergeStatus(context.Background(), "t")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Merges > 0 && !info.Merging && info.DeltaRows == 0 {
-			if info.MainRows != 8 {
-				t.Errorf("main rows after auto-merge = %d, want 8", info.MainRows)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("auto-merge never ran: %+v", info)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := v.db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v.db.MergeAsync(context.Background(), "t"); err != engine.ErrClosed {
-		t.Errorf("MergeAsync after Close = %v, want ErrClosed", err)
-	}
-}
-
 // TestMergeAsyncReportsInFlight checks the started flag: while one merge is
 // parked, a second MergeAsync must decline rather than queue or block.
 func TestMergeAsyncReportsInFlight(t *testing.T) {
@@ -423,6 +384,9 @@ func TestMergeAsyncReportsInFlight(t *testing.T) {
 	}
 	if info, err := v.db.MergeStatus(context.Background(), "t"); err != nil || info.Merges != 1 || info.Merging {
 		t.Errorf("final status = %+v, %v; want exactly one completed merge", info, err)
+	}
+	if _, err := v.db.MergeAsync(context.Background(), "t"); err != engine.ErrClosed {
+		t.Errorf("MergeAsync after Close = %v, want ErrClosed", err)
 	}
 }
 

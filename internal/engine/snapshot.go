@@ -13,7 +13,7 @@ import (
 // detail and is not persisted.
 type ColumnSnapshot struct {
 	Name  string
-	Main  dict.SplitData
+	Main  *dict.Split
 	Delta [][]byte
 }
 
@@ -48,7 +48,7 @@ func (db *DB) Snapshot(tableName string) (*TableSnapshot, error) {
 	}
 	for _, def := range t.schema.Columns {
 		cv := v.cols[def.Name]
-		cs := ColumnSnapshot{Name: def.Name, Main: cv.main.Data()}
+		cs := ColumnSnapshot{Name: def.Name, Main: cv.main}
 		for _, run := range cv.sealed {
 			cs.Delta = append(cs.Delta, run.entries...)
 		}
@@ -89,9 +89,9 @@ func (db *DB) Restore(snap *TableSnapshot) error {
 			if !ok {
 				return fmt.Errorf("%w: %q", ErrNoSuchColumn, cs.Name)
 			}
-			s, err := dict.FromData(cs.Main)
-			if err != nil {
-				return fmt.Errorf("engine: restore %q: %w", cs.Name, err)
+			s := cs.Main
+			if s == nil {
+				return fmt.Errorf("engine: restore %q: no main store", cs.Name)
 			}
 			if s.Kind != c.def.Kind || s.Plain != c.def.Plain {
 				return fmt.Errorf("engine: restore %q: split kind mismatch", cs.Name)

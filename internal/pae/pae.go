@@ -127,6 +127,22 @@ func (c *Cipher) Encrypt(plaintext []byte) ([]byte, error) {
 	return c.aead.Seal(out, out[:ivSize], plaintext, nil), nil
 }
 
+// EncryptAll appends the encryption of each plaintext, in order, to dst and
+// returns the extended slice; plaintext i takes CiphertextLen(len(i)) bytes.
+// It is Encrypt for many values: each gets its own fresh random IV, all of
+// them drawn with one read of the system's randomness source.
+func (c *Cipher) EncryptAll(dst []byte, plaintexts [][]byte) ([]byte, error) {
+	ivs := make([]byte, ivSize*len(plaintexts))
+	if _, err := io.ReadFull(rand.Reader, ivs); err != nil {
+		return nil, fmt.Errorf("pae: generate iv: %w", err)
+	}
+	for i, pt := range plaintexts {
+		iv := ivs[ivSize*i : ivSize*(i+1)]
+		dst = c.aead.Seal(append(dst, iv...), iv, pt, nil)
+	}
+	return dst, nil
+}
+
 // Decrypt authenticates and decrypts a ciphertext produced by Encrypt (the
 // paper's PAE Dec). The result is a fresh slice.
 func (c *Cipher) Decrypt(ciphertext []byte) ([]byte, error) {

@@ -59,6 +59,36 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncryptAll appends several ciphertexts behind a prefix: each one
+// decrypts to its plaintext, and equal plaintexts get distinct IVs.
+func TestEncryptAll(t *testing.T) {
+	c, err := NewCipher(MustGen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := [][]byte{{}, []byte("Jessica"), []byte("Jessica"), bytes.Repeat([]byte("warehouse"), 100)}
+	out, err := c.EncryptAll([]byte("prefix"), pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := len("prefix")
+	var ivs [][]byte
+	for i, pt := range pts {
+		ct := out[off : off+CiphertextLen(len(pt))]
+		off += len(ct)
+		if got, err := c.Decrypt(ct); err != nil || !bytes.Equal(got, pt) {
+			t.Errorf("entry %d: Decrypt = %q, %v; want %q", i, got, err, pt)
+		}
+		ivs = append(ivs, ct[:ivSize])
+	}
+	if off != len(out) || string(out[:6]) != "prefix" {
+		t.Errorf("output is %d bytes, want %d behind the prefix", len(out), off)
+	}
+	if bytes.Equal(ivs[1], ivs[2]) {
+		t.Error("equal plaintexts share an IV")
+	}
+}
+
 func TestEncryptIsProbabilistic(t *testing.T) {
 	c, _ := NewCipher(MustGen())
 	a, _ := c.Encrypt([]byte("same plaintext"))

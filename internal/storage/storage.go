@@ -5,19 +5,16 @@
 //
 // The on-disk format is a self-describing binary column store: a magic
 // header, the table schema, validity vectors, then one section per column
-// (dictionary head, dictionary tail, attribute vector, delta entries), all
-// covered by a trailing CRC-32. Dictionary payloads are written verbatim —
-// they are PAE ciphertexts, so a stolen disk reveals exactly as much as a
-// stolen memory image (the attacker the paper defends against already sees
-// both).
-//
-// The attribute vector is stored as the engine scans it in memory: the
-// internal/av slice words, bit-packed at ceil(log2 |D|) bits per code, plus
-// the per-block encoding metadata of internal/av's lightweight encodings
-// (packed / frame-of-reference / run-length, chosen per 1024-row block), so
-// an encoded vector round-trips without re-deriving block statistics at
-// load. The header carries a format version; ReadTable refuses every
-// version but the one WriteTable writes with ErrBadVersion.
+// (the main store's split, then the delta entries), all covered by a
+// trailing CRC-32. The split section is dict's binary layout
+// (dict.Split.AppendBinary) — the bytes the wire's bulk import and the WAL's
+// import records carry too: dictionary payloads verbatim, which are PAE
+// ciphertexts, so a stolen disk reveals exactly as much as a stolen memory
+// image (the attacker the paper defends against already sees both), and the
+// attribute vector exactly as the engine scans it in memory, so neither a
+// save nor a load unpacks or re-packs it. The header carries a format
+// version; ReadTable refuses every version but the one WriteTable writes
+// with ErrBadVersion.
 package storage
 
 import (
@@ -29,9 +26,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 
-	"github.com/encdbdb/encdbdb/internal/av"
+	"github.com/encdbdb/encdbdb/internal/bufpool"
 	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/engine"
 )
@@ -39,7 +35,7 @@ import (
 const (
 	magic = "ENCDBDB\x01"
 	// version is the one format WriteTable emits and ReadTable accepts.
-	version = uint16(3)
+	version = uint16(4)
 	// maxSliceLen guards length-prefixed reads against corrupted or
 	// malicious files claiming absurd sizes.
 	maxSliceLen = 1 << 33
@@ -60,6 +56,7 @@ func WriteTable(w io.Writer, snap *engine.TableSnapshot) error {
 		return err
 	}
 	e := &encoder{w: cw}
+	var split []byte
 	e.u16(version)
 	e.str(snap.Schema.Table)
 	e.u32(uint32(len(snap.Schema.Columns)))
@@ -74,7 +71,8 @@ func WriteTable(w io.Writer, snap *engine.TableSnapshot) error {
 	e.bools(snap.DeltaValid)
 	for _, cs := range snap.Columns {
 		e.str(cs.Name)
-		e.split(cs.Main)
+		split = cs.Main.AppendBinary(split[:0])
+		e.bytes(split)
 		e.u32(uint32(len(cs.Delta)))
 		for _, d := range cs.Delta {
 			e.bytes(d)
@@ -136,7 +134,9 @@ func ReadTable(r io.Reader) (snap *engine.TableSnapshot, err error) {
 	snap.DeltaValid = d.bools()
 	for i := 0; i < ncols && d.err == nil; i++ {
 		cs := engine.ColumnSnapshot{Name: d.str()}
-		cs.Main = d.split()
+		if split := d.bytes(); d.err == nil {
+			cs.Main, d.err = dict.DecodeSplit(split)
+		}
 		ndelta := int(d.u32())
 		for j := 0; j < ndelta && d.err == nil; j++ {
 			cs.Delta = append(cs.Delta, d.bytes())
@@ -310,64 +310,16 @@ func (e *encoder) bytes(p []byte) {
 
 func (e *encoder) str(s string) { e.bytes([]byte(s)) }
 
+// bools packs eight flags per byte.
 func (e *encoder) bools(v []bool) {
 	e.u64(uint64(len(v)))
-	// Pack eight flags per byte.
-	var cur uint8
+	packed := make([]byte, (len(v)+7)/8)
 	for i, b := range v {
 		if b {
-			cur |= 1 << (i % 8)
-		}
-		if i%8 == 7 {
-			e.u8(cur)
-			cur = 0
+			packed[i/8] |= 1 << (i % 8)
 		}
 	}
-	if len(v)%8 != 0 {
-		e.u8(cur)
-	}
-}
-
-func (e *encoder) split(d dict.SplitData) {
-	e.u8(uint8(d.Kind))
-	e.boolean(d.Plain)
-	e.u32(uint32(d.MaxLen))
-	e.u32(uint32(d.BSMax))
-	e.bytes(d.EncRndOffset)
-	// Attribute vector: row count, code width, the bit-slice words,
-	// then the per-block encoding metadata and RLE runs — the same
-	// representation the engine scans in memory, re-derived from the
-	// interchange codes so the selection heuristic needs to run only here
-	// and in dict.FromData.
-	vec := av.PackEncoded(d.AV, len(d.Head))
-	e.u64(uint64(vec.Len()))
-	e.u8(uint8(vec.Bits()))
-	words := vec.Words()
-	e.u64(uint64(len(words)))
-	for _, w := range words {
-		e.u64(w)
-	}
-	blocks := vec.Blocks()
-	e.u64(uint64(len(blocks)))
-	for _, b := range blocks {
-		e.u8(uint8(b.Enc))
-		e.u8(b.W)
-		e.u32(b.Base)
-		e.u32(b.Off)
-		e.u32(b.N)
-	}
-	runs := vec.Runs()
-	e.u64(uint64(len(runs)))
-	for _, r := range runs {
-		e.u32(r.VID)
-		e.u32(r.End)
-	}
-	e.u64(uint64(len(d.Head)))
-	for _, ref := range d.Head {
-		e.u32(ref.Off)
-		e.u32(ref.Len)
-	}
-	e.bytes(d.Tail)
+	e.write(packed)
 }
 
 // decoder reads primitive values, capturing the first error.
@@ -417,25 +369,18 @@ func (d *decoder) sliceLen() int {
 	return int(n)
 }
 
-// decodeChunk caps the initial allocation of length-prefixed slices: a
-// corrupted length field may pass the maxSliceLen sanity bound, so slices
-// grow incrementally as the stream actually delivers data instead of
-// trusting the prefix with a multi-gigabyte up-front allocation
-// (FuzzReadTable found the difference the hard way).
-const decodeChunk = 1 << 20
-
+// bytes grows its result as the stream delivers data
+// (bufpool.ReadFull) instead of trusting a length prefix that may pass the
+// maxSliceLen sanity bound corrupted (FuzzReadTable found the difference
+// the hard way).
 func (d *decoder) bytes() []byte {
 	n := d.sliceLen()
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	p := make([]byte, 0, min(n, decodeChunk))
-	for len(p) < n && d.err == nil {
-		m := min(n-len(p), decodeChunk)
-		p = slices.Grow(p, m)[:len(p)+m]
-		d.read(p[len(p)-m:])
-	}
-	if d.err != nil {
+	p, err := bufpool.ReadFull(d.r, n)
+	if err != nil {
+		d.err = err
 		return nil
 	}
 	return p
@@ -448,73 +393,14 @@ func (d *decoder) bools() []bool {
 	if d.err != nil {
 		return nil
 	}
-	out := make([]bool, 0, min(n, decodeChunk))
-	var cur uint8
-	for i := 0; i < n && d.err == nil; i++ {
-		if i%8 == 0 {
-			cur = d.u8()
-		}
-		out = append(out, cur&(1<<(i%8)) != 0)
-	}
-	return out
-}
-
-func (d *decoder) split() dict.SplitData {
-	var s dict.SplitData
-	s.Kind = dict.Kind(d.u8())
-	s.Plain = d.boolean()
-	s.MaxLen = int(d.u32())
-	s.BSMax = int(d.u32())
-	s.EncRndOffset = d.bytes()
-	rows := d.sliceLen()
-	width := int(d.u8())
-	var words []uint64
-	if n := d.sliceLen(); d.err == nil && n > 0 {
-		words = make([]uint64, 0, min(n, decodeChunk))
-		for i := 0; i < n && d.err == nil; i++ {
-			words = append(words, d.u64())
-		}
-	}
-	var blocks []av.Block
-	if n := d.sliceLen(); d.err == nil && n > 0 {
-		blocks = make([]av.Block, 0, min(n, decodeChunk))
-		for i := 0; i < n && d.err == nil; i++ {
-			blocks = append(blocks, av.Block{
-				Enc:  av.Encoding(d.u8()),
-				W:    d.u8(),
-				Base: d.u32(),
-				Off:  d.u32(),
-				N:    d.u32(),
-			})
-		}
-	}
-	var runs []av.Run
-	if n := d.sliceLen(); d.err == nil && n > 0 {
-		runs = make([]av.Run, 0, min(n, decodeChunk))
-		for i := 0; i < n && d.err == nil; i++ {
-			runs = append(runs, av.Run{VID: d.u32(), End: d.u32()})
-		}
-	}
-	nhead := d.sliceLen()
-	if d.err == nil && nhead > 0 {
-		s.Head = make([]dict.EntryRef, 0, min(nhead, decodeChunk))
-		for i := 0; i < nhead && d.err == nil; i++ {
-			s.Head = append(s.Head, dict.EntryRef{Off: d.u32(), Len: d.u32()})
-		}
-	}
-	s.Tail = d.bytes()
-	if d.err != nil {
-		return s
-	}
-	// The packed width is bound to |D|, known only after the head;
-	// av.FromEncoded validates the block/run structure, and dict.FromData
-	// re-validates every code against |D| once the vector is unpacked into
-	// the interchange shape.
-	vec, err := av.FromEncoded(words, blocks, runs, rows, width, nhead)
+	packed, err := bufpool.ReadFull(d.r, (n+7)/8)
 	if err != nil {
 		d.err = err
-		return s
+		return nil
 	}
-	s.AV = vec.Unpack()
-	return s
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = packed[i/8]&(1<<(i%8)) != 0
+	}
+	return out
 }

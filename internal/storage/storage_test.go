@@ -3,8 +3,10 @@ package storage_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -209,25 +211,55 @@ func TestRestoreRejectsExistingTable(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsTamperedSplitRefs rewrites a split's first head
+// reference in an image, checksum fixed up: the out-of-range reference must
+// be refused at load, before it can cause an out-of-bounds access. A
+// snapshot that decodes but does not fit its schema must fail Restore and
+// leave no half-restored table behind.
 func TestRestoreRejectsTamperedSplitRefs(t *testing.T) {
 	p, db, master := newStack(t)
 	seed(t, p)
+	if err := db.Merge(context.Background(), "t1"); err != nil {
+		t.Fatal(err)
+	}
 	snap, err := db.Snapshot("t1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An out-of-range entry reference must be rejected before it can cause
-	// out-of-bounds access.
-	if len(snap.Columns[0].Main.Head) == 0 {
-		t.Skip("no head entries")
+	var buf bytes.Buffer
+	if err := storage.WriteTable(&buf, snap); err != nil {
+		t.Fatal(err)
 	}
-	snap.Columns[0].Main.Head[0].Len = 1 << 30
-	_, db2 := cloneStack(t, master)
-	if err := db2.Restore(snap); err == nil {
-		t.Error("tampered head reference accepted")
+	raw := buf.Bytes()
+	main := snap.Columns[0].Main
+	split := main.AppendBinary(nil)
+	at := bytes.Index(raw, split)
+	if at < 0 {
+		t.Fatal("split bytes not found in the image")
 	}
-	if got := db2.Tables(); len(got) != 0 {
-		t.Errorf("half-restored table left behind: %v", got)
+	// The head's entries are 8 bytes each, followed by the u32 tail length
+	// and the tail; entry 0's u32 length is at +4.
+	head := at + len(split) - 4 - len(main.Tail()) - 8*main.Len()
+	binary.LittleEndian.PutUint32(raw[head+4:], 1<<30)
+	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
+	if _, err := storage.ReadTable(bytes.NewReader(raw)); !errors.Is(err, storage.ErrCorrupt) {
+		t.Errorf("tampered head reference: err = %v, want ErrCorrupt", err)
+	}
+
+	for name, tamper := range map[string]func(s *engine.TableSnapshot){
+		"validity flag missing": func(s *engine.TableSnapshot) { s.MainValid = s.MainValid[1:] },
+		"split of another kind": func(s *engine.TableSnapshot) { s.Columns[0].Main = s.Columns[1].Main },
+	} {
+		bad := *snap
+		bad.Columns = slices.Clone(snap.Columns)
+		tamper(&bad)
+		_, db2 := cloneStack(t, master)
+		if err := db2.Restore(&bad); err == nil {
+			t.Errorf("%s: Restore accepted the snapshot", name)
+		}
+		if got := db2.Tables(); len(got) != 0 {
+			t.Errorf("%s: half-restored table left behind: %v", name, got)
+		}
 	}
 }
 
@@ -265,8 +297,8 @@ func TestFormatMatrix(t *testing.T) {
 			t.Fatalf("ReadTable: %v", err)
 		}
 		for i, cs := range got.Columns {
-			if want := snap.Columns[i].Main.AV; !slices.Equal(cs.Main.AV, want) {
-				t.Fatalf("column %q: attribute vector changed across the round trip", cs.Name)
+			if want := snap.Columns[i].Main.AppendBinary(nil); !bytes.Equal(cs.Main.AppendBinary(nil), want) {
+				t.Fatalf("column %q: split changed across the round trip", cs.Name)
 			}
 		}
 		p2, db2 := cloneStack(t, master)
@@ -287,7 +319,7 @@ func TestFormatMatrix(t *testing.T) {
 	})
 	t.Run("old version is refused", func(t *testing.T) {
 		// The u16 format version follows the 8-byte magic.
-		for _, ver := range []byte{0, 1, 2, 4} {
+		for _, ver := range []byte{0, 1, 2, 3, 5} {
 			old := append([]byte(nil), raw...)
 			old[8], old[9] = ver, 0
 			if _, err := storage.ReadTable(bytes.NewReader(old)); !errors.Is(err, storage.ErrBadVersion) {
@@ -324,7 +356,7 @@ func largeTailSnapshot(t testing.TB) *engine.TableSnapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(snap.Columns[0].Main.Tail); n <= 1<<20 {
+	if n := len(snap.Columns[0].Main.Tail()); n <= 1<<20 {
 		t.Fatalf("tail is %d bytes, want > 1 MiB", n)
 	}
 	return snap
@@ -340,9 +372,8 @@ func TestRoundTripLargeTail(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadTable: %v", err)
 	}
-	want := snap.Columns[0].Main
-	if !bytes.Equal(got.Columns[0].Main.Tail, want.Tail) || !slices.Equal(got.Columns[0].Main.Head, want.Head) {
-		t.Error("dictionary changed across the round trip")
+	if !bytes.Equal(got.Columns[0].Main.AppendBinary(nil), snap.Columns[0].Main.AppendBinary(nil)) {
+		t.Error("split changed across the round trip")
 	}
 	if err := engine.New(nil).Restore(got); err != nil {
 		t.Errorf("Restore: %v", err)

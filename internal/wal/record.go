@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 
+	"github.com/encdbdb/encdbdb/internal/bufpool"
 	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/engine"
 )
@@ -22,9 +22,6 @@ const (
 	frameHeaderLen = 8
 	// maxRecordBytes bounds a single record's claimed length.
 	maxRecordBytes = 1 << 30
-	// payloadChunk is the first allocation for a payload; it doubles from
-	// there as bytes arrive.
-	payloadChunk = 64 << 10
 )
 
 // errTorn marks an incomplete or corrupt frame at the end of a segment —
@@ -57,15 +54,9 @@ func readFrame(r io.Reader) ([]byte, error) {
 	}
 	// The payload grows as bytes arrive, so a torn or garbage header's
 	// length claim costs no more memory than the segment actually holds.
-	payload := make([]byte, 0, min(int(size), payloadChunk))
-	for len(payload) < int(size) {
-		want := min(int(size), max(cap(payload), 2*len(payload)))
-		payload = slices.Grow(payload, want-len(payload))
-		n, err := io.ReadFull(r, payload[len(payload):want])
-		payload = payload[:len(payload)+n]
-		if err != nil {
-			return nil, fmt.Errorf("%w: truncated payload: %v", errTorn, err)
-		}
+	payload, err := bufpool.ReadFull(r, int(size))
+	if err != nil {
+		return nil, fmt.Errorf("%w: truncated payload: %v", errTorn, err)
 	}
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
 		return nil, fmt.Errorf("%w: checksum mismatch", errTorn)
@@ -203,22 +194,9 @@ func encodeRecord(rec *engine.LogRecord) ([]byte, error) {
 			return nil, errors.New("wal: import record without split")
 		}
 		e.str(rec.Column)
-		s := rec.Split
-		e.u8(uint8(s.Kind))
-		e.u8(boolByte(s.Plain))
-		e.u32(uint32(s.MaxLen))
-		e.u32(uint32(s.BSMax))
-		e.bytes(s.EncRndOffset)
-		e.u32(uint32(len(s.AV)))
-		for _, v := range s.AV {
-			e.u32(v)
-		}
-		e.u32(uint32(len(s.Head)))
-		for _, ref := range s.Head {
-			e.u32(ref.Off)
-			e.u32(ref.Len)
-		}
-		e.bytes(s.Tail)
+		// The split is the record's last field: its bytes run to the end
+		// of the payload.
+		e.buf = rec.Split.AppendBinary(e.buf)
 	default:
 		return nil, fmt.Errorf("wal: unknown record type %d", rec.Type)
 	}
@@ -273,32 +251,13 @@ func decodeRecord(payload []byte) (*engine.LogRecord, error) {
 	case engine.RecordDrop:
 	case engine.RecordImport:
 		rec.Column = d.str()
-		s := &dict.SplitData{
-			Kind:   dict.Kind(d.u8()),
-			Plain:  d.u8() != 0,
-			MaxLen: int(d.u32()),
-			BSMax:  int(d.u32()),
-		}
-		s.EncRndOffset = d.bytes()
-		if len(s.EncRndOffset) == 0 {
-			s.EncRndOffset = nil
-		}
-		nAV := d.count(4)
-		if nAV > 0 {
-			s.AV = make([]uint32, nAV)
-			for i := range s.AV {
-				s.AV[i] = d.u32()
+		if d.err == nil {
+			var err error
+			if rec.Split, err = dict.DecodeSplit(d.buf[d.off:]); err != nil {
+				return nil, fmt.Errorf("wal: import record: %w", err)
 			}
+			d.off = len(d.buf)
 		}
-		nHead := d.count(8)
-		if nHead > 0 {
-			s.Head = make([]dict.EntryRef, nHead)
-			for i := range s.Head {
-				s.Head[i] = dict.EntryRef{Off: d.u32(), Len: d.u32()}
-			}
-		}
-		s.Tail = d.bytes()
-		rec.Split = s
 	default:
 		d.fail("wal: unknown record type %d", rec.Type)
 	}

@@ -17,14 +17,6 @@ import (
 	"github.com/encdbdb/encdbdb/internal/storage"
 )
 
-// writeTableImage serializes a checkpoint image in the storage package's
-// current table format, so images and explicit SaveTable files are
-// interchangeable (an image can be inspected or loaded with the same
-// tools).
-func writeTableImage(w io.Writer, snap *engine.TableSnapshot) error {
-	return storage.WriteTable(w, snap)
-}
-
 // replayTable is the recovery-time expectation for one table: records at or
 // below ckptLSN are superseded by the restored image; later records must
 // carry gen or the image and log have diverged.
@@ -238,8 +230,12 @@ func (l *Log) replaySegment(db *engine.DB, name string, state map[string]*replay
 		}
 		return fmt.Errorf("wal: segment %s: header: %w", name, err)
 	}
-	if !bytes.Equal(hdr, segMagic) {
+	if !bytes.Equal(hdr[:len(hdr)-1], segMagic[:len(segMagic)-1]) {
 		return fmt.Errorf("wal: segment %s: bad magic", name)
+	}
+	if v := hdr[len(hdr)-1]; v != segMagic[len(segMagic)-1] {
+		return fmt.Errorf("%w: segment %s has version %d, this build reads %d",
+			ErrSegmentVersion, name, v, segMagic[len(segMagic)-1])
 	}
 	for {
 		payload, err := readFrame(br)

@@ -27,13 +27,19 @@ import (
 
 	"github.com/encdbdb/encdbdb/internal/engine"
 	"github.com/encdbdb/encdbdb/internal/metrics"
+	"github.com/encdbdb/encdbdb/internal/storage"
 )
 
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: log closed")
 
-// segMagic heads every segment file.
-var segMagic = []byte("EDBWAL\x00\x01")
+// segMagic heads every segment file. Its last byte is the segment format
+// version: version 2 holds import records in dict's split layout.
+var segMagic = []byte("EDBWAL\x00\x02")
+
+// ErrSegmentVersion is returned by Open for a segment of another format
+// version; recovery refuses it rather than misread its records.
+var ErrSegmentVersion = errors.New("wal: unsupported segment version")
 
 // SyncPolicy selects when appended records are fsynced.
 type SyncPolicy int
@@ -529,7 +535,8 @@ func (l *Log) Checkpoint(table string, gen uint64, snap *engine.TableSnapshot) e
 }
 
 // writeImage writes a table image atomically: temp file, fsync, rename,
-// directory fsync.
+// directory fsync. The image is in storage's table format, so images and
+// SaveTable files are interchangeable.
 func (l *Log) writeImage(name string, snap *engine.TableSnapshot) error {
 	tmp := filepath.Join(l.dir, name+".tmp")
 	f, err := l.fs.Create(tmp)
@@ -537,7 +544,7 @@ func (l *Log) writeImage(name string, snap *engine.TableSnapshot) error {
 		return fmt.Errorf("wal: create image: %w", err)
 	}
 	bw := bufio.NewWriterSize(f, 1<<16)
-	if err := writeTableImage(bw, snap); err != nil {
+	if err := storage.WriteTable(bw, snap); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: write image: %w", err)
 	}

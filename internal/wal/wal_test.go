@@ -313,6 +313,31 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 }
 
+// TestOldSegmentVersionRefused rewrites a segment's version byte to 1, the
+// format whose import records predate dict's split layout: recovery must
+// refuse it with ErrSegmentVersion rather than misread its records.
+func TestOldSegmentVersionRefused(t *testing.T) {
+	dir := t.TempDir()
+	db := engine.New(nil)
+	openLog(t, dir, db)
+	if err := db.CreateTable(testSchema("t")); err != nil {
+		t.Fatalf("CreateTable: %v", err)
+	}
+	insert(t, db, "t", "k1", "a")
+	seg := lastSegment(t, dir)
+	blob, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[7] = 1 // the last byte of the 8-byte segment magic
+	if err := os.WriteFile(seg, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wal.Open(dir, engine.New(nil)); !errors.Is(err, wal.ErrSegmentVersion) {
+		t.Errorf("Open = %v, want ErrSegmentVersion", err)
+	}
+}
+
 func TestCorruptionBeforeFinalSegmentIsFatal(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()

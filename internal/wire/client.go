@@ -395,8 +395,8 @@ func (c *Client) Provision(sk enclave.SealedKey) error {
 }
 
 // ImportColumn bulk-loads a pre-built column split (setup step 4).
-func (c *Client) ImportColumn(table, column string, data dict.SplitData) error {
-	_, err := c.call(context.Background(), &request{Op: opImportColumn, Table: table, Column: column, Split: data})
+func (c *Client) ImportColumn(table, column string, s *dict.Split) error {
+	_, err := c.call(context.Background(), &request{Op: opImportColumn, Table: table, Column: column, Split: s.AppendBinary(nil)})
 	return err
 }
 

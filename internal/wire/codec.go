@@ -202,8 +202,7 @@ func (req *request) encode(s binSink) {
 	if req.Sealed.OwnerPublicKey != nil || req.Sealed.Ciphertext != nil {
 		flags |= reqHasSealed
 	}
-	if sp := &req.Split; sp.Kind != 0 || sp.Plain || sp.MaxLen != 0 || sp.BSMax != 0 ||
-		sp.EncRndOffset != nil || len(sp.AV) > 0 || len(sp.Head) > 0 || sp.Tail != nil {
+	if req.Split != nil {
 		flags |= reqHasSplit
 	}
 	s.uvarint(flags)
@@ -233,26 +232,8 @@ func (req *request) encode(s binSink) {
 		s.bytes(req.Sealed.Ciphertext)
 	}
 	if flags&reqHasSplit != 0 {
-		encSplit(s, &req.Split)
+		s.bytes(req.Split)
 	}
-}
-
-func encSplit(s binSink, sp *dict.SplitData) {
-	s.uvarint(uint64(sp.Kind))
-	boolByte(s, sp.Plain)
-	s.uvarint(uint64(sp.MaxLen))
-	s.uvarint(uint64(sp.BSMax))
-	s.bytes(sp.EncRndOffset)
-	s.uvarint(uint64(len(sp.AV)))
-	for _, vid := range sp.AV {
-		s.uvarint(uint64(vid))
-	}
-	s.uvarint(uint64(len(sp.Head)))
-	for _, ref := range sp.Head {
-		s.uvarint(uint64(ref.Off))
-		s.uvarint(uint64(ref.Len))
-	}
-	s.bytes(sp.Tail)
 }
 
 func encQuery(s binSink, q *engine.Query) {
@@ -559,8 +540,10 @@ func decodeRequest(payload []byte, in *intern) (*request, error) {
 // decRequest decodes a binary request body into req, reusing req's
 // capacity (filter and range slices, row maps) from previous decodes.
 // Identifier strings are interned in in; byte values alias the payload d
-// was reset with — except the sealed key and the column split, which are
-// copied out because the provider keeps them.
+// was reset with — except the sealed key, which is copied out because the
+// provider keeps it. The column split's bytes alias the payload too:
+// dict.DecodeSplit copies them into a split of their own before the frame
+// is released.
 func decRequest(d *binReader, req *request, in *intern) {
 	req.Op = op(d.byte())
 	req.Table = in.get(d.strBytes())
@@ -590,32 +573,8 @@ func decRequest(d *binReader, req *request, in *intern) {
 		req.Sealed.Ciphertext = bytes.Clone(d.bytes())
 	}
 	if flags&reqHasSplit != 0 {
-		decSplit(d, &req.Split)
+		req.Split = d.bytes()
 	}
-}
-
-// decSplit decodes a column split into memory of its own: the engine keeps
-// an imported split's offset, head and tail for the life of the table, long
-// after the frame that carried them went back to the pool.
-func decSplit(d *binReader, sp *dict.SplitData) {
-	sp.Kind = dict.Kind(d.uvarint())
-	sp.Plain = d.bool()
-	sp.MaxLen = int(d.uvarint())
-	sp.BSMax = int(d.uvarint())
-	sp.EncRndOffset = bytes.Clone(d.bytes())
-	if n := d.length(); n > 0 {
-		sp.AV = make([]uint32, n)
-		for i := range sp.AV {
-			sp.AV[i] = uint32(d.uvarint())
-		}
-	}
-	if n := d.length(); n > 0 {
-		sp.Head = make([]dict.EntryRef, n)
-		for i := range sp.Head {
-			sp.Head[i] = dict.EntryRef{Off: uint32(d.uvarint()), Len: uint32(d.uvarint())}
-		}
-	}
-	sp.Tail = bytes.Clone(d.bytes())
 }
 
 func decQuery(d *binReader, q *engine.Query, in *intern) {
@@ -808,7 +767,7 @@ func resetRequest(req *request) {
 	req.Cancel = 0
 	req.Nonce = nil
 	req.Sealed = enclave.SealedKey{}
-	req.Split = dict.SplitData{}
+	req.Split = nil
 	req.Schema.Table = ""
 	req.Schema.Columns = req.Schema.Columns[:0]
 	req.Query.Table = ""

@@ -3,12 +3,16 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 
 	"github.com/encdbdb/encdbdb/internal/dict"
@@ -89,17 +93,9 @@ func binRequestCases() map[string]*request {
 		"cancel":    {Op: opCancel, Cancel: 1 << 40},
 		"quote":     {Op: opQuote, Nonce: []byte("fresh-nonce")},
 		"provision": {Op: opProvision, Sealed: enclave.SealedKey{OwnerPublicKey: bytes.Repeat([]byte{7}, 32), Ciphertext: []byte("sealed")}},
-		// An import whose split is all zero carries no split at all.
+		// An import without split bytes carries no split field at all.
 		"import_empty": {Op: opImportColumn, Table: "t", Column: "c"},
-		"import_plain": {
-			Op: opImportColumn, Table: "t", Column: "c",
-			Split: dict.SplitData{
-				Kind: dict.ED1, Plain: true, MaxLen: 8,
-				AV:   []uint32{1, 0, 1},
-				Head: []dict.EntryRef{{Off: 0, Len: 1}, {Off: 1, Len: 2}},
-				Tail: []byte("abb"),
-			},
-		},
+		"import_plain": {Op: opImportColumn, Table: "t", Column: "c", Split: plainSplit()},
 		"import_large": {Op: opImportColumn, Table: "t", Column: "c", Split: largeSplit()},
 	}
 }
@@ -113,28 +109,31 @@ func insertRows(n int) []engine.Row {
 	return rows
 }
 
-// largeSplit is a split the size of a real bulk import: 70k rows over a 40k
-// entry dictionary with a 1.2 MiB tail, so every length and ValueID takes a
-// multi-byte varint and the frame outgrows the largest pooled size class.
-func largeSplit() dict.SplitData {
-	const entries, rows, entryLen = 40_000, 70_000, 30
-	sp := dict.SplitData{
-		Kind: dict.ED9, MaxLen: entryLen, BSMax: 10,
-		AV:   make([]uint32, rows),
-		Head: make([]dict.EntryRef, entries),
-		Tail: make([]byte, entries*entryLen),
+// plainSplit is the binary layout of a three-row plain split.
+func plainSplit() []byte {
+	s, err := dict.Build([][]byte{[]byte("bb"), []byte("a"), []byte("bb")},
+		dict.Params{Kind: dict.ED1, MaxLen: 8, Plain: true, Rand: rand.New(rand.NewSource(1))})
+	if err != nil {
+		panic(err)
 	}
-	for i := range sp.AV {
-		sp.AV[i] = uint32(i*7919) % entries
-	}
-	for i := range sp.Head {
-		sp.Head[i] = dict.EntryRef{Off: uint32(i * entryLen), Len: entryLen}
-	}
-	for i := range sp.Tail {
-		sp.Tail[i] = byte(i)
-	}
-	return sp
+	return s.AppendBinary(nil)
 }
+
+// largeSplit is the binary layout of a split the size of a real bulk
+// import: 70k rows over a 40k-entry dictionary with a 1.2 MiB tail, so the
+// frame outgrows the largest pooled size class.
+var largeSplit = sync.OnceValue(func() []byte {
+	const entries, rows, entryLen = 40_000, 70_000, 30
+	col := make([][]byte, rows)
+	for i := range col {
+		col[i] = fmt.Appendf(bytes.Repeat([]byte{'v'}, entryLen-5), "%05d", i*7919%entries)
+	}
+	s, err := dict.Build(col, dict.Params{Kind: dict.ED1, MaxLen: entryLen, Plain: true, Rand: rand.New(rand.NewSource(7))})
+	if err != nil {
+		panic(err)
+	}
+	return s.AppendBinary(nil)
+})
 
 // normalize nils out the empty slices and maps a pooled (or hostile-input)
 // decode leaves behind: [:0] slices and cleared maps read equal to their nil
@@ -331,9 +330,8 @@ func TestBinDecodeCorrupt(t *testing.T) {
 	if d.err() == nil {
 		t.Error("length bomb accepted")
 	}
-	// The same bomb on a split's ValueID count, the one length that sizes a
-	// 4-byte-per-element allocation.
-	bomb = []byte{byte(opImportColumn), 0, 0, 0, 0x80, 0x01, 1, 0, 8, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
+	// The same bomb on a split's byte length.
+	bomb = []byte{byte(opImportColumn), 0, 0, 0, 0x80, 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
 	d.reset(bomb)
 	resetRequest(got)
 	decRequest(&d, got, &in)
@@ -543,5 +541,81 @@ func TestInternBounded(t *testing.T) {
 	}
 	if got := in.get(nil); got != "" {
 		t.Errorf("get(nil) = %q", got)
+	}
+}
+
+// TestImportSplitOutlivesFrame runs an import through the provider's decode
+// and dispatch path, then scribbles over the frame payload it arrived in:
+// the engine's split must own its memory, so it still answers as imported.
+func TestImportSplitOutlivesFrame(t *testing.T) {
+	ctx := context.Background()
+	db := engine.New(nil)
+	def := engine.ColumnDef{Name: "c", Kind: dict.ED1, MaxLen: 8, Plain: true}
+	if err := db.CreateTable(engine.Schema{Table: "t", Columns: []engine.ColumnDef{def}}); err != nil {
+		t.Fatal(err)
+	}
+	want := plainSplit()
+	payload := frameOf(t, 1, &request{Op: opImportColumn, Table: "t", Column: "c", Split: want})[12:]
+	var in intern
+	req, err := decodeRequest(payload, &in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := new(response)
+	NewServer(db, t.Logf).dispatch(ctx, req, resp)
+	if resp.Err != "" {
+		t.Fatalf("import: %s", resp.Err)
+	}
+	for i := range payload {
+		payload[i] = 0xAA
+	}
+	snap, err := db.Snapshot("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap.Columns[0].Main.AppendBinary(nil), want) {
+		t.Error("the imported split changed with its frame")
+	}
+	res, err := db.Select(ctx, engine.Query{Table: "t", Project: []string{"c"}, Filters: []engine.Filter{
+		engine.SingleRange("c", enclave.EncRange{Start: []byte("bb"), End: []byte("bb"), StartIncl: true, EndIncl: true}),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.RecordIDs) != 2 || string(res.Columns[0].Cells[0]) != "bb" {
+		t.Errorf("select after scribble: rows %v, cells %q; want rows 0 and 2 holding bb", res.RecordIDs, res.Columns[0].Cells)
+	}
+}
+
+// TestImportRowsCostBytes imports zero-width splits (|D| = 1, no words):
+// one whose row count its bytes pay for is taken, one claiming 2^31-1 rows
+// in a few dozen bytes is refused before the engine allocates for them.
+func TestImportRowsCostBytes(t *testing.T) {
+	ctx := context.Background()
+	db := engine.New(nil)
+	srv := NewServer(db, t.Logf)
+	for _, rows := range []uint32{1000, 1<<31 - 1} {
+		table := fmt.Sprintf("t%d", rows)
+		def := engine.ColumnDef{Name: "c", Kind: dict.ED1, MaxLen: 8, Plain: true}
+		if err := db.CreateTable(engine.Schema{Table: table, Columns: []engine.ColumnDef{def}}); err != nil {
+			t.Fatal(err)
+		}
+		s, err := dict.Build([][]byte{[]byte("a")}, dict.Params{Kind: dict.ED1, MaxLen: 8, Plain: true, Rand: rand.New(rand.NewSource(1))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := s.AppendBinary(nil)
+		// The row count follows kind, plain flag, MaxLen, BSMax and the
+		// empty rotation header.
+		binary.LittleEndian.PutUint32(b[14:], rows)
+		resp := new(response)
+		srv.dispatch(ctx, &request{Op: opImportColumn, Table: table, Column: "c", Split: b}, resp)
+		n, _ := db.Rows(table)
+		if rows == 1000 && (resp.Err != "" || n != 1000) {
+			t.Errorf("1000 rows in %d bytes: err %q, %d rows imported", len(b), resp.Err, n)
+		}
+		if rows != 1000 && (resp.Err == "" || n != 0) {
+			t.Errorf("%d rows in %d bytes: err %q, %d rows imported; want refused", rows, len(b), resp.Err, n)
+		}
 	}
 }

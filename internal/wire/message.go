@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/enclave"
 	"github.com/encdbdb/encdbdb/internal/engine"
 )
@@ -19,7 +18,9 @@ type request struct {
 	Query   engine.Query
 	Filters []engine.Filter
 	Set     engine.Row
-	Split   dict.SplitData
+	// Split is an opImportColumn's column split in dict's binary layout
+	// (dict.Split.AppendBinary).
+	Split []byte
 
 	// Rows carries an opInsert's rows, all into Table; the provider applies
 	// them all or none.

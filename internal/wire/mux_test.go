@@ -91,7 +91,8 @@ func TestHelloRefusesOtherVersions(t *testing.T) {
 		"v1":       hello(1),
 		"v2":       hello(2),
 		"v3":       hello(3),
-		"v5":       hello(5),
+		"v4":       hello(4),
+		"v6":       hello(6),
 		"no_magic": {0, 0, 0, 9, 'l', 'o', 'c', 'k', 's', 't', 'e', 'p', '!'}, // a lock-step era first frame
 	}
 	// What a refused peer pipelines behind its hello: a valid CREATE TABLE.

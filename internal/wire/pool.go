@@ -100,8 +100,8 @@ func (p *Pool) Quote(nonce []byte) (enclave.Quote, error) { return p.pick().Quot
 func (p *Pool) Provision(sk enclave.SealedKey) error { return p.pick().Provision(sk) }
 
 // ImportColumn bulk-loads a pre-built column split.
-func (p *Pool) ImportColumn(table, column string, data dict.SplitData) error {
-	return p.pick().ImportColumn(table, column, data)
+func (p *Pool) ImportColumn(table, column string, s *dict.Split) error {
+	return p.pick().ImportColumn(table, column, s)
 }
 
 // Schema fetches a table schema.

@@ -667,9 +667,13 @@ func (s *Server) dispatch(ctx context.Context, req *request, resp *response) {
 		}
 		resp.Merge = info
 	case opImportColumn:
-		split, err := dict.FromData(req.Split)
+		split, err := dict.DecodeSplit(req.Split)
 		if err != nil {
 			fail(err)
+			return
+		}
+		if split.Rows() > importRowsPerByte*len(req.Split) {
+			fail(fmt.Errorf("wire: import claims %d rows in %d bytes", split.Rows(), len(req.Split)))
 			return
 		}
 		if err := s.db.ImportColumn(req.Table, req.Column, split); err != nil {

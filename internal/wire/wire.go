@@ -50,10 +50,17 @@ const maxFrame = 1 << 30
 // ErrFrameTooLarge is returned when a peer announces an oversized frame.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
 
+// importRowsPerByte caps the rows an opImportColumn split may claim per byte
+// of its binary layout. The engine allocates a validity bit per imported
+// row, but a zero-width vector (|D| = 1) holds no words, so without this cap
+// a 60-byte import could claim 2^31 rows. The densest vector of nonzero
+// width, width-0 FoR blocks, holds 73 rows per byte (1024 rows in 14).
+const importRowsPerByte = 128
+
 // protoVersion is the one protocol version this build speaks. Any change to
 // a frame's layout bumps it, so that a peer of another build is refused at
 // the hello instead of having its frames misread.
-const protoVersion = 4
+const protoVersion = 5
 
 // ErrUnsupportedVersion is returned when the peer's hello does not open with
 // the protocol magic or names a version other than this build's. The
@@ -126,7 +133,10 @@ type frameReader struct {
 // readPooled reads one frame, returning its request ID and payload.
 // Ownership of the buffer transfers to the caller, who must bufpool.Put it
 // once nothing references the payload — a decoded message keeps aliasing
-// its frame while later frames are already being read.
+// its frame while later frames are already being read. The header's length
+// is the peer's claim, not a promise: frames beyond the pool's largest class
+// grow as their bytes arrive (bufpool.Read), so a header alone cannot make
+// either side allocate what it names.
 func (fr *frameReader) readPooled() (uint64, *bufpool.Buf, error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return 0, nil, err
@@ -136,9 +146,8 @@ func (fr *frameReader) readPooled() (uint64, *bufpool.Buf, error) {
 	if n > maxFrame {
 		return 0, nil, ErrFrameTooLarge
 	}
-	buf := bufpool.Get(int(n))
-	if _, err := io.ReadFull(fr.r, buf.B); err != nil {
-		bufpool.Put(buf)
+	buf, err := bufpool.Read(fr.r, int(n))
+	if err != nil {
 		return 0, nil, fmt.Errorf("wire: short frame: %w", err)
 	}
 	return id, buf, nil

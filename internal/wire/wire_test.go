@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -143,7 +144,7 @@ func TestRemoteBulkImport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.ImportColumn("bulk", "c", split.Data()); err != nil {
+	if err := c2.ImportColumn("bulk", "c", split); err != nil {
 		t.Fatalf("ImportColumn: %v", err)
 	}
 	res, err := p2.Execute(context.Background(), "SELECT c FROM bulk WHERE c = 'x'")
@@ -152,6 +153,37 @@ func TestRemoteBulkImport(t *testing.T) {
 	}
 	if len(res.Rows) != 2 {
 		t.Errorf("rows = %v, want 2", res.Rows)
+	}
+}
+
+// TestRemoteCreateTableKeepsSchema creates tables one after another over
+// one connection: each CREATE TABLE decodes into a pooled request an earlier
+// one may have used, and must not rewrite the schemas the provider kept.
+func TestRemoteCreateTableKeepsSchema(t *testing.T) {
+	addr, _ := startServer(t)
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	schema := func(i int) engine.Schema {
+		return engine.Schema{Table: fmt.Sprintf("t%d", i), Columns: []engine.ColumnDef{
+			{Name: fmt.Sprintf("c%d", i), Kind: dict.Kind(1 + i%9), MaxLen: 8 + i, BSMax: 5, Plain: true},
+		}}
+	}
+	for i := range 16 {
+		if err := c.CreateTable(schema(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range 16 {
+		got, err := c.Schema(schema(i).Table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := schema(i); !reflect.DeepEqual(got, want) {
+			t.Errorf("schema = %+v, want %+v", got, want)
+		}
 	}
 }
 

@@ -47,12 +47,16 @@ func (o *DataOwner) EvaluateLeakage(kind Kind, maxLen, bsmax int, values []strin
 	for i, v := range values {
 		col[i] = []byte(v)
 	}
+	rnd, err := dict.NewRand()
+	if err != nil {
+		return nil, err
+	}
 	split, err := dict.Build(col, dict.Params{
 		Kind:   kind,
 		MaxLen: maxLen,
 		BSMax:  bsmax,
 		Plain:  true, // owner-side simulation: leakage is structural, not cryptographic
-		Rand:   newCryptoSeededRand(),
+		Rand:   rnd,
 	})
 	if err != nil {
 		return nil, err

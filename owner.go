@@ -2,10 +2,8 @@ package encdbdb
 
 import (
 	crand "crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	mrand "math/rand"
 
 	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/enclave"
@@ -73,7 +71,7 @@ type RemoteClient interface {
 	Executor
 	Quote(nonce []byte) (enclave.Quote, error)
 	Provision(sk enclave.SealedKey) error
-	ImportColumn(table, column string, data dict.SplitData) error
+	ImportColumn(table, column string, s *dict.Split) error
 }
 
 // ProvisionClient deploys SK_DB into a remote provider's enclave. The quote
@@ -162,7 +160,7 @@ func (o *DataOwner) DeployTableClient(c RemoteClient, schema Schema, rows [][]st
 		if err != nil {
 			return fmt.Errorf("encdbdb: deploy %q.%q: %w", schema.Table, def.Name, err)
 		}
-		if err := c.ImportColumn(schema.Table, def.Name, split.Data()); err != nil {
+		if err := c.ImportColumn(schema.Table, def.Name, split); err != nil {
 			return err
 		}
 	}
@@ -172,12 +170,16 @@ func (o *DataOwner) DeployTableClient(c RemoteClient, schema Schema, rows [][]st
 // buildColumn runs the EncDB operation for one column with crypto-seeded
 // randomness for the security-relevant rotation/shuffle/bucket draws.
 func (o *DataOwner) buildColumn(table string, def ColumnDef, values [][]byte) (*dict.Split, error) {
+	rnd, err := dict.NewRand()
+	if err != nil {
+		return nil, err
+	}
 	p := dict.Params{
 		Kind:   def.Kind,
 		MaxLen: def.MaxLen,
 		BSMax:  def.BSMax,
 		Plain:  def.Plain,
-		Rand:   newCryptoSeededRand(),
+		Rand:   rnd,
 	}
 	if !def.Plain {
 		key, err := pae.Derive(o.master, table, def.Name)
@@ -204,13 +206,4 @@ func columnOf(rows [][]string, j int) [][]byte {
 		}
 	}
 	return col
-}
-
-// newCryptoSeededRand seeds math/rand from crypto randomness.
-func newCryptoSeededRand() *mrand.Rand {
-	var seed [8]byte
-	if _, err := crand.Read(seed[:]); err != nil {
-		return mrand.New(mrand.NewSource(1))
-	}
-	return mrand.New(mrand.NewSource(int64(binary.LittleEndian.Uint64(seed[:]))))
 }
