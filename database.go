@@ -204,15 +204,7 @@ func (d *Database) ImportPlaintextTable(schema Schema, rows [][]string) error {
 		return err
 	}
 	for j, def := range schema.Columns {
-		col := make([][]byte, len(rows))
-		for i, r := range rows {
-			if j < len(r) {
-				col[i] = []byte(r[j])
-			} else {
-				col[i] = []byte{}
-			}
-		}
-		if err := d.db.ImportPlaintextColumn(schema.Table, def.Name, col); err != nil {
+		if err := d.db.ImportPlaintextColumn(schema.Table, def.Name, columnOf(rows, j)); err != nil {
 			return err
 		}
 	}

@@ -29,8 +29,8 @@ import (
 
 const (
 	// minClassBits..maxClassBits spans 512 B to 1 MiB in power-of-two
-	// classes — the same window the wire layer's retain cap uses. Larger
-	// requests are served by direct allocation and never pooled.
+	// classes. Larger requests are served by direct allocation and never
+	// pooled.
 	minClassBits = 9
 	maxClassBits = 20
 	numClasses   = maxClassBits - minClassBits + 1
@@ -43,6 +43,10 @@ const (
 	// growChunk is ReadFull's first allocation; it doubles from there.
 	growChunk = 64 << 10
 )
+
+// MaxPooled is the largest class: no buffer beyond it is kept for reuse,
+// here or by the wire layer's frame encoders.
+const MaxPooled = 1 << maxClassBits
 
 // Buf is one pooled buffer. B is the caller's payload window, sized by Get;
 // its capacity is the size class. Callers must not grow B past its capacity
@@ -88,7 +92,7 @@ var Default = New()
 // classFor returns the class index for a request of n bytes, or -1 when n
 // exceeds the largest class.
 func classFor(n int) int {
-	if n > 1<<maxClassBits {
+	if n > MaxPooled {
 		return -1
 	}
 	c := 0

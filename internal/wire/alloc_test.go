@@ -174,7 +174,7 @@ func TestAllocBudgets(t *testing.T) {
 				Columns:   []engine.ResultColumn{{Table: "accounts", Column: "balance", Cells: [][]byte{[]byte("12345678")}}},
 			},
 		}
-		raw := binEncode(t, resp.encode)
+		raw := binEncode(resp)
 		// The decoded result is handed to the caller, so its backbone
 		// (Result struct, ID/column/cell slices, two name strings) is
 		// allocated fresh; the cells themselves alias the frame.

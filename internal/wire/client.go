@@ -247,7 +247,7 @@ func (c *Client) readLoop() {
 // pooled buffer it aliases (nil when none). Responses for unregistered IDs
 // are normal for calls abandoned by context cancellation — the late answer
 // is simply discarded. (Duplicate or never-issued IDs are indistinguishable
-// from that here; stream divergence still surfaces as decode errors.)
+// from that here; a corrupt stream still surfaces as decode errors.)
 func (c *Client) deliver(id uint64, resp *response, buf *bufpool.Buf) {
 	c.pmu.Lock()
 	pc, ok := c.pending[id]

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -22,12 +21,6 @@ import (
 // length-prefixed UTF-8 for strings. Envelope fields that are zero are
 // omitted behind a presence bitmask (a uvarint; a set bit this build does
 // not know makes the frame corrupt).
-//
-// The same encoding functions run twice per message — once against a
-// counting sink to learn the frame length, once against the connection's
-// buffered writer — so the frame header never needs a scratch buffer copy
-// and the two passes cannot disagree without being detected (the writer
-// checks the byte count it produced against the announced length).
 
 // codecBin is the codec tag, the first payload byte of every frame.
 const codecBin = 0x01
@@ -58,127 +51,45 @@ const (
 	respKnownBits = 1<<iota - 1
 )
 
-// binSink is the write half of the binary codec. The encode functions are
-// written once against this interface and run against both implementations:
-// binCounter sizes a message, binWriter emits it.
-type binSink interface {
-	byte(b byte)
-	uvarint(v uint64)
-	bytes(b []byte)
-	str(s string)
+// encoder appends the binary codec to a byte slice: a message is encoded
+// once, into a scratch buffer, and the finished frame is written whole.
+type encoder struct {
+	b []byte
 }
 
-// binCounter sizes a message without writing anything.
-type binCounter struct {
-	n int
-}
+func (e *encoder) byte(b byte)      { e.b = append(e.b, b) }
+func (e *encoder) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 
-func (c *binCounter) reset()    { c.n = 0 }
-func (c *binCounter) byte(byte) { c.n++ }
-func (c *binCounter) uvarint(v uint64) {
-	c.n++
-	for v >= 0x80 {
-		c.n++
-		v >>= 7
-	}
-}
-func (c *binCounter) bytes(b []byte) {
+func (e *encoder) bytes(b []byte) {
 	if b == nil {
-		c.n++
+		e.b = append(e.b, 0)
 		return
 	}
-	c.uvarint(uint64(len(b)) + 1)
-	c.n += len(b)
-}
-func (c *binCounter) str(s string) {
-	c.uvarint(uint64(len(s)))
-	c.n += len(s)
+	e.uvarint(uint64(len(b)) + 1)
+	e.b = append(e.b, b...)
 }
 
-// binWriter emits a message into a bufio.Writer, counting what it writes.
-// Write errors are sticky and surface once at the end via err().
-type binWriter struct {
-	bw      *bufio.Writer
-	n       int
-	failed  error
-	scratch [binary.MaxVarintLen64]byte
+func (e *encoder) str(s string) {
+	e.uvarint(uint64(len(s)))
+	e.b = append(e.b, s...)
 }
 
-func (w *binWriter) reset(bw *bufio.Writer) {
-	w.bw = bw
-	w.n = 0
-	w.failed = nil
-}
-
-func (w *binWriter) err() error { return w.failed }
-
-func (w *binWriter) byte(b byte) {
-	if w.failed != nil {
-		return
-	}
-	if err := w.bw.WriteByte(b); err != nil {
-		w.failed = err
-		return
-	}
-	w.n++
-}
-
-func (w *binWriter) uvarint(v uint64) {
-	if w.failed != nil {
-		return
-	}
-	n := binary.PutUvarint(w.scratch[:], v)
-	m, err := w.bw.Write(w.scratch[:n])
-	w.n += m
-	if err != nil {
-		w.failed = err
-	}
-}
-
-func (w *binWriter) bytes(b []byte) {
-	if b == nil {
-		w.byte(0)
-		return
-	}
-	w.uvarint(uint64(len(b)) + 1)
-	if w.failed != nil {
-		return
-	}
-	m, err := w.bw.Write(b)
-	w.n += m
-	if err != nil {
-		w.failed = err
-	}
-}
-
-func (w *binWriter) str(s string) {
-	w.uvarint(uint64(len(s)))
-	if w.failed != nil {
-		return
-	}
-	m, err := w.bw.WriteString(s)
-	w.n += m
-	if err != nil {
-		w.failed = err
-	}
-}
-
-// boolByte encodes a bool as one byte.
-func boolByte(s binSink, v bool) {
+// bool encodes a bool as one byte.
+func (e *encoder) bool(v bool) {
 	if v {
-		s.byte(1)
+		e.byte(1)
 	} else {
-		s.byte(0)
+		e.byte(0)
 	}
 }
 
 // --- encoding ---
 
-func (req *request) encode(s binSink) {
-	s.byte(byte(req.Op))
-	s.str(req.Table)
-	s.str(req.Column)
-	s.uvarint(req.Cancel)
+func (req *request) encode(e *encoder) {
+	e.byte(byte(req.Op))
+	e.str(req.Table)
+	e.str(req.Column)
+	e.uvarint(req.Cancel)
 	var flags uint64
 	if req.Query.Table != "" || len(req.Query.Filters) > 0 || len(req.Query.Project) > 0 ||
 		req.Query.CountOnly || req.Query.Limit != 0 {
@@ -205,57 +116,57 @@ func (req *request) encode(s binSink) {
 	if req.Split != nil {
 		flags |= reqHasSplit
 	}
-	s.uvarint(flags)
+	e.uvarint(flags)
 	if flags&reqHasQuery != 0 {
-		encQuery(s, &req.Query)
+		encQuery(e, &req.Query)
 	}
 	if flags&reqHasRows != 0 {
-		s.uvarint(uint64(len(req.Rows)))
+		e.uvarint(uint64(len(req.Rows)))
 		for _, row := range req.Rows {
-			encRow(s, row)
+			encRow(e, row)
 		}
 	}
 	if flags&reqHasFilters != 0 {
-		encFilters(s, req.Filters)
+		encFilters(e, req.Filters)
 	}
 	if flags&reqHasSet != 0 {
-		encRow(s, req.Set)
+		encRow(e, req.Set)
 	}
 	if flags&reqHasSchema != 0 {
-		encSchema(s, &req.Schema)
+		encSchema(e, &req.Schema)
 	}
 	if flags&reqHasNonce != 0 {
-		s.bytes(req.Nonce)
+		e.bytes(req.Nonce)
 	}
 	if flags&reqHasSealed != 0 {
-		s.bytes(req.Sealed.OwnerPublicKey)
-		s.bytes(req.Sealed.Ciphertext)
+		e.bytes(req.Sealed.OwnerPublicKey)
+		e.bytes(req.Sealed.Ciphertext)
 	}
 	if flags&reqHasSplit != 0 {
-		s.bytes(req.Split)
+		e.bytes(req.Split)
 	}
 }
 
-func encQuery(s binSink, q *engine.Query) {
-	s.str(q.Table)
-	encFilters(s, q.Filters)
-	s.uvarint(uint64(len(q.Project)))
+func encQuery(e *encoder, q *engine.Query) {
+	e.str(q.Table)
+	encFilters(e, q.Filters)
+	e.uvarint(uint64(len(q.Project)))
 	for _, p := range q.Project {
-		s.str(p)
+		e.str(p)
 	}
-	boolByte(s, q.CountOnly)
-	s.uvarint(uint64(q.Limit))
+	e.bool(q.CountOnly)
+	e.uvarint(uint64(q.Limit))
 }
 
-func encFilters(s binSink, fs []engine.Filter) {
-	s.uvarint(uint64(len(fs)))
+func encFilters(e *encoder, fs []engine.Filter) {
+	e.uvarint(uint64(len(fs)))
 	for i := range fs {
-		s.str(fs[i].Column)
-		s.uvarint(uint64(len(fs[i].Ranges)))
+		e.str(fs[i].Column)
+		e.uvarint(uint64(len(fs[i].Ranges)))
 		for j := range fs[i].Ranges {
 			r := &fs[i].Ranges[j]
-			s.bytes(r.Start)
-			s.bytes(r.End)
+			e.bytes(r.Start)
+			e.bytes(r.End)
 			var incl byte
 			if r.StartIncl {
 				incl |= 1
@@ -263,33 +174,33 @@ func encFilters(s binSink, fs []engine.Filter) {
 			if r.EndIncl {
 				incl |= 2
 			}
-			s.byte(incl)
+			e.byte(incl)
 		}
 	}
 }
 
-func encRow(s binSink, row engine.Row) {
-	s.uvarint(uint64(len(row)))
+func encRow(e *encoder, row engine.Row) {
+	e.uvarint(uint64(len(row)))
 	for name, val := range row {
-		s.str(name)
-		s.bytes(val)
+		e.str(name)
+		e.bytes(val)
 	}
 }
 
-func encSchema(s binSink, sc *engine.Schema) {
-	s.str(sc.Table)
-	s.uvarint(uint64(len(sc.Columns)))
+func encSchema(e *encoder, sc *engine.Schema) {
+	e.str(sc.Table)
+	e.uvarint(uint64(len(sc.Columns)))
 	for i := range sc.Columns {
 		c := &sc.Columns[i]
-		s.str(c.Name)
-		s.uvarint(uint64(c.Kind))
-		s.uvarint(uint64(c.MaxLen))
-		s.uvarint(uint64(c.BSMax))
-		boolByte(s, c.Plain)
+		e.str(c.Name)
+		e.uvarint(uint64(c.Kind))
+		e.uvarint(uint64(c.MaxLen))
+		e.uvarint(uint64(c.BSMax))
+		e.bool(c.Plain)
 	}
 }
 
-func (resp *response) encode(s binSink) {
+func (resp *response) encode(e *encoder) {
 	var flags uint64
 	if resp.Err != "" {
 		flags |= respHasErr
@@ -312,63 +223,63 @@ func (resp *response) encode(s binSink) {
 	if q := &resp.Quote; q.Measurement != (enclave.Measurement{}) || q.PublicKey != nil || q.Nonce != nil || q.MAC != nil {
 		flags |= respHasQuote
 	}
-	s.uvarint(flags)
-	s.uvarint(uint64(resp.N))
+	e.uvarint(flags)
+	e.uvarint(uint64(resp.N))
 	if flags&respHasErr != 0 {
-		s.str(resp.Err)
+		e.str(resp.Err)
 	}
 	if flags&respHasSchema != 0 {
-		encSchema(s, &resp.Schema)
+		encSchema(e, &resp.Schema)
 	}
 	if flags&respHasResult != 0 {
-		encResult(s, resp.Result)
+		encResult(e, resp.Result)
 	}
 	if flags&respHasTables != 0 {
-		s.uvarint(uint64(len(resp.Tables)))
+		e.uvarint(uint64(len(resp.Tables)))
 		for _, t := range resp.Tables {
-			s.str(t)
+			e.str(t)
 		}
 	}
 	if flags&respHasMerge != 0 {
-		encMerge(s, &resp.Merge)
+		encMerge(e, &resp.Merge)
 	}
 	if flags&respHasQuote != 0 {
 		for _, b := range resp.Quote.Measurement {
-			s.byte(b)
+			e.byte(b)
 		}
-		s.bytes(resp.Quote.PublicKey)
-		s.bytes(resp.Quote.Nonce)
-		s.bytes(resp.Quote.MAC)
+		e.bytes(resp.Quote.PublicKey)
+		e.bytes(resp.Quote.Nonce)
+		e.bytes(resp.Quote.MAC)
 	}
 }
 
-func encResult(s binSink, res *engine.Result) {
-	s.uvarint(uint64(res.Count))
-	s.uvarint(uint64(len(res.RecordIDs)))
+func encResult(e *encoder, res *engine.Result) {
+	e.uvarint(uint64(res.Count))
+	e.uvarint(uint64(len(res.RecordIDs)))
 	for _, rid := range res.RecordIDs {
-		s.uvarint(uint64(rid))
+		e.uvarint(uint64(rid))
 	}
-	s.uvarint(uint64(len(res.Columns)))
+	e.uvarint(uint64(len(res.Columns)))
 	for i := range res.Columns {
 		c := &res.Columns[i]
-		s.str(c.Table)
-		s.str(c.Column)
-		s.uvarint(uint64(len(c.Cells)))
+		e.str(c.Table)
+		e.str(c.Column)
+		e.uvarint(uint64(len(c.Cells)))
 		for _, cell := range c.Cells {
-			s.bytes(cell)
+			e.bytes(cell)
 		}
 	}
 }
 
-func encMerge(s binSink, m *engine.MergeInfo) {
-	s.uvarint(m.Generation)
-	boolByte(s, m.Merging)
-	s.uvarint(uint64(m.MainRows))
-	s.uvarint(uint64(m.DeltaRows))
-	s.uvarint(uint64(m.DeltaBytes))
-	s.uvarint(uint64(m.SealedRuns))
-	s.uvarint(m.Merges)
-	s.str(m.LastError)
+func encMerge(e *encoder, m *engine.MergeInfo) {
+	e.uvarint(m.Generation)
+	e.bool(m.Merging)
+	e.uvarint(uint64(m.MainRows))
+	e.uvarint(uint64(m.DeltaRows))
+	e.uvarint(uint64(m.DeltaBytes))
+	e.uvarint(uint64(m.SealedRuns))
+	e.uvarint(m.Merges)
+	e.str(m.LastError)
 }
 
 // --- decoding ---

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -20,28 +19,12 @@ import (
 	"github.com/encdbdb/encdbdb/internal/engine"
 )
 
-// binEncode runs enc twice — once against the counting sink, once against a
-// real writer — and fails if the two passes disagree, mirroring the check
-// muxWriter performs on every frame.
-func binEncode(t testing.TB, enc func(binSink)) []byte {
-	t.Helper()
-	var c binCounter
-	enc(&c)
-	var out bytes.Buffer
-	bw := bufio.NewWriter(&out)
-	var w binWriter
-	w.reset(bw)
-	enc(&w)
-	if err := w.err(); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.n != c.n || out.Len() != c.n {
-		t.Fatalf("sized %d bytes, wrote %d (flushed %d)", c.n, w.n, out.Len())
-	}
-	return out.Bytes()
+// binEncode returns m's message body: the frame payload after its codec
+// tag.
+func binEncode(m message) []byte {
+	var e encoder
+	m.encode(&e)
+	return e.b
 }
 
 func binRequestCases() map[string]*request {
@@ -175,7 +158,7 @@ func (resp *response) normalize() {
 func TestBinRequestRoundTrip(t *testing.T) {
 	for name, req := range binRequestCases() {
 		t.Run(name, func(t *testing.T) {
-			raw := binEncode(t, req.encode)
+			raw := binEncode(req)
 			var d binReader
 			d.reset(raw)
 			got := new(request)
@@ -202,7 +185,7 @@ func TestBinRequestPooledReuse(t *testing.T) {
 	// other case at least once.
 	for pass := 0; pass < 2; pass++ {
 		for name, want := range cases {
-			raw := binEncode(t, want.encode)
+			raw := binEncode(want)
 			resetRequest(req)
 			var d binReader
 			d.reset(raw)
@@ -277,7 +260,7 @@ func resultRows(n int) *engine.Result {
 func TestBinResponseRoundTrip(t *testing.T) {
 	for name, resp := range binResponseCases() {
 		t.Run(name, func(t *testing.T) {
-			raw := binEncode(t, resp.encode)
+			raw := binEncode(resp)
 			var d binReader
 			d.reset(raw)
 			got := new(response)
@@ -301,7 +284,7 @@ func TestBinResponseRoundTrip(t *testing.T) {
 // errCorruptFrame-wrapped errors, never panic or succeed.
 func TestBinDecodeCorrupt(t *testing.T) {
 	req := binRequestCases()["point_select"]
-	raw := binEncode(t, req.encode)
+	raw := binEncode(req)
 	for n := 0; n < len(raw); n++ {
 		var d binReader
 		d.reset(raw[:n])
@@ -474,7 +457,7 @@ func fuzzSeeds(f *testing.F, valid []byte) {
 // re-encode: the decoder admits nothing the encoder could not have said.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, req := range binRequestCases() {
-		fuzzSeeds(f, append([]byte{codecBin}, binEncode(f, req.encode)...))
+		fuzzSeeds(f, append([]byte{codecBin}, binEncode(req)...))
 	}
 	// An insert claiming far more rows than its payload holds.
 	f.Add([]byte{codecBin, byte(opInsert), 1, 't', 0, 0, reqHasRows, 0xFF, 0xFF, 0x3F, 1, 1, 'k', 0})
@@ -485,7 +468,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := decodeRequest(append([]byte{codecBin}, binEncode(t, req.encode)...), &in)
+		again, err := decodeRequest(append([]byte{codecBin}, binEncode(req)...), &in)
 		if err != nil {
 			t.Fatalf("re-encoded request does not decode: %v", err)
 		}
@@ -500,7 +483,7 @@ func FuzzDecodeRequest(f *testing.F) {
 // FuzzDecodeResponse is FuzzDecodeRequest for the client's response decoder.
 func FuzzDecodeResponse(f *testing.F) {
 	for _, resp := range binResponseCases() {
-		fuzzSeeds(f, append([]byte{codecBin}, binEncode(f, resp.encode)...))
+		fuzzSeeds(f, append([]byte{codecBin}, binEncode(resp)...))
 	}
 	// A result column claiming far more cells than its payload holds.
 	f.Add([]byte{codecBin, respHasResult, 0, 0, 0, 1, 1, 't', 1, 'c', 0xFF, 0xFF, 0x3F, 1})
@@ -510,7 +493,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, _, err := decodeResponse(append([]byte{codecBin}, binEncode(t, resp.encode)...))
+		again, _, err := decodeResponse(append([]byte{codecBin}, binEncode(resp)...))
 		if err != nil {
 			t.Fatalf("re-encoded response does not decode: %v", err)
 		}

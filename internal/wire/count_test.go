@@ -57,7 +57,7 @@ func TestCountOnlyResponseIsTiny(t *testing.T) {
 		"select":     {Result: res},
 		"stream end": {N: st.Count()},
 	} {
-		raw := binEncode(t, resp.encode)
+		raw := binEncode(resp)
 		if len(raw) >= 32 {
 			t.Errorf("%s: count-only reply for 10k matches is %d bytes, want < 32", name, len(raw))
 		}

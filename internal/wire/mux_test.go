@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -165,6 +166,39 @@ func TestHelloRefusesOtherVersions(t *testing.T) {
 				t.Fatalf("Dial err = %v, want ErrUnsupportedVersion", err)
 			}
 		})
+	}
+}
+
+// TestServerDropsSilentHello: a peer that sends part of its hello and goes
+// silent is dropped once the hello deadline passes, and the server keeps
+// serving others.
+func TestServerDropsSilentHello(t *testing.T) {
+	// Cleanups run last-in first-out: this one after the server's Close,
+	// which waits for every connection that read the variable.
+	saved := serverHelloTimeout
+	t.Cleanup(func() { serverHelloTimeout = saved })
+	serverHelloTimeout = 100 * time.Millisecond
+	_, addr := startPlainServer(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(helloMagic[:3]); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	start := time.Now()
+	if n, err := conn.Read(make([]byte, 8)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read %d bytes, err %v after %v; want the server to drop the connection", n, err, time.Since(start))
+	}
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Tables(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -27,6 +27,11 @@ const defaultConnWorkers = 16
 // overrides it.
 const queuedPerWorker = 64
 
+// serverHelloTimeout bounds how long an accepted connection may take to
+// send its hello; it is the client's helloTimeout, a variable so tests can
+// shorten it.
+var serverHelloTimeout = helloTimeout
+
 // defaultDrainTimeout bounds Close's graceful drain: in-flight requests get
 // this long to finish and write their responses before connections are
 // force-closed.
@@ -238,7 +243,8 @@ func (s *Server) Close() error {
 	return err
 }
 
-// serveConn checks the peer's hello and runs the connection's read loop:
+// serveConn checks the peer's hello, which must arrive within
+// serverHelloTimeout, and runs the connection's read loop:
 // decode frames on this goroutine and dispatch each request on its own
 // bounded worker goroutine. Responses go out under the connection write
 // lock in completion order. Before returning — peer drop or server Close —
@@ -256,6 +262,11 @@ func (s *Server) serveConn(raw net.Conn) {
 	defer s.metrics.connClosed()
 	conn := s.metrics.wrap(raw)
 	br := bufio.NewReader(conn)
+	// A peer that connects and stays silent would otherwise hold this
+	// goroutine and its reader forever.
+	if !s.setReadDeadline(raw, time.Now().Add(serverHelloTimeout)) {
+		return
+	}
 	if err := readHello(br); err != nil {
 		if errors.Is(err, ErrUnsupportedVersion) {
 			// Answer with this build's hello so a peer able to read it
@@ -266,7 +277,7 @@ func (s *Server) serveConn(raw net.Conn) {
 		}
 		return
 	}
-	if err := writeHello(conn); err != nil {
+	if err := writeHello(conn); err != nil || !s.setReadDeadline(raw, time.Time{}) {
 		return
 	}
 	connCtx, connCancel := context.WithCancel(context.Background())
@@ -307,6 +318,15 @@ func (s *Server) serveConn(raw net.Conn) {
 			return
 		}
 	}
+}
+
+// setReadDeadline sets conn's read deadline unless Close has begun, in which
+// case it leaves the wake-up deadline Close set and reports false: the
+// connection is to be dropped, and a later deadline would keep it waiting.
+func (s *Server) setReadDeadline(conn net.Conn, t time.Time) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return !s.closed && conn.SetReadDeadline(t) == nil
 }
 
 // requestContext derives one dispatched request's context: the per-request

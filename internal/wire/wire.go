@@ -6,9 +6,10 @@
 // ID, so a client keeps many calls in flight over one connection and the
 // server answers them out of order as its per-request workers finish.
 // Every message — data plane and control plane alike — travels in the
-// hand-rolled binary codec of codec.go: frames encode directly into the
-// connection's buffered writer and decode with zero reflection into pooled
-// objects whose byte fields alias pooled frame buffers (internal/bufpool).
+// hand-rolled binary codec of codec.go: each frame is encoded once, outside
+// the connection's write lock, into a pooled scratch buffer and written
+// whole, and decodes with zero reflection into pooled objects whose byte
+// fields alias pooled frame buffers (internal/bufpool).
 // A connection opens with a hello exchange carrying a version byte (see
 // helloMagic); a peer that proposes any version but this build's is refused
 // with ErrUnsupportedVersion — there is one protocol and no downgrade.
@@ -120,6 +121,10 @@ const (
 	opCancel
 )
 
+// headerLen is a frame header's size: the payload length (u32) and the
+// request ID (u64), both big-endian.
+const headerLen = 12
+
 // frameReader reads length-prefixed frames, each into a buffer drawn fresh
 // from the frame pool.
 type frameReader struct {
@@ -127,7 +132,7 @@ type frameReader struct {
 	// hdr is the frame-header scratch. A stack array would escape into the
 	// reader's ReadFull call and cost one allocation per frame; a field
 	// escapes once with the frameReader.
-	hdr [12]byte
+	hdr [headerLen]byte
 }
 
 // readPooled reads one frame, returning its request ID and payload.
@@ -154,28 +159,25 @@ func (fr *frameReader) readPooled() (uint64, *bufpool.Buf, error) {
 }
 
 // errWriterBroken poisons a connection whose outbound stream can no longer
-// be trusted: a partial frame, an encoder failure, or a size divergence.
-var errWriterBroken = errors.New("wire: connection encoder broken")
+// be trusted: a frame that was only partly written.
+var errWriterBroken = errors.New("wire: connection writer broken")
 
 // message is what a frame carries: a request or a response, each of which
-// knows how to write itself to a binSink.
+// knows how to append itself to an encoder.
 type message interface {
-	encode(s binSink)
+	encode(e *encoder)
 }
 
-// muxWriter is the write half of a connection: messages are framed with
-// their request ID and written under a mutex. The binary codec encodes
-// straight into the buffered writer with no scratch copy — each message is
-// sized by a counting pass first, so the frame header can be written before
-// the payload. Bursts coalesce: a writer flushes the buffered stream only
-// when no other writer is queued behind it (group commit), so N concurrent
-// in-flight requests cost far fewer than N syscalls.
+// muxWriter is the write half of a connection. Each message is encoded once,
+// outside any lock, into a pooled scratch buffer that already holds room for
+// the frame header; the finished frame then goes to the buffered writer in
+// one Write under a mutex, so concurrent senders encode in parallel and
+// serialize only on the copy. Bursts coalesce: a writer flushes the buffered
+// stream only when no other writer is queued behind it (group commit), so N
+// concurrent in-flight requests cost far fewer than N syscalls.
 type muxWriter struct {
 	mu      sync.Mutex
 	bw      *bufio.Writer
-	counter binCounter
-	wr      binWriter
-	hdr     [12]byte // frame-header scratch; see frameReader.hdr
 	waiters atomic.Int32
 	broken  bool
 }
@@ -184,27 +186,42 @@ func newMuxWriter(w io.Writer) *muxWriter {
 	return &muxWriter{bw: bufio.NewWriter(w)}
 }
 
-// lock acquires the write lock, registering as a waiter so the holder skips
-// its flush (group commit). It fails without blocking future writers when
-// the stream is already broken.
-func (mw *muxWriter) lock() error {
+// scratchPool recycles the encoders frames are built in. A buffer that grew
+// beyond bufpool's largest class (a bulk import, a large result) is left to
+// the garbage collector instead, so one such frame does not pin its size for
+// the life of the process.
+var scratchPool = sync.Pool{New: func() any { return new(encoder) }}
+
+// send encodes m as one frame tagged with id and writes it. The frame is
+// complete — header patched, size checked — before the lock is taken, so an
+// oversized message fails with nothing written and the stream stays intact.
+// A writer waiting for the lock makes the holder skip its flush (group
+// commit): the chain of writers ends at one that sees no waiter, and that
+// one flushes for the whole group. A failed write poisons the stream.
+func (mw *muxWriter) send(id uint64, m message) error {
+	e := scratchPool.Get().(*encoder)
+	defer func() {
+		if cap(e.b) <= bufpool.MaxPooled {
+			scratchPool.Put(e)
+		}
+	}()
+	e.b = append(e.b[:0], make([]byte, headerLen)...)
+	e.byte(codecBin)
+	m.encode(e)
+	n := len(e.b) - headerLen
+	if n > maxFrame {
+		return ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(e.b[:4], uint32(n))
+	binary.BigEndian.PutUint64(e.b[4:], id)
 	mw.waiters.Add(1)
 	mw.mu.Lock()
+	defer mw.mu.Unlock()
 	mw.waiters.Add(-1)
 	if mw.broken {
-		mw.mu.Unlock()
 		return errWriterBroken
 	}
-	return nil
-}
-
-// unlockFlush completes a send made under lock: a failed send poisons the
-// stream, a successful one flushes unless another writer is queued behind
-// it (that writer flushes for the whole group; the chain always terminates
-// at a writer that observes zero waiters).
-func (mw *muxWriter) unlockFlush(err error) error {
-	defer mw.mu.Unlock()
-	if err != nil {
+	if _, err := mw.bw.Write(e.b); err != nil {
 		mw.broken = true
 		return err
 	}
@@ -212,43 +229,4 @@ func (mw *muxWriter) unlockFlush(err error) error {
 		return nil
 	}
 	return mw.bw.Flush()
-}
-
-// send writes m as one frame tagged with id: sized by a counting pass, then
-// emitted directly into the buffered writer.
-func (mw *muxWriter) send(id uint64, m message) error {
-	if err := mw.lock(); err != nil {
-		return err
-	}
-	mw.counter.reset()
-	mw.counter.byte(codecBin)
-	m.encode(&mw.counter)
-	return mw.unlockFlush(mw.emitLocked(id, m))
-}
-
-// emitLocked writes the frame header for the message just sized by
-// mw.counter, then the message. Callers hold mw.mu.
-func (mw *muxWriter) emitLocked(id uint64, m message) error {
-	n := mw.counter.n
-	if n > maxFrame {
-		return ErrFrameTooLarge
-	}
-	binary.BigEndian.PutUint32(mw.hdr[:4], uint32(n))
-	binary.BigEndian.PutUint64(mw.hdr[4:], id)
-	if _, err := mw.bw.Write(mw.hdr[:]); err != nil {
-		return err
-	}
-	mw.wr.reset(mw.bw)
-	mw.wr.byte(codecBin)
-	m.encode(&mw.wr)
-	if err := mw.wr.err(); err != nil {
-		return err
-	}
-	// The emit pass must produce exactly the bytes the sizing pass
-	// announced. A divergence means the encoder is buggy; the frame header
-	// on the wire is now a lie, so the caller poisons the connection.
-	if mw.wr.n != n {
-		return fmt.Errorf("wire: binary encoder divergence: sized %d bytes, wrote %d", n, mw.wr.n)
-	}
-	return nil
 }

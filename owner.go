@@ -135,24 +135,23 @@ func (o *DataOwner) RemoteSession(c Executor) (*Session, error) {
 // splits into the provider. rows is row-major: rows[i][j] is column j of
 // row i, in schema order.
 func (o *DataOwner) DeployTable(d *Database, schema Schema, rows [][]string) error {
-	if err := d.db.CreateTable(schema); err != nil {
-		return err
-	}
-	for j, def := range schema.Columns {
-		split, err := o.buildColumn(schema.Table, def, columnOf(rows, j))
-		if err != nil {
-			return fmt.Errorf("encdbdb: deploy %q.%q: %w", schema.Table, def.Name, err)
-		}
-		if err := d.db.ImportColumn(schema.Table, def.Name, split); err != nil {
-			return err
-		}
-	}
-	return nil
+	return o.deploy(d.db, schema, rows)
 }
 
 // DeployTableClient is DeployTable against a remote provider.
 func (o *DataOwner) DeployTableClient(c RemoteClient, schema Schema, rows [][]string) error {
-	if err := c.CreateTable(schema); err != nil {
+	return o.deploy(c, schema, rows)
+}
+
+// importer is what a bulk load needs of a provider, embedded or remote.
+type importer interface {
+	CreateTable(schema Schema) error
+	ImportColumn(table, column string, s *dict.Split) error
+}
+
+// deploy is DeployTable's body for either kind of provider.
+func (o *DataOwner) deploy(p importer, schema Schema, rows [][]string) error {
+	if err := p.CreateTable(schema); err != nil {
 		return err
 	}
 	for j, def := range schema.Columns {
@@ -160,7 +159,7 @@ func (o *DataOwner) DeployTableClient(c RemoteClient, schema Schema, rows [][]st
 		if err != nil {
 			return fmt.Errorf("encdbdb: deploy %q.%q: %w", schema.Table, def.Name, err)
 		}
-		if err := c.ImportColumn(schema.Table, def.Name, split); err != nil {
+		if err := p.ImportColumn(schema.Table, def.Name, split); err != nil {
 			return err
 		}
 	}
