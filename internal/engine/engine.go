@@ -45,7 +45,17 @@ var (
 	ErrMissingColumn  = errors.New("engine: row is missing a column value")
 	ErrEnclaveMissing = errors.New("engine: encrypted columns require an enclave")
 	ErrClosed         = errors.New("engine: database closed")
+	// ErrSchemaChanged rejects a query whose Query.SchemaDigest is not the
+	// digest of the table's schema: the table was dropped and re-created
+	// with other columns since the caller planned the query.
+	ErrSchemaChanged = errors.New("engine: table schema changed")
 )
+
+// RequestErrors are the errors above that reject a request for what it
+// asks — a table or column that does not exist or already does, a row
+// without a column, a stale schema digest — and say nothing about the
+// health of the provider that answered it.
+var RequestErrors = []error{ErrNoSuchTable, ErrNoSuchColumn, ErrTableExists, ErrMissingColumn, ErrSchemaChanged}
 
 // defaultSealRows is the default tail size at which an active delta run is
 // sealed into an immutable run with a bit-packed attribute vector.
@@ -151,10 +161,11 @@ type DB struct {
 // versioned state (paper §4.3). mu serializes writers against each other and
 // guards the brief version-pin critical section; everything a pinned version
 // references is immutable, so readers touch mu only long enough to capture
-// pointers. schema and the cols map are fixed at CreateTable and may be read
-// without it.
+// pointers. schema, digest and the cols map are fixed at CreateTable and may
+// be read without it.
 type table struct {
 	schema Schema
+	digest uint64 // schema.Digest()
 	cols   map[string]*column
 
 	mu  sync.RWMutex
@@ -257,7 +268,7 @@ func (db *DB) createTable(s Schema, logged bool) error {
 	// The table keeps the schema for its lifetime; the caller's column
 	// slice may be reused (the wire server decodes into pooled requests).
 	s.Columns = slices.Clone(s.Columns)
-	t := &table{schema: s, cols: make(map[string]*column, len(s.Columns)), valid: ridset.New(0)}
+	t := &table{schema: s, digest: s.Digest(), cols: make(map[string]*column, len(s.Columns)), valid: ridset.New(0)}
 	for _, def := range s.Columns {
 		if !def.Plain && db.encl == nil {
 			return fmt.Errorf("%w: column %q", ErrEnclaveMissing, def.Name)

@@ -46,6 +46,10 @@ type Query struct {
 	// renders rows past it. Ignored for CountOnly queries: a count reports
 	// the full match cardinality.
 	Limit int
+	// SchemaDigest, when nonzero, is the Schema.Digest of the schema the
+	// query was planned against; a table whose schema has another digest
+	// fails the query with ErrSchemaChanged. Zero leaves it unchecked.
+	SchemaDigest uint64
 }
 
 // ResultColumn is one rendered output column: ciphertext cells for encrypted
@@ -115,6 +119,9 @@ func (db *DB) selectMatch(ctx context.Context, q Query) (*version, *ridset.Set, 
 	t, err := db.lookup(q.Table)
 	if err != nil {
 		return nil, nil, err
+	}
+	if q.SchemaDigest != 0 && q.SchemaDigest != t.digest {
+		return nil, nil, fmt.Errorf("%w: %q", ErrSchemaChanged, q.Table)
 	}
 	v, err := t.pin()
 	if err != nil {

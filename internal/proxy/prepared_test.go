@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/engine"
 	"github.com/encdbdb/encdbdb/internal/proxy"
 	"github.com/encdbdb/encdbdb/internal/sqlparse"
@@ -101,7 +102,7 @@ func newCountingStack(t testing.TB) (*proxy.Proxy, *countingExecutor) {
 
 // TestPreparedAmortizesParseAndSchema is the acceptance pin: a prepared
 // parameterized SELECT executed many times parses at most once and resolves
-// the schema at most once; ad-hoc execution pays both per call.
+// the schema at most once; ad-hoc execution parses per call.
 func TestPreparedAmortizesParseAndSchema(t *testing.T) {
 	ctx := context.Background()
 	p, ce := newCountingStack(t)
@@ -136,6 +137,84 @@ func TestPreparedAmortizesParseAndSchema(t *testing.T) {
 	if schemas := ce.schemaCalls.Load() - schemaBefore; schemas > 1 {
 		t.Errorf("%d executions resolved the schema %d times, want <= 1", execs, schemas)
 	}
+}
+
+// TestSchemaCacheRoundTrips counts the proxy's schema requests: SELECTs,
+// ad hoc or through Query, plan against the cached schema; the proxy's own
+// CREATE and DROP each cost one more request, and so does a table
+// re-created behind its back, which the provider reports as
+// engine.ErrSchemaChanged. Writes keep one lookup per statement or batch.
+func TestSchemaCacheRoundTrips(t *testing.T) {
+	ctx := context.Background()
+	p, ce := newCountingStack(t)
+	mustExec(t, p, "CREATE TABLE t (c ED1(8))")
+	mustExec(t, p, "INSERT INTO t VALUES ('x')")
+	selects := func(want int) {
+		t.Helper()
+		for i := 0; i < 100; i++ {
+			var n int
+			if i%2 == 0 {
+				res, err := p.Execute(ctx, "SELECT c FROM t WHERE c = ?", "x")
+				if err != nil {
+					t.Fatal(err)
+				}
+				n = res.Count
+			} else {
+				rows, err := p.Query(ctx, "SELECT c FROM t WHERE c = ?", "x")
+				if err != nil {
+					t.Fatal(err)
+				}
+				all, err := rows.All()
+				if err != nil {
+					t.Fatal(err)
+				}
+				n = len(all)
+			}
+			if n != want {
+				t.Fatalf("SELECT %d returned %d rows, want %d", i, n, want)
+			}
+		}
+	}
+	costs := func(what string, want int64, do func()) {
+		t.Helper()
+		before := ce.schemaCalls.Load()
+		do()
+		if got := ce.schemaCalls.Load() - before; got != want {
+			t.Errorf("%s: %d schema requests, want %d", what, got, want)
+		}
+	}
+	costs("100 SELECTs", 1, func() { selects(1) })
+	costs("DROP, then a SELECT", 1, func() {
+		mustExec(t, p, "DROP TABLE t")
+		if _, err := p.Execute(ctx, "SELECT c FROM t"); !errors.Is(err, engine.ErrNoSuchTable) {
+			t.Fatalf("SELECT after DROP: %v, want ErrNoSuchTable", err)
+		}
+	})
+	costs("CREATE, then 100 SELECTs", 1, func() {
+		mustExec(t, p, "CREATE TABLE t (c ED1(8))")
+		selects(0)
+	})
+	// Another client re-creates t with other columns.
+	db := ce.Executor
+	if err := db.DropTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable(engine.Schema{Table: "t", Columns: []engine.ColumnDef{
+		{Name: "c", Kind: dict.ED1, MaxLen: 8, Plain: true},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InsertBatch(ctx, "t", []engine.Row{{"c": []byte("x")}}); err != nil {
+		t.Fatal(err)
+	}
+	costs("ErrSchemaChanged, then 100 SELECTs", 1, func() { selects(1) })
+	costs("a batch of 3 INSERTs", 1, func() {
+		if _, err := p.ExecBatch(ctx, []string{
+			"INSERT INTO t VALUES ('a')", "INSERT INTO t VALUES ('b')", "INSERT INTO t VALUES ('c')",
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestPreparedQueryStreams: Stmt.Query returns a working cursor.

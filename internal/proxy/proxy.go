@@ -113,6 +113,19 @@ type Proxy struct {
 	// prepared execution.
 	cmu     sync.RWMutex
 	ciphers map[string]*pae.Cipher
+
+	// schemas caches the table schemas SELECTs are planned against, so a
+	// SELECT costs one request frame. Each SELECT sends the digest of the
+	// schema it was planned against, and the provider refuses a stale one
+	// (engine.ErrSchemaChanged); see withSchema.
+	smu     sync.RWMutex
+	schemas map[string]tableSchema
+}
+
+// tableSchema is a cached schema and its digest.
+type tableSchema struct {
+	engine.Schema
+	digest uint64
 }
 
 // New creates a proxy holding the data owner's master key.
@@ -123,7 +136,72 @@ func New(master pae.Key, exec Executor) (*Proxy, error) {
 	if exec == nil {
 		return nil, errors.New("proxy: executor must not be nil")
 	}
-	return &Proxy{master: master, exec: exec, ciphers: make(map[string]*pae.Cipher)}, nil
+	return &Proxy{master: master, exec: exec, ciphers: make(map[string]*pae.Cipher), schemas: make(map[string]tableSchema)}, nil
+}
+
+// schema returns table's schema from the cache, fetching it on a miss.
+// cached reports a hit: the entry may predate DDL by another client.
+func (p *Proxy) schema(table string) (ts tableSchema, cached bool, err error) {
+	p.smu.RLock()
+	ts, ok := p.schemas[table]
+	p.smu.RUnlock()
+	if ok {
+		return ts, true, nil
+	}
+	ts, err = p.fetchSchema(table)
+	return ts, false, err
+}
+
+// fetchSchema asks the provider for table's schema and caches it.
+func (p *Proxy) fetchSchema(table string) (tableSchema, error) {
+	sc, err := p.exec.Schema(table)
+	if err != nil {
+		return tableSchema{}, err
+	}
+	ts := tableSchema{Schema: sc, digest: sc.Digest()}
+	p.smu.Lock()
+	p.schemas[table] = ts
+	p.smu.Unlock()
+	return ts, nil
+}
+
+// forget drops table's cached schema.
+func (p *Proxy) forget(table string) {
+	p.smu.Lock()
+	delete(p.schemas, table)
+	p.smu.Unlock()
+}
+
+// withSchema runs a SELECT on table, planned by run against the cached
+// schema. Another client may have dropped and re-created the table since
+// the entry was cached, and the stale plan then fails: at the provider,
+// which refuses the plan's digest (engine.ErrSchemaChanged), or already in
+// planning — a column the old schema lacks, a value longer than its
+// MaxLen. So any failure of a plan made from a cache hit fetches the schema
+// again, and if it changed, the SELECT is planned against the fresh one —
+// which re-validates its columns — and run once more. The same path heals
+// an entry a concurrent fetch cached just before the table changed.
+func withSchema[T any](p *Proxy, table string, run func(tableSchema) (T, error)) (T, error) {
+	ts, cached, err := p.schema(table)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	out, err := run(ts)
+	if err == nil || !cached {
+		return out, err
+	}
+	fresh, ferr := p.fetchSchema(table)
+	if ferr != nil {
+		// Dropped since: the fetch's error (no such table) says why.
+		p.forget(table)
+		var zero T
+		return zero, ferr
+	}
+	if fresh.digest == ts.digest && !errors.Is(err, engine.ErrSchemaChanged) {
+		return out, err
+	}
+	return run(fresh)
 }
 
 // bindArgs renders Query/Exec arguments to the string values the engine
@@ -265,8 +343,9 @@ func (p *Proxy) execStmts(ctx context.Context, stmts []sqlparse.Statement) ([]*R
 	return results, nil
 }
 
-// execute runs one parsed, fully bound statement. schema, when non-nil, is a
-// prepared statement's cached resolution and skips the per-call lookup.
+// execute runs one parsed, fully bound statement. A SELECT is planned
+// against the schema cache. A write resolves its table's schema per call,
+// unless schema is non-nil: a prepared write's resolution from Prepare time.
 func (p *Proxy) execute(ctx context.Context, st sqlparse.Statement, schema *engine.Schema) (*Result, error) {
 	if n := sqlparse.NumParams(st); n > 0 {
 		return nil, fmt.Errorf("proxy: statement has %d unbound placeholders", n)
@@ -281,11 +360,9 @@ func (p *Proxy) execute(ctx context.Context, st sqlparse.Statement, schema *engi
 	case *sqlparse.CreateTable:
 		return p.createTable(s)
 	case *sqlparse.Select:
-		sc, err := schemaFor(s.Table)
-		if err != nil {
-			return nil, err
-		}
-		return p.selectStmt(ctx, s, sc)
+		return withSchema(p, s.Table, func(ts tableSchema) (*Result, error) {
+			return p.selectStmt(ctx, s, ts)
+		})
 	case *sqlparse.Insert:
 		sc, err := schemaFor(s.Table)
 		if err != nil {
@@ -305,6 +382,9 @@ func (p *Proxy) execute(ctx context.Context, st sqlparse.Statement, schema *engi
 		}
 		return p.delete(ctx, s, sc)
 	case *sqlparse.DropTable:
+		// Dropped whatever the outcome: a fleet's failed DROP may still
+		// have dropped the table on some shards.
+		defer p.forget(s.Table)
 		if err := p.exec.DropTable(s.Table); err != nil {
 			return nil, err
 		}
@@ -364,6 +444,7 @@ func (p *Proxy) createTable(s *sqlparse.CreateTable) (*Result, error) {
 			Plain:  c.Plain,
 		})
 	}
+	defer p.forget(s.Table)
 	if err := p.exec.CreateTable(schema); err != nil {
 		return nil, err
 	}
@@ -384,13 +465,15 @@ type plan struct {
 	strip bool
 }
 
-// selectPlan converts a parsed SELECT into its plan.
-func (p *Proxy) selectPlan(s *sqlparse.Select, schema engine.Schema) (plan, error) {
+// selectPlan converts a parsed SELECT into its plan, which carries the
+// digest of the schema it was planned against.
+func (p *Proxy) selectPlan(s *sqlparse.Select, ts tableSchema) (plan, error) {
+	schema := ts.Schema
 	filters, err := p.Filters(schema, s.Where)
 	if err != nil {
 		return plan{}, err
 	}
-	pl := plan{q: engine.Query{Table: s.Table, Filters: filters, CountOnly: s.Count}, key: -1}
+	pl := plan{q: engine.Query{Table: s.Table, Filters: filters, CountOnly: s.Count, SchemaDigest: ts.digest}, key: -1}
 	if s.Count {
 		return pl, nil
 	}
@@ -431,8 +514,8 @@ func (p *Proxy) selectPlan(s *sqlparse.Select, schema engine.Schema) (plan, erro
 // selectStmt runs a SELECT to its decrypted result. ORDER BY and aggregates
 // fold the result streams; a plain SELECT and COUNT(*) keep one Select — one
 // reply frame for a point lookup, one parallel scatter over a fleet.
-func (p *Proxy) selectStmt(ctx context.Context, s *sqlparse.Select, schema engine.Schema) (*Result, error) {
-	pl, err := p.selectPlan(s, schema)
+func (p *Proxy) selectStmt(ctx context.Context, s *sqlparse.Select, ts tableSchema) (*Result, error) {
+	pl, err := p.selectPlan(s, ts)
 	if err != nil {
 		return nil, err
 	}

@@ -205,28 +205,32 @@ func (p *Proxy) Query(ctx context.Context, sql string, args ...any) (*Rows, erro
 	if err != nil {
 		return nil, err
 	}
+	return p.queryStmt(ctx, st)
+}
+
+// queryStmt runs a bound statement, which must be a SELECT, as a cursor
+// planned against the schema cache.
+func (p *Proxy) queryStmt(ctx context.Context, st sqlparse.Statement) (*Rows, error) {
 	sel, ok := st.(*sqlparse.Select)
 	if !ok {
 		return nil, fmt.Errorf("proxy: Query requires a SELECT statement, got %T (use Exec)", st)
 	}
-	schema, err := p.exec.Schema(sel.Table)
-	if err != nil {
-		return nil, err
-	}
-	return p.queryRows(ctx, sel, schema)
+	return withSchema(p, sel.Table, func(ts tableSchema) (*Rows, error) {
+		return p.queryRows(ctx, sel, ts)
+	})
 }
 
 // queryRows runs a bound SELECT as a cursor. The first stream opens before
 // it returns, so a query the provider rejects fails here, not at Next.
-func (p *Proxy) queryRows(ctx context.Context, sel *sqlparse.Select, schema engine.Schema) (*Rows, error) {
+func (p *Proxy) queryRows(ctx context.Context, sel *sqlparse.Select, ts tableSchema) (*Rows, error) {
 	if sel.Count || len(sel.Aggregates) > 0 || sel.OrderBy != "" {
-		res, err := p.selectStmt(ctx, sel, schema)
+		res, err := p.selectStmt(ctx, sel, ts)
 		if err != nil {
 			return nil, err
 		}
 		return materializedRows(res), nil
 	}
-	pl, err := p.selectPlan(sel, schema)
+	pl, err := p.selectPlan(sel, ts)
 	if err != nil {
 		return nil, err
 	}

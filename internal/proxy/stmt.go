@@ -21,16 +21,18 @@ var ErrStmtClosed = errors.New("proxy: prepared statement closed")
 // parsing and schema resolution entirely, which is the per-query crypto and
 // planning work the paper's proxy re-pays on every call.
 //
-// A Stmt is safe for concurrent use. Its cached schema reflects the table at
-// Prepare time; re-prepare after DDL that changes the table.
+// A Stmt is safe for concurrent use. A prepared SELECT is planned against
+// the proxy's schema cache, so it follows DDL as an ad-hoc SELECT does. A
+// prepared write keeps the schema resolved at Prepare time, which the
+// provider does not check; re-prepare it after DDL that changes the table.
 type Stmt struct {
 	p        *Proxy
 	template sqlparse.Statement
 	nparams  int
 
-	// schema is the cached resolution for table-bearing statements.
-	schema    engine.Schema
-	hasSchema bool
+	// schema is a prepared write's schema, resolved at Prepare time; nil
+	// for a SELECT and for statements without a table.
+	schema *engine.Schema
 
 	closed atomic.Bool
 }
@@ -49,16 +51,19 @@ func (p *Proxy) Prepare(ctx context.Context, sql string) (*Stmt, error) {
 	}
 	s := &Stmt{p: p, template: st, nparams: sqlparse.NumParams(st)}
 	if table, ok := stmtTable(st); ok {
-		if s.schema, err = p.exec.Schema(table); err != nil {
+		ts, err := p.fetchSchema(table)
+		if err != nil {
 			return nil, err
 		}
-		s.hasSchema = true
-		if err := p.validateStmt(st, s.schema); err != nil {
+		if err := p.validateStmt(st, ts.Schema); err != nil {
 			return nil, err
+		}
+		if _, isSelect := st.(*sqlparse.Select); !isSelect {
+			s.schema = &ts.Schema
 		}
 		// Derive every encrypted column's cipher now so executions only
 		// encrypt.
-		for _, def := range s.schema.Columns {
+		for _, def := range ts.Columns {
 			if def.Plain {
 				continue
 			}
@@ -165,15 +170,6 @@ func (s *Stmt) bind(args []any) (sqlparse.Statement, error) {
 	return sqlparse.Bind(s.template, vals)
 }
 
-// schemaRef returns the cached schema for execute, or nil for schema-less
-// statements.
-func (s *Stmt) schemaRef() *engine.Schema {
-	if !s.hasSchema {
-		return nil
-	}
-	return &s.schema
-}
-
 // Exec runs the prepared statement with the given arguments, returning a
 // materialized result.
 func (s *Stmt) Exec(ctx context.Context, args ...any) (*Result, error) {
@@ -181,7 +177,7 @@ func (s *Stmt) Exec(ctx context.Context, args ...any) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.p.execute(ctx, st, s.schemaRef())
+	return s.p.execute(ctx, st, s.schema)
 }
 
 // Query runs a prepared SELECT with the given arguments, returning a
@@ -191,11 +187,7 @@ func (s *Stmt) Query(ctx context.Context, args ...any) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := st.(*sqlparse.Select)
-	if !ok {
-		return nil, fmt.Errorf("proxy: Query requires a SELECT statement, got %T (use Exec)", st)
-	}
-	return s.p.queryRows(ctx, sel, s.schema)
+	return s.p.queryStmt(ctx, st)
 }
 
 // Close releases the prepared statement. Closing is idempotent; executions

@@ -107,25 +107,31 @@ func (e *Executor) Topology() []Status {
 // call runs one operation against shard i, recording health and metrics and
 // wrapping any failure in the typed per-shard error. Context cancellation is
 // the caller's doing, not the shard's, and never counts against its health.
+// An engine.RequestErrors answer (no such table, a stale schema digest) is
+// the shard working: it counts as a success.
 func (e *Executor) call(i int, op string, fn func(proxy.Executor) error) error {
 	wasDown := e.health[i].down()
 	started := e.met.now()
 	err := fn(e.backends[i])
 	ctxErr := err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
+	shardErr := err
+	if ctxErr || requestError(err) {
+		shardErr = nil
+	}
 	if !ctxErr {
-		if e.health[i].record(err) {
+		if e.health[i].record(shardErr) {
 			e.met.wentDown()
 		}
 	}
-	e.met.request(i, started, err != nil && !ctxErr)
+	e.met.request(i, started, shardErr != nil)
 	if err == nil {
 		return nil
 	}
 	if ctxErr {
 		return err
 	}
-	if wasDown {
-		err = fmt.Errorf("%w (%v)", ErrShardDown, err)
+	if wasDown && shardErr != nil {
+		err = fmt.Errorf("%w (%w)", ErrShardDown, err)
 	}
 	return &Error{Shard: e.m.Shards[i].Name, Addr: e.m.Shards[i].Addr, Op: op, Err: err}
 }
@@ -429,4 +435,14 @@ func (s *shardStream) Next() (*engine.Result, error) {
 		s.e.met.wentDown()
 	}
 	return nil, &Error{Shard: s.e.m.Shards[s.i].Name, Addr: s.e.m.Shards[s.i].Addr, Op: "select_stream", Err: err}
+}
+
+// requestError reports whether err is one of engine.RequestErrors.
+func requestError(err error) bool {
+	for _, sentinel := range engine.RequestErrors {
+		if errors.Is(err, sentinel) {
+			return true
+		}
+	}
+	return false
 }

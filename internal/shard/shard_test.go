@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -120,13 +121,20 @@ func TestRangePartitionerBounds(t *testing.T) {
 type stubBackend struct {
 	rows    []string
 	fail    atomic.Bool
+	stale   atomic.Bool // answer engine.ErrSchemaChanged
 	selects atomic.Int64
 	inserts atomic.Int64
 }
 
+// errRefused is a failing stub's cause.
+var errRefused = errors.New("connection refused")
+
 func (s *stubBackend) err() error {
+	if s.stale.Load() {
+		return fmt.Errorf("%w: %q", engine.ErrSchemaChanged, "t")
+	}
 	if s.fail.Load() {
-		return errors.New("connection refused")
+		return errRefused
 	}
 	return nil
 }
@@ -233,8 +241,11 @@ func TestQueryLimitShortCircuitsFanOut(t *testing.T) {
 }
 
 // TestScatterFailureTyped pins the failure contract: a failing shard turns
-// every scatter into a *Error naming it, repeat failures wrap ErrShardDown,
-// topology reflects the outage, and recovery clears it.
+// every scatter into a *Error naming it, repeat failures wrap ErrShardDown
+// beside a cause that stays matchable, topology reflects the outage, and
+// recovery clears it. A request error (engine.ErrSchemaChanged) is an
+// answer: it reaches the proxy unwrapped and leaves the shard healthy, also
+// one that was down.
 func TestScatterFailureTyped(t *testing.T) {
 	s0 := &stubBackend{rows: []string{"a"}}
 	s1 := &stubBackend{rows: []string{"b"}}
@@ -255,8 +266,8 @@ func TestScatterFailureTyped(t *testing.T) {
 	}
 
 	_, err = e.Select(ctx, engine.Query{Table: "t"})
-	if !errors.Is(err, ErrShardDown) {
-		t.Errorf("repeat failure err = %v, want ErrShardDown", err)
+	if !errors.Is(err, ErrShardDown) || !errors.Is(err, errRefused) {
+		t.Errorf("repeat failure err = %v, want ErrShardDown and its cause", err)
 	}
 	top := e.Topology()
 	if top[0].Healthy != true || top[1].Healthy != false {
@@ -272,6 +283,25 @@ func TestScatterFailureTyped(t *testing.T) {
 	}
 	if top := e.Topology(); !top[1].Healthy {
 		t.Errorf("shard1 still down after recovery: %+v", top[1])
+	}
+
+	s1.stale.Store(true)
+	for i := 0; i < 2; i++ {
+		_, err = e.Select(ctx, engine.Query{Table: "t"})
+		if !errors.Is(err, engine.ErrSchemaChanged) || errors.Is(err, ErrShardDown) {
+			t.Errorf("stale-schema answer %d: err = %v, want ErrSchemaChanged without ErrShardDown", i, err)
+		}
+	}
+	s1.stale.Store(false)
+	s1.fail.Store(true)
+	e.Select(ctx, engine.Query{Table: "t"}) //nolint:errcheck // marks shard1 down
+	s1.fail.Store(false)
+	s1.stale.Store(true)
+	if _, err = e.Select(ctx, engine.Query{Table: "t"}); errors.Is(err, ErrShardDown) {
+		t.Errorf("stale-schema answer from a down shard: err = %v, want no ErrShardDown", err)
+	}
+	if top := e.Topology(); !top[1].Healthy {
+		t.Errorf("shard1 down after answering with a request error: %+v", top[1])
 	}
 }
 

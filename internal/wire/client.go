@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -362,10 +363,16 @@ func (c *Client) callOnce(ctx context.Context, req *request) (*response, error) 
 }
 
 // wireError rehydrates provider-side error text, restoring the context
-// sentinel errors and the load-shedding sentinels so
-// errors.Is(err, context.Canceled), errors.Is(err, ErrServerBusy), and
-// errors.Is(err, ErrRateLimited) work across the wire.
+// sentinel errors, the load-shedding sentinels and engine.RequestErrors so
+// errors.Is(err, context.Canceled), errors.Is(err, ErrServerBusy),
+// errors.Is(err, ErrRateLimited) and errors.Is(err, engine.ErrSchemaChanged)
+// work across the wire.
 func wireError(msg string) error {
+	for _, sentinel := range engine.RequestErrors {
+		if rest, ok := strings.CutPrefix(msg, sentinel.Error()); ok {
+			return fmt.Errorf("%w%s", sentinel, rest)
+		}
+	}
 	switch msg {
 	case context.Canceled.Error():
 		return context.Canceled

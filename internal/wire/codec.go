@@ -15,9 +15,10 @@ import (
 // payload. A frame payload opens with a codec tag byte, which has exactly
 // one valid value (codecBin); a frame carrying any other tag is corrupt.
 //
-// Binary primitives: unsigned varints for all integers and lengths,
-// single bytes for tags and bools, length-prefixed bytes with a +1 nil
-// bias (0 encodes a nil slice, n+1 a slice of n bytes), and
+// Binary primitives: unsigned varints for integers and lengths, except a
+// query's schema digest, which is a hash and takes a fixed 8 bytes
+// (big-endian); single bytes for tags and bools, length-prefixed bytes
+// with a +1 nil bias (0 encodes a nil slice, n+1 a slice of n bytes), and
 // length-prefixed UTF-8 for strings. Envelope fields that are zero are
 // omitted behind a presence bitmask (a uvarint; a set bit this build does
 // not know makes the frame corrupt).
@@ -59,6 +60,7 @@ type encoder struct {
 
 func (e *encoder) byte(b byte)      { e.b = append(e.b, b) }
 func (e *encoder) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
+func (e *encoder) u64(v uint64)     { e.b = binary.BigEndian.AppendUint64(e.b, v) }
 
 func (e *encoder) bytes(b []byte) {
 	if b == nil {
@@ -92,7 +94,7 @@ func (req *request) encode(e *encoder) {
 	e.uvarint(req.Cancel)
 	var flags uint64
 	if req.Query.Table != "" || len(req.Query.Filters) > 0 || len(req.Query.Project) > 0 ||
-		req.Query.CountOnly || req.Query.Limit != 0 {
+		req.Query.CountOnly || req.Query.Limit != 0 || req.Query.SchemaDigest != 0 {
 		flags |= reqHasQuery
 	}
 	if len(req.Rows) > 0 {
@@ -156,6 +158,7 @@ func encQuery(e *encoder, q *engine.Query) {
 	}
 	e.bool(q.CountOnly)
 	e.uvarint(uint64(q.Limit))
+	e.u64(q.SchemaDigest)
 }
 
 func encFilters(e *encoder, fs []engine.Filter) {
@@ -331,6 +334,16 @@ func (d *binReader) byte() byte {
 	return b
 }
 
+func (d *binReader) u64() uint64 {
+	if d.failed != nil || len(d.buf)-d.pos < 8 {
+		d.fail()
+		return 0
+	}
+	v := binary.BigEndian.Uint64(d.buf[d.pos:])
+	d.pos += 8
+	return v
+}
+
 func (d *binReader) uvarint() uint64 {
 	if d.failed != nil {
 		return 0
@@ -502,6 +515,7 @@ func decQuery(d *binReader, q *engine.Query, in *intern) {
 	}
 	q.CountOnly = d.bool()
 	q.Limit = int(d.uvarint())
+	q.SchemaDigest = d.u64()
 }
 
 func decFilters(d *binReader, fs []engine.Filter, in *intern) []engine.Filter {
@@ -686,6 +700,7 @@ func resetRequest(req *request) {
 	req.Query.Project = req.Query.Project[:0]
 	req.Query.CountOnly = false
 	req.Query.Limit = 0
+	req.Query.SchemaDigest = 0
 	for _, row := range req.Rows {
 		clear(row)
 	}

@@ -41,7 +41,8 @@ func binRequestCases() map[string]*request {
 						{Start: nil, End: []byte{}, EndIncl: true},
 					},
 				}},
-				Project: []string{"balance", "owner"},
+				Project:      []string{"balance", "owner"},
+				SchemaDigest: 0x0123456789abcdef,
 			},
 		},
 		"count_only": {

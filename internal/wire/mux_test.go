@@ -93,7 +93,8 @@ func TestHelloRefusesOtherVersions(t *testing.T) {
 		"v2":       hello(2),
 		"v3":       hello(3),
 		"v4":       hello(4),
-		"v6":       hello(6),
+		"v5":       hello(5),
+		"v7":       hello(7),
 		"no_magic": {0, 0, 0, 9, 'l', 'o', 'c', 'k', 's', 't', 'e', 'p', '!'}, // a lock-step era first frame
 	}
 	// What a refused peer pipelines behind its hello: a valid CREATE TABLE.
@@ -603,5 +604,26 @@ func TestPoolRedialsBrokenConnection(t *testing.T) {
 func TestDialPoolRejectsBadSize(t *testing.T) {
 	if _, err := DialPool("127.0.0.1:1", 0); err == nil {
 		t.Fatal("pool of size 0 accepted")
+	}
+}
+
+// TestRequestErrorsCrossTheWire: the engine's request errors stay
+// matchable with errors.Is on the client, with the provider's text intact.
+func TestRequestErrorsCrossTheWire(t *testing.T) {
+	_, addr := startPlainServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, err = c.Schema("missing")
+	if !errors.Is(err, engine.ErrNoSuchTable) || err.Error() != `engine: no such table: "missing"` {
+		t.Errorf("Schema of a missing table: %v, want ErrNoSuchTable with its text", err)
+	}
+	if err := c.CreateTable(plainSchema("dup")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateTable(plainSchema("dup")); !errors.Is(err, engine.ErrTableExists) {
+		t.Errorf("second CreateTable: %v, want ErrTableExists", err)
 	}
 }

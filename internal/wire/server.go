@@ -3,11 +3,13 @@ package wire
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/encdbdb/encdbdb/internal/bufpool"
@@ -32,6 +34,12 @@ const queuedPerWorker = 64
 // shorten it.
 var serverHelloTimeout = helloTimeout
 
+// serverFrameTimeout bounds each wait for more bytes of a frame whose first
+// byte has arrived: a peer that stops sending mid-frame is dropped instead of
+// holding a reader and a frame buffer forever. A variable so tests can
+// shorten it. Waiting for a frame's first byte has no deadline.
+var serverFrameTimeout = 30 * time.Second
+
 // defaultDrainTimeout bounds Close's graceful drain: in-flight requests get
 // this long to finish and write their responses before connections are
 // force-closed.
@@ -49,7 +57,9 @@ var ErrServerBusy = errors.New("wire: server busy")
 type ServerOption func(*Server)
 
 // WithConnWorkers bounds how many requests of one connection may execute
-// concurrently (default 16). Values below 1 mean sequential dispatch.
+// concurrently (default 16): the connection starts up to n worker goroutines
+// on demand, and they live as long as it does. Values below 1 mean
+// sequential dispatch.
 func WithConnWorkers(n int) ServerOption {
 	return func(s *Server) {
 		if n < 1 {
@@ -111,9 +121,10 @@ func WithMetrics(reg *metrics.Registry) ServerOption {
 // (quote, provision) the data owner needs for setup.
 //
 // Each accepted connection must open with the protocol hello (see
-// helloMagic); after it every decoded request runs on its own goroutine
-// (bounded by WithConnWorkers) and responses are written under a
-// per-connection write lock, out of order.
+// helloMagic); after it every decoded request is handed to one of the
+// connection's worker goroutines (at most WithConnWorkers, started on
+// demand) and responses are written under a per-connection write lock, out
+// of order.
 //
 // The server applies admission control per connection: at most
 // WithQueueDepth requests may be outstanding (shed beyond that with
@@ -134,6 +145,9 @@ type Server struct {
 	// execution (after admission, before dispatch). Tests use it to park
 	// workers and saturate the dispatch queue deterministically.
 	dispatchHook func(req *request)
+	// workerHook, when non-nil, runs each time a connection starts a
+	// worker. Tests count worker starts with it.
+	workerHook func()
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -244,14 +258,12 @@ func (s *Server) Close() error {
 }
 
 // serveConn checks the peer's hello, which must arrive within
-// serverHelloTimeout, and runs the connection's read loop:
-// decode frames on this goroutine and dispatch each request on its own
-// bounded worker goroutine. Responses go out under the connection write
-// lock in completion order. Before returning — peer drop or server Close —
-// it drains all in-flight workers, whose late responses then fail with a
-// write error on the closed connection instead of panicking. With metrics
-// enabled the connection is wrapped so reads and writes feed the byte
-// counters.
+// serverHelloTimeout, and runs the connection's read loop: decode frames on
+// this goroutine and hand each request to a worker (see muxConn). Responses
+// go out under the connection write lock in completion order. Before
+// returning — peer drop or server Close — it waits until the workers have
+// run every admitted request and exited. With metrics enabled the
+// connection is wrapped so reads and writes feed the byte counters.
 //
 // Every dispatched request runs under its own context, registered in the
 // connection's inflight set: an opCancel frame cancels the named request's
@@ -261,7 +273,8 @@ func (s *Server) serveConn(raw net.Conn) {
 	s.metrics.connOpened()
 	defer s.metrics.connClosed()
 	conn := s.metrics.wrap(raw)
-	br := bufio.NewReader(conn)
+	fd := &frameDeadline{s: s, raw: raw, r: conn}
+	br := bufio.NewReader(fd)
 	// A peer that connects and stays silent would otherwise hold this
 	// goroutine and its reader forever.
 	if !s.setReadDeadline(raw, time.Now().Add(serverHelloTimeout)) {
@@ -286,11 +299,14 @@ func (s *Server) serveConn(raw net.Conn) {
 		conn:     conn,
 		mw:       newMuxWriter(conn),
 		ctx:      connCtx,
-		sem:      make(chan struct{}, s.connWorkers),
 		queueSem: make(chan struct{}, s.queueDepth),
 		bucket:   s.bucket(),
+		work:     make(chan task, s.queueDepth),
 	}
-	defer mc.wg.Wait()
+	defer func() {
+		close(mc.work)
+		mc.wg.Wait()
+	}()
 	// Each frame lands in its own pooled buffer; the request decodes out of
 	// the request pool and aliases that buffer, so both recycle together
 	// when the request completes. The intern cache keeps the connection's
@@ -299,7 +315,7 @@ func (s *Server) serveConn(raw net.Conn) {
 	var in intern
 	fr := frameReader{r: br}
 	for {
-		id, buf, err := fr.readPooled()
+		id, buf, err := fd.readFrame(br, &fr)
 		var req *request
 		if err == nil {
 			if req, err = decodeRequest(buf.B, &in); err != nil {
@@ -327,6 +343,59 @@ func (s *Server) setReadDeadline(conn net.Conn, t time.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return !s.closed && conn.SetReadDeadline(t) == nil
+}
+
+// frameBuffered reports whether br already holds a whole frame: its header
+// and the payload length the header names.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < headerLen {
+		return false
+	}
+	hdr, _ := br.Peek(headerLen) // buffered, so Peek cannot block or fail
+	return br.Buffered()-headerLen >= int(binary.BigEndian.Uint32(hdr))
+}
+
+// frameDeadline is the reader under a connection's bufio.Reader. While armed
+// — a frame has begun but is not yet wholly read — every read first moves
+// the read deadline serverFrameTimeout ahead, so a frame that keeps arriving
+// is never cut off, while a peer that stalls mid-frame is. Deadlines go
+// through Server.setReadDeadline, so Close's wake-up deadline is never
+// undone.
+type frameDeadline struct {
+	s     *Server
+	raw   net.Conn // deadlines are set on the raw connection
+	r     io.Reader
+	armed bool
+	set   bool // a deadline is in force and must be cleared at disarm
+}
+
+func (fd *frameDeadline) Read(p []byte) (int, error) {
+	if fd.armed {
+		if !fd.s.setReadDeadline(fd.raw, time.Now().Add(serverFrameTimeout)) {
+			return 0, net.ErrClosed
+		}
+		fd.set = true
+	}
+	return fd.r.Read(p)
+}
+
+// readFrame reads the next frame from br, which reads from fd. An idle
+// connection waits for a frame's first byte with no deadline; a frame not
+// yet wholly buffered then arms fd until it is read, and a frame already in
+// the buffer costs no deadline call. Once Close has begun, clearing the
+// deadline is refused, and the next read fails on the deadline Close set.
+func (fd *frameDeadline) readFrame(br *bufio.Reader, fr *frameReader) (uint64, *bufpool.Buf, error) {
+	if _, err := br.Peek(1); err != nil {
+		return 0, nil, err
+	}
+	fd.armed = !frameBuffered(br)
+	id, buf, err := fr.readPooled()
+	fd.armed = false
+	if fd.set {
+		fd.set = false
+		fd.s.setReadDeadline(fd.raw, time.Time{})
+	}
+	return id, buf, err
 }
 
 // requestContext derives one dispatched request's context: the per-request
@@ -406,25 +475,107 @@ func releaseRequest(req *request, buf *bufpool.Buf) {
 }
 
 // muxConn bundles the shared state of one connection: the write half, the
-// cancellation registry, and the admission bounds. sem caps how many
-// requests *execute* concurrently and stays held while the reply is
-// written; queueSem caps how many decoded requests are queued or executing
-// and is left when execution ends, before the reply is written — so a
-// client that has read reply N is never shed because of request N, and a
-// peer that never reads responses still pins at most workers + queue depth
-// requests. The queue bound is deliberately much larger than the execution
-// bound: the read loop keeps draining frames while all workers are busy,
+// cancellation registry, the admission bound and the workers.
+//
+// queueSem caps how many decoded requests are queued or executing and is
+// left when execution ends, before the reply is written — so a client that
+// has read reply N is never shed because of request N. Admission never
+// waits: the read loop keeps draining frames while all workers are busy,
 // which is what lets an opCancel frame reach a saturated connection instead
 // of queuing behind the requests it is trying to interrupt.
+//
+// Workers execute the admitted requests; the number of workers is the
+// execution bound (WithConnWorkers). They start on demand, take requests
+// from the work channel, and exit once the read loop has ended and the
+// channel is drained. Every request in the channel holds a queueSem slot,
+// so sending on a channel of the queue depth never waits. A worker counts
+// itself idle when a request's execution is over, before it writes the
+// reply, and the read loop claims an idle worker for each request it
+// queues; with none idle it starts a new worker while fewer than
+// connWorkers run. A closed-loop client's next request then finds the
+// worker idle, and the connection runs on one warm goroutine.
 type muxConn struct {
 	conn     net.Conn
 	mw       *muxWriter
 	ctx      context.Context
 	inflight inflightSet
-	sem      chan struct{}
 	queueSem chan struct{}
 	bucket   *tokenBucket // nil without WithConnRate
-	wg       sync.WaitGroup
+
+	work chan task // admitted requests; closed when the read loop ends
+	// idle counts workers that will next receive from work and have not
+	// been claimed for a queued request. Workers only add to it and the
+	// read loop only takes from it. Requests queued with every worker
+	// running claim none, so idle over-counts after that — harmless, as no
+	// further worker can start.
+	idle    atomic.Int64
+	workers int // read loop only
+	wg      sync.WaitGroup
+}
+
+// task is one admitted request on its way to a worker. req aliases buf;
+// ctx is the request's context, cancelled by cancel once it is answered.
+type task struct {
+	id      uint64
+	req     *request
+	buf     *bufpool.Buf
+	ctx     context.Context
+	cancel  context.CancelFunc
+	arrived time.Time
+}
+
+// place hands an admitted request to a worker: a new one if none is idle
+// and fewer than connWorkers run, else through the work channel — to an
+// idle worker if one is, else to the first worker to finish.
+func (s *Server) place(mc *muxConn, t task) {
+	if mc.idle.Load() == 0 && mc.workers < s.connWorkers {
+		mc.workers++
+		if s.workerHook != nil {
+			s.workerHook()
+		}
+		mc.wg.Add(1)
+		go s.worker(mc, t)
+		return
+	}
+	if mc.idle.Load() > 0 {
+		mc.idle.Add(-1)
+	}
+	mc.work <- t
+}
+
+// worker runs requests of one connection, starting with t, until the read
+// loop has ended and the work channel is drained.
+func (s *Server) worker(mc *muxConn, t task) {
+	defer mc.wg.Done()
+	s.run(mc, t)
+	for t := range mc.work {
+		s.run(mc, t)
+	}
+}
+
+// run executes one request and writes its response.
+func (s *Server) run(mc *muxConn, t task) {
+	defer func() {
+		mc.inflight.remove(t.id)
+		t.cancel()
+		s.metrics.inflightAdd(-1)
+		// The response (and any stream chunks) went out inside
+		// serveRequest, so nothing references the request or its frame
+		// buffer anymore.
+		releaseRequest(t.req, t.buf)
+	}()
+	if s.dispatchHook != nil {
+		s.dispatchHook(t.req)
+	}
+	if err := s.serveRequest(mc, t); err != nil {
+		// Whether the connection died or the response stream broke
+		// (encode failure, oversized response), no further response can
+		// be delivered on it. Close so the peer's read loop fails its
+		// pending calls instead of hanging on a half-dead connection that
+		// still reads fine.
+		s.logf("wire: send response: %v", err)
+		mc.conn.Close()
+	}
 }
 
 // sendPooledResponse sends a short administrative response (cancel ack,
@@ -439,7 +590,7 @@ func sendPooledResponse(mw *muxWriter, id uint64, errText string) error {
 }
 
 // handleMux runs one decoded request through cancellation, admission, and
-// worker dispatch. buf is the pooled frame buffer req aliases; both are
+// placement with a worker. buf is the pooled frame buffer req aliases; both are
 // released when the request completes. A false return means no further
 // response can be delivered on this connection and the read loop must
 // exit.
@@ -494,33 +645,7 @@ func (s *Server) handleMux(mc *muxConn, id uint64, req *request, buf *bufpool.Bu
 	ctx, cancel := s.requestContext(mc.ctx)
 	mc.inflight.add(id, cancel)
 	s.metrics.inflightAdd(1)
-	mc.wg.Add(1)
-	go func() {
-		defer mc.wg.Done()
-		mc.sem <- struct{}{}
-		defer func() { <-mc.sem }()
-		defer func() {
-			mc.inflight.remove(id)
-			cancel()
-			s.metrics.inflightAdd(-1)
-			// The response (and any stream chunks) went out inside
-			// serveRequest, so nothing references the request or its frame
-			// buffer anymore.
-			releaseRequest(req, buf)
-		}()
-		if s.dispatchHook != nil {
-			s.dispatchHook(req)
-		}
-		if err := s.serveRequest(ctx, mc, id, req, arrived); err != nil {
-			// Whether the connection died or the response stream broke
-			// (encode failure, oversized response), no further response
-			// can be delivered on it. Close so the peer's read loop
-			// fails its pending calls instead of hanging on a half-dead
-			// connection that still reads fine.
-			s.logf("wire: send response: %v", err)
-			mc.conn.Close()
-		}
-	}()
+	s.place(mc, task{id: id, req: req, buf: buf, ctx: ctx, cancel: cancel, arrived: arrived})
 	return true
 }
 
@@ -533,26 +658,28 @@ func (s *Server) handleMux(mc *muxConn, id uint64, req *request, buf *bufpool.Bu
 //
 // The request leaves the admission count (mc.queueSem) here, when its
 // execution is over and before its final frame is written: the peer may
-// send its next request the instant it reads that frame, and must not be
-// shed by a slot this request still holds.
-func (s *Server) serveRequest(ctx context.Context, mc *muxConn, id uint64, req *request, arrived time.Time) error {
+// send its next request the instant it reads that frame, and must find
+// neither a slot this request still holds nor a busy worker. So the worker
+// counts itself idle (mc.idle) before that frame goes out too.
+func (s *Server) serveRequest(mc *muxConn, t task) error {
 	resp := respPool.Get().(*response)
 	defer func() {
 		resetResponse(resp)
 		respPool.Put(resp)
 	}()
 	var sendErr error
-	if req.Op == opSelectStream {
-		sendErr = s.streamChunks(ctx, mc.mw, id, req, resp)
+	if t.req.Op == opSelectStream {
+		sendErr = s.streamChunks(t.ctx, mc.mw, t.id, t.req, resp)
 	} else {
-		s.dispatch(ctx, req, resp)
+		s.dispatch(t.ctx, t.req, resp)
 	}
 	<-mc.queueSem
+	mc.idle.Add(1)
 	if sendErr != nil {
 		return sendErr
 	}
-	s.recordResponse(req.Op, arrived, resp)
-	return mc.mw.send(id, resp)
+	s.recordResponse(t.req.Op, t.arrived, resp)
+	return mc.mw.send(t.id, resp)
 }
 
 // streamChunks writes the chunk frames of one streamed Select, reusing resp

@@ -61,7 +61,7 @@ const importRowsPerByte = 128
 // protoVersion is the one protocol version this build speaks. Any change to
 // a frame's layout bumps it, so that a peer of another build is refused at
 // the hello instead of having its frames misread.
-const protoVersion = 5
+const protoVersion = 6
 
 // ErrUnsupportedVersion is returned when the peer's hello does not open with
 // the protocol magic or names a version other than this build's. The
