@@ -392,17 +392,19 @@ func (s *Split) attachRotHeader(off, tailRun uint32, p Params) error {
 	return nil
 }
 
-// layOutEntries encrypts each bucket's value and writes the payloads into
-// the tail in random order, with head references in physical dictionary
-// order (paper §5: the tail stores values sequentially in a random order,
-// the head holds fixed-size offsets ordered by the selected dictionary).
+// layOutEntries encrypts each bucket's value and writes the entries into
+// the tail in random order, with head offsets in physical dictionary order
+// (paper §5: the tail stores values sequentially in a random order, the head
+// holds fixed-size offsets ordered by the selected dictionary). An encrypted
+// split first draws its nonce salt from crypto/rand, never from p.Rand,
+// whose draws stay exactly those of a split without one.
 func (s *Split) layOutEntries(groups []group, buckets []bucket, phys []int, p Params) error {
 	n := len(buckets)
-	entrySize := func(v []byte) int {
+	bodySize := func(v []byte) int {
 		if p.Plain {
 			return len(v)
 		}
-		return pae.CiphertextLen(len(v))
+		return len(v) + pae.TagSize
 	}
 	// logical[i] is the bucket physical entry i holds.
 	logical := make([]int, n)
@@ -414,36 +416,48 @@ func (s *Split) layOutEntries(groups []group, buckets []bucket, phys []int, p Pa
 	var tailSize uint64
 	for k, physIdx := range order {
 		values[k] = groups[buckets[logical[physIdx]].groupIdx].value
-		tailSize += uint64(entrySize(values[k]))
+		size := bodySize(values[k])
+		tailSize += uint64(uvarintLen(size) + size)
 	}
 	if err := checkTailSize(tailSize); err != nil {
 		return err
 	}
-	s.tail = make([]byte, 0, tailSize)
-	if p.Plain {
-		for _, v := range values {
-			s.tail = append(s.tail, v...)
-		}
-	} else {
-		var err error
-		if s.tail, err = p.Cipher.EncryptAll(s.tail, values); err != nil {
-			return fmt.Errorf("dict: encrypt entries: %w", err)
+	if !p.Plain {
+		if _, err := crand.Read(s.salt[:]); err != nil {
+			return fmt.Errorf("dict: draw nonce salt: %w", err)
 		}
 	}
-	s.head = make([]entryRef, n)
-	off := 0
+	s.tail = make([]byte, 0, tailSize)
+	s.head = make([]uint32, n)
+	var iv [pae.IVSize]byte
+	copy(iv[:], s.salt[:])
 	for k, physIdx := range order {
-		size := entrySize(values[k])
-		s.head[physIdx] = entryRef{Off: uint32(off), Len: uint32(size)}
-		off += size
+		s.head[physIdx] = uint32(len(s.tail))
+		v := values[k]
+		s.tail = binary.AppendUvarint(s.tail, uint64(bodySize(v)))
+		if p.Plain {
+			s.tail = append(s.tail, v...)
+			continue
+		}
+		binary.BigEndian.PutUint32(iv[saltSize:], uint32(physIdx))
+		s.tail = p.Cipher.Seal(s.tail, iv[:], v)
 	}
 	return nil
 }
 
-// checkTailSize rejects a tail of tailSize bytes that entryRef's 32-bit
+// uvarintLen returns the size of n's uvarint encoding.
+func uvarintLen(n int) int {
+	k := 1
+	for ; n >= 0x80; n >>= 7 {
+		k++
+	}
+	return k
+}
+
+// checkTailSize rejects a tail of tailSize bytes that the head's 32-bit
 // offsets cannot address. A wrapped offset would still pass DecodeSplit's
-// bounds check and name another entry's ciphertext, which decrypts cleanly
-// because PAE binds no position: the answer would be silently wrong.
+// bounds checks and name another entry, which now fails to decrypt — its
+// IV names the index it was sealed for — but the split would be unusable.
 func checkTailSize(tailSize uint64) error {
 	if tailSize > math.MaxUint32 {
 		return fmt.Errorf("dict: dictionary payloads of %d bytes exceed the %d a split addresses", tailSize, uint64(math.MaxUint32))

@@ -100,9 +100,13 @@ func pinnedColumn() [][]byte {
 }
 
 // layoutDigest hashes everything Params.Rand decides about a split: the
-// attribute-vector codes, the head references (offsets follow the tail
-// permutation, lengths the ciphertext sizes), the decrypted entries in
-// physical order and the decrypted rotation header. PAE IVs come from
+// attribute-vector codes, the head references, the decrypted entries in
+// physical order and the decrypted rotation header. The references are
+// hashed in the form a split took when every entry stored its IV and the
+// head held {offset, length}: entries laid out in tail order at
+// pae.CiphertextLen of their plaintext each. They follow only the tail
+// permutation and the plaintext lengths, so the digests pinned before the
+// IVs were derived still hold. IVs and the nonce salt come from
 // crypto/rand and are excluded by hashing plaintexts.
 func layoutDigest(t *testing.T, s *Split, c *pae.Cipher) string {
 	t.Helper()
@@ -115,15 +119,31 @@ func layoutDigest(t *testing.T, s *Split, c *pae.Cipher) string {
 	for _, code := range s.AVCodes() {
 		put(code)
 	}
-	for _, ref := range s.head {
-		put(ref.Off)
-		put(ref.Len)
-	}
-	for i := 0; i < s.Len(); i++ {
-		v, err := c.Decrypt(s.Entry(i))
+	plain := make([][]byte, s.Len())
+	for i := range plain {
+		v, err := c.Decrypt(s.AppendEntry(nil, i))
 		if err != nil {
 			t.Fatalf("decrypt entry %d: %v", i, err)
 		}
+		plain[i] = v
+	}
+	tailOrder := make([]int, s.Len())
+	for i := range tailOrder {
+		tailOrder[i] = i
+	}
+	sort.Slice(tailOrder, func(a, b int) bool { return s.head[tailOrder[a]] < s.head[tailOrder[b]] })
+	refs := make([][2]uint32, s.Len())
+	off := 0
+	for _, i := range tailOrder {
+		size := pae.CiphertextLen(len(plain[i]))
+		refs[i] = [2]uint32{uint32(off), uint32(size)}
+		off += size
+	}
+	for _, ref := range refs {
+		put(ref[0])
+		put(ref[1])
+	}
+	for _, v := range plain {
 		put(uint32(len(v)))
 		h.Write(v)
 	}

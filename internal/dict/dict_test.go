@@ -164,8 +164,8 @@ func TestBuildSortedOrder(t *testing.T) {
 			t.Fatalf("Build(%v): %v", k, err)
 		}
 		for i := 1; i < s.Len(); i++ {
-			if string(s.Entry(i-1)) > string(s.Entry(i)) {
-				t.Errorf("%v: entries %d,%d out of order: %q > %q", k, i-1, i, s.Entry(i-1), s.Entry(i))
+			if string(s.AppendEntry(nil, i-1)) > string(s.AppendEntry(nil, i)) {
+				t.Errorf("%v: entries %d,%d out of order: %q > %q", k, i-1, i, s.AppendEntry(nil, i-1), s.AppendEntry(nil, i))
 			}
 		}
 	}
@@ -189,8 +189,8 @@ func TestBuildRotatedOrder(t *testing.T) {
 			t.Fatalf("%v: offset %d out of range for |D|=%d", k, off, n)
 		}
 		for j := 1; j < n; j++ {
-			prev := s.Entry((j - 1 + int(off)) % n)
-			cur := s.Entry((j + int(off)) % n)
+			prev := s.AppendEntry(nil, (j-1+int(off))%n)
+			cur := s.AppendEntry(nil, (j+int(off))%n)
 			if string(prev) > string(cur) {
 				t.Errorf("%v: unrotated order broken at %d: %q > %q", k, j, prev, cur)
 			}
@@ -208,8 +208,8 @@ func TestBuildPaperFigure3Example(t *testing.T) {
 	}
 	wantDict := []string{"Archie", "Ella", "Hans", "Jessica"}
 	for i, w := range wantDict {
-		if string(s.Entry(i)) != w {
-			t.Errorf("D[%d] = %q, want %q", i, s.Entry(i), w)
+		if string(s.AppendEntry(nil, i)) != w {
+			t.Errorf("D[%d] = %q, want %q", i, s.AppendEntry(nil, i), w)
 		}
 	}
 	wantAV := []uint32{2, 3, 0, 1, 3, 3}
@@ -231,7 +231,7 @@ func TestBuildEncryptedEntriesAreProbabilistic(t *testing.T) {
 	}
 	seen := make(map[string]bool)
 	for i := 0; i < s.Len(); i++ {
-		ct := string(s.Entry(i))
+		ct := string(s.AppendEntry(nil, i))
 		if seen[ct] {
 			t.Fatal("duplicate ciphertext in frequency-hiding dictionary")
 		}
@@ -409,7 +409,8 @@ func TestSplitAccessors(t *testing.T) {
 	}
 	var total int
 	for i := 0; i < s.Len(); i++ {
-		total += len(s.Entry(i))
+		_, end := s.bodyRange(s.head[i])
+		total += end - int(s.head[i])
 	}
 	if total != len(s.Tail()) {
 		t.Errorf("entries cover %d bytes, tail has %d", total, len(s.Tail()))
@@ -495,7 +496,7 @@ func TestBuildSealsWrappedRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := 0
-			for i := s.Len() - 1; i >= 1 && string(s.Entry(i)) == string(s.Entry(0)); i-- {
+			for i := s.Len() - 1; i >= 1 && string(s.AppendEntry(nil, i)) == string(s.AppendEntry(nil, 0)); i-- {
 				want++
 			}
 			if int(run) != want {

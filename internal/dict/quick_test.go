@@ -88,7 +88,7 @@ func TestQuickSplitDataRoundTrip(t *testing.T) {
 			return false
 		}
 		for i := 0; i < s.Len(); i++ {
-			if string(back.Entry(i)) != string(s.Entry(i)) {
+			if string(back.AppendEntry(nil, i)) != string(s.AppendEntry(nil, i)) {
 				return false
 			}
 		}
@@ -99,10 +99,10 @@ func TestQuickSplitDataRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuickDecodeSplitRejectsCorruptRefs rewrites the first head reference
-// and row 0's code in a split's bytes: DecodeSplit must refuse what would
-// reach past the tail or the dictionary, and whatever it accepts must stay
-// in bounds.
+// TestQuickDecodeSplitRejectsCorruptRefs rewrites the first head offset and
+// row 0's code in a split's bytes: DecodeSplit must refuse what would reach
+// past the tail or the dictionary, and whatever it accepts must stay in
+// bounds.
 func TestQuickDecodeSplitRejectsCorruptRefs(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	// |D| = 3 at 2 bits per code: code 3 is representable and out of range.
@@ -113,13 +113,14 @@ func TestQuickDecodeSplitRejectsCorruptRefs(t *testing.T) {
 	}
 	good := s.AppendBinary(nil)
 	// A plain ED1 split has no rotation header: the slice words start after
-	// kind, plain, MaxLen, BSMax, the empty header, rows, width and count.
-	const wordsAt = 1 + 1 + 4 + 4 + 4 + 4 + 1 + 4
-	headAt := len(good) - 4 - len(s.Tail()) - s.Len()*entryRefSize
-	f := func(off, length uint32, avVid uint32) bool {
+	// kind, plain, MaxLen, BSMax, the salt, the empty header, rows, width
+	// and count.
+	const wordsAt = 1 + 1 + 4 + 4 + 8 + 4 + 4 + 1 + 4
+	headAt := len(good) - 4 - len(s.Tail()) - s.Len()*headRefSize
+	f := func(off uint32, avVid uint32) bool {
+		off %= uint32(len(s.Tail()) + 2) // mostly near or inside the tail
 		b := bytes.Clone(good)
 		binary.LittleEndian.PutUint32(b[headAt:], off)
-		binary.LittleEndian.PutUint32(b[headAt+4:], length)
 		for j := 0; j < 2; j++ { // row 0 is bit 0 of each slice word
 			b[wordsAt+8*j] = b[wordsAt+8*j]&^1 | byte(avVid>>j&1)
 		}
@@ -128,11 +129,11 @@ func TestQuickDecodeSplitRejectsCorruptRefs(t *testing.T) {
 			return true // rejected: fine
 		}
 		// Accepted: every access must stay in bounds.
-		if int(back.VID(0)) >= back.Len() || uint64(off)+uint64(length) > uint64(len(s.Tail())) {
+		if int(back.VID(0)) >= back.Len() || int(off) >= len(s.Tail()) {
 			return false
 		}
 		for i := 0; i < back.Len(); i++ {
-			_ = back.Entry(i)
+			_ = back.AppendEntry(nil, i)
 		}
 		return true
 	}

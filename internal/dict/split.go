@@ -8,17 +8,16 @@ import (
 	"slices"
 
 	"github.com/encdbdb/encdbdb/internal/av"
+	"github.com/encdbdb/encdbdb/internal/pae"
 )
 
-// entryRef locates one dictionary entry's payload inside the tail.
-type entryRef struct {
-	Off uint32
-	Len uint32
-}
+// headRefSize is the serialized size of one head reference — an entry's u32
+// offset into the tail — used for storage accounting (paper Table 6) and the
+// binary layout.
+const headRefSize = 4
 
-// entryRefSize is the serialized size of an entryRef, used for storage
-// accounting (paper Table 6) and the binary layout.
-const entryRefSize = 8
+// saltSize is the size of an encrypted split's nonce salt.
+const saltSize = 8
 
 // blockSize is the serialized size of an av.Block in the binary layout.
 const blockSize = 14
@@ -28,6 +27,16 @@ const blockSize = 14
 // entries are PAE ciphertexts (or raw values for the PlainDBDB baseline),
 // stored as a head of fixed-size references in dictionary order pointing
 // into a randomly ordered variable-length tail (paper §5).
+//
+// An entry stores no IV. Each build of an encrypted split draws one random
+// salt, and entry i — i is its ValueID, the physical dictionary index — is
+// sealed under the IV salt ‖ u32(i) (pae.Seal). The tail holds each entry as
+// uvarint(len) ‖ body, body being ciphertext ‖ tag or the raw value, and the
+// head holds each entry's offset only: the tail is shuffled, so the next
+// head offset says nothing about an entry's length. AppendEntry rebuilds the
+// self-contained PAE form, IV ‖ ciphertext ‖ tag, that pae.Decrypt and the
+// wire's cells take. Because the IV names the index, an entry decrypts only
+// at the position it was sealed for.
 type Split struct {
 	// Kind is the encrypted dictionary type used for the split.
 	Kind Kind
@@ -50,7 +59,8 @@ type Split struct {
 	// replaces it afterwards, so concurrent readers need no lock.
 	packed *av.Vector
 
-	head []entryRef
+	salt [saltSize]byte // IV prefix of every entry; zero for plain splits
+	head []uint32       // tail offset of each entry, in ValueID order
 	tail []byte
 }
 
@@ -76,65 +86,102 @@ func (s *Split) AVCodes() []uint32 { return s.packed.Unpack() }
 // deliberately; vid is truncated to the packed width.
 func (s *Split) setVID(j int, vid uint32) { s.packed.Set(j, vid) }
 
-// Entry returns the payload of dictionary entry i: a PAE ciphertext, or the
-// raw value for plain splits. The returned slice aliases the tail and must
-// not be modified.
-func (s *Split) Entry(i int) []byte {
-	ref := s.head[i]
-	return s.tail[ref.Off : ref.Off+ref.Len]
+// AppendEntry appends dictionary entry i in its self-contained form to dst
+// and returns the extended slice: the PAE ciphertext salt ‖ u32(i) ‖ body,
+// or the raw value for plain splits. The entry is read from the tail, which
+// may be untrusted memory; the appended copy is the caller's own.
+func (s *Split) AppendEntry(dst []byte, i int) []byte {
+	start, end := s.bodyRange(s.head[i])
+	if !s.Plain {
+		dst = append(dst, s.salt[:]...)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(i))
+	}
+	return append(dst, s.tail[start:end]...)
 }
 
-// Gather sets cells[k] to the payload of row rows[k]'s dictionary entry —
-// cell = D[AV[row]] (paper Fig. 5 step 12) for a batch of rows — in tight
-// passes instead of one row at a time: all rows' ValueIDs first (one bulk
-// attribute-vector gather), then their head references, then one read of
-// each payload. Rows are random and the tail is shuffled by design, so
-// nearly every step of every row misses the cache; with the passes
-// independent, those misses overlap instead of queueing behind each other,
-// and the payloads are cached by the time the caller copies them out. The
-// cells alias the tail and must not be modified. cells needs room for
-// len(rows) entries; rows must be < Rows().
-func (s *Split) Gather(cells [][]byte, rows []uint32) {
+// bodyRange returns the tail range of the body of the entry at tail offset
+// off, behind its length prefix. DecodeSplit has checked every head offset.
+func (s *Split) bodyRange(off uint32) (start, end int) {
+	if n := s.tail[off]; n < 0x80 { // a one-byte prefix: a body under 128 bytes
+		return int(off) + 1, int(off) + 1 + int(n)
+	}
+	n, k := binary.Uvarint(s.tail[off:])
+	start = int(off) + k
+	return start, start + int(n)
+}
+
+// Gather appends row rows[k]'s cell — cell = D[AV[row]] (paper Fig. 5 step
+// 12), in AppendEntry's self-contained form — to arena for every k, sets
+// cells[k] to it and returns the extended arena. It works in tight passes
+// instead of one row at a time: all rows' ValueIDs first (one bulk
+// attribute-vector gather), then their head offsets, then each entry's
+// first byte (its length prefix), then the body ranges, then each body's
+// last byte, then one copy of every entry into the arena, grown at most
+// once, to the size the ranges add up to. Rows are random and the tail is
+// shuffled by design, so nearly every step of every row misses the cache;
+// in the two byte passes the loads are independent, so those misses overlap
+// instead of queueing behind each other, and the copy finds the entries in
+// the cache. The cells alias only the arena, which a caller may reuse once
+// it is done with them. cells needs room for len(rows) entries; rows must be
+// < Rows().
+func (s *Split) Gather(arena []byte, cells [][]byte, rows []uint32) []byte {
+	if len(rows) == 0 {
+		return arena
+	}
 	cells = cells[:len(rows)]
-	var small [8]uint32 // point lookups resolve without allocating
-	codes := small[:]
-	if len(rows) > len(small) {
-		codes = make([]uint32, len(rows))
+	n := len(rows)
+	var small [24]uint32 // point lookups resolve without allocating
+	scratch := small[:]
+	if 3*n > len(small) {
+		scratch = make([]uint32, 3*n)
 	}
+	codes, offs, touched := scratch[:n], scratch[n:2*n], scratch[2*n:3*n]
 	s.packed.Gather(codes, rows)
-	for k, vid := range codes[:len(rows)] {
-		ref := s.head[vid]
-		cells[k] = s.tail[ref.Off : ref.Off+ref.Len : ref.Off+ref.Len]
+	for k, vid := range codes {
+		offs[k] = s.head[vid]
 	}
-	touch(cells)
-}
-
-// touch reads the first and last byte of every cell in one loop of
-// independent loads, pulling the payloads' cache lines in. It must not be
-// inlined: the compiler would drop loads whose result is unused.
-//
-//go:noinline
-func touch(cells [][]byte) (x byte) {
-	for _, c := range cells {
+	for k, off := range offs {
+		touched[k] = uint32(s.tail[off]) // stored, so the load is kept
+	}
+	size := 0
+	if !s.Plain {
+		size = (saltSize + 4) * n
+	}
+	for k, off := range offs {
+		start, end := s.bodyRange(off)
+		cells[k] = s.tail[start:end:end]
+		size += end - start
+	}
+	for k, c := range cells {
 		if len(c) > 0 {
-			x ^= c[0] ^ c[len(c)-1]
+			touched[k] = uint32(c[len(c)-1])
 		}
 	}
-	return x
+	arena = slices.Grow(arena, size)
+	for k, vid := range codes {
+		start := len(arena)
+		if !s.Plain {
+			arena = append(arena, s.salt[:]...)
+			arena = binary.BigEndian.AppendUint32(arena, vid)
+		}
+		arena = append(arena, cells[k]...)
+		cells[k] = arena[start:len(arena):len(arena)]
+	}
+	return arena
 }
-
-// Load is Entry under the name required by the enclave's untrusted-memory
-// interface (search.Region), letting a Split be handed to the enclave
-// directly as the region backing a dictionary search.
-func (s *Split) Load(i int) []byte { return s.Entry(i) }
 
 // Tail returns the raw tail bytes. Callers must not modify them.
 func (s *Split) Tail() []byte { return s.tail }
 
-// DictSizeBytes returns the storage size of the dictionary alone
-// (head references plus tail payloads plus the encrypted rotation offset).
+// DictSizeBytes returns the storage size of the dictionary alone: head
+// references, tail entries, the encrypted rotation offset and, for an
+// encrypted split, the nonce salt.
 func (s *Split) DictSizeBytes() int {
-	return len(s.head)*entryRefSize + len(s.tail) + len(s.EncRndOffset)
+	n := len(s.head)*headRefSize + len(s.tail) + len(s.EncRndOffset)
+	if !s.Plain {
+		n += saltSize
+	}
+	return n
 }
 
 // MemBytes returns the in-memory footprint of the split column: dictionary
@@ -167,14 +214,14 @@ func FromData(s *Split) (*Split, error) { return s, nil }
 // wire's opImportColumn, the WAL's import record, and table images. All
 // integers are little-endian; every count and length is a u32.
 //
-//	u8 kind ‖ u8 plain (0 or 1) ‖ u32 MaxLen ‖ u32 BSMax
+//	u8 kind ‖ u8 plain (0 or 1) ‖ u32 MaxLen ‖ u32 BSMax ‖ 8-byte salt
 //	u32 len ‖ rotation header (EncRndOffset)
 //	u32 rows ‖ u8 width
 //	u32 n ‖ n × u64 slice words
 //	u32 n ‖ n × (u8 encoding ‖ u8 width ‖ u32 base ‖ u32 off ‖ u32 n) blocks
 //	u32 n ‖ n × (u32 ValueID ‖ u32 end) RLE runs
-//	u32 n ‖ n × (u32 off ‖ u32 len) head
-//	u32 len ‖ tail
+//	u32 n ‖ n × u32 off head
+//	u32 len ‖ tail: entries as uvarint(len) ‖ body
 //
 // The attribute vector is written exactly as held (internal/av's words,
 // block metadata and runs), so neither side unpacks or re-packs it.
@@ -184,13 +231,14 @@ func FromData(s *Split) (*Split, error) { return s, nil }
 func (s *Split) AppendBinary(dst []byte) []byte {
 	v := s.packed
 	words, blocks, runs := v.Words(), v.Blocks(), v.Runs()
-	size := 2 + 4*2 + 4 + len(s.EncRndOffset) + 4 + 1 + 4 + 8*len(words) + 4 + blockSize*len(blocks) +
-		4 + 8*len(runs) + 4 + entryRefSize*len(s.head) + 4 + len(s.tail)
+	size := 2 + 4*2 + saltSize + 4 + len(s.EncRndOffset) + 4 + 1 + 4 + 8*len(words) + 4 + blockSize*len(blocks) +
+		4 + 8*len(runs) + 4 + headRefSize*len(s.head) + 4 + len(s.tail)
 	dst = slices.Grow(dst, size)
 	le := binary.LittleEndian
 	dst = append(dst, uint8(s.Kind), boolByte(s.Plain))
 	dst = le.AppendUint32(dst, uint32(s.MaxLen))
 	dst = le.AppendUint32(dst, uint32(s.BSMax))
+	dst = append(dst, s.salt[:]...)
 	dst = appendBytes(dst, s.EncRndOffset)
 	dst = le.AppendUint32(dst, uint32(v.Len()))
 	dst = append(dst, uint8(v.Bits()))
@@ -211,9 +259,8 @@ func (s *Split) AppendBinary(dst []byte) []byte {
 		dst = le.AppendUint32(dst, r.End)
 	}
 	dst = le.AppendUint32(dst, uint32(len(s.head)))
-	for _, ref := range s.head {
-		dst = le.AppendUint32(dst, ref.Off)
-		dst = le.AppendUint32(dst, ref.Len)
+	for _, off := range s.head {
+		dst = le.AppendUint32(dst, off)
 	}
 	return appendBytes(dst, s.tail)
 }
@@ -233,7 +280,8 @@ func appendBytes(dst, b []byte) []byte {
 // DecodeSplit reconstructs a split from its binary layout (AppendBinary).
 // The bytes may come from an untrusted file or peer: every structural
 // invariant is validated — the kind, the maximum length, every head
-// reference against the tail, the attribute vector's shape and that each of
+// offset, length prefix and entry length against the tail and the maximum
+// length, the attribute vector's shape and that each of
 // its codes is < |D| (av.FromEncoded), a rotated dictionary's header, at
 // most math.MaxInt32 rows — and so is the layout itself, trailing bytes
 // included. A zero-width vector (|D| = 1) holds no words, so its row count
@@ -246,6 +294,7 @@ func DecodeSplit(b []byte) (*Split, error) {
 	s.Plain = plain == 1
 	s.MaxLen = int(d.u32())
 	s.BSMax = int(d.u32())
+	copy(s.salt[:], d.take(saltSize))
 	s.EncRndOffset = d.bytes()
 	rows, width := int(d.u32()), int(d.u8())
 	le := binary.LittleEndian
@@ -265,10 +314,10 @@ func DecodeSplit(b []byte) (*Split, error) {
 	for i := range runs {
 		runs[i] = av.Run{VID: le.Uint32(b8[8*i:]), End: le.Uint32(b8[8*i+4:])}
 	}
-	b8 = d.elems(entryRefSize)
-	s.head = make([]entryRef, len(b8)/entryRefSize)
+	b4 := d.elems(headRefSize)
+	s.head = make([]uint32, len(b4)/headRefSize)
 	for i := range s.head {
-		s.head[i] = entryRef{Off: le.Uint32(b8[8*i:]), Len: le.Uint32(b8[8*i+4:])}
+		s.head[i] = le.Uint32(b4[headRefSize*i:])
 	}
 	s.tail = d.bytes()
 	switch {
@@ -287,17 +336,38 @@ func DecodeSplit(b []byte) (*Split, error) {
 	case s.Kind.Order() == OrderRotated && len(s.head) > 0 && len(s.EncRndOffset) == 0:
 		return nil, fmt.Errorf("dict: rotated dictionary lacks rotation offset")
 	}
-	for i, ref := range s.head {
-		if end := uint64(ref.Off) + uint64(ref.Len); end > uint64(len(s.tail)) {
-			return nil, fmt.Errorf("dict: entry %d reference [%d,%d) exceeds tail size %d",
-				i, ref.Off, end, len(s.tail))
-		}
+	if err := s.checkEntries(); err != nil {
+		return nil, err
 	}
 	var err error
 	if s.packed, err = av.FromEncoded(words, blocks, runs, rows, width, len(s.head)); err != nil {
 		return nil, fmt.Errorf("dict: %w", err)
 	}
 	return s, nil
+}
+
+// checkEntries validates every head offset against the tail: its length
+// prefix and body must lie inside the tail, and the body must be what Build
+// writes for a value of at most MaxLen bytes. AppendEntry then never reads
+// out of bounds, and no entry outgrows the enclave's scratch charge.
+func (s *Split) checkEntries() error {
+	minBody, maxBody := 0, s.MaxLen
+	if !s.Plain {
+		minBody, maxBody = pae.TagSize, s.MaxLen+pae.TagSize
+	}
+	for i, off := range s.head {
+		if uint64(off) >= uint64(len(s.tail)) {
+			return fmt.Errorf("dict: entry %d offset %d is outside the %d-byte tail", i, off, len(s.tail))
+		}
+		n, k := binary.Uvarint(s.tail[off:])
+		if k <= 0 || n > uint64(len(s.tail)-int(off)-k) {
+			return fmt.Errorf("dict: entry %d at offset %d runs past the %d-byte tail", i, off, len(s.tail))
+		}
+		if n < uint64(minBody) || n > uint64(maxBody) {
+			return fmt.Errorf("dict: entry %d has %d bytes, want %d..%d", i, n, minBody, maxBody)
+		}
+	}
+	return nil
 }
 
 // decoder consumes a split's binary layout, capturing the first error.
@@ -388,7 +458,7 @@ func (s *Split) VerifyCorrectness(col [][]byte, decrypt func([]byte) ([]byte, er
 	// Decrypt each dictionary entry once, then check all rows.
 	plain := make([][]byte, s.Len())
 	for i := range plain {
-		v, err := decrypt(s.Entry(i))
+		v, err := decrypt(s.AppendEntry(nil, i))
 		if err != nil {
 			return fmt.Errorf("dict: decrypt entry %d: %w", i, err)
 		}

@@ -8,12 +8,13 @@ import (
 	"testing"
 
 	"github.com/encdbdb/encdbdb/internal/av"
+	"github.com/encdbdb/encdbdb/internal/pae"
 )
 
 // layoutOffsets locates the sections of a split's binary layout: the slice
 // words, the block metadata and the head.
 func layoutOffsets(s *Split) (words, blocks, head int) {
-	words = 1 + 1 + 4 + 4 + 4 + len(s.EncRndOffset) + 4 + 1 + 4
+	words = 1 + 1 + 4 + 4 + saltSize + 4 + len(s.EncRndOffset) + 4 + 1 + 4
 	blocks = words + 8*len(s.packed.Words()) + 4
 	head = blocks + blockSize*len(s.packed.Blocks()) + 4 + 8*len(s.packed.Runs()) + 4
 	return words, blocks, head
@@ -74,10 +75,20 @@ func TestDecodeSplitRejects(t *testing.T) {
 		"trailing byte":    func(b []byte) []byte { return append(b, 0) },
 		"wrong width":      func(b []byte) []byte { b[wordsAt-5]++; return b },
 		"word count short": func(b []byte) []byte { le.PutUint32(b[wordsAt-4:], le.Uint32(b[wordsAt-4:])-1); return b },
-		"head ref past tail": func(b []byte) []byte {
-			le.PutUint32(b[headAt+4:], 1<<30)
+		"head offset past tail": func(b []byte) []byte {
+			le.PutUint32(b[headAt:], 1<<30)
 			return b
 		},
+		"head offset at tail end": func(b []byte) []byte {
+			le.PutUint32(b[headAt:], uint32(len(s.tail)))
+			return b
+		},
+		"length prefix past tail": func(b []byte) []byte {
+			// The tail's last byte, read as a prefix, claims >= 1 byte.
+			le.PutUint32(b[headAt:], uint32(len(s.tail)-1))
+			return b
+		},
+		"entry over max length": func(b []byte) []byte { le.PutUint32(b[2:], 3); return b },
 		"packed code >= |D|": func(b []byte) []byte {
 			_, blk := blockOf(av.EncPacked)
 			for j := range int(blk.W) { // the block's row 0 holds 2^w-1
@@ -148,6 +159,25 @@ func FuzzDecodeSplit(f *testing.F) {
 	}
 	f.Add(Empty(ED3, 8, 0, false).AppendBinary(nil))
 	f.Add(zeroWidthSplit(f, 1<<32-1))
+	c, err := pae.NewCipher(pae.MustGen())
+	if err != nil {
+		f.Fatal(err)
+	}
+	enc, err := Build(strs("Jessica", "Hans", "Archie", "Hans"), Params{Kind: ED5, MaxLen: 8, BSMax: 2, Cipher: c, Rand: rng})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc.AppendBinary(nil))
+	// zeroWidthSplit's tail is uvarint(1) ‖ "a", behind its u32 length and
+	// the head's one offset. Seed a split whose offset is the tail's end,
+	// and one whose length prefix runs past the tail.
+	z := zeroWidthSplit(f, 1)
+	at := bytes.Clone(z)
+	binary.LittleEndian.PutUint32(at[len(at)-2-4-headRefSize:], 2)
+	f.Add(at)
+	past := bytes.Clone(z)
+	past[len(past)-2] = 0x7f // the prefix claims 127 bytes, 1 is left
+	f.Add(past)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := DecodeSplit(b)
 		if err != nil || s.Rows() > 1<<20 {
@@ -166,7 +196,7 @@ func FuzzDecodeSplit(f *testing.F) {
 			}
 		}
 		for i := 0; i < s.Len(); i++ {
-			_ = s.Entry(i)
+			_ = s.AppendEntry(nil, i)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package enclave
 import (
 	"crypto/ecdh"
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	mrand "math/rand"
@@ -59,7 +60,8 @@ type Stats struct {
 	// necessary for each query").
 	ECalls uint64
 	// Loads is the number of dictionary entries pulled in from untrusted
-	// memory; BytesLoaded the bytes they contained.
+	// memory; BytesLoaded their bytes as AppendEntry appends them, less
+	// the IV a main-store entry derives instead of storing.
 	Loads       uint64
 	BytesLoaded uint64
 	// Decryptions and Encryptions count PAE operations inside the enclave.
@@ -274,7 +276,7 @@ func (e *Enclave) DictSearch(meta ColumnMeta, region search.Region, encRndOffset
 	if err != nil {
 		return SearchResult{}, err
 	}
-	if err := e.chargeScratch(meta.MaxLen, region); err != nil {
+	if err := e.chargeScratch(meta.MaxLen); err != nil {
 		return SearchResult{}, err
 	}
 	rng, err := c.decryptRange(q)
@@ -282,7 +284,8 @@ func (e *Enclave) DictSearch(meta ColumnMeta, region search.Region, encRndOffset
 		return SearchResult{}, err
 	}
 
-	c.r, c.buf = region, make([]byte, 0, meta.MaxLen)
+	c.use(region)
+	c.buf = make([]byte, 0, meta.MaxLen)
 	switch meta.Kind.Order() {
 	case dict.OrderSorted:
 		vr, ok, err := search.SortedDict(c, c, rng)
@@ -343,7 +346,8 @@ func (e *Enclave) padLoads(c *ecall) {
 	}
 	e.mu.Unlock()
 	for _, idx := range idxs {
-		c.Decrypt(c.Load(idx)) //nolint:errcheck // dummy probe, result discarded
+		c.ent = c.AppendEntry(c.ent[:0], idx)
+		c.Decrypt(c.ent) //nolint:errcheck // dummy probe, result discarded
 	}
 }
 
@@ -523,7 +527,7 @@ func (c *ecall) decryptRows(col [][]byte, in MergeInput) ([][]byte, error) {
 	if in.Region == nil || in.AV == nil {
 		return col, nil
 	}
-	c.r = in.Region
+	c.use(in.Region)
 	codes := in.AV.Unpack()
 	need := make([]bool, c.Len())
 	for j, vid := range codes {
@@ -541,7 +545,8 @@ func (c *ecall) decryptRows(col [][]byte, in MergeInput) ([][]byte, error) {
 		if !ok {
 			continue
 		}
-		ct := c.Load(vid)
+		c.ent = c.AppendEntry(c.ent[:0], vid)
+		ct := c.ent
 		if cap(arena)-len(arena) < len(ct) {
 			arena = make([]byte, 0, max(mergeArenaChunk, len(ct)))
 		}
@@ -567,13 +572,13 @@ const mergeArenaChunk = 64 << 10
 // chargeScratch models the EPC budget: a dictionary search needs a constant
 // working set (a few value-width buffers plus one entry buffer), never the
 // dictionary itself — the paper stresses that required enclave memory is
-// independent of |D|. An enclave configured with a tiny budget (for tests)
-// rejects searches whose working set would not fit.
-func (e *Enclave) chargeScratch(maxLen int, region search.Region) error {
-	entry := 0
-	if region.Len() > 0 {
-		entry = len(region.Load(0))
-	}
+// independent of |D|. The entry buffer is charged at the largest entry the
+// column admits, a value of maxLen bytes with its PAE overhead and a length
+// prefix, so the charge reads no entry and depends on no data. An enclave
+// configured with a tiny budget (for tests) rejects searches whose working
+// set would not fit.
+func (e *Enclave) chargeScratch(maxLen int) error {
+	entry := maxLen + pae.Overhead + binary.MaxVarintLen32
 	need := 4*maxLen + entry + 4096
 	if need > e.budget {
 		return fmt.Errorf("%w: need %d bytes, budget %d", ErrBudget, need, e.budget)
@@ -604,21 +609,42 @@ func (e *Enclave) enter(meta ColumnMeta) (*ecall, error) {
 
 // ecall is one ECALL's view of untrusted memory and of its column key: the
 // search.Region and search.Decryptor a dictionary search runs against, and
-// the loader a merge reads its stores through. It reports each load to the
-// observer as it happens, but counts loads, bytes and PAE operations in
-// plain fields that end adds to the enclave's shared counters once, when the
-// ECALL returns — per-entry atomics on the one cache line every concurrent
-// ECALL shares cost more than a quarter of the decryptions they counted.
-// Load and Decrypt are for the ECALL's own goroutine only; the call and
-// the region it holds are dropped when the ECALL returns.
+// the loader a merge reads its stores through. Every entry it loads is
+// copied into enclave memory — the search's scratch, or ent for a merge or
+// a padding probe — before anything decrypts it, so no untrusted byte is
+// read twice. It reports each load to the observer as it happens, but
+// counts loads, bytes and PAE operations in plain fields that end adds to
+// the enclave's shared counters once, when the ECALL returns — per-entry
+// atomics on the one cache line every concurrent ECALL shares cost more than
+// a quarter of the decryptions they counted. AppendEntry and Decrypt are
+// for the ECALL's own goroutine only; the call and the region it holds are
+// dropped when the ECALL returns.
 type ecall struct {
-	e    *Enclave
-	meta ColumnMeta
-	c    *pae.Cipher
-	r    search.Region
-	buf  []byte // Decrypt's scratch: one plaintext, valid until the next Decrypt
+	e       *Enclave
+	meta    ColumnMeta
+	c       *pae.Cipher
+	r       search.Region
+	derived int    // bytes of each entry r appends that it derives, not loads
+	ent     []byte // a merge's or padding probe's copy of one entry
+	buf     []byte // Decrypt's scratch: one plaintext, valid until the next Decrypt
 
 	loads, bytesLoaded, decryptions, encryptions uint64
+}
+
+// use points the call at region.
+func (c *ecall) use(region search.Region) {
+	c.r = region
+	c.derived = derivedBytes(region)
+}
+
+// derivedBytes returns how many bytes of each entry region appends it
+// derives instead of reading from untrusted memory: the IV of an encrypted
+// split's entry. BytesLoaded counts the rest.
+func derivedBytes(region search.Region) int {
+	if s, ok := region.(*dict.Split); ok && !s.Plain {
+		return pae.IVSize
+	}
+	return 0
 }
 
 // end adds the call's counts to the enclave's counters.
@@ -633,14 +659,16 @@ func (c *ecall) end() {
 
 func (c *ecall) Len() int { return c.r.Len() }
 
-func (c *ecall) Load(i int) []byte {
-	b := c.r.Load(i)
+// AppendEntry copies entry i from untrusted memory to dst, counting the
+// load and reporting it to the observer.
+func (c *ecall) AppendEntry(dst []byte, i int) []byte {
+	out := c.r.AppendEntry(dst, i)
 	c.loads++
-	c.bytesLoaded += uint64(len(b))
+	c.bytesLoaded += uint64(len(out) - len(dst) - c.derived)
 	if c.e.observer != nil {
 		c.e.observer.Access(c.meta.Table, c.meta.Column, i)
 	}
-	return b
+	return out
 }
 
 // Decrypt decrypts every entry into the call's one scratch buffer, so a

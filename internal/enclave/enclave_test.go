@@ -1,6 +1,7 @@
 package enclave_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"runtime"
@@ -97,6 +98,15 @@ func (v *env) encRange(t testing.TB, table, column string, q search.Range) encla
 	return enclave.EncRange{Start: s, End: e, StartIncl: q.StartIncl, EndIncl: q.EndIncl}
 }
 
+// strs converts strings to a column.
+func strs(vs ...string) [][]byte {
+	col := make([][]byte, len(vs))
+	for i, v := range vs {
+		col[i] = []byte(v)
+	}
+	return col
+}
+
 func paperColumn() [][]byte {
 	return [][]byte{
 		[]byte("Hans"), []byte("Jessica"), []byte("Archie"),
@@ -174,8 +184,8 @@ func TestDictSearchRequiresProvisioning(t *testing.T) {
 
 type emptyRegion struct{}
 
-func (emptyRegion) Len() int        { return 0 }
-func (emptyRegion) Load(int) []byte { return nil }
+func (emptyRegion) Len() int                             { return 0 }
+func (emptyRegion) AppendEntry(dst []byte, _ int) []byte { return dst }
 
 func TestDictSearchAllKinds(t *testing.T) {
 	v := newEnv(t, enclave.Config{})
@@ -283,6 +293,68 @@ func TestDictSearchBudgetExceeded(t *testing.T) {
 	q := v.encRange(t, "t1", "c", search.Eq([]byte("Hans")))
 	if _, err := v.enclave.DictSearch(meta, s, nil, q); !errors.Is(err, enclave.ErrBudget) {
 		t.Errorf("err = %v, want ErrBudget", err)
+	}
+}
+
+// TestDictSearchChargesWidestEntry pins the scratch charge of a search:
+// four value-width buffers, one entry buffer at the widest entry the column
+// admits (MaxLen plus the PAE overhead plus a length prefix) and 4096
+// bytes, whatever the dictionary holds. An empty dictionary and one whose
+// entry 0 is short are charged alike, and no entry is read to size it.
+func TestDictSearchChargesWidestEntry(t *testing.T) {
+	const maxLen = 16
+	need := 4*maxLen + maxLen + pae.Overhead + binary.MaxVarintLen32 + 4096
+	meta := enclave.ColumnMeta{Table: "t1", Column: "c", Kind: dict.ED1, MaxLen: maxLen}
+	for _, budget := range []int{need - 1, need} {
+		v := newEnv(t, enclave.Config{MemoryBudget: budget, Identity: testIdentity})
+		short := v.buildColumn(t, dict.ED1, "t1", "c", strs("a", "sixteen-byte-val"), maxLen, 0)
+		q := v.encRange(t, "t1", "c", search.Eq([]byte("a")))
+		for name, region := range map[string]search.Region{
+			"empty":             dict.Empty(dict.ED1, maxLen, 0, false),
+			"short first entry": short,
+		} {
+			v.enclave.ResetStats()
+			_, err := v.enclave.DictSearch(meta, region, nil, q)
+			if fits := budget >= need; fits != (err == nil) || (!fits && !errors.Is(err, enclave.ErrBudget)) {
+				t.Errorf("%s, budget %d of %d: err = %v", name, budget, need, err)
+			}
+			if loads := v.enclave.Stats().Loads; budget < need && loads != 0 {
+				t.Errorf("%s: a refused search loaded %d entries", name, loads)
+			}
+		}
+	}
+}
+
+// TestDictSearchRejectsSwappedEntries: a provider that swaps two head
+// offsets of an ED1 split to steer the binary search — the search for 'h'
+// then reads 'h' at entry 4, where 'e' belongs, and would answer ValueIDs
+// 4..7 — gets a typed decrypt error instead, because each entry's IV names
+// the index it was sealed for.
+func TestDictSearchRejectsSwappedEntries(t *testing.T) {
+	v := newEnv(t, enclave.Config{Identity: testIdentity})
+	col := strs("a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m", "n", "o", "p")
+	s := v.buildColumn(t, dict.ED1, "t1", "c", col, 8, 0)
+	meta := enclave.ColumnMeta{Table: "t1", Column: "c", Kind: dict.ED1, MaxLen: 8}
+	q := v.encRange(t, "t1", "c", search.Eq([]byte("h")))
+	res, err := v.enclave.DictSearch(meta, s, nil, q)
+	if err != nil || len(res.Ranges) != 1 || res.Ranges[0] != (search.VidRange{Lo: 7, Hi: 7}) {
+		t.Fatalf("intact split: %+v, %v; want ValueIDs 7..7", res, err)
+	}
+	// The head, one u32 offset per entry, sits before the u32 tail length
+	// and the tail.
+	b := s.AppendBinary(nil)
+	head := len(b) - 4 - len(s.Tail()) - 4*s.Len()
+	e4, e7 := b[head+4*4:head+4*5], b[head+4*7:head+4*8]
+	for k := range e4 {
+		e4[k], e7[k] = e7[k], e4[k]
+	}
+	swapped, err := dict.DecodeSplit(b)
+	if err != nil {
+		t.Fatalf("DecodeSplit: %v", err)
+	}
+	res, err = v.enclave.DictSearch(meta, swapped, nil, q)
+	if !errors.Is(err, search.ErrDecrypt) {
+		t.Fatalf("swapped entries 4 and 7: %+v, %v; want search.ErrDecrypt", res, err)
 	}
 }
 

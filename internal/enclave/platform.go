@@ -10,7 +10,8 @@
 //
 //   - Enclave holds the provisioned master key and derived column keys in
 //     private fields; ciphertexts remain in untrusted memory (search.Region)
-//     and are pulled across the boundary one entry at a time.
+//     and are pulled across the boundary one entry at a time, each copied
+//     into enclave memory before it is decrypted.
 //   - Platform plays Intel's role as root of trust: it launches enclaves,
 //     measures their code identity, and verifies quotes (HMAC over the
 //     measurement under a platform key only the Platform holds).

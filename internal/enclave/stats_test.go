@@ -19,8 +19,8 @@ import (
 // re-encrypted entry per inserted row, in insertion order.
 type sliceRegion [][]byte
 
-func (r sliceRegion) Len() int          { return len(r) }
-func (r sliceRegion) Load(i int) []byte { return r[i] }
+func (r sliceRegion) Len() int                             { return len(r) }
+func (r sliceRegion) AppendEntry(dst []byte, i int) []byte { return append(dst, r[i]...) }
 
 // tamperedRegion flips the last byte of entry bad as it is loaded, so a
 // search fails authentication there, partway through its scan.
@@ -29,13 +29,17 @@ type tamperedRegion struct {
 	bad int
 }
 
-func (r tamperedRegion) Load(i int) []byte {
-	b := r.Region.Load(i)
+func (r tamperedRegion) AppendEntry(dst []byte, i int) []byte {
+	b := r.Region.AppendEntry(dst, i)
 	if i == r.bad {
-		b = append([]byte(nil), b...)
 		b[len(b)-1] ^= 1
 	}
 	return b
+}
+
+// loadedBytes is what an ECALL counts as read for entry i of r.
+func loadedBytes(r search.Region, i int) uint64 {
+	return uint64(len(r.AppendEntry(nil, i)) - enclave.DerivedBytes(r))
 }
 
 // sequenceObserver records every access per column, in order.
@@ -175,7 +179,7 @@ func TestStatsExactUnderConcurrency(t *testing.T) {
 		t.Error(err)
 	}
 
-	regions := map[string]search.Region{"bad": bad}
+	regions := map[string]search.Region{"bad": tamperedRegion{bad, badAt}}
 	for g := range targets {
 		for _, tg := range targets[g] {
 			regions[tg.meta.Column] = tg.region
@@ -185,7 +189,7 @@ func TestStatsExactUnderConcurrency(t *testing.T) {
 	for column, idxs := range obs.seen {
 		seen += uint64(len(idxs))
 		for _, i := range idxs {
-			want.BytesLoaded += uint64(len(regions[column].Load(i)))
+			want.BytesLoaded += loadedBytes(regions[column], i)
 		}
 	}
 	if seen != want.Loads {

@@ -25,12 +25,6 @@ func newDeltaStore() *deltaStore {
 	return &deltaStore{}
 }
 
-// Len returns the number of tail rows (implements search.Region).
-func (d *deltaStore) Len() int { return len(d.entries) }
-
-// Load returns tail entry i (implements search.Region).
-func (d *deltaStore) Load(i int) []byte { return d.entries[i] }
-
 // append adds one re-encrypted value.
 func (d *deltaStore) append(payload []byte) {
 	d.entries = append(d.entries, payload)
@@ -72,8 +66,8 @@ func (r *deltaRun) rows() int { return len(r.entries) }
 // Len returns the run's row count (implements search.Region).
 func (r *deltaRun) Len() int { return len(r.entries) }
 
-// Load returns run entry i (implements search.Region).
-func (r *deltaRun) Load(i int) []byte { return r.entries[i] }
+// AppendEntry appends run entry i (implements search.Region).
+func (r *deltaRun) AppendEntry(dst []byte, i int) []byte { return append(dst, r.entries[i]...) }
 
 // sizeBytes returns the storage footprint of the run including its packed
 // attribute vector.
@@ -185,6 +179,9 @@ func (db *DB) InsertBatch(ctx context.Context, tableName string, rows []Row) err
 	if err != nil {
 		return err
 	}
+	if err := t.checkWriteDigest(ctx, tableName); err != nil {
+		return err
+	}
 	if err := t.readyCheck(); err != nil {
 		return err
 	}
@@ -229,6 +226,9 @@ func (db *DB) Delete(ctx context.Context, tableName string, filters []Filter) (i
 	}
 	t, err := db.lookup(tableName)
 	if err != nil {
+		return 0, err
+	}
+	if err := t.checkWriteDigest(ctx, tableName); err != nil {
 		return 0, err
 	}
 	end := db.gateWrite(tableName)
@@ -282,6 +282,9 @@ func (db *DB) Update(ctx context.Context, tableName string, filters []Filter, se
 	if err != nil {
 		return 0, err
 	}
+	if err := t.checkWriteDigest(ctx, tableName); err != nil {
+		return 0, err
+	}
 	end := db.gateWrite(tableName)
 	t.mu.Lock()
 	if err := t.ready(); err != nil {
@@ -307,8 +310,9 @@ func (db *DB) Update(ctx context.Context, tableName string, filters []Filter, se
 	for i := range rows {
 		rows[i] = make(Row, len(t.cols))
 	}
+	var buf cellBuf
 	for name, cv := range v.cols {
-		cells := v.render(cv, rids)
+		cells := v.render(cv, rids, &buf)
 		for i, cell := range cells {
 			rows[i][name] = append([]byte(nil), cell...)
 		}

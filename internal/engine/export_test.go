@@ -23,8 +23,8 @@ func (db *DB) SealedRuns(tableName string) (int, error) {
 }
 
 // Renderers pins the current version of a table and returns two renders of
-// one column over it: the batched render, and the per-row reference (entry)
-// it must agree with.
+// one column over it: the batched render, rendering call after call into one
+// buffer as a cursor does, and the per-row reference it must agree with.
 func (db *DB) Renderers(tableName, column string) (render, entries func(rids []uint32) [][]byte, err error) {
 	t, err := db.lookup(tableName)
 	if err != nil {
@@ -35,11 +35,19 @@ func (db *DB) Renderers(tableName, column string) (render, entries func(rids []u
 		return nil, nil, err
 	}
 	cv := v.cols[column]
-	render = func(rids []uint32) [][]byte { return v.render(cv, rids) }
+	var buf cellBuf
+	render = func(rids []uint32) [][]byte {
+		buf.cells, buf.arena = buf.cells[:0], buf.arena[:0]
+		return v.render(cv, rids, &buf)
+	}
 	entries = func(rids []uint32) [][]byte {
 		cells := make([][]byte, len(rids))
 		for i, r := range rids {
-			cells[i] = cv.entry(v.mainRows, int(r))
+			if int(r) < v.mainRows {
+				cells[i] = cv.main.AppendEntry(nil, int(cv.main.VID(int(r))))
+			} else {
+				cells[i] = cv.deltaEntry(int(r) - v.mainRows)
+			}
 		}
 		return cells
 	}

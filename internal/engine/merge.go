@@ -266,13 +266,14 @@ func (db *DB) swapLocked(t *table, base *version, merged map[string]*dict.Split,
 // mergePlain rebuilds a plain column locally from the valid rows of the
 // pinned base version.
 func mergePlain(base *version, cv *colVersion, mainValid []bool) (*dict.Split, error) {
-	var col [][]byte
-	mainAV := cv.main.AVCodes()
+	var rows []uint32
 	for j := 0; j < base.mainRows; j++ {
 		if mainValid[j] {
-			col = append(col, cv.main.Entry(int(mainAV[j])))
+			rows = append(rows, uint32(j))
 		}
 	}
+	col := make([][]byte, len(rows))
+	cv.main.Gather(nil, col, rows)
 	off := base.mainRows
 	for _, run := range cv.sealed {
 		for j := 0; j < run.rows(); j++ {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -94,6 +95,77 @@ func TestRenderMatchesEntry(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRenderSizedByContent: rendering takes memory for the entries it copies,
+// not for the most a column admits. A table declared with a MaxLen of 1 GiB,
+// encrypted and plain, holding short values in its main store and delta,
+// answers a materialized Select and a SelectStream within a few megabytes.
+func TestRenderSizedByContent(t *testing.T) {
+	const maxLen, mainRows, deltaRows = 1 << 30, 2000, 3
+	v := newEnv(t)
+	defs := []engine.ColumnDef{
+		{Name: "e", Kind: dict.ED1, MaxLen: maxLen},
+		{Name: "p", Kind: dict.ED1, MaxLen: maxLen, Plain: true},
+	}
+	if err := v.db.CreateTable(engine.Schema{Table: "t", Columns: defs}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	insert := func(n int) {
+		rows := make([]engine.Row, n)
+		for i := range rows {
+			val := fmt.Sprintf("v%03d", i%100)
+			rows[i] = engine.Row{"e": v.encryptValue(t, "t", "e", val), "p": []byte(val)}
+		}
+		if err := v.db.InsertBatch(ctx, "t", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert(mainRows)
+	if err := v.db.Merge(ctx, "t"); err != nil {
+		t.Fatal(err)
+	}
+	insert(deltaRows)
+
+	const bound = 16 << 20
+	allocated := func(run func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var res *engine.Result
+	n := allocated(func() {
+		var err error
+		if res, err = v.db.Select(ctx, engine.Query{Table: "t"}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if res.Count != mainRows+deltaRows || len(res.Columns) != 2 {
+		t.Fatalf("Select: %d rows, %d columns; want %d rows, 2 columns", res.Count, len(res.Columns), mainRows+deltaRows)
+	}
+	if n > bound {
+		t.Errorf("Select allocated %d bytes, want at most %d", n, bound)
+	}
+	var cells map[string][][]byte
+	n = allocated(func() {
+		st, err := v.db.SelectStream(ctx, engine.Query{Table: "t"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		_, cells = drainStream(t, st)
+	})
+	for _, def := range defs {
+		if got := len(cells[def.Name]); got != mainRows+deltaRows {
+			t.Errorf("SelectStream: column %s has %d cells, want %d", def.Name, got, mainRows+deltaRows)
+		}
+	}
+	if n > bound {
+		t.Errorf("SelectStream allocated %d bytes, want at most %d", n, bound)
 	}
 }
 

@@ -11,6 +11,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -117,4 +118,34 @@ func (s Schema) Column(name string) (ColumnDef, bool) {
 		}
 	}
 	return ColumnDef{}, false
+}
+
+// schemaDigestKey is the context key WithSchemaDigest stores under.
+type schemaDigestKey struct{}
+
+// WithSchemaDigest returns a context carrying the Schema.Digest of the
+// schema a write — InsertBatch, Update or Delete — was planned against. A
+// table whose schema has another digest refuses the write with
+// ErrSchemaChanged before anything is logged or applied. The digest travels
+// with the request, across the wire and to every shard of a fleet; a query
+// carries its own in Query.SchemaDigest. Zero leaves the write unchecked.
+func WithSchemaDigest(ctx context.Context, digest uint64) context.Context {
+	return context.WithValue(ctx, schemaDigestKey{}, digest)
+}
+
+// SchemaDigest returns the digest WithSchemaDigest attached to ctx, or 0.
+func SchemaDigest(ctx context.Context) uint64 {
+	d, _ := ctx.Value(schemaDigestKey{}).(uint64)
+	return d
+}
+
+// checkWriteDigest refuses a write to t planned against another schema. A
+// table's schema never changes in place — DDL replaces the table — so the
+// check on the table the write looked up holds for the whole write, and it
+// runs before the write is prepared, logged or applied.
+func (t *table) checkWriteDigest(ctx context.Context, name string) error {
+	if d := SchemaDigest(ctx); d != 0 && d != t.digest {
+		return fmt.Errorf("%w: %q", ErrSchemaChanged, name)
+	}
+	return nil
 }

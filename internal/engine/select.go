@@ -96,6 +96,7 @@ func (db *DB) Select(ctx context.Context, q Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	buf := newCellBuf(len(project), len(rids))
 	for _, name := range project {
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
@@ -103,7 +104,7 @@ func (db *DB) Select(ctx context.Context, q Query) (*Result, error) {
 		res.Columns = append(res.Columns, ResultColumn{
 			Table:  q.Table,
 			Column: name,
-			Cells:  v.render(v.cols[name], rids),
+			Cells:  v.render(v.cols[name], rids, &buf),
 		})
 	}
 	return res, nil

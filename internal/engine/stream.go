@@ -77,6 +77,7 @@ type Cursor struct {
 	count   int
 	pos     int
 	chunk   int
+	buf     cellBuf // render memory, emptied and reused by every chunk
 }
 
 // Next renders and returns the next chunk of rows, or io.EOF when done.
@@ -94,11 +95,15 @@ func (c *Cursor) Next() (*Result, error) {
 	rids := c.rids[c.pos:end]
 	c.pos = end
 	res := &Result{RecordIDs: rids, Count: len(rids)}
+	if c.buf.cells == nil {
+		c.buf = newCellBuf(len(c.project), len(rids))
+	}
+	c.buf.cells, c.buf.arena = c.buf.cells[:0], c.buf.arena[:0]
 	for _, name := range c.project {
 		res.Columns = append(res.Columns, ResultColumn{
 			Table:  c.table,
 			Column: name,
-			Cells:  c.v.render(c.v.cols[name], rids),
+			Cells:  c.v.render(c.v.cols[name], rids, &c.buf),
 		})
 	}
 	return res, nil
@@ -107,10 +112,11 @@ func (c *Cursor) Next() (*Result, error) {
 // Count returns the total number of matching rows.
 func (c *Cursor) Count() int { return c.count }
 
-// Close drops the cursor's version reference so the pinned stores can be
-// collected.
+// Close drops the cursor's version reference and render memory so the
+// pinned stores can be collected.
 func (c *Cursor) Close() error {
 	c.v = nil
+	c.buf = cellBuf{}
 	c.rids = c.rids[len(c.rids):]
 	c.pos = 0
 	return nil

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -28,8 +29,12 @@ func drainStream(t *testing.T, st engine.ResultStream) (chunks int, cells map[st
 		if chunk.Count != len(chunk.RecordIDs) {
 			t.Fatalf("chunk Count = %d, rids = %d", chunk.Count, len(chunk.RecordIDs))
 		}
+		// A chunk's cells are valid until the next Next: the cursor
+		// renders every chunk into the same memory.
 		for _, rc := range chunk.Columns {
-			cells[rc.Column] = append(cells[rc.Column], rc.Cells...)
+			for _, cell := range rc.Cells {
+				cells[rc.Column] = append(cells[rc.Column], bytes.Clone(cell))
+			}
 		}
 	}
 }

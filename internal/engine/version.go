@@ -45,8 +45,8 @@ type tailRegion [][]byte
 // Len returns the number of captured tail rows (implements search.Region).
 func (t tailRegion) Len() int { return len(t) }
 
-// Load returns tail entry i (implements search.Region).
-func (t tailRegion) Load(i int) []byte { return t[i] }
+// AppendEntry appends tail entry i (implements search.Region).
+func (t tailRegion) AppendEntry(dst []byte, i int) []byte { return append(dst, t[i]...) }
 
 // pin captures the current version under a brief read-lock critical section
 // and verifies the table is queryable. The returned version is safe for
@@ -95,14 +95,10 @@ func (v *version) sealedRuns() int {
 	return 0
 }
 
-// entry resolves RecordID r of this column version to its stored payload:
-// the main store below mainRows, then the sealed runs in chain order, then
-// the tail (paper Fig. 5 step 12 applied across the store chain).
-func (cv *colVersion) entry(mainRows int, r int) []byte {
-	if r < mainRows {
-		return cv.main.Entry(int(cv.main.VID(r)))
-	}
-	i := r - mainRows
+// deltaEntry resolves delta row i — RecordID mainRows+i — of this column
+// version to its stored payload: the sealed runs in chain order, then the
+// tail (paper Fig. 5 step 12 applied across the delta chain).
+func (cv *colVersion) deltaEntry(i int) []byte {
 	for _, run := range cv.sealed {
 		if i < run.rows() {
 			return run.entries[i]
@@ -112,17 +108,38 @@ func (cv *colVersion) entry(mainRows int, r int) []byte {
 	return cv.tail[i]
 }
 
+// cellBuf is the memory a render writes into: the cells of every column
+// rendered, and the arena the main-store cells are copied into. A cursor
+// empties it and renders chunk after chunk into it, so a stream allocates
+// it once, growing the arena only for a chunk whose entries outgrow it.
+type cellBuf struct {
+	cells [][]byte
+	arena []byte
+}
+
+// newCellBuf returns a cellBuf with room for the cells of rows rows of cols
+// columns. Its arena starts empty: each column's Gather grows it to the exact
+// size of the entries it copies, and a cursor, reusing it, pays that growth
+// once.
+func newCellBuf(cols, rows int) cellBuf {
+	return cellBuf{cells: make([][]byte, 0, cols*rows)}
+}
+
 // render reconstructs the projected cells for the matched rows by undoing
 // the split: cell = D[AV[rid]] (paper Fig. 5 step 12). rids ascend, as every
-// match set's RecordIDs do, so the main-store rows are a prefix: they resolve
-// in one batch (dict.Split.Gather), and the delta rows behind them one by one
-// through entry. Cells remain ciphertexts for encrypted columns.
-func (v *version) render(cv *colVersion, rids []uint32) [][]byte {
-	cells := make([][]byte, len(rids))
+// match set's RecordIDs do, so the main-store rows are a prefix: they are
+// copied out in one batch (dict.Split.Gather), and the delta rows behind them
+// resolve one by one to their immutable stored entries. Cells remain
+// ciphertexts for encrypted columns. The cells are appended to buf, and
+// stay valid while buf is not emptied.
+func (v *version) render(cv *colVersion, rids []uint32, buf *cellBuf) [][]byte {
+	start := len(buf.cells)
+	buf.cells = slices.Grow(buf.cells, len(rids))[:start+len(rids)]
+	cells := buf.cells[start:len(buf.cells):len(buf.cells)]
 	m, _ := slices.BinarySearch(rids, uint32(v.mainRows))
-	cv.main.Gather(cells, rids[:m])
+	buf.arena = cv.main.Gather(buf.arena, cells, rids[:m])
 	for i := m; i < len(rids); i++ {
-		cells[i] = cv.entry(v.mainRows, int(rids[i]))
+		cells[i] = cv.deltaEntry(int(rids[i]) - v.mainRows)
 	}
 	return cells
 }

@@ -72,7 +72,7 @@ func Analyze(s *dict.Split, decrypt func([]byte) ([]byte, error)) (*Report, erro
 	}
 	plain := make([][]byte, n)
 	for i := 0; i < n; i++ {
-		v, err := decrypt(s.Entry(i))
+		v, err := decrypt(s.AppendEntry(nil, i))
 		if err != nil {
 			return nil, fmt.Errorf("leakage: decrypt entry %d: %w", i, err)
 		}
@@ -253,7 +253,7 @@ func FrequencyAttack(s *dict.Split, decrypt func([]byte) ([]byte, error), aux Au
 	for _, vid := range s.AVCodes() {
 		pt, ok := plainCache[int(vid)]
 		if !ok {
-			raw, err := decrypt(s.Entry(int(vid)))
+			raw, err := decrypt(s.AppendEntry(nil, int(vid)))
 			if err != nil {
 				return 0, fmt.Errorf("leakage: decrypt entry %d: %w", vid, err)
 			}
@@ -321,7 +321,7 @@ func OrderAttack(s *dict.Split, decrypt func([]byte) ([]byte, error), aux Auxili
 	for _, vid := range s.AVCodes() {
 		pt, ok := plainCache[int(vid)]
 		if !ok {
-			raw, err := decrypt(s.Entry(int(vid)))
+			raw, err := decrypt(s.AppendEntry(nil, int(vid)))
 			if err != nil {
 				return 0, fmt.Errorf("leakage: decrypt entry %d: %w", vid, err)
 			}

@@ -1,12 +1,17 @@
 // Package pae implements the probabilistic authenticated encryption scheme
-// used throughout EncDBDB (paper §2.3): AES-128 in GCM mode with random
-// 96-bit initialization vectors, plus the hierarchical key derivation of
-// §4.2 (the per-dictionary key SK_D is derived from the database master key
-// SK_DB, the table name and the column name).
+// used throughout EncDBDB (paper §2.3): AES-128 in GCM mode with 96-bit
+// initialization vectors, plus the hierarchical key derivation of §4.2 (the
+// per-dictionary key SK_D is derived from the database master key SK_DB,
+// the table name and the column name).
 //
 // Ciphertexts are self-contained: IV || GCM(ciphertext || tag). Decryption
 // authenticates and returns the original plaintext, or an error if the
 // ciphertext was tampered with or produced under a different key.
+//
+// Encrypt draws each IV at random. Seal takes the IV from its caller, who
+// must never repeat one under a key: a main-store dictionary derives entry
+// i's IV from a per-build random salt and i (package dict), so it stores
+// only ciphertext || tag and rebuilds the self-contained form on load.
 package pae
 
 import (
@@ -23,12 +28,12 @@ import (
 const (
 	// KeySize is the AES-128 key size in bytes.
 	KeySize = 16
-	// ivSize is the GCM nonce size in bytes.
-	ivSize = 12
-	// tagSize is the GCM authentication tag size in bytes.
-	tagSize = 16
+	// IVSize is the GCM nonce size in bytes.
+	IVSize = 12
+	// TagSize is the GCM authentication tag size in bytes.
+	TagSize = 16
 	// Overhead is the ciphertext expansion per value: IV plus GCM tag.
-	Overhead = ivSize + tagSize
+	Overhead = IVSize + TagSize
 )
 
 var (
@@ -120,27 +125,20 @@ func NewCipher(key Key) (*Cipher, error) {
 // Repeated encryptions of equal plaintexts yield distinct ciphertexts except
 // with negligible probability.
 func (c *Cipher) Encrypt(plaintext []byte) ([]byte, error) {
-	out := make([]byte, ivSize, ivSize+len(plaintext)+tagSize)
-	if _, err := io.ReadFull(rand.Reader, out[:ivSize]); err != nil {
+	out := make([]byte, IVSize, IVSize+len(plaintext)+TagSize)
+	if _, err := io.ReadFull(rand.Reader, out[:IVSize]); err != nil {
 		return nil, fmt.Errorf("pae: generate iv: %w", err)
 	}
-	return c.aead.Seal(out, out[:ivSize], plaintext, nil), nil
+	return c.aead.Seal(out, out[:IVSize], plaintext, nil), nil
 }
 
-// EncryptAll appends the encryption of each plaintext, in order, to dst and
-// returns the extended slice; plaintext i takes CiphertextLen(len(i)) bytes.
-// It is Encrypt for many values: each gets its own fresh random IV, all of
-// them drawn with one read of the system's randomness source.
-func (c *Cipher) EncryptAll(dst []byte, plaintexts [][]byte) ([]byte, error) {
-	ivs := make([]byte, ivSize*len(plaintexts))
-	if _, err := io.ReadFull(rand.Reader, ivs); err != nil {
-		return nil, fmt.Errorf("pae: generate iv: %w", err)
-	}
-	for i, pt := range plaintexts {
-		iv := ivs[ivSize*i : ivSize*(i+1)]
-		dst = c.aead.Seal(append(dst, iv...), iv, pt, nil)
-	}
-	return dst, nil
+// Seal appends GCM(plaintext) — ciphertext || tag, without the IV — under iv
+// to dst and returns the extended slice. iv must be IVSize bytes and must
+// never have sealed anything else under this key: GCM loses both secrecy and
+// integrity when an IV repeats. iv followed by the appended bytes is the
+// self-contained form Decrypt takes.
+func (c *Cipher) Seal(dst, iv, plaintext []byte) []byte {
+	return c.aead.Seal(dst, iv, plaintext, nil)
 }
 
 // Decrypt authenticates and decrypts a ciphertext produced by Encrypt (the
@@ -149,7 +147,7 @@ func (c *Cipher) Decrypt(ciphertext []byte) ([]byte, error) {
 	if len(ciphertext) < Overhead {
 		return nil, ErrCiphertextTooShort
 	}
-	pt, err := c.aead.Open(nil, ciphertext[:ivSize], ciphertext[ivSize:], nil)
+	pt, err := c.aead.Open(nil, ciphertext[:IVSize], ciphertext[IVSize:], nil)
 	if err != nil {
 		return nil, ErrAuth
 	}
@@ -163,7 +161,7 @@ func (c *Cipher) DecryptInto(dst, ciphertext []byte) ([]byte, error) {
 	if len(ciphertext) < Overhead {
 		return nil, ErrCiphertextTooShort
 	}
-	out, err := c.aead.Open(dst, ciphertext[:ivSize], ciphertext[ivSize:], nil)
+	out, err := c.aead.Open(dst, ciphertext[:IVSize], ciphertext[IVSize:], nil)
 	if err != nil {
 		return nil, ErrAuth
 	}

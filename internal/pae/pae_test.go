@@ -59,33 +59,27 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEncryptAll appends several ciphertexts behind a prefix: each one
-// decrypts to its plaintext, and equal plaintexts get distinct IVs.
-func TestEncryptAll(t *testing.T) {
+// TestSeal appends a sealed body behind a prefix: under the IV it was
+// sealed with it decrypts to its plaintext, under any other IV it fails.
+func TestSeal(t *testing.T) {
 	c, err := NewCipher(MustGen())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := [][]byte{{}, []byte("Jessica"), []byte("Jessica"), bytes.Repeat([]byte("warehouse"), 100)}
-	out, err := c.EncryptAll([]byte("prefix"), pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := len("prefix")
-	var ivs [][]byte
-	for i, pt := range pts {
-		ct := out[off : off+CiphertextLen(len(pt))]
-		off += len(ct)
-		if got, err := c.Decrypt(ct); err != nil || !bytes.Equal(got, pt) {
-			t.Errorf("entry %d: Decrypt = %q, %v; want %q", i, got, err, pt)
+	iv := bytes.Repeat([]byte{7}, IVSize)
+	for _, pt := range [][]byte{{}, []byte("Jessica"), bytes.Repeat([]byte("warehouse"), 100)} {
+		out := c.Seal([]byte("prefix"), iv, pt)
+		body := out[len("prefix"):]
+		if string(out[:6]) != "prefix" || len(body) != len(pt)+TagSize {
+			t.Fatalf("Seal(%d bytes) appended %d bytes, want %d", len(pt), len(body), len(pt)+TagSize)
 		}
-		ivs = append(ivs, ct[:ivSize])
-	}
-	if off != len(out) || string(out[:6]) != "prefix" {
-		t.Errorf("output is %d bytes, want %d behind the prefix", len(out), off)
-	}
-	if bytes.Equal(ivs[1], ivs[2]) {
-		t.Error("equal plaintexts share an IV")
+		if got, err := c.Decrypt(append(bytes.Clone(iv), body...)); err != nil || !bytes.Equal(got, pt) {
+			t.Errorf("Decrypt(iv || body) = %q, %v; want %q", got, err, pt)
+		}
+		other := bytes.Repeat([]byte{8}, IVSize)
+		if _, err := c.Decrypt(append(other, body...)); err != ErrAuth {
+			t.Errorf("Decrypt under another IV: err = %v, want ErrAuth", err)
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"github.com/encdbdb/encdbdb/internal/enclave"
 	"github.com/encdbdb/encdbdb/internal/engine"
@@ -25,6 +26,10 @@ import (
 	"github.com/encdbdb/encdbdb/internal/search"
 	"github.com/encdbdb/encdbdb/internal/sqlparse"
 )
+
+// ErrPartialWrite marks a failed write that some shards of a fleet applied
+// nonetheless: sending it again would apply it there twice.
+var ErrPartialWrite = errors.New("proxy: write applied on some shards only")
 
 // Executor is the provider-side surface the proxy drives. *engine.DB
 // implements it for embedded deployments; the wire client and pool implement
@@ -42,7 +47,7 @@ type Executor interface {
 	// write-lock acquisition for the embedded engine. A single INSERT is a
 	// batch of one. A provider applies a batch all or nothing; a shard
 	// fleet does so per shard only, so when some shards fail the rows the
-	// others took stay inserted.
+	// others took stay inserted, and its error wraps ErrPartialWrite.
 	InsertBatch(ctx context.Context, table string, rows []engine.Row) error
 	Delete(ctx context.Context, table string, filters []engine.Filter) (int, error)
 	Update(ctx context.Context, table string, filters []engine.Filter, set engine.Row) (int, error)
@@ -154,11 +159,10 @@ func (p *Proxy) schema(table string) (ts tableSchema, cached bool, err error) {
 
 // fetchSchema asks the provider for table's schema and caches it.
 func (p *Proxy) fetchSchema(table string) (tableSchema, error) {
-	sc, err := p.exec.Schema(table)
+	ts, err := p.lookupSchema(table)
 	if err != nil {
 		return tableSchema{}, err
 	}
-	ts := tableSchema{Schema: sc, digest: sc.Digest()}
 	p.smu.Lock()
 	p.schemas[table] = ts
 	p.smu.Unlock()
@@ -314,25 +318,28 @@ func (p *Proxy) execStmts(ctx context.Context, stmts []sqlparse.Statement) ([]*R
 			}
 			j++
 		}
-		schema, err := p.exec.Schema(ins.Table)
+		ts, err := p.lookupSchema(ins.Table)
 		if err != nil {
 			return results, fmt.Errorf("proxy: statement %d: %w", i, err)
 		}
-		rows := make([]engine.Row, 0, j-i)
-		for k := i; k < j; k++ {
-			// The batch bypasses execute(), so it must re-apply its
-			// unbound-placeholder guard: a '?' must never silently insert
-			// its zero value.
-			if n := sqlparse.NumParams(stmts[k]); n > 0 {
-				return results, fmt.Errorf("proxy: statement %d: statement has %d unbound placeholders", k, n)
+		_, _, err = p.planWrite(ctx, ins.Table, ts, func(ctx context.Context, ts tableSchema) (*Result, error) {
+			rows := make([]engine.Row, 0, j-i)
+			for k := i; k < j; k++ {
+				// The batch bypasses execute(), so it must re-apply its
+				// unbound-placeholder guard: a '?' must never silently
+				// insert its zero value.
+				if n := sqlparse.NumParams(stmts[k]); n > 0 {
+					return nil, fmt.Errorf("proxy: statement %d: statement has %d unbound placeholders", k, n)
+				}
+				row, err := p.insertRow(ts.Schema, stmts[k].(*sqlparse.Insert))
+				if err != nil {
+					return nil, fmt.Errorf("proxy: statement %d: %w", k, err)
+				}
+				rows = append(rows, row)
 			}
-			row, err := p.insertRow(schema, stmts[k].(*sqlparse.Insert))
-			if err != nil {
-				return results, fmt.Errorf("proxy: statement %d: %w", k, err)
-			}
-			rows = append(rows, row)
-		}
-		if err := p.exec.InsertBatch(ctx, ins.Table, rows); err != nil {
+			return nil, p.exec.InsertBatch(ctx, ins.Table, rows)
+		})
+		if err != nil {
 			return results, err
 		}
 		for k := i; k < j; k++ {
@@ -344,17 +351,12 @@ func (p *Proxy) execStmts(ctx context.Context, stmts []sqlparse.Statement) ([]*R
 }
 
 // execute runs one parsed, fully bound statement. A SELECT is planned
-// against the schema cache. A write resolves its table's schema per call,
-// unless schema is non-nil: a prepared write's resolution from Prepare time.
-func (p *Proxy) execute(ctx context.Context, st sqlparse.Statement, schema *engine.Schema) (*Result, error) {
+// against the schema cache. A write is planned against its table's schema
+// fetched for this call, unless prepared is non-nil: a prepared write's
+// schema, which a refused plan replaces (see planWrite).
+func (p *Proxy) execute(ctx context.Context, st sqlparse.Statement, prepared *atomic.Pointer[tableSchema]) (*Result, error) {
 	if n := sqlparse.NumParams(st); n > 0 {
 		return nil, fmt.Errorf("proxy: statement has %d unbound placeholders", n)
-	}
-	schemaFor := func(table string) (engine.Schema, error) {
-		if schema != nil && schema.Table == table {
-			return *schema, nil
-		}
-		return p.exec.Schema(table)
 	}
 	switch s := st.(type) {
 	case *sqlparse.CreateTable:
@@ -363,24 +365,8 @@ func (p *Proxy) execute(ctx context.Context, st sqlparse.Statement, schema *engi
 		return withSchema(p, s.Table, func(ts tableSchema) (*Result, error) {
 			return p.selectStmt(ctx, s, ts)
 		})
-	case *sqlparse.Insert:
-		sc, err := schemaFor(s.Table)
-		if err != nil {
-			return nil, err
-		}
-		return p.insert(ctx, s, sc)
-	case *sqlparse.Update:
-		sc, err := schemaFor(s.Table)
-		if err != nil {
-			return nil, err
-		}
-		return p.update(ctx, s, sc)
-	case *sqlparse.Delete:
-		sc, err := schemaFor(s.Table)
-		if err != nil {
-			return nil, err
-		}
-		return p.delete(ctx, s, sc)
+	case *sqlparse.Insert, *sqlparse.Update, *sqlparse.Delete:
+		return p.write(ctx, st, prepared)
 	case *sqlparse.DropTable:
 		// Dropped whatever the outcome: a fleet's failed DROP may still
 		// have dropped the table on some shards.
@@ -409,6 +395,70 @@ func (p *Proxy) execute(ctx context.Context, st sqlparse.Statement, schema *engi
 	default:
 		return nil, fmt.Errorf("proxy: unsupported statement %T", st)
 	}
+}
+
+// write runs one INSERT, UPDATE or DELETE through planWrite, planned
+// against prepared's schema or, for an ad-hoc write, against the table's
+// schema fetched for this statement: writes do not read the SELECT cache.
+// A prepared write keeps the schema a refused plan was re-planned against.
+func (p *Proxy) write(ctx context.Context, st sqlparse.Statement, prepared *atomic.Pointer[tableSchema]) (*Result, error) {
+	table, _ := stmtTable(st)
+	var ts tableSchema
+	if prepared != nil {
+		ts = *prepared.Load()
+	} else {
+		var err error
+		if ts, err = p.lookupSchema(table); err != nil {
+			return nil, err
+		}
+	}
+	res, used, err := p.planWrite(ctx, table, ts, func(ctx context.Context, ts tableSchema) (*Result, error) {
+		switch s := st.(type) {
+		case *sqlparse.Insert:
+			return p.insert(ctx, s, ts.Schema)
+		case *sqlparse.Update:
+			return p.update(ctx, s, ts.Schema)
+		default:
+			return p.delete(ctx, s.(*sqlparse.Delete), ts.Schema)
+		}
+	})
+	if prepared != nil && used.digest != ts.digest {
+		prepared.Store(&used)
+	}
+	return res, err
+}
+
+// planWrite runs a write planned by run against ts and sends ts's digest
+// with it (engine.WithSchemaDigest). If another session dropped and
+// re-created the table under other columns since ts was fetched, the
+// provider refuses the plan (engine.ErrSchemaChanged) before applying any of
+// it. The write is then planned once more, against the table's schema
+// fetched again — which re-validates its columns and values — and sent once
+// more; the schema it last ran against is returned. A refusal beside rows
+// that some shard of a fleet did change — an UPDATE or DELETE that reports
+// affected rows, an INSERT batch whose error wraps ErrPartialWrite — is
+// returned as it is: re-sending would apply the write there twice.
+func (p *Proxy) planWrite(ctx context.Context, table string, ts tableSchema, run func(context.Context, tableSchema) (*Result, error)) (*Result, tableSchema, error) {
+	res, err := run(engine.WithSchemaDigest(ctx, ts.digest), ts)
+	applied := errors.Is(err, ErrPartialWrite) || (res != nil && res.Affected > 0)
+	if !errors.Is(err, engine.ErrSchemaChanged) || applied {
+		return res, ts, err
+	}
+	fresh, ferr := p.lookupSchema(table)
+	if ferr != nil {
+		return nil, ts, ferr
+	}
+	res, err = run(engine.WithSchemaDigest(ctx, fresh.digest), fresh)
+	return res, fresh, err
+}
+
+// lookupSchema fetches table's schema from the provider, uncached.
+func (p *Proxy) lookupSchema(table string) (tableSchema, error) {
+	sc, err := p.exec.Schema(table)
+	if err != nil {
+		return tableSchema{}, err
+	}
+	return tableSchema{Schema: sc, digest: sc.Digest()}, nil
 }
 
 // mergeStatusResult renders a MergeInfo as a one-row result.

@@ -23,16 +23,19 @@ var ErrStmtClosed = errors.New("proxy: prepared statement closed")
 //
 // A Stmt is safe for concurrent use. A prepared SELECT is planned against
 // the proxy's schema cache, so it follows DDL as an ad-hoc SELECT does. A
-// prepared write keeps the schema resolved at Prepare time, which the
-// provider does not check; re-prepare it after DDL that changes the table.
+// prepared write is planned against the schema resolved at Prepare time and
+// sends its digest; after DDL that changes the table, the provider refuses
+// it, and the write is planned again against the new schema, which the
+// statement keeps (Proxy.planWrite).
 type Stmt struct {
 	p        *Proxy
 	template sqlparse.Statement
 	nparams  int
 
-	// schema is a prepared write's schema, resolved at Prepare time; nil
-	// for a SELECT and for statements without a table.
-	schema *engine.Schema
+	// schema is a prepared write's schema, resolved at Prepare time and
+	// replaced when the provider refuses it; nil for a SELECT and for
+	// statements without a table.
+	schema atomic.Pointer[tableSchema]
 
 	closed atomic.Bool
 }
@@ -59,7 +62,7 @@ func (p *Proxy) Prepare(ctx context.Context, sql string) (*Stmt, error) {
 			return nil, err
 		}
 		if _, isSelect := st.(*sqlparse.Select); !isSelect {
-			s.schema = &ts.Schema
+			s.schema.Store(&ts)
 		}
 		// Derive every encrypted column's cipher now so executions only
 		// encrypt.
@@ -177,7 +180,10 @@ func (s *Stmt) Exec(ctx context.Context, args ...any) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.p.execute(ctx, st, s.schema)
+	if s.schema.Load() == nil {
+		return s.p.execute(ctx, st, nil)
+	}
+	return s.p.execute(ctx, st, &s.schema)
 }
 
 // Query runs a prepared SELECT with the given arguments, returning a

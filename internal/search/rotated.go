@@ -36,6 +36,7 @@ import (
 // when the queried plaintext interval spans the rotation point.
 func RotatedDict(r Region, dec Decryptor, enc *ordenc.Encoder, q Range, tailRun int) ([]VidRange, error) {
 	n := r.Len()
+	d := &reader{r: r, dec: dec}
 	if n == 0 || q.Empty() {
 		return nil, nil
 	}
@@ -43,7 +44,7 @@ func RotatedDict(r Region, dec Decryptor, enc *ordenc.Encoder, q Range, tailRun 
 		return nil, fmt.Errorf("%w: tail run %d for |D| = %d", ErrTailRun, tailRun, n)
 	}
 
-	first, err := loadPlain(r, dec, 0)
+	first, err := d.value(0)
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +52,7 @@ func RotatedDict(r Region, dec Decryptor, enc *ordenc.Encoder, q Range, tailRun 
 	// is reused by subsequent loads.
 	d0 := append([]byte(nil), first...)
 	m := n - tailRun // searchable prefix [0, m) is sorted in the transformed domain
-	if err := checkTailRun(r, dec, d0, m); err != nil {
+	if err := checkTailRun(d, d0, m); err != nil {
 		return nil, err
 	}
 
@@ -66,11 +67,11 @@ func RotatedDict(r Region, dec Decryptor, enc *ordenc.Encoder, q Range, tailRun 
 		buf:   fixint.New(width),
 	}
 
-	lo, err := tq.lowestAdmitted(r, dec, m)
+	lo, err := tq.lowestAdmitted(d, m)
 	if err != nil {
 		return nil, err
 	}
-	hi, err := tq.highestAdmitted(r, dec, m)
+	hi, err := tq.highestAdmitted(d, m)
 	if err != nil {
 		return nil, err
 	}
@@ -108,10 +109,10 @@ func RotatedDict(r Region, dec Decryptor, enc *ordenc.Encoder, q Range, tailRun 
 // that the whole dictionary holds D[0]'s value (m = 1, where D[m-1] is D[0]
 // itself): both ends of the claimed run, D[1] and D[|D|-1], are checked
 // instead, which misses only other values sitting strictly between them.
-func checkTailRun(r Region, dec Decryptor, d0 []byte, m int) error {
-	n := r.Len()
+func checkTailRun(d *reader, d0 []byte, m int) error {
+	n := d.r.Len()
 	expect := func(i int, same bool) error {
-		v, err := loadPlain(r, dec, i)
+		v, err := d.value(i)
 		if err != nil {
 			return err
 		}
@@ -151,11 +152,11 @@ type transformedQuery struct {
 
 // lowestAdmitted returns the smallest index in [0, m) whose transformed
 // value satisfies the lower bound, or m if none does.
-func (t *transformedQuery) lowestAdmitted(r Region, dec Decryptor, m int) (int, error) {
+func (t *transformedQuery) lowestAdmitted(d *reader, m int) (int, error) {
 	lo, hi := 0, m
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		v, err := loadPlain(r, dec, mid)
+		v, err := d.value(mid)
 		if err != nil {
 			return 0, err
 		}
@@ -172,11 +173,11 @@ func (t *transformedQuery) lowestAdmitted(r Region, dec Decryptor, m int) (int, 
 
 // highestAdmitted returns the largest index in [0, m) whose transformed
 // value satisfies the upper bound, or -1 if none does.
-func (t *transformedQuery) highestAdmitted(r Region, dec Decryptor, m int) (int, error) {
+func (t *transformedQuery) highestAdmitted(d *reader, m int) (int, error) {
 	lo, hi := 0, m
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		v, err := loadPlain(r, dec, mid)
+		v, err := d.value(mid)
 		if err != nil {
 			return 0, err
 		}

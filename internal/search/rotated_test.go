@@ -39,14 +39,14 @@ func heavyColumn(rng *rand.Rand, heavy, others int) [][]byte {
 func walkTailRun(t *testing.T, f *fixture) int {
 	t.Helper()
 	n := f.split.Len()
-	first, err := f.dec.Decrypt(f.split.Load(0))
+	first, err := f.dec.Decrypt(f.split.AppendEntry(nil, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	d0 := bytes.Clone(first)
 	run := 0
 	for i := n - 1; i >= 1; i-- {
-		v, err := f.dec.Decrypt(f.split.Load(i))
+		v, err := f.dec.Decrypt(f.split.AppendEntry(nil, i))
 		if err != nil {
 			t.Fatal(err)
 		}

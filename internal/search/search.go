@@ -30,15 +30,16 @@ import (
 	"fmt"
 )
 
-// Region is an indexed sequence of dictionary entry payloads residing in
-// untrusted memory. Load returns the payload of entry i; the enclave copies
-// it inside the boundary before decrypting.
+// Region is an indexed sequence of dictionary entries residing in untrusted
+// memory. A search copies each entry it reads into a scratch buffer of its
+// own, inside the boundary, before decrypting it.
 type Region interface {
 	// Len returns the number of entries |D|.
 	Len() int
-	// Load returns entry i. The returned slice must stay valid until the
-	// next Load call and must not be modified.
-	Load(i int) []byte
+	// AppendEntry appends entry i in its self-contained form — a PAE
+	// ciphertext, or the raw value for plaintext dictionaries — to dst and
+	// returns the extended slice.
+	AppendEntry(dst []byte, i int) []byte
 }
 
 // Decryptor authenticates and decrypts one dictionary entry payload. It is
@@ -116,9 +117,19 @@ var ErrDecrypt = errors.New("search: dictionary entry failed to decrypt")
 // a tampered one.
 var ErrTailRun = errors.New("search: sealed tail run does not match the dictionary")
 
-// loadPlain loads entry i from the region and decrypts it.
-func loadPlain(r Region, dec Decryptor, i int) ([]byte, error) {
-	v, err := dec.Decrypt(r.Load(i))
+// reader is one search's access to its dictionary: it copies each entry
+// into one reused scratch buffer, then decrypts it.
+type reader struct {
+	r   Region
+	dec Decryptor
+	ent []byte
+}
+
+// value loads entry i and decrypts it. The plaintext is valid until the
+// next call.
+func (d *reader) value(i int) ([]byte, error) {
+	d.ent = d.r.AppendEntry(d.ent[:0], i)
+	v, err := d.dec.Decrypt(d.ent)
 	if err != nil {
 		return nil, fmt.Errorf("%w: entry %d: %v", ErrDecrypt, i, err)
 	}

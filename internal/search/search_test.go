@@ -419,7 +419,7 @@ func TestSearchRejectsTamperedDictionary(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, k := range []dict.Kind{dict.ED1, dict.ED2, dict.ED3} {
 		f := buildFixture(t, paperColumn(), k, true, rng)
-		f.split.Tail()[0] ^= 0xFF // corrupt first tail byte
+		f.split.Tail()[1] ^= 0xFF // corrupt the first tail entry behind its 1-byte length prefix
 		q := search.Closed([]byte("A"), []byte("z"))
 		var err error
 		switch k.Order() {
@@ -531,9 +531,9 @@ type countingRegion struct {
 	loads int
 }
 
-func (c *countingRegion) Load(i int) []byte {
+func (c *countingRegion) AppendEntry(dst []byte, i int) []byte {
 	c.loads++
-	return c.Region.Load(i)
+	return c.Region.AppendEntry(dst, i)
 }
 
 func (c *countingRegion) Len() int { return c.Region.Len() }

@@ -8,17 +8,18 @@ package search
 // decrypted; required enclave memory is constant and independent of |D|.
 func SortedDict(r Region, dec Decryptor, q Range) (VidRange, bool, error) {
 	n := r.Len()
+	d := &reader{r: r, dec: dec}
 	if n == 0 || q.Empty() {
 		return VidRange{}, false, nil
 	}
-	lo, err := lowestAdmitted(r, dec, q, 0, n)
+	lo, err := lowestAdmitted(d, q, 0, n)
 	if err != nil {
 		return VidRange{}, false, err
 	}
 	if lo == n {
 		return VidRange{}, false, nil // all entries below the range
 	}
-	hi, err := highestAdmitted(r, dec, q, 0, n)
+	hi, err := highestAdmitted(d, q, 0, n)
 	if err != nil {
 		return VidRange{}, false, err
 	}
@@ -31,10 +32,10 @@ func SortedDict(r Region, dec Decryptor, q Range) (VidRange, bool, error) {
 // lowestAdmitted returns the smallest index i in [lo, hi) whose value
 // satisfies the range's lower bound, or hi if none does (leftmost binary
 // search, BinarySearchLM).
-func lowestAdmitted(r Region, dec Decryptor, q Range, lo, hi int) (int, error) {
+func lowestAdmitted(d *reader, q Range, lo, hi int) (int, error) {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		v, err := loadPlain(r, dec, mid)
+		v, err := d.value(mid)
 		if err != nil {
 			return 0, err
 		}
@@ -50,10 +51,10 @@ func lowestAdmitted(r Region, dec Decryptor, q Range, lo, hi int) (int, error) {
 // highestAdmitted returns the largest index i in [lo, hi) whose value
 // satisfies the range's upper bound, or lo-1 if none does (rightmost binary
 // search, BinarySearchRM).
-func highestAdmitted(r Region, dec Decryptor, q Range, lo, hi int) (int, error) {
+func highestAdmitted(d *reader, q Range, lo, hi int) (int, error) {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		v, err := loadPlain(r, dec, mid)
+		v, err := d.value(mid)
 		if err != nil {
 			return 0, err
 		}

@@ -8,12 +8,13 @@ package search
 // frequency information.
 func UnsortedDict(r Region, dec Decryptor, q Range) ([]uint32, error) {
 	n := r.Len()
+	d := &reader{r: r, dec: dec}
 	if n == 0 || q.Empty() {
 		return nil, nil
 	}
 	var vids []uint32
 	for i := 0; i < n; i++ {
-		v, err := loadPlain(r, dec, i)
+		v, err := d.value(i)
 		if err != nil {
 			return nil, err
 		}

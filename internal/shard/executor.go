@@ -219,7 +219,8 @@ func (e *Executor) broadcastDDL(op string, fn func(proxy.Executor) error) error 
 // RecordID and dispatches the per-shard sub-batches in parallel, one
 // InsertBatch call per shard; rows keep their batch order within each shard.
 // Each sub-batch is all-or-nothing on its shard, the batch as a whole is
-// not: when some shards fail, the rows of the others stay inserted.
+// not: when some shards fail, the rows of the others stay inserted, and the
+// error wraps proxy.ErrPartialWrite.
 func (e *Executor) InsertBatch(ctx context.Context, table string, rows []engine.Row) error {
 	seq := e.seqFor(table)
 	parts := make([][]engine.Row, len(e.backends))
@@ -250,7 +251,20 @@ func (e *Executor) InsertBatch(ctx context.Context, table string, rows []engine.
 		}(i)
 	}
 	wg.Wait()
-	return errors.Join(errs...)
+	err := errors.Join(errs...)
+	if err == nil {
+		return nil
+	}
+	stored := 0
+	for i, p := range parts {
+		if errs[i] == nil {
+			stored += len(p)
+		}
+	}
+	if stored > 0 {
+		return fmt.Errorf("%w: %d of %d rows stored: %w", proxy.ErrPartialWrite, stored, len(rows), err)
+	}
+	return err
 }
 
 // Delete broadcasts the predicate — encrypted bounds carry fresh IVs, so the

@@ -35,7 +35,7 @@ import (
 const (
 	magic = "ENCDBDB\x01"
 	// version is the one format WriteTable emits and ReadTable accepts.
-	version = uint16(4)
+	version = uint16(5)
 	// maxSliceLen guards length-prefixed reads against corrupted or
 	// malicious files claiming absurd sizes.
 	maxSliceLen = 1 << 33

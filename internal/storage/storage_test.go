@@ -237,10 +237,10 @@ func TestRestoreRejectsTamperedSplitRefs(t *testing.T) {
 	if at < 0 {
 		t.Fatal("split bytes not found in the image")
 	}
-	// The head's entries are 8 bytes each, followed by the u32 tail length
-	// and the tail; entry 0's u32 length is at +4.
-	head := at + len(split) - 4 - len(main.Tail()) - 8*main.Len()
-	binary.LittleEndian.PutUint32(raw[head+4:], 1<<30)
+	// The head's offsets are 4 bytes each, followed by the u32 tail length
+	// and the tail.
+	head := at + len(split) - 4 - len(main.Tail()) - 4*main.Len()
+	binary.LittleEndian.PutUint32(raw[head:], 1<<30)
 	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
 	if _, err := storage.ReadTable(bytes.NewReader(raw)); !errors.Is(err, storage.ErrCorrupt) {
 		t.Errorf("tampered head reference: err = %v, want ErrCorrupt", err)
@@ -319,7 +319,7 @@ func TestFormatMatrix(t *testing.T) {
 	})
 	t.Run("old version is refused", func(t *testing.T) {
 		// The u16 format version follows the 8-byte magic.
-		for _, ver := range []byte{0, 1, 2, 3, 5} {
+		for _, ver := range []byte{0, 1, 2, 3, 4, 6} {
 			old := append([]byte(nil), raw...)
 			old[8], old[9] = ver, 0
 			if _, err := storage.ReadTable(bytes.NewReader(old)); !errors.Is(err, storage.ErrBadVersion) {

@@ -34,8 +34,9 @@ import (
 var ErrClosed = errors.New("wal: log closed")
 
 // segMagic heads every segment file. Its last byte is the segment format
-// version: version 2 holds import records in dict's split layout.
-var segMagic = []byte("EDBWAL\x00\x02")
+// version: version 3 holds import records in dict's split layout with
+// derived entry IVs and offset-only heads.
+var segMagic = []byte("EDBWAL\x00\x03")
 
 // ErrSegmentVersion is returned by Open for a segment of another format
 // version; recovery refuses it rather than misread its records.

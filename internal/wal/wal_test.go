@@ -313,9 +313,10 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 }
 
-// TestOldSegmentVersionRefused rewrites a segment's version byte to 1, the
-// format whose import records predate dict's split layout: recovery must
-// refuse it with ErrSegmentVersion rather than misread its records.
+// TestOldSegmentVersionRefused rewrites a segment's version byte to each
+// older format — 1, whose import records predate dict's split layout, and
+// 2, whose splits stored every entry's IV and length: recovery must refuse
+// it with ErrSegmentVersion rather than misread its records.
 func TestOldSegmentVersionRefused(t *testing.T) {
 	dir := t.TempDir()
 	db := engine.New(nil)
@@ -329,12 +330,14 @@ func TestOldSegmentVersionRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob[7] = 1 // the last byte of the 8-byte segment magic
-	if err := os.WriteFile(seg, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wal.Open(dir, engine.New(nil)); !errors.Is(err, wal.ErrSegmentVersion) {
-		t.Errorf("Open = %v, want ErrSegmentVersion", err)
+	for _, v := range []byte{1, 2} {
+		blob[7] = v // the last byte of the 8-byte segment magic
+		if err := os.WriteFile(seg, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := wal.Open(dir, engine.New(nil)); !errors.Is(err, wal.ErrSegmentVersion) {
+			t.Errorf("version %d: Open = %v, want ErrSegmentVersion", v, err)
+		}
 	}
 }
 

@@ -624,13 +624,13 @@ func (s *clientStream) Close() error {
 // carrying every row. The provider applies the batch all or nothing — a
 // bad row leaves the table as it was.
 func (c *Client) InsertBatch(ctx context.Context, table string, rows []engine.Row) error {
-	_, err := c.call(ctx, &request{Op: opInsert, Table: table, Rows: rows})
+	_, err := c.call(ctx, &request{Op: opInsert, Table: table, Rows: rows, Digest: engine.SchemaDigest(ctx)})
 	return err
 }
 
 // Delete invalidates matching rows.
 func (c *Client) Delete(ctx context.Context, table string, filters []engine.Filter) (int, error) {
-	resp, err := c.call(ctx, &request{Op: opDelete, Table: table, Filters: filters})
+	resp, err := c.call(ctx, &request{Op: opDelete, Table: table, Filters: filters, Digest: engine.SchemaDigest(ctx)})
 	if err != nil {
 		return 0, err
 	}
@@ -639,7 +639,7 @@ func (c *Client) Delete(ctx context.Context, table string, filters []engine.Filt
 
 // Update rewrites matching rows.
 func (c *Client) Update(ctx context.Context, table string, filters []engine.Filter, set engine.Row) (int, error) {
-	resp, err := c.call(ctx, &request{Op: opUpdate, Table: table, Filters: filters, Set: set})
+	resp, err := c.call(ctx, &request{Op: opUpdate, Table: table, Filters: filters, Set: set, Digest: engine.SchemaDigest(ctx)})
 	if err != nil {
 		return 0, err
 	}

@@ -16,8 +16,9 @@ import (
 // one valid value (codecBin); a frame carrying any other tag is corrupt.
 //
 // Binary primitives: unsigned varints for integers and lengths, except a
-// query's schema digest, which is a hash and takes a fixed 8 bytes
-// (big-endian); single bytes for tags and bools, length-prefixed bytes
+// schema digest, which is a hash and takes a fixed 8 bytes (big-endian): a
+// query's, inside its query fields, and a write's (opInsert, opUpdate,
+// opDelete), right after the presence bitmask, 0 for an unchecked write; single bytes for tags and bools, length-prefixed bytes
 // with a +1 nil bias (0 encodes a nil slice, n+1 a slice of n bytes), and
 // length-prefixed UTF-8 for strings. Envelope fields that are zero are
 // omitted behind a presence bitmask (a uvarint; a set bit this build does
@@ -119,6 +120,9 @@ func (req *request) encode(e *encoder) {
 		flags |= reqHasSplit
 	}
 	e.uvarint(flags)
+	if req.Op.write() {
+		e.u64(req.Digest)
+	}
 	if flags&reqHasQuery != 0 {
 		encQuery(e, &req.Query)
 	}
@@ -474,6 +478,9 @@ func decRequest(d *binReader, req *request, in *intern) {
 	req.Column = in.get(d.strBytes())
 	req.Cancel = d.uvarint()
 	flags := d.flags(reqKnownBits)
+	if req.Op.write() {
+		req.Digest = d.u64()
+	}
 	if flags&reqHasQuery != 0 {
 		decQuery(d, &req.Query, in)
 	}
@@ -690,6 +697,7 @@ func resetRequest(req *request) {
 	req.Table = ""
 	req.Column = ""
 	req.Cancel = 0
+	req.Digest = 0
 	req.Nonce = nil
 	req.Sealed = enclave.SealedKey{}
 	req.Split = nil

@@ -65,7 +65,14 @@ func binRequestCases() map[string]*request {
 				Column: "k",
 				Ranges: []enclave.EncRange{{Start: []byte{7}, End: []byte{7}, StartIncl: true, EndIncl: true}},
 			}},
-			Set: engine.Row{"v": []byte("new")},
+			Set:    engine.Row{"v": []byte("new")},
+			Digest: 0x0123456789abcdef,
+		},
+		"delete": {
+			Op:      opDelete,
+			Table:   "t",
+			Filters: []engine.Filter{{Column: "k", Ranges: []enclave.EncRange{{Start: []byte{1}, End: []byte{9}, EndIncl: true}}}},
+			Digest:  0xfedcba9876543210,
 		},
 		"create_table": {
 			Op: opCreateTable,
@@ -589,9 +596,9 @@ func TestImportRowsCostBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := s.AppendBinary(nil)
-		// The row count follows kind, plain flag, MaxLen, BSMax and the
-		// empty rotation header.
-		binary.LittleEndian.PutUint32(b[14:], rows)
+		// The row count follows kind, plain flag, MaxLen, BSMax, the salt
+		// and the empty rotation header.
+		binary.LittleEndian.PutUint32(b[22:], rows)
 		resp := new(response)
 		srv.dispatch(ctx, &request{Op: opImportColumn, Table: table, Column: "c", Split: b}, resp)
 		n, _ := db.Rows(table)

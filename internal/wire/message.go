@@ -26,6 +26,10 @@ type request struct {
 	// them all or none.
 	Rows []engine.Row
 
+	// Digest is a write's schema digest (engine.WithSchemaDigest), 0 when
+	// unchecked; only opInsert, opUpdate and opDelete carry it.
+	Digest uint64
+
 	// Cancel names the in-flight request ID an opCancel targets.
 	Cancel uint64
 }

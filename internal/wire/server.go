@@ -776,18 +776,18 @@ func (s *Server) dispatch(ctx context.Context, req *request, resp *response) {
 			fail(err)
 		}
 	case opInsert:
-		if err := s.db.InsertBatch(ctx, req.Table, req.Rows); err != nil {
+		if err := s.db.InsertBatch(writeCtx(ctx, req), req.Table, req.Rows); err != nil {
 			fail(err)
 		}
 	case opDelete:
-		n, err := s.db.Delete(ctx, req.Table, req.Filters)
+		n, err := s.db.Delete(writeCtx(ctx, req), req.Table, req.Filters)
 		if err != nil {
 			fail(err)
 			return
 		}
 		resp.N = n
 	case opUpdate:
-		n, err := s.db.Update(ctx, req.Table, req.Filters, req.Set)
+		n, err := s.db.Update(writeCtx(ctx, req), req.Table, req.Filters, req.Set)
 		if err != nil {
 			fail(err)
 			return
@@ -855,4 +855,13 @@ func (s *Server) ListenAndServe(addr string) error {
 		return err
 	}
 	return s.Serve(ln)
+}
+
+// writeCtx attaches a write request's schema digest to ctx, for the engine
+// to check.
+func writeCtx(ctx context.Context, req *request) context.Context {
+	if req.Digest == 0 {
+		return ctx
+	}
+	return engine.WithSchemaDigest(ctx, req.Digest)
 }

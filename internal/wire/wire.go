@@ -61,7 +61,7 @@ const importRowsPerByte = 128
 // protoVersion is the one protocol version this build speaks. Any change to
 // a frame's layout bumps it, so that a peer of another build is refused at
 // the hello instead of having its frames misread.
-const protoVersion = 6
+const protoVersion = 7
 
 // ErrUnsupportedVersion is returned when the peer's hello does not open with
 // the protocol magic or names a version other than this build's. The
@@ -120,6 +120,9 @@ const (
 	opSelectStream
 	opCancel
 )
+
+// write reports whether o is a write, whose frame carries a schema digest.
+func (o op) write() bool { return o == opInsert || o == opDelete || o == opUpdate }
 
 // headerLen is a frame header's size: the payload length (u32) and the
 // request ID (u64), both big-endian.

@@ -21,21 +21,27 @@ import (
 // they pin the wire bytes across that change and any later one. Protocol 6
 // appended the 8-byte schema digest to every encoded engine.Query, which
 // changed exactly the two cases that carry one: req/point_select and
-// req/count_only.
+// req/count_only. Protocol 7 gave every write its own 8-byte schema digest,
+// behind the presence mask, and imports dict's split layout with derived
+// entry IVs and 4-byte heads: it changed exactly the write cases
+// (req/insert_empty, req/insert_one_column, req/batch_one_column,
+// req/update, and req/delete, new with it) and the two imports that carry
+// entries (req/import_plain, req/import_large).
 var goldenFrames = map[string]string{
-	"req/batch_one_column":  "e46593db96443a0bb2df9a6ed2f55b9fcea1176d36f2b15bd9f9bf8905e61254",
+	"req/batch_one_column":  "c85ed9eae028d608e16a5ced6df0622f6fef3dd83332048d16f58292c1b957b0",
 	"req/cancel":            "003ec2e2ab7859c125b8065cc1b0b3b897b832d7560f26da1e38e4dfdeec407d",
 	"req/count_only":        "f4ccbf07e02e0cb928238a11f76bf245e4284fe07a482dd2c79aa08c9c572cd6",
 	"req/create_table":      "bf1b66f368b7e231fbaa4b7d9868f2e08706c69665d6507410c0f86d1d26b5f0",
+	"req/delete":            "3249a1d75fe1f1c208949002a549728c93729cf33f7fc8cea8b4355a832aa02d",
 	"req/import_empty":      "6a0d215387edc1edf41106a71d308586dde3de23a252a5764c34a28f40066d96",
-	"req/import_large":      "c300ee08a1a8f4f64460c76eda9793c52e4c7fb06b9934f9806d1feea23c9314",
-	"req/import_plain":      "4671ac70f67a51fc08cad75247d650126c4a3ce6bbdff3c4c3650f654ed4bce0",
-	"req/insert_empty":      "43ccd13480fa9028b869759f5488c724af39f063453502b2331e1df26b9a06c7",
-	"req/insert_one_column": "60fdb36201f77cb35c54699066d1f0b0b9da2d426e06a53b702b37642a33f0bd",
+	"req/import_large":      "eb2ed39fe1e920f14bcc8aba26a5f19af767ec0f32a1104ed8ee639fe5c29509",
+	"req/import_plain":      "094433652b996960ef501f47d36c24aaf2a39ba31b6ed607bedfdb24e41b896c",
+	"req/insert_empty":      "c9cc1959154b3402bc0038fb0a0acfb7c028bc552dfa552da6f249715ffd06a5",
+	"req/insert_one_column": "84b4ccc9e9be17d6ed3bb39f1794ae6da4eb1383c25eba6fb127fa7e23a9b360",
 	"req/point_select":      "81d06c25a399abcfa2c95aa982f024cb4417e8d143e3bb78bec295f7b33529df",
 	"req/provision":         "904615804bb7377cc98dbdacc6bbfbda0da9c1a445f9cb97396119f5d01d9bdb",
 	"req/quote":             "c545f9c043620dc2a2a5dcd23c927a93e13ff2642d3278c97491ae15cd584c3c",
-	"req/update":            "05c934ac4535f6ae3e2c2bedc183f781c02f7dbb30276cafaa33bf48a2e556f2",
+	"req/update":            "294ce9d2439f71fcbfa2348fe4d301f10bf2d79752993a0ddb0af475a473f4b7",
 	"resp/ack":              "e2e6f327dca0decae5603d972423c58422a411b5231b68e8daae19a905787021",
 	"resp/chunk":            "a76063d288b4f8bb513f75e25f02180fa70c2e9d7ea445814f8ef8b7b87f45ed",
 	"resp/error":            "0c428915781d638aadf901a94c08acb8afac6a8657bd3ea3b36eb8882538070d",

@@ -2,6 +2,7 @@ package encdbdb_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"testing"
@@ -88,13 +89,17 @@ var schemaChangeSessions = map[string]func(t *testing.T) (a, b *encdbdb.Session)
 // TestSchemaChangeNeverAnswersStale: a session that planned against a
 // table's schema must not answer from that plan once another session has
 // dropped the table and re-created it with other columns. The ad-hoc form
-// and the prepared form both see the new table.
+// and the prepared form both see the new table, and so do prepared writes.
 func TestSchemaChangeNeverAnswersStale(t *testing.T) {
 	ctx := context.Background()
 	for name, open := range schemaChangeSessions {
-		for _, form := range []string{"prepared", "adhoc"} {
+		for _, form := range []string{"prepared", "adhoc", "prepared_writes"} {
 			t.Run(name+"/"+form, func(t *testing.T) {
 				a, b := open(t)
+				if form == "prepared_writes" {
+					staleWrites(t, a, b)
+					return
+				}
 				mustExec := func(s *encdbdb.Session, sql string) {
 					t.Helper()
 					if _, err := s.ExecContext(ctx, sql); err != nil {
@@ -140,6 +145,64 @@ func TestSchemaChangeNeverAnswersStale(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// staleWrites prepares an INSERT, an UPDATE and a DELETE on session a's
+// ED1(10) table, then has session b re-create the table as PLAIN ED1(80). A
+// write planned against the old schema would store or match the PAE
+// ciphertext of its value as the plain value: the INSERT would succeed and
+// leave no row equal to 'x'. Each prepared write must instead act on the
+// new table as its SQL says.
+func staleWrites(t *testing.T, a, b *encdbdb.Session) {
+	ctx := context.Background()
+	mustExec := func(s *encdbdb.Session, sql string, args ...any) *encdbdb.Result {
+		t.Helper()
+		res, err := s.ExecContext(ctx, sql, args...)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return res
+	}
+	count := func(v string) int {
+		t.Helper()
+		return mustExec(b, "SELECT COUNT(*) FROM t WHERE c = ?", v).Count
+	}
+	mustExec(a, "CREATE TABLE t (c ED1(10))")
+	mustExec(a, "INSERT INTO t VALUES ('y')")
+	stmts := make(map[string]*encdbdb.Stmt)
+	for name, sql := range map[string]string{
+		"insert": "INSERT INTO t VALUES (?)",
+		"update": "UPDATE t SET c = ? WHERE c = ?",
+		"delete": "DELETE FROM t WHERE c = ?",
+	} {
+		st, err := a.Prepare(ctx, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		stmts[name] = st
+	}
+	mustExec(b, "DROP TABLE t")
+	mustExec(b, "CREATE TABLE t (c PLAIN ED1(80))")
+
+	if _, err := stmts["insert"].Exec(ctx, "x"); err != nil {
+		t.Fatalf("prepared INSERT: %v", err)
+	}
+	if n := count("x"); n != 1 {
+		t.Fatalf("after the prepared INSERT of 'x', COUNT(c = 'x') = %d, want 1", n)
+	}
+	if res, err := stmts["update"].Exec(ctx, "z", "x"); err != nil || res.Affected != 1 {
+		t.Fatalf("prepared UPDATE: %+v, %v; want 1 row", res, err)
+	}
+	if nx, nz := count("x"), count("z"); nx != 0 || nz != 1 {
+		t.Fatalf("after the prepared UPDATE, COUNT(c = 'x') = %d and COUNT(c = 'z') = %d, want 0 and 1", nx, nz)
+	}
+	if res, err := stmts["delete"].Exec(ctx, "z"); err != nil || res.Affected != 1 {
+		t.Fatalf("prepared DELETE: %+v, %v; want 1 row", res, err)
+	}
+	if n := mustExec(b, "SELECT COUNT(*) FROM t WHERE c >= '0'").Count; n != 0 {
+		t.Fatalf("after the prepared DELETE, the table holds %d rows, want 0", n)
 	}
 }
 
@@ -194,5 +257,76 @@ func TestSchemaChangeRevalidatesPlan(t *testing.T) {
 				t.Errorf("Query = %v, want [[y]]", all)
 			}
 		})
+	}
+}
+
+// TestSchemaChangeOnOneShardStoresBatchOnce: on a fleet whose shards hold
+// different schemas for a table — one shard's copy was dropped and
+// re-created under other columns — a multi-row INSERT batch fails on that
+// shard while the others store their share of it. The batch must not be
+// sent again: each row the healthy shard holds, it holds once.
+func TestSchemaChangeOnOneShardStoresBatchOnce(t *testing.T) {
+	ctx := context.Background()
+	owner, err := encdbdb.NewDataOwner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends := make([]encdbdb.Executor, 2)
+	addrs := make([]string, len(backends))
+	direct := make([]*encdbdb.Session, len(backends))
+	for i := range backends {
+		db, err := encdbdb.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := owner.Provision(db); err != nil {
+			t.Fatal(err)
+		}
+		if direct[i], err = owner.Session(db); err != nil {
+			t.Fatal(err)
+		}
+		backends[i], addrs[i] = db.Executor(), fmt.Sprintf("embedded-%d", i)
+	}
+	exec, err := encdbdb.NewShardedExecutor(encdbdb.NewShardMap(addrs...), backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := owner.RemoteSession(exec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec := func(s *encdbdb.Session, sql string) *encdbdb.Result {
+		t.Helper()
+		res, err := s.ExecContext(ctx, sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return res
+	}
+	mustExec(fleet, "CREATE TABLE t (c ED1(10))")
+	mustExec(direct[1], "DROP TABLE t")
+	mustExec(direct[1], "CREATE TABLE t (c PLAIN ED1(80))")
+
+	const rows = 16
+	batch := make([]string, rows)
+	for i := range batch {
+		batch[i] = fmt.Sprintf("INSERT INTO t VALUES ('v%02d')", i)
+	}
+	if _, err := fleet.ExecBatch(ctx, batch); !errors.Is(err, encdbdb.ErrPartialWrite) {
+		t.Fatalf("ExecBatch on a fleet whose shard 1 holds another schema: err = %v, want ErrPartialWrite", err)
+	}
+	stored := 0
+	for i := 0; i < rows; i++ {
+		n := mustExec(direct[0], fmt.Sprintf("SELECT COUNT(*) FROM t WHERE c = 'v%02d'", i)).Count
+		if n > 1 {
+			t.Errorf("shard 0 holds 'v%02d' %d times, want at most once", i, n)
+		}
+		stored += n
+	}
+	if stored == 0 {
+		t.Fatal("shard 0 stored none of the batch; the test needs rows routed to it")
+	}
+	if n := mustExec(direct[1], "SELECT COUNT(*) FROM t WHERE c >= ''").Count; n != 0 {
+		t.Errorf("shard 1 holds %d rows, want 0", n)
 	}
 }

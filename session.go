@@ -65,10 +65,11 @@ func (s *Session) Prepare(ctx context.Context, sql string) (*Stmt, error) {
 // ExecBatch executes several statements in order, returning one result per
 // statement. Runs of consecutive INSERTs into the same table travel as one
 // insert of all their rows: one round trip to a remote provider, applied
-// all or nothing (per shard on a fleet). On error the results stop at the
-// failing statement; an UPDATE or DELETE that failed after reaching the
-// provider is included, its Result reporting the rows changed despite the
-// error, as ExecContext describes.
+// all or nothing (per shard on a fleet: a run some shards stored despite
+// the error fails with an error wrapping ErrPartialWrite). On error the
+// results stop at the failing statement; an UPDATE or DELETE that failed
+// after reaching the provider is included, its Result reporting the rows
+// changed despite the error, as ExecContext describes.
 func (s *Session) ExecBatch(ctx context.Context, sqls []string) ([]*Result, error) {
 	return s.p.ExecBatch(ctx, sqls)
 }

@@ -4,6 +4,7 @@ import (
 	"net/http"
 
 	"github.com/encdbdb/encdbdb/internal/metrics"
+	"github.com/encdbdb/encdbdb/internal/proxy"
 	"github.com/encdbdb/encdbdb/internal/shard"
 )
 
@@ -28,6 +29,10 @@ type ShardError = shard.Error
 // unhealthy. Queries that do not touch the down shard keep working; use
 // errors.Is to tell a fleet-partial failure from a query error.
 var ErrShardDown = shard.ErrShardDown
+
+// ErrPartialWrite marks a failed INSERT batch that some shards stored
+// their rows of nonetheless; sending it again would store those twice.
+var ErrPartialWrite = proxy.ErrPartialWrite
 
 // NewShardMap builds a hash-partitioned catalog over provider addresses,
 // naming shards shard0..shardN-1.

@@ -38,8 +38,10 @@ var carrierShapes = []struct {
 // encrypted, with uniform, FoR-heavy and RLE-heavy attribute vectors,
 // through each carrier of dict's split layout: a remote ImportColumn, WAL
 // replay after a reopen, and SaveTable then LoadTable. Each must come back
-// exactly as built: the same vector words, blocks and runs, head, tail and
-// rotation header.
+// exactly as built: the same vector words, blocks and runs, head, tail,
+// rotation header and nonce salt, so every entry's self-contained form —
+// an encrypted one's IV is derived from the salt and its index — is the
+// one the build sealed.
 func TestSplitCarriersRoundTrip(t *testing.T) {
 	const rows = 3*av.BlockRows + 100
 	plat, err := enclave.NewPlatform()
@@ -205,6 +207,12 @@ func sameSplit(t *testing.T, label string, got, want *dict.Split) {
 	case got.Len() != want.Len() || !bytes.Equal(got.Tail(), want.Tail()):
 		t.Errorf("%s: dictionary differs", label)
 	case !bytes.Equal(got.AppendBinary(nil), want.AppendBinary(nil)):
-		t.Errorf("%s: head differs", label)
+		t.Errorf("%s: head or salt differs", label)
+	}
+	for i := range got.Len() {
+		if !bytes.Equal(got.AppendEntry(nil, i), want.AppendEntry(nil, i)) {
+			t.Errorf("%s: entry %d differs", label, i)
+			return
+		}
 	}
 }
