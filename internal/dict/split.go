@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"github.com/encdbdb/encdbdb/internal/av"
+	"github.com/encdbdb/encdbdb/internal/codec"
 	"github.com/encdbdb/encdbdb/internal/pae"
 )
 
@@ -233,48 +234,40 @@ func (s *Split) AppendBinary(dst []byte) []byte {
 	words, blocks, runs := v.Words(), v.Blocks(), v.Runs()
 	size := 2 + 4*2 + saltSize + 4 + len(s.EncRndOffset) + 4 + 1 + 4 + 8*len(words) + 4 + blockSize*len(blocks) +
 		4 + 8*len(runs) + 4 + headRefSize*len(s.head) + 4 + len(s.tail)
-	dst = slices.Grow(dst, size)
-	le := binary.LittleEndian
-	dst = append(dst, uint8(s.Kind), boolByte(s.Plain))
-	dst = le.AppendUint32(dst, uint32(s.MaxLen))
-	dst = le.AppendUint32(dst, uint32(s.BSMax))
-	dst = append(dst, s.salt[:]...)
-	dst = appendBytes(dst, s.EncRndOffset)
-	dst = le.AppendUint32(dst, uint32(v.Len()))
-	dst = append(dst, uint8(v.Bits()))
-	dst = le.AppendUint32(dst, uint32(len(words)))
+	e := codec.Encoder{B: slices.Grow(dst, size)}
+	e.Byte(uint8(s.Kind))
+	e.Bool(s.Plain)
+	e.LE32(uint32(s.MaxLen))
+	e.LE32(uint32(s.BSMax))
+	e.Raw(s.salt[:])
+	e.LE32(uint32(len(s.EncRndOffset)))
+	e.Raw(s.EncRndOffset)
+	e.LE32(uint32(v.Len()))
+	e.Byte(uint8(v.Bits()))
+	e.LE32(uint32(len(words)))
 	for _, w := range words {
-		dst = le.AppendUint64(dst, w)
+		e.LE64(w)
 	}
-	dst = le.AppendUint32(dst, uint32(len(blocks)))
+	e.LE32(uint32(len(blocks)))
 	for _, b := range blocks {
-		dst = append(dst, uint8(b.Enc), b.W)
-		dst = le.AppendUint32(dst, b.Base)
-		dst = le.AppendUint32(dst, b.Off)
-		dst = le.AppendUint32(dst, b.N)
+		e.Byte(uint8(b.Enc))
+		e.Byte(b.W)
+		e.LE32(b.Base)
+		e.LE32(b.Off)
+		e.LE32(b.N)
 	}
-	dst = le.AppendUint32(dst, uint32(len(runs)))
+	e.LE32(uint32(len(runs)))
 	for _, r := range runs {
-		dst = le.AppendUint32(dst, r.VID)
-		dst = le.AppendUint32(dst, r.End)
+		e.LE32(r.VID)
+		e.LE32(r.End)
 	}
-	dst = le.AppendUint32(dst, uint32(len(s.head)))
+	e.LE32(uint32(len(s.head)))
 	for _, off := range s.head {
-		dst = le.AppendUint32(dst, off)
+		e.LE32(off)
 	}
-	return appendBytes(dst, s.tail)
-}
-
-func boolByte(b bool) uint8 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func appendBytes(dst, b []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b)))
-	return append(dst, b...)
+	e.LE32(uint32(len(s.tail)))
+	e.Raw(s.tail)
+	return e.B
 }
 
 // DecodeSplit reconstructs a split from its binary layout (AppendBinary).
@@ -288,43 +281,36 @@ func appendBytes(dst, b []byte) []byte {
 // costs no bytes here: a caller taking bytes from a peer bounds it. The
 // returned split owns its memory; b may be reused once DecodeSplit returns.
 func DecodeSplit(b []byte) (*Split, error) {
-	d := &decoder{buf: b}
-	s := &Split{Kind: Kind(d.u8())}
-	plain := d.u8()
+	var d codec.Reader
+	d.Reset(b)
+	s := &Split{Kind: Kind(d.Byte())}
+	plain := d.Byte()
 	s.Plain = plain == 1
-	s.MaxLen = int(d.u32())
-	s.BSMax = int(d.u32())
-	copy(s.salt[:], d.take(saltSize))
-	s.EncRndOffset = d.bytes()
-	rows, width := int(d.u32()), int(d.u8())
-	le := binary.LittleEndian
-	b8 := d.elems(8)
-	words := make([]uint64, len(b8)/8)
+	s.MaxLen = int(d.LE32())
+	s.BSMax = int(d.LE32())
+	copy(s.salt[:], d.Take(saltSize))
+	s.EncRndOffset = cloneBytes(d.Take(d.Count(1)))
+	rows, width := int(d.LE32()), int(d.Byte())
+	words := make([]uint64, d.Count(8))
 	for i := range words {
-		words[i] = le.Uint64(b8[8*i:])
+		words[i] = d.LE64()
 	}
-	bb := d.elems(blockSize)
-	blocks := make([]av.Block, len(bb)/blockSize)
+	blocks := make([]av.Block, d.Count(blockSize))
 	for i := range blocks {
-		e := bb[blockSize*i:]
-		blocks[i] = av.Block{Enc: av.Encoding(e[0]), W: e[1], Base: le.Uint32(e[2:]), Off: le.Uint32(e[6:]), N: le.Uint32(e[10:])}
+		blocks[i] = av.Block{Enc: av.Encoding(d.Byte()), W: d.Byte(), Base: d.LE32(), Off: d.LE32(), N: d.LE32()}
 	}
-	b8 = d.elems(8)
-	runs := make([]av.Run, len(b8)/8)
+	runs := make([]av.Run, d.Count(8))
 	for i := range runs {
-		runs[i] = av.Run{VID: le.Uint32(b8[8*i:]), End: le.Uint32(b8[8*i+4:])}
+		runs[i] = av.Run{VID: d.LE32(), End: d.LE32()}
 	}
-	b4 := d.elems(headRefSize)
-	s.head = make([]uint32, len(b4)/headRefSize)
+	s.head = make([]uint32, d.Count(headRefSize))
 	for i := range s.head {
-		s.head[i] = le.Uint32(b4[headRefSize*i:])
+		s.head[i] = d.LE32()
 	}
-	s.tail = d.bytes()
-	switch {
-	case d.err != nil:
-		return nil, d.err
-	case d.off != len(b):
-		return nil, fmt.Errorf("dict: split has %d trailing bytes", len(b)-d.off)
+	s.tail = cloneBytes(d.Take(d.Count(1)))
+	switch err := d.Err(); {
+	case err != nil:
+		return nil, fmt.Errorf("dict: split: %w", err)
 	case plain > 1:
 		return nil, fmt.Errorf("dict: invalid plain flag %d", plain)
 	case !s.Kind.Valid():
@@ -370,50 +356,8 @@ func (s *Split) checkEntries() error {
 	return nil
 }
 
-// decoder consumes a split's binary layout, capturing the first error.
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) take(n uint64) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.buf)-d.off) {
-		d.err = fmt.Errorf("dict: split truncated at byte %d (+%d of %d)", d.off, n, len(d.buf))
-		return nil
-	}
-	b := d.buf[d.off : d.off+int(n)]
-	d.off += int(n)
-	return b
-}
-
-func (d *decoder) u8() uint8 {
-	if b := d.take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-func (d *decoder) u32() uint32 {
-	if b := d.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-// elems reads a u32 count of elem-byte elements and returns their bytes:
-// a count the bytes left cannot fill is an error, never an allocation.
-func (d *decoder) elems(elem int) []byte {
-	return d.take(uint64(d.u32()) * uint64(elem))
-}
-
-// bytes reads a length-prefixed byte string into memory of its own; an
-// empty one reads as nil.
-func (d *decoder) bytes() []byte {
-	b := d.take(uint64(d.u32()))
+// cloneBytes copies b into memory of its own; an empty b reads as nil.
+func cloneBytes(b []byte) []byte {
 	if len(b) == 0 {
 		return nil
 	}

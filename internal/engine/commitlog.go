@@ -44,7 +44,7 @@ type LogRecord struct {
 	// payloads appended by it, column name to stored value.
 	Base    uint32
 	Removed []uint32
-	Rows    []map[string][]byte
+	Rows    []Row
 
 	// Create payload.
 	Schema *Schema
@@ -130,7 +130,7 @@ func (db *DB) checkpointMerged(tableName string, gen uint64) error {
 // prepared row payloads — before the in-memory apply. The caller holds the
 // table write lock; the returned commit function (nil when no log is
 // installed or the record is empty) is invoked after the lock is released.
-func (db *DB) logWriteLocked(t *table, tableName string, removed []uint32, payloads []map[string][]byte) (func() error, error) {
+func (db *DB) logWriteLocked(t *table, tableName string, removed []uint32, payloads []Row) (func() error, error) {
 	if db.cl == nil || (len(removed) == 0 && len(payloads) == 0) {
 		return nil, nil
 	}

@@ -114,8 +114,8 @@ type Row map[string][]byte
 // values are length-checked and defensively copied. No table state is read
 // or written, so preparation runs outside the table lock — write critical
 // sections stay brief.
-func (db *DB) prepareRow(t *table, row Row) (map[string][]byte, error) {
-	payloads := make(map[string][]byte, len(t.cols))
+func (db *DB) prepareRow(t *table, row Row) (Row, error) {
+	payloads := make(Row, len(t.cols))
 	for name, c := range t.cols {
 		v, ok := row[name]
 		if !ok {
@@ -141,7 +141,7 @@ func (db *DB) prepareRow(t *table, row Row) (map[string][]byte, error) {
 // grown copy-on-write validity bitmap. It cannot fail — preparation already
 // validated everything — which is what makes multi-row writes atomic. The
 // caller holds the table write lock.
-func (db *DB) commitRowsLocked(t *table, payloads []map[string][]byte) {
+func (db *DB) commitRowsLocked(t *table, payloads []Row) {
 	for _, p := range payloads {
 		for name, c := range t.cols {
 			c.tail.append(p[name])
@@ -185,7 +185,7 @@ func (db *DB) InsertBatch(ctx context.Context, tableName string, rows []Row) err
 	if err := t.readyCheck(); err != nil {
 		return err
 	}
-	payloads := make([]map[string][]byte, len(rows))
+	payloads := make([]Row, len(rows))
 	for i, row := range rows {
 		if payloads[i], err = db.prepareRow(t, row); err != nil {
 			return fmt.Errorf("engine: batch row %d: %w", i, err)
@@ -324,7 +324,7 @@ func (db *DB) Update(ctx context.Context, tableName string, filters []Filter, se
 			row[name] = append([]byte(nil), val...)
 		}
 	}
-	payloads := make([]map[string][]byte, len(rows))
+	payloads := make([]Row, len(rows))
 	for i, row := range rows {
 		if payloads[i], err = db.prepareRow(t, row); err != nil {
 			t.mu.Unlock()

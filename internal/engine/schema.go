@@ -12,11 +12,11 @@ package engine
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 
+	"github.com/encdbdb/encdbdb/internal/codec"
 	"github.com/encdbdb/encdbdb/internal/dict"
 )
 
@@ -81,32 +81,17 @@ func (s Schema) Validate() error {
 	return nil
 }
 
-// Digest fingerprints the schema: FNV-1a over the table name and each
-// column's name, kind, MaxLen, BSMax and Plain flag, in column order. Names
-// are length-prefixed, so no two schemas share an input. A proxy sends the
-// digest of the schema it planned a query against (Query.SchemaDigest); a
-// table re-created under the same name with other columns answers
-// ErrSchemaChanged instead of running a plan made for the old one.
+// Digest fingerprints the schema: FNV-1a over its byte layout (Encode),
+// which length-prefixes every name and count, so no two schemas share an
+// input. A proxy sends the digest of the schema it planned a query against
+// (Query.SchemaDigest); a table re-created under the same name with other
+// columns answers ErrSchemaChanged instead of running a plan made for the
+// old one.
 func (s Schema) Digest() uint64 {
+	var e codec.Encoder
+	s.Encode(&e)
 	h := fnv.New64a()
-	var b []byte
-	str := func(v string) {
-		b = binary.AppendUvarint(b, uint64(len(v)))
-		b = append(b, v...)
-	}
-	str(s.Table)
-	for _, c := range s.Columns {
-		str(c.Name)
-		b = binary.AppendUvarint(b, uint64(c.Kind))
-		b = binary.AppendUvarint(b, uint64(c.MaxLen))
-		b = binary.AppendUvarint(b, uint64(c.BSMax))
-		if c.Plain {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	}
-	h.Write(b)
+	h.Write(e.B)
 	return h.Sum64()
 }
 

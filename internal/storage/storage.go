@@ -3,31 +3,40 @@
 // (paper §2.1; Fig. 5 step 4 "the storage management ... stores all data on
 // disk for persistency and additionally loads it into main memory").
 //
-// The on-disk format is a self-describing binary column store: a magic
-// header, the table schema, validity vectors, then one section per column
-// (the main store's split, then the delta entries), all covered by a
-// trailing CRC-32. The split section is dict's binary layout
+// A table image is written in package codec's primitives, the ones wire
+// frames and WAL records use, as a few length-prefixed sections covered by
+// a trailing CRC-32 (format version 6):
+//
+//	magic ‖ uvarint version
+//	section: schema (engine's layout) ‖ validity(main) ‖ validity(delta)
+//	per schema column, in order:
+//	  section: str name ‖ uvarint n ‖ n × bytes delta entry
+//	  section: split (dict's layout)
+//	LE32 CRC-32 (IEEE) of every byte before it
+//
+// A section is uvarint(len) ‖ len bytes; a validity vector is uvarint(n) ‖
+// the n flags, eight per byte. The split section is dict's binary layout
 // (dict.Split.AppendBinary) — the bytes the wire's bulk import and the WAL's
 // import records carry too: dictionary payloads verbatim, which are PAE
 // ciphertexts, so a stolen disk reveals exactly as much as a stolen memory
 // image (the attacker the paper defends against already sees both), and the
 // attribute vector exactly as the engine scans it in memory, so neither a
-// save nor a load unpacks or re-packs it. The header carries a format
-// version; ReadTable refuses every version but the one WriteTable writes
-// with ErrBadVersion.
+// save nor a load unpacks or re-packs it. ReadTable refuses every format
+// version but the one WriteTable writes with ErrBadVersion.
 package storage
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
 	"github.com/encdbdb/encdbdb/internal/bufpool"
+	"github.com/encdbdb/encdbdb/internal/codec"
 	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/engine"
 )
@@ -35,10 +44,9 @@ import (
 const (
 	magic = "ENCDBDB\x01"
 	// version is the one format WriteTable emits and ReadTable accepts.
-	version = uint16(5)
-	// maxSliceLen guards length-prefixed reads against corrupted or
-	// malicious files claiming absurd sizes.
-	maxSliceLen = 1 << 33
+	version = 6
+	// maxSection bounds a section's claimed length, keeping it an int.
+	maxSection = 1 << 40
 )
 
 // Errors returned when loading a table file.
@@ -51,41 +59,43 @@ var (
 
 // WriteTable serializes a table snapshot to w.
 func WriteTable(w io.Writer, snap *engine.TableSnapshot) error {
-	cw := &crcWriter{w: w, crc: crc32.NewIEEE()}
-	if _, err := cw.Write([]byte(magic)); err != nil {
+	sum := crc32.NewIEEE()
+	out := io.MultiWriter(w, sum)
+	var pre, sec codec.Encoder
+	pre.Raw([]byte(magic))
+	pre.Uvarint(version)
+	// flush writes what pre holds, then sec as one section.
+	flush := func() error {
+		pre.Uvarint(uint64(len(sec.B)))
+		_, err := out.Write(pre.B)
+		if err == nil {
+			_, err = out.Write(sec.B)
+		}
+		pre.B, sec.B = pre.B[:0], sec.B[:0]
 		return err
 	}
-	e := &encoder{w: cw}
-	var split []byte
-	e.u16(version)
-	e.str(snap.Schema.Table)
-	e.u32(uint32(len(snap.Schema.Columns)))
-	for _, def := range snap.Schema.Columns {
-		e.str(def.Name)
-		e.u8(uint8(def.Kind))
-		e.u32(uint32(def.MaxLen))
-		e.u32(uint32(def.BSMax))
-		e.boolean(def.Plain)
+	snap.Schema.Encode(&sec)
+	appendValidity(&sec, snap.MainValid)
+	appendValidity(&sec, snap.DeltaValid)
+	if err := flush(); err != nil {
+		return err
 	}
-	e.bools(snap.MainValid)
-	e.bools(snap.DeltaValid)
 	for _, cs := range snap.Columns {
-		e.str(cs.Name)
-		split = cs.Main.AppendBinary(split[:0])
-		e.bytes(split)
-		e.u32(uint32(len(cs.Delta)))
-		for _, d := range cs.Delta {
-			e.bytes(d)
+		sec.Str(cs.Name)
+		sec.Uvarint(uint64(len(cs.Delta)))
+		for _, v := range cs.Delta {
+			sec.Bytes(v)
+		}
+		if err := flush(); err != nil {
+			return err
+		}
+		sec.B = cs.Main.AppendBinary(sec.B)
+		if err := flush(); err != nil {
+			return err
 		}
 	}
-	if e.err != nil {
-		return e.err
-	}
-	// Trailing CRC over everything written so far.
-	sum := cw.crc.Sum32()
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], sum)
-	_, err := w.Write(buf[:])
+	pre.LE32(sum.Sum32())
+	_, err := w.Write(pre.B)
 	return err
 }
 
@@ -93,68 +103,127 @@ func WriteTable(w io.Writer, snap *engine.TableSnapshot) error {
 //
 // The input is untrusted: a truncated, bit-flipped, or adversarially
 // crafted file must come back as an error, never a panic (FuzzReadTable
-// holds the line). Structural checks catch what they can; the deferred
-// recover converts anything that slips through deeper decoding layers
-// into ErrCorrupt.
+// holds the line). Each section is read as its bytes arrive
+// (bufpool.ReadFull), so a length claim costs no memory before its bytes
+// exist, and every count inside a section is bounded by the section's
+// bytes. The deferred recover converts anything that slips through deeper
+// decoding layers into ErrCorrupt.
 func ReadTable(r io.Reader) (snap *engine.TableSnapshot, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			snap, err = nil, fmt.Errorf("%w: decoder panic: %v", ErrCorrupt, p)
 		}
 	}()
-	cr := &crcReader{r: r, crc: crc32.NewIEEE()}
+	sum := crc32.NewIEEE()
+	in := io.TeeReader(r, sum)
 	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(cr, head); err != nil {
+	if _, err := io.ReadFull(in, head); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMagic, err)
 	}
 	if string(head) != magic {
 		return nil, ErrBadMagic
 	}
-	d := &decoder{r: cr}
-	if ver := d.u16(); d.err == nil && ver != version {
+	switch ver, err := codec.ReadUvarint(in); {
+	case err != nil:
+		return nil, fmt.Errorf("%w: version: %v", ErrCorrupt, err)
+	case ver != version:
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, ver)
 	}
+	var d codec.Reader
+	next := func() error {
+		b, err := readSection(in)
+		d.Reset(b)
+		return err
+	}
+	if err := next(); err != nil {
+		return nil, err
+	}
 	snap = &engine.TableSnapshot{}
-	snap.Schema.Table = d.str()
-	ncols := int(d.u32())
-	if d.err == nil && ncols > 1<<20 {
-		return nil, fmt.Errorf("%w: %d columns", ErrCorrupt, ncols)
+	snap.Schema.Decode(&d)
+	snap.MainValid = readValidity(&d)
+	snap.DeltaValid = readValidity(&d)
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("%w: header: %v", ErrCorrupt, err)
 	}
-	for i := 0; i < ncols && d.err == nil; i++ {
-		def := engine.ColumnDef{
-			Name:   d.str(),
-			Kind:   dict.Kind(d.u8()),
-			MaxLen: int(d.u32()),
-			BSMax:  int(d.u32()),
-			Plain:  d.boolean(),
+	for range snap.Schema.Columns {
+		if err := next(); err != nil {
+			return nil, err
 		}
-		snap.Schema.Columns = append(snap.Schema.Columns, def)
-	}
-	snap.MainValid = d.bools()
-	snap.DeltaValid = d.bools()
-	for i := 0; i < ncols && d.err == nil; i++ {
-		cs := engine.ColumnSnapshot{Name: d.str()}
-		if split := d.bytes(); d.err == nil {
-			cs.Main, d.err = dict.DecodeSplit(split)
+		cs := engine.ColumnSnapshot{Name: d.Str()}
+		if n := d.Length(); n > 0 {
+			cs.Delta = make([][]byte, n)
+			for i := range cs.Delta {
+				cs.Delta[i] = d.Bytes()
+			}
 		}
-		ndelta := int(d.u32())
-		for j := 0; j < ndelta && d.err == nil; j++ {
-			cs.Delta = append(cs.Delta, d.bytes())
+		if err := d.Err(); err != nil {
+			return nil, fmt.Errorf("%w: column %q: %v", ErrCorrupt, cs.Name, err)
+		}
+		split, err := readSection(in)
+		if err != nil {
+			return nil, err
+		}
+		if cs.Main, err = dict.DecodeSplit(split); err != nil {
+			return nil, fmt.Errorf("%w: column %q: %v", ErrCorrupt, cs.Name, err)
 		}
 		snap.Columns = append(snap.Columns, cs)
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, d.err)
-	}
-	want := cr.crc.Sum32()
-	var buf [4]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
+	want := sum.Sum32()
+	var crc [4]byte
+	if _, err := io.ReadFull(r, crc[:]); err != nil {
 		return nil, fmt.Errorf("%w: missing checksum", ErrCorrupt)
 	}
-	if binary.LittleEndian.Uint32(buf[:]) != want {
+	d.Reset(crc[:])
+	if d.LE32() != want {
 		return nil, ErrBadChecksum
 	}
 	return snap, nil
+}
+
+// readSection reads one uvarint-length-prefixed section, growing it as its
+// bytes arrive.
+func readSection(r io.Reader) ([]byte, error) {
+	n, err := codec.ReadUvarint(r)
+	if err == nil && n > maxSection {
+		err = fmt.Errorf("section of %d bytes", n)
+	}
+	var b []byte
+	if err == nil {
+		b, err = bufpool.ReadFull(r, int(n))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return b, nil
+}
+
+// appendValidity packs eight flags per byte.
+func appendValidity(e *codec.Encoder, v []bool) {
+	e.Uvarint(uint64(len(v)))
+	for i := 0; i < len(v); i += 8 {
+		var b byte
+		for j, ok := range v[i:min(i+8, len(v))] {
+			if ok {
+				b |= 1 << j
+			}
+		}
+		e.Byte(b)
+	}
+}
+
+// readValidity reads at most one flag per RecordID, a uint32.
+func readValidity(d *codec.Reader) []bool {
+	n := d.Uvarint()
+	if n > math.MaxUint32 {
+		d.Fail()
+		return nil
+	}
+	packed := d.Take(int(n+7) / 8)
+	v := make([]bool, min(int(n), 8*len(packed))) // none after a failed Take
+	for i := range v {
+		v[i] = packed[i/8]&(1<<(i%8)) != 0
+	}
+	return v
 }
 
 // SaveTable writes one table of the database to path atomically (write to a
@@ -230,177 +299,4 @@ func LoadTable(db *engine.DB, path string) error {
 		return err
 	}
 	return db.Restore(snap)
-}
-
-// crcWriter tees writes into a CRC.
-type crcWriter struct {
-	w   io.Writer
-	crc interface {
-		io.Writer
-		Sum32() uint32
-	}
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	c.crc.Write(p) //nolint:errcheck // hash writers never fail
-	return c.w.Write(p)
-}
-
-// crcReader tees reads into a CRC.
-type crcReader struct {
-	r   io.Reader
-	crc interface {
-		io.Writer
-		Sum32() uint32
-	}
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	if n > 0 {
-		c.crc.Write(p[:n]) //nolint:errcheck // hash writers never fail
-	}
-	return n, err
-}
-
-// encoder writes primitive values, capturing the first error.
-type encoder struct {
-	w   io.Writer
-	err error
-}
-
-func (e *encoder) write(p []byte) {
-	if e.err == nil {
-		_, e.err = e.w.Write(p)
-	}
-}
-
-func (e *encoder) u8(v uint8) { e.write([]byte{v}) }
-
-func (e *encoder) u16(v uint16) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	e.write(b[:])
-}
-
-func (e *encoder) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	e.write(b[:])
-}
-
-func (e *encoder) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	e.write(b[:])
-}
-
-func (e *encoder) boolean(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-
-func (e *encoder) bytes(p []byte) {
-	e.u64(uint64(len(p)))
-	e.write(p)
-}
-
-func (e *encoder) str(s string) { e.bytes([]byte(s)) }
-
-// bools packs eight flags per byte.
-func (e *encoder) bools(v []bool) {
-	e.u64(uint64(len(v)))
-	packed := make([]byte, (len(v)+7)/8)
-	for i, b := range v {
-		if b {
-			packed[i/8] |= 1 << (i % 8)
-		}
-	}
-	e.write(packed)
-}
-
-// decoder reads primitive values, capturing the first error.
-type decoder struct {
-	r   io.Reader
-	err error
-}
-
-func (d *decoder) read(p []byte) {
-	if d.err == nil {
-		_, d.err = io.ReadFull(d.r, p)
-	}
-}
-
-func (d *decoder) u8() uint8 {
-	var b [1]byte
-	d.read(b[:])
-	return b[0]
-}
-
-func (d *decoder) u16() uint16 {
-	var b [2]byte
-	d.read(b[:])
-	return binary.LittleEndian.Uint16(b[:])
-}
-
-func (d *decoder) u32() uint32 {
-	var b [4]byte
-	d.read(b[:])
-	return binary.LittleEndian.Uint32(b[:])
-}
-
-func (d *decoder) u64() uint64 {
-	var b [8]byte
-	d.read(b[:])
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-func (d *decoder) boolean() bool { return d.u8() != 0 }
-
-func (d *decoder) sliceLen() int {
-	n := d.u64()
-	if d.err == nil && n > maxSliceLen {
-		d.err = fmt.Errorf("length %d exceeds limit", n)
-		return 0
-	}
-	return int(n)
-}
-
-// bytes grows its result as the stream delivers data
-// (bufpool.ReadFull) instead of trusting a length prefix that may pass the
-// maxSliceLen sanity bound corrupted (FuzzReadTable found the difference
-// the hard way).
-func (d *decoder) bytes() []byte {
-	n := d.sliceLen()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	p, err := bufpool.ReadFull(d.r, n)
-	if err != nil {
-		d.err = err
-		return nil
-	}
-	return p
-}
-
-func (d *decoder) str() string { return string(d.bytes()) }
-
-func (d *decoder) bools() []bool {
-	n := d.sliceLen()
-	if d.err != nil {
-		return nil
-	}
-	packed, err := bufpool.ReadFull(d.r, (n+7)/8)
-	if err != nil {
-		d.err = err
-		return nil
-	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = packed[i/8]&(1<<(i%8)) != 0
-	}
-	return out
 }

@@ -318,10 +318,11 @@ func TestFormatMatrix(t *testing.T) {
 		}
 	})
 	t.Run("old version is refused", func(t *testing.T) {
-		// The u16 format version follows the 8-byte magic.
-		for _, ver := range []byte{0, 1, 2, 3, 4, 6} {
+		// The uvarint format version follows the 8-byte magic. Version 5
+		// wrote a u16, whose low byte is where version 6's uvarint is.
+		for _, ver := range []byte{0, 1, 2, 3, 4, 5, 7} {
 			old := append([]byte(nil), raw...)
-			old[8], old[9] = ver, 0
+			old[8] = ver
 			if _, err := storage.ReadTable(bytes.NewReader(old)); !errors.Is(err, storage.ErrBadVersion) {
 				t.Errorf("version %d: err = %v, want ErrBadVersion", ver, err)
 			}

@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -54,35 +55,15 @@ func readManifest(fs FS, dir string) (*manifestData, error) {
 	return &m, nil
 }
 
-// writeManifest atomically replaces the manifest: write to a temp file,
-// fsync it, rename over the old one, fsync the directory.
+// writeManifest atomically replaces the manifest (replaceFile).
 func writeManifest(fs FS, dir string, m *manifestData) error {
 	blob, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("wal: encode manifest: %w", err)
 	}
 	blob = append(blob, '\n')
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("wal: create manifest temp: %w", err)
-	}
-	if _, err := f.Write(blob); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: write manifest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: sync manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: close manifest: %w", err)
-	}
-	if err := fs.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return fmt.Errorf("wal: install manifest: %w", err)
-	}
-	if err := fs.SyncDir(dir); err != nil {
-		return fmt.Errorf("wal: sync data dir: %w", err)
-	}
-	return nil
+	return replaceFile(fs, dir, manifestName, func(w io.Writer) error {
+		_, err := w.Write(blob)
+		return err
+	})
 }

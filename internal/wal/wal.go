@@ -21,6 +21,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"sync"
 	"time"
@@ -34,9 +35,9 @@ import (
 var ErrClosed = errors.New("wal: log closed")
 
 // segMagic heads every segment file. Its last byte is the segment format
-// version: version 3 holds import records in dict's split layout with
-// derived entry IVs and offset-only heads.
-var segMagic = []byte("EDBWAL\x00\x03")
+// version: version 4 writes record payloads in package codec's primitives,
+// with engine's schema and row layouts and dict's split layout.
+var segMagic = []byte("EDBWAL\x00\x04")
 
 // ErrSegmentVersion is returned by Open for a segment of another format
 // version; recovery refuses it rather than misread its records.
@@ -535,35 +536,45 @@ func (l *Log) Checkpoint(table string, gen uint64, snap *engine.TableSnapshot) e
 	return nil
 }
 
-// writeImage writes a table image atomically: temp file, fsync, rename,
-// directory fsync. The image is in storage's table format, so images and
-// SaveTable files are interchangeable.
+// writeImage writes a table image atomically (replaceFile). The image is
+// in storage's table format, so images and SaveTable files are
+// interchangeable.
 func (l *Log) writeImage(name string, snap *engine.TableSnapshot) error {
-	tmp := filepath.Join(l.dir, name+".tmp")
-	f, err := l.fs.Create(tmp)
+	return replaceFile(l.fs, l.dir, name, func(w io.Writer) error {
+		return storage.WriteTable(w, snap)
+	})
+}
+
+// replaceFile installs dir/name atomically with the bytes write produces:
+// write a temp file, fsync it, close it, rename it over name, fsync the
+// directory. A crash at any step leaves the old file or the new one under
+// name, never a torn mix.
+func replaceFile(fs FS, dir, name string, write func(io.Writer) error) error {
+	tmp := filepath.Join(dir, name+".tmp")
+	f, err := fs.Create(tmp)
 	if err != nil {
-		return fmt.Errorf("wal: create image: %w", err)
+		return fmt.Errorf("wal: create %s: %w", tmp, err)
 	}
 	bw := bufio.NewWriterSize(f, 1<<16)
-	if err := storage.WriteTable(bw, snap); err != nil {
+	if err := write(bw); err != nil {
 		f.Close()
-		return fmt.Errorf("wal: write image: %w", err)
+		return fmt.Errorf("wal: write %s: %w", tmp, err)
 	}
 	if err := bw.Flush(); err != nil {
 		f.Close()
-		return fmt.Errorf("wal: write image: %w", err)
+		return fmt.Errorf("wal: write %s: %w", tmp, err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("wal: sync image: %w", err)
+		return fmt.Errorf("wal: sync %s: %w", tmp, err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: close image: %w", err)
+		return fmt.Errorf("wal: close %s: %w", tmp, err)
 	}
-	if err := l.fs.Rename(tmp, filepath.Join(l.dir, name)); err != nil {
-		return fmt.Errorf("wal: install image: %w", err)
+	if err := fs.Rename(tmp, filepath.Join(dir, name)); err != nil {
+		return fmt.Errorf("wal: install %s: %w", name, err)
 	}
-	if err := l.fs.SyncDir(l.dir); err != nil {
+	if err := fs.SyncDir(dir); err != nil {
 		return fmt.Errorf("wal: sync data dir: %w", err)
 	}
 	return nil

@@ -314,9 +314,10 @@ func TestTornTailTruncated(t *testing.T) {
 }
 
 // TestOldSegmentVersionRefused rewrites a segment's version byte to each
-// older format — 1, whose import records predate dict's split layout, and
-// 2, whose splits stored every entry's IV and length: recovery must refuse
-// it with ErrSegmentVersion rather than misread its records.
+// older format — 1, whose import records predate dict's split layout, 2,
+// whose splits stored every entry's IV and length, and 3, whose records
+// used fixed-width little-endian lengths: recovery must refuse it with
+// ErrSegmentVersion rather than misread its records.
 func TestOldSegmentVersionRefused(t *testing.T) {
 	dir := t.TempDir()
 	db := engine.New(nil)
@@ -330,7 +331,7 @@ func TestOldSegmentVersionRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []byte{1, 2} {
+	for _, v := range []byte{1, 2, 3} {
 		blob[7] = v // the last byte of the 8-byte segment magic
 		if err := os.WriteFile(seg, blob, 0o644); err != nil {
 			t.Fatal(err)

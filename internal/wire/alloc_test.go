@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/encdbdb/encdbdb/internal/bufpool"
+	"github.com/encdbdb/encdbdb/internal/codec"
 	"github.com/encdbdb/encdbdb/internal/enclave"
 	"github.com/encdbdb/encdbdb/internal/engine"
 )
@@ -123,7 +124,7 @@ func TestAllocBudgets(t *testing.T) {
 			r := bytes.NewReader(frame)
 			fr := &frameReader{r: r}
 			mw := newMuxWriter(io.Discard)
-			var in intern
+			var in codec.Intern
 			measureAllocs(t, 0, func() {
 				r.Reset(frame)
 				id, fb, err := fr.readPooled()
@@ -151,7 +152,7 @@ func TestAllocBudgets(t *testing.T) {
 	// frame: no allocation per row in steady state.
 	t.Run("decode_insert_100", func(t *testing.T) {
 		payload := frameOf(t, 42, &request{Op: opInsert, Table: "accounts", Rows: insertRows(100)})[12:]
-		var in intern
+		var in codec.Intern
 		measureAllocs(t, 0, func() {
 			req, err := decodeRequest(payload, &in)
 			if err != nil {
@@ -179,11 +180,11 @@ func TestAllocBudgets(t *testing.T) {
 		// (Result struct, ID/column/cell slices, two name strings) is
 		// allocated fresh; the cells themselves alias the frame.
 		measureAllocs(t, 7, func() {
-			var d binReader
-			d.reset(raw)
+			var d codec.Reader
+			d.Reset(raw)
 			got := new(response)
 			decResponse(&d, got)
-			if err := d.err(); err != nil {
+			if err := d.Err(); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -6,6 +6,7 @@ import (
 	"io"
 	"testing"
 
+	"github.com/encdbdb/encdbdb/internal/codec"
 	"github.com/encdbdb/encdbdb/internal/enclave"
 	"github.com/encdbdb/encdbdb/internal/engine"
 )
@@ -115,7 +116,7 @@ func BenchmarkWireDecodeRequest(b *testing.B) {
 	frame := frameOf(b, 1, benchPointSelect())
 	r := bytes.NewReader(frame)
 	fr := frameReader{r: r}
-	var in intern
+	var in codec.Intern
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

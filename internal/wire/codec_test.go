@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/encdbdb/encdbdb/internal/codec"
 	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/enclave"
 	"github.com/encdbdb/encdbdb/internal/engine"
@@ -22,9 +23,9 @@ import (
 // binEncode returns m's message body: the frame payload after its codec
 // tag.
 func binEncode(m message) []byte {
-	var e encoder
+	var e codec.Encoder
 	m.encode(&e)
-	return e.b
+	return e.B
 }
 
 func binRequestCases() map[string]*request {
@@ -167,12 +168,13 @@ func TestBinRequestRoundTrip(t *testing.T) {
 	for name, req := range binRequestCases() {
 		t.Run(name, func(t *testing.T) {
 			raw := binEncode(req)
-			var d binReader
-			d.reset(raw)
+			var d codec.Reader
+			d.Reset(raw)
 			got := new(request)
-			var in intern
-			decRequest(&d, got, &in)
-			if err := d.err(); err != nil {
+			var in codec.Intern
+			d.Intern = &in
+			decRequest(&d, got)
+			if err := d.Err(); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, req) {
@@ -187,7 +189,7 @@ func TestBinRequestRoundTrip(t *testing.T) {
 // from an earlier decode never leaks into a later one.
 func TestBinRequestPooledReuse(t *testing.T) {
 	req := new(request)
-	var in intern
+	var in codec.Intern
 	cases := binRequestCases()
 	// Two passes so every case also decodes into capacity left by every
 	// other case at least once.
@@ -195,10 +197,11 @@ func TestBinRequestPooledReuse(t *testing.T) {
 		for name, want := range cases {
 			raw := binEncode(want)
 			resetRequest(req)
-			var d binReader
-			d.reset(raw)
-			decRequest(&d, req, &in)
-			if err := d.err(); err != nil {
+			var d codec.Reader
+			d.Reset(raw)
+			d.Intern = &in
+			decRequest(&d, req)
+			if err := d.Err(); err != nil {
 				t.Fatalf("pass %d %s: %v", pass, name, err)
 			}
 			got := *req
@@ -269,11 +272,11 @@ func TestBinResponseRoundTrip(t *testing.T) {
 	for name, resp := range binResponseCases() {
 		t.Run(name, func(t *testing.T) {
 			raw := binEncode(resp)
-			var d binReader
-			d.reset(raw)
+			var d codec.Reader
+			d.Reset(raw)
 			got := new(response)
 			aliases := decResponse(&d, got)
-			if err := d.err(); err != nil {
+			if err := d.Err(); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, resp) {
@@ -294,52 +297,57 @@ func TestBinDecodeCorrupt(t *testing.T) {
 	req := binRequestCases()["point_select"]
 	raw := binEncode(req)
 	for n := 0; n < len(raw); n++ {
-		var d binReader
-		d.reset(raw[:n])
+		var d codec.Reader
+		d.Reset(raw[:n])
 		got := new(request)
-		var in intern
-		decRequest(&d, got, &in)
-		if d.err() == nil {
+		var in codec.Intern
+		d.Intern = &in
+		decRequest(&d, got)
+		if d.Err() == nil {
 			t.Errorf("truncation at %d decoded cleanly", n)
 		}
 	}
 	// Trailing garbage: the frame and message boundary must coincide.
-	var d binReader
-	d.reset(append(append([]byte{}, raw...), 0x00))
+	var d codec.Reader
+	d.Reset(append(append([]byte{}, raw...), 0x00))
 	got := new(request)
-	var in intern
-	decRequest(&d, got, &in)
-	if d.err() == nil {
+	var in codec.Intern
+	d.Intern = &in
+	decRequest(&d, got)
+	if d.Err() == nil {
 		t.Error("trailing garbage accepted")
 	}
 	// Length bomb: a huge count must fail the remaining-bytes bound, not
 	// drive a huge allocation.
 	bomb := []byte{byte(opSelect), 0, 0, 0, reqHasFilters, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
-	d.reset(bomb)
+	d.Reset(bomb)
 	resetRequest(got)
-	decRequest(&d, got, &in)
-	if d.err() == nil {
+	d.Intern = &in
+	decRequest(&d, got)
+	if d.Err() == nil {
 		t.Error("length bomb accepted")
 	}
 	// The same bomb on a split's byte length.
 	bomb = []byte{byte(opImportColumn), 0, 0, 0, 0x80, 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
-	d.reset(bomb)
+	d.Reset(bomb)
 	resetRequest(got)
-	decRequest(&d, got, &in)
-	if d.err() == nil {
+	d.Intern = &in
+	decRequest(&d, got)
+	if d.Err() == nil {
 		t.Error("split length bomb accepted")
 	}
 	// A presence bit this build does not define is corruption, not a field
 	// to skip.
-	d.reset([]byte{byte(opRows), 0, 0, 0, 0x80, 0x04})
+	d.Reset([]byte{byte(opRows), 0, 0, 0, 0x80, 0x04})
 	resetRequest(got)
-	decRequest(&d, got, &in)
-	if d.err() == nil {
+	d.Intern = &in
+	decRequest(&d, got)
+	if d.Err() == nil {
 		t.Error("unknown request presence bit accepted")
 	}
-	d.reset([]byte{0x80, 0x02, 0})
+	d.Reset([]byte{0x80, 0x02, 0})
 	decResponse(&d, new(response))
-	if d.err() == nil {
+	if d.Err() == nil {
 		t.Error("unknown response presence bit accepted")
 	}
 }
@@ -366,7 +374,7 @@ func TestDecodeRejectsNestedSubs(t *testing.T) {
 	resp := append([]byte{codecBin}, bytes.Repeat([]byte{1 << 5, 0, 1}, depth)...)
 	resp = append(resp, 0, 0)
 
-	var in intern
+	var in codec.Intern
 	decoders := map[string]func() error{
 		"request": func() error {
 			_, err := decodeRequest(req, &in)
@@ -405,7 +413,7 @@ func TestMuxWriterFrames(t *testing.T) {
 	var buf bytes.Buffer
 	mw := newMuxWriter(&buf)
 	fr := frameReader{r: &buf}
-	var in intern
+	var in codec.Intern
 	id := uint64(1 << 33)
 	for name, want := range binRequestCases() {
 		id++
@@ -471,7 +479,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte{codecBin, byte(opInsert), 1, 't', 0, 0, reqHasRows, 0xFF, 0xFF, 0x3F, 1, 1, 'k', 0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		var in intern
+		var in codec.Intern
 		req, err := decodeRequest(payload, &in)
 		if err != nil {
 			return
@@ -513,28 +521,6 @@ func FuzzDecodeResponse(f *testing.F) {
 	})
 }
 
-// TestInternBounded verifies the per-connection string cache stops growing
-// at its cap but keeps answering correctly, so a peer inventing identifiers
-// cannot grow server memory.
-func TestInternBounded(t *testing.T) {
-	var in intern
-	for i := 0; i < 2*internLimit; i++ {
-		s := fmt.Sprintf("col%d", i)
-		if got := in.get([]byte(s)); got != s {
-			t.Fatalf("get(%q) = %q", s, got)
-		}
-	}
-	if len(in.m) > internLimit {
-		t.Errorf("intern map grew to %d entries, cap is %d", len(in.m), internLimit)
-	}
-	if got := in.get([]byte("col1")); got != "col1" {
-		t.Errorf("cached lookup = %q", got)
-	}
-	if got := in.get(nil); got != "" {
-		t.Errorf("get(nil) = %q", got)
-	}
-}
-
 // TestImportSplitOutlivesFrame runs an import through the provider's decode
 // and dispatch path, then scribbles over the frame payload it arrived in:
 // the engine's split must own its memory, so it still answers as imported.
@@ -547,7 +533,7 @@ func TestImportSplitOutlivesFrame(t *testing.T) {
 	}
 	want := plainSplit()
 	payload := frameOf(t, 1, &request{Op: opImportColumn, Table: "t", Column: "c", Split: want})[12:]
-	var in intern
+	var in codec.Intern
 	req, err := decodeRequest(payload, &in)
 	if err != nil {
 		t.Fatal(err)

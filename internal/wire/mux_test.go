@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/encdbdb/encdbdb/internal/codec"
 	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/engine"
 )
@@ -42,7 +43,7 @@ type fakePeer struct {
 	conn net.Conn
 	fr   frameReader
 	mw   *muxWriter
-	in   intern
+	in   codec.Intern
 }
 
 // next reads one request frame and returns its ID.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/encdbdb/encdbdb/internal/bufpool"
+	"github.com/encdbdb/encdbdb/internal/codec"
 	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/engine"
 	"github.com/encdbdb/encdbdb/internal/metrics"
@@ -312,7 +313,7 @@ func (s *Server) serveConn(raw net.Conn) {
 	// when the request completes. The intern cache keeps the connection's
 	// recurring identifiers (table and column names) from allocating a
 	// string per frame.
-	var in intern
+	var in codec.Intern
 	fr := frameReader{r: br}
 	for {
 		id, buf, err := fd.readFrame(br, &fr)

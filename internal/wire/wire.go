@@ -5,8 +5,8 @@
 // The protocol is multiplexed: every request carries a connection-unique
 // ID, so a client keeps many calls in flight over one connection and the
 // server answers them out of order as its per-request workers finish.
-// Every message — data plane and control plane alike — travels in the
-// hand-rolled binary codec of codec.go: each frame is encoded once, outside
+// Every message — data plane and control plane alike — travels in package
+// codec's primitives (codec.go): each frame is encoded once, outside
 // the connection's write lock, into a pooled scratch buffer and written
 // whole, and decodes with zero reflection into pooled objects whose byte
 // fields alias pooled frame buffers (internal/bufpool).
@@ -42,6 +42,7 @@ import (
 	"sync/atomic"
 
 	"github.com/encdbdb/encdbdb/internal/bufpool"
+	"github.com/encdbdb/encdbdb/internal/codec"
 )
 
 // maxFrame caps a frame at 1 GiB to bound allocations from a malicious or
@@ -168,7 +169,7 @@ var errWriterBroken = errors.New("wire: connection writer broken")
 // message is what a frame carries: a request or a response, each of which
 // knows how to append itself to an encoder.
 type message interface {
-	encode(e *encoder)
+	encode(e *codec.Encoder)
 }
 
 // muxWriter is the write half of a connection. Each message is encoded once,
@@ -193,7 +194,7 @@ func newMuxWriter(w io.Writer) *muxWriter {
 // beyond bufpool's largest class (a bulk import, a large result) is left to
 // the garbage collector instead, so one such frame does not pin its size for
 // the life of the process.
-var scratchPool = sync.Pool{New: func() any { return new(encoder) }}
+var scratchPool = sync.Pool{New: func() any { return new(codec.Encoder) }}
 
 // send encodes m as one frame tagged with id and writes it. The frame is
 // complete — header patched, size checked — before the lock is taken, so an
@@ -202,21 +203,21 @@ var scratchPool = sync.Pool{New: func() any { return new(encoder) }}
 // commit): the chain of writers ends at one that sees no waiter, and that
 // one flushes for the whole group. A failed write poisons the stream.
 func (mw *muxWriter) send(id uint64, m message) error {
-	e := scratchPool.Get().(*encoder)
+	e := scratchPool.Get().(*codec.Encoder)
 	defer func() {
-		if cap(e.b) <= bufpool.MaxPooled {
+		if cap(e.B) <= bufpool.MaxPooled {
 			scratchPool.Put(e)
 		}
 	}()
-	e.b = append(e.b[:0], make([]byte, headerLen)...)
-	e.byte(codecBin)
+	e.B = append(e.B[:0], make([]byte, headerLen)...)
+	e.Byte(codecBin)
 	m.encode(e)
-	n := len(e.b) - headerLen
+	n := len(e.B) - headerLen
 	if n > maxFrame {
 		return ErrFrameTooLarge
 	}
-	binary.BigEndian.PutUint32(e.b[:4], uint32(n))
-	binary.BigEndian.PutUint64(e.b[4:], id)
+	binary.BigEndian.PutUint32(e.B[:4], uint32(n))
+	binary.BigEndian.PutUint64(e.B[4:], id)
 	mw.waiters.Add(1)
 	mw.mu.Lock()
 	defer mw.mu.Unlock()
@@ -224,7 +225,7 @@ func (mw *muxWriter) send(id uint64, m message) error {
 	if mw.broken {
 		return errWriterBroken
 	}
-	if _, err := mw.bw.Write(e.b); err != nil {
+	if _, err := mw.bw.Write(e.B); err != nil {
 		mw.broken = true
 		return err
 	}

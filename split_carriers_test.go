@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -41,7 +42,11 @@ var carrierShapes = []struct {
 // exactly as built: the same vector words, blocks and runs, head, tail,
 // rotation header and nonce salt, so every entry's self-contained form —
 // an encrypted one's IV is derived from the salt and its index — is the
-// one the build sealed.
+// one the build sealed. Every table's schema must come back deep-equal,
+// with the same digest, from each carrier too: the remote Schema call, the
+// replayed create record and the image header. One more table, without
+// splits, holds a column of each kind, a plain one, a nonzero BSMax and a
+// MaxLen of 2^16 and more.
 func TestSplitCarriersRoundTrip(t *testing.T) {
 	const rows = 3*av.BlockRows + 100
 	plat, err := enclave.NewPlatform()
@@ -107,14 +112,36 @@ func TestSplitCarriersRoundTrip(t *testing.T) {
 			t.Fatalf("no split holds a %v block", e)
 		}
 	}
+	kinds := table{schema: engine.Schema{Table: "kinds"}}
+	for k := dict.ED1; k <= dict.ED9; k++ {
+		def := engine.ColumnDef{Name: fmt.Sprintf("c%v", k), Kind: k, MaxLen: 1<<16 + int(k), Plain: k == dict.ED3}
+		if k.Repetition() == dict.RepSmoothing {
+			def.BSMax = 300 + int(k)
+		}
+		kinds.schema.Columns = append(kinds.schema.Columns, def)
+	}
+	tables = append(tables, kinds)
+	sameSchema := func(carrier string, got engine.Schema, err error, want engine.Schema) {
+		t.Helper()
+		switch {
+		case err != nil:
+			t.Errorf("%s: schema of %s: %v", carrier, want.Table, err)
+		case !reflect.DeepEqual(got, want):
+			t.Errorf("%s: schema of %s:\n got %+v\nwant %+v", carrier, want.Table, got, want)
+		case got.Digest() != want.Digest():
+			t.Errorf("%s: schema of %s: digest %x, want %x", carrier, want.Table, got.Digest(), want.Digest())
+		}
+	}
 	check := func(carrier string, db *engine.DB) {
 		t.Helper()
 		for _, tb := range tables {
+			sc, err := db.Schema(tb.schema.Table)
+			sameSchema(carrier, sc, err, tb.schema)
 			snap, err := db.Snapshot(tb.schema.Table)
 			if err != nil {
 				t.Fatalf("%s: %v", carrier, err)
 			}
-			for i, cs := range snap.Columns {
+			for i, cs := range snap.Columns[:len(tb.splits)] {
 				sameSplit(t, fmt.Sprintf("%s %s.%s", carrier, tb.schema.Table, cs.Name), cs.Main, tb.splits[i])
 			}
 		}
@@ -138,11 +165,13 @@ func TestSplitCarriersRoundTrip(t *testing.T) {
 		if err := c.CreateTable(tb.schema); err != nil {
 			t.Fatal(err)
 		}
-		for i, def := range tb.schema.Columns {
-			if err := c.ImportColumn(tb.schema.Table, def.Name, tb.splits[i]); err != nil {
-				t.Fatalf("ImportColumn %s.%s: %v", tb.schema.Table, def.Name, err)
+		for i, s := range tb.splits {
+			if err := c.ImportColumn(tb.schema.Table, tb.schema.Columns[i].Name, s); err != nil {
+				t.Fatalf("ImportColumn %s.%s: %v", tb.schema.Table, tb.schema.Columns[i].Name, err)
 			}
 		}
+		sc, err := c.Schema(tb.schema.Table)
+		sameSchema("wire client", sc, err, tb.schema)
 	}
 	check("wire", remote)
 
@@ -158,8 +187,8 @@ func TestSplitCarriersRoundTrip(t *testing.T) {
 		if err := logged.CreateTable(tb.schema); err != nil {
 			t.Fatal(err)
 		}
-		for i, def := range tb.schema.Columns {
-			if err := logged.ImportColumn(tb.schema.Table, def.Name, tb.splits[i]); err != nil {
+		for i, s := range tb.splits {
+			if err := logged.ImportColumn(tb.schema.Table, tb.schema.Columns[i].Name, s); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -173,8 +202,8 @@ func TestSplitCarriersRoundTrip(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer l2.Close()
-	if got, want := l2.Stats().ReplayedRecords, len(tables)*(1+len(carrierShapes)); got != want {
-		t.Errorf("replayed %d records, want %d (a create and an import per column)", got, want)
+	if got, want := l2.Stats().ReplayedRecords, len(tables)+(len(tables)-1)*len(carrierShapes); got != want {
+		t.Errorf("replayed %d records, want %d (a create per table and an import per split)", got, want)
 	}
 	check("wal", replayed)
 
