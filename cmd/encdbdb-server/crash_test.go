@@ -103,11 +103,24 @@ func selectAll(t *testing.T, x interface {
 	return rows
 }
 
-// TestKillNineRecovery is the issue's headline scenario end to end: load a
-// real server process over TCP, SIGKILL it mid-insert-stream, restart it on
-// the same data directory, and require that every acknowledged write
-// survived, that the store matches a never-crashed in-process twin fed the
-// same prefix, and that the recovered server keeps accepting writes.
+// batchOf returns the rows [lo, lo+n) of the insert sequence.
+func batchOf(lo, n int) []engine.Row {
+	rows := make([]engine.Row, n)
+	for i := range rows {
+		k, v := rowKV(lo + i)
+		rows[i] = engine.Row{"k": []byte(k), "v": []byte(v)}
+	}
+	return rows
+}
+
+// TestKillNineRecovery is the crash scenario end to end: load a real server
+// process over TCP, SIGKILL it mid-insert-stream, restart it on the same
+// data directory, and require that every acknowledged write survived, that
+// the store matches a never-crashed in-process twin fed the same prefix, and
+// that the recovered server keeps accepting writes. The server seals its
+// tail at the default 4,096 rows, and more than three times that many rows
+// are acknowledged before the kill, so the recovered store must hold at
+// least three sealed runs: replay seals as the writes did.
 func TestKillNineRecovery(t *testing.T) {
 	if runtime.GOOS == "windows" {
 		t.Skip("requires SIGKILL")
@@ -131,34 +144,34 @@ func TestKillNineRecovery(t *testing.T) {
 		t.Fatalf("CreateTable: %v", err)
 	}
 
-	// Stream inserts; fire SIGKILL after a prefix has been acknowledged so
-	// later inserts race the process death in flight. Acked counts only
-	// inserts whose response arrived — exactly the writes recovery owes us.
+	// Stream insert batches; fire SIGKILL after a prefix has been
+	// acknowledged so later batches race the process death in flight. Acked
+	// counts only rows whose response arrived — exactly the writes recovery
+	// owes us.
 	ctx := context.Background()
-	const killAfter = 64
+	const batch, killAfter, limit = 128, 100 * 128, 400 * 128
 	acked, sent := 0, 0
-	for i := 0; i < 5000; i++ {
-		if i == killAfter {
+	for lo := 0; lo < limit; lo += batch {
+		if lo == killAfter {
 			if err := cmd.Process.Kill(); err != nil {
 				t.Fatalf("kill -9: %v", err)
 			}
 		}
-		sent = i + 1
-		k, v := rowKV(i)
-		if err := c.InsertBatch(ctx, "t", []engine.Row{{"k": []byte(k), "v": []byte(v)}}); err != nil {
+		sent = lo + batch
+		if err := c.InsertBatch(ctx, "t", batchOf(lo, batch)); err != nil {
 			break
 		}
-		acked = i + 1
+		acked = lo + batch
 	}
 	cmd.Wait() //nolint:errcheck // killed; exit status is expected to be non-zero
 	reaped = true
-	if sent == 5000 && acked == sent {
+	if sent == limit && acked == sent {
 		t.Fatal("server survived kill -9; test drove no crash")
 	}
 	if acked < killAfter {
-		t.Fatalf("only %d inserts acked before the kill took effect, want >= %d", acked, killAfter)
+		t.Fatalf("only %d rows acked before the kill took effect, want >= %d", acked, killAfter)
 	}
-	t.Logf("killed after %d acked / %d sent inserts", acked, sent)
+	t.Logf("killed after %d acked / %d sent rows", acked, sent)
 
 	// Restart on the same directory: recovery must yield exactly a prefix of
 	// the insert sequence, at least as long as the acked prefix (an in-flight
@@ -178,6 +191,9 @@ func TestKillNineRecovery(t *testing.T) {
 	defer c2.Close()
 	got := selectAll(t, c2)
 	recovered := len(got)
+	if info, err := c2.MergeStatus(ctx, "t"); err != nil || info.SealedRuns < 3 {
+		t.Fatalf("recovered merge status = %+v, %v; want at least 3 sealed runs", info, err)
+	}
 	if recovered < acked {
 		t.Fatalf("recovered %d rows, lost acknowledged writes (acked %d)", recovered, acked)
 	}
@@ -187,13 +203,12 @@ func TestKillNineRecovery(t *testing.T) {
 
 	// Never-crashed twin: an in-process engine fed the same recovered prefix
 	// must answer scans and range probes identically.
-	twin := engine.New(nil)
+	twin := engine.New(nil, engine.WithSealThreshold(1000))
 	if err := twin.CreateTable(crashSchema()); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < recovered; i++ {
-		k, v := rowKV(i)
-		if err := twin.InsertBatch(ctx, "t", []engine.Row{{"k": []byte(k), "v": []byte(v)}}); err != nil {
+	for lo := 0; lo < recovered; lo += batch {
+		if err := twin.InsertBatch(ctx, "t", batchOf(lo, batch)); err != nil {
 			t.Fatal(err)
 		}
 	}

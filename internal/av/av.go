@@ -19,8 +19,8 @@
 //
 //   - frame of reference (EncFoR): the block minimum is subtracted and the
 //     residuals are bit-sliced at the narrowed width ceil(log2(max-min+1)),
-//     which shrinks clustered blocks (e.g. the identity vectors of sealed
-//     delta runs) far below the global width;
+//     which shrinks clustered blocks (e.g. a block of a clustered column
+//     spanning few ValueIDs) far below the global width;
 //   - run length (EncRLE): blocks with few value runs (sorted or clustered
 //     columns) store (ValueID, end-row) runs and scans evaluate each run
 //     once — O(runs + touched words) instead of O(rows).

@@ -133,9 +133,7 @@ func (p *Platform) Launch(cfg Config) (*Enclave, error) {
 		observer:    cfg.Observer,
 		padProbes:   cfg.PadProbes,
 		ciphers:     make(map[columnID]*pae.Cipher),
-		rng: mrand.New(mrand.NewSource(int64(seed[0]) | int64(seed[1])<<8 |
-			int64(seed[2])<<16 | int64(seed[3])<<24 | int64(seed[4])<<32 |
-			int64(seed[5])<<40 | int64(seed[6])<<48 | int64(seed[7])<<56)),
+		rng:         mrand.New(mrand.NewSource(int64(binary.LittleEndian.Uint64(seed[:])))),
 	}, nil
 }
 
@@ -166,10 +164,7 @@ func (e *Enclave) Provision(sk SealedKey) error {
 		return fmt.Errorf("%w: %v", ErrUnseal, err)
 	}
 	master, err := pae.Decrypt(channelKey(shared), sk.Ciphertext)
-	if err != nil {
-		return ErrUnseal
-	}
-	if len(master) != pae.KeySize {
+	if err != nil || len(master) != pae.KeySize {
 		return ErrUnseal
 	}
 	e.mu.Lock()
@@ -469,7 +464,8 @@ func (e *Enclave) BuildColumn(meta ColumnMeta, bsmax int, values [][]byte) (*dic
 }
 
 // MergeInput is one store participating in a delta merge: the dictionary
-// region, attribute vector, and validity flags (nil means all rows valid).
+// region, attribute vector (nil for a delta tail, whose row i references
+// entry i), and validity flags (nil means all rows valid).
 type MergeInput struct {
 	Region search.Region
 	AV     *av.Vector
@@ -478,9 +474,9 @@ type MergeInput struct {
 
 // MergeColumns is the delta-merge ECALL (paper §4.3): it reconstructs the
 // valid rows of the given stores — conventionally the main store followed by
-// the sealed delta runs in chain order — inside the enclave, re-encrypts
-// every value with fresh IVs, and rebuilds the column under the column's
-// encrypted dictionary kind with a fresh rotation offset or shuffle. The
+// the sealed delta runs in chain order, then the tail — inside the enclave,
+// re-encrypts every value with fresh IVs, and rebuilds the column under the
+// column's encrypted dictionary kind with a fresh rotation offset or shuffle. The
 // returned split carries no linkable relation to the old stores. The whole
 // rebuild costs a single context switch regardless of how many delta runs
 // participate.
@@ -490,13 +486,7 @@ func (e *Enclave) MergeColumns(meta ColumnMeta, bsmax int, inputs ...MergeInput)
 	if err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, in := range inputs {
-		if in.AV != nil {
-			total += in.AV.Len()
-		}
-	}
-	col := make([][]byte, 0, total)
+	var col [][]byte
 	for _, in := range inputs {
 		if col, err = c.decryptRows(col, in); err != nil {
 			return nil, err
@@ -524,11 +514,19 @@ func (e *Enclave) MergeColumns(meta ColumnMeta, bsmax int, inputs ...MergeInput)
 // chunks of mergeArenaChunk bytes, one allocation per chunk instead of one
 // per entry.
 func (c *ecall) decryptRows(col [][]byte, in MergeInput) ([][]byte, error) {
-	if in.Region == nil || in.AV == nil {
+	if in.Region == nil {
 		return col, nil
 	}
 	c.use(in.Region)
-	codes := in.AV.Unpack()
+	var codes []uint32
+	if in.AV != nil {
+		codes = in.AV.Unpack()
+	} else { // a tail: row j references entry j
+		codes = make([]uint32, c.Len())
+		for j := range codes {
+			codes[j] = uint32(j)
+		}
+	}
 	need := make([]bool, c.Len())
 	for j, vid := range codes {
 		if in.Valid != nil && !in.Valid[j] {

@@ -175,23 +175,33 @@ func (db *DB) ApplyRecord(rec *LogRecord) error {
 
 // applyWrite re-applies a write record: invalidations first, then appends —
 // the order Update used when the record was written (InsertBatch and Delete
-// records carry only one of the two).
+// records carry only one of the two). A tail the appends make due is sealed
+// before it returns, so replay leaves the sealed runs the writes left.
 func (db *DB) applyWrite(rec *LogRecord) error {
 	t, err := db.lookup(rec.Table)
 	if err != nil {
 		return fmt.Errorf("engine: replay lsn %d: %w", rec.LSN, err)
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
+	sealDue, err := db.applyWriteLocked(t, rec)
+	t.mu.Unlock()
+	if sealDue {
+		db.sealRuns(t)
+	}
+	return err
+}
+
+// applyWriteLocked is applyWrite's part under the table write lock.
+func (db *DB) applyWriteLocked(t *table, rec *LogRecord) (sealDue bool, err error) {
 	n := t.mainRows + t.deltaRows
 	if len(rec.Rows) > 0 && int(rec.Base) != n {
-		return fmt.Errorf("engine: replay lsn %d: record base %d, table has %d rows",
+		return false, fmt.Errorf("engine: replay lsn %d: record base %d, table has %d rows",
 			rec.LSN, rec.Base, n)
 	}
 	for i, row := range rec.Rows {
 		for name := range t.cols {
 			if _, ok := row[name]; !ok {
-				return fmt.Errorf("engine: replay lsn %d: row %d: %w: %q",
+				return false, fmt.Errorf("engine: replay lsn %d: row %d: %w: %q",
 					rec.LSN, i, ErrMissingColumn, name)
 			}
 		}
@@ -200,7 +210,7 @@ func (db *DB) applyWrite(rec *LogRecord) error {
 		valid := t.valid.Clone()
 		for _, r := range rec.Removed {
 			if int(r) >= n {
-				return fmt.Errorf("engine: replay lsn %d: removed RecordID %d out of range %d",
+				return false, fmt.Errorf("engine: replay lsn %d: removed RecordID %d out of range %d",
 					rec.LSN, r, n)
 			}
 			valid.Remove(r)
@@ -208,7 +218,7 @@ func (db *DB) applyWrite(rec *LogRecord) error {
 		t.valid = valid
 	}
 	if len(rec.Rows) > 0 {
-		db.commitRowsLocked(t, rec.Rows)
+		sealDue = db.commitRowsLocked(t, rec.Rows)
 	}
-	return nil
+	return sealDue, nil
 }

@@ -14,11 +14,12 @@ import (
 )
 
 // TestConcurrentReadersAndWriters exercises the engine under parallel
-// selects, inserts, deletes and merges. Run with -race to validate the
-// locking discipline; assertions check only invariants that hold under any
-// interleaving.
+// selects, inserts and merges, with a seal threshold low enough that
+// background seal builds interleave with all of them. Run with -race to
+// validate the locking discipline; assertions check only invariants that
+// hold under any interleaving.
 func TestConcurrentReadersAndWriters(t *testing.T) {
-	v := newEnv(t)
+	v := newEnvWith(t, engine.WithSealThreshold(8))
 	def := engine.ColumnDef{Name: "c", Kind: dict.ED5, MaxLen: 8, BSMax: 3}
 	if err := v.db.CreateTable(engine.Schema{Table: "cc", Columns: []engine.ColumnDef{def}}); err != nil {
 		t.Fatal(err)
@@ -44,8 +45,13 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				q := search.Eq([]byte(fmt.Sprintf("v%03d", i%10)))
 				f := v.filter(t, "cc", def, q)
-				if _, err := v.db.Select(context.Background(), engine.Query{Table: "cc", Filters: []engine.Filter{f}, CountOnly: true}); err != nil {
+				res, err := v.db.Select(context.Background(), engine.Query{Table: "cc", Filters: []engine.Filter{f}, CountOnly: true})
+				if err != nil {
 					errs <- fmt.Errorf("reader %d: %w", r, err)
+					return
+				}
+				if res.Count != 5 { // the seed rows holding the value; writers add none
+					errs <- fmt.Errorf("reader %d: %d rows hold %q, want 5", r, res.Count, q.Start)
 					return
 				}
 			}

@@ -3,8 +3,11 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
+	"time"
 
-	"github.com/encdbdb/encdbdb/internal/av"
+	"github.com/encdbdb/encdbdb/internal/dict"
+	"github.com/encdbdb/encdbdb/internal/enclave"
 	"github.com/encdbdb/encdbdb/internal/ridset"
 )
 
@@ -35,72 +38,104 @@ func (d *deltaStore) append(payload []byte) {
 // attribute vector is implicit and costs nothing.
 func (d *deltaStore) sizeBytes() int { return d.bytes }
 
-// deltaRun is a sealed, immutable delta run: the frozen entries of a former
-// tail plus the bit-packed identity attribute vector built at seal time,
-// which lets the word-parallel packed membership kernel answer the
-// attribute-vector phase instead of the O(rows) per-probe linear path the
-// tail uses.
-type deltaRun struct {
-	entries [][]byte
-	bytes   int
-	packed  *av.Vector
-}
-
-// sealRun freezes a tail into an immutable run. The identity codes are
-// materialized once, only to feed the packer; the packed vector is the run's
-// lasting representation. Identity codes ascend strictly, so PackEncoded's
-// per-block frame-of-reference narrows every full block to 10 bits
-// regardless of the run's total width.
-func sealRun(d *deltaStore) *deltaRun {
-	n := len(d.entries)
-	return &deltaRun{
-		entries: d.entries[:n:n],
-		bytes:   d.bytes,
-		packed:  av.PackEncoded(identCodes(n), n),
+// cut returns the tail without its first n rows, which a seal build or a
+// merge consumed. The rest is copied so the consumed entries can be freed;
+// pinned versions keep their own captures.
+func (d *deltaStore) cut(n int) *deltaStore {
+	rest := &deltaStore{entries: slices.Clone(d.entries[n:])}
+	for _, e := range rest.entries {
+		rest.bytes += len(e)
 	}
+	return rest
 }
 
-// rows returns the run's row count.
-func (r *deltaRun) rows() int { return len(r.entries) }
-
-// Len returns the run's row count (implements search.Region).
-func (r *deltaRun) Len() int { return len(r.entries) }
-
-// AppendEntry appends run entry i (implements search.Region).
-func (r *deltaRun) AppendEntry(dst []byte, i int) []byte { return append(dst, r.entries[i]...) }
-
-// sizeBytes returns the storage footprint of the run including its packed
-// attribute vector.
-func (r *deltaRun) sizeBytes() int { return r.bytes + r.packed.MemBytes() }
-
-// identCodes materializes the identity ValueID vector 0..n-1, the input
-// sealRun packs into a run's attribute vector.
-func identCodes(n int) []uint32 {
-	codes := make([]uint32, n)
-	for i := range codes {
-		codes[i] = uint32(i)
-	}
-	return codes
-}
-
-// sealTailLocked seals every column's active tail into a run if the tail
-// has reached threshold rows (0 seals any non-empty tail). All columns seal
-// together so run boundaries align across the table. The caller holds the
-// table write lock.
-func (t *table) sealTailLocked(threshold int) {
-	n := t.tailLenLocked()
-	if n == 0 || n < threshold {
+// startSeal admits a background seal build of the table unless one is
+// already pending. Admission and wg.Add are one step under closeMu, as for
+// MergeAsync, so Close drains a build it raced with and admits none after.
+// A write that lands while a build is finishing is sealed by the next write
+// that finds the tail due.
+func (db *DB) startSeal(t *table) {
+	if !t.sealing.CompareAndSwap(false, true) {
 		return
 	}
-	for _, c := range t.cols {
-		run := sealRun(c.tail)
-		// Append into a fresh slice so a pinned version's captured chain
-		// header never observes in-place growth.
-		chain := make([]*deltaRun, 0, len(c.sealed)+1)
-		chain = append(chain, c.sealed...)
-		c.sealed = append(chain, run)
-		c.tail = newDeltaStore()
+	db.closeMu.Lock()
+	defer db.closeMu.Unlock()
+	if db.closed.Load() {
+		t.sealing.Store(false)
+		return
 	}
+	db.wg.Add(1)
+	go func() {
+		defer db.wg.Done()
+		defer t.sealing.Store(false)
+		db.sealRuns(t)
+	}()
+}
+
+// sealRuns seals the tail's leading sealRows rows, as long as it holds that
+// many: each column's rows are rebuilt as a split of the column's own kind
+// and appended to its sealed chain, so a sealed run is searched, scanned,
+// rendered and merged like the main store. The build reads a capture of the
+// entries and runs off the table lock; only the install — append the
+// splits, cut their rows from the tail — takes the write lock, and it moves
+// no RecordID. Until then the rows are ordinary tail rows. sealMu serializes
+// builds with each other and with the merge pipeline, so neither consumes
+// rows the other took. Encrypted columns need the column keys: before the
+// enclave is provisioned (recovery replays earlier) their rows stay in the
+// tail, to be sealed by the next write that finds it due. A failed build is
+// recorded in lastMergeErr and leaves the tail as it was.
+func (db *DB) sealRuns(t *table) {
+	t.sealMu.Lock()
+	defer t.sealMu.Unlock()
+	n := db.opts.sealRows
+	for !db.closed.Load() && (t.plain || db.encl.Provisioned()) {
+		t.mu.RLock()
+		if t.tailLenLocked() < n {
+			t.mu.RUnlock()
+			return
+		}
+		tails := make(map[string][][]byte, len(t.cols))
+		for name, c := range t.cols {
+			tails[name] = c.tail.entries[:n:n]
+		}
+		t.mu.RUnlock()
+		if h := db.mergeHooks.sealBuild; h != nil {
+			h(t.schema.Table)
+		}
+		start := time.Now()
+		runs := make(map[string]*dict.Split, len(t.cols))
+		var err error
+		for name, c := range t.cols {
+			if runs[name], err = db.buildRun(c, tails[name]); err != nil {
+				break
+			}
+		}
+		db.metrics.sealFinished(start)
+		t.mu.Lock()
+		if err != nil {
+			t.lastMergeErr = fmt.Sprintf("engine: seal %q: %v", t.schema.Table, err)
+			t.mu.Unlock()
+			return
+		}
+		for name, c := range t.cols {
+			// Readers read a captured chain only below its length, which
+			// append never rewrites.
+			c.sealed = append(c.sealed, runs[name])
+			c.tail = c.tail.cut(n)
+		}
+		t.mu.Unlock()
+	}
+}
+
+// buildRun rebuilds a column's captured tail rows, in row order, as a split
+// of the column's kind: inside the enclave through the merge ECALL for an
+// encrypted column (the rows' ED9 identity attribute vector is MergeInput's
+// nil AV), locally for a plain one.
+func (db *DB) buildRun(c *column, entries [][]byte) (*dict.Split, error) {
+	if c.def.Plain {
+		return buildPlain(c.def, entries)
+	}
+	return db.encl.MergeColumns(db.columnMeta(c), c.def.BSMax, enclave.MergeInput{Region: tailRegion(entries)})
 }
 
 // Row is one inserted row: column name to value. Values of encrypted columns
@@ -139,9 +174,10 @@ func (db *DB) prepareRow(t *table, row Row) (Row, error) {
 
 // commitRowsLocked appends fully prepared rows to the tail and installs the
 // grown copy-on-write validity bitmap. It cannot fail — preparation already
-// validated everything — which is what makes multi-row writes atomic. The
-// caller holds the table write lock.
-func (db *DB) commitRowsLocked(t *table, payloads []Row) {
+// validated everything — which is what makes multi-row writes atomic. It
+// reports whether the tail is now due to seal; the caller, holding the table
+// write lock, starts the seal once it has released it.
+func (db *DB) commitRowsLocked(t *table, payloads []Row) (sealDue bool) {
 	for _, p := range payloads {
 		for name, c := range t.cols {
 			c.tail.append(p[name])
@@ -155,7 +191,7 @@ func (db *DB) commitRowsLocked(t *table, payloads []Row) {
 	}
 	t.deltaRows += len(payloads)
 	t.valid = valid
-	t.sealTailLocked(db.opts.sealRows)
+	return t.tailLenLocked() >= db.opts.sealRows
 }
 
 // InsertBatch appends rows to the table's delta stores — the paper's
@@ -204,9 +240,12 @@ func (db *DB) InsertBatch(ctx context.Context, tableName string, rows []Row) err
 		end()
 		return err
 	}
-	db.commitRowsLocked(t, payloads)
+	sealDue := db.commitRowsLocked(t, payloads)
 	t.mu.Unlock()
 	end()
+	if sealDue {
+		db.startSeal(t)
+	}
 	if commit != nil {
 		if err := commit(); err != nil {
 			return err
@@ -343,9 +382,12 @@ func (db *DB) Update(ctx context.Context, tableName string, filters []Filter, se
 	valid := t.valid.Clone()
 	valid.AndNot(match)
 	t.valid = valid
-	db.commitRowsLocked(t, payloads)
+	sealDue := db.commitRowsLocked(t, payloads)
 	t.mu.Unlock()
 	end()
+	if sealDue {
+		db.startSeal(t)
+	}
 	if commit != nil {
 		if err := commit(); err != nil {
 			return 0, err

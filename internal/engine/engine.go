@@ -4,10 +4,11 @@
 // bit-packed vectors (internal/av) in plain Go.
 //
 // A table is a chain of immutable pieces plus one mutable tip: a
-// generation-stamped main store, sealed delta runs, an append-only active
-// tail, and a copy-on-write validity bitmap. Select pins that version under
-// a brief read lock and scans lock-free; writers extend the tail; Merge is
-// a three-stage pipeline (seal, enclave rebuild off-lock, swap with replay)
+// generation-stamped main store, sealed delta runs (splits of the column's
+// kind, built off-lock from full tails), an append-only active tail, and a
+// copy-on-write validity bitmap. Select pins that version under a brief
+// read lock and scans lock-free; writers extend the tail; Merge is a
+// three-stage pipeline (pin, enclave rebuild off-lock, swap with replay)
 // that is semantically invisible to concurrent queries. Locking is sharded
 // per table, so cross-table work never serializes.
 //
@@ -23,7 +24,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	mrand "math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -57,8 +57,8 @@ var (
 // health of the provider that answered it.
 var RequestErrors = []error{ErrNoSuchTable, ErrNoSuchColumn, ErrTableExists, ErrMissingColumn, ErrSchemaChanged}
 
-// defaultSealRows is the default tail size at which an active delta run is
-// sealed into an immutable run with a bit-packed attribute vector.
+// defaultSealRows is the default tail size at which the tail's rows are
+// sealed into a run: a split of the column's kind.
 const defaultSealRows = 4096
 
 // Option configures a DB.
@@ -100,11 +100,11 @@ func (o sealRowsOption) apply(opts *options) {
 	}
 }
 
-// WithSealThreshold sets the tail size (rows) at which the active delta run
-// is sealed into an immutable run with a bit-packed attribute vector
-// (default 4096). Sealed runs answer the attribute-vector phase with the
-// word-parallel packed kernels instead of a per-row probe, so only the small
-// unsealed tail pays the linear path.
+// WithSealThreshold sets the tail size (rows) at which that many tail rows
+// are sealed into a run (default 4096): rebuilt in the background as a
+// split of the column's own kind, then searched, scanned, rendered and
+// merged like the main store, so only the small unsealed tail pays the ED9
+// linear search.
 func WithSealThreshold(rows int) Option { return sealRowsOption(rows) }
 
 type metricsOption struct{ reg *metrics.Registry }
@@ -141,19 +141,22 @@ type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*table
 
-	// closeMu orders background-merge admission against Close: closed and
-	// wg.Add are read/written together under it, so a merge admitted
-	// before Close is always covered by Close's wg.Wait. closed is also
-	// mirrored atomically for lock-free fast-path checks.
+	// closeMu orders background merge and seal-build admission against
+	// Close: closed and wg.Add are read/written together under it, so a
+	// merge or build admitted before Close is always covered by Close's
+	// wg.Wait. closed is also mirrored atomically for lock-free fast-path
+	// checks.
 	closeMu sync.Mutex
 	closed  atomic.Bool
 	wg      sync.WaitGroup
 
 	// mergeHooks are test instrumentation points inside the background
-	// merge pipeline (nil in production). Installed before traffic starts.
+	// merge and seal pipelines (nil in production). Installed before
+	// traffic starts.
 	mergeHooks struct {
-		afterSeal  func(table string)
+		afterPin   func(table string)
 		beforeSwap func(table string)
+		sealBuild  func(table string)
 	}
 }
 
@@ -167,6 +170,7 @@ type table struct {
 	schema Schema
 	digest uint64 // schema.Digest()
 	cols   map[string]*column
+	plain  bool // every column is plain: seal builds need no enclave
 
 	mu  sync.RWMutex
 	gen uint64 // main-store generation; bumped by every merge swap
@@ -188,6 +192,12 @@ type table struct {
 	merging      atomic.Bool
 	merges       uint64
 	lastMergeErr string
+
+	// sealMu serializes seal builds with each other and with the merge
+	// pipeline (taken after mergeMu, before mu); sealing marks a background
+	// seal build admitted and not yet finished.
+	sealMu  sync.Mutex
+	sealing atomic.Bool
 }
 
 // column pairs the read-optimized main store with the write-optimized delta
@@ -198,10 +208,10 @@ type column struct {
 	table string
 	def   ColumnDef
 	main  *dict.Split
-	// sealed is the chain of sealed delta runs, oldest first. The slice is
-	// replaced (never mutated in place below its published length) so a
-	// pinned version's captured header stays valid.
-	sealed []*deltaRun
+	// sealed is the chain of sealed delta runs, oldest first: splits of
+	// the column's kind. Elements below a published length are never
+	// rewritten, so a pinned version's captured header stays valid.
+	sealed []*dict.Split
 	tail   *deltaStore
 	// imported marks a bulk-loaded main store; tables may also start
 	// empty and grow purely through the delta store.
@@ -230,9 +240,10 @@ func New(encl *enclave.Enclave, opts ...Option) *DB {
 // databases). The data owner uses it for attestation and provisioning.
 func (db *DB) Enclave() *enclave.Enclave { return db.encl }
 
-// Close stops accepting new background merges and waits for in-flight ones
-// to finish. Queries and writes remain possible afterwards; only the
-// asynchronous merge machinery shuts down.
+// Close stops accepting new background merges and seal builds and waits
+// for in-flight ones to finish. Queries and writes remain possible
+// afterwards; only the asynchronous merge and seal machinery shuts down,
+// so later tail rows stay in the ED9 tail.
 func (db *DB) Close() error {
 	db.closeMu.Lock()
 	db.closed.Store(true)
@@ -268,8 +279,9 @@ func (db *DB) createTable(s Schema, logged bool) error {
 	// The table keeps the schema for its lifetime; the caller's column
 	// slice may be reused (the wire server decodes into pooled requests).
 	s.Columns = slices.Clone(s.Columns)
-	t := &table{schema: s, digest: s.Digest(), cols: make(map[string]*column, len(s.Columns)), valid: ridset.New(0)}
+	t := &table{schema: s, digest: s.Digest(), cols: make(map[string]*column, len(s.Columns)), valid: ridset.New(0), plain: true}
 	for _, def := range s.Columns {
+		t.plain = t.plain && def.Plain
 		if !def.Plain && db.encl == nil {
 			return fmt.Errorf("%w: column %q", ErrEnclaveMissing, def.Name)
 		}
@@ -400,10 +412,11 @@ func (db *DB) importColumnLocked(t *table, c *column, tableName, columnName stri
 	if t.deltaRows > 0 {
 		return nil, fmt.Errorf("engine: cannot bulk import %q.%q after inserts", tableName, columnName)
 	}
-	// A merge pipeline sets merging before it seals, and sealing takes
-	// this lock — so any import that passes this check completes strictly
-	// before the base version is pinned, and the swap's replay bookkeeping
-	// never sees imported rows it mistakes for mid-rebuild appends.
+	// A merge pipeline sets merging before it pins its base version, and
+	// the pin takes this lock — so any import that passes this check
+	// completes strictly before the base version is pinned, and the swap's
+	// replay bookkeeping never sees imported rows it mistakes for
+	// mid-rebuild appends.
 	if t.merging.Load() {
 		return nil, fmt.Errorf("engine: cannot bulk import %q.%q during an in-flight merge", tableName, columnName)
 	}
@@ -452,16 +465,7 @@ func (db *DB) ImportPlaintextColumn(tableName, columnName string, values [][]byt
 	}
 	var split *dict.Split
 	if c.def.Plain {
-		var rnd *mrand.Rand
-		if rnd, err = dict.NewRand(); err == nil {
-			split, err = dict.Build(values, dict.Params{
-				Kind:   c.def.Kind,
-				MaxLen: c.def.MaxLen,
-				BSMax:  c.def.BSMax,
-				Plain:  true,
-				Rand:   rnd,
-			})
-		}
+		split, err = buildPlain(c.def, values)
 	} else {
 		if db.encl == nil {
 			return fmt.Errorf("%w: column %q", ErrEnclaveMissing, columnName)
@@ -555,15 +559,16 @@ func (t *table) tailLenLocked() int {
 	return 0
 }
 
-// deltaBytesLocked sums the delta-chain payload bytes across all columns.
-// The caller holds at least the table's read lock.
+// deltaBytesLocked sums the delta chain's stored bytes across all columns:
+// each sealed run's split size and the tail's payload bytes. The caller
+// holds at least the table's read lock.
 func (t *table) deltaBytesLocked() int {
 	total := 0
 	for _, c := range t.cols {
 		for _, r := range c.sealed {
-			total += r.bytes
+			total += r.SizeBytes()
 		}
-		total += c.tail.bytes
+		total += c.tail.sizeBytes()
 	}
 	return total
 }
@@ -580,9 +585,8 @@ func (db *DB) Rows(tableName string) (int, error) {
 }
 
 // StorageBytes returns the summed storage footprint of all column stores of
-// a table (paper Table 6 accounting). Sealed delta runs include their
-// bit-packed attribute vectors; the active tail's identity vector is
-// implicit and costs nothing.
+// a table (paper Table 6 accounting): main store, sealed runs and tail. The
+// tail's identity attribute vector is implicit and costs nothing.
 func (db *DB) StorageBytes(tableName string) (int, error) {
 	t, err := db.lookup(tableName)
 	if err != nil {
@@ -590,15 +594,9 @@ func (db *DB) StorageBytes(tableName string) (int, error) {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	total := 0
+	total := t.deltaBytesLocked()
 	for _, c := range t.cols {
-		if c.main != nil {
-			total += c.main.SizeBytes()
-		}
-		for _, r := range c.sealed {
-			total += r.sizeBytes()
-		}
-		total += c.tail.sizeBytes()
+		total += c.main.SizeBytes()
 	}
 	return total, nil
 }

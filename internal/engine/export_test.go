@@ -1,25 +1,46 @@
 package engine
 
+import "github.com/encdbdb/encdbdb/internal/dict"
+
 // SetMergeHooks installs test instrumentation inside the background merge
-// pipeline: afterSeal runs once the tail is sealed and the base version
-// pinned (the rebuild is about to start, no lock held), beforeSwap runs when
-// the rebuilt stores are ready but not yet installed. Neither runs under the
-// table lock. Install hooks before starting traffic; nil clears a hook.
-func (db *DB) SetMergeHooks(afterSeal, beforeSwap func(table string)) {
-	db.mergeHooks.afterSeal = afterSeal
+// pipeline: afterPin runs once the base version is pinned (the rebuild is
+// about to start, no lock held), beforeSwap runs when the rebuilt stores
+// are ready but not yet installed. Neither runs under the table lock.
+// Install hooks before starting traffic; nil clears a hook.
+func (db *DB) SetMergeHooks(afterPin, beforeSwap func(table string)) {
+	db.mergeHooks.afterPin = afterPin
 	db.mergeHooks.beforeSwap = beforeSwap
 }
 
-// SealedRuns reports the current sealed-run chain length of a table, for
-// tests asserting the sealing policy.
+// SetSealHook installs h to run in every seal build once it has captured
+// the tail rows it rebuilds, before the build (no lock held); nil clears it.
+func (db *DB) SetSealHook(h func(table string)) { db.mergeHooks.sealBuild = h }
+
+// SealedRuns settles the table's seal builds — it waits for one in flight
+// and seals every further full run itself — and reports the sealed-run
+// chain length, for tests asserting the sealing policy.
 func (db *DB) SealedRuns(tableName string) (int, error) {
 	t, err := db.lookup(tableName)
 	if err != nil {
 		return 0, err
 	}
+	db.sealRuns(t)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.sealedRunsLocked(), nil
+}
+
+// Splits returns a column's current main store and sealed runs, for tests
+// that inspect what the provider stores.
+func (db *DB) Splits(tableName, column string) (main *dict.Split, sealed []*dict.Split, err error) {
+	t, err := db.lookup(tableName)
+	if err != nil {
+		return nil, nil, err
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	c := t.cols[column]
+	return c.main, c.sealed, nil
 }
 
 // Renderers pins the current version of a table and returns two renders of
@@ -43,10 +64,18 @@ func (db *DB) Renderers(tableName, column string) (render, entries func(rids []u
 	entries = func(rids []uint32) [][]byte {
 		cells := make([][]byte, len(rids))
 		for i, r := range rids {
-			if int(r) < v.mainRows {
-				cells[i] = cv.main.AppendEntry(nil, int(cv.main.VID(int(r))))
+			s, j := cv.main, int(r)
+			for _, run := range cv.sealed {
+				if j < s.Rows() {
+					break
+				}
+				j -= s.Rows()
+				s = run
+			}
+			if j < s.Rows() {
+				cells[i] = s.AppendEntry(nil, int(s.VID(j)))
 			} else {
-				cells[i] = cv.deltaEntry(int(r) - v.mainRows)
+				cells[i] = cv.tail[j-s.Rows()]
 			}
 		}
 		return cells

@@ -22,13 +22,13 @@ const morselGroups = 128
 
 // fusedFilter is one filter compiled by the dictionary phase: the per-store
 // results of every dictionary search, ready for the scan phase. The main
-// store's ranges or ValueIDs are compiled into a PackedPred; each delta
-// region keeps its matching ValueID list (delta searches always use ED9
-// semantics, so the result is a list).
+// store's and each sealed run's ranges or ValueIDs are compiled into a
+// PackedPred; the tail keeps its matching ValueID list (the tail is ED9, so
+// the result is a list).
 type fusedFilter struct {
 	cv       *colVersion
 	mainPred search.PackedPred
-	runIDs   [][]uint32
+	runPreds []search.PackedPred
 	tailIDs  []uint32
 }
 
@@ -101,10 +101,11 @@ func (db *DB) compileFilter(ctx context.Context, v *version, f Filter) (*fusedFi
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchColumn, f.Column)
 	}
-	ff := &fusedFilter{cv: cv, runIDs: make([][]uint32, len(cv.sealed))}
+	ff := &fusedFilter{cv: cv, runPreds: make([]search.PackedPred, len(cv.sealed))}
 	var (
 		mainRanges []search.VidRange
 		mainIDs    []uint32
+		runHits    = make([]enclave.SearchResult, len(cv.sealed))
 	)
 	unsorted := cv.main.Kind.Order() == dict.OrderUnsorted
 	for _, rng := range f.Ranges {
@@ -112,7 +113,7 @@ func (db *DB) compileFilter(ctx context.Context, v *version, f Filter) (*fusedFi
 			return nil, err
 		}
 		if cv.main.Rows() > 0 {
-			res, err := db.mainDictSearch(cv, rng)
+			res, err := db.splitDictSearch(cv, cv.main, rng)
 			if err != nil {
 				return nil, err
 			}
@@ -120,14 +121,15 @@ func (db *DB) compileFilter(ctx context.Context, v *version, f Filter) (*fusedFi
 			mainIDs = append(mainIDs, res.IDs...)
 		}
 		for i, run := range cv.sealed {
-			ids, err := db.deltaDictSearch(cv, run, rng)
+			res, err := db.splitDictSearch(cv, run, rng)
 			if err != nil {
 				return nil, err
 			}
-			ff.runIDs[i] = append(ff.runIDs[i], ids...)
+			runHits[i].Ranges = append(runHits[i].Ranges, res.Ranges...)
+			runHits[i].IDs = append(runHits[i].IDs, res.IDs...)
 		}
 		if cv.tail.Len() > 0 {
-			ids, err := db.deltaDictSearch(cv, cv.tail, rng)
+			ids, err := db.tailDictSearch(cv, rng)
 			if err != nil {
 				return nil, err
 			}
@@ -140,8 +142,13 @@ func (db *DB) compileFilter(ctx context.Context, v *version, f Filter) (*fusedFi
 		ff.mainPred = search.CompileRangesPred(cv.main.Packed(), mainRanges)
 	}
 	empty := len(mainRanges) == 0 && len(mainIDs) == 0 && len(ff.tailIDs) == 0
-	for _, ids := range ff.runIDs {
-		empty = empty && len(ids) == 0
+	for i, hits := range runHits {
+		empty = empty && len(hits.Ranges) == 0 && len(hits.IDs) == 0
+		if unsorted {
+			ff.runPreds[i] = search.CompileListPred(cv.sealed[i].Packed(), hits.IDs)
+		} else {
+			ff.runPreds[i] = search.CompileRangesPred(cv.sealed[i].Packed(), hits.Ranges)
+		}
 	}
 	if empty {
 		return nil, nil
@@ -204,9 +211,9 @@ func (db *DB) fusedMainScan(ctx context.Context, v *version, preds []*fusedFilte
 // region-local accumulator — a conjunction distributes over the disjoint row
 // regions of the store chain, and region offsets are not 64-aligned, so each
 // region is evaluated in its own coordinate space and spliced into the
-// table-wide accumulator once. Sealed runs evaluate through the same fused
-// membership kernel as the main store (over the run's bit-packed identity
-// vector); the active tail exploits AV[i] = i directly.
+// table-wide accumulator once. Sealed runs evaluate their compiled
+// predicates through the same kernels as the main store; the active tail
+// exploits AV[i] = i directly.
 //
 // With a LIMIT-pushdown hint the scan stops before any region whose rows can
 // no longer reach the truncated prefix: regions hold strictly increasing
@@ -222,14 +229,12 @@ func (db *DB) fusedDeltaScan(ctx context.Context, v *version, preds []*fusedFilt
 		if limit > 0 && acc.Len() >= limit {
 			return nil
 		}
-		rows := cv0.sealed[ri].rows()
+		rows := cv0.sealed[ri].Rows()
 		reg := ridset.Full(rows)
 		reg.AndShifted(v.valid, off)
+		groups := (rows + av.GroupRows - 1) / av.GroupRows
 		for _, ff := range preds {
-			if reg.Empty() {
-				break
-			}
-			if !search.AttrVectListPackedInto(ff.cv.sealed[ri].packed, ff.runIDs[ri], reg, 1) {
+			if reg.Empty() || !ff.runPreds[ri].ScanInto(reg, 0, groups) {
 				break
 			}
 		}
@@ -260,11 +265,12 @@ func (db *DB) fusedDeltaScan(ctx context.Context, v *version, preds []*fusedFilt
 	return nil
 }
 
-// mainDictSearch runs the dictionary-search phase on the main store — inside
-// the enclave for encrypted columns, locally for plain ones.
-func (db *DB) mainDictSearch(cv *colVersion, q enclave.EncRange) (enclave.SearchResult, error) {
+// splitDictSearch runs the dictionary-search phase on one of the column's
+// splits, the main store or a sealed run — inside the enclave for encrypted
+// columns, locally for plain ones.
+func (db *DB) splitDictSearch(cv *colVersion, s *dict.Split, q enclave.EncRange) (enclave.SearchResult, error) {
 	if cv.def.Plain {
-		return db.plainDictSearch(cv.def, cv.main, cv.main.EncRndOffset, q)
+		return db.plainDictSearch(cv.def, s, s.EncRndOffset, q)
 	}
-	return db.encl.DictSearch(db.columnMetaVersion(cv), cv.main, cv.main.EncRndOffset, q)
+	return db.encl.DictSearch(db.columnMetaVersion(cv), s, s.EncRndOffset, q)
 }

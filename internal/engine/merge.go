@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/enclave"
@@ -15,8 +16,8 @@ type MergeInfo struct {
 	// Generation counts main-store versions: it starts at 0 and every
 	// completed merge swap bumps it.
 	Generation uint64
-	// Merging reports an in-flight merge pipeline (sealing, enclave
-	// rebuild, or swap).
+	// Merging reports an in-flight merge pipeline (pin, enclave rebuild,
+	// or swap).
 	Merging bool
 	// MainRows and DeltaRows describe the current version's store sizes;
 	// DeltaBytes and SealedRuns the delta chain feeding the next merge.
@@ -25,7 +26,7 @@ type MergeInfo struct {
 	DeltaBytes int
 	SealedRuns int
 	// Merges counts completed merges; LastError is the most recent merge
-	// failure ("" if the last merge succeeded).
+	// or seal-build failure ("" once a merge has succeeded since).
 	Merges    uint64
 	LastError string
 }
@@ -62,13 +63,13 @@ func (db *DB) MergeStatus(ctx context.Context, tableName string) (MergeInfo, err
 // with the same algorithms.
 //
 // The call is synchronous — it returns when the merge has been applied —
-// but the table is locked only for two brief critical sections (sealing the
-// tail, swapping the rebuilt store in); the enclave rebuild itself runs
-// off-lock, so concurrent Selects and writers on this table proceed
+// but the table is locked only for two brief critical sections (pinning the
+// base version, swapping the rebuilt store in); the enclave rebuild itself
+// runs off-lock, so concurrent Selects and writers on this table proceed
 // throughout. Writes that land during the rebuild survive it: the swap
-// replays validity changes onto the new store and keeps the runs and tail
-// accrued since sealing as the new delta chain. At most one merge per table
-// runs at a time; a second Merge waits its turn.
+// replays validity changes onto the new store and keeps the tail rows
+// appended since the pin as the new delta. At most one merge per table runs
+// at a time; a second Merge waits its turn.
 func (db *DB) Merge(ctx context.Context, tableName string) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
@@ -136,19 +137,22 @@ func (db *DB) mergePass(tableName string, t *table) error {
 	return err
 }
 
-// runMerge is the merge pipeline body; the caller holds mergeMu.
+// runMerge is the merge pipeline body; the caller holds mergeMu. It holds
+// sealMu throughout, so no seal build takes rows the rebuild consumes; a
+// write that finds the tail due meanwhile admits a build that waits for it.
 func (db *DB) runMerge(tableName string, t *table) error {
-	// 1. Seal: freeze the current tail into a run and pin the version the
-	// rebuild will consume. Brief critical section.
-	t.mu.Lock()
+	t.sealMu.Lock()
+	defer t.sealMu.Unlock()
+	// 1. Pin the version the rebuild will consume: main store, sealed runs
+	// and tail. Brief critical section.
+	t.mu.RLock()
 	if err := t.ready(); err != nil {
-		t.mu.Unlock()
+		t.mu.RUnlock()
 		return err
 	}
-	t.sealTailLocked(0)
 	base := t.versionLocked()
-	t.mu.Unlock()
-	if h := db.mergeHooks.afterSeal; h != nil {
+	t.mu.RUnlock()
+	if h := db.mergeHooks.afterPin; h != nil {
 		h(tableName)
 	}
 
@@ -179,10 +183,9 @@ func (db *DB) runMerge(tableName string, t *table) error {
 }
 
 // rebuild produces the new main store of every column from the pinned base
-// version: the valid rows of the main store and all sealed runs, compacted
-// in RecordID order. It takes no locks — base is immutable.
+// version: the valid rows of the main store, all sealed runs and the tail,
+// compacted in RecordID order. It takes no locks — base is immutable.
 func (db *DB) rebuild(tableName string, base *version) (map[string]*dict.Split, int, error) {
-	mainValid := validBools(base.valid, 0, base.mainRows)
 	merged := make(map[string]*dict.Split, len(base.cols))
 	newRows := -1
 	for name, cv := range base.cols {
@@ -191,19 +194,17 @@ func (db *DB) rebuild(tableName string, base *version) (map[string]*dict.Split, 
 			err error
 		)
 		if cv.def.Plain {
-			s, err = mergePlain(base, cv, mainValid)
+			s, err = mergePlain(base, cv)
 		} else {
-			inputs := make([]enclave.MergeInput, 0, 1+len(cv.sealed))
-			inputs = append(inputs, enclave.MergeInput{
-				Region: cv.main, AV: cv.main.Packed(), Valid: mainValid,
-			})
-			off := base.mainRows
-			for _, run := range cv.sealed {
+			inputs := make([]enclave.MergeInput, 0, 2+len(cv.sealed))
+			off := 0
+			for _, split := range cv.splits() {
 				inputs = append(inputs, enclave.MergeInput{
-					Region: run, AV: run.packed, Valid: validBools(base.valid, off, run.rows()),
+					Region: split, AV: split.Packed(), Valid: validBools(base.valid, off, split.Rows()),
 				})
-				off += run.rows()
+				off += split.Rows()
 			}
+			inputs = append(inputs, enclave.MergeInput{Region: cv.tail, Valid: validBools(base.valid, off, len(cv.tail))})
 			s, err = db.encl.MergeColumns(db.columnMetaVersion(cv), cv.def.BSMax, inputs...)
 		}
 		if err != nil {
@@ -220,11 +221,12 @@ func (db *DB) rebuild(tableName string, base *version) (map[string]*dict.Split, 
 }
 
 // swapLocked installs the rebuilt main stores and reconciles the state that
-// accrued since base was sealed: rows invalidated during the rebuild are
+// accrued since base was pinned: rows invalidated during the rebuild are
 // re-invalidated at their compacted positions in the new store, and the
-// delta runs and tail appended during the rebuild carry over (with their
-// validity bits) as the new version's delta chain. The caller holds the
-// table write lock and mergeMu.
+// tail rows appended during the rebuild carry over (with their validity
+// bits) as the new version's delta. The caller holds the table write lock,
+// mergeMu and sealMu — so no run was sealed since the pin, and the live
+// tail still begins with the pinned one.
 func (db *DB) swapLocked(t *table, base *version, merged map[string]*dict.Split, newRows int) {
 	// Rows [0, baseRows) were fed to the rebuild; everything past them is
 	// delta appended during the rebuild and survives the swap.
@@ -249,10 +251,10 @@ func (db *DB) swapLocked(t *table, base *version, merged map[string]*dict.Split,
 		}
 	}
 
-	baseSealed := base.sealedRuns()
 	for name, c := range t.cols {
 		c.main = merged[name]
-		c.sealed = append([]*deltaRun(nil), c.sealed[baseSealed:]...)
+		c.sealed = nil
+		c.tail = c.tail.cut(len(base.cols[name].tail))
 		c.imported = c.imported || newRows > 0
 	}
 	t.mainRows = newRows
@@ -265,32 +267,47 @@ func (db *DB) swapLocked(t *table, base *version, merged map[string]*dict.Split,
 
 // mergePlain rebuilds a plain column locally from the valid rows of the
 // pinned base version.
-func mergePlain(base *version, cv *colVersion, mainValid []bool) (*dict.Split, error) {
-	var rows []uint32
-	for j := 0; j < base.mainRows; j++ {
-		if mainValid[j] {
+func mergePlain(base *version, cv *colVersion) (*dict.Split, error) {
+	var col [][]byte
+	off := 0
+	for _, split := range cv.splits() {
+		col = appendCells(col, split, base.valid, off)
+		off += split.Rows()
+	}
+	for j, e := range cv.tail {
+		if base.valid.Contains(uint32(off + j)) {
+			col = append(col, e)
+		}
+	}
+	return buildPlain(cv.def, col)
+}
+
+// appendCells appends, in row order, the cells of split's rows j whose
+// RecordID off+j is in keep — every row's when keep is nil.
+func appendCells(col [][]byte, split *dict.Split, keep *ridset.Set, off int) [][]byte {
+	rows := make([]uint32, 0, split.Rows())
+	for j := 0; j < split.Rows(); j++ {
+		if keep == nil || keep.Contains(uint32(off+j)) {
 			rows = append(rows, uint32(j))
 		}
 	}
-	col := make([][]byte, len(rows))
-	cv.main.Gather(nil, col, rows)
-	off := base.mainRows
-	for _, run := range cv.sealed {
-		for j := 0; j < run.rows(); j++ {
-			if base.valid.Contains(uint32(off + j)) {
-				col = append(col, run.entries[j])
-			}
-		}
-		off += run.rows()
-	}
+	n := len(col)
+	col = slices.Grow(col, len(rows))[:n+len(rows)]
+	split.Gather(nil, col[n:], rows)
+	return col
+}
+
+// buildPlain splits a plain column locally under its kind, with a fresh
+// shuffle and rotation.
+func buildPlain(def ColumnDef, col [][]byte) (*dict.Split, error) {
 	rnd, err := dict.NewRand()
 	if err != nil {
 		return nil, err
 	}
 	return dict.Build(col, dict.Params{
-		Kind:   cv.def.Kind,
-		MaxLen: cv.def.MaxLen,
-		BSMax:  cv.def.BSMax,
+		Kind:   def.Kind,
+		MaxLen: def.MaxLen,
+		BSMax:  def.BSMax,
 		Plain:  true,
 		Rand:   rnd,
 	})

@@ -18,6 +18,8 @@ type engineMetrics struct {
 	merges         *metrics.Counter
 	mergeSeconds   *metrics.Histogram
 	mergesInflight *metrics.Gauge
+	sealBuilds     *metrics.Counter
+	sealSeconds    *metrics.Histogram
 }
 
 // newEngineMetrics registers the engine families on reg. The backlog gauges
@@ -30,12 +32,14 @@ func newEngineMetrics(reg *metrics.Registry, db *DB) *engineMetrics {
 		scanRows:       reg.NewCounter("encdbdb_engine_scan_rows_total", "Rows in scope of select match phases (pinned main plus delta rows)."),
 		pins:           reg.NewCounter("encdbdb_engine_version_pins_total", "Table version pins taken by readers."),
 		merges:         reg.NewCounter("encdbdb_engine_merges_total", "Merge pipelines finished, including failed ones."),
-		mergeSeconds:   reg.NewHistogram("encdbdb_engine_merge_seconds", "Merge pipeline duration: seal, enclave rebuild, swap."),
+		mergeSeconds:   reg.NewHistogram("encdbdb_engine_merge_seconds", "Merge pipeline duration: pin, enclave rebuild, swap."),
 		mergesInflight: reg.NewGauge("encdbdb_engine_merges_inflight", "Merge pipelines currently running."),
+		sealBuilds:     reg.NewCounter("encdbdb_engine_seal_builds_total", "Seal builds finished (a full tail rebuilt as one run per column), including failed ones."),
+		sealSeconds:    reg.NewHistogram("encdbdb_engine_seal_seconds", "Seal build duration: every column's run rebuilt, off the table lock."),
 	}
 	reg.NewGaugeFunc("encdbdb_engine_merge_backlog_rows", "Delta-store rows awaiting merge, summed over tables.",
 		func() float64 { return float64(db.backlog(func(t *table) int { return t.deltaRows })) })
-	reg.NewGaugeFunc("encdbdb_engine_merge_backlog_bytes", "Delta-store payload bytes awaiting merge, summed over tables.",
+	reg.NewGaugeFunc("encdbdb_engine_merge_backlog_bytes", "Delta-store bytes awaiting merge (sealed runs' split sizes plus tail payloads), summed over tables.",
 		func() float64 { return float64(db.backlog(func(t *table) int { return t.deltaBytesLocked() })) })
 	return m
 }
@@ -77,6 +81,15 @@ func (m *engineMetrics) mergeStarted() time.Time {
 	}
 	m.mergesInflight.Inc()
 	return time.Now()
+}
+
+// sealFinished records one finished seal build.
+func (m *engineMetrics) sealFinished(start time.Time) {
+	if m == nil {
+		return
+	}
+	m.sealBuilds.Inc()
+	m.sealSeconds.Observe(time.Since(start).Seconds())
 }
 
 // mergeFinished records one finished merge pipeline.

@@ -36,13 +36,13 @@ type rowModel struct {
 }
 
 // appendRows mirrors one committed write statement: its rows join the tail,
-// which seals once it reaches the threshold.
+// which seals a run of the threshold's rows while it holds that many.
 func (m *rowModel) appendRows(rows ...modelRow) {
 	m.rows = append(m.rows, rows...)
 	m.tail += len(rows)
-	if m.tail >= m.sealRows {
+	for m.tail >= m.sealRows {
 		m.sealed++
-		m.tail = 0
+		m.tail -= m.sealRows
 	}
 }
 
@@ -145,8 +145,8 @@ func TestSelectMatchesModel(t *testing.T) {
 				}
 				model.appendRows(r)
 			}
-			// Two full runs plus a one-row tail.
-			for i := 0; i < 2*sealRows+1; i++ {
+			// Three full runs plus a one-row tail.
+			for i := 0; i < 3*sealRows+1; i++ {
 				insert()
 			}
 
@@ -202,8 +202,8 @@ func TestSelectMatchesModel(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if runs != model.sealed || runs < 2 {
-					t.Fatalf("%s: %d sealed runs, model %d (want >= 2)", name, runs, model.sealed)
+				if runs != model.sealed || runs < 3 {
+					t.Fatalf("%s: %d sealed runs, model %d (want >= 3)", name, runs, model.sealed)
 				}
 			}
 

@@ -99,3 +99,46 @@ func TestOptimizerUnknownColumnStillErrors(t *testing.T) {
 		t.Error("unknown filter column accepted")
 	}
 }
+
+// TestOptimizerChargesSealedRunsByKind: with every row in sealed delta
+// runs, the sorted filter costs a binary search per run and the unsorted
+// one a load per row, so the planner runs the sorted filter first whatever
+// the written order, and its dictionary-level empty result spares the
+// unsorted scan.
+func TestOptimizerChargesSealedRunsByKind(t *testing.T) {
+	v := newEnvWith(t, engine.WithSealThreshold(64))
+	cheap := engine.ColumnDef{Name: "cheap", Kind: dict.ED1, MaxLen: 8}
+	costly := engine.ColumnDef{Name: "costly", Kind: dict.ED9, MaxLen: 8}
+	if err := v.db.CreateTable(engine.Schema{Table: "opt", Columns: []engine.ColumnDef{cheap, costly}}); err != nil {
+		t.Fatal(err)
+	}
+	const rows = 640
+	batch := make([]engine.Row, rows)
+	for i := range batch {
+		batch[i] = engine.Row{
+			"cheap":  v.encryptValue(t, "opt", "cheap", fmt.Sprintf("a%05d", i%50)),
+			"costly": v.encryptValue(t, "opt", "costly", fmt.Sprintf("b%05d", i)),
+		}
+	}
+	if err := v.db.InsertBatch(context.Background(), "opt", batch); err != nil {
+		t.Fatal(err)
+	}
+	if runs, _ := v.db.SealedRuns("opt"); runs != rows/64 {
+		t.Fatalf("sealed runs = %d, want %d", runs, rows/64)
+	}
+	filters := []engine.Filter{
+		v.filter(t, "opt", costly, search.Closed([]byte("b00000"), []byte("b99999"))),
+		v.filter(t, "opt", cheap, search.Eq([]byte("nomatch"))),
+	}
+	v.db.Enclave().ResetStats()
+	res, err := v.db.Select(context.Background(), engine.Query{Table: "opt", Filters: filters, CountOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Count != 0 {
+		t.Fatalf("count = %d, want 0", res.Count)
+	}
+	if loads := v.db.Enclave().Stats().Loads; loads >= rows/2 {
+		t.Errorf("the plan loaded %d entries; the sorted filter first costs a binary search per run, the unsorted one %d", loads, rows)
+	}
+}

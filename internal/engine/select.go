@@ -197,18 +197,25 @@ func (db *DB) planFilters(v *version, filters []Filter) []Filter {
 		if !ok {
 			return 0 // surface ErrNoSuchColumn first
 		}
-		// Delta runs always scan linearly but are small by design.
-		perRange := cv.sealedRows + cv.tail.Len()
-		if cv.def.Kind.Order() == dict.OrderUnsorted {
-			perRange += cv.main.Len()
-		} else {
-			perRange += bitsLen(cv.main.Len())
+		// The ED9 tail is searched linearly but is small by design.
+		perRange := cv.tail.Len() + searchCost(cv.main)
+		for _, run := range cv.sealed {
+			perRange += searchCost(run)
 		}
 		return perRange * len(f.Ranges)
 	}
 	out := append([]Filter(nil), filters...)
 	sort.SliceStable(out, func(a, b int) bool { return cost(out[a]) < cost(out[b]) })
 	return out
+}
+
+// searchCost approximates the entries a dictionary search of s loads:
+// |D| for unsorted kinds, log2 |D| for sorted and rotated ones.
+func searchCost(s *dict.Split) int {
+	if s.Kind.Order() == dict.OrderUnsorted {
+		return s.Len()
+	}
+	return bitsLen(s.Len())
 }
 
 // bitsLen approximates log2(n)+1 for plan costing.
@@ -221,19 +228,19 @@ func bitsLen(n int) int {
 	return b
 }
 
-// deltaDictSearch runs the dictionary-search phase on one delta region
+// tailDictSearch runs the dictionary-search phase on the column's tail
 // under ED9 semantics, returning the matching ValueIDs.
-func (db *DB) deltaDictSearch(cv *colVersion, region search.Region, q enclave.EncRange) ([]uint32, error) {
+func (db *DB) tailDictSearch(cv *colVersion, q enclave.EncRange) ([]uint32, error) {
 	if cv.def.Plain {
 		pq, err := plainRange(cv.def, q)
 		if err != nil {
 			return nil, err
 		}
-		return search.UnsortedDict(region, search.PlainDecryptor{}, pq)
+		return search.UnsortedDict(cv.tail, search.PlainDecryptor{}, pq)
 	}
 	meta := db.columnMetaVersion(cv)
 	meta.Kind = dict.ED9
-	res, err := db.encl.DictSearch(meta, region, nil, q)
+	res, err := db.encl.DictSearch(meta, cv.tail, nil, q)
 	if err != nil {
 		return nil, err
 	}

@@ -9,8 +9,9 @@ import (
 
 // ColumnSnapshot is the serializable state of one column store. Delta is the
 // flattened delta chain — sealed runs in order followed by the active tail —
-// in RecordID order; the sealed/tail boundary is a runtime performance
-// detail and is not persisted.
+// in RecordID order, each row as a self-contained PAE ciphertext (or plain
+// value); the sealed/tail boundary is a runtime performance detail and is
+// not persisted.
 type ColumnSnapshot struct {
 	Name  string
 	Main  *dict.Split
@@ -50,7 +51,7 @@ func (db *DB) Snapshot(tableName string) (*TableSnapshot, error) {
 		cv := v.cols[def.Name]
 		cs := ColumnSnapshot{Name: def.Name, Main: cv.main}
 		for _, run := range cv.sealed {
-			cs.Delta = append(cs.Delta, run.entries...)
+			cs.Delta = appendCells(cs.Delta, run, nil, 0)
 		}
 		cs.Delta = append(cs.Delta, cv.tail...)
 		snap.Columns = append(snap.Columns, cs)
@@ -72,15 +73,26 @@ func (db *DB) Restore(snap *TableSnapshot) error {
 			len(snap.Columns), len(snap.Schema.Columns))
 	}
 	endGate := db.gateCheckpoint(snap.Schema.Table)
-	defer endGate()
-	if err := db.createTable(snap.Schema, false); err != nil {
+	t, err := db.restoreGated(snap)
+	endGate()
+	if err != nil {
 		return err
 	}
-	restore := func() error {
-		t, err := db.lookup(snap.Schema.Table)
-		if err != nil {
-			return err
-		}
+	// A restored delta beyond the seal threshold gets its sealed runs before
+	// Restore returns, exactly as if the rows had arrived through inserts.
+	// The seal runs outside the append gate, which a merge of the new table
+	// may be waiting for while it holds the seal lock.
+	db.sealRuns(t)
+	return nil
+}
+
+// restoreGated installs and checkpoints the snapshot's table; the caller
+// holds the table's exclusive append gate.
+func (db *DB) restoreGated(snap *TableSnapshot) (*table, error) {
+	if err := db.createTable(snap.Schema, false); err != nil {
+		return nil, err
+	}
+	restore := func(t *table) error {
 		t.mu.Lock()
 		defer t.mu.Unlock()
 		mainRows := -1
@@ -128,21 +140,22 @@ func (db *DB) Restore(snap *TableSnapshot) error {
 			}
 		}
 		t.valid = valid
-		// A restored delta beyond the seal threshold gets its packed runs
-		// immediately, exactly as if the rows had arrived through inserts.
-		t.sealTailLocked(db.opts.sealRows)
 		return nil
 	}
-	if err := restore(); err != nil {
+	t, err := db.lookup(snap.Schema.Table)
+	if err == nil {
+		err = restore(t)
+	}
+	if err != nil {
 		// Leave no half-restored table behind.
 		_ = db.dropTable(snap.Schema.Table, false)
-		return err
+		return nil, err
 	}
 	if db.cl != nil {
 		if err := db.cl.Checkpoint(snap.Schema.Table, 0, snap); err != nil {
 			_ = db.dropTable(snap.Schema.Table, false)
-			return fmt.Errorf("engine: restore %q: checkpoint: %w", snap.Schema.Table, err)
+			return nil, fmt.Errorf("engine: restore %q: checkpoint: %w", snap.Schema.Table, err)
 		}
 	}
-	return nil
+	return t, nil
 }

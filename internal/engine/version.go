@@ -30,11 +30,9 @@ type colVersion struct {
 	table string
 	def   ColumnDef
 	main  *dict.Split
-	// sealed is the captured chain of sealed runs, oldest first.
-	sealed []*deltaRun
-	// sealedRows is the total row count across sealed (cached for render
-	// and cost estimation).
-	sealedRows int
+	// sealed is the captured chain of sealed runs, oldest first: splits of
+	// the column's kind, like main.
+	sealed []*dict.Split
 	// tail is the captured prefix of the active run's entries.
 	tail tailRegion
 }
@@ -73,9 +71,6 @@ func (t *table) versionLocked() *version {
 	}
 	for name, c := range t.cols {
 		cv := &colVersion{table: c.table, def: c.def, main: c.main, sealed: c.sealed}
-		for _, r := range c.sealed {
-			cv.sealedRows += r.rows()
-		}
 		n := len(c.tail.entries)
 		cv.tail = tailRegion(c.tail.entries[:n:n])
 		v.cols[name] = cv
@@ -86,35 +81,21 @@ func (t *table) versionLocked() *version {
 // rows returns the version's total row count.
 func (v *version) rows() int { return v.mainRows + v.deltaRows }
 
-// sealedRuns returns the pinned sealed-run chain length, identical across
-// columns by construction.
-func (v *version) sealedRuns() int {
-	for _, cv := range v.cols {
-		return len(cv.sealed)
-	}
-	return 0
-}
-
-// deltaEntry resolves delta row i — RecordID mainRows+i — of this column
-// version to its stored payload: the sealed runs in chain order, then the
-// tail (paper Fig. 5 step 12 applied across the delta chain).
-func (cv *colVersion) deltaEntry(i int) []byte {
-	for _, run := range cv.sealed {
-		if i < run.rows() {
-			return run.entries[i]
-		}
-		i -= run.rows()
-	}
-	return cv.tail[i]
+// splits returns the column's splits in RecordID order: the main store,
+// then the sealed runs.
+func (cv *colVersion) splits() []*dict.Split {
+	return append([]*dict.Split{cv.main}, cv.sealed...)
 }
 
 // cellBuf is the memory a render writes into: the cells of every column
-// rendered, and the arena the main-store cells are copied into. A cursor
-// empties it and renders chunk after chunk into it, so a stream allocates
-// it once, growing the arena only for a chunk whose entries outgrow it.
+// rendered, the arena the split cells are copied into, and the run-local
+// row numbers of a sealed run's rows. A cursor empties it and renders chunk
+// after chunk into it, so a stream allocates it once, growing the arena
+// only for a chunk whose entries outgrow it.
 type cellBuf struct {
 	cells [][]byte
 	arena []byte
+	rows  []uint32
 }
 
 // newCellBuf returns a cellBuf with room for the cells of rows rows of cols
@@ -128,18 +109,28 @@ func newCellBuf(cols, rows int) cellBuf {
 // render reconstructs the projected cells for the matched rows by undoing
 // the split: cell = D[AV[rid]] (paper Fig. 5 step 12). rids ascend, as every
 // match set's RecordIDs do, so the main-store rows are a prefix: they are
-// copied out in one batch (dict.Split.Gather), and the delta rows behind them
-// resolve one by one to their immutable stored entries. Cells remain
-// ciphertexts for encrypted columns. The cells are appended to buf, and
-// stay valid while buf is not emptied.
+// copied out in one batch (dict.Split.Gather), each sealed run's rows
+// behind them likewise, and the tail rows last resolve one by one to their
+// immutable stored entries. Cells remain ciphertexts for encrypted columns.
+// The cells are appended to buf, and stay valid while buf is not emptied.
 func (v *version) render(cv *colVersion, rids []uint32, buf *cellBuf) [][]byte {
 	start := len(buf.cells)
 	buf.cells = slices.Grow(buf.cells, len(rids))[:start+len(rids)]
 	cells := buf.cells[start:len(buf.cells):len(buf.cells)]
 	m, _ := slices.BinarySearch(rids, uint32(v.mainRows))
 	buf.arena = cv.main.Gather(buf.arena, cells, rids[:m])
+	off := v.mainRows
+	for _, run := range cv.sealed {
+		end, _ := slices.BinarySearch(rids, uint32(off+run.Rows()))
+		buf.rows = buf.rows[:0]
+		for _, rid := range rids[m:end] {
+			buf.rows = append(buf.rows, rid-uint32(off))
+		}
+		buf.arena = run.Gather(buf.arena, cells[m:end], buf.rows)
+		m, off = end, off+run.Rows()
+	}
 	for i := m; i < len(rids); i++ {
-		cells[i] = cv.deltaEntry(int(rids[i]) - v.mainRows)
+		cells[i] = cv.tail[int(rids[i])-off]
 	}
 	return cells
 }

@@ -141,9 +141,9 @@ func AttrVectRangesPackedInto(v *av.Vector, ranges []VidRange, acc *ridset.Set, 
 
 // AttrVectListPackedInto is the bit-packed AttrVectSearch 3/6/9, compiled
 // by CompileListPred (a short ValueID list runs the range kernel, a long one
-// a membership bitmap) and fused into an existing accumulator — the delta
-// path's sealed-run kernels AND directly into the region accumulator
-// through here. It reports whether the scanned window kept any rows.
+// a membership bitmap) and fused into an existing accumulator, as the
+// engine's compiled predicates are over the main store and each sealed
+// run. It reports whether the scanned window kept any rows.
 // workers <= 0 uses GOMAXPROCS.
 func AttrVectListPackedInto(v *av.Vector, vids []uint32, acc *ridset.Set, workers int) bool {
 	return packedInto(CompileListPred(v, vids), acc, workers)

@@ -52,12 +52,17 @@ func crashWorkload() []crashOp {
 	}
 }
 
+// crashSealRows is the seal threshold of every database in the crash
+// matrix: one row, so the workload's three inserts into t before its delete
+// sit in three sealed runs, and every later insert seals one more.
+const crashSealRows = 1
+
 // twinStates runs the workload on a never-crashed in-memory twin and
 // returns the database state after each prefix of ops: twin[K] is the
 // state once the first K ops have been acked.
 func twinStates(t *testing.T, ops []crashOp) []string {
 	t.Helper()
-	db := engine.New(nil)
+	db := engine.New(nil, engine.WithSealThreshold(crashSealRows))
 	states := make([]string, 0, len(ops)+1)
 	states = append(states, stateString(db))
 	for _, op := range ops {
@@ -72,7 +77,7 @@ func twinStates(t *testing.T, ops []crashOp) []string {
 // runToCrash opens a WAL on fs and applies ops until one fails, returning
 // how many were acked.
 func runToCrash(dir string, fs wal.FS, ops []crashOp) (acked int) {
-	db := engine.New(nil)
+	db := engine.New(nil, engine.WithSealThreshold(crashSealRows))
 	l, err := wal.Open(dir, db, wal.WithFS(fs))
 	if err != nil {
 		return 0
@@ -93,7 +98,9 @@ func runToCrash(dir string, fs wal.FS, ops []crashOp) (acked int) {
 // a torn partial writeback, reopening the directory must recover a state
 // equal to the never-crashed twin after K acked ops for some K >= the
 // number actually acked: every acknowledged write survives, every
-// unacknowledged write is atomically present-or-absent, never torn.
+// unacknowledged write is atomically present-or-absent, never torn. Replay
+// seals the delta as the writes did: some recovered state holds t's three
+// sealed runs.
 func TestCrashMatrix(t *testing.T) {
 	ops := crashWorkload()
 	twins := twinStates(t, ops)
@@ -109,6 +116,7 @@ func TestCrashMatrix(t *testing.T) {
 		t.Fatalf("suspiciously small op schedule (%d): %v", total, schedule)
 	}
 	t.Logf("crash matrix: %d fs operations x 2 tear modes", total)
+	maxRuns := 0
 
 	for _, torn := range []bool{false, true} {
 		for n := 1; n <= total; n++ {
@@ -121,11 +129,14 @@ func TestCrashMatrix(t *testing.T) {
 				t.Fatalf("crash point %d never reached (schedule drifted?)", n)
 			}
 
-			db := engine.New(nil)
+			db := engine.New(nil, engine.WithSealThreshold(crashSealRows))
 			l, err := wal.Open(dir, db)
 			if err != nil {
 				t.Fatalf("torn=%v crash at op %d (%s): recovery failed: %v\nschedule: %s",
 					torn, n, schedule[n-1], err, strings.Join(schedule, ", "))
+			}
+			if info, err := db.MergeStatus(context.Background(), "t"); err == nil {
+				maxRuns = max(maxRuns, info.SealedRuns)
 			}
 			got := stateString(db)
 			matched := -1
@@ -151,5 +162,8 @@ func TestCrashMatrix(t *testing.T) {
 			}
 			l.Close()
 		}
+	}
+	if maxRuns < 3 {
+		t.Errorf("no recovered state held more than %d sealed runs of t, want 3", maxRuns)
 	}
 }
