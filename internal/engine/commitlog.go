@@ -183,25 +183,23 @@ func (db *DB) applyWrite(rec *LogRecord) error {
 		return fmt.Errorf("engine: replay lsn %d: %w", rec.LSN, err)
 	}
 	t.mu.Lock()
-	sealDue, err := db.applyWriteLocked(t, rec)
+	err = db.applyWriteLocked(t, rec)
 	t.mu.Unlock()
-	if sealDue {
-		db.sealRuns(t)
-	}
+	db.sealRuns(t)
 	return err
 }
 
 // applyWriteLocked is applyWrite's part under the table write lock.
-func (db *DB) applyWriteLocked(t *table, rec *LogRecord) (sealDue bool, err error) {
+func (db *DB) applyWriteLocked(t *table, rec *LogRecord) error {
 	n := t.mainRows + t.deltaRows
 	if len(rec.Rows) > 0 && int(rec.Base) != n {
-		return false, fmt.Errorf("engine: replay lsn %d: record base %d, table has %d rows",
+		return fmt.Errorf("engine: replay lsn %d: record base %d, table has %d rows",
 			rec.LSN, rec.Base, n)
 	}
 	for i, row := range rec.Rows {
 		for name := range t.cols {
 			if _, ok := row[name]; !ok {
-				return false, fmt.Errorf("engine: replay lsn %d: row %d: %w: %q",
+				return fmt.Errorf("engine: replay lsn %d: row %d: %w: %q",
 					rec.LSN, i, ErrMissingColumn, name)
 			}
 		}
@@ -210,7 +208,7 @@ func (db *DB) applyWriteLocked(t *table, rec *LogRecord) (sealDue bool, err erro
 		valid := t.valid.Clone()
 		for _, r := range rec.Removed {
 			if int(r) >= n {
-				return false, fmt.Errorf("engine: replay lsn %d: removed RecordID %d out of range %d",
+				return fmt.Errorf("engine: replay lsn %d: removed RecordID %d out of range %d",
 					rec.LSN, r, n)
 			}
 			valid.Remove(r)
@@ -218,7 +216,7 @@ func (db *DB) applyWriteLocked(t *table, rec *LogRecord) (sealDue bool, err erro
 		t.valid = valid
 	}
 	if len(rec.Rows) > 0 {
-		sealDue = db.commitRowsLocked(t, rec.Rows)
+		db.commitRowsLocked(t, rec.Rows)
 	}
-	return sealDue, nil
+	return nil
 }

@@ -49,13 +49,14 @@ func (d *deltaStore) cut(n int) *deltaStore {
 	return rest
 }
 
-// startSeal admits a background seal build of the table unless one is
-// already pending. Admission and wg.Add are one step under closeMu, as for
-// MergeAsync, so Close drains a build it raced with and admits none after.
-// A write that lands while a build is finishing is sealed by the next write
-// that finds the tail due.
+// startSeal admits a background seal build of the table if its tail is due
+// (sealDue) and no build is pending. Admission and wg.Add are one step under
+// closeMu, as for MergeAsync, so Close drains a build it raced with and
+// admits none after. A write that makes the tail due while a build is
+// finishing loses the admission race to it, so a build that leaves the tail
+// short calls startSeal again once it is no longer pending.
 func (db *DB) startSeal(t *table) {
-	if !t.sealing.CompareAndSwap(false, true) {
+	if !db.sealDue(t) || !t.sealing.CompareAndSwap(false, true) {
 		return
 	}
 	db.closeMu.Lock()
@@ -67,9 +68,23 @@ func (db *DB) startSeal(t *table) {
 	db.wg.Add(1)
 	go func() {
 		defer db.wg.Done()
-		defer t.sealing.Store(false)
-		db.sealRuns(t)
+		short := db.sealRuns(t)
+		if h := db.mergeHooks.sealIdle; h != nil && short {
+			h(t.schema.Table)
+		}
+		t.sealing.Store(false)
+		if short {
+			db.startSeal(t)
+		}
 	}()
+}
+
+// sealDue reports whether a seal build could seal a run of t now: its tail
+// holds a full run, and the enclave holds the column keys or none are needed.
+func (db *DB) sealDue(t *table) bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.tailLenLocked() >= db.opts.sealRows && (t.plain || db.encl.Provisioned())
 }
 
 // sealRuns seals the tail's leading sealRows rows, as long as it holds that
@@ -82,9 +97,10 @@ func (db *DB) startSeal(t *table) {
 // builds with each other and with the merge pipeline, so neither consumes
 // rows the other took. Encrypted columns need the column keys: before the
 // enclave is provisioned (recovery replays earlier) their rows stay in the
-// tail, to be sealed by the next write that finds it due. A failed build is
-// recorded in lastMergeErr and leaves the tail as it was.
-func (db *DB) sealRuns(t *table) {
+// tail, to be sealed once Provision hands the enclave its key. A failed
+// build is recorded in lastMergeErr and leaves the tail as it was. It
+// reports whether it stopped because the tail was short of a run.
+func (db *DB) sealRuns(t *table) (short bool) {
 	t.sealMu.Lock()
 	defer t.sealMu.Unlock()
 	n := db.opts.sealRows
@@ -92,7 +108,7 @@ func (db *DB) sealRuns(t *table) {
 		t.mu.RLock()
 		if t.tailLenLocked() < n {
 			t.mu.RUnlock()
-			return
+			return true
 		}
 		tails := make(map[string][][]byte, len(t.cols))
 		for name, c := range t.cols {
@@ -115,7 +131,7 @@ func (db *DB) sealRuns(t *table) {
 		if err != nil {
 			t.lastMergeErr = fmt.Sprintf("engine: seal %q: %v", t.schema.Table, err)
 			t.mu.Unlock()
-			return
+			return false
 		}
 		for name, c := range t.cols {
 			// Readers read a captured chain only below its length, which
@@ -125,6 +141,7 @@ func (db *DB) sealRuns(t *table) {
 		}
 		t.mu.Unlock()
 	}
+	return false
 }
 
 // buildRun rebuilds a column's captured tail rows, in row order, as a split
@@ -135,7 +152,7 @@ func (db *DB) buildRun(c *column, entries [][]byte) (*dict.Split, error) {
 	if c.def.Plain {
 		return buildPlain(c.def, entries)
 	}
-	return db.encl.MergeColumns(db.columnMeta(c), c.def.BSMax, enclave.MergeInput{Region: tailRegion(entries)})
+	return db.encl.MergeColumns(columnMeta(c.table, c.def), c.def.BSMax, enclave.MergeInput{Region: tailRegion(entries)})
 }
 
 // Row is one inserted row: column name to value. Values of encrypted columns
@@ -163,7 +180,7 @@ func (db *DB) prepareRow(t *table, row Row) (Row, error) {
 			payloads[name] = append([]byte(nil), v...)
 			continue
 		}
-		fresh, err := db.encl.ReencryptValue(db.columnMeta(c), v)
+		fresh, err := db.encl.ReencryptValue(columnMeta(c.table, c.def), v)
 		if err != nil {
 			return nil, fmt.Errorf("engine: insert %q: %w", name, err)
 		}
@@ -174,10 +191,10 @@ func (db *DB) prepareRow(t *table, row Row) (Row, error) {
 
 // commitRowsLocked appends fully prepared rows to the tail and installs the
 // grown copy-on-write validity bitmap. It cannot fail — preparation already
-// validated everything — which is what makes multi-row writes atomic. It
-// reports whether the tail is now due to seal; the caller, holding the table
-// write lock, starts the seal once it has released it.
-func (db *DB) commitRowsLocked(t *table, payloads []Row) (sealDue bool) {
+// validated everything — which is what makes multi-row writes atomic. The
+// caller, holding the table write lock, starts a seal build (startSeal) once
+// it has released it.
+func (db *DB) commitRowsLocked(t *table, payloads []Row) {
 	for _, p := range payloads {
 		for name, c := range t.cols {
 			c.tail.append(p[name])
@@ -191,7 +208,6 @@ func (db *DB) commitRowsLocked(t *table, payloads []Row) (sealDue bool) {
 	}
 	t.deltaRows += len(payloads)
 	t.valid = valid
-	return t.tailLenLocked() >= db.opts.sealRows
 }
 
 // InsertBatch appends rows to the table's delta stores — the paper's
@@ -240,12 +256,10 @@ func (db *DB) InsertBatch(ctx context.Context, tableName string, rows []Row) err
 		end()
 		return err
 	}
-	sealDue := db.commitRowsLocked(t, payloads)
+	db.commitRowsLocked(t, payloads)
 	t.mu.Unlock()
 	end()
-	if sealDue {
-		db.startSeal(t)
-	}
+	db.startSeal(t)
 	if commit != nil {
 		if err := commit(); err != nil {
 			return err
@@ -382,12 +396,10 @@ func (db *DB) Update(ctx context.Context, tableName string, filters []Filter, se
 	valid := t.valid.Clone()
 	valid.AndNot(match)
 	t.valid = valid
-	sealDue := db.commitRowsLocked(t, payloads)
+	db.commitRowsLocked(t, payloads)
 	t.mu.Unlock()
 	end()
-	if sealDue {
-		db.startSeal(t)
-	}
+	db.startSeal(t)
 	if commit != nil {
 		if err := commit(); err != nil {
 			return 0, err

@@ -24,6 +24,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -157,6 +158,7 @@ type DB struct {
 		afterPin   func(table string)
 		beforeSwap func(table string)
 		sealBuild  func(table string)
+		sealIdle   func(table string)
 	}
 }
 
@@ -239,6 +241,26 @@ func New(encl *enclave.Enclave, opts ...Option) *DB {
 // Enclave returns the enclave backing this database (nil for plaintext-only
 // databases). The data owner uses it for attestation and provisioning.
 func (db *DB) Enclave() *enclave.Enclave { return db.encl }
+
+// Provision deploys the data owner's sealed master key into the enclave
+// (paper Fig. 5 step 2) and starts a seal build for every table whose tail
+// is due: recovery replays rows before the enclave holds the column keys,
+// and their tables would otherwise stay unsealed until their next write.
+func (db *DB) Provision(sk enclave.SealedKey) error {
+	if db.encl == nil {
+		return ErrEnclaveMissing
+	}
+	if err := db.encl.Provision(sk); err != nil {
+		return err
+	}
+	db.mu.RLock()
+	tables := slices.Collect(maps.Values(db.tables))
+	db.mu.RUnlock()
+	for _, t := range tables {
+		db.startSeal(t)
+	}
+	return nil
+}
 
 // Close stops accepting new background merges and seal builds and waits
 // for in-flight ones to finish. Queries and writes remain possible
@@ -470,7 +492,7 @@ func (db *DB) ImportPlaintextColumn(tableName, columnName string, values [][]byt
 		if db.encl == nil {
 			return fmt.Errorf("%w: column %q", ErrEnclaveMissing, columnName)
 		}
-		split, err = db.encl.BuildColumn(db.columnMeta(c), c.def.BSMax, values)
+		split, err = db.encl.BuildColumn(columnMeta(c.table, c.def), c.def.BSMax, values)
 	}
 	if err != nil {
 		return fmt.Errorf("engine: trusted setup %q.%q: %w", tableName, columnName, err)

@@ -82,3 +82,8 @@ func (db *DB) Renderers(tableName, column string) (render, entries func(rids []u
 	}
 	return render, entries, nil
 }
+
+// SetSealIdleHook installs h to run in every background seal build that
+// found the tail short of a run, before the build stops counting as
+// pending; nil clears it.
+func (db *DB) SetSealIdleHook(h func(table string)) { db.mergeHooks.sealIdle = h }

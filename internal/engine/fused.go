@@ -272,5 +272,5 @@ func (db *DB) splitDictSearch(cv *colVersion, s *dict.Split, q enclave.EncRange)
 	if cv.def.Plain {
 		return db.plainDictSearch(cv.def, s, s.EncRndOffset, q)
 	}
-	return db.encl.DictSearch(db.columnMetaVersion(cv), s, s.EncRndOffset, q)
+	return db.encl.DictSearch(columnMeta(cv.table, cv.def), s, s.EncRndOffset, q)
 }

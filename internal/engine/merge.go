@@ -205,7 +205,7 @@ func (db *DB) rebuild(tableName string, base *version) (map[string]*dict.Split, 
 				off += split.Rows()
 			}
 			inputs = append(inputs, enclave.MergeInput{Region: cv.tail, Valid: validBools(base.valid, off, len(cv.tail))})
-			s, err = db.encl.MergeColumns(db.columnMetaVersion(cv), cv.def.BSMax, inputs...)
+			s, err = db.encl.MergeColumns(columnMeta(cv.table, cv.def), cv.def.BSMax, inputs...)
 		}
 		if err != nil {
 			return nil, 0, fmt.Errorf("engine: merge %q.%q: %w", tableName, name, err)

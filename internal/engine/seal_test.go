@@ -12,9 +12,11 @@ import (
 	"time"
 
 	"github.com/encdbdb/encdbdb/internal/dict"
+	"github.com/encdbdb/encdbdb/internal/enclave"
 	"github.com/encdbdb/encdbdb/internal/engine"
 	"github.com/encdbdb/encdbdb/internal/leakage"
 	"github.com/encdbdb/encdbdb/internal/metrics"
+	"github.com/encdbdb/encdbdb/internal/wal"
 )
 
 // insertValues inserts one row per value into the one-column table, as a
@@ -188,4 +190,115 @@ func TestSealMetrics(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+}
+
+// waitSealedRuns polls the table's merge status until it reports at least
+// want sealed runs, without settling builds itself as SealedRuns does.
+func waitSealedRuns(t *testing.T, db *engine.DB, table string, want int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		info, err := db.MergeStatus(context.Background(), table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.SealedRuns >= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sealed runs and %d delta rows after 10s, want %d runs", info.SealedRuns, info.DeltaRows, want)
+		}
+	}
+}
+
+// TestSealReadmitsDueTail: rows that make the tail due while a build is
+// finishing — after its last length check, before it stops counting as
+// pending — lose the admission race to that build, which then admits the
+// next build itself: the second run seals with no further write.
+func TestSealReadmitsDueTail(t *testing.T) {
+	v := newEnvWith(t, engine.WithSealThreshold(64))
+	defer v.db.Close()
+	idle, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	v.db.SetSealIdleHook(func(string) {
+		once.Do(func() {
+			close(idle)
+			<-release
+		})
+	})
+	def := engine.ColumnDef{Name: "c", Kind: dict.ED1, MaxLen: 8}
+	if err := v.db.CreateTable(engine.Schema{Table: "t", Columns: []engine.ColumnDef{def}}); err != nil {
+		t.Fatal(err)
+	}
+	values := make([]string, 64)
+	for i := range values {
+		values[i] = fmt.Sprintf("v%03d", i)
+	}
+	insertValues(t, v, "t", "c", values)
+	select {
+	case <-idle:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first build never found the tail short")
+	}
+	insertValues(t, v, "t", "c", values)
+	close(release)
+	waitSealedRuns(t, v.db, "t", 2)
+}
+
+// TestProvisionSealsRecoveredTail: rows that write-ahead-log replay brings
+// back into a provider whose enclave holds no key yet stay in the tail, as
+// sealing an encrypted column needs its key; Provision then seals them with
+// no further write.
+func TestProvisionSealsRecoveredTail(t *testing.T) {
+	const threshold, rows = 64, 3*64 + 10
+	v := newEnvWith(t, engine.WithSealThreshold(threshold))
+	dir := t.TempDir()
+	l, err := wal.Open(dir, v.db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.db.SetCommitLog(l)
+	def := engine.ColumnDef{Name: "c", Kind: dict.ED1, MaxLen: 8}
+	if err := v.db.CreateTable(engine.Schema{Table: "t", Columns: []engine.ColumnDef{def}}); err != nil {
+		t.Fatal(err)
+	}
+	values := make([]string, rows)
+	for i := range values {
+		values[i] = fmt.Sprintf("v%03d", i)
+	}
+	insertValues(t, v, "t", "c", values)
+	v.db.Close()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p, err := enclave.NewPlatform()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := p.Launch(enclave.Config{Identity: "engine-test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := engine.New(e, engine.WithSealThreshold(threshold))
+	defer db.Close()
+	l, err = wal.Open(dir, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	info, err := db.MergeStatus(context.Background(), "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.SealedRuns != 0 || info.DeltaRows != rows {
+		t.Fatalf("recovered into an unprovisioned enclave: %d sealed runs, %d delta rows; want 0 and %d", info.SealedRuns, info.DeltaRows, rows)
+	}
+	sealed, err := enclave.SealKey(e.Quote([]byte("n")), v.master)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Provision(sealed); err != nil {
+		t.Fatal(err)
+	}
+	waitSealedRuns(t, db, "t", rows/threshold)
 }

@@ -8,7 +8,6 @@ import (
 	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/enclave"
 	"github.com/encdbdb/encdbdb/internal/ordenc"
-	"github.com/encdbdb/encdbdb/internal/ridset"
 	"github.com/encdbdb/encdbdb/internal/search"
 )
 
@@ -76,57 +75,35 @@ type Result struct {
 // the pinned version, so a long scan never blocks writers or an in-flight
 // background merge — and vice versa.
 //
-// The context is honored between scan chunks: cancelling it mid-scan
-// abandons the remaining per-filter searches and rendering and returns
-// ctx.Err(). SelectStream is the chunked variant that streams the rendered
-// rows instead of materializing them.
+// Select is the materialized form of SelectStream: a cursor that renders
+// every row in one chunk, collected into a Result that owns its memory. The
+// context is honored between scan chunks: cancelling it mid-scan abandons
+// the remaining per-filter searches and rendering and returns ctx.Err().
 func (db *DB) Select(ctx context.Context, q Query) (*Result, error) {
-	v, match, err := db.selectMatch(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	if q.CountOnly {
-		// COUNT(*) is the match bitmap's popcount: no RecordID is
-		// materialized, and none travels back to the proxy.
-		return &Result{Count: match.Len()}, nil
-	}
-	rids := limitRIDs(match, q.Limit)
-	res := &Result{RecordIDs: rids, Count: len(rids)}
-	project, err := v.project(q)
-	if err != nil {
-		return nil, err
-	}
-	buf := newCellBuf(len(project), len(rids))
-	for _, name := range project {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		res.Columns = append(res.Columns, ResultColumn{
-			Table:  q.Table,
-			Column: name,
-			Cells:  v.render(v.cols[name], rids, &buf),
-		})
-	}
-	return res, nil
+	return Collect(0, func() (ResultStream, error) { return db.cursor(ctx, q, 0) })
 }
 
-// selectMatch runs the filter phase of a query: pin a version, evaluate the
-// conjunction, apply validity. It returns the pinned version and the match
-// bitmap, shared by Select and SelectStream.
-func (db *DB) selectMatch(ctx context.Context, q Query) (*version, *ridset.Set, error) {
+// cursor runs a query's filter phase — pin a version, evaluate the
+// conjunction, apply validity — and returns the cursor that renders the match
+// set, chunk rows per Next call (0 = every row in one chunk). A count-only
+// query's cursor holds the match bitmap's popcount and no RecordID. LIMIT
+// pushdown: the match set is in RecordID order, so its first Limit entries
+// are exactly the rows a client-side cutoff would keep — rendering (and
+// delta scanning, see fusedDeltaScan) never touches the rest.
+func (db *DB) cursor(ctx context.Context, q Query, chunk int) (*Cursor, error) {
 	if err := ctxErr(ctx); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	t, err := db.lookup(q.Table)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if q.SchemaDigest != 0 && q.SchemaDigest != t.digest {
-		return nil, nil, fmt.Errorf("%w: %q", ErrSchemaChanged, q.Table)
+		return nil, fmt.Errorf("%w: %q", ErrSchemaChanged, q.Table)
 	}
 	v, err := t.pin()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	db.metrics.selectPinned(v.rows())
 	limit := q.Limit
@@ -135,21 +112,23 @@ func (db *DB) selectMatch(ctx context.Context, q Query) (*version, *ridset.Set, 
 	}
 	match, err := db.matchValid(ctx, v, q.Filters, limit)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return v, match, nil
-}
-
-// limitRIDs renders the match set to RecordIDs, keeping the first limit
-// (0 = all). LIMIT pushdown: the match set is in RecordID order, so the first
-// limit entries are exactly the rows a client-side cutoff would keep —
-// rendering (and delta scanning, see fusedDeltaScan) never touches the rest.
-func limitRIDs(match *ridset.Set, limit int) []uint32 {
+	if q.CountOnly {
+		return &Cursor{ctx: ctx, count: match.Len(), done: true}, nil
+	}
 	rids := match.Slice()
 	if limit > 0 && len(rids) > limit {
 		rids = rids[:limit]
 	}
-	return rids
+	project, err := v.project(q)
+	if err != nil {
+		return nil, err
+	}
+	if chunk == 0 {
+		chunk = max(len(rids), 1)
+	}
+	return &Cursor{ctx: ctx, table: q.Table, v: v, project: project, rids: rids, count: len(rids), chunk: chunk}, nil
 }
 
 // project resolves a query's projection list against the pinned version:
@@ -238,7 +217,7 @@ func (db *DB) tailDictSearch(cv *colVersion, q enclave.EncRange) ([]uint32, erro
 		}
 		return search.UnsortedDict(cv.tail, search.PlainDecryptor{}, pq)
 	}
-	meta := db.columnMetaVersion(cv)
+	meta := columnMeta(cv.table, cv.def)
 	meta.Kind = dict.ED9
 	res, err := db.encl.DictSearch(meta, cv.tail, nil, q)
 	if err != nil {
@@ -303,22 +282,13 @@ func plainRange(def ColumnDef, q enclave.EncRange) (search.Range, error) {
 	return search.Range{Start: q.Start, End: q.End, StartIncl: q.StartIncl, EndIncl: q.EndIncl}, nil
 }
 
-// columnMeta builds the enclave metadata for a column (paper Fig. 5 step 7).
-func (db *DB) columnMeta(c *column) enclave.ColumnMeta {
+// columnMeta builds the enclave metadata for a column of table (paper Fig. 5
+// step 7).
+func columnMeta(table string, def ColumnDef) enclave.ColumnMeta {
 	return enclave.ColumnMeta{
-		Table:  c.table,
-		Column: c.def.Name,
-		Kind:   c.def.Kind,
-		MaxLen: c.def.MaxLen,
-	}
-}
-
-// columnMetaVersion is columnMeta for a pinned column version.
-func (db *DB) columnMetaVersion(cv *colVersion) enclave.ColumnMeta {
-	return enclave.ColumnMeta{
-		Table:  cv.table,
-		Column: cv.def.Name,
-		Kind:   cv.def.Kind,
-		MaxLen: cv.def.MaxLen,
+		Table:  table,
+		Column: def.Name,
+		Kind:   def.Kind,
+		MaxLen: def.MaxLen,
 	}
 }

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"slices"
 )
 
 // defaultStreamChunk is the default number of rows rendered per SelectStream
@@ -47,21 +49,88 @@ type ResultStream interface {
 // context is re-checked on every chunk, so cancelling it mid-result stops the
 // remaining rendering work.
 func (db *DB) SelectStream(ctx context.Context, q Query) (ResultStream, error) {
-	v, match, err := db.selectMatch(ctx, q)
-	if err != nil {
-		return nil, err
+	return db.cursor(ctx, q, db.opts.streamChunk)
+}
+
+// Collect drains result streams into one Result that owns its memory: the
+// materialized form of a SELECT. The streams open one after another, each
+// drained and closed before the next opens. Counts sum, rows concatenate in
+// stream order, and a limit > 0 keeps the first limit rows, opening no
+// further stream once it is met (a count-only answer has no rows, so its
+// count is never cut). Every cell is copied out of its chunk, whose memory
+// the stream may recycle.
+func Collect(limit int, opens ...func() (ResultStream, error)) (*Result, error) {
+	out := &Result{}
+	counted := 0
+	for _, open := range opens {
+		if limit > 0 && out.Count >= limit {
+			break
+		}
+		st, err := open()
+		if err != nil {
+			return nil, err
+		}
+		for err == nil && (limit <= 0 || out.Count < limit) {
+			var chunk *Result
+			if chunk, err = st.Next(); err == nil {
+				err = out.appendChunk(chunk, limit)
+			}
+		}
+		counted += st.Count()
+		st.Close()
+		if err != io.EOF && err != nil {
+			return nil, err
+		}
 	}
-	if q.CountOnly {
-		// A count-only stream has no row chunks; Count carries the answer,
-		// the match bitmap's popcount.
-		return &Cursor{ctx: ctx, count: match.Len()}, nil
+	if out.Columns == nil {
+		out.Count = counted // a count-only answer
 	}
-	rids := limitRIDs(match, q.Limit)
-	cur := &Cursor{ctx: ctx, table: q.Table, v: v, rids: rids, count: len(rids), chunk: db.opts.streamChunk}
-	if cur.project, err = v.project(q); err != nil {
-		return nil, err
+	return out, nil
+}
+
+// appendChunk appends a chunk's rows to r, up to limit rows in all when
+// limit > 0, copying their cells into one arena.
+func (r *Result) appendChunk(chunk *Result, limit int) error {
+	keep := chunk.Count
+	if limit > 0 {
+		keep = min(keep, limit-r.Count)
 	}
-	return cur, nil
+	if r.Columns == nil {
+		r.Columns = make([]ResultColumn, len(chunk.Columns))
+		for i, c := range chunk.Columns {
+			r.Columns[i] = ResultColumn{Table: c.Table, Column: c.Column}
+		}
+	}
+	if len(chunk.Columns) != len(r.Columns) {
+		return fmt.Errorf("engine: chunk has %d columns, want %d", len(chunk.Columns), len(r.Columns))
+	}
+	size := 0
+	for ci, c := range chunk.Columns {
+		if c.Column != r.Columns[ci].Column || len(c.Cells) < keep {
+			return fmt.Errorf("engine: chunk column %d is %q with %d cells, want %q with %d",
+				ci, c.Column, len(c.Cells), r.Columns[ci].Column, keep)
+		}
+		for _, cell := range c.Cells[:keep] {
+			size += len(cell)
+		}
+	}
+	arena := make([]byte, 0, size)
+	for ci, c := range chunk.Columns {
+		dst := &r.Columns[ci]
+		dst.Cells = slices.Grow(dst.Cells, keep)
+		for _, cell := range c.Cells[:keep] {
+			if cell == nil {
+				dst.Cells = append(dst.Cells, nil)
+				continue
+			}
+			n := len(arena)
+			arena = append(arena, cell...)
+			dst.Cells = append(dst.Cells, arena[n:len(arena):len(arena)])
+		}
+	}
+	r.RecordIDs = append(r.RecordIDs, chunk.RecordIDs[:min(keep, len(chunk.RecordIDs))]...)
+	r.Count += keep
+	return nil
 }
 
 // Cursor is the engine's pull-based ResultStream: it pins one version and
@@ -77,24 +146,25 @@ type Cursor struct {
 	count   int
 	pos     int
 	chunk   int
+	done    bool    // the last chunk has been rendered
 	buf     cellBuf // render memory, emptied and reused by every chunk
 }
 
-// Next renders and returns the next chunk of rows, or io.EOF when done.
+// Next renders and returns the next chunk of rows, or io.EOF when done. An
+// empty answer is one chunk without rows, which still names the projected
+// columns.
 func (c *Cursor) Next() (*Result, error) {
 	if err := ctxErr(c.ctx); err != nil {
 		return nil, err
 	}
-	if c.pos >= len(c.rids) {
+	if c.done {
 		return nil, io.EOF
 	}
-	end := c.pos + c.chunk
-	if end > len(c.rids) {
-		end = len(c.rids)
-	}
+	end := min(c.pos+c.chunk, len(c.rids))
 	rids := c.rids[c.pos:end]
 	c.pos = end
-	res := &Result{RecordIDs: rids, Count: len(rids)}
+	c.done = end == len(c.rids)
+	res := &Result{RecordIDs: rids, Columns: make([]ResultColumn, 0, len(c.project)), Count: len(rids)}
 	if c.buf.cells == nil {
 		c.buf = newCellBuf(len(c.project), len(rids))
 	}
@@ -117,7 +187,7 @@ func (c *Cursor) Count() int { return c.count }
 func (c *Cursor) Close() error {
 	c.v = nil
 	c.buf = cellBuf{}
-	c.rids = c.rids[len(c.rids):]
-	c.pos = 0
+	c.rids = nil
+	c.done = true
 	return nil
 }

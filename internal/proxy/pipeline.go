@@ -56,8 +56,8 @@ type oneChunk struct {
 }
 
 func (o *oneChunk) Next() (*engine.Result, error) {
-	if o.done || o.res.Count == 0 {
-		return nil, io.EOF
+	if o.done || len(o.res.Columns) == 0 {
+		return nil, io.EOF // served, or a count-only answer
 	}
 	o.done = true
 	return o.res, nil
@@ -203,49 +203,81 @@ func (d *decoder) decodeChunk(chunk *engine.Result) ([][]string, error) {
 
 // drain runs every stream to its end, in parallel — the first stream runs on
 // the calling goroutine — handing each chunk to fold(i, chunk) for stream i
-// before asking the stream for its next one. It returns the first failure in
-// stream order, so the error does not depend on which stream fails first.
-func drain(opens []opener, fold func(i int, chunk *engine.Result) error) error {
-	errs := make([]error, len(opens))
-	run := func(i int) {
-		st, err := opens[i]()
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		defer st.Close()
-		for {
-			chunk, err := st.Next()
-			if err == io.EOF {
-				return
-			}
-			if err == nil {
-				err = fold(i, chunk)
-			}
-			if err != nil {
-				errs[i] = err
-				return
-			}
-		}
+// before asking the stream for its next one (a nil fold decodes nothing). It
+// returns the sum of the streams' counts, and the first failure in stream
+// order, so the error does not depend on which stream fails first.
+func drain(opens []opener, fold func(i int, chunk *engine.Result) error) (int, error) {
+	if len(opens) == 1 {
+		return drainStream(opens[0], 0, fold) // one provider: nothing to share
 	}
+	counts, errs := make([]int, len(opens)), make([]error, len(opens))
 	var wg sync.WaitGroup
 	for i := 1; i < len(opens); i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			run(i)
+			counts[i], errs[i] = drainStream(opens[i], i, fold)
 		}()
 	}
-	if len(opens) > 0 {
-		run(0)
-	}
+	counts[0], errs[0] = drainStream(opens[0], 0, fold)
 	wg.Wait()
-	for _, err := range errs {
+	n := 0
+	for i, err := range errs {
 		if err != nil {
-			return err
+			return 0, err
+		}
+		n += counts[i]
+	}
+	return n, nil
+}
+
+// drainStream opens stream i, hands each of its chunks to fold and returns
+// its count.
+func drainStream(open opener, i int, fold func(i int, chunk *engine.Result) error) (int, error) {
+	st, err := open()
+	if err != nil {
+		return 0, err
+	}
+	defer st.Close()
+	for {
+		chunk, err := st.Next()
+		if err == io.EOF {
+			return st.Count(), nil
+		}
+		if err == nil && fold != nil {
+			err = fold(i, chunk)
+		}
+		if err != nil {
+			return 0, err
 		}
 	}
-	return nil
+}
+
+// concat runs a plain SELECT over the streams: each stream's chunks decode as
+// they arrive, and the rows concatenate in stream order, cut at limit
+// (-1 = none; a pushed-down LIMIT already capped every stream).
+func concat(opens []opener, d *decoder, limit int) ([][]string, error) {
+	parts := make([][][]string, len(opens))
+	_, err := drain(opens, func(i int, chunk *engine.Result) error {
+		rows, err := d.decodeChunk(chunk)
+		if parts[i] == nil {
+			parts[i] = rows
+		} else {
+			parts[i] = append(parts[i], rows...)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := parts[0]
+	for _, part := range parts[1:] {
+		rows = append(rows, part...)
+	}
+	if limit >= 0 && len(rows) > limit {
+		rows = rows[:limit]
+	}
+	return rows, nil
 }
 
 // orderBy runs ORDER BY [LIMIT k] over the streams: each stream keeps its own
@@ -258,7 +290,7 @@ func orderBy(opens []opener, d *decoder, key int, desc bool, limit int) ([][]str
 	for i := range tops {
 		tops[i] = topK{k: limit, key: key, desc: desc}
 	}
-	if err := drain(opens, func(i int, chunk *engine.Result) error { return tops[i].fold(d, chunk) }); err != nil {
+	if _, err := drain(opens, func(i int, chunk *engine.Result) error { return tops[i].fold(d, chunk) }); err != nil {
 		return nil, err
 	}
 	var out [][]string
@@ -400,7 +432,7 @@ func aggregates(opens []opener, d *decoder, aggs []sqlparse.Aggregate) (*Result,
 	for i := range parts {
 		parts[i] = newPartial(len(aggs))
 	}
-	err := drain(opens, func(i int, chunk *engine.Result) error {
+	_, err := drain(opens, func(i int, chunk *engine.Result) error {
 		rows, err := d.decodeChunk(chunk)
 		if err != nil {
 			return err

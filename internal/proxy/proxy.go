@@ -561,35 +561,33 @@ func (p *Proxy) selectPlan(s *sqlparse.Select, ts tableSchema) (plan, error) {
 	return pl, nil
 }
 
-// selectStmt runs a SELECT to its decrypted result. ORDER BY and aggregates
-// fold the result streams; a plain SELECT and COUNT(*) keep one Select — one
-// reply frame for a point lookup, one parallel scatter over a fleet.
+// selectStmt runs a SELECT to its decrypted result by folding its result
+// streams: a plain SELECT concatenates their rows, COUNT(*) sums their
+// counts, and ORDER BY and aggregates fold per-stream states. A point lookup
+// is one request frame and one reply frame; over a fleet every shard's
+// stream drains in parallel.
 func (p *Proxy) selectStmt(ctx context.Context, s *sqlparse.Select, ts tableSchema) (*Result, error) {
 	pl, err := p.selectPlan(s, ts)
 	if err != nil {
 		return nil, err
 	}
-	if len(s.Aggregates) > 0 {
-		return aggregates(p.streams(ctx, pl.q), pl.d, s.Aggregates)
+	opens := p.streams(ctx, pl.q)
+	switch {
+	case len(s.Aggregates) > 0:
+		return aggregates(opens, pl.d, s.Aggregates)
+	case s.Count:
+		n, err := drain(opens, nil)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Kind: KindCount, Count: n}, nil
 	}
+	var rows [][]string
 	if pl.key < 0 {
-		res, err := p.exec.Select(ctx, pl.q)
-		if err != nil {
-			return nil, err
-		}
-		if s.Count {
-			return &Result{Kind: KindCount, Count: res.Count}, nil
-		}
-		rows, err := pl.d.decodeChunk(res)
-		if err != nil {
-			return nil, err
-		}
-		if s.Limit >= 0 && len(rows) > s.Limit { // LIMIT 0 is not pushed down
-			rows = rows[:s.Limit]
-		}
-		return &Result{Kind: KindRows, Columns: slices.Clone(pl.d.project), Rows: rows, Count: len(rows)}, nil
+		rows, err = concat(opens, pl.d, s.Limit)
+	} else {
+		rows, err = orderBy(opens, pl.d, pl.key, s.OrderDesc, s.Limit)
 	}
-	rows, err := orderBy(p.streams(ctx, pl.q), pl.d, pl.key, s.OrderDesc, s.Limit)
 	if err != nil {
 		return nil, err
 	}

@@ -293,73 +293,13 @@ func (e *Executor) Update(ctx context.Context, table string, filters []engine.Fi
 	return int(total.Load()), err
 }
 
-// Select scatters the query and gathers one merged result: counts sum, row
-// results concatenate in shard order (each shard's rows stay in its RecordID
-// order), and a pushed-down LIMIT re-applies to the merged rows. The
-// single-shard configuration passes the backend's result through untouched.
+// Select collects the shards' result streams into one Result
+// (engine.Collect): counts sum, rows concatenate in shard order (each
+// shard's rows stay in its RecordID order), and a pushed-down LIMIT
+// re-applies to the concatenation, so shards past it are never contacted.
+// RecordIDs are shard-local and carried through for debugging only.
 func (e *Executor) Select(ctx context.Context, q engine.Query) (*engine.Result, error) {
-	if len(e.backends) == 1 {
-		e.met.scatter(1)
-		var res *engine.Result
-		err := e.call(0, "select", func(b proxy.Executor) error {
-			var err error
-			res, err = b.Select(ctx, q)
-			return err
-		})
-		return res, err
-	}
-	results := make([]*engine.Result, len(e.backends))
-	err := e.scatter("select", func(i int, b proxy.Executor) error {
-		var err error
-		results[i], err = b.Select(ctx, q)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeResults(results, q)
-}
-
-// mergeResults concatenates per-shard results in shard order. RecordIDs are
-// shard-local and carried through for debugging only; cross-shard identity
-// is not meaningful.
-func mergeResults(results []*engine.Result, q engine.Query) (*engine.Result, error) {
-	out := &engine.Result{}
-	for _, r := range results {
-		out.Count += r.Count
-	}
-	if q.CountOnly {
-		return out, nil
-	}
-	for si, r := range results {
-		if r.Count == 0 && len(r.Columns) == 0 {
-			continue
-		}
-		if len(out.Columns) == 0 {
-			out.Columns = make([]engine.ResultColumn, len(r.Columns))
-			for i, c := range r.Columns {
-				out.Columns[i] = engine.ResultColumn{Table: c.Table, Column: c.Column}
-			}
-		}
-		if len(r.Columns) != len(out.Columns) {
-			return nil, fmt.Errorf("shard: shard %d returned %d columns, want %d", si, len(r.Columns), len(out.Columns))
-		}
-		out.RecordIDs = append(out.RecordIDs, r.RecordIDs...)
-		for i, c := range r.Columns {
-			if c.Column != out.Columns[i].Column {
-				return nil, fmt.Errorf("shard: shard %d column %d is %q, want %q", si, i, c.Column, out.Columns[i].Column)
-			}
-			out.Columns[i].Cells = append(out.Columns[i].Cells, c.Cells...)
-		}
-	}
-	if q.Limit > 0 && !q.CountOnly && out.Count > q.Limit {
-		out.Count = q.Limit
-		out.RecordIDs = out.RecordIDs[:min(len(out.RecordIDs), q.Limit)]
-		for i := range out.Columns {
-			out.Columns[i].Cells = out.Columns[i].Cells[:q.Limit]
-		}
-	}
-	return out, nil
+	return engine.Collect(q.Limit, e.ShardStreams(ctx, q)...)
 }
 
 // Merge runs a blocking merge on every shard.
@@ -418,7 +358,7 @@ func (e *Executor) ShardStreams(ctx context.Context, q engine.Query) []func() (e
 	for i := range e.backends {
 		out[i] = func() (engine.ResultStream, error) {
 			var st engine.ResultStream
-			err := e.call(i, "select_stream", func(b proxy.Executor) error {
+			err := e.call(i, "select", func(b proxy.Executor) error {
 				var err error
 				st, err = proxy.OpenStream(ctx, b, q)
 				return err
@@ -448,7 +388,7 @@ func (s *shardStream) Next() (*engine.Result, error) {
 	if s.e.health[s.i].record(err) {
 		s.e.met.wentDown()
 	}
-	return nil, &Error{Shard: s.e.m.Shards[s.i].Name, Addr: s.e.m.Shards[s.i].Addr, Op: "select_stream", Err: err}
+	return nil, &Error{Shard: s.e.m.Shards[s.i].Name, Addr: s.e.m.Shards[s.i].Addr, Op: "select", Err: err}
 }
 
 // requestError reports whether err is one of engine.RequestErrors.

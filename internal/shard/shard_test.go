@@ -305,8 +305,8 @@ func TestScatterFailureTyped(t *testing.T) {
 	}
 }
 
-// TestSingleShardPassthrough pins the bit-identity guarantee's mechanism: a
-// one-shard fleet hands the backend's result through untouched.
+// TestSingleShardPassthrough pins the bit-identity guarantee: a one-shard
+// fleet's Select answers exactly the backend's result.
 func TestSingleShardPassthrough(t *testing.T) {
 	s0 := &stubBackend{rows: []string{"x", "y"}}
 	e := newStubFleet(t, NewHashMap([]string{"only"}), s0)

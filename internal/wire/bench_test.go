@@ -59,6 +59,8 @@ func BenchmarkRoundTripMultiplexedParallel(b *testing.B) {
 // The BenchmarkWire* set tracks the zero-alloc wire hot path over a real
 // connection. Allocations counted here span both sides plus the engine.
 
+// BenchmarkWireSelect drains a one-row answer as the proxy drains a result
+// stream: open it, read chunks to io.EOF, close.
 func BenchmarkWireSelect(b *testing.B) {
 	c := benchClient(b)
 	q := engine.Query{Table: "bench"}
@@ -66,7 +68,15 @@ func BenchmarkWireSelect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Select(ctx, q); err != nil {
+		st, err := c.SelectStream(ctx, q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for err == nil {
+			_, err = st.Next()
+		}
+		st.Close()
+		if err != io.EOF {
 			b.Fatal(err)
 		}
 	}

@@ -24,10 +24,17 @@ var ErrClientClosed = errors.New("wire: client closed")
 // helloTimeout bounds the hello exchange against unresponsive peers.
 const helloTimeout = 5 * time.Second
 
-// streamBuffer is how many result chunks a streaming Select may buffer
-// client-side before the connection's demux loop blocks — the flow-control
-// window between a fast server and a slow row consumer.
+// streamBuffer is how many result chunks a select may buffer client-side
+// before the connection's demux loop blocks — the flow-control window
+// between a fast server and a slow row consumer.
 const streamBuffer = 32
+
+// streamCalls recycles the delivery state of selects: the streamBuffer-slot
+// channel is most of a point lookup's client-side bytes. A call returns to
+// the pool only once its final frame was received: the read loop
+// unregistered it before delivering that frame, so nothing sends on its
+// channel again, and the channel is empty.
+var streamCalls = sync.Pool{New: func() any { return make(chan callResult, streamBuffer) }}
 
 // Client is the trusted side's connection to a remote EncDBDB provider. It
 // implements proxy.Executor, so a proxy.Proxy can drive a remote database
@@ -47,14 +54,16 @@ const streamBuffer = 32
 type Client struct {
 	conn net.Conn
 
-	// pending maps in-flight request IDs to their caller's delivery state;
-	// failure is sticky and poisons all future calls. failed is closed on
-	// the first failure so streaming consumers blocked outside the pending
-	// protocol wake up.
+	// pending maps in-flight request IDs to the channels their callers
+	// receive frames on (one slot for a simple call, streamBuffer for a
+	// select); a request stays registered until its final frame (More
+	// unset or Err set). failure is sticky and poisons all future calls;
+	// failed is closed on the first failure so streaming consumers blocked
+	// outside the pending protocol wake up.
 	w       *muxWriter
 	nextID  atomic.Uint64
 	pmu     sync.Mutex
-	pending map[uint64]*pendingCall
+	pending map[uint64]chan callResult
 	failure error
 	failed  chan struct{}
 
@@ -114,14 +123,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// pendingCall is one in-flight request's delivery state. Simple calls
-// receive exactly one callResult; streaming calls receive one per chunk plus
-// a final one, and stay registered until the final frame.
-type pendingCall struct {
-	ch     chan callResult
-	stream bool
-}
-
 type callResult struct {
 	resp *response
 	// buf is the pooled frame buffer resp's byte fields alias (nil when
@@ -142,7 +143,7 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 	c := &Client{
 		conn:    conn,
 		w:       newMuxWriter(conn),
-		pending: make(map[uint64]*pendingCall),
+		pending: make(map[uint64]chan callResult),
 		failed:  make(chan struct{}),
 	}
 	for _, o := range opts {
@@ -195,7 +196,7 @@ func (c *Client) fail(err error) {
 		c.failure = err
 	}
 	pending := c.pending
-	c.pending = make(map[uint64]*pendingCall)
+	c.pending = make(map[uint64]chan callResult)
 	c.pmu.Unlock()
 	c.conn.Close()
 	if first {
@@ -203,7 +204,7 @@ func (c *Client) fail(err error) {
 	}
 	for _, pc := range pending {
 		select {
-		case pc.ch <- callResult{err: err}:
+		case pc <- callResult{err: err}:
 		default:
 		}
 	}
@@ -252,7 +253,7 @@ func (c *Client) readLoop() {
 func (c *Client) deliver(id uint64, resp *response, buf *bufpool.Buf) {
 	c.pmu.Lock()
 	pc, ok := c.pending[id]
-	if ok && (!pc.stream || !resp.More || resp.Err != "") {
+	if ok && (!resp.More || resp.Err != "") {
 		delete(c.pending, id)
 	}
 	c.pmu.Unlock()
@@ -260,45 +261,38 @@ func (c *Client) deliver(id uint64, resp *response, buf *bufpool.Buf) {
 		bufpool.Put(buf)
 		return
 	}
-	if pc.stream {
-		// A slow streaming consumer exerts backpressure on the whole
-		// connection; the buffer bounds how far the server can run
-		// ahead. Abandoned streams drain themselves via Close or wake
-		// up through the failed channel if the connection dies.
-		select {
-		case pc.ch <- callResult{resp: resp, buf: buf}:
-		case <-c.failed:
-			bufpool.Put(buf)
-		}
-		return
+	// A slow streaming consumer exerts backpressure on the whole
+	// connection; its channel's buffer bounds how far the server can run
+	// ahead. Abandoned streams drain themselves or wake up through the
+	// failed channel if the connection dies.
+	select {
+	case pc <- callResult{resp: resp, buf: buf}:
+	case <-c.failed:
+		bufpool.Put(buf)
 	}
-	pc.ch <- callResult{resp: resp, buf: buf}
 }
 
-// register allocates a request ID and delivery state.
-func (c *Client) register(stream bool) (uint64, *pendingCall, error) {
+// register allocates a request ID and delivery state; a stream's comes
+// from streamCalls.
+func (c *Client) register(stream bool) (uint64, chan callResult, error) {
 	id := c.nextID.Add(1)
-	buffer := 1
+	var pc chan callResult
 	if stream {
-		buffer = streamBuffer
+		pc = streamCalls.Get().(chan callResult)
+	} else {
+		pc = make(chan callResult, 1)
 	}
-	pc := &pendingCall{ch: make(chan callResult, buffer), stream: stream}
 	c.pmu.Lock()
 	if err := c.failure; err != nil {
 		c.pmu.Unlock()
+		if stream {
+			streamCalls.Put(pc)
+		}
 		return 0, nil, err
 	}
 	c.pending[id] = pc
 	c.pmu.Unlock()
 	return id, pc, nil
-}
-
-// unregister drops a pending entry (used when a send fails before any
-// response can arrive, and by cancellation paths that stop listening).
-func (c *Client) unregister(id uint64) {
-	c.pmu.Lock()
-	delete(c.pending, id)
-	c.pmu.Unlock()
 }
 
 // sendCancel fires an advisory opCancel for an in-flight request. It runs as
@@ -310,55 +304,64 @@ func (c *Client) sendCancel(id uint64) {
 	}()
 }
 
+// retryBusy runs attempt, absorbing ErrServerBusy rejections per the
+// WithBusyRetry policy. A busy rejection arrives as a request's first frame,
+// before any work or any chunk, so retrying never re-reads partial results.
+func retryBusy[T any](c *Client, ctx context.Context, attempt func() (T, error)) (T, error) {
+	v, err := attempt()
+	for n := 1; n <= c.busyRetries && errors.Is(err, ErrServerBusy); n++ {
+		if werr := sleepCtx(ctx, c.busyBackoff(n)); werr != nil {
+			var zero T
+			return zero, werr
+		}
+		v, err = attempt()
+	}
+	return v, err
+}
+
 // call performs one request/response round trip, absorbing ErrServerBusy
 // rejections per the WithBusyRetry policy.
 func (c *Client) call(ctx context.Context, req *request) (*response, error) {
-	resp, err := c.callOnce(ctx, req)
-	for attempt := 1; attempt <= c.busyRetries && errors.Is(err, ErrServerBusy); attempt++ {
-		if werr := sleepCtx(ctx, c.busyBackoff(attempt)); werr != nil {
-			return nil, werr
-		}
-		resp, err = c.callOnce(ctx, req)
-	}
-	return resp, err
+	return retryBusy(c, ctx, func() (*response, error) {
+		_, _, res, err := c.start(ctx, req, false)
+		return res.resp, err
+	})
 }
 
-// callOnce performs one request/response round trip; any number may run
-// concurrently. A cancelled context returns immediately with ctx.Err(); the
-// request keeps its ID registered so the server's (possibly already-sent)
-// response is discarded cleanly.
-func (c *Client) callOnce(ctx context.Context, req *request) (*response, error) {
+// start sends one request and waits for its first response frame; any
+// number may run concurrently. The frame's pooled buffer travels with the
+// result: a simple call's result keeps aliasing it and leaves it to the
+// garbage collector, a stream recycles it. An error frame is returned as
+// its error. A cancelled context abandons the request and returns ctx.Err().
+func (c *Client) start(ctx context.Context, req *request, stream bool) (uint64, chan callResult, callResult, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return 0, nil, callResult{}, err
 	}
-	id, pc, err := c.register(false)
+	id, pc, err := c.register(stream)
 	if err != nil {
-		return nil, err
+		return 0, nil, callResult{}, err
 	}
 	if err := c.w.send(id, req); err != nil {
 		// A partial frame corrupts the stream for everyone; poison the
-		// connection. fail delivers to pc.ch unless the reader already did.
+		// connection. fail delivers to pc unless the reader already did.
 		c.fail(fmt.Errorf("wire: send: %w", err))
 	}
 	select {
-	case res := <-pc.ch:
+	case res := <-pc:
 		if res.err != nil {
-			return nil, res.err
+			return 0, nil, callResult{}, res.err
 		}
 		if res.resp.Err != "" {
+			if stream {
+				streamCalls.Put(pc)
+			}
 			bufpool.Put(res.buf)
-			return nil, wireError(res.resp.Err)
+			return 0, nil, callResult{}, wireError(res.resp.Err)
 		}
-		// Any pooled buffer the response aliases now belongs to the caller's
-		// result and is reclaimed by the garbage collector — results of
-		// simple calls have no close step that could return it earlier.
-		return res.resp, nil
+		return id, pc, res, nil
 	case <-ctx.Done():
-		// Advisory cancel; the entry stays registered so the eventual
-		// response (buffered one slot) is consumed nowhere and dropped by
-		// the read loop bookkeeping.
-		c.sendCancel(id)
-		return nil, ctx.Err()
+		c.abandon(id, pc)
+		return 0, nil, callResult{}, ctx.Err()
 	}
 }
 
@@ -428,74 +431,45 @@ func (c *Client) DropTable(name string) error {
 	return err
 }
 
-// Select evaluates an encrypted query remotely, materializing the full
-// result. Cancelling ctx abandons the call (and advises the server to stop
-// the scan) without disturbing other traffic on the connection.
+// Select evaluates an encrypted query remotely and collects the streamed
+// answer into one Result (engine.Collect). Cancelling ctx abandons the call
+// (and advises the server to stop the scan) without disturbing other traffic
+// on the connection.
 func (c *Client) Select(ctx context.Context, q engine.Query) (*engine.Result, error) {
-	resp, err := c.call(ctx, &request{Op: opSelect, Query: q})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Result == nil {
-		return nil, errors.New("wire: provider returned no result")
-	}
-	return resp.Result, nil
+	return engine.Collect(0, func() (engine.ResultStream, error) { return c.SelectStream(ctx, q) })
 }
 
 // SelectStream evaluates an encrypted query remotely and streams the result
 // in chunks as the provider renders them, so the first rows arrive before
 // the last are rendered and the full result never materializes on either
-// side. The returned stream must be closed.
+// side. An answer of one chunk is one frame. The returned stream must be
+// closed.
 func (c *Client) SelectStream(ctx context.Context, q engine.Query) (engine.ResultStream, error) {
-	s, err := c.selectStreamOnce(ctx, q)
-	for attempt := 1; attempt <= c.busyRetries && errors.Is(err, ErrServerBusy); attempt++ {
-		if werr := sleepCtx(ctx, c.busyBackoff(attempt)); werr != nil {
-			return nil, werr
+	return retryBusy(c, ctx, func() (engine.ResultStream, error) {
+		id, pc, first, err := c.start(ctx, &request{Op: opSelect, Query: q}, true)
+		if err != nil {
+			return nil, err
 		}
-		s, err = c.selectStreamOnce(ctx, q)
-	}
-	return s, err
+		s := &clientStream{c: c, ctx: ctx, id: id, pc: pc, head: first.resp, buf: first.buf, total: first.resp.N}
+		if !first.resp.More {
+			streamCalls.Put(pc)
+			s.pc = nil
+		}
+		return s, nil
+	})
 }
 
-// selectStreamOnce makes one attempt at setting up a streamed Select. A
-// busy rejection always arrives on the first frame — admission happens
-// before any chunk is rendered — so retrying the whole setup never
-// re-reads partial results.
-func (c *Client) selectStreamOnce(ctx context.Context, q engine.Query) (engine.ResultStream, error) {
-	id, pc, err := c.register(true)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.w.send(id, &request{Op: opSelectStream, Query: q}); err != nil {
-		c.fail(fmt.Errorf("wire: send: %w", err))
-	}
-	// Wait for the first frame before returning: it is a chunk, the
-	// terminator, or the query's (or admission's) error.
-	select {
-	case res := <-pc.ch:
-		if res.err != nil {
-			return nil, res.err
-		}
-		if res.resp.Err != "" {
-			bufpool.Put(res.buf)
-			return nil, wireError(res.resp.Err)
-		}
-		return &clientStream{c: c, ctx: ctx, id: id, pc: pc, head: res.resp, buf: res.buf, total: res.resp.N}, nil
-	case <-ctx.Done():
-		c.sendCancel(id)
-		c.drainAbandoned(id, pc)
-		return nil, ctx.Err()
-	}
-}
-
-// drainAbandoned unregisters a streaming request and discards chunks that
-// already arrived (returning their frame buffers to the pool), letting the
-// demux loop drop the rest.
-func (c *Client) drainAbandoned(id uint64, pc *pendingCall) {
-	c.unregister(id)
+// abandon gives up on an in-flight request: it sends an advisory opCancel,
+// unregisters the request and discards the frames that already arrived
+// (returning their buffers to the pool); the demux loop drops the rest.
+func (c *Client) abandon(id uint64, pc chan callResult) {
+	c.sendCancel(id)
+	c.pmu.Lock()
+	delete(c.pending, id)
+	c.pmu.Unlock()
 	for {
 		select {
-		case res := <-pc.ch:
+		case res := <-pc:
 			bufpool.Put(res.buf)
 		default:
 			return
@@ -503,9 +477,9 @@ func (c *Client) drainAbandoned(id uint64, pc *pendingCall) {
 	}
 }
 
-// clientStream is the client half of a streamed Select: chunks arrive on the
+// clientStream is the client half of a streamed select: chunks arrive on the
 // pending channel as the demux loop delivers them; the final frame (More
-// unset) ends the stream.
+// unset) carries the last chunk's rows, if any, and ends the stream.
 //
 // Chunk buffers recycle: each chunk's rows alias a pooled frame buffer,
 // which goes back to the pool when the consumer asks for the next chunk (or
@@ -516,33 +490,29 @@ type clientStream struct {
 	c   *Client
 	ctx context.Context
 	id  uint64
-	pc  *pendingCall
+	pc  chan callResult // nil once the final frame has arrived
 
-	head      *response    // first frame, held back by SelectStream
-	buf       *bufpool.Buf // frame buffer backing the chunk last handed out
-	total     int
-	done      bool
-	cancelled bool
-	err       error
+	head  *response    // first frame, held back by SelectStream
+	buf   *bufpool.Buf // frame buffer backing the chunk last handed out
+	total int
+	err   error // sticky; io.EOF once the stream is over
 }
 
-// Next returns the next chunk, or io.EOF after the final frame.
+// Next returns the next chunk, or io.EOF after the final frame's rows.
 func (s *clientStream) Next() (*engine.Result, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
-	if s.done {
-		return nil, io.EOF
-	}
-	for {
+	for s.err == nil {
 		resp := s.head
 		s.head = nil
 		if resp == nil {
 			// The consumer is done with the previous chunk; its frame buffer
 			// can carry the next one.
 			s.putBuf()
+			if s.pc == nil {
+				s.err = io.EOF
+				break
+			}
 			select {
-			case res := <-s.pc.ch:
+			case res := <-s.pc:
 				if res.err != nil {
 					return nil, s.finish(res.err)
 				}
@@ -551,29 +521,25 @@ func (s *clientStream) Next() (*engine.Result, error) {
 			case <-s.c.failed:
 				return nil, s.finish(s.c.failErr())
 			case <-s.ctx.Done():
-				if !s.cancelled {
-					s.cancelled = true
-					s.c.sendCancel(s.id)
-				}
-				s.c.drainAbandoned(s.id, s.pc)
+				s.c.abandon(s.id, s.pc)
 				return nil, s.finish(s.ctx.Err())
+			}
+			if !resp.More || resp.Err != "" {
+				streamCalls.Put(s.pc)
+				s.pc = nil
 			}
 		}
 		if resp.Err != "" {
 			return nil, s.finish(wireError(resp.Err))
 		}
-		if !resp.More {
-			s.total = resp.N
-			s.done = true
-			s.putBuf()
-			return nil, io.EOF
-		}
 		s.total = resp.N
-		if resp.Result == nil {
-			continue // defensive: a chunk frame always carries rows
+		if resp.Result != nil {
+			return resp.Result, nil
 		}
-		return resp.Result, nil
+		// A frame without a chunk is a count-only answer's only frame; the
+		// loop ends the stream.
 	}
+	return nil, s.err
 }
 
 // putBuf returns the current chunk's frame buffer to the pool.
@@ -592,32 +558,19 @@ func (s *clientStream) finish(err error) error {
 // Count returns the total match count, known from the first frame onward.
 func (s *clientStream) Count() int { return s.total }
 
-// Close ends the stream: an unfinished one is cancelled server-side and
-// drained so the connection stays usable for other calls.
+// Close ends the stream. Once the final frame has arrived it only releases
+// the last chunk's buffer; an unfinished stream is cancelled server-side and
+// abandoned, so the connection stays usable for other calls.
 func (s *clientStream) Close() error {
-	if s.done || s.err != nil {
-		return nil
+	s.head = nil
+	if s.err == nil {
+		if s.pc != nil {
+			s.c.abandon(s.id, s.pc)
+		}
+		s.err = io.EOF
 	}
 	s.putBuf()
-	if !s.cancelled {
-		s.cancelled = true
-		s.c.sendCancel(s.id)
-	}
-	// Drain to the final frame so the demux loop is never left blocked on
-	// this stream's buffer.
-	for {
-		select {
-		case res := <-s.pc.ch:
-			bufpool.Put(res.buf)
-			if res.err != nil || res.resp.Err != "" || !res.resp.More {
-				s.done = true
-				return nil
-			}
-		case <-s.c.failed:
-			s.done = true
-			return nil
-		}
-	}
+	return nil
 }
 
 // InsertBatch appends rows to table in one round trip: one opInsert

@@ -13,8 +13,8 @@ import (
 
 // TestCountOnlyResponseIsTiny: the engine answers COUNT(*) with the match
 // count and no RecordIDs, so the reply to a count-only query over 10k
-// matching rows — as the server frames it for Select and for the end of a
-// SelectStream — encodes in under 32 bytes.
+// matching rows — the collected Result, and the one frame the server sends
+// for it — encodes in under 32 bytes.
 func TestCountOnlyResponseIsTiny(t *testing.T) {
 	plat, err := enclave.NewPlatform()
 	if err != nil {

@@ -45,8 +45,9 @@ type response struct {
 	Tables []string
 	Merge  engine.MergeInfo
 
-	// More marks a non-final chunk of an opSelectStream result: the peer
-	// keeps reading frames for the same request ID until a frame with More
-	// unset (the terminator, which carries no rows) or Err set arrives.
+	// More marks a non-final chunk of an opSelect answer: the peer keeps
+	// reading frames for the same request ID until a frame with More unset
+	// (the final chunk, or a count-only answer's only frame) or Err set
+	// arrives.
 	More bool
 }

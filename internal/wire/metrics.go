@@ -45,8 +45,6 @@ func (o op) metricName() string {
 		return "merge_async"
 	case opMergeStatus:
 		return "merge_status"
-	case opSelectStream:
-		return "select_stream"
 	case opCancel:
 		return "cancel"
 	}

@@ -96,7 +96,7 @@ func TestHelloRefusesOtherVersions(t *testing.T) {
 		"v4":       hello(4),
 		"v5":       hello(5),
 		"v6":       hello(6),
-		"v8":       hello(8),
+		"v7":       hello(7),
 		"no_magic": {0, 0, 0, 9, 'l', 'o', 'c', 'k', 's', 't', 'e', 'p', '!'}, // a lock-step era first frame
 	}
 	// What a refused peer pipelines behind its hello: a valid CREATE TABLE.

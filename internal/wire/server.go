@@ -652,10 +652,10 @@ func (s *Server) handleMux(mc *muxConn, id uint64, req *request, buf *bufpool.Bu
 
 // serveRequest executes one request, records it against the metric
 // families, and writes its response(s): a single frame for ordinary ops; for
-// opSelectStream a chunk sequence (response.More marks chunks) ended by a
-// terminator with More unset that carries the total count, or Err set when
-// the query failed — including its context being cancelled by opCancel.
-// Only send failures are returned; query failures travel to the peer.
+// opSelect the answer's chunk frames (response.More marks all but the last),
+// or one frame with Err set when the query failed — including its context
+// being cancelled by opCancel. Only send failures are returned; query
+// failures travel to the peer.
 //
 // The request leaves the admission count (mc.queueSem) here, when its
 // execution is over and before its final frame is written: the peer may
@@ -669,7 +669,7 @@ func (s *Server) serveRequest(mc *muxConn, t task) error {
 		respPool.Put(resp)
 	}()
 	var sendErr error
-	if t.req.Op == opSelectStream {
+	if t.req.Op == opSelect {
 		sendErr = s.streamChunks(t.ctx, mc.mw, t.id, t.req, resp)
 	} else {
 		s.dispatch(t.ctx, t.req, resp)
@@ -683,11 +683,16 @@ func (s *Server) serveRequest(mc *muxConn, t task) error {
 	return mc.mw.send(t.id, resp)
 }
 
-// streamChunks writes the chunk frames of one streamed Select, reusing resp
-// for every frame (each send copies it onto the wire before the next chunk
-// overwrites it), and leaves the terminator in resp for serveRequest to
-// send. Like dispatch, it converts a panic in the engine's lazy render path
-// into an error terminator instead of taking down the provider.
+// streamChunks sends the chunk frames of one select, reusing resp for every
+// frame (each send copies it onto the wire before the next chunk overwrites
+// it), and leaves the final frame in resp for serveRequest to send: the
+// chunk whose rows bring the sent count to the stream's Count (an empty
+// answer's one chunk has none), or a frame without a chunk when the stream
+// has none (a count-only answer) or fails. The final frame carries the total
+// in N with More unset, so no terminator follows. The final chunk outlives
+// the stream's Close, as an engine cursor's do: closing one only drops
+// references. Like dispatch, it converts a panic in the engine's lazy render
+// path into an error frame instead of taking down the provider.
 func (s *Server) streamChunks(ctx context.Context, mw *muxWriter, id uint64, req *request, resp *response) (sendErr error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -703,19 +708,21 @@ func (s *Server) streamChunks(ctx context.Context, mw *muxWriter, id uint64, req
 		return nil
 	}
 	defer st.Close()
-	for {
+	for sent := 0; ; {
 		chunk, err := st.Next()
-		if err == io.EOF {
-			resetResponse(resp)
-			resp.N = st.Count()
-			return nil
-		}
 		if err != nil {
 			resetResponse(resp)
-			resp.Err = err.Error()
+			if resp.N = st.Count(); err != io.EOF {
+				resp.Err = err.Error()
+			}
 			return nil
 		}
-		resp.Result, resp.More, resp.N = chunk, true, st.Count()
+		sent += chunk.Count
+		resp.Result, resp.N = chunk, st.Count()
+		if sent >= st.Count() {
+			return nil
+		}
+		resp.More = true
 		if err := mw.send(id, resp); err != nil {
 			return err
 		}
@@ -738,13 +745,6 @@ func (s *Server) dispatch(ctx context.Context, req *request, resp *response) {
 		resp.Err = err.Error()
 	}
 	switch req.Op {
-	case opSelect:
-		res, err := s.db.Select(ctx, req.Query)
-		if err != nil {
-			fail(err)
-			return
-		}
-		resp.Result = res
 	case opQuote:
 		encl := s.db.Enclave()
 		if encl == nil {
@@ -753,12 +753,7 @@ func (s *Server) dispatch(ctx context.Context, req *request, resp *response) {
 		}
 		resp.Quote = encl.Quote(req.Nonce)
 	case opProvision:
-		encl := s.db.Enclave()
-		if encl == nil {
-			fail(errors.New("wire: provider has no enclave"))
-			return
-		}
-		if err := encl.Provision(req.Sealed); err != nil {
+		if err := s.db.Provision(req.Sealed); err != nil {
 			fail(err)
 		}
 	case opSchema:

@@ -62,7 +62,7 @@ const importRowsPerByte = 128
 // protoVersion is the one protocol version this build speaks. Any change to
 // a frame's layout bumps it, so that a peer of another build is refused at
 // the hello instead of having its frames misread.
-const protoVersion = 7
+const protoVersion = 8
 
 // ErrUnsupportedVersion is returned when the peer's hello does not open with
 // the protocol magic or names a version other than this build's. The
@@ -104,6 +104,11 @@ const (
 	opSchema
 	opCreateTable
 	opDropTable
+	// opSelect answers with result chunk frames under the request's ID:
+	// every frame but the last sets response.More, and the last carries the
+	// final chunk (an empty answer's names its columns and holds no rows; a
+	// count-only answer has none) and the total count in response.N. A point
+	// lookup is one frame each way.
 	opSelect
 	opInsert
 	opDelete
@@ -115,10 +120,9 @@ const (
 	opStorageBytes
 	opMergeAsync
 	opMergeStatus
-	// opSelectStream answers with chunked result frames (response.More marks
-	// non-final chunks) under the request's ID; opCancel asks the server to
-	// cancel the in-flight request named by request.Cancel.
-	opSelectStream
+	_ // retired with protocol 7's separate streamed select; no op moves
+	// opCancel asks the server to cancel the in-flight request named by
+	// request.Cancel.
 	opCancel
 )
 

@@ -44,7 +44,8 @@ func (o *DataOwner) MasterKey() Key { return append(Key(nil), o.master...) }
 // Provision runs the full remote attestation flow against an embedded
 // database (paper Fig. 5 steps 1-2): request a quote for a fresh nonce,
 // verify measurement and platform authenticity, establish the channel, and
-// deploy SK_DB into the enclave.
+// deploy SK_DB into the enclave. Tables whose delta came due before the
+// enclave held the key (recovered from the write-ahead log) start sealing.
 func (o *DataOwner) Provision(d *Database) error {
 	nonce := make([]byte, 16)
 	if _, err := crand.Read(nonce); err != nil {
@@ -59,7 +60,7 @@ func (o *DataOwner) Provision(d *Database) error {
 	if err != nil {
 		return fmt.Errorf("encdbdb: seal key: %w", err)
 	}
-	if err := d.encl.Provision(sealed); err != nil {
+	if err := d.db.Provision(sealed); err != nil {
 		return fmt.Errorf("encdbdb: provision: %w", err)
 	}
 	return nil
