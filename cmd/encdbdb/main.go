@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	encdbdb [-key HEXKEY] [-load file.encdb ...]
+//	encdbdb [-key HEXKEY] [file.encdb ...]
 //
 // Example session:
 //

@@ -1,6 +1,6 @@
 //go:build !race
 
-package bench
+package av
 
 // raceEnabled is false in normal builds; see race_test.go.
 const raceEnabled = false

@@ -14,8 +14,8 @@ import (
 // ValueIDs rather than ranges. The paper's algorithm compares every
 // attribute vector entry with every returned ValueID (O(|AV|·|vid|)); the
 // sorted-list binary search and the bitset are the alternatives ablation A1
-// (`encdbdb-bench -exp ablation-av`) times beside the engine's bit-packed
-// kernel.
+// (internal/search's BenchmarkAttrVectList) times beside the engine's
+// bit-packed kernel.
 type AVMode int
 
 const (

@@ -571,6 +571,26 @@ func TestKindStringRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSplitMemBytesBelowUnpacked pins what BENCH_compression.json records
+// for a whole split: a plain ED1 split holding its attribute vector packed
+// takes less memory than the same dictionary beside a 4-byte-per-row one.
+func TestSplitMemBytesBelowUnpacked(t *testing.T) {
+	const rows = 1000
+	for _, dictLen := range []int{16, 256, 4096, 65536} {
+		col := make([][]byte, rows)
+		for i := range col {
+			col[i] = []byte(fmt.Sprintf("v%07d", i%dictLen+1))
+		}
+		s, err := Build(col, Params{Kind: ED1, MaxLen: 8, Plain: true, Rand: rand.New(rand.NewSource(42))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if packed, unpacked := s.MemBytes(), s.DictSizeBytes()+4*s.Rows(); packed >= unpacked {
+			t.Errorf("|D|=%d: packed split %d B not below unpacked %d B", dictLen, packed, unpacked)
+		}
+	}
+}
+
 func BenchmarkBuildED1_10k(b *testing.B) {
 	benchBuild(b, ED1, false)
 }

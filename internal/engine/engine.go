@@ -68,7 +68,9 @@ type Option interface {
 }
 
 type options struct {
-	workers     int
+	workers int
+	// reorder runs filters cheapest first (planFilters); only tests turn
+	// it off, to compare against the order a query states.
 	reorder     bool
 	sealRows    int
 	streamChunk int
@@ -83,15 +85,6 @@ func (o workersOption) apply(opts *options) { opts.workers = int(o) }
 // claim main-store morsels of one query's scan. The default (0) uses
 // GOMAXPROCS.
 func WithWorkers(n int) Option { return workersOption(n) }
-
-type reorderOption bool
-
-func (o reorderOption) apply(opts *options) { opts.reorder = bool(o) }
-
-// WithFilterReorder toggles the query optimizer's cheapest-first filter
-// ordering (default on). Disabled, filters run in the order given — useful
-// for measuring the optimizer's effect.
-func WithFilterReorder(on bool) Option { return reorderOption(on) }
 
 type sealRowsOption int
 

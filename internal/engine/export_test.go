@@ -2,6 +2,15 @@ package engine
 
 import "github.com/encdbdb/encdbdb/internal/dict"
 
+type reorderOption bool
+
+func (o reorderOption) apply(opts *options) { opts.reorder = bool(o) }
+
+// WithFilterReorder toggles the query optimizer's cheapest-first filter
+// ordering (default on). Disabled, filters run in the order given, so tests
+// can compare the optimizer's work against the order a query states.
+func WithFilterReorder(on bool) Option { return reorderOption(on) }
+
 // SetMergeHooks installs test instrumentation inside the background merge
 // pipeline: afterPin runs once the base version is pinned (the rebuild is
 // about to start, no lock held), beforeSwap runs when the rebuilt stores

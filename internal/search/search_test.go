@@ -6,10 +6,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/encdbdb/encdbdb/internal/av"
 	"github.com/encdbdb/encdbdb/internal/baseline"
 	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/ordenc"
 	"github.com/encdbdb/encdbdb/internal/pae"
+	"github.com/encdbdb/encdbdb/internal/ridset"
 	"github.com/encdbdb/encdbdb/internal/search"
 )
 
@@ -586,6 +588,53 @@ func BenchmarkUnsortedDictSearch10k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := search.UnsortedDict(f.split, f.dec, q); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAttrVectList is the membership half of the compression sweep
+// and ablation A1: a random ValueID list of ~10% of |D|, as an unsorted
+// dictionary search emits, scanned single-threaded over 1M random codes by
+// the engine's packed kernel and by internal/baseline's unpacked scans —
+// the paper's literal nested loop, a sorted probe and a bitset. The range
+// half is internal/av's BenchmarkPackedRangeScan at the same widths.
+func BenchmarkAttrVectList(b *testing.B) {
+	const rows = 1 << 20
+	for _, dictLen := range []int{16, 256, 4096, 65536} {
+		rng := rand.New(rand.NewSource(int64(dictLen)))
+		codes := make([]uint32, rows)
+		for i := range codes {
+			codes[i] = uint32(rng.Intn(dictLen))
+		}
+		vec := av.Pack(codes, dictLen)
+		vids := make([]uint32, dictLen/10+1)
+		for i := range vids {
+			vids[i] = uint32(rng.Intn(dictLen))
+		}
+		// The packed kernel ANDs into an accumulator; each pass refills
+		// it first, as the unpacked scans start from a fresh set.
+		acc, full := ridset.New(rows), ridset.Full(rows)
+		modes := []struct {
+			name string
+			scan func()
+		}{
+			{"packed", func() {
+				acc.UnionWith(full)
+				search.AttrVectListPackedInto(vec, vids, acc, 1)
+			}},
+			{"sorted-probe", func() { baseline.AttrVectListSet(codes, vids, dictLen, baseline.AVSortedProbe, 1) }},
+			{"nested-loop", func() { baseline.AttrVectListSet(codes, vids, dictLen, baseline.AVNestedLoop, 1) }},
+			{"bitset", func() { baseline.AttrVectListSet(codes, vids, dictLen, baseline.AVBitset, 1) }},
+		}
+		for _, m := range modes {
+			b.Run(fmt.Sprintf("dict=%d/mode=%s", dictLen, m.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					m.scan()
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+			})
 		}
 	}
 }

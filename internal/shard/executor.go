@@ -352,8 +352,10 @@ func (e *Executor) MergeStatus(ctx context.Context, table string) (engine.MergeI
 
 // ShardStreams returns one lazily opened result stream per shard, in map
 // order. Opening and chunk errors count against the shard's health like any
-// other dispatch.
+// other dispatch. The read counts once in the fan-out histogram, at the
+// fleet's width, however many of the openers its reader calls.
 func (e *Executor) ShardStreams(ctx context.Context, q engine.Query) []func() (engine.ResultStream, error) {
+	e.met.scatter(len(e.backends))
 	out := make([]func() (engine.ResultStream, error), len(e.backends))
 	for i := range e.backends {
 		out[i] = func() (engine.ResultStream, error) {

@@ -7,11 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/engine"
+	"github.com/encdbdb/encdbdb/internal/metrics"
 	"github.com/encdbdb/encdbdb/internal/pae"
 	"github.com/encdbdb/encdbdb/internal/proxy"
 )
@@ -317,5 +319,42 @@ func TestSingleShardPassthrough(t *testing.T) {
 	want, _ := s0.Select(context.Background(), engine.Query{Table: "t"})
 	if !reflect.DeepEqual(res.Columns, want.Columns) || res.Count != want.Count {
 		t.Errorf("single-shard Select = %+v, want passthrough %+v", res, want)
+	}
+}
+
+// TestFleetReadCountsFanout pins the fan-out histogram for reads: one proxy
+// SELECT over a 2-shard fleet is one observation of width 2, whether or not
+// its reader opens every shard's stream.
+func TestFleetReadCountsFanout(t *testing.T) {
+	reg := metrics.NewRegistry()
+	s0, s1 := &stubBackend{rows: []string{"a"}}, &stubBackend{rows: []string{"b"}}
+	e, err := NewExecutor(NewHashMap([]string{"a", "b"}), []proxy.Executor{s0, s1}, Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := proxy.New(pae.MustGen(), e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := p.Query(context.Background(), "SELECT c FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rows.All(); err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`encdbdb_shard_fanout_width_bucket{le="1"} 0`,
+		`encdbdb_shard_fanout_width_bucket{le="2"} 1`,
+		"encdbdb_shard_fanout_width_sum 2\n",
+		"encdbdb_shard_fanout_width_count 1\n",
+	} {
+		if !strings.Contains(text.String(), want) {
+			t.Errorf("metrics lack %q:\n%s", want, text.String())
+		}
 	}
 }

@@ -134,8 +134,13 @@ func TestHelloRefusesOtherVersions(t *testing.T) {
 			if want := hello(protoVersion); !bytes.HasPrefix(want, got) {
 				t.Errorf("server answered %q, want at most its hello %q", got, want)
 			}
-			if err := <-refused; !errors.Is(err, ErrUnsupportedVersion) {
-				t.Errorf("server logged %v, want ErrUnsupportedVersion", err)
+			select {
+			case err := <-refused:
+				if !errors.Is(err, ErrUnsupportedVersion) {
+					t.Errorf("server logged %v, want ErrUnsupportedVersion", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("server logged no refusal within 10s: it accepted the version")
 			}
 			c, err := Dial(ln.Addr().String())
 			if err != nil {
